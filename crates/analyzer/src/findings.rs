@@ -20,8 +20,8 @@ use crate::scan::Line;
 /// The named lints the analyzer enforces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Lint {
-    /// `partial_cmp` on `f64` paths: use `f64::total_cmp` or the helpers in
-    /// `simkernel/src/time.rs` so NaN can never collapse an ordering.
+    /// `partial_cmp` on `f64` paths: use `f64::total_cmp` so NaN can never
+    /// collapse an ordering.
     FloatOrd,
     /// Iteration over `HashMap`/`HashSet` in the deterministic crates
     /// (`core`, `lockmgr`, `bufmgr`): unordered iteration feeding reports or
@@ -76,9 +76,7 @@ impl Lint {
     /// One-line description for `--list`.
     pub fn describe(self) -> &'static str {
         match self {
-            Lint::FloatOrd => {
-                "partial_cmp on float paths; use f64::total_cmp (see simkernel/src/time.rs)"
-            }
+            Lint::FloatOrd => "partial_cmp on float paths; use f64::total_cmp",
             Lint::HashIter => {
                 "HashMap/HashSet iteration in core/lockmgr/bufmgr; order must not feed output"
             }

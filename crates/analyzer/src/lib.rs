@@ -4,7 +4,7 @@
 //! enforces the invariants `docs/ARCHITECTURE.md` documents in prose:
 //!
 //! * **`float-ord`** — no `partial_cmp` on simulation paths; `f64::total_cmp`
-//!   (or the helpers in `simkernel/src/time.rs`) only.
+//!   only.
 //! * **`hash-iter`** — no unordered `HashMap`/`HashSet` iteration in the
 //!   deterministic crates (`core`, `lockmgr`, `bufmgr`) without an inline
 //!   `// analyzer: allow(hash-iter): <why>` justification.

@@ -255,9 +255,7 @@ pub fn lint_file(
         if code.contains(".partial_cmp(") && !code.contains("fn partial_cmp") {
             fire(
                 Lint::FloatOrd,
-                "call to partial_cmp: a NaN collapses the ordering; use f64::total_cmp \
-                 or the helpers in simkernel/src/time.rs"
-                    .to_string(),
+                "call to partial_cmp: a NaN collapses the ordering; use f64::total_cmp".to_string(),
                 &mut findings,
             );
         }

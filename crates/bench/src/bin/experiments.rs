@@ -21,26 +21,15 @@
 //! # exit non-zero when events/sec drops more than 30% below it:
 //! cargo run --release -p tpsim-bench --bin experiments -- \
 //!     --profile fresh.json --check-baseline BENCH_kernel.json
-//!
-//! # Scaling gate (CI): run the suite sequentially and on the sharded kernel,
-//! # assert identical event counts (determinism) on any host and wall-clock
-//! # parity/speedup on hosts with >= 2 CPUs; write the scaling artifact:
-//! cargo run --release -p tpsim-bench --bin experiments -- \
-//!     --threads 2 --check-scaling BENCH_scaling.fresh.json
 //! ```
 
 use tpsim_bench::profile::{
-    check_against_baseline, check_scaling, kernel_profile_suite, parse_baseline, render_bench_json,
-    HistoryEntry, ScalingInfo,
+    check_against_baseline, kernel_profile_suite, parse_baseline, render_bench_json,
 };
 use tpsim_bench::{all_experiments, experiments::run_experiment, RunSettings};
 
 /// Tolerated one-sided events/sec drop before the baseline gate fails.
 const BASELINE_TOLERANCE: f64 = 0.30;
-
-/// Tolerated per-point slowdown of the sharded kernel vs sequential before
-/// the scaling gate fails (only enforced on hosts with >= 2 CPUs).
-const SCALING_TOLERANCE: f64 = 0.10;
 
 /// Best-of-N repetitions per profile point.
 const PROFILE_REPS: usize = 3;
@@ -52,8 +41,6 @@ fn main() {
     let mut requested: Vec<String> = Vec::new();
     let mut profile_out: Option<String> = None;
     let mut baseline_path: Option<String> = None;
-    let mut scaling_out: Option<String> = None;
-    let mut kernel_threads: usize = 0;
     let mut iter = args.iter().peekable();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
@@ -70,17 +57,6 @@ fn main() {
                 scale_label = "full";
             }
             "--sequential" => settings.parallel = false,
-            "--threads" => {
-                // Sharded-kernel workers inside each simulation; results are
-                // byte-identical for every value (see docs/ARCHITECTURE.md,
-                // "Parallel kernel"), only wall-clock changes.
-                let parsed = iter.next().and_then(|n| n.parse::<usize>().ok());
-                let Some(n) = parsed else {
-                    eprintln!("--threads needs a thread count");
-                    std::process::exit(2);
-                };
-                kernel_threads = n;
-            }
             "--profile" => {
                 // Optional output path; defaults to BENCH_kernel.json.  Only
                 // a `.json` token is taken as the path, so an experiment id
@@ -101,17 +77,6 @@ fn main() {
                 };
                 baseline_path = Some(path.to_string());
             }
-            "--check-scaling" => {
-                // Optional artifact path, recognised like --profile's.
-                let path = iter
-                    .peek()
-                    .filter(|next| next.ends_with(".json"))
-                    .map(|next| next.to_string());
-                if path.is_some() {
-                    iter.next();
-                }
-                scaling_out = Some(path.unwrap_or_default());
-            }
             "--help" | "-h" => {
                 print_help();
                 return;
@@ -120,25 +85,20 @@ fn main() {
         }
     }
 
-    if profile_out.is_some() || baseline_path.is_some() || scaling_out.is_some() {
+    if profile_out.is_some() || baseline_path.is_some() {
         // Profile mode always runs the fixed full-scale suite; combining it
         // with experiment ids would silently ignore them, so refuse instead.
         if !requested.is_empty() {
             eprintln!(
-                "--profile/--check-baseline/--check-scaling run the fixed profile suite \
+                "--profile/--check-baseline run the fixed profile suite \
                  and cannot be combined with experiment ids (got: {})",
                 requested.join(", ")
             );
             std::process::exit(2);
         }
-        if let Some(out) = scaling_out {
-            run_scaling_mode(out, kernel_threads);
-            return;
-        }
-        run_profile_mode(profile_out, baseline_path, kernel_threads);
+        run_profile_mode(profile_out, baseline_path);
         return;
     }
-    settings.kernel_threads = kernel_threads;
 
     let catalogue = all_experiments();
     let ids: Vec<String> = if requested.is_empty() {
@@ -177,18 +137,9 @@ fn main() {
 
 /// Runs the kernel profile suite, prints it, optionally writes the JSON and
 /// optionally gates against a committed baseline.
-fn run_profile_mode(
-    profile_out: Option<String>,
-    baseline_path: Option<String>,
-    kernel_threads: usize,
-) {
-    let scaling = ScalingInfo::current(kernel_threads);
-    println!(
-        "# TPSIM kernel profile (full scale, best of {PROFILE_REPS} reps per point, \
-         kernel threads {kernel_threads}, host parallelism {})",
-        scaling.host_parallelism
-    );
-    let fresh = kernel_profile_suite(PROFILE_REPS, kernel_threads);
+fn run_profile_mode(profile_out: Option<String>, baseline_path: Option<String>) {
+    println!("# TPSIM kernel profile (full scale, best of {PROFILE_REPS} reps per point)");
+    let fresh = kernel_profile_suite(PROFILE_REPS);
     println!(
         "{:<26} {:>12} {:>12} {:>16} {:>18}",
         "point", "events", "wall [ms]", "events/sec", "fanout [us/commit]"
@@ -222,7 +173,7 @@ fn run_profile_mode(
     if let Some(out) = profile_out {
         // A fresh emission carries no history; the committed BENCH_kernel.json
         // keeps its hand-curated history section across PRs.
-        std::fs::write(&out, render_bench_json(&fresh, &scaling, &[])).unwrap_or_else(|e| {
+        std::fs::write(&out, render_bench_json(&fresh, &[])).unwrap_or_else(|e| {
             eprintln!("cannot write {out}: {e}");
             std::process::exit(2);
         });
@@ -247,55 +198,12 @@ fn run_profile_mode(
     }
 }
 
-/// Runs the profile suite twice — sequentially and on the sharded kernel —
-/// and gates the pair with [`check_scaling`]: event counts must match on any
-/// host; wall-clock must hold up only when the host has >= 2 CPUs.  Writes
-/// the parallel measurement (with the sequential run as its history entry)
-/// to `out` unless it is empty.
-fn run_scaling_mode(out: String, kernel_threads: usize) {
-    let threads = kernel_threads.max(2);
-    let scaling = ScalingInfo::current(threads);
-    println!(
-        "# TPSIM scaling gate (full scale, best of {PROFILE_REPS} reps per point, \
-         kernel threads {threads} vs sequential, host parallelism {})",
-        scaling.host_parallelism
-    );
-    let sequential = kernel_profile_suite(PROFILE_REPS, 0);
-    let parallel = kernel_profile_suite(PROFILE_REPS, threads);
-    if !out.is_empty() {
-        let reference = HistoryEntry {
-            label: "sequential reference (same build, same host, kernel_threads 0)".to_string(),
-            points: sequential.clone(),
-        };
-        std::fs::write(&out, render_bench_json(&parallel, &scaling, &[reference])).unwrap_or_else(
-            |e| {
-                eprintln!("cannot write {out}: {e}");
-                std::process::exit(2);
-            },
-        );
-        println!("wrote {out}");
-    }
-    match check_scaling(&sequential, &parallel, &scaling, SCALING_TOLERANCE) {
-        Ok(table) => println!("\nscaling check (tolerance 10%):\n{table}"),
-        Err(report) => {
-            eprintln!("\nscaling check FAILED:\n{report}");
-            std::process::exit(1);
-        }
-    }
-}
-
 fn print_help() {
     println!(
-        "usage: experiments [--quick|--standard|--full] [--sequential] [--threads N] \
-         [EXPERIMENT-ID ...]\n\
-         \x20      experiments [--threads N] --profile [OUT.json] \
-         [--check-baseline BENCH_kernel.json]\n\
-         \x20      experiments [--threads N] --check-scaling [OUT.json]\n\
-         \x20      --threads N runs each simulation on the sharded event kernel with N\n\
-         \x20      workers (results are byte-identical; only wall-clock changes)\n\
-         \x20      --check-scaling runs the profile suite sequentially and with the\n\
-         \x20      sharded kernel (N workers, default 2), asserts equal event counts,\n\
-         \x20      and gates wall-clock on hosts with >= 2 CPUs"
+        "usage: experiments [--quick|--standard|--full] [--sequential] [EXPERIMENT-ID ...]\n\
+         \x20      experiments --profile [OUT.json] [--check-baseline BENCH_kernel.json]\n\
+         \x20      --sequential runs the points of each sweep one after another instead\n\
+         \x20      of on one thread per core (results are byte-identical)"
     );
     println!("experiments:");
     for e in all_experiments() {

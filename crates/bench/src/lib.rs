@@ -21,5 +21,5 @@ pub mod profile;
 pub mod runner;
 
 pub use experiments::{all_experiments, Experiment, ExperimentResult};
-pub use profile::{kernel_profile_suite, ProfilePoint, ScalingInfo};
+pub use profile::{kernel_profile_suite, ProfilePoint};
 pub use runner::{ProfiledSweepPoint, RunSettings, SweepPoint};

@@ -36,7 +36,7 @@ pub struct ProfilePoint {
     /// Per-device request-scheduler counters of the simulated run, summed
     /// over the devices (`None` when the point runs with the scheduler
     /// disabled).  Simulated results, not wall-clock: byte-identical across
-    /// reps and kernel thread counts.
+    /// reps.
     pub sched: Option<SchedulerProfile>,
 }
 
@@ -116,17 +116,9 @@ fn suite_points() -> Vec<(String, SimulationConfig, Family)> {
 
 /// Runs the profile suite at full experiment scale: every point `reps` times
 /// sequentially, keeping the fastest run (wall-clock noise is one-sided).
-///
-/// `kernel_threads` selects the event kernel *inside* each run (0/1 = the
-/// sequential kernel, >= 2 = the sharded conservative-lookahead kernel with
-/// that many workers, capped at one per simulated node).  Every point's
-/// simulated result — and therefore its `events` count — is byte-identical
-/// across thread counts; only `wall_ms` moves, which is exactly what makes
-/// the committed sequential baseline comparable to a `--threads` re-run.
-pub fn kernel_profile_suite(reps: usize, kernel_threads: usize) -> Vec<ProfilePoint> {
+pub fn kernel_profile_suite(reps: usize) -> Vec<ProfilePoint> {
     let mut settings = RunSettings::full();
     settings.parallel = false;
-    settings.kernel_threads = kernel_threads;
     let reps = reps.max(1);
     suite_points()
         .into_iter()
@@ -157,30 +149,6 @@ pub fn kernel_profile_suite(reps: usize, kernel_threads: usize) -> Vec<ProfilePo
             best.expect("at least one rep")
         })
         .collect()
-}
-
-/// The parallelism under which a profile emission was measured, recorded in
-/// the JSON's `scaling` section so a committed baseline is never silently
-/// compared against numbers from a different kernel configuration or a much
-/// narrower host.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ScalingInfo {
-    /// Sharded-kernel worker threads the suite ran with (0 = sequential).
-    pub kernel_threads: usize,
-    /// `std::thread::available_parallelism()` of the measuring host.
-    pub host_parallelism: usize,
-}
-
-impl ScalingInfo {
-    /// Scaling info for a suite run with `kernel_threads` on this host.
-    pub fn current(kernel_threads: usize) -> Self {
-        Self {
-            kernel_threads,
-            host_parallelism: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-        }
-    }
 }
 
 /// One labelled snapshot in the `history` section.
@@ -219,24 +187,15 @@ fn render_points(out: &mut String, points: &[ProfilePoint], indent: &str) {
     }
 }
 
-/// Renders `BENCH_kernel.json`: the measurement's scaling configuration, the
-/// current baseline points and the historical snapshots.
-pub fn render_bench_json(
-    points: &[ProfilePoint],
-    scaling: &ScalingInfo,
-    history: &[HistoryEntry],
-) -> String {
+/// Renders `BENCH_kernel.json`: the current baseline points and the
+/// historical snapshots.
+pub fn render_bench_json(points: &[ProfilePoint], history: &[HistoryEntry]) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"schema\": 1,\n");
     out.push_str(
         "  \"description\": \"Kernel wall-clock baseline: events/sec per profile-suite point \
          (regenerate: cargo run --release -p tpsim-bench --bin experiments -- --profile)\",\n",
-    );
-    let _ = writeln!(
-        out,
-        "  \"scaling\": {{\"kernel_threads\": {}, \"host_parallelism\": {}}},",
-        scaling.kernel_threads, scaling.host_parallelism
     );
     out.push_str("  \"points\": [\n");
     render_points(&mut out, points, "    ");
@@ -344,98 +303,6 @@ pub fn check_against_baseline(
     }
 }
 
-/// Compares a sharded-kernel suite run against a sequential run of the same
-/// build: the scaling gate for CI.
-///
-/// Two layers, because the host decides what a parallel run can prove:
-///
-/// * **Determinism (always):** every point's `events` count must be equal in
-///   both runs.  The sharded kernel promises byte-identical results, and the
-///   event count is the cheapest observable proxy for that promise.
-/// * **Wall-clock (only when `scaling.host_parallelism >= 2`):** each point's
-///   parallel events/sec must reach at least `1 - tolerance` of sequential,
-///   and the multi-node fig5.x points in aggregate (total events over total
-///   wall-clock) must not be slower than sequential.  On a single-CPU host
-///   both assertions are skipped — there the worker threads time-slice one
-///   core and a parallel run measures pure synchronisation overhead, which
-///   is not a regression in the kernel.
-pub fn check_scaling(
-    sequential: &[ProfilePoint],
-    parallel: &[ProfilePoint],
-    scaling: &ScalingInfo,
-    tolerance: f64,
-) -> Result<String, String> {
-    let mut table = String::new();
-    let mut failures = Vec::new();
-    let _ = writeln!(
-        table,
-        "{:<26} {:>14} {:>14} {:>8}",
-        "point", "seq [ev/s]", "par [ev/s]", "ratio"
-    );
-    let gate_wall_clock = scaling.host_parallelism >= 2;
-    let mut agg_seq_events = 0u64;
-    let mut agg_seq_wall = 0.0f64;
-    let mut agg_par_wall = 0.0f64;
-    for s in sequential {
-        let Some(p) = parallel.iter().find(|p| p.id == s.id) else {
-            failures.push(format!("point {} missing from the parallel run", s.id));
-            continue;
-        };
-        if p.events != s.events {
-            failures.push(format!(
-                "{}: parallel run popped {} events, sequential {} — the sharded \
-                 kernel diverged from the sequential oracle",
-                s.id, p.events, s.events
-            ));
-        }
-        let ratio = p.events_per_sec / s.events_per_sec.max(1e-9);
-        let _ = writeln!(
-            table,
-            "{:<26} {:>14.0} {:>14.0} {:>8.2}",
-            s.id, s.events_per_sec, p.events_per_sec, ratio
-        );
-        if s.id.starts_with("fig5.x/") && !s.id.ends_with("/1-nodes") {
-            agg_seq_events += s.events;
-            agg_seq_wall += s.wall_ms;
-            agg_par_wall += p.wall_ms;
-        }
-        if gate_wall_clock && ratio < 1.0 - tolerance {
-            failures.push(format!(
-                "{}: parallel events/sec is {ratio:.2}x of sequential \
-                 ({:.0} vs {:.0})",
-                s.id, p.events_per_sec, s.events_per_sec
-            ));
-        }
-    }
-    if agg_seq_wall > 0.0 && agg_par_wall > 0.0 {
-        let speedup = agg_seq_wall / agg_par_wall;
-        let _ = writeln!(
-            table,
-            "multi-node fig5.x aggregate: {} events, seq {:.1} ms, par {:.1} ms, \
-             speedup {speedup:.2}x",
-            agg_seq_events, agg_seq_wall, agg_par_wall
-        );
-        if gate_wall_clock && speedup < 1.0 {
-            failures.push(format!(
-                "multi-node fig5.x aggregate speedup {speedup:.2}x < 1.0: the sharded \
-                 kernel is slower than sequential on a host with {} CPUs",
-                scaling.host_parallelism
-            ));
-        }
-    }
-    if !gate_wall_clock {
-        let _ = writeln!(
-            table,
-            "(single-CPU host: wall-clock assertions skipped, determinism checked)"
-        );
-    }
-    if failures.is_empty() {
-        Ok(table)
-    } else {
-        Err(format!("{table}\nscaling gate:\n{}", failures.join("\n")))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -480,12 +347,8 @@ mod tests {
                 sched: None,
             }],
         }];
-        let scaling = ScalingInfo {
-            kernel_threads: 2,
-            host_parallelism: 8,
-        };
-        let json = render_bench_json(&sample_points(), &scaling, &history);
-        assert!(json.contains("\"scaling\": {\"kernel_threads\": 2, \"host_parallelism\": 8}"));
+        let json = render_bench_json(&sample_points(), &history);
+        assert!(!json.contains("\"scaling\""));
         // The fan-out column rides along in every point; the baseline parser
         // must keep working with (and ignoring) it.
         assert!(json.contains("\"fanout_us_per_commit\": 1.250"));
@@ -515,75 +378,6 @@ mod tests {
         // A missing point is a failure too.
         let missing = vec![("gone".to_string(), 1.0)];
         assert!(check_against_baseline(&fresh, &missing, 0.3).is_err());
-    }
-
-    fn scaling_pair(par_wall_factor: f64) -> (Vec<ProfilePoint>, Vec<ProfilePoint>) {
-        let seq: Vec<ProfilePoint> = [("fig5.x/1-nodes", 100_000u64), ("fig5.x/8-nodes", 800_000)]
-            .iter()
-            .map(|&(id, events)| ProfilePoint {
-                id: id.to_string(),
-                events,
-                wall_ms: 100.0,
-                events_per_sec: events as f64 / 0.1,
-                fanout_us_per_commit: 0.5,
-                sched: None,
-            })
-            .collect();
-        let par = seq
-            .iter()
-            .map(|p| ProfilePoint {
-                wall_ms: p.wall_ms * par_wall_factor,
-                events_per_sec: p.events_per_sec / par_wall_factor,
-                ..p.clone()
-            })
-            .collect();
-        (seq, par)
-    }
-
-    #[test]
-    fn scaling_gate_checks_determinism_on_any_host() {
-        let single_cpu = ScalingInfo {
-            kernel_threads: 2,
-            host_parallelism: 1,
-        };
-        let (seq, mut par) = scaling_pair(1.0);
-        assert!(check_scaling(&seq, &par, &single_cpu, 0.1).is_ok());
-        par[1].events += 1;
-        let err = check_scaling(&seq, &par, &single_cpu, 0.1).unwrap_err();
-        assert!(err.contains("diverged from the sequential oracle"), "{err}");
-        // A missing point fails even on one CPU.
-        let err = check_scaling(&seq, &par[..1], &single_cpu, 0.1).unwrap_err();
-        assert!(err.contains("missing from the parallel run"), "{err}");
-    }
-
-    #[test]
-    fn scaling_gate_skips_wall_clock_on_a_single_cpu_host() {
-        let single_cpu = ScalingInfo {
-            kernel_threads: 2,
-            host_parallelism: 1,
-        };
-        // 20x slower in parallel: pure sync overhead on one core, not a gate
-        // failure — only the skip note is emitted.
-        let (seq, par) = scaling_pair(20.0);
-        let table = check_scaling(&seq, &par, &single_cpu, 0.1).expect("skipped on 1 CPU");
-        assert!(table.contains("wall-clock assertions skipped"), "{table}");
-    }
-
-    #[test]
-    fn scaling_gate_enforces_wall_clock_on_a_multi_cpu_host() {
-        let multi_cpu = ScalingInfo {
-            kernel_threads: 2,
-            host_parallelism: 8,
-        };
-        // Slightly faster than sequential: passes per-point and aggregate.
-        let (seq, par) = scaling_pair(0.9);
-        let table = check_scaling(&seq, &par, &multi_cpu, 0.1).expect("speedup passes");
-        assert!(table.contains("speedup 1.11x"), "{table}");
-        // 30% slower per point (and in aggregate): both layers fire.
-        let (seq, par) = scaling_pair(1.3);
-        let err = check_scaling(&seq, &par, &multi_cpu, 0.1).unwrap_err();
-        assert!(err.contains("of sequential"), "{err}");
-        assert!(err.contains("aggregate speedup"), "{err}");
     }
 
     #[test]

@@ -353,56 +353,17 @@ impl RecoveryParams {
     }
 }
 
-/// Parallel-kernel parameters: how many worker threads the sharded event
-/// kernel may use, and the conservative lookahead of its synchronization
-/// rounds.
+/// Unused by the engine: the event kernel is sequential, and independent
+/// simulations (sweep points) are the unit of parallelism (`tpsim-bench`'s
+/// runner).
 ///
-/// The sequential kernel is the default and the byte-identity oracle: with
-/// `kernel_threads <= 1` the engine runs today's single-calendar loop, and a
-/// parallel run of the *same configuration and seed* produces a bit-for-bit
-/// identical [`crate::metrics::SimulationReport`] for every thread count and
-/// lookahead (see `docs/ARCHITECTURE.md`, "Parallel kernel").  The
-/// parameters therefore tune wall-clock throughput only, never simulated
-/// results.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// The struct exists only because the benchmark package (`simbench/`) sets
+/// `kernel_threads = 0` and asserts [`SimulationConfig::kernel_workers`] is
+/// 0.  Delete both once the benchmark drops those two lines.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ParallelismParams {
-    /// Worker threads for the sharded event kernel.  `0` and `1` both select
-    /// the sequential kernel; `N >= 2` shards the future event list per node
-    /// and runs the shards on `min(N, num_nodes)` workers.
+    /// Must be 0 or 1; [`SimulationConfig::validate`] rejects larger values.
     pub kernel_threads: usize,
-    /// Conservative lookahead window in simulated milliseconds: each
-    /// synchronization round lets the shards drain up to `earliest pending
-    /// event + lookahead`.  `0.0` derives the window from the modelled
-    /// cross-node delays ([`SimulationConfig::lookahead_ms`]).  Any value is
-    /// *correct* (the horizon protocol is order-preserving regardless); this
-    /// only trades synchronization frequency against coordinator-side spill
-    /// work.
-    pub lookahead_ms: SimTime,
-}
-
-impl Default for ParallelismParams {
-    fn default() -> Self {
-        Self {
-            kernel_threads: 0,
-            lookahead_ms: 0.0,
-        }
-    }
-}
-
-impl ParallelismParams {
-    /// Sequential kernel (the default).
-    pub fn sequential() -> Self {
-        Self::default()
-    }
-
-    /// Sharded kernel with `kernel_threads` workers and the auto-derived
-    /// lookahead.
-    pub fn threads(kernel_threads: usize) -> Self {
-        Self {
-            kernel_threads,
-            lookahead_ms: 0.0,
-        }
-    }
 }
 
 /// Cross-node buffer coherence protocol under data sharing (§7 of the
@@ -733,8 +694,8 @@ pub struct SimulationConfig {
     pub buffer: BufferConfig,
     /// Concurrency-control mode per partition.
     pub cc_modes: Vec<CcMode>,
-    /// Parallel-kernel parameters (worker threads, lookahead).  Wall-clock
-    /// tuning only: simulated results are identical for every setting.
+    /// Unused by the engine; kept for the benchmark package (see
+    /// [`ParallelismParams`]).
     pub parallelism: ParallelismParams,
     /// Cross-node buffer coherence protocol and page-transfer policy
     /// (data sharing with more than one node; ignored otherwise).
@@ -798,11 +759,12 @@ impl SimulationConfig {
         if self.partitioning.remote_cpu_instr.is_nan() || self.partitioning.remote_cpu_instr < 0.0 {
             return Err("remote CPU cost must be non-negative".into());
         }
-        if self.parallelism.kernel_threads > 256 {
-            return Err("more than 256 kernel threads are not supported".into());
-        }
-        if self.parallelism.lookahead_ms.is_nan() || self.parallelism.lookahead_ms < 0.0 {
-            return Err("kernel lookahead must be non-negative".into());
+        if self.parallelism.kernel_threads > 1 {
+            return Err(
+                "the event kernel is sequential: kernel_threads must be 0 or 1 \
+                 (run independent simulations in parallel instead, as sweeps do)"
+                    .into(),
+            );
         }
         if self.coherence.transfer_msg_ms.is_nan() || self.coherence.transfer_msg_ms < 0.0 {
             return Err("page-transfer message delay must be non-negative".into());
@@ -902,34 +864,10 @@ impl SimulationConfig {
         self.warmup_ms + self.measure_ms
     }
 
-    /// The lookahead window (simulated ms) of the sharded kernel's
-    /// synchronization rounds: the explicit
-    /// [`ParallelismParams::lookahead_ms`] when set, otherwise derived from
-    /// the modelled cross-node delays — the natural lookahead of the
-    /// architecture is the cheapest message round trip that can carry work
-    /// between nodes (global-lock traffic under data sharing, function
-    /// shipping under shared nothing).  NaN-hardened via
-    /// [`simkernel::time::safe_min_all`]; clamped to a window that keeps
-    /// rounds meaningful when a preset models near-zero delays.
-    pub fn lookahead_ms(&self) -> SimTime {
-        if self.parallelism.lookahead_ms > 0.0 {
-            return self.parallelism.lookahead_ms;
-        }
-        let cross_node = match self.architecture {
-            Architecture::DataSharing => 2.0 * self.nodes.remote_lock_delay_ms,
-            Architecture::SharedNothing => 2.0 * self.partitioning.remote_msg_ms,
-        };
-        let candidates = [cross_node].into_iter().filter(|&d| d > 0.0);
-        simkernel::time::safe_min_all(candidates)
-            .unwrap_or(1.0)
-            .clamp(0.05, 5.0)
-    }
-
-    /// Number of worker threads the sharded kernel will actually run: the
-    /// configured [`ParallelismParams::kernel_threads`] capped at one worker
-    /// per shard (node).  `<= 1` means the sequential kernel.
+    /// Always 0: the event kernel runs no worker threads.  Kept for the
+    /// benchmark package (see [`ParallelismParams`]).
     pub fn kernel_workers(&self) -> usize {
-        self.parallelism.kernel_threads.min(self.nodes.num_nodes)
+        0
     }
 
     /// Expected number of arrivals over the whole run (diagnostic).
@@ -1128,46 +1066,13 @@ mod tests {
         let mut c = minimal_config();
         c.parallelism.kernel_threads = 257;
         assert!(c.validate().is_err());
-        c.parallelism.kernel_threads = 8;
-        assert!(c.validate().is_ok());
-        c.parallelism.lookahead_ms = -0.1;
-        assert!(c.validate().is_err());
-        c.parallelism.lookahead_ms = f64::NAN;
-        assert!(c.validate().is_err());
-        c.parallelism.lookahead_ms = 0.4;
-        assert!(c.validate().is_ok());
-    }
-
-    #[test]
-    fn lookahead_derives_from_modelled_delays() {
-        let mut c = minimal_config();
-        // Explicit override wins.
-        c.parallelism.lookahead_ms = 2.5;
-        assert!((c.lookahead_ms() - 2.5).abs() < 1e-12);
-        // Auto: data sharing uses the global-lock message round trip.
-        c.parallelism.lookahead_ms = 0.0;
-        c.nodes.remote_lock_delay_ms = 0.2;
-        assert!((c.lookahead_ms() - 0.4).abs() < 1e-12);
-        // Auto: shared nothing uses the function-shipping round trip.
-        c.architecture = Architecture::SharedNothing;
-        c.partitioning.remote_msg_ms = 0.3;
-        assert!((c.lookahead_ms() - 0.6).abs() < 1e-12);
-        // No modelled delay at all: a sane default, still positive.
-        c.partitioning.remote_msg_ms = 0.0;
-        assert!(c.lookahead_ms() > 0.0);
-    }
-
-    #[test]
-    fn kernel_workers_cap_at_one_per_node() {
-        let mut c = minimal_config();
-        c.parallelism.kernel_threads = 8;
-        c.nodes.num_nodes = 1;
-        assert_eq!(c.kernel_workers(), 1);
-        c.nodes.num_nodes = 4;
-        assert_eq!(c.kernel_workers(), 4);
         c.parallelism.kernel_threads = 2;
-        assert_eq!(c.kernel_workers(), 2);
+        let err = c.validate().unwrap_err();
+        assert!(err.contains("sequential"), "{err}");
+        c.parallelism.kernel_threads = 1;
+        assert!(c.validate().is_ok());
         c.parallelism.kernel_threads = 0;
+        assert!(c.validate().is_ok());
         assert_eq!(c.kernel_workers(), 0);
     }
 

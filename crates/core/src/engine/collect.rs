@@ -239,7 +239,7 @@ impl<W: WorkloadGenerator> Simulation<W> {
         // (non-constant schedule and/or hot-spot skew); unshaped reports
         // omit it and render byte-identically to pre-workload-engine
         // reports.  The cluster-wide sketch is the merge of the per-node
-        // sketches — the cross-shard aggregation path the sketch exists for.
+        // sketches — the cross-node aggregation path the sketch exists for.
         let tail = self.config.workload.is_active().then(|| {
             let mut merged = QuantileSketch::default();
             for node in &self.nodes {

@@ -126,7 +126,7 @@ impl<W: WorkloadGenerator> Simulation<W> {
             self.flush_commit_group();
         } else if self.commit_group.len() == 1 {
             // First member: arm the flush timeout for this batch.
-            self.sched_in(
+            self.queue.schedule_in(
                 self.config.cm.group_commit_timeout_ms,
                 Ev::GroupCommitFlush(self.commit_group_seq),
             );

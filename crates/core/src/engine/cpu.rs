@@ -29,7 +29,7 @@ impl<W: WorkloadGenerator> Simulation<W> {
         match self.nodes[node].cpus.acquire(now, slot as u64) {
             Acquire::Granted => {
                 self.txs.tx_mut(slot).state = TxState::RunningCpu;
-                self.sched_in(ms, Ev::CpuDone(slot));
+                self.queue.schedule_in(ms, Ev::CpuDone(slot));
             }
             Acquire::Queued => {
                 self.txs.tx_mut(slot).state = TxState::WaitingCpu;
@@ -49,7 +49,7 @@ impl<W: WorkloadGenerator> Simulation<W> {
             if let Some(tx) = self.txs.get_mut(nslot) {
                 tx.state = TxState::RunningCpu;
                 let burst = tx.pending_burst;
-                self.sched_in(burst, Ev::CpuDone(nslot));
+                self.queue.schedule_in(burst, Ev::CpuDone(nslot));
             }
         }
         if let Some(tx) = self.txs.get_mut(slot) {

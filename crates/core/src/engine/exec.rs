@@ -175,7 +175,7 @@ impl<W: WorkloadGenerator> Simulation<W> {
     /// Pure delay: the message round trip of a remote lock request.
     fn op_remote_delay(&mut self, slot: usize, ms: SimTime) -> Flow {
         self.txs.tx_mut(slot).state = TxState::WaitingMessage;
-        self.sched_in(ms, Ev::MsgDone(slot));
+        self.queue.schedule_in(ms, Ev::MsgDone(slot));
         Flow::Blocked
     }
 
@@ -213,7 +213,7 @@ impl<W: WorkloadGenerator> Simulation<W> {
                 self.config.cm.mips,
             );
         }
-        self.sched_in(msg, Ev::RemoteDone(slot));
+        self.queue.schedule_in(msg, Ev::RemoteDone(slot));
         Flow::Blocked
     }
 
@@ -232,7 +232,7 @@ impl<W: WorkloadGenerator> Simulation<W> {
         self.shipping.messages += 3 * u64::from(participants);
         self.shipping.total_message_delay_ms += round_trip;
         self.txs.tx_mut(slot).state = TxState::WaitingMessage;
-        self.sched_in(round_trip, Ev::RemoteDone(slot));
+        self.queue.schedule_in(round_trip, Ev::RemoteDone(slot));
         Flow::Blocked
     }
 

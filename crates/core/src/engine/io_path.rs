@@ -238,7 +238,7 @@ impl<W: WorkloadGenerator> Simulation<W> {
                     io.pending_service = t;
                 }
                 if self.units[unit].controllers.acquire(now, u64::from(io_id)) == Acquire::Granted {
-                    self.sched_in(t, Ev::IoStage(io_id));
+                    self.queue.schedule_in(t, Ev::IoStage(io_id));
                 }
             }
             Some(ServiceStage::Disk(t)) => {
@@ -248,12 +248,12 @@ impl<W: WorkloadGenerator> Simulation<W> {
                     io.pending_service = t;
                 }
                 if self.units[unit].disks.acquire(now, u64::from(io_id)) == Acquire::Granted {
-                    self.sched_in(t, Ev::IoStage(io_id));
+                    self.queue.schedule_in(t, Ev::IoStage(io_id));
                 }
             }
             Some(ServiceStage::Transmission(t)) => {
                 self.ios.get_mut(io_id).expect("live io request").held = None;
-                self.sched_in(t, Ev::IoStage(io_id));
+                self.queue.schedule_in(t, Ev::IoStage(io_id));
             }
         }
     }
@@ -273,7 +273,7 @@ impl<W: WorkloadGenerator> Simulation<W> {
                     .get(next_io)
                     .map(|io| io.pending_service)
                     .unwrap_or(0.0);
-                self.sched_in(service, Ev::IoStage(next_io));
+                self.queue.schedule_in(service, Ev::IoStage(next_io));
             }
             if let Some(io) = self.ios.get_mut(io_id) {
                 io.held = None;

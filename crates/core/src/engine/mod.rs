@@ -32,11 +32,16 @@
 //! the remote owners of the written pages.
 //!
 //! **Hot path**: the future event list is an indexed calendar queue
-//! ([`simkernel::EventQueue`]), and the per-event state lives in slab arenas
-//! (the private `arena` module) — in-flight I/O requests under stable `u32`
-//! ids, transaction slots with carcass reuse, and a shared
-//! transaction-template table — so steady-state event handling performs no
-//! hashing and (after warm-up) no allocation.
+//! ([`simkernel::EventQueue`]) that recycles its bucket buffers, and the
+//! per-event state lives in slab arenas (the private `arena` module) —
+//! in-flight I/O requests under stable `u32` ids, transaction slots with
+//! carcass reuse, and a shared transaction-template table.  The arenas keep
+//! event dispatch, I/O completion and slot reuse free of hashing and of
+//! per-event allocation.  The engine as a whole is neither: `id_to_slot` is
+//! hashed at every admission and commit, multi-node data sharing hashes into
+//! `holders` on every buffer fetch, and a committed transaction still costs
+//! tens of heap allocations.  simbench's `allocs_per_tx` and
+//! `core.allocs_per_event` report the measured counts.
 //!
 //! The engine is split into focused subsystems (see `docs/ARCHITECTURE.md`
 //! for the full map and an event-lifecycle walkthrough); this module only
@@ -65,8 +70,6 @@ mod cpu;
 mod exec;
 mod io_path;
 mod iorequest;
-mod kqueue;
-mod parallel;
 mod recover;
 mod source;
 mod transaction;
@@ -92,7 +95,6 @@ use crate::metrics::{CoherenceReport, KernelProfile, ShippingReport, SimulationR
 use crate::recovery::RecoveryRuntime;
 
 use arena::{IoArena, TemplateTable, TxArena};
-use kqueue::KernelQueue;
 
 /// Events of the simulation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -225,9 +227,8 @@ pub struct Simulation<W: WorkloadGenerator> {
     /// which keeps the original homogeneous draw path bit-for-bit).
     arrival_schedule: Option<PiecewiseRate>,
 
-    // Kernel state.  Starts as the sequential calendar; replaced by the
-    // sharded coordinator when the run dispatches to the parallel kernel.
-    queue: KernelQueue,
+    // Kernel state.
+    queue: EventQueue<Ev>,
     nodes: Vec<NodeRuntime>,
     units: Vec<UnitRuntime>,
     lockmgr: GlobalLockService,
@@ -407,7 +408,7 @@ impl<W: WorkloadGenerator> Simulation<W> {
             service_rng,
             workload_rng,
             arrival_schedule,
-            queue: KernelQueue::Single(EventQueue::new()),
+            queue: EventQueue::new(),
             nodes,
             units,
             lockmgr,
@@ -517,12 +518,7 @@ impl<W: WorkloadGenerator> Simulation<W> {
 
     /// Runs the simulation to completion, also measuring the kernel's
     /// wall-clock event throughput (events popped, wall-clock ms,
-    /// events/sec).  The report is identical to [`Simulation::run`]'s —
-    /// including, bit for bit, across kernel thread counts: with
-    /// `config.parallelism.kernel_threads >= 2` (and more than one node) the
-    /// run uses the sharded parallel kernel, whose report is byte-identical
-    /// to the sequential kernel's for the same configuration and seed (see
-    /// the `parallel` submodule).
+    /// events/sec).  The report is identical to [`Simulation::run`]'s.
     pub fn run_profiled(mut self) -> (SimulationReport, KernelProfile) {
         // analyzer: allow(wall-clock): feeds KernelProfile only, never the report
         let wall_start = Instant::now();
@@ -532,15 +528,9 @@ impl<W: WorkloadGenerator> Simulation<W> {
             node.active_tw.record(0.0, 0.0);
             node.inputq_tw.record(0.0, 0.0);
         }
-        let workers = self.config.kernel_workers();
-        if workers >= 2 {
-            self.run_events_sharded(workers);
-        } else {
-            self.seed_initial_events();
-            self.run_event_loop();
-        }
+        self.seed_initial_events();
+        self.run_event_loop();
         let events = self.queue.popped_total();
-        let rounds = self.queue.rounds_total();
         let (fanout_commits, fanout_ns) = (self.fanout_commits, self.fanout_ns);
         let restart = if self.crashed {
             Some(self.perform_restart())
@@ -549,20 +539,20 @@ impl<W: WorkloadGenerator> Simulation<W> {
         };
         let report = self.build_report(restart);
         let wall_ms = wall_start.elapsed().as_secs_f64() * 1e3;
-        let profile = KernelProfile::new(events, wall_ms)
-            .with_sync_rounds(rounds)
-            .with_commit_fanout(fanout_commits, fanout_ns);
+        let profile =
+            KernelProfile::new(events, wall_ms).with_commit_fanout(fanout_commits, fanout_ns);
         (report, profile)
     }
 
     /// Schedules the run-control events that exist before the first pop:
     /// the first arrival, the warm-up and run boundaries, and the optional
     /// checkpoint/crash points.
-    pub(super) fn seed_initial_events(&mut self) {
+    fn seed_initial_events(&mut self) {
         let first = self.next_arrival_gap(0.0);
-        self.sched_at(first.min(self.end_time), Ev::Arrival);
-        self.sched_at(self.config.warmup_ms, Ev::EndWarmup);
-        self.sched_at(self.end_time, Ev::EndRun);
+        self.queue
+            .schedule_at(first.min(self.end_time), Ev::Arrival);
+        self.queue.schedule_at(self.config.warmup_ms, Ev::EndWarmup);
+        self.queue.schedule_at(self.end_time, Ev::EndRun);
         self.seed_control_events();
     }
 
@@ -586,18 +576,17 @@ impl<W: WorkloadGenerator> Simulation<W> {
     fn seed_control_events(&mut self) {
         let checkpoint_interval = self.config.recovery.checkpoint_interval_ms;
         if self.recovery.is_some() && checkpoint_interval > 0.0 {
-            self.sched_at(checkpoint_interval, Ev::Checkpoint);
+            self.queue.schedule_at(checkpoint_interval, Ev::Checkpoint);
         }
         if let Some(crash_at) = self.crash_at {
-            self.sched_at(crash_at, Ev::Crash);
+            self.queue.schedule_at(crash_at, Ev::Crash);
         }
     }
 
     /// The main event loop: pops events in global `(time, seq)` order and
     /// dispatches their handlers, until the run boundary (or crash point)
-    /// is popped.  Shared verbatim by the sequential and sharded kernels —
-    /// handlers always execute serially on this thread.
-    pub(super) fn run_event_loop(&mut self) {
+    /// is popped.
+    fn run_event_loop(&mut self) {
         while let Some(event) = self.queue.pop() {
             match event.payload {
                 Ev::EndRun => break,

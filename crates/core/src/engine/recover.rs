@@ -121,7 +121,7 @@ impl<W: WorkloadGenerator> Simulation<W> {
         let next = now + self.config.recovery.checkpoint_interval_ms;
         let horizon = self.crash_at.unwrap_or(self.end_time);
         if next < horizon {
-            self.sched_at(next, Ev::Checkpoint);
+            self.queue.schedule_at(next, Ev::Checkpoint);
         }
     }
 

@@ -31,7 +31,7 @@ impl<W: WorkloadGenerator> Simulation<W> {
         // process.
         let gap = self.next_arrival_gap(now);
         if now + gap < self.end_time {
-            self.sched_in(gap, Ev::Arrival);
+            self.queue.schedule_in(gap, Ev::Arrival);
         }
         // Generate the transaction and assign it to a node.
         match self.workload.next_transaction(&mut self.workload_rng) {

@@ -728,10 +728,9 @@ fn on_request_validate_with_direct_transfer_reports_protocol_activity() {
 }
 
 #[test]
-fn every_coherence_combination_is_deterministic_and_matches_across_kernels() {
+fn every_coherence_combination_is_deterministic() {
     // Same seed ⇒ byte-identical report for each protocol × transfer
-    // combination, and the sharded kernel must agree with the sequential
-    // oracle byte for byte.
+    // combination.
     let combos = [
         CoherenceParams::broadcast(),
         CoherenceParams::broadcast().with_direct_transfer(),
@@ -739,26 +738,19 @@ fn every_coherence_combination_is_deterministic_and_matches_across_kernels() {
         CoherenceParams::on_request_validate().with_direct_transfer(),
     ];
     for coherence in combos {
-        let make = |threads: usize| {
+        let make = || {
             let mut c = data_sharing_config(3, 150.0);
             c.warmup_ms = 300.0;
             c.measure_ms = 1_500.0;
             c.coherence = coherence;
-            c.parallelism.kernel_threads = threads;
             c
         };
-        let a = Simulation::new(make(0), debit_credit_workload(100)).run();
-        let b = Simulation::new(make(0), debit_credit_workload(100)).run();
-        let sharded = Simulation::new(make(2), debit_credit_workload(100)).run();
+        let a = Simulation::new(make(), debit_credit_workload(100)).run();
+        let b = Simulation::new(make(), debit_credit_workload(100)).run();
         assert_eq!(
             format!("{a:#?}"),
             format!("{b:#?}"),
             "{coherence:?} is not deterministic"
-        );
-        assert_eq!(
-            format!("{a:#?}"),
-            format!("{sharded:#?}"),
-            "{coherence:?} diverges under the sharded kernel"
         );
         assert_eq!(a.coherence.is_some(), !coherence.is_default_protocol());
     }
@@ -825,11 +817,9 @@ fn sequential_read_template(start: u64, len: u64) -> TransactionTemplate {
 }
 
 #[test]
-fn every_io_scheduler_combination_is_deterministic_and_matches_across_kernels() {
+fn every_io_scheduler_combination_is_deterministic() {
     // Same seed ⇒ byte-identical report for each scheduler policy
-    // combination, and the sharded kernel must agree with the sequential
-    // oracle byte for byte (scheduler submit/dispatch runs inside the
-    // serial event handlers, so sharding must not reorder it).
+    // combination.
     let combos = [
         scheduler_params(true, false, 0),
         scheduler_params(false, true, 0),
@@ -838,27 +828,20 @@ fn every_io_scheduler_combination_is_deterministic_and_matches_across_kernels() 
         scheduler_params(false, false, 4),
     ];
     for params in combos {
-        let make = |threads: usize| {
+        let make = || {
             let mut c = data_sharing_config(3, 150.0);
             c.warmup_ms = 300.0;
             c.measure_ms = 1_500.0;
             c.buffer.mm_buffer_pages = 300; // small pools: real disk reads
             c.io_scheduler = params;
-            c.parallelism.kernel_threads = threads;
             c
         };
-        let a = Simulation::new(make(0), debit_credit_workload(100)).run();
-        let b = Simulation::new(make(0), debit_credit_workload(100)).run();
-        let sharded = Simulation::new(make(2), debit_credit_workload(100)).run();
+        let a = Simulation::new(make(), debit_credit_workload(100)).run();
+        let b = Simulation::new(make(), debit_credit_workload(100)).run();
         assert_eq!(
             format!("{a:#?}"),
             format!("{b:#?}"),
             "{params:?} is not deterministic"
-        );
-        assert_eq!(
-            format!("{a:#?}"),
-            format!("{sharded:#?}"),
-            "{params:?} diverges under the sharded kernel"
         );
         assert!(
             a.devices.iter().all(|d| d.scheduler.is_some()),

@@ -307,9 +307,6 @@ pub struct KernelProfile {
     pub wall_ms: f64,
     /// Events per wall-clock second.
     pub events_per_sec: f64,
-    /// Synchronization rounds of the sharded kernel (0 on the sequential
-    /// kernel).
-    pub sync_rounds: u64,
     /// Committed update transactions that ran the commit-time coherence
     /// fan-out (version bumps or holder invalidations; 0 on single-node and
     /// shared-nothing runs, which have no fan-out).
@@ -326,16 +323,9 @@ impl KernelProfile {
             events,
             wall_ms,
             events_per_sec: events as f64 / (wall_ms / 1e3).max(1e-9),
-            sync_rounds: 0,
             fanout_commits: 0,
             fanout_ns: 0,
         }
-    }
-
-    /// Attaches the sharded kernel's synchronization-round count.
-    pub fn with_sync_rounds(mut self, rounds: u64) -> Self {
-        self.sync_rounds = rounds;
-        self
     }
 
     /// Attaches the commit-time coherence fan-out timing.

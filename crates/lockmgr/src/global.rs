@@ -120,16 +120,6 @@ impl GlobalLockService {
             .then_some(2.0 * self.message_delay_ms)
     }
 
-    /// The lock service's contribution to the sharded kernel's conservative
-    /// lookahead: as a cross-shard *message endpoint*, the earliest a lock
-    /// decision made now can influence another node is one message round
-    /// trip away.  `None` when the service injects no cross-node latency
-    /// (local-only mode, or a zero configured delay) — it then constrains
-    /// the lookahead window not at all.
-    pub fn lookahead_contribution_ms(&self) -> Option<f64> {
-        (!self.local_only && self.message_delay_ms > 0.0).then_some(2.0 * self.message_delay_ms)
-    }
-
     /// Requests the lock needed for object reference `r` on behalf of `tx`
     /// running on `node`.  The caller must already have simulated the
     /// [`GlobalLockService::remote_round_trip`] delay, if any.

@@ -190,31 +190,6 @@ impl<P> EventQueue<P> {
         let at = if at <= self.now { self.now } else { at };
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.insert_entry(at, seq, payload);
-    }
-
-    /// Schedules an event whose sequence number was assigned by an *external*
-    /// authority — the sharded kernel's coordinator, which owns one global
-    /// `(time, seq)` order across all shard queues (see [`crate::shard`]).
-    ///
-    /// The caller is responsible for the clamp against the global clock (this
-    /// queue's local clock trails it) and for keeping seq numbers unique and
-    /// increasing across calls; `at` must be finite and not behind this
-    /// queue's local clock.  The queue's own seq counter is untouched, so a
-    /// queue must not mix self-assigned and preassigned scheduling.
-    pub fn schedule_preassigned(&mut self, at: SimTime, seq: u64, payload: P) {
-        debug_assert!(at.is_finite(), "non-finite event time {at}");
-        debug_assert!(
-            at + 1e-9 >= self.now,
-            "scheduling into the shard's past: at={at} now={}",
-            self.now
-        );
-        self.insert_entry(at, seq, payload);
-    }
-
-    /// Places a fully-formed entry into the calendar, maintaining the
-    /// counters and the eager-rebuild trigger.
-    fn insert_entry(&mut self, at: SimTime, seq: u64, payload: P) {
         self.scheduled_total += 1;
         self.len += 1;
         let entry = Entry {
@@ -269,37 +244,6 @@ impl<P> EventQueue<P> {
             seq: entry.seq,
             payload: entry.payload,
         })
-    }
-
-    /// Pops the next event only if its time is at or before `limit`
-    /// (inclusive, compared via [`crate::time::at_or_before`] so a NaN limit
-    /// behaves as "no bound" rather than stalling).  The sharded kernel's
-    /// workers drain their shard up to the round horizon with this.
-    ///
-    /// Unlike [`EventQueue::peek_time`] this is amortized `O(1)`: it may
-    /// advance the calendar cursor to the next non-empty bucket (monotone
-    /// work that an eventual [`EventQueue::pop`] would perform anyway), after
-    /// which the head is the front of the sorted current bucket.
-    pub fn pop_at_or_before(&mut self, limit: SimTime) -> Option<ScheduledEvent<P>> {
-        let head_time = self.peek_next()?.0;
-        if !crate::time::at_or_before(head_time, limit) {
-            return None;
-        }
-        self.pop()
-    }
-
-    /// The `(time, seq)` key of the next pending event, if any.  May advance
-    /// the calendar cursor (see [`EventQueue::pop_at_or_before`]); amortized
-    /// `O(1)` where [`EventQueue::peek_time`] scans future buckets.
-    pub fn peek_next(&mut self) -> Option<(SimTime, u64)> {
-        if self.len == 0 {
-            return None;
-        }
-        while self.current.is_empty() {
-            self.advance_bucket();
-        }
-        let front = self.current.front().expect("non-empty current bucket");
-        Some((front.time, front.seq))
     }
 
     /// Time of the next pending event, if any.
@@ -544,90 +488,6 @@ mod tests {
             popped += 1;
         }
         assert_eq!(popped, 5_000);
-    }
-
-    #[test]
-    fn pop_at_or_before_respects_inclusive_limit() {
-        let mut q = EventQueue::new();
-        q.schedule_at(1.0, "a");
-        q.schedule_at(2.0, "b");
-        q.schedule_at(2.0, "b2");
-        q.schedule_at(3.0, "c");
-        assert_eq!(q.pop_at_or_before(2.0).unwrap().payload, "a");
-        assert_eq!(q.pop_at_or_before(2.0).unwrap().payload, "b");
-        assert_eq!(q.pop_at_or_before(2.0).unwrap().payload, "b2");
-        assert!(q.pop_at_or_before(2.0).is_none());
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop_at_or_before(f64::INFINITY).unwrap().payload, "c");
-        assert!(q.pop_at_or_before(f64::INFINITY).is_none());
-    }
-
-    #[test]
-    fn pop_at_or_before_nan_limit_pops_everything() {
-        // A poisoned horizon must widen, not stall (see `time::at_or_before`).
-        let mut q = EventQueue::new();
-        q.schedule_at(10.0, 1);
-        q.schedule_at(20.0, 2);
-        assert_eq!(q.pop_at_or_before(f64::NAN).unwrap().payload, 1);
-        assert_eq!(q.pop_at_or_before(f64::NAN).unwrap().payload, 2);
-    }
-
-    #[test]
-    fn pop_at_or_before_finds_events_beyond_the_window() {
-        // The head lives in the overflow list until a rebuild; the bounded
-        // pop must still reach it.
-        let mut q = EventQueue::new();
-        q.schedule_at(1_000_000.0, ());
-        assert!(q.pop_at_or_before(999_999.0).is_none());
-        assert!(q.pop_at_or_before(1_000_000.0).is_some());
-    }
-
-    #[test]
-    fn peek_next_reports_head_key() {
-        let mut q = EventQueue::new();
-        assert_eq!(q.peek_next(), None);
-        q.schedule_at(7.0, ());
-        q.schedule_at(3.0, ());
-        let (t, seq) = q.peek_next().unwrap();
-        assert_eq!(t, 3.0);
-        assert_eq!(seq, 1);
-        q.pop();
-        assert_eq!(q.peek_next().unwrap().0, 7.0);
-    }
-
-    #[test]
-    fn preassigned_seq_orders_ties_by_external_seq() {
-        let mut q = EventQueue::new();
-        q.schedule_preassigned(2.0, 17, "later");
-        q.schedule_preassigned(2.0, 40, "latest");
-        q.schedule_preassigned(2.0, 55, "tail");
-        q.schedule_preassigned(1.0, 90, "first");
-        let order: Vec<_> = std::iter::from_fn(|| q.pop().map(|e| e.payload)).collect();
-        assert_eq!(order, vec!["first", "later", "latest", "tail"]);
-        assert_eq!(q.popped_total(), 4);
-        assert_eq!(q.scheduled_total(), 4);
-    }
-
-    #[test]
-    fn preassigned_matches_self_assigned_pop_order() {
-        // Feeding the same (time, seq) pairs a self-assigning queue would
-        // produce must give the identical pop sequence.
-        let times = [5.0, 1.0, 5.0, 3.0, 1.0, 2.0, 5.0, 0.5];
-        let mut auto_q = EventQueue::new();
-        let mut pre_q = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            auto_q.schedule_at(t, i);
-            pre_q.schedule_preassigned(t, i as u64, i);
-        }
-        loop {
-            match (auto_q.pop(), pre_q.pop()) {
-                (None, None) => break,
-                (a, b) => {
-                    let (a, b) = (a.unwrap(), b.unwrap());
-                    assert_eq!((a.time, a.seq, a.payload), (b.time, b.seq, b.payload));
-                }
-            }
-        }
     }
 
     #[test]

@@ -22,7 +22,6 @@ pub mod dist;
 pub mod events;
 pub mod resource;
 pub mod rng;
-pub mod shard;
 pub mod sketch;
 pub mod stats;
 pub mod time;
@@ -31,7 +30,6 @@ pub use dist::{Draw, Exponential, PiecewiseRate, UniformRange};
 pub use events::{EventQueue, ScheduledEvent};
 pub use resource::{Resource, ResourceStats};
 pub use rng::SimRng;
-pub use shard::{ShardWorker, ShardedEventQueue, ShutdownGuard};
 pub use sketch::QuantileSketch;
 pub use stats::{Counter, Histogram, Tally, TimeWeighted};
 pub use time::SimTime;

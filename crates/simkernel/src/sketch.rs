@@ -16,7 +16,7 @@
 //!   with the answer.
 //! * **Mergeable.**  `merge` concatenates levels and re-compacts; the error
 //!   bounds add.  Per-node sketches are merged into the cluster-wide report
-//!   and sharded runs stay exact about what they know.
+//!   and stay exact about what they know.
 //!
 //! Memory is `O(k · log(n/k))` for `n` insertions — effectively constant for
 //! any run this simulator performs (default `k = 4096` keeps a one-million

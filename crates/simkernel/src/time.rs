@@ -56,75 +56,6 @@ pub fn interarrival_ms(per_second: f64) -> SimTime {
     SECOND / per_second
 }
 
-// ---------------------------------------------------------------------------
-// NaN-safe horizon arithmetic for the sharded kernel.
-//
-// The conservative-lookahead protocol computes a *horizon* `min(shard
-// clocks) + lookahead` every synchronization round and lets shards advance
-// up to it.  `debug_assert!(is_finite)` in the event queue is the only NaN
-// guard in the kernel, so in a release build a NaN that slipped into the
-// arithmetic would poison every plain `f64::min` / `<` comparison
-// (`NaN < h` is `false`) and silently stall the shards forever.  The helpers
-// below give the horizon math a total order instead: a NaN operand is
-// treated as "no bound" (+inf), which at worst makes a round less
-// conservative about batching but can never stop the simulation from making
-// progress.  Debug builds still assert so the source of a NaN is found.
-
-/// Minimum of two times under [`f64::total_cmp`], ignoring NaN operands: a
-/// NaN behaves as "no constraint" (+inf) rather than poisoning the result.
-#[inline]
-pub fn safe_min(a: SimTime, b: SimTime) -> SimTime {
-    debug_assert!(!a.is_nan() || !b.is_nan(), "both horizon operands are NaN");
-    if a.is_nan() {
-        return b;
-    }
-    if b.is_nan() || a.total_cmp(&b).is_le() {
-        a
-    } else {
-        b
-    }
-}
-
-/// Folds [`safe_min`] over an iterator of candidate bounds.  Returns `None`
-/// only when every candidate is NaN (or the iterator is empty).
-#[inline]
-pub fn safe_min_all<I: IntoIterator<Item = SimTime>>(times: I) -> Option<SimTime> {
-    times
-        .into_iter()
-        .filter(|t| !t.is_nan())
-        .reduce(|a, b| if a.total_cmp(&b).is_le() { a } else { b })
-}
-
-/// The conservative horizon `base + lookahead`, hardened against NaN: a NaN
-/// result (or operand) yields `+inf`, i.e. "everything is safe to process",
-/// which preserves liveness.  `-inf` inputs are likewise promoted so the
-/// horizon can never move *behind* every event.
-#[inline]
-pub fn horizon(base: SimTime, lookahead: SimTime) -> SimTime {
-    debug_assert!(!base.is_nan(), "NaN horizon base");
-    debug_assert!(!lookahead.is_nan(), "NaN lookahead");
-    let h = base + lookahead;
-    if h.is_nan() {
-        f64::INFINITY
-    } else {
-        h
-    }
-}
-
-/// True if an event at time `t` lies at or before horizon `h` (inclusive),
-/// under [`f64::total_cmp`].  A NaN horizon admits every finite time — a
-/// poisoned horizon widens the safe window instead of stalling it.  A NaN
-/// event time is *never* admitted (it would corrupt the merge order); debug
-/// builds assert.
-#[inline]
-pub fn at_or_before(t: SimTime, h: SimTime) -> bool {
-    debug_assert!(!t.is_nan(), "NaN event time");
-    if t.is_nan() {
-        return false;
-    }
-    h.is_nan() || t.total_cmp(&h).is_le()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,57 +89,5 @@ mod tests {
         let t = from_secs(2.5);
         assert!((t - 2500.0).abs() < 1e-12);
         assert!((to_secs(t) - 2.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn safe_min_picks_smaller_finite() {
-        assert_eq!(safe_min(1.0, 2.0), 1.0);
-        assert_eq!(safe_min(2.0, 1.0), 1.0);
-        assert_eq!(safe_min(-0.0, 0.0), -0.0_f64);
-        assert_eq!(safe_min(f64::INFINITY, 3.0), 3.0);
-    }
-
-    #[test]
-    fn safe_min_ignores_nan() {
-        assert_eq!(safe_min(f64::NAN, 4.0), 4.0);
-        assert_eq!(safe_min(4.0, f64::NAN), 4.0);
-    }
-
-    #[test]
-    fn safe_min_all_skips_nan_candidates() {
-        assert_eq!(safe_min_all([f64::NAN, 7.0, 3.0, f64::NAN]), Some(3.0));
-        assert_eq!(safe_min_all([f64::NAN, f64::NAN]), None);
-        assert_eq!(safe_min_all(std::iter::empty()), None);
-    }
-
-    #[test]
-    fn horizon_is_plain_addition_for_finite_inputs() {
-        assert!((horizon(10.0, 0.5) - 10.5).abs() < 1e-12);
-        assert_eq!(horizon(f64::INFINITY, 1.0), f64::INFINITY);
-    }
-
-    #[test]
-    fn horizon_nan_becomes_unbounded() {
-        // inf + (-inf) is the one finite-operand way to manufacture a NaN sum.
-        assert_eq!(horizon(f64::INFINITY, f64::NEG_INFINITY), f64::INFINITY);
-    }
-
-    #[test]
-    fn at_or_before_is_inclusive_and_total() {
-        assert!(at_or_before(5.0, 5.0));
-        assert!(at_or_before(4.999, 5.0));
-        assert!(!at_or_before(5.001, 5.0));
-        // -0.0 <= +0.0 under total_cmp: a clamped time still passes a zero
-        // horizon.
-        assert!(at_or_before(-0.0, 0.0));
-        assert!(at_or_before(123.0, f64::INFINITY));
-    }
-
-    #[test]
-    fn nan_horizon_never_stalls() {
-        // The release-build hazard the helpers exist for: a NaN horizon must
-        // admit every pending event instead of comparing false forever.
-        assert!(at_or_before(0.0, f64::NAN));
-        assert!(at_or_before(1e12, f64::NAN));
     }
 }

@@ -165,94 +165,6 @@ fn calendar_queue_matches_oracle_under_heavy_ties() {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Sharded queue vs the same oracle
-// ---------------------------------------------------------------------------
-
-use simkernel::ShardedEventQueue;
-
-/// Drives the sharded coordinator (workers on scoped threads) and the
-/// binary-heap oracle through the same randomized schedule — including tie
-/// bursts — asserting identical `(time, seq, payload)` pop streams.  Shard
-/// assignment round-robins over the payload counter; correctness must not
-/// depend on it.
-fn assert_sharded_equivalent_run(
-    seed: u64,
-    ops: usize,
-    shards: usize,
-    workers: usize,
-    lookahead: SimTime,
-) {
-    let (mut sharded, runners) = ShardedEventQueue::new(shards, workers, lookahead);
-    std::thread::scope(|s| {
-        for r in runners {
-            s.spawn(move || r.run());
-        }
-        let _guard = sharded.shutdown_guard();
-
-        let mut rng_plan = SimRng::seed_from(seed);
-        let mut rng_shard = SimRng::seed_from(seed ^ 0xD1F);
-        let mut rng_heap = SimRng::seed_from(seed ^ 0xD1F);
-        let mut oracle: BinaryHeapQueue<u64> = BinaryHeapQueue::new();
-        let mut payload = 0u64;
-        for step in 0..ops {
-            let schedule =
-                sharded.is_empty() || rng_plan.below(5) < if step < ops / 2 { 3 } else { 1 };
-            if schedule {
-                // Tie bursts: several events for the same instant, FIFO among
-                // them even when they land on different shards.
-                let burst = rng_plan.below(20) + 1;
-                let delay = draw_delay(&mut rng_shard);
-                let delay_h = draw_delay(&mut rng_heap);
-                assert_eq!(delay.to_bits(), delay_h.to_bits());
-                for _ in 0..burst {
-                    sharded.schedule_in((payload % shards as u64) as usize, delay, payload);
-                    oracle.schedule_in(delay, payload);
-                    payload += 1;
-                }
-            } else {
-                let got = sharded.pop().map(|e| (e.time.to_bits(), e.seq, e.payload));
-                let want = oracle.pop().map(|(t, s, p)| (t.to_bits(), s, p));
-                assert_eq!(
-                    got, want,
-                    "pop #{step} diverged from the oracle \
-                     (seed {seed}, {shards} shards, {workers} workers, lookahead {lookahead})"
-                );
-            }
-        }
-        loop {
-            let got = sharded.pop().map(|e| (e.time.to_bits(), e.seq, e.payload));
-            let want = oracle.pop().map(|(t, s, p)| (t.to_bits(), s, p));
-            assert_eq!(got, want, "drain diverged (seed {seed})");
-            if got.is_none() {
-                break;
-            }
-        }
-    });
-}
-
-#[test]
-fn sharded_queue_matches_oracle_under_heavy_ties() {
-    for seed in 0..6 {
-        assert_sharded_equivalent_run(0x5AAD + seed, 2_000, 4, 2, 0.8);
-    }
-}
-
-#[test]
-fn sharded_queue_matches_oracle_across_worker_counts() {
-    for &(shards, workers) in &[(1usize, 1usize), (3, 2), (8, 4), (8, 8)] {
-        assert_sharded_equivalent_run(0xC0DE, 1_500, shards, workers, 2.0);
-    }
-}
-
-#[test]
-fn sharded_queue_matches_oracle_at_lookahead_extremes() {
-    // Zero lookahead (one-event rounds) and a huge lookahead (everything
-    // spills) are the two degenerate corners of the horizon protocol.
-    assert_sharded_equivalent_run(0xFEED, 1_500, 4, 4, 0.0);
-    assert_sharded_equivalent_run(0xFEED, 1_500, 4, 4, 1e12);
-}
-
 #[test]
 fn calendar_queue_matches_oracle_on_pure_hold_model() {
     // The classic hold model: a fixed population, each pop schedules one
