@@ -22,8 +22,8 @@ use tpsim::{
     LogAllocation, Simulation, SimulationConfig, SimulationReport, WorkloadParams, WorkloadSchedule,
 };
 use tpsim_bench::runner::{
-    data_sharing_point, recovery_point, run_recovery_crash, run_sweep, shared_nothing_point,
-    Family, RunSettings,
+    caching_point, data_sharing_point, recovery_point, run_recovery_crash, run_sweep,
+    scheduler_point, shared_nothing_point, Family, RunSettings,
 };
 
 /// Shortens a configuration to test-friendly simulated durations and runs it
@@ -342,6 +342,42 @@ fn golden_fig10x_shaped_workload_report_is_byte_identical() {
     config.measure_ms = 4_000.0;
     let report = Simulation::new(config, debit_credit_workload(100)).run();
     assert_matches_golden("fig10x_shaped_workload", &format!("{report:#?}\n"));
+}
+
+/// One fig11.x point: four nodes with same-page read coalescing and the log
+/// in NVEM, including the per-device scheduler section.  Covers the
+/// scheduler's dispatch path and the device decisions of merged reads.
+#[test]
+fn golden_fig11x_coalescing_4_node_report_is_byte_identical() {
+    let coalesce = storage::IoSchedulerParams {
+        coalesce: true,
+        ..Default::default()
+    };
+    let mut config = scheduler_point(4, 60.0, coalesce, true);
+    config.warmup_ms = 1_000.0;
+    config.measure_ms = 4_000.0;
+    let report = Simulation::new(config, debit_credit_workload(100)).run();
+    assert!(
+        report
+            .devices
+            .iter()
+            .any(|d| d.scheduler.is_some_and(|s| s.coalesced > 0)),
+        "the point must exercise coalescing"
+    );
+    assert_matches_golden("fig11x_coalescing_4_node", &format!("{report:#?}\n"));
+}
+
+/// One Table 4.2 point under FORCE: a small main-memory buffer in front of
+/// an NVEM second-level cache, so commits force pages into NVEM and start
+/// asynchronous disk writes.  Covers the buffer manager's FORCE path.
+#[test]
+fn golden_nvem_cache_force_report_is_byte_identical() {
+    let mut config = caching_point(500, SecondLevel::NvemCache(2_000), true, 200.0);
+    config.warmup_ms = 1_000.0;
+    config.measure_ms = 4_000.0;
+    let report = Simulation::new(config, debit_credit_workload(100)).run();
+    assert!(report.buffer.forced_pages > 0 && report.nvem_hit_ratio() > 0.0);
+    assert_matches_golden("nvem_cache_force", &format!("{report:#?}\n"));
 }
 
 // ---------------------------------------------------------------------------
