@@ -4,7 +4,7 @@
 // hash container's unordered iteration.
 
 pub struct Graph {
-    edges: HashMap<u64, HashSet<u64>>,
+    edges: IdMap<u64, IdSet<u64>>,
 }
 
 pub fn first_blocker(g: &mut Graph, waiter: u64) -> Option<u64> {

@@ -5,7 +5,7 @@
 // byte-identity goldens.
 
 pub struct Stats {
-    per_tx: HashMap<u64, f64>,
+    per_tx: HashMap<u64, f64, IdBuildHasher>,
 }
 
 pub fn dump(s: &Stats, out: &mut Vec<f64>) {

@@ -3,7 +3,7 @@
 // justification says so inline, where the next reader sees it.
 
 pub struct Stats {
-    per_tx: HashMap<u64, f64>,
+    per_tx: IdMap<u64, f64>,
 }
 
 pub fn total(s: &Stats) -> f64 {

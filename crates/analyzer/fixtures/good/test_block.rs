@@ -3,7 +3,7 @@
 // only production code feeds the deterministic schedule.
 
 pub struct Stats {
-    per_tx: HashMap<u64, f64>,
+    per_tx: IdMap<u64, f64>,
 }
 
 pub fn len(s: &Stats) -> usize {

@@ -23,13 +23,15 @@ pub enum Lint {
     /// `partial_cmp` on `f64` paths: use `f64::total_cmp` so NaN can never
     /// collapse an ordering.
     FloatOrd,
-    /// Iteration over `HashMap`/`HashSet` in the deterministic crates
-    /// (`core`, `lockmgr`, `bufmgr`): unordered iteration feeding reports or
-    /// event schedules breaks byte-identity.
+    /// Iteration over hash containers (`HashMap`/`HashSet`, or the
+    /// `IdMap`/`IdSet` aliases) in the deterministic crates (`core`,
+    /// `lockmgr`, `bufmgr`): unordered iteration feeding reports or event
+    /// schedules breaks byte-identity.
     HashIter,
     /// Host-dependent state inside `crates/`: `Instant::now`, `SystemTime`,
-    /// `RandomState`, `env::var` — anything that makes a run a function of
-    /// the machine instead of `(config, seed)`.
+    /// `RandomState` (spelled out, or implied by a hash container without a
+    /// hasher in the simulator crates), `env::var` — anything that makes a
+    /// run a function of the machine instead of `(config, seed)`.
     WallClock,
     /// Bare `-=` on an unsigned stat/counter field without a nearby
     /// guard/assert (the `log_wb_pending` underflow class).
@@ -78,10 +80,12 @@ impl Lint {
         match self {
             Lint::FloatOrd => "partial_cmp on float paths; use f64::total_cmp",
             Lint::HashIter => {
-                "HashMap/HashSet iteration in core/lockmgr/bufmgr; order must not feed output"
+                "HashMap/HashSet/IdMap/IdSet iteration in core/lockmgr/bufmgr; order must not \
+                 feed output"
             }
             Lint::WallClock => {
-                "host-dependent state (Instant::now/SystemTime/RandomState/env::var) under crates/"
+                "host-dependent state (Instant::now/SystemTime/RandomState/env::var) under \
+                 crates/, including hash containers with an implicit RandomState"
             }
             Lint::CounterUnderflow => {
                 "bare -= on an unsigned counter without a nearby guard or debug_assert"

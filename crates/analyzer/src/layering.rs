@@ -61,7 +61,7 @@ pub const CRATE_DAG: &[CrateSpec] = &[
         dir: "lockmgr",
         package: "lockmgr",
         lib: "lockmgr",
-        deps: &["dbmodel"],
+        deps: &["simkernel", "dbmodel"],
     },
     CrateSpec {
         dir: "bufmgr",

@@ -5,11 +5,13 @@
 //!
 //! * **`float-ord`** — no `partial_cmp` on simulation paths; `f64::total_cmp`
 //!   only.
-//! * **`hash-iter`** — no unordered `HashMap`/`HashSet` iteration in the
-//!   deterministic crates (`core`, `lockmgr`, `bufmgr`) without an inline
-//!   `// analyzer: allow(hash-iter): <why>` justification.
+//! * **`hash-iter`** — no unordered `HashMap`/`HashSet` (or `IdMap`/`IdSet`)
+//!   iteration in the deterministic crates (`core`, `lockmgr`, `bufmgr`)
+//!   without an inline `// analyzer: allow(hash-iter): <why>` justification.
 //! * **`wall-clock`** — no `Instant::now` / `SystemTime` / `RandomState` /
-//!   `env::var` under `crates/`; a run is a pure function of (config, seed).
+//!   `env::var` under `crates/`, and no hash container with an implicit
+//!   `RandomState` in the simulator crates; a run is a pure function of
+//!   (config, seed).
 //! * **`counter-underflow`** — no bare `-=` on unsigned stat/counter fields
 //!   without a nearby guard or `debug_assert` (the `log_wb_pending` class).
 //! * **`layering`** — crate dependencies and `use` paths must match the

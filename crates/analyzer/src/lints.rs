@@ -5,14 +5,23 @@
 //! fire.  The hash-container knowledge is *heuristic* — a token/line-level
 //! approximation, not type inference:
 //!
-//! * names declared `name: HashMap<…>` / `name: HashSet<…>` (fields, params,
-//!   typed lets) or bound via `= HashMap::new()` are hash containers;
-//! * when a map's *value* type is itself a hash container
-//!   (`HashMap<K, HashSet<V>>`), identifiers bound from `name.remove(…)` /
-//!   `name.get(…)` / `name.get_mut(…)` / `name.entry(…)` inherit hash-ness
-//!   (this is how the waits-for graph's drained edge sets are tracked);
+//! * names declared `name: HashMap<…>` / `name: HashSet<…>` — or through the
+//!   repo's id-hasher aliases `IdMap<…>` / `IdSet<…>` ([`HASH_CONTAINERS`])
+//!   — (fields, params, typed lets) or bound via `= HashMap::new()` /
+//!   `= IdMap::default()` are hash containers;
+//! * when a map's *value* type is itself a hash set
+//!   (`HashMap<K, HashSet<V>>`, `IdMap<K, IdSet<V>>`), identifiers bound
+//!   from `name.remove(…)` / `name.get(…)` / `name.get_mut(…)` /
+//!   `name.entry(…)` inherit hash-ness (this is how the waits-for graph's
+//!   drained edge sets are tracked);
 //! * a small repo-native list of accessor methods known to expose hash
 //!   iteration (e.g. `dirty_page_table()`) is treated like a container name.
+//!
+//! The wall-clock lint also catches `RandomState` used *implicitly*: in the
+//! simulator crates ([`SIMULATOR_CRATES`]) a `HashMap<K, V>` or
+//! `HashSet<T>` without a hasher argument, or a constructor that only exists
+//! for the default hasher (`HashMap::new()`, `HashSet::with_capacity(…)`),
+//! seeds SipHash from process entropy per map.
 //!
 //! The fixture corpus under `fixtures/` pins exactly what the heuristics
 //! recognise; anything they miss is caught dynamically by the byte-identity
@@ -27,6 +36,29 @@ use crate::scan::{Line, StrippedFile};
 /// Crates whose sources the hash-iter lint covers: the ones whose iteration
 /// order can reach reports, goldens, or the event schedule.
 pub const HASH_ITER_CRATES: &[&str] = &["core", "lockmgr", "bufmgr"];
+
+/// Crates whose hash containers must name their hasher: the simulator's own
+/// state lives here, and every map in it must hash deterministically.
+pub const SIMULATOR_CRATES: &[&str] = &[
+    "simkernel",
+    "dbmodel",
+    "storage",
+    "lockmgr",
+    "bufmgr",
+    "core",
+];
+
+/// Hash-container type names: the std types and the `simkernel::idhash`
+/// aliases, each with whether it is a map.
+pub const HASH_CONTAINERS: &[(&str, bool)] = &[
+    ("HashMap", true),
+    ("HashSet", false),
+    ("IdMap", true),
+    ("IdSet", false),
+];
+
+/// Constructors that exist only for the default (`RandomState`) hasher.
+const DEFAULT_HASHER_CTORS: &[&str] = &["::new(", "::with_capacity("];
 
 /// Repo-native accessor methods that expose a hash-backed iterator, per
 /// crate directory.  `dirty_page_table()` returns `&DirtyPageTable`, whose
@@ -69,7 +101,7 @@ const GUARD_LOOKBACK: usize = 8;
 /// Hash/counter knowledge collected over a crate's sources.
 #[derive(Debug, Default, Clone)]
 pub struct CrateKnowledge {
-    /// Identifiers declared as `HashMap`/`HashSet`.
+    /// Identifiers declared as hash containers (see [`HASH_CONTAINERS`]).
     pub hash_names: BTreeSet<String>,
     /// Hash maps whose *values* are hash containers (lookups yield hash).
     pub yields_hash: BTreeSet<String>,
@@ -90,14 +122,18 @@ impl CrateKnowledge {
     }
 
     fn collect_line(&mut self, code: &str) {
-        for container in ["HashMap", "HashSet"] {
+        for &(container, is_map) in HASH_CONTAINERS {
             let mut from = 0;
             while let Some(pos) = find_word_from(code, container, from) {
                 from = pos + container.len();
                 if let Some(name) = binding_name_for_type(code, pos) {
                     // `HashMap<K, HashSet<V>>`: lookups on this map yield
                     // hash sets, so bound results inherit hash-ness.
-                    if container == "HashMap" && code[pos..].contains("HashSet") {
+                    let rest = &code[from..];
+                    let yields_set = HASH_CONTAINERS
+                        .iter()
+                        .any(|&(set, map)| !map && find_word_from(rest, set, 0).is_some());
+                    if is_map && yields_set {
                         self.yields_hash.insert(name.clone());
                     }
                     self.hash_names.insert(name);
@@ -219,6 +255,7 @@ pub fn lint_file(
 ) -> Vec<Finding> {
     let mut findings = Vec::new();
     let hash_iter_applies = HASH_ITER_CRATES.contains(&crate_dir);
+    let hasher_must_be_explicit = SIMULATOR_CRATES.contains(&crate_dir);
     // Names derived file-locally from lookups on `yields_hash` maps.
     let mut derived: BTreeSet<String> = BTreeSet::new();
     let mut hash_names: BTreeSet<String> = knowledge.hash_names.clone();
@@ -261,18 +298,30 @@ pub fn lint_file(
         }
 
         // --- wall-clock ------------------------------------------------
-        for token in ["Instant::now", "SystemTime", "RandomState", "env::var"] {
-            if code.contains(token) {
-                fire(
-                    Lint::WallClock,
-                    format!(
-                        "`{token}` makes behaviour host-dependent; simulated runs must be a \
-                         pure function of (config, seed)"
-                    ),
-                    &mut findings,
-                );
-                break;
-            }
+        let token = ["Instant::now", "SystemTime", "RandomState", "env::var"]
+            .into_iter()
+            .find(|token| code.contains(token));
+        if let Some(token) = token {
+            fire(
+                Lint::WallClock,
+                format!(
+                    "`{token}` makes behaviour host-dependent; simulated runs must be a \
+                     pure function of (config, seed)"
+                ),
+                &mut findings,
+            );
+        } else if let Some(form) = hasher_must_be_explicit
+            .then(|| implicit_random_state(code))
+            .flatten()
+        {
+            fire(
+                Lint::WallClock,
+                format!(
+                    "`{form}` hashes with the implicit RandomState (a random SipHash key per \
+                     map); key simulator maps with simkernel::IdMap / IdSet"
+                ),
+                &mut findings,
+            );
         }
 
         // --- hash-iter -------------------------------------------------
@@ -283,9 +332,9 @@ pub fn lint_file(
                 fire(
                     Lint::HashIter,
                     format!(
-                        "iteration over hash container `{name}`: HashMap/HashSet order is \
-                         nondeterministic across builds; sort first, use a Vec index, or \
-                         justify order-independence"
+                        "iteration over hash container `{name}`: hash order follows the hash \
+                         function and table history, not the model; sort first, use a Vec \
+                         index, or justify order-independence"
                     ),
                     &mut findings,
                 );
@@ -330,6 +379,48 @@ pub fn lint_file(
         propagate_bindings(code, &knowledge.yields_hash, &mut derived);
     }
     findings
+}
+
+/// Detects a std hash container that uses the default `RandomState` hasher
+/// implicitly: a `HashMap<K, V>` / `HashSet<T>` type with no hasher
+/// argument, or a constructor that exists only for the default hasher.
+/// Returns the offending form.  Types whose generics do not close on the
+/// line are left alone (the line-level heuristic cannot count them).
+fn implicit_random_state(code: &str) -> Option<String> {
+    for (container, args_with_hasher) in [("HashMap", 3), ("HashSet", 2)] {
+        let mut from = 0;
+        while let Some(pos) = find_word_from(code, container, from) {
+            from = pos + container.len();
+            let rest = &code[from..];
+            if let Some(ctor) = DEFAULT_HASHER_CTORS.iter().find(|c| rest.starts_with(*c)) {
+                return Some(format!("{container}{}", ctor.trim_end_matches('(')));
+            }
+            let generics = rest.strip_prefix("::").unwrap_or(rest);
+            if let Some(args) = generics.strip_prefix('<').and_then(top_level_args) {
+                if args < args_with_hasher {
+                    return Some(format!("{container}<{}>", vec!["_"; args].join(", ")));
+                }
+            }
+        }
+    }
+    None
+}
+
+/// Counts the top-level comma-separated arguments of a generic list whose
+/// opening `<` was just consumed; `None` when the list does not close.
+fn top_level_args(list: &str) -> Option<usize> {
+    let (mut depth, mut args) = (0usize, 1usize);
+    for c in list.chars() {
+        match c {
+            '<' | '(' | '[' => depth += 1,
+            ')' | ']' => depth = depth.checked_sub(1)?,
+            '>' if depth == 0 => return Some(args),
+            '>' => depth -= 1,
+            ',' if depth == 0 => args += 1,
+            _ => {}
+        }
+    }
+    None
 }
 
 /// Detects an iteration construct over any of `names` on this line; returns
@@ -496,37 +587,90 @@ mod tests {
     #[test]
     fn collects_hash_declarations() {
         let file = strip(
-            "struct S {\n    holders: HashMap<PageId, u64>,\n    edges: HashMap<TxId, HashSet<TxId>>,\n    count: u64,\n    pending: Vec<usize>,\n}\nlet mut seen = HashSet::new();\n",
+            "struct S {\n    holders: HashMap<PageId, u64, S>,\n    edges: HashMap<TxId, HashSet<TxId, S>, S>,\n    held: IdMap<TxId, Vec<u64>>,\n    graph: IdMap<TxId, IdSet<TxId>>,\n    count: u64,\n    pending: Vec<usize>,\n}\nlet mut seen = HashSet::new();\nlet lost = IdMap::default();\n",
         );
         let mut k = CrateKnowledge::default();
         k.collect(&file);
-        assert!(k.hash_names.contains("holders"));
-        assert!(k.hash_names.contains("edges"));
-        assert!(k.hash_names.contains("seen"));
+        for name in ["holders", "edges", "held", "graph", "seen", "lost"] {
+            assert!(k.hash_names.contains(name), "{name}");
+        }
         assert!(k.yields_hash.contains("edges"));
+        assert!(k.yields_hash.contains("graph"));
         assert!(!k.yields_hash.contains("holders"));
+        assert!(!k.yields_hash.contains("held"));
         assert!(k.counter_names.contains("count"));
         assert!(k.counter_names.contains("pending"));
     }
 
     #[test]
     fn flags_hash_iteration_in_restricted_crate_only() {
-        let src = "struct S { m: HashMap<u64, u64> }\nfn f(s: &S) { for v in s.m.values() { use_(v); } }\n";
-        assert_eq!(lint_str("core", src).len(), 1);
-        assert!(lint_str("storage", src).is_empty());
+        for decl in ["HashMap<u64, u64, S>", "IdMap<u64, u64>"] {
+            let src = format!(
+                "struct S {{ m: {decl} }}\nfn f(s: &S) {{ for v in s.m.values() {{ use_(v); }} }}\n"
+            );
+            let f = lint_str("core", &src);
+            assert_eq!(f.len(), 1, "{decl}");
+            assert_eq!(f[0].lint, Lint::HashIter);
+            assert!(lint_str("storage", &src).is_empty(), "{decl}");
+        }
     }
 
     #[test]
     fn derived_binding_from_yields_hash_map() {
-        let src = "struct G { edges: HashMap<u64, HashSet<u64>> }\nfn f(g: &mut G, w: u64) {\n    if let Some(mut blockers) = g.edges.remove(&w) {\n        for b in blockers.drain() { go(b); }\n    }\n}\n";
-        let f = lint_str("lockmgr", src);
-        assert_eq!(f.len(), 1);
-        assert!(f[0].message.contains("blockers"));
+        for decl in ["HashMap<u64, HashSet<u64, S>, S>", "IdMap<u64, IdSet<u64>>"] {
+            let src = format!(
+                "struct G {{ edges: {decl} }}\nfn f(g: &mut G, w: u64) {{\n    if let Some(mut blockers) = g.edges.remove(&w) {{\n        for b in blockers.drain() {{ go(b); }}\n    }}\n}}\n"
+            );
+            let f = lint_str("lockmgr", &src);
+            assert_eq!(f.len(), 1, "{decl}");
+            assert!(f[0].message.contains("blockers"));
+        }
+    }
+
+    #[test]
+    fn implicit_random_state_is_flagged_in_simulator_crates_only() {
+        for (src, form) in [
+            (
+                "struct S { m: HashMap<u64, Vec<(u64, u64)>> }\n",
+                "HashMap<_, _>",
+            ),
+            ("fn f() -> HashSet<u64> { todo!() }\n", "HashSet<_>"),
+            ("let m = HashMap::new();\n", "HashMap::new"),
+            (
+                "let s = HashSet::with_capacity(8);\n",
+                "HashSet::with_capacity",
+            ),
+            ("let v = it.collect::<HashMap<_, _>>();\n", "HashMap<_, _>"),
+        ] {
+            let f = lint_str("bufmgr", src);
+            assert_eq!(f.len(), 1, "{src}");
+            assert_eq!(f[0].lint, Lint::WallClock);
+            assert!(f[0].message.contains(form), "{}", f[0].message);
+            assert!(lint_str("bench", src).is_empty(), "{src}");
+        }
+        for src in [
+            "struct S { m: IdMap<u64, u64>, s: IdSet<u64> }\n",
+            "struct S { m: HashMap<u64, HashSet<u64, S>, S> }\n",
+            "let m: HashMap<u64, u64, S> = HashMap::with_capacity_and_hasher(8, S::default());\n",
+            "let s = HashSet::default();\n",
+            "use std::collections::{HashMap, HashSet};\n",
+            "struct S { m: HashMap<\n",
+        ] {
+            assert!(lint_str("core", src).is_empty(), "{src}");
+        }
+    }
+
+    #[test]
+    fn generic_arguments_are_counted_at_the_top_level() {
+        assert_eq!(top_level_args("u64, u64>"), Some(2));
+        assert_eq!(top_level_args("K, HashSet<V, S>, S>"), Some(3));
+        assert_eq!(top_level_args("(u64, u64), [u8; 4]> rest"), Some(2));
+        assert_eq!(top_level_args("u64,"), None);
     }
 
     #[test]
     fn justified_hash_iteration_is_suppressed_but_reported() {
-        let src = "struct S { m: HashMap<u64, u64> }\nfn f(s: &S) -> u64 {\n    // analyzer: allow(hash-iter): order-independent sum\n    s.m.values().sum()\n}\n";
+        let src = "struct S { m: IdMap<u64, u64> }\nfn f(s: &S) -> u64 {\n    // analyzer: allow(hash-iter): order-independent sum\n    s.m.values().sum()\n}\n";
         let f = lint_str("core", src);
         assert_eq!(f.len(), 1);
         assert!(f[0].justified());
@@ -606,7 +750,7 @@ mod tests {
 
     #[test]
     fn test_blocks_are_exempt() {
-        let src = "struct S { m: HashMap<u64, u64> }\n#[cfg(test)]\nmod tests {\n    fn t(s: &S) { for v in s.m.values() { go(v); } }\n}\n";
+        let src = "struct S { m: IdMap<u64, u64> }\n#[cfg(test)]\nmod tests {\n    fn t(s: &S) { let h: HashMap<u64, u64> = HashMap::new(); for v in s.m.values() { go(v, h); } }\n}\n";
         assert!(lint_str("core", src).is_empty());
     }
 }

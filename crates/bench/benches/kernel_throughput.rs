@@ -76,7 +76,9 @@ fn scheduler_churn(params: storage::IoSchedulerParams, rounds: usize) -> u64 {
         while let Some(batch) = sched.next_batch() {
             let io = next_io;
             next_io += 1;
-            sched.register_inflight(io, &batch);
+            // Hand the batch back as the engine does once its waiters are
+            // attached, so the waiter lists recycle.
+            sched.register_inflight(io, batch);
             live.push_back(io);
         }
         if live.len() > 3 {

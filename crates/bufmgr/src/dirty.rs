@@ -13,9 +13,8 @@
 //! boundary; a crash reads the whole table to know which pages must be
 //! re-read and redone.
 
-use std::collections::HashMap;
-
 use dbmodel::PageId;
+use simkernel::IdMap;
 
 /// Log sequence number (mirrors the engine's `recovery::Lsn`; the buffer
 /// manager treats it as an opaque monotonically increasing stamp).
@@ -24,7 +23,7 @@ pub type RecLsn = u64;
 /// Pages with committed-but-unpropagated updates and their recovery LSNs.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DirtyPageTable {
-    entries: HashMap<PageId, RecLsn>,
+    entries: IdMap<PageId, RecLsn>,
 }
 
 impl DirtyPageTable {

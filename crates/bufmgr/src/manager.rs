@@ -10,7 +10,7 @@ use storage::{LruCache, LruKTracker};
 
 use crate::config::{BufferConfig, PageLocation, UpdateStrategy};
 use crate::dirty::{DirtyPageTable, RecLsn};
-use crate::ops::{FetchOutcome, PageOp};
+use crate::ops::{FetchOutcome, PageOp, PageOps};
 use crate::stats::BufferStats;
 
 /// State of a page frame in the main-memory buffer.
@@ -265,7 +265,7 @@ impl BufferManager {
         }
 
         // Miss: make room, fetch the page, insert it.
-        let mut ops = Vec::new();
+        let mut ops = PageOps::new();
         if self.mm.is_full() {
             self.evict_one(&mut ops);
         }
@@ -294,7 +294,7 @@ impl BufferManager {
     /// Evicts one frame from main memory — the LRU frame with K = 1, the
     /// largest-backward-K-distance frame under LRU-K — appending any
     /// write-back / migration operations to `ops`.
-    fn evict_one(&mut self, ops: &mut Vec<PageOp>) {
+    fn evict_one(&mut self, ops: &mut PageOps) {
         let victim = match self.lru_k.as_mut() {
             Some(tracker) => tracker
                 .evict()
@@ -357,13 +357,7 @@ impl BufferManager {
     /// Handles the write-back of a dirty page that does not migrate to the
     /// NVEM cache: through the NVEM write buffer if configured (and not
     /// saturated), otherwise synchronously to the partition's disk unit.
-    fn write_back_dirty(
-        &mut self,
-        page: PageId,
-        partition: usize,
-        unit: usize,
-        ops: &mut Vec<PageOp>,
-    ) {
+    fn write_back_dirty(&mut self, page: PageId, partition: usize, unit: usize, ops: &mut PageOps) {
         // Every path below propagates the page to non-volatile storage (the
         // NVEM write buffer or the disk itself): committed updates to it no
         // longer need redo.
@@ -408,7 +402,7 @@ impl BufferManager {
         partition: usize,
         page: PageId,
         location: PageLocation,
-        ops: &mut Vec<PageOp>,
+        ops: &mut PageOps,
     ) -> bool {
         match location {
             PageLocation::MainMemoryResident => false,
@@ -524,10 +518,10 @@ impl BufferManager {
     /// Commit-time forcing of a modified page (FORCE strategy).  Returns the
     /// operations the committing transaction must wait for (asynchronous disk
     /// updates excluded).
-    pub fn force_page(&mut self, partition: usize, page: PageId) -> Vec<PageOp> {
+    pub fn force_page(&mut self, partition: usize, page: PageId) -> PageOps {
         self.ensure_partition_stats(partition);
         let policy = self.config.policy(partition);
-        let mut ops = Vec::new();
+        let mut ops = PageOps::new();
         match policy.location {
             PageLocation::MainMemoryResident => {
                 // Memory-resident partitions use NOFORCE semantics.
@@ -727,7 +721,7 @@ mod tests {
         let miss = bm.reference_page(0, PageId(1), false);
         assert!(!miss.main_memory_hit);
         assert_eq!(
-            miss.ops,
+            miss.ops.to_vec(),
             vec![PageOp::UnitRead {
                 unit: 0,
                 page: PageId(1)
@@ -748,7 +742,7 @@ mod tests {
         // Third page evicts page 1 (dirty) → synchronous write-back + read.
         let out = bm.reference_page(0, PageId(3), false);
         assert_eq!(
-            out.ops,
+            out.ops.to_vec(),
             vec![
                 PageOp::UnitWrite {
                     unit: 0,
@@ -771,7 +765,7 @@ mod tests {
         bm.reference_page(0, PageId(1), false);
         let out = bm.reference_page(0, PageId(2), false);
         assert_eq!(
-            out.ops,
+            out.ops.to_vec(),
             vec![PageOp::UnitRead {
                 unit: 0,
                 page: PageId(2)
@@ -801,7 +795,7 @@ mod tests {
         let mut bm = BufferManager::new(cfg);
         let out = bm.reference_page(0, PageId(1), true);
         assert_eq!(
-            out.ops,
+            out.ops.to_vec(),
             vec![PageOp::NvemTransfer {
                 page: PageId(1),
                 to_nvem: false
@@ -810,7 +804,7 @@ mod tests {
         // Evicting the dirty page writes it back to NVEM, not to a disk unit.
         let out2 = bm.reference_page(0, PageId(2), false);
         assert_eq!(
-            out2.ops,
+            out2.ops.to_vec(),
             vec![
                 PageOp::NvemTransfer {
                     page: PageId(1),
@@ -831,7 +825,7 @@ mod tests {
         bm.reference_page(0, PageId(1), true);
         let out = bm.reference_page(0, PageId(2), false);
         assert_eq!(
-            out.ops,
+            out.ops.to_vec(),
             vec![
                 PageOp::NvemTransfer {
                     page: PageId(1),
@@ -886,7 +880,7 @@ mod tests {
         // Page 3 evicts page 1 → migrates to NVEM cache (dirty → async write).
         let out = bm.reference_page(0, PageId(3), false);
         assert_eq!(
-            out.ops,
+            out.ops.to_vec(),
             vec![
                 PageOp::NvemTransfer {
                     page: PageId(1),
@@ -927,7 +921,7 @@ mod tests {
         bm.reference_page(0, PageId(1), true);
         let ops = bm.force_page(0, PageId(1));
         assert_eq!(
-            ops,
+            ops.to_vec(),
             vec![
                 PageOp::NvemTransfer {
                     page: PageId(1),
@@ -973,7 +967,7 @@ mod tests {
         bm.reference_page(1, PageId(7), true);
         let ops = bm.force_page(1, PageId(7));
         assert_eq!(
-            ops,
+            ops.to_vec(),
             vec![PageOp::UnitWrite {
                 unit: 0,
                 page: PageId(7)
@@ -992,7 +986,7 @@ mod tests {
         let out = bm.reference_page(0, PageId(2), true);
         // Clean victim is dropped, not migrated.
         assert_eq!(
-            out.ops,
+            out.ops.to_vec(),
             vec![PageOp::UnitRead {
                 unit: 0,
                 page: PageId(2)

@@ -1,6 +1,11 @@
 //! The operations the buffer manager asks the transaction engine to perform.
+//!
+//! A page reference or a commit force yields at most [`MAX_PAGE_OPS`]
+//! operations — a victim's write-back or migration (two at most) plus the
+//! read of the missing page — so they travel inline as [`PageOps`].
 
 use dbmodel::PageId;
+use simkernel::InlineVec;
 
 /// One storage operation resulting from a page reference or a commit force.
 ///
@@ -45,6 +50,24 @@ pub enum PageOp {
     },
 }
 
+/// Most operations one reference or force produces: an NVEM migration or
+/// write-buffer transfer of the victim plus its asynchronous disk write, and
+/// the read of the missing page.
+pub const MAX_PAGE_OPS: usize = 3;
+
+/// The operations of one reference or force, in execution order, inline.
+pub type PageOps = InlineVec<PageOp, MAX_PAGE_OPS>;
+
+/// The filler of unused [`PageOps`] slots; never handed to the engine.
+impl Default for PageOp {
+    fn default() -> Self {
+        PageOp::NvemTransfer {
+            page: PageId(0),
+            to_nvem: false,
+        }
+    }
+}
+
 impl PageOp {
     /// True for operations the transaction must wait for.
     pub fn is_synchronous(&self) -> bool {
@@ -76,7 +99,7 @@ pub struct FetchOutcome {
     /// True if the reference was satisfied by the second-level NVEM cache.
     pub nvem_cache_hit: bool,
     /// Operations to execute, in order.
-    pub ops: Vec<PageOp>,
+    pub ops: PageOps,
 }
 
 impl FetchOutcome {
@@ -85,7 +108,7 @@ impl FetchOutcome {
         Self {
             main_memory_hit: true,
             nvem_cache_hit: false,
-            ops: Vec::new(),
+            ops: PageOps::new(),
         }
     }
 

@@ -7,7 +7,8 @@
 //!
 //! * [`IoArena`] — in-flight I/O requests under stable `u32` ids: the id *is*
 //!   the slot index, so the per-event lookups in the I/O path are plain `Vec`
-//!   indexing.  Freed slots are recycled LIFO.
+//!   indexing.  Freed slots are recycled LIFO, and completed requests are
+//!   kept as spares whose stage and waiter lists the next request reuses.
 //! * [`TxArena`] — transaction slots.  A completed transaction's carcass
 //!   stays in place and is *reused* by the next arrival on the slot, so its
 //!   micro-operation deque's capacity survives and steady-state arrivals
@@ -38,9 +39,30 @@ use super::transaction::Transaction;
 pub(crate) struct IoArena {
     slots: Vec<Option<IoRequest>>,
     free: Vec<u32>,
+    /// Completed requests handed back by [`IoArena::recycle`]; their lists
+    /// keep their capacity for the next [`IoArena::request`].
+    spare: Vec<IoRequest>,
 }
 
 impl IoArena {
+    /// A new request for `page` at `unit` (not yet registered), reusing a
+    /// completed request's buffers when one is spare.
+    pub fn request(&mut self, unit: usize, page: PageId, waiter: Option<usize>) -> IoRequest {
+        match self.spare.pop() {
+            Some(mut io) => {
+                io.reuse(unit, page, waiter);
+                io
+            }
+            None => IoRequest::new(unit, page, waiter),
+        }
+    }
+
+    /// Takes back a completed request (returned by [`IoArena::remove`]) for
+    /// reuse by a later [`IoArena::request`].
+    pub fn recycle(&mut self, io: IoRequest) {
+        self.spare.push(io);
+    }
+
     /// Registers a request and returns its id.
     pub fn insert(&mut self, io: IoRequest) -> u32 {
         match self.free.pop() {
@@ -321,7 +343,7 @@ mod tests {
     #[test]
     fn io_arena_recycles_slots_lifo() {
         let mut arena = IoArena::default();
-        let mk = || IoRequest::new(0, PageId(1), vec![ServiceStage::Disk(1.0)], None);
+        let mk = || IoRequest::new(0, PageId(1), None).with_stages(&[ServiceStage::Disk(1.0)]);
         let a = arena.insert(mk());
         let b = arena.insert(mk());
         assert_ne!(a, b);
@@ -331,6 +353,24 @@ mod tests {
         let c = arena.insert(mk());
         assert_eq!(c, a, "freed slot must be reused LIFO");
         assert_eq!(arena.live().count(), 2);
+    }
+
+    #[test]
+    fn io_arena_reuses_completed_requests() {
+        let mut arena = IoArena::default();
+        let mut io = arena.request(1, PageId(5), Some(2));
+        io.push_stage(ServiceStage::Disk(1.0));
+        io.group_waiters.extend([4, 5]);
+        let id = arena.insert(io);
+        let done = arena.remove(id);
+        let waiters = done.group_waiters.as_ptr();
+        arena.recycle(done);
+        // The next request is the spare, cleared, with its buffers intact.
+        let next = arena.request(3, PageId(6), None);
+        assert_eq!((next.unit, next.page, next.waiter), (3, PageId(6), None));
+        assert!(next.group_waiters.is_empty());
+        assert_eq!(next.group_waiters.as_ptr(), waiters);
+        assert!(arena.spare.is_empty());
     }
 
     #[test]

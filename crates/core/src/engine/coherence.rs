@@ -200,39 +200,39 @@ impl<W: WorkloadGenerator> Simulation<W> {
     }
 
     /// Converts the page operations of a buffer miss like
-    /// [`Simulation::convert_page_ops`], but — when direct page transfer is
-    /// configured and a donor node holds a current copy of `target` — the
-    /// disk read of `target` is replaced by a request/response message
-    /// round trip plus a memory-to-memory copy burst.  Eviction write-backs
-    /// and other operations keep their positions; with no donor (or under
-    /// disk re-read) the conversion is unchanged and the fallback is
-    /// counted.
+    /// [`Simulation::convert_page_ops`] (appending to `out`), but — when
+    /// direct page transfer is configured and a donor node holds a current
+    /// copy of `target` — the disk read of `target` is replaced by a
+    /// request/response message round trip plus a memory-to-memory copy
+    /// burst.  Eviction write-backs and other operations keep their
+    /// positions; with no donor (or under disk re-read) the conversion is
+    /// unchanged and the fallback is counted.
     pub(super) fn convert_page_ops_with_transfer(
         &mut self,
         requester: usize,
         target: PageId,
         ops: &[PageOp],
-    ) -> Vec<MicroOp> {
+        out: &mut Vec<MicroOp>,
+    ) {
         if self.config.coherence.page_transfer != PageTransfer::DirectTransfer {
-            return self.convert_page_ops(ops);
+            return self.convert_page_ops(ops, out);
         }
         let target_read =
             |op: &PageOp| matches!(op, PageOp::UnitRead { page, .. } if *page == target);
         if !ops.iter().any(target_read) {
             // NVEM-resident pages (and pure eviction traffic) have no disk
             // read to replace; only disk re-reads are transfer candidates.
-            return self.convert_page_ops(ops);
+            return self.convert_page_ops(ops, out);
         }
         if self.direct_transfer_donor(requester, target).is_none() {
             self.coherence_stats.transfer_fallback_reads += 1;
-            return self.convert_page_ops(ops);
+            return self.convert_page_ops(ops, out);
         }
         let coherence = self.config.coherence;
         let round_trip = 2.0 * coherence.transfer_msg_ms;
         let copy_ms = instr_time(coherence.transfer_copy_instr, self.config.cm.mips);
         self.coherence_stats.direct_transfers += 1;
         self.coherence_stats.transfer_delay_ms += round_trip;
-        let mut out = Vec::with_capacity(ops.len() * 2);
         for op in ops {
             if target_read(op) {
                 // Request to the donor, page copy back: one message round
@@ -243,10 +243,9 @@ impl<W: WorkloadGenerator> Simulation<W> {
                     nvem: false,
                 });
             } else {
-                out.extend(self.convert_page_ops(std::slice::from_ref(op)));
+                self.convert_page_ops(std::slice::from_ref(op), out);
             }
         }
-        out
     }
 
     /// Picks the donor node for a direct cache-to-cache transfer of `page`

@@ -27,32 +27,32 @@ impl<W: WorkloadGenerator> Simulation<W> {
     pub(super) fn op_log_write(&mut self, slot: usize) -> Flow {
         let cm = self.config.cm;
         let nvem_cost = self.config.nvem.synchronous_cost(cm.mips);
-        let ops = match self.config.log_allocation {
+        let nvem_transfer = MicroOp::CpuBurst {
+            ms: nvem_cost,
+            nvem: true,
+        };
+        let sync_write = |unit, page| MicroOp::IssueIo {
+            unit,
+            kind: IoKind::Write,
+            page,
+            wait: true,
+            notify: false,
+            log_wb: false,
+        };
+        let tx_ops = match self.config.log_allocation {
             LogAllocation::Nvem => {
-                vec![MicroOp::CpuBurst {
-                    ms: nvem_cost,
-                    nvem: true,
-                }]
+                self.txs.tx_mut(slot).push_ops_front(&[nvem_transfer]);
+                return Flow::Continue;
             }
             LogAllocation::DiskUnit(unit) => {
                 if cm.group_commit_size > 1 {
                     // Each member still pays its own per-I/O CPU overhead
                     // (the DBMS issues a log request per transaction); only
                     // the device write is shared by the batch.
-                    vec![self.io_overhead_burst(), MicroOp::JoinCommitGroup { unit }]
+                    [self.io_overhead_burst(), MicroOp::JoinCommitGroup { unit }]
                 } else {
                     let page = self.next_log_page();
-                    vec![
-                        self.io_overhead_burst(),
-                        MicroOp::IssueIo {
-                            unit,
-                            kind: IoKind::Write,
-                            page,
-                            wait: true,
-                            notify: false,
-                            log_wb: false,
-                        },
-                    ]
+                    [self.io_overhead_burst(), sync_write(unit, page)]
                 }
             }
             LogAllocation::DiskUnitViaNvemWriteBuffer(unit) => {
@@ -63,44 +63,30 @@ impl<W: WorkloadGenerator> Simulation<W> {
                     // asynchronously.
                     self.log_wb_pending += 1;
                     let page = self.next_log_page();
-                    vec![
-                        MicroOp::CpuBurst {
-                            ms: nvem_cost,
-                            nvem: true,
-                        },
-                        self.io_overhead_burst(),
-                        MicroOp::IssueIo {
-                            unit,
-                            kind: IoKind::Write,
-                            page,
-                            wait: false,
-                            notify: false,
-                            log_wb: true,
-                        },
-                    ]
+                    let async_write = MicroOp::IssueIo {
+                        unit,
+                        kind: IoKind::Write,
+                        page,
+                        wait: false,
+                        notify: false,
+                        log_wb: true,
+                    };
+                    let ops = [nvem_transfer, self.io_overhead_burst(), async_write];
+                    self.txs.tx_mut(slot).push_ops_front(&ops);
+                    return Flow::Continue;
                 } else if cm.group_commit_size > 1 {
                     // Write buffer saturated: the overflow writes are
                     // synchronous device log writes, so group commit batches
                     // them exactly like plain device-resident logs.
-                    vec![self.io_overhead_burst(), MicroOp::JoinCommitGroup { unit }]
+                    [self.io_overhead_burst(), MicroOp::JoinCommitGroup { unit }]
                 } else {
                     // Write buffer saturated: synchronous log write.
                     let page = self.next_log_page();
-                    vec![
-                        self.io_overhead_burst(),
-                        MicroOp::IssueIo {
-                            unit,
-                            kind: IoKind::Write,
-                            page,
-                            wait: true,
-                            notify: false,
-                            log_wb: false,
-                        },
-                    ]
+                    [self.io_overhead_burst(), sync_write(unit, page)]
                 }
             }
         };
-        self.txs.tx_mut(slot).push_ops_front(ops);
+        self.txs.tx_mut(slot).push_ops_front(&tx_ops);
         Flow::Continue
     }
 
@@ -147,9 +133,8 @@ impl<W: WorkloadGenerator> Simulation<W> {
     /// the write's request until it completes.
     fn flush_commit_group(&mut self) {
         let unit = self.commit_group_unit;
-        let members = std::mem::take(&mut self.commit_group);
         self.commit_group_seq += 1;
-        if members.is_empty() {
+        if self.commit_group.is_empty() {
             return;
         }
         self.log_group_writes += 1;
@@ -157,7 +142,7 @@ impl<W: WorkloadGenerator> Simulation<W> {
         // The members ride on the write's request itself, attached before
         // its first stage runs, so even a synchronously completing write
         // wakes the whole batch.
-        self.issue_group_commit_io(unit, page, members);
+        self.issue_group_commit_io(unit, page);
     }
 
     pub(super) fn wake_slots(&mut self, slots: &[usize]) {
@@ -185,12 +170,15 @@ impl<W: WorkloadGenerator> Simulation<W> {
     pub(super) fn op_force_pages(&mut self, slot: usize) -> Flow {
         let node = self.txs.tx(slot).node;
         let template = self.txs.tx(slot).template;
-        let mut page_ops = Vec::new();
-        for &(partition, page) in &self.templates.entry(template).written_pages {
-            page_ops.extend(self.nodes[node].bufmgr.force_page(partition, page));
+        let mut ops = std::mem::take(&mut self.micro_scratch);
+        ops.clear();
+        for idx in 0..self.templates.entry(template).written_pages.len() {
+            let (partition, page) = self.templates.entry(template).written_pages[idx];
+            let forced = self.nodes[node].bufmgr.force_page(partition, page);
+            self.convert_page_ops(&forced, &mut ops);
         }
-        let ops = self.convert_page_ops(&page_ops);
-        self.txs.tx_mut(slot).push_ops_front(ops);
+        self.txs.tx_mut(slot).push_ops_front(&ops);
+        self.micro_scratch = ops;
         Flow::Continue
     }
 

@@ -263,7 +263,7 @@ impl<W: WorkloadGenerator> Simulation<W> {
             if let Some(round_trip) = self.lockmgr.remote_round_trip(node) {
                 let tx = self.txs.tx_mut(slot);
                 tx.lock_msg_paid = true;
-                tx.push_ops_front(vec![
+                tx.push_ops_front(&[
                     MicroOp::RemoteDelay { ms: round_trip },
                     MicroOp::Lock { ref_idx },
                 ]);
@@ -361,13 +361,17 @@ impl<W: WorkloadGenerator> Simulation<W> {
             obj_ref.page,
             obj_ref.mode.is_write(),
         );
-        let mut ops = if coherent && !outcome.main_memory_hit && !outcome.nvem_cache_hit {
-            self.convert_page_ops_with_transfer(node, obj_ref.page, &outcome.ops)
-        } else {
-            self.convert_page_ops(&outcome.ops)
-        };
+        // The micro operations are expanded in the engine's one reused
+        // scratch buffer.
+        let mut ops = std::mem::take(&mut self.micro_scratch);
+        ops.clear();
         if let Some(ms) = validation_ms {
-            ops.insert(0, MicroOp::RemoteDelay { ms });
+            ops.push(MicroOp::RemoteDelay { ms });
+        }
+        if coherent && !outcome.main_memory_hit && !outcome.nvem_cache_hit {
+            self.convert_page_ops_with_transfer(node, obj_ref.page, &outcome.ops, &mut ops);
+        } else {
+            self.convert_page_ops(&outcome.ops, &mut ops);
         }
         if coherent {
             self.note_holder(node, obj_ref.page);
@@ -390,7 +394,8 @@ impl<W: WorkloadGenerator> Simulation<W> {
                 self.note_sequential_miss(slot, node, obj_ref.partition, unit, page);
             }
         }
-        self.txs.tx_mut(slot).push_ops_front(ops);
+        self.txs.tx_mut(slot).push_ops_front(&ops);
+        self.micro_scratch = ops;
     }
 
     /// Updates the per-transaction ascending-miss-run tracker and, on a run

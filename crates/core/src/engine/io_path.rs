@@ -10,7 +10,9 @@
 //!
 //! Requests live in the engine's [`IoArena`](super::arena::IoArena): the
 //! `u32` request id carried by every `IoStage` event and resource token is a
-//! plain slot index, so the per-event lookups here never hash.
+//! plain slot index, so the per-event lookups here never hash.  Device
+//! decisions arrive with their stages inline and are copied into a recycled
+//! request, so issuing and completing an I/O allocates nothing.
 //!
 //! [`StorageDevice`]: storage::StorageDevice
 
@@ -19,18 +21,17 @@ use dbmodel::{PageId, WorkloadGenerator};
 use simkernel::resource::Acquire;
 use storage::{IoKind, ServiceStage, SubmitOutcome};
 
-use super::iorequest::{HeldResource, IoRequest};
+use super::iorequest::HeldResource;
 use super::transaction::{MicroOp, TxState};
 use super::{Ev, Flow, Simulation};
 
 impl<W: WorkloadGenerator> Simulation<W> {
     /// Translates buffer-manager page operations into engine micro operations,
     /// charging the per-I/O CPU overhead and the synchronous NVEM transfer
-    /// costs.
-    pub(super) fn convert_page_ops(&mut self, ops: &[PageOp]) -> Vec<MicroOp> {
+    /// costs.  The micro operations are appended to `out`.
+    pub(super) fn convert_page_ops(&mut self, ops: &[PageOp], out: &mut Vec<MicroOp>) {
         let cm = self.config.cm;
         let nvem_cost = self.config.nvem.synchronous_cost(cm.mips);
-        let mut out = Vec::with_capacity(ops.len() * 2);
         for op in ops {
             match *op {
                 PageOp::NvemTransfer { .. } => {
@@ -74,7 +75,6 @@ impl<W: WorkloadGenerator> Simulation<W> {
                 }
             }
         }
-        out
     }
 
     /// Asks the device for its service decision, registers the request and
@@ -94,8 +94,11 @@ impl<W: WorkloadGenerator> Simulation<W> {
         log_wb: bool,
     ) -> u32 {
         let decision = self.units[unit].device.request(kind, page);
-        let mut io = IoRequest::new(unit, page, decision.foreground, waiter)
-            .with_background(decision.background)
+        let mut io = self
+            .ios
+            .request(unit, page, waiter)
+            .with_stages(&decision.foreground)
+            .with_background(&decision.background)
             .for_node(node);
         if notify {
             io = io.with_bufmgr_notification();
@@ -177,29 +180,27 @@ impl<W: WorkloadGenerator> Simulation<W> {
             else {
                 return;
             };
-            let mut stages = Vec::new();
-            let mut background = Vec::new();
+            let mut io = self
+                .ios
+                .request(unit, batch.pages[0], None)
+                .for_node(node)
+                .into_scheduled();
             for (i, &page) in batch.pages.iter().enumerate() {
                 let decision = self.units[unit].device.request(IoKind::Read, page);
                 if i == 0 {
-                    stages = decision.foreground;
-                    background = decision.background;
+                    io = io.with_stages(&decision.foreground);
                 } else {
-                    stages.push(ServiceStage::Transmission(decision.transmission_time()));
-                    background.extend(decision.background);
+                    io.push_stage(ServiceStage::Transmission(decision.transmission_time()));
                 }
+                io = io.with_background(&decision.background);
             }
-            let mut io = IoRequest::new(unit, batch.pages[0], stages, None)
-                .with_background(background)
-                .for_node(node)
-                .into_scheduled();
-            io.group_waiters = batch.waiters.clone();
+            io.group_waiters.extend_from_slice(&batch.waiters);
             let io_id = self.ios.insert(io);
             self.units[unit]
                 .scheduler
                 .as_mut()
                 .expect("scheduler present while draining")
-                .register_inflight(io_id, &batch);
+                .register_inflight(io_id, batch);
             self.advance_io(io_id);
         }
     }
@@ -210,15 +211,18 @@ impl<W: WorkloadGenerator> Simulation<W> {
         self.start_io(0, unit, kind, page, None, false, false)
     }
 
-    /// Issues the shared log write of a group-commit batch with its member
-    /// slots already parked on it.  Attaching the waiters *before* the first
-    /// stage runs means even a synchronously completing request wakes the
-    /// batch correctly (a late attach could alias a recycled arena slot).
-    pub(super) fn issue_group_commit_io(&mut self, unit: usize, page: PageId, members: Vec<usize>) {
+    /// Issues the shared log write of the open group-commit batch, moving
+    /// the batch's member slots onto it.  Attaching the waiters *before* the
+    /// first stage runs means even a synchronously completing request wakes
+    /// the batch correctly (a late attach could alias a recycled arena slot).
+    pub(super) fn issue_group_commit_io(&mut self, unit: usize, page: PageId) {
         let decision = self.units[unit].device.request(IoKind::Write, page);
-        let mut io = IoRequest::new(unit, page, decision.foreground, None)
-            .with_background(decision.background);
-        io.group_waiters = members;
+        let mut io = self
+            .ios
+            .request(unit, page, None)
+            .with_stages(&decision.foreground)
+            .with_background(&decision.background);
+        io.group_waiters.append(&mut self.commit_group);
         let io_id = self.ios.insert(io);
         self.advance_io(io_id);
     }
@@ -310,7 +314,10 @@ impl<W: WorkloadGenerator> Simulation<W> {
             }
         }
         if !io.background.is_empty() {
-            let bg = IoRequest::new(io.unit, io.page, io.background, None)
+            let bg = self
+                .ios
+                .request(io.unit, io.page, None)
+                .with_stages(&io.background)
                 .for_node(io.node)
                 .into_destage();
             let bg_id = self.ios.insert(bg);
@@ -341,6 +348,7 @@ impl<W: WorkloadGenerator> Simulation<W> {
         if !io.group_waiters.is_empty() {
             self.wake_slots(&io.group_waiters);
         }
+        self.ios.recycle(io);
     }
 
     /// Routes a completed speculative read into the issuing node's buffer

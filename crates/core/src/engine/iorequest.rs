@@ -6,8 +6,11 @@
 //! releasing a group-commit batch, notifying the buffer manager about an
 //! asynchronous write, spawning the background destage of an absorbed write).
 //!
-//! Requests live in the engine's [`IoArena`]; the stage list is stored as the
-//! device-produced `Vec` plus a cursor (no per-request deque conversion).
+//! Requests live in the engine's [`IoArena`]; the stage list is a `Vec` plus a
+//! cursor (no per-request deque conversion).  A completed request goes back
+//! to the arena's spare pool and the next request reuses it, so its stage
+//! and waiter lists keep their capacity and issuing an I/O allocates nothing
+//! in steady state.
 //!
 //! [`IoArena`]: super::arena::IoArena
 
@@ -36,7 +39,8 @@ pub(crate) struct IoRequest {
     pub page: PageId,
     /// Transaction slot waiting for the foreground part, if any.
     pub waiter: Option<usize>,
-    /// Foreground stages as decided by the device.
+    /// Foreground stages as decided by the device (for a merged read batch:
+    /// the leader's decision plus one transmission per further member).
     stages: Vec<ServiceStage>,
     /// Index of the next stage in `stages` (already-served prefix).
     next_stage: usize,
@@ -67,19 +71,14 @@ pub(crate) struct IoRequest {
 }
 
 impl IoRequest {
-    /// Creates a request from a stage list.
-    pub fn new(
-        unit: usize,
-        page: PageId,
-        stages: Vec<ServiceStage>,
-        waiter: Option<usize>,
-    ) -> Self {
+    /// Creates a request without stages.
+    pub fn new(unit: usize, page: PageId, waiter: Option<usize>) -> Self {
         Self {
             unit,
             node: 0,
             page,
             waiter,
-            stages,
+            stages: Vec::new(),
             next_stage: 0,
             background: Vec::new(),
             group_waiters: Vec::new(),
@@ -91,6 +90,34 @@ impl IoRequest {
             held: None,
             pending_service: 0.0,
         }
+    }
+
+    /// Re-initialises a completed request for a new I/O, keeping the
+    /// capacity of its stage and waiter lists.
+    pub fn reuse(&mut self, unit: usize, page: PageId, waiter: Option<usize>) {
+        let mut stages = std::mem::take(&mut self.stages);
+        let mut background = std::mem::take(&mut self.background);
+        let mut group_waiters = std::mem::take(&mut self.group_waiters);
+        stages.clear();
+        background.clear();
+        group_waiters.clear();
+        *self = Self {
+            stages,
+            background,
+            group_waiters,
+            ..Self::new(unit, page, waiter)
+        };
+    }
+
+    /// Appends foreground stages.
+    pub fn with_stages(mut self, stages: &[ServiceStage]) -> Self {
+        self.stages.extend_from_slice(stages);
+        self
+    }
+
+    /// Appends one foreground stage.
+    pub fn push_stage(&mut self, stage: ServiceStage) {
+        self.stages.push(stage);
     }
 
     /// Advances to (and returns) the next remaining foreground stage.
@@ -109,9 +136,9 @@ impl IoRequest {
         self.stages.len() - self.next_stage
     }
 
-    /// Attaches background (destage) stages.
-    pub fn with_background(mut self, background: Vec<ServiceStage>) -> Self {
-        self.background = background;
+    /// Appends background (destage) stages.
+    pub fn with_background(mut self, background: &[ServiceStage]) -> Self {
+        self.background.extend_from_slice(background);
         self
     }
 
@@ -152,8 +179,9 @@ mod tests {
 
     #[test]
     fn builder_flags() {
-        let mut io = IoRequest::new(2, PageId(7), vec![ServiceStage::Disk(5.0)], Some(3))
-            .with_background(vec![ServiceStage::Disk(5.0)])
+        let mut io = IoRequest::new(2, PageId(7), Some(3))
+            .with_stages(&[ServiceStage::Disk(5.0)])
+            .with_background(&[ServiceStage::Disk(5.0)])
             .with_bufmgr_notification()
             .with_log_wb()
             .for_node(1);
@@ -171,10 +199,38 @@ mod tests {
         assert_eq!(io.pop_stage(), Some(ServiceStage::Disk(5.0)));
         assert_eq!(io.remaining_stages(), 0);
         assert_eq!(io.pop_stage(), None);
-        let destage = IoRequest::new(0, PageId(1), vec![], None).into_destage();
+        let destage = IoRequest::new(0, PageId(1), None).into_destage();
         assert!(destage.is_destage);
         assert!(destage.waiter.is_none());
-        let scheduled = IoRequest::new(0, PageId(1), vec![], None).into_scheduled();
+        let scheduled = IoRequest::new(0, PageId(1), None).into_scheduled();
         assert!(scheduled.scheduled);
+    }
+
+    #[test]
+    fn reuse_resets_everything_but_keeps_buffers() {
+        let mut io = IoRequest::new(2, PageId(7), Some(3))
+            .with_stages(&[ServiceStage::Controller(1.0), ServiceStage::Disk(5.0)])
+            .with_background(&[ServiceStage::Disk(5.0)])
+            .with_log_wb()
+            .into_scheduled()
+            .for_node(4);
+        io.group_waiters.extend([1, 2, 3]);
+        io.checkpoint_issued_at = Some(9.0);
+        io.pop_stage();
+        let capacities = (io.stages.capacity(), io.group_waiters.capacity());
+        io.reuse(0, PageId(11), None);
+        assert_eq!(
+            (io.unit, io.node, io.page, io.waiter),
+            (0, 0, PageId(11), None)
+        );
+        assert_eq!(io.remaining_stages(), 0);
+        assert_eq!(io.pop_stage(), None);
+        assert!(io.background.is_empty() && io.group_waiters.is_empty());
+        assert!(!io.log_wb && !io.scheduled && !io.notify_bufmgr && !io.is_destage);
+        assert_eq!(io.checkpoint_issued_at, None);
+        assert_eq!(
+            (io.stages.capacity(), io.group_waiters.capacity()),
+            capacities
+        );
     }
 }

@@ -77,7 +77,7 @@ mod transaction;
 #[cfg(test)]
 mod tests;
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::time::Instant;
 
 use bufmgr::BufferManager;
@@ -87,7 +87,7 @@ use simkernel::dist::PiecewiseRate;
 use simkernel::sketch::QuantileSketch;
 use simkernel::stats::{Histogram, Tally, TimeWeighted};
 use simkernel::time::{interarrival_ms, SimTime};
-use simkernel::{EventQueue, Resource, SimRng};
+use simkernel::{EventQueue, IdMap, Resource, SimRng};
 use storage::{DiskUnitStats, IoSchedulerStats, RequestScheduler, StorageDevice};
 
 use crate::config::{Architecture, SimulationConfig};
@@ -95,6 +95,7 @@ use crate::metrics::{CoherenceReport, KernelProfile, ShippingReport, SimulationR
 use crate::recovery::RecoveryRuntime;
 
 use arena::{IoArena, TemplateTable, TxArena};
+use transaction::MicroOp;
 
 /// Events of the simulation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -250,9 +251,9 @@ pub struct Simulation<W: WorkloadGenerator> {
     // invalidation).  `coherence_stats` accumulates the report section
     // since the warm-up reset; the fan-out counters feed the kernel
     // profile (whole-run wall-clock accounting, never reset).
-    holders: HashMap<PageId, u64>,
-    page_versions: HashMap<PageId, u64>,
-    node_versions: Vec<HashMap<PageId, u64>>,
+    holders: IdMap<PageId, u64>,
+    page_versions: IdMap<PageId, u64>,
+    node_versions: Vec<IdMap<PageId, u64>>,
     coherence_stats: CoherenceReport,
     fanout_commits: u64,
     fanout_ns: u64,
@@ -263,9 +264,12 @@ pub struct Simulation<W: WorkloadGenerator> {
     // lock waiters are woken.
     txs: TxArena,
     templates: TemplateTable,
-    id_to_slot: HashMap<u64, usize>,
+    id_to_slot: IdMap<u64, usize>,
     next_tx_id: u64,
     ready: VecDeque<usize>,
+    /// Scratch buffer the page operations of one buffer reference or commit
+    /// force are expanded into before they join the transaction's queue.
+    micro_scratch: Vec<MicroOp>,
     /// Round-robin assignment cursor of the SOURCE (always 0 with one node;
     /// consumes no randomness, so a single-node run draws the exact same
     /// streams as the pre-data-sharing engine).
@@ -414,17 +418,18 @@ impl<W: WorkloadGenerator> Simulation<W> {
             lockmgr,
             partition_map,
             shipping,
-            holders: HashMap::new(),
-            page_versions: HashMap::new(),
-            node_versions: vec![HashMap::new(); config.nodes.num_nodes],
+            holders: IdMap::default(),
+            page_versions: IdMap::default(),
+            node_versions: vec![IdMap::default(); config.nodes.num_nodes],
             coherence_stats: CoherenceReport::empty(),
             fanout_commits: 0,
             fanout_ns: 0,
             txs: TxArena::default(),
             templates: TemplateTable::default(),
-            id_to_slot: HashMap::new(),
+            id_to_slot: IdMap::default(),
             next_tx_id: 1,
             ready: VecDeque::new(),
+            micro_scratch: Vec::new(),
             next_arrival_node: 0,
             total_active: 0,
             total_queued: 0,

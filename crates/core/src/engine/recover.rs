@@ -30,10 +30,9 @@
 //!    adjacent redo pages share one seek) — plus a lock re-acquisition
 //!    covering the redone pages.
 
-use std::collections::HashMap;
-
 use dbmodel::{AccessMode, ObjectId, ObjectRef, PageId, WorkloadGenerator};
 use simkernel::time::instr_time;
+use simkernel::IdMap;
 use storage::IoKind;
 
 use bufmgr::PageLocation;
@@ -153,7 +152,7 @@ impl<W: WorkloadGenerator> Simulation<W> {
 
         // Union of the per-node dirty-page tables: the pages whose committed
         // updates existed only in volatile main memory.
-        let mut lost: HashMap<PageId, Lsn> = HashMap::new();
+        let mut lost: IdMap<PageId, Lsn> = IdMap::default();
         for node in &self.nodes {
             // analyzer: allow(hash-iter): folded into a per-page min, order-independent
             for (page, lsn) in node.bufmgr.dirty_page_table().iter() {

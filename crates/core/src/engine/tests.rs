@@ -666,7 +666,8 @@ fn direct_transfer_replaces_the_disk_reread_when_a_donor_holds_the_page() {
         unit: 0,
         page: PageId(42),
     }];
-    let ops = sim.convert_page_ops_with_transfer(0, PageId(42), &read);
+    let mut ops = Vec::new();
+    sim.convert_page_ops_with_transfer(0, PageId(42), &read, &mut ops);
     assert_eq!(
         ops.len(),
         2,
@@ -680,7 +681,8 @@ fn direct_transfer_replaces_the_disk_reread_when_a_donor_holds_the_page() {
         unit: 0,
         page: PageId(43),
     }];
-    let ops = sim.convert_page_ops_with_transfer(0, PageId(43), &read);
+    let mut ops = Vec::new();
+    sim.convert_page_ops_with_transfer(0, PageId(43), &read, &mut ops);
     assert!(matches!(ops.last(), Some(MicroOp::IssueIo { .. })));
     assert_eq!(sim.coherence_stats.transfer_fallback_reads, 1);
     // Eviction write-backs travelling with the miss keep their positions.
@@ -696,7 +698,8 @@ fn direct_transfer_replaces_the_disk_reread_when_a_donor_holds_the_page() {
             page: PageId(44),
         },
     ];
-    let ops = sim.convert_page_ops_with_transfer(0, PageId(44), &mixed);
+    let mut ops = Vec::new();
+    sim.convert_page_ops_with_transfer(0, PageId(44), &mixed, &mut ops);
     assert!(matches!(ops[0], MicroOp::CpuBurst { .. })); // I/O overhead
     assert!(matches!(ops[1], MicroOp::IssueIo { .. })); // the write-back
     assert!(matches!(ops[2], MicroOp::RemoteDelay { .. }));
@@ -942,7 +945,7 @@ fn log_wb_completion_decrements_occupancy() {
     // An empty stage list completes immediately on advance.
     let io_id = sim
         .ios
-        .insert(IoRequest::new(0, PageId(7), vec![], None).with_log_wb());
+        .insert(IoRequest::new(0, PageId(7), None).with_log_wb());
     sim.advance_io(io_id);
     assert_eq!(sim.log_wb_pending, 1);
 }
@@ -959,7 +962,7 @@ fn log_wb_underflow_is_surfaced_in_debug_builds() {
     // accounting bug and must assert instead of clamping silently.
     let io_id = sim
         .ios
-        .insert(IoRequest::new(0, PageId(8), vec![], None).with_log_wb());
+        .insert(IoRequest::new(0, PageId(8), None).with_log_wb());
     sim.advance_io(io_id);
 }
 

@@ -203,8 +203,8 @@ impl Transaction {
     /// Pushes a batch of micro operations to the *front* of the queue,
     /// preserving their order (used when one operation expands into several,
     /// e.g. a buffer fetch that needs a victim write-back plus a read).
-    pub fn push_ops_front(&mut self, ops: Vec<MicroOp>) {
-        for op in ops.into_iter().rev() {
+    pub fn push_ops_front(&mut self, ops: &[MicroOp]) {
+        for &op in ops.iter().rev() {
             self.micro.push_front(op);
         }
     }
@@ -260,7 +260,7 @@ mod tests {
     fn push_ops_front_preserves_order() {
         let mut tx = Transaction::new(1, 0, 0, 0.0);
         tx.micro.push_back(MicroOp::Complete);
-        tx.push_ops_front(vec![
+        tx.push_ops_front(&[
             MicroOp::CpuBurst {
                 ms: 1.0,
                 nvem: false,

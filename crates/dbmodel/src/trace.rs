@@ -23,11 +23,10 @@
 //! Traces can also be serialized to / parsed from a simple line-oriented text
 //! format so externally produced traces can be replayed.
 
-use std::collections::HashSet;
 use std::fmt::Write as _;
 
 use simkernel::dist::Zipf;
-use simkernel::SimRng;
+use simkernel::{IdSet, SimRng};
 
 use crate::database::{Database, PartitionSpec};
 #[cfg(test)]
@@ -83,7 +82,7 @@ impl Trace {
 
     /// Number of distinct (file, page) pairs referenced.
     pub fn distinct_pages(&self) -> usize {
-        let mut set = HashSet::new();
+        let mut set = IdSet::default();
         for t in &self.transactions {
             for (f, p, _) in &t.refs {
                 set.insert((*f, *p));
@@ -94,7 +93,7 @@ impl Trace {
 
     /// Number of distinct transaction types appearing in the trace.
     pub fn distinct_tx_types(&self) -> usize {
-        let mut set = HashSet::new();
+        let mut set = IdSet::default();
         for t in &self.transactions {
             set.insert(t.tx_type);
         }

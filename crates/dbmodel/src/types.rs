@@ -12,7 +12,7 @@ pub type TxTypeId = usize;
 ///
 /// Pages are numbered globally across partitions: each partition owns a dense
 /// contiguous range of page numbers, assigned by [`crate::Database`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PageId(pub u64);
 
 /// Global object identifier (an object lives inside exactly one page).

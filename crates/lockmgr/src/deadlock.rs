@@ -16,9 +16,9 @@
 //! request, and recycles the per-transaction edge sets through a free pool:
 //! under contention, transactions block and release continuously, and
 //! without the pool every block/release pair allocated (and dropped) fresh
-//! `HashSet`s on this hot path.
+//! hash sets on this hot path.
 
-use std::collections::{HashMap, HashSet};
+use simkernel::{IdMap, IdSet};
 
 use crate::table::TxId;
 
@@ -26,15 +26,15 @@ use crate::table::TxId;
 #[derive(Debug, Default)]
 pub struct WaitsForGraph {
     /// `edges[t]` = set of transactions `t` is waiting for.
-    edges: HashMap<TxId, HashSet<TxId>>,
+    edges: IdMap<TxId, IdSet<TxId>>,
     /// `reverse[t]` = set of transactions waiting for `t` (incoming edges),
     /// kept in lockstep with `edges` so removal never scans the whole graph.
-    reverse: HashMap<TxId, HashSet<TxId>>,
+    reverse: IdMap<TxId, IdSet<TxId>>,
     /// Pool of emptied edge sets, recycled by `add_waits` so the steady
     /// block/release churn stops allocating (sets keep their capacity).
-    pool: Vec<HashSet<TxId>>,
+    pool: Vec<IdSet<TxId>>,
     /// DFS scratch (cleared per check, allocation reused).
-    visited: HashSet<TxId>,
+    visited: IdSet<TxId>,
     /// DFS stack scratch.
     stack: Vec<TxId>,
 }

@@ -2,9 +2,8 @@
 //! per-partition concurrency-control modes together and keeps the statistics
 //! TPSIM reports (lock requests, conflicts, deadlocks).
 
-use std::collections::HashMap;
-
 use dbmodel::{AccessMode, Database, ObjectRef, PartitionId};
+use simkernel::IdMap;
 
 use crate::deadlock::WaitsForGraph;
 use crate::table::{LockMode, LockTable, LockableId, TableOutcome, TxId};
@@ -71,9 +70,12 @@ pub struct LockManager {
     /// A plain de-duplicated `Vec` per transaction: transactions hold few
     /// locks, so a linear membership check beats hashing on the per-request
     /// hot path.
-    held: HashMap<TxId, Vec<LockableId>>,
+    held: IdMap<TxId, Vec<LockableId>>,
+    /// Released held-lock lists (emptied, capacity kept) for the next
+    /// transaction's first lock.
+    spare_held: Vec<Vec<LockableId>>,
     /// The single item each blocked transaction is waiting for.
-    waiting_on: HashMap<TxId, LockableId>,
+    waiting_on: IdMap<TxId, LockableId>,
     stats: LockManagerStats,
 }
 
@@ -84,8 +86,9 @@ impl LockManager {
             modes,
             table: LockTable::new(),
             graph: WaitsForGraph::new(),
-            held: HashMap::new(),
-            waiting_on: HashMap::new(),
+            held: IdMap::default(),
+            spare_held: Vec::new(),
+            waiting_on: IdMap::default(),
             stats: LockManagerStats::default(),
         }
     }
@@ -154,10 +157,7 @@ impl LockManager {
         match self.table.request(item, tx, req.mode) {
             TableOutcome::Granted => {
                 self.stats.immediate_grants += 1;
-                let held = self.held.entry(tx).or_default();
-                if !held.contains(&item) {
-                    held.push(item);
-                }
+                self.note_held(tx, item);
                 LockOutcome::Granted
             }
             TableOutcome::Blocked => {
@@ -182,26 +182,39 @@ impl LockManager {
     /// waits-for edges.
     fn on_wakeup(&mut self, tx: TxId) {
         if let Some(item) = self.waiting_on.remove(&tx) {
-            let held = self.held.entry(tx).or_default();
-            if !held.contains(&item) {
-                held.push(item);
-            }
+            self.note_held(tx, item);
         }
         self.graph.clear_waits(tx);
+    }
+
+    /// Records that `tx` holds `item` (once), starting its list from the
+    /// pool of released ones.
+    fn note_held(&mut self, tx: TxId, item: LockableId) {
+        let spare = &mut self.spare_held;
+        let held = self
+            .held
+            .entry(tx)
+            .or_insert_with(|| spare.pop().unwrap_or_default());
+        if !held.contains(&item) {
+            held.push(item);
+        }
     }
 
     /// Releases all locks of `tx` (strict 2PL: at commit, phase 2).
     /// Returns the transactions whose queued requests became granted; the
     /// caller must resume them.
     pub fn release_all(&mut self, tx: TxId) -> Vec<TxId> {
-        let items = self.held.remove(&tx).unwrap_or_default();
         let mut woken = Vec::new();
-        for item in items {
-            self.stats.releases += 1;
-            for w in self.table.release(item, tx) {
-                self.on_wakeup(w);
-                woken.push(w);
+        if let Some(mut items) = self.held.remove(&tx) {
+            for &item in &items {
+                self.stats.releases += 1;
+                for w in self.table.release(item, tx) {
+                    self.on_wakeup(w);
+                    woken.push(w);
+                }
             }
+            items.clear();
+            self.spare_held.push(items);
         }
         self.graph.remove_transaction(tx);
         woken.sort_unstable();
@@ -404,6 +417,21 @@ mod tests {
         // take any lock immediately, including the previously contended one.
         assert_eq!(m.acquire(9, &obj_ref(0, 1, 1, true)), LockOutcome::Granted);
         assert_eq!(m.release_all(9), Vec::<TxId>::new());
+    }
+
+    #[test]
+    fn released_held_lists_are_recycled() {
+        let mut m = page_level_mgr();
+        m.acquire(1, &obj_ref(0, 1, 1, true));
+        m.acquire(1, &obj_ref(0, 2, 2, true));
+        assert!(m.spare_held.is_empty());
+        assert!(m.release_all(1).is_empty());
+        assert_eq!(m.spare_held.len(), 1);
+        assert!(m.spare_held[0].is_empty() && m.spare_held[0].capacity() >= 2);
+        // The next transaction's first lock reuses the list.
+        m.acquire(2, &obj_ref(0, 3, 3, false));
+        assert!(m.spare_held.is_empty());
+        assert_eq!(m.locks_held(2), 1);
     }
 
     #[test]

@@ -4,11 +4,16 @@
 //! chosen for the partition ("page- and object-level locking ... offered on a
 //! per-partition basis", §3.2).  The table implements long (strict) locks:
 //! granted locks are only released at end of transaction.
+//!
+//! An item has an entry only while it is held or awaited, so entries come
+//! and go with every lock.  Emptied entries are kept in a free pool and
+//! reused, holder and waiter lists with their capacity, so granting and
+//! releasing locks allocates nothing in steady state.
 
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 
 use dbmodel::{ObjectId, PageId};
+use simkernel::IdMap;
 
 /// Transaction identifier used by the lock manager.
 pub type TxId = u64;
@@ -106,7 +111,9 @@ pub enum TableOutcome {
 /// The lock table.
 #[derive(Debug, Default)]
 pub struct LockTable {
-    entries: HashMap<LockableId, LockEntry>,
+    entries: IdMap<LockableId, LockEntry>,
+    /// Emptied entries (lists cleared, capacity kept) for reuse.
+    spare: Vec<LockEntry>,
 }
 
 impl LockTable {
@@ -167,7 +174,11 @@ impl LockTable {
     /// the item in shared mode and no other transaction holds it, the lock is
     /// converted in place.
     pub fn request(&mut self, id: LockableId, tx: TxId, mode: LockMode) -> TableOutcome {
-        let entry = self.entries.entry(id).or_default();
+        let spare = &mut self.spare;
+        let entry = self
+            .entries
+            .entry(id)
+            .or_insert_with(|| spare.pop().unwrap_or_default());
         if let Some(held) = entry.holds(tx) {
             if held.is_exclusive() || !mode.is_exclusive() {
                 return TableOutcome::Granted; // already sufficient
@@ -202,7 +213,8 @@ impl LockTable {
             entry.waiters.retain(|w| w.tx != tx);
             let removed = entry.waiters.len() != before;
             if entry.holders.is_empty() && entry.waiters.is_empty() {
-                self.entries.remove(&id);
+                let emptied = self.entries.remove(&id).expect("entry present");
+                self.spare.push(emptied);
             }
             removed
         } else {
@@ -221,7 +233,7 @@ impl LockTable {
         entry.holders.retain(|(t, _)| *t != tx);
         let granted = Self::promote_waiters(entry);
         if entry.holders.is_empty() && entry.waiters.is_empty() {
-            occ.remove();
+            self.spare.push(occ.remove());
         }
         granted
     }
@@ -366,6 +378,31 @@ mod tests {
         assert_eq!(t.release(page(1), 1), Vec::<TxId>::new());
         // Entry is fully cleaned up.
         assert_eq!(t.active_items(), 0);
+    }
+
+    #[test]
+    fn emptied_entries_are_recycled() {
+        let mut t = LockTable::new();
+        t.request(page(1), 1, LockMode::Exclusive);
+        t.request(page(1), 2, LockMode::Exclusive);
+        assert!(t.spare.is_empty());
+        assert_eq!(t.release(page(1), 1), vec![2]);
+        assert_eq!(t.release(page(1), 2), Vec::<TxId>::new());
+        // The emptied entry went to the pool with its lists' capacity ...
+        assert_eq!(t.spare.len(), 1);
+        assert!(t.spare[0].holders.capacity() > 0 && t.spare[0].waiters.capacity() > 0);
+        // ... and the next item to be locked takes it back, empty.
+        t.request(page(9), 3, LockMode::Shared);
+        assert!(t.spare.is_empty());
+        assert_eq!(
+            t.entry(page(9)).unwrap().holders(),
+            &[(3, LockMode::Shared)]
+        );
+        assert!(t.entry(page(9)).unwrap().waiters().is_empty());
+        t.request(page(9), 4, LockMode::Exclusive);
+        assert!(t.cancel_wait(page(9), 4));
+        assert_eq!(t.release(page(9), 3), Vec::<TxId>::new());
+        assert_eq!((t.active_items(), t.spare.len()), (0, 1));
     }
 
     #[test]

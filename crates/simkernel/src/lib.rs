@@ -12,7 +12,10 @@
 //!   queue-length statistics,
 //! * random [`dist`] sampling (exponential, uniform, discrete, zipf) on top of
 //!   a seedable PRNG, and
-//! * [`stats`] accumulators (tally and time-weighted) with warm-up support.
+//! * [`stats`] accumulators (tally and time-weighted) with warm-up support,
+//! * the allocation-free building blocks of the per-operation path: the
+//!   deterministic [`idhash`] hasher for maps keyed by simulator ids and the
+//!   fixed-capacity [`inline::InlineVec`].
 //!
 //! The kernel is intentionally agnostic of what is being simulated: tokens are
 //! opaque `u64` values minted by the caller, and the caller owns the
@@ -20,6 +23,8 @@
 
 pub mod dist;
 pub mod events;
+pub mod idhash;
+pub mod inline;
 pub mod resource;
 pub mod rng;
 pub mod sketch;
@@ -28,6 +33,8 @@ pub mod time;
 
 pub use dist::{Draw, Exponential, PiecewiseRate, UniformRange};
 pub use events::{EventQueue, ScheduledEvent};
+pub use idhash::{IdBuildHasher, IdHasher, IdMap, IdSet};
+pub use inline::InlineVec;
 pub use resource::{Resource, ResourceStats};
 pub use rng::SimRng;
 pub use sketch::QuantileSketch;

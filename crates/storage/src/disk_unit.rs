@@ -19,7 +19,7 @@
 
 use dbmodel::PageId;
 
-use crate::io::{IoDecision, IoKind, ServiceStage};
+use crate::io::{BackgroundStages, ForegroundStages, IoDecision, IoKind, ServiceStage};
 use crate::lru::LruCache;
 use crate::params::{DiskUnitKind, DiskUnitParams};
 
@@ -114,23 +114,25 @@ impl DiskUnit {
         self.cache.as_ref().is_some_and(|c| c.contains(&page))
     }
 
-    fn full_access(&self) -> Vec<ServiceStage> {
-        vec![
-            ServiceStage::Controller(self.params.controller_delay),
-            ServiceStage::Disk(self.params.disk_delay),
-            ServiceStage::Transmission(self.params.transmission_delay),
-        ]
+    fn full_access(&self) -> ForegroundStages {
+        let mut stages = ForegroundStages::new();
+        stages.push(ServiceStage::Controller(self.params.controller_delay));
+        stages.push(ServiceStage::Disk(self.params.disk_delay));
+        stages.push(ServiceStage::Transmission(self.params.transmission_delay));
+        stages
     }
 
-    fn cache_access(&self) -> Vec<ServiceStage> {
-        vec![
-            ServiceStage::Controller(self.params.controller_delay),
-            ServiceStage::Transmission(self.params.transmission_delay),
-        ]
+    fn cache_access(&self) -> ForegroundStages {
+        let mut stages = ForegroundStages::new();
+        stages.push(ServiceStage::Controller(self.params.controller_delay));
+        stages.push(ServiceStage::Transmission(self.params.transmission_delay));
+        stages
     }
 
-    fn destage(&self) -> Vec<ServiceStage> {
-        vec![ServiceStage::Disk(self.params.disk_delay)]
+    fn destage(&self) -> BackgroundStages {
+        let mut stages = BackgroundStages::new();
+        stages.push(ServiceStage::Disk(self.params.disk_delay));
+        stages
     }
 
     /// Handles an I/O request for `page` and returns the service decision.
@@ -146,7 +148,7 @@ impl DiskUnit {
         match self.params.kind {
             DiskUnitKind::Regular => IoDecision {
                 foreground: self.full_access(),
-                background: vec![],
+                background: BackgroundStages::new(),
                 cache_hit: false,
                 absorbed_write: false,
             },
@@ -154,7 +156,7 @@ impl DiskUnit {
                 self.stats.read_hits += 1;
                 IoDecision {
                     foreground: self.cache_access(),
-                    background: vec![],
+                    background: BackgroundStages::new(),
                     cache_hit: true,
                     absorbed_write: false,
                 }
@@ -165,7 +167,7 @@ impl DiskUnit {
                     self.stats.read_hits += 1;
                     IoDecision {
                         foreground: self.cache_access(),
-                        background: vec![],
+                        background: BackgroundStages::new(),
                         cache_hit: true,
                         absorbed_write: false,
                     }
@@ -178,7 +180,7 @@ impl DiskUnit {
                     Self::allocate_frame(cache, page, 0);
                     IoDecision {
                         foreground: self.full_access(),
-                        background: vec![],
+                        background: BackgroundStages::new(),
                         cache_hit: false,
                         absorbed_write: false,
                     }
@@ -192,7 +194,7 @@ impl DiskUnit {
         match self.params.kind {
             DiskUnitKind::Regular => IoDecision {
                 foreground: self.full_access(),
-                background: vec![],
+                background: BackgroundStages::new(),
                 cache_hit: false,
                 absorbed_write: false,
             },
@@ -201,7 +203,7 @@ impl DiskUnit {
                 self.stats.absorbed_writes += 1;
                 IoDecision {
                     foreground: self.cache_access(),
-                    background: vec![],
+                    background: BackgroundStages::new(),
                     cache_hit: true,
                     absorbed_write: true,
                 }
@@ -217,7 +219,7 @@ impl DiskUnit {
                 }
                 IoDecision {
                     foreground: self.full_access(),
-                    background: vec![],
+                    background: BackgroundStages::new(),
                     cache_hit: hit,
                     absorbed_write: false,
                 }
@@ -262,7 +264,7 @@ impl DiskUnit {
                         self.stats.forced_sync_writes += 1;
                         IoDecision {
                             foreground: self.full_access(),
-                            background: vec![],
+                            background: BackgroundStages::new(),
                             cache_hit: false,
                             absorbed_write: false,
                         }

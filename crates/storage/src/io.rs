@@ -4,8 +4,14 @@
 //! transmission) and whether parts of the work can happen asynchronously
 //! (destaging a write from a non-volatile cache to disk); the transaction
 //! engine *executes* the stages against queued resources.
+//!
+//! A decision is made once per page I/O, so its stage lists are stored
+//! inline ([`ForegroundStages`], [`BackgroundStages`]) sized to what a
+//! device can produce: a full access is controller → disk → transmission,
+//! and an absorbed write destages with one disk stage.
 
 use simkernel::time::SimTime;
+use simkernel::InlineVec;
 
 /// Whether an I/O is a read or a write of a page.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,6 +34,28 @@ pub enum ServiceStage {
     Transmission(SimTime),
 }
 
+/// The unused slots of inline stage lists hold a zero-length transmission:
+/// a stage that, if it were ever served, would delay nothing.
+impl Default for ServiceStage {
+    fn default() -> Self {
+        ServiceStage::Transmission(0.0)
+    }
+}
+
+/// Most foreground stages one device decision carries (controller, disk,
+/// transmission).
+pub const MAX_FOREGROUND_STAGES: usize = 3;
+
+/// Most background stages one device decision carries (the destage of an
+/// absorbed write).
+pub const MAX_BACKGROUND_STAGES: usize = 1;
+
+/// The foreground stages of one decision, stored inline.
+pub type ForegroundStages = InlineVec<ServiceStage, MAX_FOREGROUND_STAGES>;
+
+/// The background stages of one decision, stored inline.
+pub type BackgroundStages = InlineVec<ServiceStage, MAX_BACKGROUND_STAGES>;
+
 impl ServiceStage {
     /// The stage's service time, ignoring queueing.
     pub fn service_time(&self) -> SimTime {
@@ -43,10 +71,10 @@ impl ServiceStage {
 #[derive(Debug, Clone, PartialEq)]
 pub struct IoDecision {
     /// Stages the requester must wait for before the I/O counts as done.
-    pub foreground: Vec<ServiceStage>,
+    pub foreground: ForegroundStages,
     /// Stages performed asynchronously after the foreground part completed
     /// (e.g. the destage of an absorbed write).  The requester does not wait.
-    pub background: Vec<ServiceStage>,
+    pub background: BackgroundStages,
     /// True if the request hit in the unit's cache.
     pub cache_hit: bool,
     /// True if a write was absorbed by a non-volatile cache (disk copy updated
@@ -92,12 +120,14 @@ mod tests {
     #[test]
     fn service_times_add_up() {
         let d = IoDecision {
-            foreground: vec![
+            foreground: [
                 ServiceStage::Controller(1.0),
                 ServiceStage::Disk(15.0),
                 ServiceStage::Transmission(0.4),
-            ],
-            background: vec![ServiceStage::Disk(15.0)],
+            ]
+            .into_iter()
+            .collect(),
+            background: [ServiceStage::Disk(15.0)].into_iter().collect(),
             cache_hit: false,
             absorbed_write: false,
         };
@@ -110,11 +140,13 @@ mod tests {
     #[test]
     fn cache_hit_decision_has_no_disk_stage() {
         let d = IoDecision {
-            foreground: vec![
+            foreground: [
                 ServiceStage::Controller(1.0),
                 ServiceStage::Transmission(0.4),
-            ],
-            background: vec![],
+            ]
+            .into_iter()
+            .collect(),
+            background: BackgroundStages::new(),
             cache_hit: true,
             absorbed_write: false,
         };

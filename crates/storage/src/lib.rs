@@ -38,7 +38,7 @@ pub mod scheduler;
 
 pub use device::{DeviceSpec, StorageDevice};
 pub use disk_unit::{DiskUnit, DiskUnitStats};
-pub use io::{IoDecision, IoKind, ServiceStage};
+pub use io::{BackgroundStages, ForegroundStages, IoDecision, IoKind, ServiceStage};
 pub use lru::LruCache;
 pub use lru_k::LruKTracker;
 pub use nvem::{NvemDevice, NvemDeviceParams, NvemParams};

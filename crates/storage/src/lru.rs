@@ -6,8 +6,9 @@
 //! first entry matching a predicate — needed to find "the least recently
 //! accessed unmodified page" when a non-volatile cache handles a write miss.
 
-use std::collections::HashMap;
 use std::hash::Hash;
+
+use simkernel::IdMap;
 
 const NIL: usize = usize::MAX;
 
@@ -24,7 +25,7 @@ struct Node<K, V> {
 #[derive(Debug, Clone)]
 pub struct LruCache<K: Eq + Hash + Clone, V> {
     capacity: usize,
-    map: HashMap<K, usize>,
+    map: IdMap<K, usize>,
     nodes: Vec<Node<K, V>>,
     free: Vec<usize>,
     head: usize, // most recently used
@@ -37,7 +38,7 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         assert!(capacity >= 1, "LRU capacity must be at least 1");
         Self {
             capacity,
-            map: HashMap::with_capacity(capacity.min(1 << 20)),
+            map: IdMap::with_capacity_and_hasher(capacity.min(1 << 20), Default::default()),
             nodes: Vec::with_capacity(capacity.min(1 << 20)),
             free: Vec::new(),
             head: NIL,

@@ -20,8 +20,10 @@
 //! With `k == 1` the backward K-distance degenerates to the age of the most
 //! recent access and the eviction order is exactly LRU.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::hash::Hash;
+
+use simkernel::IdMap;
 
 /// Per-key access history: the timestamps of the up-to-K most recent
 /// accesses, oldest first.
@@ -37,7 +39,7 @@ pub struct LruKTracker<K: Eq + Hash + Clone> {
     /// Logical access clock; incremented on every recorded access, so every
     /// stored timestamp is globally unique.
     counter: u64,
-    history: HashMap<K, History>,
+    history: IdMap<K, History>,
 }
 
 impl<K: Eq + Hash + Clone> LruKTracker<K> {
@@ -47,7 +49,7 @@ impl<K: Eq + Hash + Clone> LruKTracker<K> {
         Self {
             k,
             counter: 0,
-            history: HashMap::new(),
+            history: IdMap::default(),
         }
     }
 
@@ -213,7 +215,7 @@ mod tests {
     #[test]
     fn victim_choice_is_deterministic_across_equivalent_builds() {
         // Two trackers fed the same access sequence must evict in the same
-        // order even though HashMap iteration order may differ between them.
+        // order whatever the hash map's iteration order.
         let feed = |t: &mut LruKTracker<u64>| {
             for step in 0..1000u64 {
                 t.record_access(step % 37);

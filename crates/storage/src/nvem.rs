@@ -97,11 +97,13 @@ impl NvemDevice {
         &self.params
     }
 
-    fn access(&self) -> Vec<crate::io::ServiceStage> {
-        vec![
-            crate::io::ServiceStage::Controller(self.params.access_time),
-            crate::io::ServiceStage::Transmission(self.params.transmission_delay),
-        ]
+    fn access(&self) -> crate::io::ForegroundStages {
+        let mut stages = crate::io::ForegroundStages::new();
+        stages.push(crate::io::ServiceStage::Controller(self.params.access_time));
+        stages.push(crate::io::ServiceStage::Transmission(
+            self.params.transmission_delay,
+        ));
+        stages
     }
 }
 
@@ -128,7 +130,7 @@ impl crate::device::StorageDevice for NvemDevice {
         }
         crate::io::IoDecision {
             foreground: self.access(),
-            background: vec![],
+            background: crate::io::BackgroundStages::new(),
             cache_hit: true,
             absorbed_write: kind == crate::io::IoKind::Write,
         }

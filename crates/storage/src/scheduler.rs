@@ -29,11 +29,18 @@
 //! queued controller/disk resources, and the device model is still asked
 //! for a decision per member page so controller-cache state and per-unit
 //! counters evolve exactly as if the pages had been requested individually.
+//!
+//! Dispatch allocates nothing in steady state: a batch's pages and prefetch
+//! tags are stored inline (at most [`MERGE_CAP`] of each), and the waiter
+//! lists of pending requests are recycled — [`RequestScheduler::register_inflight`]
+//! takes the dispatched batch back and returns its waiter list to the pool
+//! the next [`RequestScheduler::submit`] draws from.
 
 use std::collections::BTreeMap;
 
 use dbmodel::PageId;
 use simkernel::time::SimTime;
+use simkernel::InlineVec;
 
 use crate::device::StorageDevice;
 use crate::io::IoKind;
@@ -50,6 +57,14 @@ pub const MERGE_CAP: usize = 8;
 /// `(node, partition)` here so it can route the page into the right buffer
 /// pool; the scheduler itself never interprets the value.
 pub type PrefetchTag = (usize, usize);
+
+/// The member pages of one dispatched batch, ascending; the first is the
+/// seek leader.
+pub type BatchPages = InlineVec<PageId, MERGE_CAP>;
+
+/// Per-member prefetch tags of one batch, aligned with its [`BatchPages`]
+/// (`None` for demand reads).
+pub type BatchTags = InlineVec<Option<PrefetchTag>, MERGE_CAP>;
 
 /// Scheduling policy knobs for one simulation (applied to every disk unit).
 ///
@@ -143,15 +158,17 @@ pub enum SubmitOutcome {
 }
 
 /// One dispatched batch: the pages to read in one disk access, every waiter
-/// to wake when it completes, and the prefetch tag (if any) per page.
+/// to wake when it completes, and the prefetch tag (if any) per page.  Hand
+/// it back through [`RequestScheduler::register_inflight`] once the waiters
+/// are attached to the I/O.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DispatchBatch {
     /// Member pages in ascending order; the first is the seek leader.
-    pub pages: Vec<PageId>,
+    pub pages: BatchPages,
     /// Transaction slots waiting for any member page.
     pub waiters: Vec<usize>,
     /// Per-page prefetch tag, aligned with `pages` (`None` for demand reads).
-    pub prefetch: Vec<Option<PrefetchTag>>,
+    pub prefetch: BatchTags,
 }
 
 /// The pages and prefetch tags of a completed batch, handed back to the
@@ -159,9 +176,9 @@ pub struct DispatchBatch {
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompletedBatch {
     /// Member pages of the completed access.
-    pub pages: Vec<PageId>,
+    pub pages: BatchPages,
     /// `(page, tag)` for every member that was a speculative read.
-    pub prefetched: Vec<(PageId, PrefetchTag)>,
+    pub prefetched: InlineVec<(PageId, PrefetchTag), MERGE_CAP>,
 }
 
 /// A queued (not yet dispatched) request.
@@ -180,8 +197,8 @@ struct PendingEntry {
 #[derive(Debug, Clone, PartialEq)]
 struct InflightBatch {
     io_id: u32,
-    pages: Vec<PageId>,
-    prefetch: Vec<Option<PrefetchTag>>,
+    pages: BatchPages,
+    prefetch: BatchTags,
 }
 
 /// Per-device request scheduler.  See the module docs for the policies.
@@ -206,6 +223,8 @@ pub struct RequestScheduler {
     /// Batches currently executing against the device (≤ `width`).
     in_service: usize,
     inflight: Vec<InflightBatch>,
+    /// Emptied waiter lists (capacity kept), drawn from by `submit`.
+    spare_waiters: Vec<Vec<usize>>,
     stats: IoSchedulerStats,
 }
 
@@ -227,6 +246,7 @@ impl RequestScheduler {
             oldest_skipped: 0,
             in_service: 0,
             inflight: Vec::new(),
+            spare_waiters: Vec::new(),
             stats: IoSchedulerStats::default(),
         }
     }
@@ -274,11 +294,13 @@ impl RequestScheduler {
             }
         }
         let seq = self.take_seq();
+        let mut waiters = self.spare_waiters.pop().unwrap_or_default();
+        waiters.push(waiter);
         self.pending.insert(
             (page, seq),
             PendingEntry {
                 seq,
-                waiters: vec![waiter],
+                waiters,
                 prefetch: None,
             },
         );
@@ -318,9 +340,11 @@ impl RequestScheduler {
         }
         let leader = self.pick_leader();
         let entry = self.pending.remove(&leader).expect("picked key pending");
-        let mut pages = vec![leader.0];
+        let mut pages = BatchPages::new();
+        pages.push(leader.0);
         let mut waiters = entry.waiters;
-        let mut prefetch = vec![entry.prefetch];
+        let mut prefetch = BatchTags::new();
+        prefetch.push(entry.prefetch);
         if self.params.coalesce {
             // Grab consecutive ascending neighbours: a single seek serves
             // the whole run.
@@ -331,7 +355,8 @@ impl RequestScheduler {
                 };
                 let member = self.pending.remove(&key).expect("ranged key pending");
                 pages.push(next_page);
-                waiters.extend(member.waiters);
+                waiters.extend_from_slice(&member.waiters);
+                self.recycle_waiters(member.waiters);
                 prefetch.push(member.prefetch);
                 self.stats.merged_adjacent += 1;
             }
@@ -347,13 +372,16 @@ impl RequestScheduler {
 
     /// Records the I/O id the engine assigned to a batch returned by
     /// [`RequestScheduler::next_batch`], so later same-page submissions can
-    /// join it and its completion can be matched back.
-    pub fn register_inflight(&mut self, io_id: u32, batch: &DispatchBatch) {
+    /// join it and its completion can be matched back.  Takes the batch
+    /// back: the caller has attached its waiters to the I/O by now, and the
+    /// emptied waiter list is recycled for later submissions.
+    pub fn register_inflight(&mut self, io_id: u32, batch: DispatchBatch) {
         self.inflight.push(InflightBatch {
             io_id,
-            pages: batch.pages.clone(),
-            prefetch: batch.prefetch.clone(),
+            pages: batch.pages,
+            prefetch: batch.prefetch,
         });
+        self.recycle_waiters(batch.waiters);
     }
 
     /// Reports the completion of the batch dispatched as `io_id`, freeing
@@ -390,6 +418,15 @@ impl RequestScheduler {
                 .range((page, 0)..=(page, u64::MAX))
                 .next()
                 .is_some()
+    }
+
+    /// Keeps an emptied waiter list for reuse.  Lists that never allocated
+    /// (pure prefetches) are dropped, so the pool only holds buffers.
+    fn recycle_waiters(&mut self, mut waiters: Vec<usize>) {
+        if waiters.capacity() > 0 {
+            waiters.clear();
+            self.spare_waiters.push(waiters);
+        }
     }
 
     fn take_seq(&mut self) -> u64 {
@@ -564,12 +601,12 @@ mod tests {
         s.submit(PageId(9), 0);
         s.submit(PageId(3), 1);
         let b = s.next_batch().unwrap();
-        assert_eq!(b.pages, vec![PageId(9)]);
+        assert_eq!(b.pages[..], [PageId(9)]);
         // Width 1: nothing else dispatches until the batch completes.
         assert!(s.next_batch().is_none());
-        s.register_inflight(7, &b);
+        s.register_inflight(7, b);
         s.complete(7).unwrap();
-        assert_eq!(s.next_batch().unwrap().pages, vec![PageId(3)]);
+        assert_eq!(s.next_batch().unwrap().pages[..], [PageId(3)]);
     }
 
     #[test]
@@ -585,14 +622,14 @@ mod tests {
         assert_eq!(s.submit(PageId(5), 1), SubmitOutcome::Queued);
         let b = s.next_batch().unwrap();
         // Both waiters ride the single pending entry.
-        assert_eq!(b.pages, vec![PageId(5)]);
+        assert_eq!(b.pages[..], [PageId(5)]);
         assert_eq!(b.waiters, vec![0, 1]);
-        s.register_inflight(11, &b);
+        s.register_inflight(11, b);
         // A third reader arrives while the read is in flight: it joins it.
         assert_eq!(s.submit(PageId(5), 2), SubmitOutcome::JoinedInflight(11));
         assert_eq!(s.stats().coalesced, 2);
         let done = s.complete(11).unwrap();
-        assert_eq!(done.pages, vec![PageId(5)]);
+        assert_eq!(done.pages[..], [PageId(5)]);
         assert!(done.prefetched.is_empty());
         assert_eq!(s.in_service(), 0);
     }
@@ -610,7 +647,7 @@ mod tests {
         s.submit(PageId(12), 1);
         s.submit(PageId(11), 2);
         let b = s.next_batch().unwrap();
-        assert_eq!(b.pages, vec![PageId(10), PageId(11), PageId(12)]);
+        assert_eq!(b.pages[..], [PageId(10), PageId(11), PageId(12)]);
         assert_eq!(b.waiters, vec![0, 2, 1]);
         assert_eq!(s.stats().merged_adjacent, 2);
         assert_eq!(s.pending_len(), 0);
@@ -650,14 +687,14 @@ mod tests {
         for io in 0..4u32 {
             let b = s.next_batch().unwrap();
             order.push(b.pages[0]);
-            s.register_inflight(io, &b);
+            s.register_inflight(io, b);
             s.complete(io).unwrap();
         }
         // Cursor starts at 0 → ascending sweep.
         assert_eq!(order, vec![PageId(10), PageId(20), PageId(30), PageId(40)]);
         // Now queue pages below the cursor: the sweep wraps.
         s.submit(PageId(5), 9);
-        assert_eq!(s.next_batch().unwrap().pages, vec![PageId(5)]);
+        assert_eq!(s.next_batch().unwrap().pages[..], [PageId(5)]);
     }
 
     #[test]
@@ -679,10 +716,11 @@ mod tests {
         let mut io = 0u32;
         let mut dispatch = |s: &mut RequestScheduler| {
             let b = s.next_batch().unwrap();
-            s.register_inflight(io, &b);
+            let leader = b.pages[0];
+            s.register_inflight(io, b);
             s.complete(io).unwrap();
             io += 1;
-            b.pages[0]
+            leader
         };
         // Feed low pages; each dispatch picks the low page (cursor < 100
         // never holds after the first pick at 100?). First dispatch picks
@@ -712,10 +750,10 @@ mod tests {
         assert!(s.submit_prefetch(PageId(7), (0, 0)));
         assert!(!s.submit_prefetch(PageId(7), (0, 0)), "already pending");
         let b = s.next_batch().unwrap();
-        s.register_inflight(3, &b);
+        s.register_inflight(3, b);
         assert!(!s.submit_prefetch(PageId(7), (0, 0)), "already in flight");
         let done = s.complete(3).unwrap();
-        assert_eq!(done.prefetched, vec![(PageId(7), (0, 0))]);
+        assert_eq!(done.prefetched[..], [(PageId(7), (0, 0))]);
         assert!(s.submit_prefetch(PageId(7), (0, 0)), "free again");
         assert_eq!(s.stats().prefetch_issued, 2);
         // Prefetch joins are not demand coalescing.
@@ -728,12 +766,38 @@ mod tests {
         assert!(s.submit_prefetch(PageId(20), (1, 2)));
         assert_eq!(s.submit(PageId(20), 8), SubmitOutcome::Queued);
         let b = s.next_batch().unwrap();
-        assert_eq!(b.pages, vec![PageId(20)]);
+        assert_eq!(b.pages[..], [PageId(20)]);
         assert_eq!(b.waiters, vec![8]);
         // The entry keeps its prefetch tag: admission still runs at
         // completion (and will find the page already resident).
-        assert_eq!(b.prefetch, vec![Some((1, 2))]);
+        assert_eq!(b.prefetch[..], [Some((1, 2))]);
         assert_eq!(s.stats().coalesced, 1);
+    }
+
+    #[test]
+    fn dispatched_waiter_lists_are_recycled() {
+        let mut s = sched(
+            IoSchedulerParams {
+                coalesce: true,
+                ..Default::default()
+            },
+            1,
+        );
+        for io in 0..3u32 {
+            s.submit(PageId(u64::from(io)), io as usize);
+            let b = s.next_batch().unwrap();
+            assert_eq!(b.waiters, vec![io as usize]);
+            s.register_inflight(io, b);
+            // The batch's list is back in the pool for the next submission.
+            assert_eq!(s.spare_waiters.len(), 1);
+            s.complete(io).unwrap();
+        }
+        // A pure prefetch never allocated a list and adds none to the pool.
+        assert!(s.submit_prefetch(PageId(50), (0, 0)));
+        s.spare_waiters.clear();
+        let b = s.next_batch().unwrap();
+        s.register_inflight(9, b);
+        assert!(s.spare_waiters.is_empty());
     }
 
     #[test]
