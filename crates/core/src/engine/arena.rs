@@ -7,8 +7,9 @@
 //!
 //! * [`IoArena`] — in-flight I/O requests under stable `u32` ids: the id *is*
 //!   the slot index, so the per-event lookups in the I/O path are plain `Vec`
-//!   indexing.  Freed slots are recycled LIFO, and completed requests are
-//!   kept as spares whose stage and waiter lists the next request reuses.
+//!   indexing.  Freed slots are recycled LIFO, and a completed request stays
+//!   in its slot as a carcass whose stage and waiter lists the next request
+//!   on the slot reuses.
 //! * [`TxArena`] — transaction slots.  A completed transaction's carcass
 //!   stays in place and is *reused* by the next arrival on the slot, so its
 //!   micro-operation deque's capacity survives and steady-state arrivals
@@ -32,83 +33,99 @@ use super::transaction::Transaction;
 
 /// In-flight I/O requests under stable `u32` ids.
 ///
-/// An id stays valid until the request completes ([`IoArena::remove`]); every
-/// live request is referenced by exactly one pending event *or* one resource
-/// queue position, so recycled slots can never be reached through a stale id.
+/// An id stays valid until the request completes ([`IoArena::release`]);
+/// every live request is referenced by exactly one pending event *or* one
+/// resource queue position, so recycled slots can never be reached through a
+/// stale id.  Like [`TxArena`], a released slot keeps its request in place,
+/// and the next [`IoArena::claim`] of the slot reuses its lists.
 #[derive(Default)]
 pub(crate) struct IoArena {
-    slots: Vec<Option<IoRequest>>,
+    slots: Vec<IoRequest>,
+    live: Vec<bool>,
     free: Vec<u32>,
-    /// Completed requests handed back by [`IoArena::recycle`]; their lists
-    /// keep their capacity for the next [`IoArena::request`].
-    spare: Vec<IoRequest>,
 }
 
 impl IoArena {
-    /// A new request for `page` at `unit` (not yet registered), reusing a
-    /// completed request's buffers when one is spare.
-    pub fn request(&mut self, unit: usize, page: PageId, waiter: Option<usize>) -> IoRequest {
-        match self.spare.pop() {
-            Some(mut io) => {
-                io.reuse(unit, page, waiter);
-                io
-            }
-            None => IoRequest::new(unit, page, waiter),
-        }
-    }
-
-    /// Takes back a completed request (returned by [`IoArena::remove`]) for
-    /// reuse by a later [`IoArena::request`].
-    pub fn recycle(&mut self, io: IoRequest) {
-        self.spare.push(io);
-    }
-
-    /// Registers a request and returns its id.
-    pub fn insert(&mut self, io: IoRequest) -> u32 {
-        match self.free.pop() {
+    /// Registers a new request for `page` at `unit` and returns its id with
+    /// the request (no stages yet) to fill in.  Reuses a freed slot, LIFO.
+    pub fn claim(
+        &mut self,
+        unit: usize,
+        page: PageId,
+        waiter: Option<usize>,
+    ) -> (u32, &mut IoRequest) {
+        let id = match self.free.pop() {
             Some(id) => {
-                debug_assert!(self.slots[id as usize].is_none());
-                self.slots[id as usize] = Some(io);
+                debug_assert!(!self.live[id as usize]);
+                self.slots[id as usize].reuse(unit, page, waiter);
+                self.live[id as usize] = true;
                 id
             }
             None => {
-                self.slots.push(Some(io));
+                self.slots.push(IoRequest::new(unit, page, waiter));
+                self.live.push(true);
                 (self.slots.len() - 1) as u32
             }
-        }
+        };
+        (id, &mut self.slots[id as usize])
     }
 
     /// The live request `id`, if any.
     #[inline]
     pub fn get(&self, id: u32) -> Option<&IoRequest> {
-        self.slots.get(id as usize).and_then(Option::as_ref)
+        let idx = id as usize;
+        (*self.live.get(idx)?).then(|| &self.slots[idx])
     }
 
     /// Mutable access to the live request `id`, if any.
     #[inline]
     pub fn get_mut(&mut self, id: u32) -> Option<&mut IoRequest> {
-        self.slots.get_mut(id as usize).and_then(Option::as_mut)
+        let idx = id as usize;
+        (*self.live.get(idx)?).then(|| &mut self.slots[idx])
     }
 
-    /// Completes request `id`, freeing its slot for reuse.
+    /// Mutable access to two distinct live requests.
     ///
     /// # Panics
-    /// Panics if `id` is not live.
-    pub fn remove(&mut self, id: u32) -> IoRequest {
-        let io = self.slots[id as usize].take().expect("live io request");
+    /// Panics if `a == b` or either is not live.
+    pub fn pair_mut(&mut self, a: u32, b: u32) -> (&mut IoRequest, &mut IoRequest) {
+        let (a, b) = (a as usize, b as usize);
+        assert!(
+            a != b && self.live[a] && self.live[b],
+            "two live io requests"
+        );
+        if a < b {
+            let (lo, hi) = self.slots.split_at_mut(b);
+            (&mut lo[a], &mut hi[0])
+        } else {
+            let (lo, hi) = self.slots.split_at_mut(a);
+            (&mut hi[0], &mut lo[b])
+        }
+    }
+
+    /// Completes request `id`, freeing its slot for reuse.  The request
+    /// stays in place until the slot is claimed again.
+    pub fn release(&mut self, id: u32) {
+        debug_assert!(self.live[id as usize], "release of a free io slot");
+        self.live[id as usize] = false;
         self.free.push(id);
-        io
     }
 
     /// Iterates the live requests (diagnostics and warm-up resets).
     #[cfg(test)]
     pub fn live(&self) -> impl Iterator<Item = &IoRequest> {
-        self.slots.iter().filter_map(Option::as_ref)
+        self.slots
+            .iter()
+            .zip(&self.live)
+            .filter_map(|(io, &live)| live.then_some(io))
     }
 
     /// Iterates the live requests mutably (end-of-warm-up reset).
     pub fn live_mut(&mut self) -> impl Iterator<Item = &mut IoRequest> {
-        self.slots.iter_mut().filter_map(Option::as_mut)
+        self.slots
+            .iter_mut()
+            .zip(&self.live)
+            .filter_map(|(io, &live)| live.then_some(io))
     }
 }
 
@@ -343,34 +360,35 @@ mod tests {
     #[test]
     fn io_arena_recycles_slots_lifo() {
         let mut arena = IoArena::default();
-        let mk = || IoRequest::new(0, PageId(1), None).with_stages(&[ServiceStage::Disk(1.0)]);
-        let a = arena.insert(mk());
-        let b = arena.insert(mk());
+        let (a, _) = arena.claim(0, PageId(1), None);
+        let (b, _) = arena.claim(0, PageId(2), None);
         assert_ne!(a, b);
-        arena.remove(a);
+        arena.release(a);
         assert!(arena.get(a).is_none());
         assert!(arena.get(b).is_some());
-        let c = arena.insert(mk());
+        assert!(arena.get(99).is_none());
+        let (c, _) = arena.claim(0, PageId(3), None);
         assert_eq!(c, a, "freed slot must be reused LIFO");
         assert_eq!(arena.live().count(), 2);
+        let (first, second) = arena.pair_mut(b, c);
+        assert_eq!((first.page, second.page), (PageId(2), PageId(3)));
     }
 
     #[test]
-    fn io_arena_reuses_completed_requests() {
+    fn io_arena_reuses_completed_requests_in_place() {
         let mut arena = IoArena::default();
-        let mut io = arena.request(1, PageId(5), Some(2));
+        let (id, io) = arena.claim(1, PageId(5), Some(2));
         io.push_stage(ServiceStage::Disk(1.0));
         io.group_waiters.extend([4, 5]);
-        let id = arena.insert(io);
-        let done = arena.remove(id);
-        let waiters = done.group_waiters.as_ptr();
-        arena.recycle(done);
-        // The next request is the spare, cleared, with its buffers intact.
-        let next = arena.request(3, PageId(6), None);
+        let waiters = io.group_waiters.as_ptr();
+        arena.release(id);
+        // The next claim gets the slot back, cleared, with its lists intact.
+        let (again, next) = arena.claim(3, PageId(6), None);
+        assert_eq!(again, id);
         assert_eq!((next.unit, next.page, next.waiter), (3, PageId(6), None));
         assert!(next.group_waiters.is_empty());
         assert_eq!(next.group_waiters.as_ptr(), waiters);
-        assert!(arena.spare.is_empty());
+        assert_eq!(next.pop_stage(), None);
     }
 
     #[test]

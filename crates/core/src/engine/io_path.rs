@@ -94,19 +94,12 @@ impl<W: WorkloadGenerator> Simulation<W> {
         log_wb: bool,
     ) -> u32 {
         let decision = self.units[unit].device.request(kind, page);
-        let mut io = self
-            .ios
-            .request(unit, page, waiter)
-            .with_stages(&decision.foreground)
-            .with_background(&decision.background)
-            .for_node(node);
-        if notify {
-            io = io.with_bufmgr_notification();
-        }
-        if log_wb {
-            io = io.with_log_wb();
-        }
-        let io_id = self.ios.insert(io);
+        let (io_id, io) = self.ios.claim(unit, page, waiter);
+        io.extend_stages(&decision.foreground);
+        io.background.extend_from_slice(&decision.background);
+        io.node = node;
+        io.notify_bufmgr = notify;
+        io.log_wb = log_wb;
         self.advance_io(io_id);
         io_id
     }
@@ -180,22 +173,19 @@ impl<W: WorkloadGenerator> Simulation<W> {
             else {
                 return;
             };
-            let mut io = self
-                .ios
-                .request(unit, batch.pages[0], None)
-                .for_node(node)
-                .into_scheduled();
+            let (io_id, io) = self.ios.claim(unit, batch.pages[0], None);
+            io.node = node;
+            io.scheduled = true;
             for (i, &page) in batch.pages.iter().enumerate() {
                 let decision = self.units[unit].device.request(IoKind::Read, page);
                 if i == 0 {
-                    io = io.with_stages(&decision.foreground);
+                    io.extend_stages(&decision.foreground);
                 } else {
                     io.push_stage(ServiceStage::Transmission(decision.transmission_time()));
                 }
-                io = io.with_background(&decision.background);
+                io.background.extend_from_slice(&decision.background);
             }
             io.group_waiters.extend_from_slice(&batch.waiters);
-            let io_id = self.ios.insert(io);
             self.units[unit]
                 .scheduler
                 .as_mut()
@@ -217,13 +207,10 @@ impl<W: WorkloadGenerator> Simulation<W> {
     /// the batch correctly (a late attach could alias a recycled arena slot).
     pub(super) fn issue_group_commit_io(&mut self, unit: usize, page: PageId) {
         let decision = self.units[unit].device.request(IoKind::Write, page);
-        let mut io = self
-            .ios
-            .request(unit, page, None)
-            .with_stages(&decision.foreground)
-            .with_background(&decision.background);
+        let (io_id, io) = self.ios.claim(unit, page, None);
+        io.extend_stages(&decision.foreground);
+        io.background.extend_from_slice(&decision.background);
         io.group_waiters.append(&mut self.commit_group);
-        let io_id = self.ios.insert(io);
         self.advance_io(io_id);
     }
 
@@ -286,15 +273,23 @@ impl<W: WorkloadGenerator> Simulation<W> {
         self.advance_io(io_id);
     }
 
+    /// Completes request `io_id`.  The request stays live (its slot
+    /// unclaimable) until the end, so its fields and waiter list can be read
+    /// while the completion's follow-up work issues new requests.
     fn complete_io(&mut self, io_id: u32) {
-        let io = self.ios.remove(io_id);
-        if io.is_destage {
-            self.units[io.unit].device.destage_complete(io.page);
+        let io = self.ios.get(io_id).expect("live io request");
+        let (unit, node, page, waiter) = (io.unit, io.node, io.page, io.waiter);
+        let (is_destage, notify_bufmgr, log_wb, scheduled) =
+            (io.is_destage, io.notify_bufmgr, io.log_wb, io.scheduled);
+        let checkpoint_issued_at = io.checkpoint_issued_at;
+        let has_background = !io.background.is_empty();
+        if is_destage {
+            self.units[unit].device.destage_complete(page);
         }
-        if io.notify_bufmgr {
-            self.nodes[io.node].bufmgr.async_write_complete(io.page);
+        if notify_bufmgr {
+            self.nodes[node].bufmgr.async_write_complete(page);
         }
-        if io.log_wb {
+        if log_wb {
             // Every completion must match an earlier occupancy increment in
             // `op_log_write`; an underflow means the write-buffer accounting
             // is broken and must surface instead of being clamped away.
@@ -308,26 +303,24 @@ impl<W: WorkloadGenerator> Simulation<W> {
         }
         // A completed checkpoint log write contributes its measured latency
         // (including queueing) to the checkpoint overhead.
-        if let Some(issued) = io.checkpoint_issued_at {
+        if let Some(issued) = checkpoint_issued_at {
             if let Some(rec) = self.recovery.as_mut() {
                 rec.checkpoint_overhead_ms += self.queue.now() - issued;
             }
         }
-        if !io.background.is_empty() {
-            let bg = self
-                .ios
-                .request(io.unit, io.page, None)
-                .with_stages(&io.background)
-                .for_node(io.node)
-                .into_destage();
-            let bg_id = self.ios.insert(bg);
+        if has_background {
+            let (bg_id, bg) = self.ios.claim(unit, page, None);
+            bg.node = node;
+            bg.is_destage = true;
+            let (io, bg) = self.ios.pair_mut(io_id, bg_id);
+            io.pass_background_to(bg);
             self.advance_io(bg_id);
         }
         // A scheduler-dispatched batch frees its service slot, admits any
         // speculative member pages into the issuing node's buffer pool and
         // lets the scheduler release the next batch.
-        if io.scheduled {
-            let done = self.units[io.unit]
+        if scheduled {
+            let done = self.units[unit]
                 .scheduler
                 .as_mut()
                 .and_then(|s| s.complete(io_id));
@@ -336,19 +329,25 @@ impl<W: WorkloadGenerator> Simulation<W> {
                     self.finish_prefetch(node, partition, page);
                 }
             }
-            self.drain_scheduler(io.node, io.unit);
+            self.drain_scheduler(node, unit);
         }
-        if let Some(slot) = io.waiter {
+        if let Some(slot) = waiter {
             if let Some(tx) = self.txs.get_mut(slot) {
                 tx.state = TxState::Ready;
                 self.ready.push_back(slot);
             }
         }
         // Wake a whole group-commit batch parked on this log write.
+        let io = self.ios.get_mut(io_id).expect("live io request");
         if !io.group_waiters.is_empty() {
-            self.wake_slots(&io.group_waiters);
+            let waiters = std::mem::take(&mut io.group_waiters);
+            self.wake_slots(&waiters);
+            self.ios
+                .get_mut(io_id)
+                .expect("live io request")
+                .group_waiters = waiters;
         }
-        self.ios.recycle(io);
+        self.ios.release(io_id);
     }
 
     /// Routes a completed speculative read into the issuing node's buffer

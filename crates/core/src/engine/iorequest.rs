@@ -7,10 +7,10 @@
 //! asynchronous write, spawning the background destage of an absorbed write).
 //!
 //! Requests live in the engine's [`IoArena`]; the stage list is a `Vec` plus a
-//! cursor (no per-request deque conversion).  A completed request goes back
-//! to the arena's spare pool and the next request reuses it, so its stage
-//! and waiter lists keep their capacity and issuing an I/O allocates nothing
-//! in steady state.
+//! cursor (no per-request deque conversion).  A completed request stays in
+//! its arena slot and the next request claiming the slot reuses it, so its
+//! stage and waiter lists keep their capacity and issuing an I/O allocates
+//! nothing in steady state.
 //!
 //! [`IoArena`]: super::arena::IoArena
 
@@ -95,29 +95,38 @@ impl IoRequest {
     /// Re-initialises a completed request for a new I/O, keeping the
     /// capacity of its stage and waiter lists.
     pub fn reuse(&mut self, unit: usize, page: PageId, waiter: Option<usize>) {
-        let mut stages = std::mem::take(&mut self.stages);
-        let mut background = std::mem::take(&mut self.background);
-        let mut group_waiters = std::mem::take(&mut self.group_waiters);
-        stages.clear();
-        background.clear();
-        group_waiters.clear();
-        *self = Self {
-            stages,
-            background,
-            group_waiters,
-            ..Self::new(unit, page, waiter)
-        };
+        self.unit = unit;
+        self.node = 0;
+        self.page = page;
+        self.waiter = waiter;
+        self.stages.clear();
+        self.next_stage = 0;
+        self.background.clear();
+        self.group_waiters.clear();
+        self.notify_bufmgr = false;
+        self.log_wb = false;
+        self.is_destage = false;
+        self.scheduled = false;
+        self.checkpoint_issued_at = None;
+        self.held = None;
+        self.pending_service = 0.0;
     }
 
     /// Appends foreground stages.
-    pub fn with_stages(mut self, stages: &[ServiceStage]) -> Self {
+    pub fn extend_stages(&mut self, stages: &[ServiceStage]) {
         self.stages.extend_from_slice(stages);
-        self
     }
 
     /// Appends one foreground stage.
     pub fn push_stage(&mut self, stage: ServiceStage) {
         self.stages.push(stage);
+    }
+
+    /// Hands this request's background stages over as `destage`'s
+    /// foreground stages (the destage's empty list takes their place).
+    pub fn pass_background_to(&mut self, destage: &mut IoRequest) {
+        debug_assert!(destage.stages.is_empty() && destage.next_stage == 0);
+        std::mem::swap(&mut self.background, &mut destage.stages);
     }
 
     /// Advances to (and returns) the next remaining foreground stage.
@@ -135,42 +144,6 @@ impl IoRequest {
     pub fn remaining_stages(&self) -> usize {
         self.stages.len() - self.next_stage
     }
-
-    /// Appends background (destage) stages.
-    pub fn with_background(mut self, background: &[ServiceStage]) -> Self {
-        self.background.extend_from_slice(background);
-        self
-    }
-
-    /// Sets the issuing node.
-    pub fn for_node(mut self, node: usize) -> Self {
-        self.node = node;
-        self
-    }
-
-    /// Marks the request as an asynchronous write the buffer manager tracks.
-    pub fn with_bufmgr_notification(mut self) -> Self {
-        self.notify_bufmgr = true;
-        self
-    }
-
-    /// Marks the request as a log write going through the NVEM write buffer.
-    pub fn with_log_wb(mut self) -> Self {
-        self.log_wb = true;
-        self
-    }
-
-    /// Marks the request as a background destage.
-    pub fn into_destage(mut self) -> Self {
-        self.is_destage = true;
-        self
-    }
-
-    /// Marks the request as dispatched by the unit's request scheduler.
-    pub fn into_scheduled(mut self) -> Self {
-        self.scheduled = true;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -178,43 +151,38 @@ mod tests {
     use super::*;
 
     #[test]
-    fn builder_flags() {
-        let mut io = IoRequest::new(2, PageId(7), Some(3))
-            .with_stages(&[ServiceStage::Disk(5.0)])
-            .with_background(&[ServiceStage::Disk(5.0)])
-            .with_bufmgr_notification()
-            .with_log_wb()
-            .for_node(1);
-        assert_eq!(io.unit, 2);
-        assert_eq!(io.node, 1);
-        assert_eq!(io.waiter, Some(3));
-        assert_eq!(io.remaining_stages(), 1);
-        assert_eq!(io.background.len(), 1);
-        assert!(io.notify_bufmgr);
-        assert!(io.log_wb);
-        assert!(!io.is_destage);
-        assert!(!io.scheduled);
+    fn stage_cursor_and_background_hand_over() {
+        let mut io = IoRequest::new(2, PageId(7), Some(3));
+        io.extend_stages(&[ServiceStage::Controller(1.0)]);
+        io.push_stage(ServiceStage::Disk(5.0));
+        io.background.push(ServiceStage::Disk(5.0));
+        assert_eq!(
+            (io.unit, io.node, io.page, io.waiter),
+            (2, 0, PageId(7), Some(3))
+        );
+        assert!(!io.notify_bufmgr && !io.log_wb && !io.is_destage && !io.scheduled);
         assert!(io.group_waiters.is_empty());
         assert_eq!(io.checkpoint_issued_at, None);
+        assert_eq!(io.remaining_stages(), 2);
+        assert_eq!(io.pop_stage(), Some(ServiceStage::Controller(1.0)));
         assert_eq!(io.pop_stage(), Some(ServiceStage::Disk(5.0)));
         assert_eq!(io.remaining_stages(), 0);
         assert_eq!(io.pop_stage(), None);
-        let destage = IoRequest::new(0, PageId(1), None).into_destage();
-        assert!(destage.is_destage);
-        assert!(destage.waiter.is_none());
-        let scheduled = IoRequest::new(0, PageId(1), None).into_scheduled();
-        assert!(scheduled.scheduled);
+        let mut destage = IoRequest::new(2, PageId(7), None);
+        io.pass_background_to(&mut destage);
+        assert!(io.background.is_empty());
+        assert_eq!(destage.pop_stage(), Some(ServiceStage::Disk(5.0)));
     }
 
     #[test]
     fn reuse_resets_everything_but_keeps_buffers() {
-        let mut io = IoRequest::new(2, PageId(7), Some(3))
-            .with_stages(&[ServiceStage::Controller(1.0), ServiceStage::Disk(5.0)])
-            .with_background(&[ServiceStage::Disk(5.0)])
-            .with_log_wb()
-            .into_scheduled()
-            .for_node(4);
+        let mut io = IoRequest::new(2, PageId(7), Some(3));
+        io.extend_stages(&[ServiceStage::Controller(1.0), ServiceStage::Disk(5.0)]);
+        io.background.push(ServiceStage::Disk(5.0));
         io.group_waiters.extend([1, 2, 3]);
+        io.node = 4;
+        io.log_wb = true;
+        io.scheduled = true;
         io.checkpoint_issued_at = Some(9.0);
         io.pop_stage();
         let capacities = (io.stages.capacity(), io.group_waiters.capacity());

@@ -13,7 +13,6 @@ use crate::presets::{
     shared_nothing_config, DebitCreditStorage, LOG_UNIT,
 };
 
-use super::iorequest::IoRequest;
 use super::transaction::{MicroOp, TxState};
 use super::{Ev, Flow, Simulation};
 use crate::config::SimulationConfig;
@@ -943,9 +942,8 @@ fn log_wb_completion_decrements_occupancy() {
     );
     sim.log_wb_pending = 2;
     // An empty stage list completes immediately on advance.
-    let io_id = sim
-        .ios
-        .insert(IoRequest::new(0, PageId(7), None).with_log_wb());
+    let (io_id, io) = sim.ios.claim(0, PageId(7), None);
+    io.log_wb = true;
     sim.advance_io(io_id);
     assert_eq!(sim.log_wb_pending, 1);
 }
@@ -960,9 +958,8 @@ fn log_wb_underflow_is_surfaced_in_debug_builds() {
     assert_eq!(sim.log_wb_pending, 0);
     // A log write-buffer completion without a matching reservation is an
     // accounting bug and must assert instead of clamping silently.
-    let io_id = sim
-        .ios
-        .insert(IoRequest::new(0, PageId(8), None).with_log_wb());
+    let (io_id, io) = sim.ios.claim(0, PageId(8), None);
+    io.log_wb = true;
     sim.advance_io(io_id);
 }
 

@@ -193,12 +193,13 @@ struct PendingEntry {
 }
 
 /// An already dispatched batch the scheduler still tracks (so same-page
-/// reads can join it and its completion frees a service slot).
+/// reads can join it and its completion frees a service slot).  Its
+/// prefetch tags, when it has any, wait in `RequestScheduler::inflight_tags`
+/// so the list every submission scans stays small.
 #[derive(Debug, Clone, PartialEq)]
 struct InflightBatch {
     io_id: u32,
     pages: BatchPages,
-    prefetch: BatchTags,
 }
 
 /// Per-device request scheduler.  See the module docs for the policies.
@@ -223,6 +224,9 @@ pub struct RequestScheduler {
     /// Batches currently executing against the device (≤ `width`).
     in_service: usize,
     inflight: Vec<InflightBatch>,
+    /// `(io_id, page, tag)` of every speculative member of an in-flight
+    /// batch, in dispatch order.
+    inflight_tags: Vec<(u32, PageId, PrefetchTag)>,
     /// Emptied waiter lists (capacity kept), drawn from by `submit`.
     spare_waiters: Vec<Vec<usize>>,
     stats: IoSchedulerStats,
@@ -246,6 +250,7 @@ impl RequestScheduler {
             oldest_skipped: 0,
             in_service: 0,
             inflight: Vec::new(),
+            inflight_tags: Vec::new(),
             spare_waiters: Vec::new(),
             stats: IoSchedulerStats::default(),
         }
@@ -376,10 +381,12 @@ impl RequestScheduler {
     /// back: the caller has attached its waiters to the I/O by now, and the
     /// emptied waiter list is recycled for later submissions.
     pub fn register_inflight(&mut self, io_id: u32, batch: DispatchBatch) {
+        let tagged = batch.pages.iter().zip(batch.prefetch.iter());
+        self.inflight_tags
+            .extend(tagged.filter_map(|(&page, tag)| tag.map(|tag| (io_id, page, tag))));
         self.inflight.push(InflightBatch {
             io_id,
             pages: batch.pages,
-            prefetch: batch.prefetch,
         });
         self.recycle_waiters(batch.waiters);
     }
@@ -389,7 +396,9 @@ impl RequestScheduler {
     /// `None` if the id was never registered (a non-scheduled I/O).
     pub fn complete(&mut self, io_id: u32) -> Option<CompletedBatch> {
         let idx = self.inflight.iter().position(|b| b.io_id == io_id)?;
-        let batch = self.inflight.remove(idx);
+        // In-flight batches never share a page a lookup could find (a read
+        // of an in-flight page joins it), so their order is unobservable.
+        let batch = self.inflight.swap_remove(idx);
         debug_assert!(
             self.in_service > 0,
             "batch completion without a matching dispatch"
@@ -397,12 +406,16 @@ impl RequestScheduler {
         if let Some(next) = self.in_service.checked_sub(1) {
             self.in_service = next;
         }
-        let prefetched = batch
-            .pages
-            .iter()
-            .zip(batch.prefetch.iter())
-            .filter_map(|(&page, tag)| tag.map(|t| (page, t)))
-            .collect();
+        let mut prefetched = InlineVec::new();
+        if !self.inflight_tags.is_empty() {
+            prefetched.extend(
+                self.inflight_tags
+                    .iter()
+                    .filter(|&&(id, _, _)| id == io_id)
+                    .map(|&(_, page, tag)| (page, tag)),
+            );
+            self.inflight_tags.retain(|&(id, _, _)| id != io_id);
+        }
         Some(CompletedBatch {
             pages: batch.pages,
             prefetched,
