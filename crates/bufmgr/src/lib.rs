@@ -32,5 +32,5 @@ pub mod stats;
 pub use config::{BufferConfig, PageLocation, PartitionPolicy, SecondLevelMode, UpdateStrategy};
 pub use dirty::{DirtyPageTable, RecLsn};
 pub use manager::{BufferManager, PrefetchAdmit};
-pub use ops::{FetchOutcome, PageOp, PageOps, MAX_PAGE_OPS};
+pub use ops::{FetchOutcome, PageOp, PageOps};
 pub use stats::{BufferStats, PartitionBufferStats};

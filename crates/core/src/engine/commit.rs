@@ -27,66 +27,79 @@ impl<W: WorkloadGenerator> Simulation<W> {
     pub(super) fn op_log_write(&mut self, slot: usize) -> Flow {
         let cm = self.config.cm;
         let nvem_cost = self.config.nvem.synchronous_cost(cm.mips);
-        let nvem_transfer = MicroOp::CpuBurst {
-            ms: nvem_cost,
-            nvem: true,
-        };
-        let sync_write = |unit, page| MicroOp::IssueIo {
-            unit,
-            kind: IoKind::Write,
-            page,
-            wait: true,
-            notify: false,
-            log_wb: false,
-        };
-        let tx_ops = match self.config.log_allocation {
+        self.expand_ops(slot, |sim, ops| match sim.config.log_allocation {
             LogAllocation::Nvem => {
-                self.txs.tx_mut(slot).push_ops_front(&[nvem_transfer]);
-                return Flow::Continue;
+                ops.push(MicroOp::CpuBurst {
+                    ms: nvem_cost,
+                    nvem: true,
+                });
             }
             LogAllocation::DiskUnit(unit) => {
                 if cm.group_commit_size > 1 {
                     // Each member still pays its own per-I/O CPU overhead
                     // (the DBMS issues a log request per transaction); only
                     // the device write is shared by the batch.
-                    [self.io_overhead_burst(), MicroOp::JoinCommitGroup { unit }]
+                    ops.extend([sim.io_overhead_burst(), MicroOp::JoinCommitGroup { unit }]);
                 } else {
-                    let page = self.next_log_page();
-                    [self.io_overhead_burst(), sync_write(unit, page)]
+                    let page = sim.next_log_page();
+                    ops.extend([
+                        sim.io_overhead_burst(),
+                        MicroOp::IssueIo {
+                            unit,
+                            kind: IoKind::Write,
+                            page,
+                            wait: true,
+                            notify: false,
+                            log_wb: false,
+                        },
+                    ]);
                 }
             }
             LogAllocation::DiskUnitViaNvemWriteBuffer(unit) => {
-                let capacity = self.config.buffer.nvem_write_buffer_pages;
-                if self.log_wb_pending < capacity {
+                let capacity = sim.config.buffer.nvem_write_buffer_pages;
+                if sim.log_wb_pending < capacity {
                     // Absorbed by the NVEM write buffer: the transaction only
                     // waits for the NVEM transfer; the disk is updated
                     // asynchronously.
-                    self.log_wb_pending += 1;
-                    let page = self.next_log_page();
-                    let async_write = MicroOp::IssueIo {
-                        unit,
-                        kind: IoKind::Write,
-                        page,
-                        wait: false,
-                        notify: false,
-                        log_wb: true,
-                    };
-                    let ops = [nvem_transfer, self.io_overhead_burst(), async_write];
-                    self.txs.tx_mut(slot).push_ops_front(&ops);
-                    return Flow::Continue;
+                    sim.log_wb_pending += 1;
+                    let page = sim.next_log_page();
+                    ops.extend([
+                        MicroOp::CpuBurst {
+                            ms: nvem_cost,
+                            nvem: true,
+                        },
+                        sim.io_overhead_burst(),
+                        MicroOp::IssueIo {
+                            unit,
+                            kind: IoKind::Write,
+                            page,
+                            wait: false,
+                            notify: false,
+                            log_wb: true,
+                        },
+                    ]);
                 } else if cm.group_commit_size > 1 {
                     // Write buffer saturated: the overflow writes are
                     // synchronous device log writes, so group commit batches
                     // them exactly like plain device-resident logs.
-                    [self.io_overhead_burst(), MicroOp::JoinCommitGroup { unit }]
+                    ops.extend([sim.io_overhead_burst(), MicroOp::JoinCommitGroup { unit }]);
                 } else {
                     // Write buffer saturated: synchronous log write.
-                    let page = self.next_log_page();
-                    [self.io_overhead_burst(), sync_write(unit, page)]
+                    let page = sim.next_log_page();
+                    ops.extend([
+                        sim.io_overhead_burst(),
+                        MicroOp::IssueIo {
+                            unit,
+                            kind: IoKind::Write,
+                            page,
+                            wait: true,
+                            notify: false,
+                            log_wb: false,
+                        },
+                    ]);
                 }
             }
-        };
-        self.txs.tx_mut(slot).push_ops_front(&tx_ops);
+        });
         Flow::Continue
     }
 
@@ -170,15 +183,13 @@ impl<W: WorkloadGenerator> Simulation<W> {
     pub(super) fn op_force_pages(&mut self, slot: usize) -> Flow {
         let node = self.txs.tx(slot).node;
         let template = self.txs.tx(slot).template;
-        let mut ops = std::mem::take(&mut self.micro_scratch);
-        ops.clear();
-        for idx in 0..self.templates.entry(template).written_pages.len() {
-            let (partition, page) = self.templates.entry(template).written_pages[idx];
-            let forced = self.nodes[node].bufmgr.force_page(partition, page);
-            self.convert_page_ops(&forced, &mut ops);
-        }
-        self.txs.tx_mut(slot).push_ops_front(&ops);
-        self.micro_scratch = ops;
+        self.expand_ops(slot, |sim, ops| {
+            for idx in 0..sim.templates.entry(template).written_pages.len() {
+                let (partition, page) = sim.templates.entry(template).written_pages[idx];
+                let forced = sim.nodes[node].bufmgr.force_page(partition, page);
+                sim.convert_page_ops(&forced, ops);
+            }
+        });
         Flow::Continue
     }
 

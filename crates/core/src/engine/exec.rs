@@ -331,6 +331,21 @@ impl<W: WorkloadGenerator> Simulation<W> {
         }
     }
 
+    /// Expands micro operations for the transaction in `slot` into the
+    /// engine's reused scratch buffer and queues them, in order, at the
+    /// front of its micro-operation queue.
+    pub(super) fn expand_ops(
+        &mut self,
+        slot: usize,
+        expand: impl FnOnce(&mut Self, &mut Vec<MicroOp>),
+    ) {
+        let mut ops = std::mem::take(&mut self.micro_scratch);
+        ops.clear();
+        expand(self, &mut ops);
+        self.txs.tx_mut(slot).push_ops_front(&ops);
+        self.micro_scratch = ops;
+    }
+
     /// Performs the buffer-manager lookup for object reference `ref_idx`
     /// against the *executing* node's buffer pool — the transaction's home
     /// node under data sharing, the page's owner while a shared-nothing
@@ -361,41 +376,37 @@ impl<W: WorkloadGenerator> Simulation<W> {
             obj_ref.page,
             obj_ref.mode.is_write(),
         );
-        // The micro operations are expanded in the engine's one reused
-        // scratch buffer.
-        let mut ops = std::mem::take(&mut self.micro_scratch);
-        ops.clear();
-        if let Some(ms) = validation_ms {
-            ops.push(MicroOp::RemoteDelay { ms });
-        }
-        if coherent && !outcome.main_memory_hit && !outcome.nvem_cache_hit {
-            self.convert_page_ops_with_transfer(node, obj_ref.page, &outcome.ops, &mut ops);
-        } else {
-            self.convert_page_ops(&outcome.ops, &mut ops);
-        }
-        if coherent {
-            self.note_holder(node, obj_ref.page);
-            self.stamp_fetch(node, obj_ref.page);
-        }
-        // Sequential-prefetch detection: a miss that goes to a disk unit
-        // feeds the transaction's ascending-run tracker and may trigger
-        // speculative read-ahead through that unit's scheduler.
-        if self.config.io_scheduler.prefetch_depth > 0 {
-            let miss_read = ops.iter().find_map(|op| match *op {
-                MicroOp::IssueIo {
-                    unit,
-                    kind: storage::IoKind::Read,
-                    page,
-                    ..
-                } => Some((unit, page)),
-                _ => None,
-            });
-            if let Some((unit, page)) = miss_read {
-                self.note_sequential_miss(slot, node, obj_ref.partition, unit, page);
+        self.expand_ops(slot, |sim, ops| {
+            if let Some(ms) = validation_ms {
+                ops.push(MicroOp::RemoteDelay { ms });
             }
-        }
-        self.txs.tx_mut(slot).push_ops_front(&ops);
-        self.micro_scratch = ops;
+            if coherent && !outcome.main_memory_hit && !outcome.nvem_cache_hit {
+                sim.convert_page_ops_with_transfer(node, obj_ref.page, &outcome.ops, ops);
+            } else {
+                sim.convert_page_ops(&outcome.ops, ops);
+            }
+            if coherent {
+                sim.note_holder(node, obj_ref.page);
+                sim.stamp_fetch(node, obj_ref.page);
+            }
+            // Sequential-prefetch detection: a miss that goes to a disk unit
+            // feeds the transaction's ascending-run tracker and may trigger
+            // speculative read-ahead through that unit's scheduler.
+            if sim.config.io_scheduler.prefetch_depth > 0 {
+                let miss_read = ops.iter().find_map(|op| match *op {
+                    MicroOp::IssueIo {
+                        unit,
+                        kind: storage::IoKind::Read,
+                        page,
+                        ..
+                    } => Some((unit, page)),
+                    _ => None,
+                });
+                if let Some((unit, page)) = miss_read {
+                    sim.note_sequential_miss(slot, node, obj_ref.partition, unit, page);
+                }
+            }
+        });
     }
 
     /// Updates the per-transaction ascending-miss-run tracker and, on a run

@@ -35,13 +35,21 @@
 //! ([`simkernel::EventQueue`]) that recycles its bucket buffers, and the
 //! per-event state lives in slab arenas (the private `arena` module) —
 //! in-flight I/O requests under stable `u32` ids, transaction slots with
-//! carcass reuse, and a shared transaction-template table.  The arenas keep
-//! event dispatch, I/O completion and slot reuse free of hashing and of
-//! per-event allocation.  The engine as a whole is neither: `id_to_slot` is
-//! hashed at every admission and commit, multi-node data sharing hashes into
-//! `holders` on every buffer fetch, and a committed transaction still costs
-//! tens of heap allocations.  simbench's `allocs_per_tx` and
-//! `core.allocs_per_event` report the measured counts.
+//! carcass reuse, and a shared transaction-template table — so event
+//! dispatch and I/O completion index plain `Vec`s.  The maps that remain
+//! (`id_to_slot`, the coherence index `holders`, the version stamps, and the
+//! lock, buffer and cache tables below the engine) are keyed by simulator
+//! ids and hash with the fixed [`simkernel::IdMap`] hasher instead of
+//! SipHash.  The per-operation path allocates nothing once its pools have
+//! reached their working size: device decisions and buffer-manager page
+//! operations arrive inline, micro operations are expanded in one reused
+//! scratch buffer (`micro_scratch`), and completed I/O requests, lock-table
+//! entries, held-lock lists and scheduler waiter lists are recycled.  On the
+//! simulator benchmark a committed transaction costs 1.9, 2.7 and 2.5 heap
+//! allocations on `ds16-nvemlog`, `sn8-skew-burst` and
+//! `dc1-nvemcache-force` (30.5, 10.5 and 17.5 before the change): about one
+//! is the workload generator's reference string, the rest calendar-queue
+//! bucket growth.  `tests/hot_path_allocations.rs` bounds the count.
 //!
 //! The engine is split into focused subsystems (see `docs/ARCHITECTURE.md`
 //! for the full map and an event-lifecycle walkthrough); this module only

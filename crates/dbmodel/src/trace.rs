@@ -23,10 +23,11 @@
 //! Traces can also be serialized to / parsed from a simple line-oriented text
 //! format so externally produced traces can be replayed.
 
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
 use simkernel::dist::Zipf;
-use simkernel::{IdSet, SimRng};
+use simkernel::SimRng;
 
 use crate::database::{Database, PartitionSpec};
 #[cfg(test)]
@@ -82,7 +83,7 @@ impl Trace {
 
     /// Number of distinct (file, page) pairs referenced.
     pub fn distinct_pages(&self) -> usize {
-        let mut set = IdSet::default();
+        let mut set = BTreeSet::new();
         for t in &self.transactions {
             for (f, p, _) in &t.refs {
                 set.insert((*f, *p));
@@ -93,7 +94,7 @@ impl Trace {
 
     /// Number of distinct transaction types appearing in the trace.
     pub fn distinct_tx_types(&self) -> usize {
-        let mut set = IdSet::default();
+        let mut set = BTreeSet::new();
         for t in &self.transactions {
             set.insert(t.tx_type);
         }

@@ -41,28 +41,13 @@ impl Hasher for IdHasher {
     }
 
     #[inline]
-    fn write_u8(&mut self, word: u8) {
-        self.write_u64(u64::from(word));
-    }
-
-    #[inline]
-    fn write_u16(&mut self, word: u16) {
-        self.write_u64(u64::from(word));
-    }
-
-    #[inline]
-    fn write_u32(&mut self, word: u32) {
-        self.write_u64(u64::from(word));
-    }
-
-    #[inline]
     fn write_usize(&mut self, word: usize) {
         self.write_u64(word as u64);
     }
 
-    /// Byte strings are folded eight bytes at a time (little-endian, the
-    /// last word zero-padded); ids never take this path, it only keeps the
-    /// hasher total.
+    /// Other input is folded eight bytes at a time (little-endian, the last
+    /// word zero-padded), so a narrow integer hashes like the same value
+    /// written as a `u64`.
     fn write(&mut self, bytes: &[u8]) {
         for chunk in bytes.chunks(8) {
             let mut word = [0u8; 8];

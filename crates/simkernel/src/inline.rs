@@ -31,11 +31,6 @@ impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
         }
     }
 
-    /// The capacity `N`.
-    pub const fn capacity(&self) -> usize {
-        N
-    }
-
     /// Appends `item`.
     ///
     /// # Panics
@@ -45,12 +40,6 @@ impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
         assert!(self.len < N, "InlineVec capacity {N} exceeded");
         self.items[self.len] = item;
         self.len += 1;
-    }
-
-    /// Removes every item.
-    #[inline]
-    pub fn clear(&mut self) {
-        self.len = 0;
     }
 
     /// The items as a slice.
@@ -98,14 +87,6 @@ impl<T: Copy + Default, const N: usize> Extend<T> for InlineVec<T, N> {
     }
 }
 
-impl<T: Copy + Default, const N: usize> FromIterator<T> for InlineVec<T, N> {
-    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
-        let mut v = Self::new();
-        v.extend(iter);
-        v
-    }
-}
-
 impl<T: Copy + Default, const N: usize> IntoIterator for InlineVec<T, N> {
     type Item = T;
     type IntoIter = std::iter::Take<std::array::IntoIter<T, N>>;
@@ -135,28 +116,25 @@ mod tests {
         v.push(4);
         v.push(5);
         assert_eq!(v.len(), 2);
-        assert_eq!(v.capacity(), 3);
         assert_eq!(v[1], 5);
         assert!(v.contains(&4) && !v.contains(&0));
         assert_eq!(v.iter().sum::<u32>(), 9);
-        assert_eq!(v.into_iter().collect::<Vec<_>>(), vec![4, 5]);
         assert_eq!((&v).into_iter().count(), 2);
-        v.clear();
-        assert!(v.is_empty());
+        assert_eq!(v.into_iter().collect::<Vec<_>>(), vec![4, 5]);
     }
 
     #[test]
     fn equality_and_debug_ignore_unused_slots() {
-        let mut a: InlineVec<u32, 4> = [1, 2].into_iter().collect();
-        let mut b: InlineVec<u32, 4> = [1, 2, 3].into_iter().collect();
-        assert_ne!(a, b);
-        b.clear();
-        b.extend([1, 2]);
-        assert_eq!(a, b);
-        assert_eq!(format!("{a:?}"), format!("{:?}", vec![1, 2]));
-        a.clear();
+        let mut a: InlineVec<u32, 4> = InlineVec::new();
+        let mut b: InlineVec<u32, 4> = InlineVec::new();
         assert_eq!(format!("{a:?}"), "[]");
         assert_eq!(a, InlineVec::default());
+        a.extend([1, 2]);
+        b.extend([1, 2, 3]);
+        assert_ne!(a, b);
+        a.push(3);
+        assert_eq!(a, b);
+        assert_eq!(format!("{a:?}"), format!("{:?}", vec![1, 2, 3]));
     }
 
     #[test]

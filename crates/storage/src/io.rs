@@ -119,18 +119,18 @@ mod tests {
 
     #[test]
     fn service_times_add_up() {
-        let d = IoDecision {
-            foreground: [
-                ServiceStage::Controller(1.0),
-                ServiceStage::Disk(15.0),
-                ServiceStage::Transmission(0.4),
-            ]
-            .into_iter()
-            .collect(),
-            background: [ServiceStage::Disk(15.0)].into_iter().collect(),
+        let mut d = IoDecision {
+            foreground: ForegroundStages::new(),
+            background: BackgroundStages::new(),
             cache_hit: false,
             absorbed_write: false,
         };
+        d.foreground.extend([
+            ServiceStage::Controller(1.0),
+            ServiceStage::Disk(15.0),
+            ServiceStage::Transmission(0.4),
+        ]);
+        d.background.push(ServiceStage::Disk(15.0));
         assert!((d.foreground_service_time() - 16.4).abs() < 1e-12);
         assert!((d.background_service_time() - 15.0).abs() < 1e-12);
         assert!((d.transmission_time() - 0.4).abs() < 1e-12);
@@ -139,17 +139,16 @@ mod tests {
 
     #[test]
     fn cache_hit_decision_has_no_disk_stage() {
-        let d = IoDecision {
-            foreground: [
-                ServiceStage::Controller(1.0),
-                ServiceStage::Transmission(0.4),
-            ]
-            .into_iter()
-            .collect(),
+        let mut d = IoDecision {
+            foreground: ForegroundStages::new(),
             background: BackgroundStages::new(),
             cache_hit: true,
             absorbed_write: false,
         };
+        d.foreground.extend([
+            ServiceStage::Controller(1.0),
+            ServiceStage::Transmission(0.4),
+        ]);
         assert!(!d.touches_disk_in_foreground());
         assert!((d.foreground_service_time() - 1.4).abs() < 1e-12);
     }
