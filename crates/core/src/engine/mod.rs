@@ -31,12 +31,13 @@
 //! instead run a two-phase message exchange (`MicroOp::CommitExchange`) with
 //! the remote owners of the written pages.
 //!
-//! **Hot path**: the future event list is an indexed calendar queue
-//! ([`simkernel::EventQueue`]) that recycles its bucket buffers, and the
-//! per-event state lives in slab arenas (the private `arena` module) —
-//! in-flight I/O requests under stable `u32` ids, transaction slots with
-//! carcass reuse, and a shared transaction-template table — so event
-//! dispatch and I/O completion index plain `Vec`s.  The maps that remain
+//! **Hot path**: the future event list ([`simkernel::EventQueue`]) keeps
+//! the soonest events in a short sorted `Vec`, sized to the few dozen events
+//! the engine keeps pending, and the per-event state lives in slab arenas
+//! (the private `arena` module) — in-flight I/O requests under stable `u32`
+//! ids, transaction slots with carcass reuse, and a shared
+//! transaction-template table — so event dispatch and I/O completion index
+//! plain `Vec`s.  The maps that remain
 //! (`id_to_slot`, the coherence index `holders`, the version stamps, and the
 //! lock, buffer and cache tables below the engine) are keyed by simulator
 //! ids and hash with the fixed [`simkernel::IdMap`] hasher instead of
@@ -45,11 +46,10 @@
 //! operations arrive inline, micro operations are expanded in one reused
 //! scratch buffer (`micro_scratch`), and completed I/O requests, lock-table
 //! entries, held-lock lists and scheduler waiter lists are recycled.  On the
-//! simulator benchmark a committed transaction costs 1.9, 2.7 and 2.5 heap
+//! simulator benchmark a committed transaction costs 1.12, 1.25 and 1.04 heap
 //! allocations on `ds16-nvemlog`, `sn8-skew-burst` and
-//! `dc1-nvemcache-force` (30.5, 10.5 and 17.5 before the change): about one
-//! is the workload generator's reference string, the rest calendar-queue
-//! bucket growth.  `tests/hot_path_allocations.rs` bounds the count.
+//! `dc1-nvemcache-force`: what remains is the workload generator's reference
+//! string.  `tests/hot_path_allocations.rs` bounds the count.
 //!
 //! The engine is split into focused subsystems (see `docs/ARCHITECTURE.md`
 //! for the full map and an event-lifecycle walkthrough); this module only

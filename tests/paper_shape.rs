@@ -253,10 +253,10 @@ fn recovery_sweep_is_byte_identical_in_parallel_and_serial() {
 // Byte-identity goldens (cheap, always run)
 // ---------------------------------------------------------------------------
 //
-// The hot-path kernel work (calendar event queue, engine arenas) must not
-// change simulation output *at all*: these tests render complete reports of
-// three representative configurations with `{:#?}` and compare them byte for
-// byte against goldens captured before the refactor.  Regenerate with
+// The hot-path kernel work (event queue, engine arenas) must not change
+// simulation output *at all*: these tests render complete reports of three
+// representative configurations with `{:#?}` and compare them byte for byte
+// against goldens captured before the refactor.  Regenerate with
 //
 // ```bash
 // UPDATE_GOLDENS=1 cargo test --release --test paper_shape golden_
