@@ -46,7 +46,7 @@ fn hold_model(population: usize, churn: usize) -> f64 {
 }
 
 /// The hold model at several populations.  32 is about the pending count
-/// of the simulator benchmark's workloads; the larger ones overflow the
+/// of the simulator benchmark's workloads; 1,024 and 16,384 overflow the
 /// queue's near tier into its far-tier heap.  Exponential scheduling
 /// distances put a new event at a roughly uniform rank among the pending
 /// ones, the two-tier queue's worst case: its near-tier insert scans from
