@@ -1,16 +1,12 @@
 //! Kernel hot-path throughput: the two-tier event queue in isolation, and
 //! whole-engine event throughput on representative configurations.
 //!
-//! Four groups:
+//! Three groups:
 //!
 //! * `event_queue_hold` — the classic *hold model* directly against
 //!   [`simkernel::EventQueue`]: a fixed event population, each pop schedules
 //!   one replacement.  This isolates the future event list from the rest of
 //!   the engine.
-//! * `request_scheduler` — churn directly against
-//!   [`storage::RequestScheduler`]: a mixed hot-set/ascending-run read
-//!   stream submitted, dispatched and completed with a bounded in-flight
-//!   window, isolating the scheduler's queueing structures.
 //! * `quantile_sketch_insert` — streaming inserts into
 //!   [`simkernel::QuantileSketch`] at several capacities: the per-completion
 //!   cost the tail-latency section adds to the engine's hot path.
@@ -56,70 +52,6 @@ fn bench_event_queue(c: &mut Criterion) {
     for population in [32usize, 64, 1_024, 16_384] {
         group.bench_function(format!("population {population}"), |b| {
             b.iter(|| black_box(hold_model(population, 200_000)))
-        });
-    }
-    group.finish();
-}
-
-/// One request-scheduler churn iteration: `rounds` demand reads over a mix
-/// of a hot page set (exercising same-page coalescing) and ascending runs
-/// (exercising adjacent-page merging and the elevator sweep), with a bounded
-/// number of batches kept in flight.  Returns a checksum so the work cannot
-/// be optimised away.
-fn scheduler_churn(params: storage::IoSchedulerParams, rounds: usize) -> u64 {
-    let mut sched = storage::RequestScheduler::new(params, 4);
-    let mut next_io: u32 = 0;
-    let mut live: std::collections::VecDeque<u32> = std::collections::VecDeque::new();
-    for i in 0..rounds {
-        let page = if i % 4 == 0 {
-            // Hot set: repeated pages that coalesce.
-            dbmodel::PageId((i as u64).wrapping_mul(2_654_435_761) % 64)
-        } else {
-            // Cold ascending walk: adjacent pages that merge.
-            dbmodel::PageId(10_000 + (i as u64 % 1_024))
-        };
-        let _ = sched.submit(page, i % 128);
-        while let Some(batch) = sched.next_batch() {
-            let io = next_io;
-            next_io += 1;
-            // Hand the batch back as the engine does once its waiters are
-            // attached, so the waiter lists recycle.
-            sched.register_inflight(io, batch);
-            live.push_back(io);
-        }
-        if live.len() > 3 {
-            let io = live.pop_front().expect("non-empty");
-            let _ = sched.complete(io);
-        }
-    }
-    while let Some(io) = live.pop_front() {
-        let _ = sched.complete(io);
-    }
-    let stats = sched.stats();
-    stats.coalesced + stats.merged_adjacent + u64::from(next_io)
-}
-
-fn bench_scheduler(c: &mut Criterion) {
-    let mut group = c.benchmark_group("request_scheduler_churn");
-    for (label, params) in [
-        (
-            "coalesce",
-            storage::IoSchedulerParams {
-                coalesce: true,
-                ..storage::IoSchedulerParams::default()
-            },
-        ),
-        (
-            "coalesce+elevator",
-            storage::IoSchedulerParams {
-                coalesce: true,
-                elevator: true,
-                ..storage::IoSchedulerParams::default()
-            },
-        ),
-    ] {
-        group.bench_function(label, |b| {
-            b.iter(|| black_box(scheduler_churn(params, 100_000)))
         });
     }
     group.finish();
@@ -183,7 +115,6 @@ fn bench_engine(c: &mut Criterion) {
 fn main() {
     let mut c = common::criterion();
     bench_event_queue(&mut c);
-    bench_scheduler(&mut c);
     bench_sketch(&mut c);
     bench_engine(&mut c);
     c.final_summary();

@@ -18,7 +18,8 @@
 //! cargo run --release -p tpsim-bench --bin experiments -- --profile out.json
 //!
 //! # Perf gate (CI): additionally compare against a committed baseline and
-//! # exit non-zero when events/sec drops more than 30% below it:
+//! # exit non-zero when a point's event count differs from it or its
+//! # events/sec drops more than 30% below it:
 //! cargo run --release -p tpsim-bench --bin experiments -- \
 //!     --profile fresh.json --check-baseline BENCH_kernel.json
 //! ```
@@ -152,22 +153,11 @@ fn run_profile_mode(profile_out: Option<String>, baseline_path: Option<String>) 
     }
     if fresh.iter().any(|p| p.sched.is_some()) {
         println!();
-        println!("# request-scheduler counters (simulated, summed over devices)");
-        println!(
-            "{:<26} {:>12} {:>12} {:>12} {:>12} {:>12}",
-            "point", "queue depth", "coalesced", "merged adj.", "pf hits", "pf wasted"
-        );
+        println!("# read coalescing (simulated, summed over devices)");
+        println!("{:<26} {:>12}", "point", "coalesced");
         for p in &fresh {
             let Some(s) = &p.sched else { continue };
-            println!(
-                "{:<26} {:>12.3} {:>12} {:>12} {:>12} {:>12}",
-                p.id,
-                s.mean_queue_depth,
-                s.coalesced,
-                s.merged_adjacent,
-                s.prefetch_hits,
-                s.prefetch_wasted
-            );
+            println!("{:<26} {:>12}", p.id, s.coalesced);
         }
     }
     if let Some(out) = profile_out {

@@ -102,7 +102,7 @@ pub fn all_experiments() -> Vec<Experiment> {
         },
         Experiment {
             id: "fig11.x",
-            title: "Fig. 11.x: per-device I/O request scheduling (beyond the paper)",
+            title: "Fig. 11.x: same-page read coalescing (beyond the paper)",
         },
     ]
 }
@@ -1139,48 +1139,23 @@ fn fig10_x(settings: &RunSettings) -> String {
 }
 
 // ---------------------------------------------------------------------------
-// Fig. 11.x — per-device I/O request scheduling (beyond the paper)
+// Fig. 11.x — same-page read coalescing (beyond the paper)
 // ---------------------------------------------------------------------------
 
-/// The scheduler policies fig11.x compares, from plain FCFS to the full
-/// coalesce + elevator + read-ahead stack.
-fn scheduler_policies() -> Vec<(&'static str, storage::IoSchedulerParams)> {
-    let off = storage::IoSchedulerParams::default();
-    vec![
-        ("FCFS", off),
-        (
-            "coalesce",
-            storage::IoSchedulerParams {
-                coalesce: true,
-                ..off
-            },
-        ),
-        (
-            "coalesce+elevator",
-            storage::IoSchedulerParams {
-                coalesce: true,
-                elevator: true,
-                ..off
-            },
-        ),
-        (
-            "coalesce+elevator+prefetch4",
-            storage::IoSchedulerParams {
-                coalesce: true,
-                elevator: true,
-                prefetch_depth: 4,
-                ..off
-            },
-        ),
+/// The read policies fig11.x compares: plain FCFS and same-page coalescing.
+fn scheduler_policies() -> [(&'static str, storage::IoSchedulerParams); 2] {
+    [
+        ("FCFS", storage::IoSchedulerParams::default()),
+        ("coalesce", storage::IoSchedulerParams { coalesce: true }),
     ]
 }
 
 fn fig11_x(settings: &RunSettings) -> String {
     // The fig5.x data-sharing workload (same per-node offered rate, growing
-    // node count) under each per-device scheduler policy.  The shared DB
-    // disk unit serves every node's misses, so the aggregate load sweeps the
-    // read queue through its interesting range; the NVEM-log variant removes
-    // the log-disk ceiling so the data-disk queue itself saturates.
+    // node count) with and without read coalescing.  The shared DB disk unit
+    // serves every node's misses, so concurrent reads of one page become
+    // common as nodes are added; the NVEM-log variant removes the log-disk
+    // ceiling so the data-disk read path itself binds.
     let per_node_rate = 60.0;
     let node_counts = [1usize, 2, 4, 8];
     let mut points = Vec::new();
@@ -1201,58 +1176,31 @@ fn fig11_x(settings: &RunSettings) -> String {
     let _ = writeln!(out);
     let _ = writeln!(
         out,
-        "scheduler counters at 8 nodes (summed over devices; FCFS renders none):"
+        "coalescing at 8 nodes (summed over devices; FCFS renders none):"
     );
     let _ = writeln!(
         out,
-        "{:<38} {:>10} {:>10} {:>8} {:>10} {:>12} {:>10} {:>10}",
-        "series",
-        "thru[TPS]",
-        "resp[ms]",
-        "depth",
-        "coalesced",
-        "merged adj.",
-        "pf hits",
-        "pf wasted"
+        "{:<38} {:>10} {:>10} {:>10}",
+        "series", "thru[TPS]", "resp[ms]", "coalesced"
     );
     for p in results.iter().filter(|p| (p.x - 8.0).abs() < 1e-9) {
         let r = &p.report;
-        let mut depth = 0.0f64;
-        let (mut coalesced, mut merged, mut hits, mut wasted) = (0u64, 0u64, 0u64, 0u64);
-        for d in &r.devices {
-            if let Some(s) = &d.scheduler {
-                depth = depth.max(s.mean_queue_depth);
-                coalesced += s.coalesced;
-                merged += s.merged_adjacent;
-                hits += s.prefetch_hits;
-                wasted += s.prefetch_wasted;
-            }
-        }
+        let coalesced: u64 = r
+            .devices
+            .iter()
+            .filter_map(|d| d.scheduler)
+            .map(|s| s.coalesced)
+            .sum();
         let _ = writeln!(
             out,
-            "{:<38} {:>10.1} {:>10.2} {:>8.2} {:>10} {:>12} {:>10} {:>10}",
-            p.series,
-            r.throughput_tps,
-            r.response_time.mean,
-            depth,
-            coalesced,
-            merged,
-            hits,
-            wasted
+            "{:<38} {:>10.1} {:>10.2} {:>10}",
+            p.series, r.throughput_tps, r.response_time.mean, coalesced
         );
     }
     let _ = writeln!(out);
     let _ = writeln!(
         out,
-        "(depth = worst per-device mean read-queue depth; coalesced = reads that"
-    );
-    let _ = writeln!(
-        out,
-        " joined an existing request; merged adj. = extra pages riding a shared seek;"
-    );
-    let _ = writeln!(
-        out,
-        " pf hits/wasted = prefetched pages referenced vs dropped unreferenced)"
+        "(coalesced = reads that joined an in-flight read of the same page)"
     );
     out
 }
@@ -1345,10 +1293,8 @@ mod tests {
         for series in [
             "disk log: FCFS",
             "disk log: coalesce",
-            "disk log: coalesce+elevator",
-            "disk log: coalesce+elevator+prefetch4",
             "NVEM log: FCFS",
-            "NVEM log: coalesce+elevator+prefetch4",
+            "NVEM log: coalesce",
         ] {
             assert!(
                 result.table.contains(series),
@@ -1356,11 +1302,21 @@ mod tests {
                 result.table
             );
         }
-        assert!(
-            result.table.contains("scheduler counters at 8 nodes"),
-            "missing counter table in\n{}",
-            result.table
-        );
+        let counters = result
+            .table
+            .split_once("coalescing at 8 nodes")
+            .unwrap_or_else(|| panic!("missing counter table in\n{}", result.table))
+            .1;
+        // The NVEM-log coalesce row counts joined reads; FCFS counts none.
+        let coalesced = |series: &str| -> u64 {
+            let row = counters
+                .lines()
+                .find(|l| l.starts_with(series))
+                .unwrap_or_else(|| panic!("no counter row {series} in\n{counters}"));
+            row.split_whitespace().last().unwrap().parse().unwrap()
+        };
+        assert_eq!(coalesced("NVEM log: FCFS"), 0);
+        assert!(coalesced("NVEM log: coalesce") > 0, "{counters}");
     }
 
     #[test]

@@ -7,8 +7,11 @@
 //! (least-noisy) run per point and emits `BENCH_kernel.json` at the repo
 //! root.  The committed file is the perf trajectory of the repository: CI
 //! re-measures the suite and fails when events/sec drops more than the
-//! configured tolerance below the committed numbers, and each PR that moves
-//! the numbers appends its before/after to the `history` section.
+//! configured tolerance below the committed numbers, or when a point's
+//! event count differs from the committed one at all (the simulation is
+//! deterministic, so a different count means different behaviour), and
+//! each PR that moves the numbers appends its before/after to the
+//! `history` section.
 //!
 //! The JSON is written *and* parsed by this module (the workspace has no
 //! serde); the parser only understands the flat shape emitted here, which is
@@ -33,45 +36,30 @@ pub struct ProfilePoint {
     /// Wall-clock microseconds per commit-time coherence fan-out (0 when the
     /// run had no such fan-outs, e.g. single-node points).
     pub fanout_us_per_commit: f64,
-    /// Per-device request-scheduler counters of the simulated run, summed
-    /// over the devices (`None` when the point runs with the scheduler
-    /// disabled).  Simulated results, not wall-clock: byte-identical across
-    /// reps.
+    /// Read-coalescing counters of the simulated run, summed over the
+    /// devices (`None` when the point runs without coalescing).  Simulated
+    /// results, not wall-clock: byte-identical across reps.
     pub sched: Option<SchedulerProfile>,
 }
 
-/// Request-scheduler counters of one profile point, summed over the point's
-/// devices (the queue depth is the worst per-device mean).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
+/// Read-coalescing counters of one profile point, summed over the point's
+/// devices.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SchedulerProfile {
-    /// Worst per-device mean pending read-queue depth.
-    pub mean_queue_depth: f64,
-    /// Reads that joined an existing pending or in-flight request.
+    /// Reads that joined an in-flight read of the same page.
     pub coalesced: u64,
-    /// Extra pages carried by merged adjacent-page accesses.
-    pub merged_adjacent: u64,
-    /// Prefetched pages that were referenced before leaving the pool.
-    pub prefetch_hits: u64,
-    /// Prefetched pages dropped unreferenced (or already resident).
-    pub prefetch_wasted: u64,
 }
 
-/// Sums the per-device scheduler sections of a report into one
-/// [`SchedulerProfile`]; `None` when no device ran a scheduler.
+/// Sums the per-device coalescing sections of a report into one
+/// [`SchedulerProfile`]; `None` when no device coalesced.
 fn scheduler_profile(report: &tpsim::SimulationReport) -> Option<SchedulerProfile> {
-    let mut sched = SchedulerProfile::default();
-    let mut any = false;
-    for d in &report.devices {
-        if let Some(s) = &d.scheduler {
-            any = true;
-            sched.mean_queue_depth = sched.mean_queue_depth.max(s.mean_queue_depth);
-            sched.coalesced += s.coalesced;
-            sched.merged_adjacent += s.merged_adjacent;
-            sched.prefetch_hits += s.prefetch_hits;
-            sched.prefetch_wasted += s.prefetch_wasted;
-        }
-    }
-    any.then_some(sched)
+    report
+        .devices
+        .iter()
+        .filter_map(|d| d.scheduler)
+        .map(|s| s.coalesced)
+        .reduce(|a, b| a + b)
+        .map(|coalesced| SchedulerProfile { coalesced })
 }
 
 /// The fixed configurations of the profile suite, as `(id, config, family)`.
@@ -101,12 +89,7 @@ fn suite_points() -> Vec<(String, SimulationConfig, Family)> {
         runner::scheduler_point(
             8,
             60.0,
-            storage::IoSchedulerParams {
-                coalesce: true,
-                elevator: true,
-                prefetch_depth: 4,
-                ..storage::IoSchedulerParams::default()
-            },
+            storage::IoSchedulerParams { coalesce: true },
             false,
         ),
         Family::DebitCredit,
@@ -163,19 +146,10 @@ pub struct HistoryEntry {
 fn render_points(out: &mut String, points: &[ProfilePoint], indent: &str) {
     for (i, p) in points.iter().enumerate() {
         let comma = if i + 1 < points.len() { "," } else { "" };
-        // Scheduler counters ride along only on scheduler-enabled points;
-        // the baseline parser extracts keys by name and ignores them.
+        // The coalescing counter rides along only on coalescing points; the
+        // baseline parser extracts keys by name and ignores it.
         let sched = match &p.sched {
-            Some(s) => format!(
-                ", \"sched_queue_depth\": {:.3}, \"sched_coalesced\": {}, \
-                 \"sched_merged_adjacent\": {}, \"sched_prefetch_hits\": {}, \
-                 \"sched_prefetch_wasted\": {}",
-                s.mean_queue_depth,
-                s.coalesced,
-                s.merged_adjacent,
-                s.prefetch_hits,
-                s.prefetch_wasted
-            ),
+            Some(s) => format!(", \"sched_coalesced\": {}", s.coalesced),
             None => String::new(),
         };
         let _ = writeln!(
@@ -212,11 +186,21 @@ pub fn render_bench_json(points: &[ProfilePoint], history: &[HistoryEntry]) -> S
     out
 }
 
+/// One committed point of a `BENCH_kernel.json` baseline.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BaselinePoint {
+    /// Point id, as in [`ProfilePoint::id`].
+    pub id: String,
+    /// Events the committed run popped.
+    pub events: u64,
+    /// Committed events per wall-clock second.
+    pub events_per_sec: f64,
+}
+
 /// Parses the *top-level* `points` array of a `BENCH_kernel.json` produced by
-/// [`render_bench_json`], returning `(id, events_per_sec)` pairs.  History
-/// entries are ignored.  Returns an error for files this module did not
-/// write.
-pub fn parse_baseline(json: &str) -> Result<Vec<(String, f64)>, String> {
+/// [`render_bench_json`].  History entries are ignored.  Returns an error for
+/// files this module did not write.
+pub fn parse_baseline(json: &str) -> Result<Vec<BaselinePoint>, String> {
     let start = json
         .find("\"points\": [")
         .ok_or("no top-level \"points\" array")?;
@@ -230,9 +214,14 @@ pub fn parse_baseline(json: &str) -> Result<Vec<(String, f64)>, String> {
             continue;
         }
         let id = extract_str(line, "id").ok_or_else(|| format!("no id in: {line}"))?;
-        let eps = extract_num(line, "events_per_sec")
+        let events = extract_num(line, "events").ok_or_else(|| format!("no events in: {line}"))?;
+        let events_per_sec = extract_num(line, "events_per_sec")
             .ok_or_else(|| format!("no events_per_sec in: {line}"))?;
-        out.push((id, eps));
+        out.push(BaselinePoint {
+            id,
+            events,
+            events_per_sec,
+        });
     }
     if out.is_empty() {
         return Err("empty points array".to_string());
@@ -248,7 +237,7 @@ fn extract_str(line: &str, key: &str) -> Option<String> {
     Some(rest[..end].to_string())
 }
 
-fn extract_num(line: &str, key: &str) -> Option<f64> {
+fn extract_num<T: std::str::FromStr>(line: &str, key: &str) -> Option<T> {
     let pat = format!("\"{key}\": ");
     let start = line.find(&pat)? + pat.len();
     let rest = &line[start..];
@@ -259,32 +248,41 @@ fn extract_num(line: &str, key: &str) -> Option<f64> {
 }
 
 /// Compares a fresh suite run against the committed baseline: every baseline
-/// point re-measured in `fresh` must reach at least `1 - tolerance` of its
-/// committed events/sec.  Returns a human-readable table on success and the
-/// offending points on failure.
+/// point re-measured in `fresh` must pop exactly its committed number of
+/// events and reach at least `1 - tolerance` of its committed events/sec.
+/// Returns a human-readable table on success and the offending points on
+/// failure.
 pub fn check_against_baseline(
     fresh: &[ProfilePoint],
-    baseline: &[(String, f64)],
+    baseline: &[BaselinePoint],
     tolerance: f64,
 ) -> Result<String, String> {
     let mut table = String::new();
     let mut failures = Vec::new();
     let _ = writeln!(
         table,
-        "{:<26} {:>16} {:>16} {:>8}",
-        "point", "baseline [ev/s]", "fresh [ev/s]", "ratio"
+        "{:<26} {:>12} {:>16} {:>16} {:>8}",
+        "point", "events", "baseline [ev/s]", "fresh [ev/s]", "ratio"
     );
-    for (id, base_eps) in baseline {
+    for base in baseline {
+        let id = &base.id;
         let Some(f) = fresh.iter().find(|p| &p.id == id) else {
             failures.push(format!("point {id} missing from the fresh run"));
             continue;
         };
+        let base_eps = base.events_per_sec;
         let ratio = f.events_per_sec / base_eps.max(1e-9);
         let _ = writeln!(
             table,
-            "{:<26} {:>16.0} {:>16.0} {:>8.2}",
-            id, base_eps, f.events_per_sec, ratio
+            "{:<26} {:>12} {:>16.0} {:>16.0} {:>8.2}",
+            id, f.events, base_eps, f.events_per_sec, ratio
         );
+        if f.events != base.events {
+            failures.push(format!(
+                "{id}: {} events, the committed baseline has {}",
+                f.events, base.events
+            ));
+        }
         if ratio < 1.0 - tolerance {
             failures.push(format!(
                 "{id}: events/sec dropped to {ratio:.2}x of the committed baseline \
@@ -297,7 +295,7 @@ pub fn check_against_baseline(
         Ok(table)
     } else {
         Err(format!(
-            "{table}\nperf regression:\n{}",
+            "{table}\nbaseline mismatch:\n{}",
             failures.join("\n")
         ))
     }
@@ -315,13 +313,7 @@ mod tests {
                 wall_ms: 50.0,
                 events_per_sec: 20_000_000.0,
                 fanout_us_per_commit: 1.25,
-                sched: Some(SchedulerProfile {
-                    mean_queue_depth: 2.5,
-                    coalesced: 10,
-                    merged_adjacent: 4,
-                    prefetch_hits: 7,
-                    prefetch_wasted: 1,
-                }),
+                sched: Some(SchedulerProfile { coalesced: 10 }),
             },
             ProfilePoint {
                 id: "quickstart/disk".to_string(),
@@ -352,21 +344,30 @@ mod tests {
         // The fan-out column rides along in every point; the baseline parser
         // must keep working with (and ignoring) it.
         assert!(json.contains("\"fanout_us_per_commit\": 1.250"));
-        // Scheduler counters appear only on scheduler-enabled points; the
-        // parser must likewise ignore them.
+        // The coalescing counter appears only on coalescing points; the
+        // parser must likewise ignore it.
         assert!(json.contains("\"sched_coalesced\": 10"));
-        assert!(json.contains("\"sched_queue_depth\": 2.500"));
         let parsed = parse_baseline(&json).expect("parse own output");
         // Only the top-level points, not the history snapshot.
         assert_eq!(parsed.len(), 2);
-        assert_eq!(parsed[0].0, "fig5.x/8-nodes");
-        assert!((parsed[0].1 - 20_000_000.0).abs() < 1.0);
-        assert_eq!(parsed[1].0, "quickstart/disk");
+        assert_eq!(parsed[0].id, "fig5.x/8-nodes");
+        assert_eq!(parsed[0].events, 1_000_000);
+        assert!((parsed[0].events_per_sec - 20_000_000.0).abs() < 1.0);
+        assert_eq!(parsed[1].id, "quickstart/disk");
+        assert_eq!(parsed[1].events, 123_456);
+    }
+
+    fn baseline(id: &str, events: u64, events_per_sec: f64) -> Vec<BaselinePoint> {
+        vec![BaselinePoint {
+            id: id.to_string(),
+            events,
+            events_per_sec,
+        }]
     }
 
     #[test]
     fn baseline_gate_passes_within_tolerance_and_fails_beyond() {
-        let baseline = vec![("fig5.x/8-nodes".to_string(), 20_000_000.0)];
+        let baseline = baseline("fig5.x/8-nodes", 1_000_000, 20_000_000.0);
         let mut fresh = sample_points();
         // 80% of baseline at 30% tolerance: fine.
         fresh[0].events_per_sec = 16_000_000.0;
@@ -374,10 +375,23 @@ mod tests {
         // 60% of baseline: regression.
         fresh[0].events_per_sec = 12_000_000.0;
         let err = check_against_baseline(&fresh, &baseline, 0.3).unwrap_err();
-        assert!(err.contains("perf regression"), "{err}");
+        assert!(err.contains("events/sec dropped"), "{err}");
         // A missing point is a failure too.
-        let missing = vec![("gone".to_string(), 1.0)];
+        let missing = self::baseline("gone", 1, 1.0);
         assert!(check_against_baseline(&fresh, &missing, 0.3).is_err());
+    }
+
+    #[test]
+    fn baseline_gate_fails_on_a_different_event_count() {
+        let fresh = sample_points();
+        // Faster than the baseline, but one event more: different behaviour.
+        let baseline = baseline("fig5.x/8-nodes", 999_999, 1_000_000.0);
+        let err = check_against_baseline(&fresh, &baseline, 0.3).unwrap_err();
+        assert!(
+            err.contains("1000000 events, the committed baseline has 999999"),
+            "{err}"
+        );
+        assert!(!err.contains("events/sec dropped"), "{err}");
     }
 
     #[test]

@@ -347,10 +347,9 @@ pub fn coherence_point(
     c
 }
 
-/// Configuration of one I/O-scheduler-policy point (`fig11.x`): the fig5.x
-/// data-sharing workload with an explicit per-device request-scheduler
-/// policy, optionally with the log moved to NVEM so the log disk stops
-/// masking the data-disk read queue.
+/// Configuration of one read-coalescing point (`fig11.x`): the fig5.x
+/// data-sharing workload with coalescing on or off, optionally with the log
+/// moved to NVEM so the log disk stops masking the data-disk read path.
 pub fn scheduler_point(
     num_nodes: usize,
     per_node_rate: f64,

@@ -31,6 +31,6 @@ pub mod stats;
 
 pub use config::{BufferConfig, PageLocation, PartitionPolicy, SecondLevelMode, UpdateStrategy};
 pub use dirty::{DirtyPageTable, RecLsn};
-pub use manager::{BufferManager, PrefetchAdmit};
+pub use manager::BufferManager;
 pub use ops::{FetchOutcome, PageOp, PageOps};
 pub use stats::{BufferStats, PartitionBufferStats};

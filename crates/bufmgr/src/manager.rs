@@ -18,25 +18,6 @@ use crate::stats::BufferStats;
 struct FrameState {
     partition: usize,
     dirty: bool,
-    /// The frame was filled by a speculative (prefetch) read and has not
-    /// been referenced yet.  The first reference clears it and counts a
-    /// prefetch hit; dropping the frame unreferenced counts it wasted.
-    prefetched: bool,
-}
-
-/// Outcome of admitting a speculatively read page
-/// ([`BufferManager::admit_prefetched`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PrefetchAdmit {
-    /// The page was inserted into the main-memory buffer.
-    Admitted,
-    /// A copy was already buffered; the speculative read bought nothing
-    /// (counted wasted).
-    AlreadyResident,
-    /// The buffer is full and every victim candidate is dirty: speculative
-    /// data never evicts dirty pages, so the page was dropped (counted
-    /// wasted).
-    Rejected,
 }
 
 /// State of a page in the second-level NVEM cache.
@@ -69,15 +50,6 @@ pub struct BufferManager {
     /// remote commit superseded its redo entry).  Kept outside
     /// [`BufferStats`] so report renderings stay byte-identical.
     dpt_only_clears: u64,
-    /// Per-partition count of prefetched frames whose first reference was a
-    /// main-memory hit.  Kept outside [`BufferStats`] (like
-    /// `dpt_only_clears`) so report renderings stay byte-identical; the
-    /// engine folds these into the per-device scheduler report.
-    prefetch_hits: Vec<u64>,
-    /// Per-partition count of speculative reads that bought nothing: the
-    /// page was already resident at admission, admission was rejected, or
-    /// the prefetched frame was dropped without ever being referenced.
-    prefetch_wasted: Vec<u64>,
 }
 
 impl BufferManager {
@@ -97,7 +69,6 @@ impl BufferManager {
         .then(|| LruCache::new(config.nvem_write_buffer_pages));
         let stats = BufferStats::new(config.partitions.len());
         let lru_k = (config.lru_k > 1).then(|| LruKTracker::new(config.lru_k));
-        let partitions = config.partitions.len();
         Self {
             mm: LruCache::new(config.mm_buffer_pages),
             lru_k,
@@ -107,8 +78,6 @@ impl BufferManager {
             dirty_table: DirtyPageTable::new(),
             stats,
             dpt_only_clears: 0,
-            prefetch_hits: vec![0; partitions],
-            prefetch_wasted: vec![0; partitions],
         }
     }
 
@@ -126,26 +95,12 @@ impl BufferManager {
     pub fn reset_stats(&mut self) {
         self.stats.reset();
         self.dpt_only_clears = 0;
-        self.prefetch_hits.iter_mut().for_each(|c| *c = 0);
-        self.prefetch_wasted.iter_mut().for_each(|c| *c = 0);
     }
 
     /// Invalidations that cleared only a dirty-page-table entry (no buffered
     /// copy was present any more); see [`BufferManager::invalidate_page`].
     pub fn dpt_only_clears(&self) -> u64 {
         self.dpt_only_clears
-    }
-
-    /// Per-partition count of prefetched frames whose first reference hit
-    /// in main memory (see [`BufferManager::admit_prefetched`]).
-    pub fn prefetch_hits(&self) -> &[u64] {
-        &self.prefetch_hits
-    }
-
-    /// Per-partition count of speculative reads that bought nothing (see
-    /// [`BufferManager::admit_prefetched`]).
-    pub fn prefetch_wasted(&self) -> &[u64] {
-        &self.prefetch_wasted
     }
 
     /// Number of pages in the main-memory buffer.
@@ -252,15 +207,10 @@ impl BufferManager {
         // Main-memory hit.
         if let Some(frame) = self.mm.get_mut(&page) {
             frame.dirty |= is_write;
-            let first_prefetch_use = frame.prefetched;
-            frame.prefetched = false;
             if let Some(tracker) = self.lru_k.as_mut() {
                 tracker.record_access(page);
             }
             self.stats.per_partition[partition].mm_hits += 1;
-            if first_prefetch_use {
-                self.prefetch_hits[partition] += 1;
-            }
             return FetchOutcome::hit();
         }
 
@@ -278,7 +228,6 @@ impl BufferManager {
             FrameState {
                 partition,
                 dirty: is_write,
-                prefetched: false,
             },
         );
         if let Some(tracker) = self.lru_k.as_mut() {
@@ -307,11 +256,6 @@ impl BufferManager {
         self.stats.mm_evictions += 1;
         if vstate.dirty {
             self.stats.dirty_evictions += 1;
-        }
-        if vstate.prefetched {
-            // The speculative read was paid for but the page left the
-            // buffer without ever being referenced.
-            self.prefetch_wasted[vstate.partition] += 1;
         }
         let vpolicy = self.config.policy(vstate.partition);
         match vpolicy.location {
@@ -465,56 +409,6 @@ impl BufferManager {
         );
     }
 
-    /// Admits a page a speculative (prefetch) read just brought in.  The
-    /// admission contract for speculative data is deliberately narrow:
-    ///
-    /// * a page that is already buffered is left untouched — the
-    ///   speculative read bought nothing (counted wasted),
-    /// * a full buffer only ever gives up a *clean* frame; if every frame
-    ///   is dirty the page is dropped rather than triggering write-backs
-    ///   or NVEM migrations on behalf of data nobody asked for (counted
-    ///   wasted),
-    /// * an admitted frame enters clean and flagged prefetched: its first
-    ///   reference counts a prefetch hit, dropping it unreferenced counts
-    ///   it wasted.
-    ///
-    /// Called by the engine when the speculative I/O *completes* — the page
-    /// is not buffered while the read is in flight (a demand miss in
-    /// between coalesces onto the in-flight request at the scheduler).
-    pub fn admit_prefetched(&mut self, partition: usize, page: PageId) -> PrefetchAdmit {
-        self.ensure_partition_stats(partition);
-        if self.mm.contains(&page) {
-            self.prefetch_wasted[partition] += 1;
-            return PrefetchAdmit::AlreadyResident;
-        }
-        if self.mm.is_full() {
-            let Some(victim) = self.mm.lru_matching(|f| !f.dirty) else {
-                self.prefetch_wasted[partition] += 1;
-                return PrefetchAdmit::Rejected;
-            };
-            let state = self.mm.remove(&victim).expect("matched victim present");
-            self.stats.mm_evictions += 1;
-            if state.prefetched {
-                self.prefetch_wasted[state.partition] += 1;
-            }
-            if let Some(tracker) = self.lru_k.as_mut() {
-                tracker.remove(&victim);
-            }
-        }
-        self.mm.insert(
-            page,
-            FrameState {
-                partition,
-                dirty: false,
-                prefetched: true,
-            },
-        );
-        if let Some(tracker) = self.lru_k.as_mut() {
-            tracker.record_access(page);
-        }
-        PrefetchAdmit::Admitted
-    }
-
     /// Commit-time forcing of a modified page (FORCE strategy).  Returns the
     /// operations the committing transaction must wait for (asynchronous disk
     /// updates excluded).
@@ -609,10 +503,7 @@ impl BufferManager {
         // committing node now tracks the page in *its* dirty-page table.
         let dpt_cleared = self.dirty_table.clear_page(page).is_some();
         let removed = self.mm.remove(&page);
-        if let Some(state) = removed {
-            if state.prefetched {
-                self.prefetch_wasted[state.partition] += 1;
-            }
+        if removed.is_some() {
             if let Some(tracker) = self.lru_k.as_mut() {
                 tracker.remove(&page);
             }
@@ -664,10 +555,7 @@ impl BufferManager {
     pub fn discard_stale_copy(&mut self, page: PageId) -> bool {
         let dpt_cleared = self.dirty_table.clear_page(page).is_some();
         let removed = self.mm.remove(&page);
-        if let Some(state) = removed {
-            if state.prefetched {
-                self.prefetch_wasted[state.partition] += 1;
-            }
+        if removed.is_some() {
             if let Some(tracker) = self.lru_k.as_mut() {
                 tracker.remove(&page);
             }
@@ -689,10 +577,6 @@ impl BufferManager {
             self.stats
                 .per_partition
                 .resize(partition + 1, Default::default());
-        }
-        if partition >= self.prefetch_hits.len() {
-            self.prefetch_hits.resize(partition + 1, 0);
-            self.prefetch_wasted.resize(partition + 1, 0);
         }
     }
 }
@@ -1310,60 +1194,5 @@ mod tests {
         assert!(bm.mm_contains(PageId(1)));
         let out = bm.reference_page(0, PageId(1), false);
         assert!(out.main_memory_hit);
-    }
-
-    #[test]
-    fn prefetch_admission_hit_and_waste_accounting() {
-        let mut bm = BufferManager::new(disk_config(10));
-        assert_eq!(bm.admit_prefetched(0, PageId(1)), PrefetchAdmit::Admitted);
-        assert!(bm.mm_contains(PageId(1)));
-        assert!(!bm.mm_is_dirty(PageId(1)));
-        // The first reference of the prefetched frame is a hit.
-        let hit = bm.reference_page(0, PageId(1), false);
-        assert!(hit.main_memory_hit);
-        assert_eq!(bm.prefetch_hits()[0], 1);
-        // ... and only the first: the flag is consumed.
-        bm.reference_page(0, PageId(1), false);
-        assert_eq!(bm.prefetch_hits()[0], 1);
-        // Re-admitting a resident page bought nothing.
-        assert_eq!(
-            bm.admit_prefetched(0, PageId(1)),
-            PrefetchAdmit::AlreadyResident
-        );
-        assert_eq!(bm.prefetch_wasted()[0], 1);
-    }
-
-    #[test]
-    fn prefetch_never_evicts_dirty_pages() {
-        let mut bm = BufferManager::new(disk_config(2));
-        bm.reference_page(0, PageId(1), true);
-        bm.reference_page(0, PageId(2), true);
-        assert_eq!(bm.admit_prefetched(0, PageId(3)), PrefetchAdmit::Rejected);
-        assert!(!bm.mm_contains(PageId(3)));
-        assert!(bm.mm_contains(PageId(1)) && bm.mm_contains(PageId(2)));
-        assert_eq!(bm.prefetch_wasted()[0], 1);
-    }
-
-    #[test]
-    fn prefetch_admission_replaces_the_oldest_clean_frame() {
-        let mut bm = BufferManager::new(disk_config(2));
-        bm.reference_page(0, PageId(1), true); // dirty
-        bm.reference_page(0, PageId(2), false); // clean
-        assert_eq!(bm.admit_prefetched(0, PageId(3)), PrefetchAdmit::Admitted);
-        assert!(bm.mm_contains(PageId(1)), "dirty frame must survive");
-        assert!(!bm.mm_contains(PageId(2)));
-        assert!(bm.mm_contains(PageId(3)));
-    }
-
-    #[test]
-    fn dropping_an_unreferenced_prefetched_frame_counts_wasted() {
-        let mut bm = BufferManager::new(disk_config(10));
-        assert_eq!(bm.admit_prefetched(0, PageId(1)), PrefetchAdmit::Admitted);
-        assert!(bm.invalidate_page(PageId(1)));
-        assert_eq!(bm.prefetch_wasted()[0], 1);
-        assert_eq!(bm.prefetch_hits()[0], 0);
-        // reset clears the counters like every other statistic.
-        bm.reset_stats();
-        assert_eq!(bm.prefetch_wasted()[0], 0);
     }
 }

@@ -700,10 +700,9 @@ pub struct SimulationConfig {
     /// Cross-node buffer coherence protocol and page-transfer policy
     /// (data sharing with more than one node; ignored otherwise).
     pub coherence: CoherenceParams,
-    /// Per-device I/O request scheduling policy (coalescing, elevator
-    /// dispatch, sequential prefetch), applied to every disk unit.  Fully
-    /// disabled by default: the engine then bypasses the scheduler and every
-    /// report stays byte-identical to runs captured before it existed.
+    /// Per-device read coalescing, applied to every disk unit.  Disabled by
+    /// default: every read is then an I/O of its own and every report stays
+    /// byte-identical to runs captured before coalescing existed.
     pub io_scheduler: IoSchedulerParams,
     /// Open-system workload shaping: arrival-rate schedule and hot-spot
     /// skew.  Inactive by default — unshaped runs keep the paper's constant
@@ -772,7 +771,6 @@ impl SimulationConfig {
         if self.coherence.transfer_copy_instr.is_nan() || self.coherence.transfer_copy_instr < 0.0 {
             return Err("page-transfer copy cost must be non-negative".into());
         }
-        self.io_scheduler.validate()?;
         self.workload.validate()?;
         if self.architecture == Architecture::SharedNothing {
             if self.recovery.enabled() {
@@ -1228,28 +1226,6 @@ mod tests {
             CoherenceParams::default().page_transfer,
             PageTransfer::DiskReread
         );
-    }
-
-    #[test]
-    fn validation_catches_bad_io_scheduler_params() {
-        let mut c = minimal_config();
-        c.io_scheduler = IoSchedulerParams {
-            elevator: true,
-            aging_bound: 0,
-            ..IoSchedulerParams::default()
-        };
-        assert!(c.validate().is_err());
-        c.io_scheduler.aging_bound = 8;
-        assert!(c.validate().is_ok());
-        // Every policy combination with a sane aging bound validates.
-        c.io_scheduler = IoSchedulerParams {
-            coalesce: true,
-            elevator: true,
-            prefetch_depth: 4,
-            aging_bound: 16,
-        };
-        assert!(c.validate().is_ok());
-        assert!(!minimal_config().io_scheduler.enabled());
     }
 
     #[test]

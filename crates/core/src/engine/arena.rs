@@ -378,7 +378,7 @@ mod tests {
     fn io_arena_reuses_completed_requests_in_place() {
         let mut arena = IoArena::default();
         let (id, io) = arena.claim(1, PageId(5), Some(2));
-        io.push_stage(ServiceStage::Disk(1.0));
+        io.extend_stages(&[ServiceStage::Disk(1.0)]);
         io.group_waiters.extend([4, 5]);
         let waiters = io.group_waiters.as_ptr();
         arena.release(id);

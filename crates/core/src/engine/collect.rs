@@ -61,8 +61,8 @@ impl<W: WorkloadGenerator> Simulation<W> {
             u.device.reset_stats();
             u.controllers.reset_stats(now);
             u.disks.reset_stats(now);
-            if let Some(s) = u.scheduler.as_mut() {
-                s.reset_stats();
+            if let Some(c) = u.coalescing.as_mut() {
+                c.coalesced = 0;
             }
         }
         self.lockmgr.reset_stats();
@@ -129,25 +129,6 @@ impl<W: WorkloadGenerator> Simulation<W> {
             })
             .collect();
 
-        // Fold the per-node, per-partition prefetch counters onto the disk
-        // unit each partition lives on: the scheduler issued the speculative
-        // reads, but whether they paid off is only known at the buffer pools.
-        let mut unit_prefetch_hits = vec![0u64; self.units.len()];
-        let mut unit_prefetch_wasted = vec![0u64; self.units.len()];
-        if self.config.io_scheduler.enabled() {
-            for node in &self.nodes {
-                let hits = node.bufmgr.prefetch_hits();
-                let wasted = node.bufmgr.prefetch_wasted();
-                for partition in 0..hits.len().max(wasted.len()) {
-                    let location = self.config.buffer.policy(partition).location;
-                    if let bufmgr::PageLocation::DiskUnit(unit) = location {
-                        unit_prefetch_hits[unit] += hits.get(partition).copied().unwrap_or(0);
-                        unit_prefetch_wasted[unit] += wasted.get(partition).copied().unwrap_or(0);
-                    }
-                }
-            }
-        }
-
         // After a crash, the device and lock counters frozen at the crash
         // instant are reported instead of the live ones, so the restart
         // pass's reads and lock re-acquisitions stay out of the steady-state
@@ -168,18 +149,8 @@ impl<W: WorkloadGenerator> Simulation<W> {
                     stats: crash_stats
                         .map(|s| s.devices[i])
                         .unwrap_or_else(|| u.device.stats()),
-                    scheduler: u.scheduler.as_ref().map(|s| {
-                        let stats = crash_stats
-                            .and_then(|cs| cs.scheduler[i])
-                            .unwrap_or_else(|| s.stats());
-                        IoSchedulerReport {
-                            mean_queue_depth: stats.mean_queue_depth(),
-                            coalesced: stats.coalesced,
-                            merged_adjacent: stats.merged_adjacent,
-                            prefetch_issued: stats.prefetch_issued,
-                            prefetch_hits: unit_prefetch_hits[i],
-                            prefetch_wasted: unit_prefetch_wasted[i],
-                        }
+                    scheduler: u.coalescing.as_ref().map(|c| IoSchedulerReport {
+                        coalesced: c.coalesced,
                     }),
                 }
             })

@@ -389,68 +389,6 @@ impl<W: WorkloadGenerator> Simulation<W> {
                 sim.note_holder(node, obj_ref.page);
                 sim.stamp_fetch(node, obj_ref.page);
             }
-            // Sequential-prefetch detection: a miss that goes to a disk unit
-            // feeds the transaction's ascending-run tracker and may trigger
-            // speculative read-ahead through that unit's scheduler.
-            if sim.config.io_scheduler.prefetch_depth > 0 {
-                let miss_read = ops.iter().find_map(|op| match *op {
-                    MicroOp::IssueIo {
-                        unit,
-                        kind: storage::IoKind::Read,
-                        page,
-                        ..
-                    } => Some((unit, page)),
-                    _ => None,
-                });
-                if let Some((unit, page)) = miss_read {
-                    sim.note_sequential_miss(slot, node, obj_ref.partition, unit, page);
-                }
-            }
         });
-    }
-
-    /// Updates the per-transaction ascending-miss-run tracker and, on a run
-    /// of two or more consecutive pages, submits speculative reads for the
-    /// next `prefetch_depth` pages to the unit's scheduler.  Candidate pages
-    /// inherit the triggering reference's partition (sequential scans stay
-    /// inside one database area); pages already buffered, pending or in
-    /// flight are skipped.
-    fn note_sequential_miss(
-        &mut self,
-        slot: usize,
-        node: usize,
-        partition: usize,
-        unit: usize,
-        page: dbmodel::PageId,
-    ) {
-        if self.units[unit].scheduler.is_none() {
-            return;
-        }
-        let run = {
-            let tx = self.txs.tx_mut(slot);
-            if tx.last_miss_page == Some(dbmodel::PageId(page.0.wrapping_sub(1))) {
-                tx.miss_run += 1;
-            } else {
-                tx.miss_run = 1;
-            }
-            tx.last_miss_page = Some(page);
-            tx.miss_run
-        };
-        if run < 2 {
-            return;
-        }
-        let depth = u64::from(self.config.io_scheduler.prefetch_depth);
-        let mut submitted = false;
-        for i in 1..=depth {
-            let candidate = dbmodel::PageId(page.0.wrapping_add(i));
-            if self.nodes[node].bufmgr.holds_page(candidate) {
-                continue;
-            }
-            let sched = self.units[unit].scheduler.as_mut().expect("checked above");
-            submitted |= sched.submit_prefetch(candidate, (node, partition));
-        }
-        if submitted {
-            self.drain_scheduler(node, unit);
-        }
     }
 }

@@ -8,6 +8,11 @@
 //! asynchronous writes, releases group-commit batches and spawns background
 //! destages.
 //!
+//! At a unit with read coalescing on, a synchronous read of a page that is
+//! already being read there joins that request instead of starting its own:
+//! the unit lists its in-flight blocking reads, and the one completion wakes
+//! every transaction that joined.
+//!
 //! Requests live in the engine's [`IoArena`](super::arena::IoArena): the
 //! `u32` request id carried by every `IoStage` event and resource token is a
 //! plain slot index, so the per-event lookups here never hash.  Device
@@ -19,7 +24,7 @@
 use bufmgr::PageOp;
 use dbmodel::{PageId, WorkloadGenerator};
 use simkernel::resource::Acquire;
-use storage::{IoKind, ServiceStage, SubmitOutcome};
+use storage::{IoKind, ServiceStage};
 
 use super::iorequest::HeldResource;
 use super::transaction::{MicroOp, TxState};
@@ -81,7 +86,9 @@ impl<W: WorkloadGenerator> Simulation<W> {
     /// starts its first stage; returns the request id.  Every I/O — whether
     /// a transaction waits on it or not — goes through here.  `node` is the
     /// computing module whose buffer manager issued the request (buffer
-    /// notifications are routed back to it).
+    /// notifications are routed back to it).  A blocking read at a
+    /// coalescing unit is listed as in flight before its first stage runs,
+    /// so even a request that completes at once is unlisted again.
     #[allow(clippy::too_many_arguments)]
     fn start_io(
         &mut self,
@@ -100,6 +107,12 @@ impl<W: WorkloadGenerator> Simulation<W> {
         io.node = node;
         io.notify_bufmgr = notify;
         io.log_wb = log_wb;
+        if kind == IoKind::Read && waiter.is_some() {
+            if let Some(coalescing) = self.units[unit].coalescing.as_mut() {
+                coalescing.in_flight.push((page, io_id));
+                io.joinable = true;
+            }
+        }
         self.advance_io(io_id);
         io_id
     }
@@ -115,83 +128,32 @@ impl<W: WorkloadGenerator> Simulation<W> {
         notify: bool,
         log_wb: bool,
     ) -> Flow {
+        if kind == IoKind::Read && wait {
+            if let Some(coalescing) = self.units[unit].coalescing.as_mut() {
+                if let Some(&(_, io_id)) = coalescing.in_flight.iter().find(|&&(p, _)| p == page) {
+                    // The page is already being read here: wait for that
+                    // request's completion instead of paying for another.
+                    coalescing.coalesced += 1;
+                    self.ios
+                        .get_mut(io_id)
+                        .expect("listed reads are live")
+                        .group_waiters
+                        .push(slot);
+                    self.txs.tx_mut(slot).state = TxState::WaitingIo;
+                    return Flow::Blocked;
+                }
+            }
+        }
         // I/O is issued by the buffer pool of the *executing* node (the
         // partition owner while a shared-nothing reference runs shipped), so
         // completion notifications must route back to that pool.
         let node = self.exec_node_of(slot);
-        // Synchronous reads go through the unit's request scheduler when one
-        // is configured; writes (and the notify/log_wb bookkeeping that only
-        // writes carry) keep the direct FCFS path.
-        if kind == IoKind::Read && wait && self.units[unit].scheduler.is_some() {
-            debug_assert!(
-                !notify && !log_wb,
-                "scheduled reads carry no write bookkeeping"
-            );
-            self.txs.tx_mut(slot).state = TxState::WaitingIo;
-            let outcome = self.units[unit]
-                .scheduler
-                .as_mut()
-                .expect("checked above")
-                .submit(page, slot);
-            match outcome {
-                SubmitOutcome::JoinedInflight(io_id) => {
-                    // The page is already being read: park this waiter on the
-                    // in-flight request's completion fan-out.
-                    self.ios
-                        .get_mut(io_id)
-                        .expect("scheduler tracks only live requests")
-                        .group_waiters
-                        .push(slot);
-                }
-                SubmitOutcome::Queued => self.drain_scheduler(node, unit),
-            }
-            return Flow::Blocked;
-        }
         self.start_io(node, unit, kind, page, wait.then_some(slot), notify, log_wb);
         if wait {
             self.txs.tx_mut(slot).state = TxState::WaitingIo;
             Flow::Blocked
         } else {
             Flow::Continue
-        }
-    }
-
-    /// Dispatches every batch the unit's scheduler is willing to release
-    /// (one per free disk-server slot).  The batch leader pays the device's
-    /// full service decision; each merged member adds only its page
-    /// transmission on top — that is the whole point of merging — but the
-    /// device model is still asked for a decision *per member page*, so
-    /// controller-cache state and per-unit counters evolve exactly as if
-    /// the pages had been requested individually.  Background stages
-    /// (destages of absorbed victims) are preserved for every member.
-    pub(super) fn drain_scheduler(&mut self, node: usize, unit: usize) {
-        loop {
-            let Some(batch) = self.units[unit]
-                .scheduler
-                .as_mut()
-                .and_then(|s| s.next_batch())
-            else {
-                return;
-            };
-            let (io_id, io) = self.ios.claim(unit, batch.pages[0], None);
-            io.node = node;
-            io.scheduled = true;
-            for (i, &page) in batch.pages.iter().enumerate() {
-                let decision = self.units[unit].device.request(IoKind::Read, page);
-                if i == 0 {
-                    io.extend_stages(&decision.foreground);
-                } else {
-                    io.push_stage(ServiceStage::Transmission(decision.transmission_time()));
-                }
-                io.background.extend_from_slice(&decision.background);
-            }
-            io.group_waiters.extend_from_slice(&batch.waiters);
-            self.units[unit]
-                .scheduler
-                .as_mut()
-                .expect("scheduler present while draining")
-                .register_inflight(io_id, batch);
-            self.advance_io(io_id);
         }
     }
 
@@ -279,8 +241,8 @@ impl<W: WorkloadGenerator> Simulation<W> {
     fn complete_io(&mut self, io_id: u32) {
         let io = self.ios.get(io_id).expect("live io request");
         let (unit, node, page, waiter) = (io.unit, io.node, io.page, io.waiter);
-        let (is_destage, notify_bufmgr, log_wb, scheduled) =
-            (io.is_destage, io.notify_bufmgr, io.log_wb, io.scheduled);
+        let (is_destage, notify_bufmgr, log_wb, joinable) =
+            (io.is_destage, io.notify_bufmgr, io.log_wb, io.joinable);
         let checkpoint_issued_at = io.checkpoint_issued_at;
         let has_background = !io.background.is_empty();
         if is_destage {
@@ -316,20 +278,19 @@ impl<W: WorkloadGenerator> Simulation<W> {
             io.pass_background_to(bg);
             self.advance_io(bg_id);
         }
-        // A scheduler-dispatched batch frees its service slot, admits any
-        // speculative member pages into the issuing node's buffer pool and
-        // lets the scheduler release the next batch.
-        if scheduled {
-            let done = self.units[unit]
-                .scheduler
+        // Later reads of the page must start a request of their own.
+        if joinable {
+            let in_flight = &mut self.units[unit]
+                .coalescing
                 .as_mut()
-                .and_then(|s| s.complete(io_id));
-            if let Some(done) = done {
-                for (page, (node, partition)) in done.prefetched {
-                    self.finish_prefetch(node, partition, page);
-                }
-            }
-            self.drain_scheduler(node, unit);
+                .expect("joinable reads come from coalescing units")
+                .in_flight;
+            let listed = in_flight
+                .iter()
+                .position(|&(_, id)| id == io_id)
+                .expect("a joinable read is listed until it completes");
+            // A page is listed at most once, so the order is unobservable.
+            in_flight.swap_remove(listed);
         }
         if let Some(slot) = waiter {
             if let Some(tx) = self.txs.get_mut(slot) {
@@ -337,7 +298,8 @@ impl<W: WorkloadGenerator> Simulation<W> {
                 self.ready.push_back(slot);
             }
         }
-        // Wake a whole group-commit batch parked on this log write.
+        // Wake a whole group-commit batch parked on this log write, or every
+        // reader that joined this read.
         let io = self.ios.get_mut(io_id).expect("live io request");
         if !io.group_waiters.is_empty() {
             let waiters = std::mem::take(&mut io.group_waiters);
@@ -348,22 +310,5 @@ impl<W: WorkloadGenerator> Simulation<W> {
                 .group_waiters = waiters;
         }
         self.ios.release(io_id);
-    }
-
-    /// Routes a completed speculative read into the issuing node's buffer
-    /// pool.  Admission never evicts dirty pages
-    /// ([`bufmgr::BufferManager::admit_prefetched`]); under an active
-    /// coherence protocol an admitted copy is registered in the
-    /// page → holders index and version-stamped exactly like a demand
-    /// fetch, so later remote commits invalidate it correctly.
-    fn finish_prefetch(&mut self, node: usize, partition: usize, page: PageId) {
-        let admit = self.nodes[node].bufmgr.admit_prefetched(partition, page);
-        if admit != bufmgr::PrefetchAdmit::Admitted {
-            return;
-        }
-        if self.coherence_active() {
-            self.note_holder(node, page);
-            self.stamp_fetch(node, page);
-        }
     }
 }

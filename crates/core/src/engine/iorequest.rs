@@ -3,8 +3,9 @@
 //! An I/O request carries the remaining service stages decided by the disk
 //! unit (controller → disk → transmission), the transaction waiting for it (if
 //! any), and the follow-up work to perform on completion (waking the waiter,
-//! releasing a group-commit batch, notifying the buffer manager about an
-//! asynchronous write, spawning the background destage of an absorbed write).
+//! releasing a group-commit batch or the readers that joined a coalesced
+//! read, notifying the buffer manager about an asynchronous write, spawning
+//! the background destage of an absorbed write).
 //!
 //! Requests live in the engine's [`IoArena`]; the stage list is a `Vec` plus a
 //! cursor (no per-request deque conversion).  A completed request stays in
@@ -39,15 +40,15 @@ pub(crate) struct IoRequest {
     pub page: PageId,
     /// Transaction slot waiting for the foreground part, if any.
     pub waiter: Option<usize>,
-    /// Foreground stages as decided by the device (for a merged read batch:
-    /// the leader's decision plus one transmission per further member).
+    /// Foreground stages as decided by the device.
     stages: Vec<ServiceStage>,
     /// Index of the next stage in `stages` (already-served prefix).
     next_stage: usize,
     /// Background stages to run after the foreground completes (destage of an
     /// absorbed write).
     pub background: Vec<ServiceStage>,
-    /// Transaction slots of a group-commit batch parked on this log write.
+    /// Transaction slots of a group-commit batch parked on this log write,
+    /// or of the readers that joined this read at a coalescing unit.
     pub group_waiters: Vec<usize>,
     /// Tell the buffer manager when this (asynchronous) write completes.
     pub notify_bufmgr: bool,
@@ -56,11 +57,9 @@ pub(crate) struct IoRequest {
     /// This request *is* a background destage; completion updates the disk
     /// unit's cache state.
     pub is_destage: bool,
-    /// The request was dispatched by the unit's [`storage::RequestScheduler`]
-    /// (possibly carrying a whole merged batch); completion must report back
-    /// to the scheduler to free its service slot and trigger the next
-    /// dispatch.
-    pub scheduled: bool,
+    /// This request is a blocking read listed in its coalescing unit's
+    /// in-flight reads; completion removes it from the list.
+    pub joinable: bool,
     /// Issue time of a checkpoint log record; on completion the measured
     /// latency (including queueing) is charged as checkpoint overhead.
     pub checkpoint_issued_at: Option<SimTime>,
@@ -85,7 +84,7 @@ impl IoRequest {
             notify_bufmgr: false,
             log_wb: false,
             is_destage: false,
-            scheduled: false,
+            joinable: false,
             checkpoint_issued_at: None,
             held: None,
             pending_service: 0.0,
@@ -106,7 +105,7 @@ impl IoRequest {
         self.notify_bufmgr = false;
         self.log_wb = false;
         self.is_destage = false;
-        self.scheduled = false;
+        self.joinable = false;
         self.checkpoint_issued_at = None;
         self.held = None;
         self.pending_service = 0.0;
@@ -115,11 +114,6 @@ impl IoRequest {
     /// Appends foreground stages.
     pub fn extend_stages(&mut self, stages: &[ServiceStage]) {
         self.stages.extend_from_slice(stages);
-    }
-
-    /// Appends one foreground stage.
-    pub fn push_stage(&mut self, stage: ServiceStage) {
-        self.stages.push(stage);
     }
 
     /// Hands this request's background stages over as `destage`'s
@@ -153,14 +147,13 @@ mod tests {
     #[test]
     fn stage_cursor_and_background_hand_over() {
         let mut io = IoRequest::new(2, PageId(7), Some(3));
-        io.extend_stages(&[ServiceStage::Controller(1.0)]);
-        io.push_stage(ServiceStage::Disk(5.0));
+        io.extend_stages(&[ServiceStage::Controller(1.0), ServiceStage::Disk(5.0)]);
         io.background.push(ServiceStage::Disk(5.0));
         assert_eq!(
             (io.unit, io.node, io.page, io.waiter),
             (2, 0, PageId(7), Some(3))
         );
-        assert!(!io.notify_bufmgr && !io.log_wb && !io.is_destage && !io.scheduled);
+        assert!(!io.notify_bufmgr && !io.log_wb && !io.is_destage && !io.joinable);
         assert!(io.group_waiters.is_empty());
         assert_eq!(io.checkpoint_issued_at, None);
         assert_eq!(io.remaining_stages(), 2);
@@ -182,7 +175,7 @@ mod tests {
         io.group_waiters.extend([1, 2, 3]);
         io.node = 4;
         io.log_wb = true;
-        io.scheduled = true;
+        io.joinable = true;
         io.checkpoint_issued_at = Some(9.0);
         io.pop_stage();
         let capacities = (io.stages.capacity(), io.group_waiters.capacity());
@@ -194,7 +187,7 @@ mod tests {
         assert_eq!(io.remaining_stages(), 0);
         assert_eq!(io.pop_stage(), None);
         assert!(io.background.is_empty() && io.group_waiters.is_empty());
-        assert!(!io.log_wb && !io.scheduled && !io.notify_bufmgr && !io.is_destage);
+        assert!(!io.log_wb && !io.joinable && !io.notify_bufmgr && !io.is_destage);
         assert_eq!(io.checkpoint_issued_at, None);
         assert_eq!(
             (io.stages.capacity(), io.group_waiters.capacity()),

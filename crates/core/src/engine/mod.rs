@@ -44,9 +44,11 @@
 //! SipHash.  The per-operation path allocates nothing once its pools have
 //! reached their working size: device decisions and buffer-manager page
 //! operations arrive inline, micro operations are expanded in one reused
-//! scratch buffer (`micro_scratch`), and completed I/O requests, lock-table
-//! entries, held-lock lists and scheduler waiter lists are recycled.  On the
-//! simulator benchmark a committed transaction costs 1.12, 1.25 and 1.04 heap
+//! scratch buffer (`micro_scratch`), and completed I/O requests (with their
+//! stage and waiter lists), lock-table entries and held-lock lists are
+//! recycled.  A coalescing unit lists its in-flight reads as `(page, io id)`
+//! pairs in a short `Vec` that a read scans for its page.  On the simulator
+//! benchmark a committed transaction costs 1.12, 1.25 and 1.04 heap
 //! allocations on `ds16-nvemlog`, `sn8-skew-burst` and
 //! `dc1-nvemcache-force`: what remains is the workload generator's reference
 //! string.  `tests/hot_path_allocations.rs` bounds the count.
@@ -96,7 +98,7 @@ use simkernel::sketch::QuantileSketch;
 use simkernel::stats::{Histogram, Tally, TimeWeighted};
 use simkernel::time::{interarrival_ms, SimTime};
 use simkernel::{EventQueue, IdMap, Resource, SimRng};
-use storage::{DiskUnitStats, IoSchedulerStats, RequestScheduler, StorageDevice};
+use storage::{DiskUnitStats, StorageDevice};
 
 use crate::config::{Architecture, SimulationConfig};
 use crate::metrics::{CoherenceReport, KernelProfile, ShippingReport, SimulationReport};
@@ -154,10 +156,20 @@ struct UnitRuntime {
     device: Box<dyn StorageDevice>,
     controllers: Resource,
     disks: Resource,
-    /// Per-device read scheduler (coalescing, elevator dispatch, prefetch
-    /// deduplication); `Some` exactly when the configuration enables a
-    /// scheduling policy.  `None` preserves the direct FCFS path untouched.
-    scheduler: Option<RequestScheduler>,
+    /// Same-page read coalescing; `Some` exactly when the configuration
+    /// enables it.  `None` leaves every read an I/O of its own.
+    coalescing: Option<ReadCoalescing>,
+}
+
+/// The blocking reads in flight at a unit with coalescing on, and how many
+/// reads joined one of them instead of starting their own.
+#[derive(Default)]
+struct ReadCoalescing {
+    /// `(page, io id)` of every blocking read in flight at the unit.  A page
+    /// is listed at most once: a read of a listed page joins that request.
+    in_flight: Vec<(PageId, u32)>,
+    /// Reads that joined an in-flight read since the warm-up reset.
+    coalesced: u64,
 }
 
 /// Device and lock statistics frozen at the crash instant.  The restart
@@ -167,10 +179,6 @@ struct UnitRuntime {
 /// [`crate::metrics::RestartReport`]).
 struct CrashStatsSnapshot {
     devices: Vec<DiskUnitStats>,
-    /// Per-unit scheduler counters (`None` for units without a scheduler).
-    /// The restart pass plans its reads through the same scheduler policy,
-    /// so the steady-state counters are frozen alongside the device stats.
-    scheduler: Vec<Option<IoSchedulerStats>>,
     locks: LockManagerStats,
     global_locks: GlobalLockStats,
 }
@@ -369,10 +377,7 @@ impl<W: WorkloadGenerator> Simulation<W> {
                 device: spec.build(format!("unit-{i}")),
                 controllers: Resource::new(format!("unit-{i}-controllers"), spec.num_controllers()),
                 disks: Resource::new(format!("unit-{i}-disks"), spec.num_disks()),
-                scheduler: config
-                    .io_scheduler
-                    .enabled()
-                    .then(|| RequestScheduler::new(config.io_scheduler, spec.num_disks())),
+                coalescing: config.io_scheduler.enabled().then(ReadCoalescing::default),
             })
             .collect();
         let nodes = (0..config.nodes.num_nodes)

@@ -25,13 +25,13 @@
 //!    [`storage::StorageDevice`] models the steady-state run uses, with the
 //!    reads prefetched in parallel across each unit's disk servers (the scan
 //!    knows all needed pages in advance; only the log itself is inherently
-//!    sequential) and planned by the same scheduler policy as steady-state
-//!    reads ([`storage::scheduler::plan_reads`]: with coalescing enabled,
-//!    adjacent redo pages share one seek) — plus a lock re-acquisition
-//!    covering the redone pages.
+//!    sequential) — plus a lock re-acquisition covering the redone pages.
+//!
+//! The event loop stops at the crash, so the restart pass never meets the
+//! steady-state read path: read coalescing plays no part in it.
 
 use dbmodel::{AccessMode, ObjectId, ObjectRef, PageId, WorkloadGenerator};
-use simkernel::time::instr_time;
+use simkernel::time::{instr_time, SimTime};
 use simkernel::IdMap;
 use storage::IoKind;
 
@@ -138,11 +138,6 @@ impl<W: WorkloadGenerator> Simulation<W> {
         // sections must not include restart work.
         self.crash_stats = Some(super::CrashStatsSnapshot {
             devices: self.units.iter().map(|u| u.device.stats()).collect(),
-            scheduler: self
-                .units
-                .iter()
-                .map(|u| u.scheduler.as_ref().map(|s| s.stats()))
-                .collect(),
             locks: self.lockmgr.stats(),
             global_locks: self.lockmgr.global_stats(),
         });
@@ -219,13 +214,9 @@ impl<W: WorkloadGenerator> Simulation<W> {
         // are known in advance from the scan and prefetch in parallel across
         // each unit's disk servers: the elapsed time per unit is the summed
         // service time divided by its disk count.  The per-I/O CPU overhead
-        // stays serial (one restart CPU drives the redo pass).  The service
-        // time itself comes from the shared scheduler planning
-        // ([`storage::scheduler::plan_reads`]): without coalescing it is the
-        // plain per-page sum the restart pass always paid, with coalescing
-        // adjacent redo pages share one seek exactly like steady-state reads.
+        // stays serial (one restart CPU drives the redo pass).
         let mut data_pages_read = 0u64;
-        let mut unit_pages: Vec<Vec<PageId>> = vec![Vec::new(); self.units.len()];
+        let mut unit_service: Vec<SimTime> = vec![0.0; self.units.len()];
         for &(partition, page) in &redo_pages {
             match self.config.buffer.policy(partition).location {
                 // Main-memory-resident pages are rebuilt from the log alone.
@@ -236,20 +227,15 @@ impl<W: WorkloadGenerator> Simulation<W> {
                 }
                 PageLocation::DiskUnit(unit) => {
                     restart_ms += io_cpu;
-                    unit_pages[unit].push(page);
+                    unit_service[unit] += self.units[unit]
+                        .device
+                        .request(IoKind::Read, page)
+                        .foreground_service_time();
                     data_pages_read += 1;
                 }
             }
         }
-        for (unit, pages) in unit_pages.iter().enumerate() {
-            if pages.is_empty() {
-                continue;
-            }
-            let service = storage::scheduler::plan_reads(
-                &self.config.io_scheduler,
-                self.units[unit].device.as_mut(),
-                pages,
-            );
+        for (unit, service) in unit_service.into_iter().enumerate() {
             restart_ms += service / self.config.devices[unit].num_disks() as f64;
         }
 

@@ -789,68 +789,28 @@ fn quick_config_with_small_pool() -> SimulationConfig {
 }
 
 // ---------------------------------------------------------------------------
-// Device I/O request scheduler: coalescing, elevator batching, prefetch
+// Same-page read coalescing
 // ---------------------------------------------------------------------------
 
-fn scheduler_params(coalesce: bool, elevator: bool, prefetch_depth: u32) -> IoSchedulerParams {
-    IoSchedulerParams {
-        coalesce,
-        elevator,
-        prefetch_depth,
-        aging_bound: 16,
-    }
-}
-
-/// A read-only transaction touching `len` consecutive pages of partition 0
-/// starting at `start` — the ascending miss run that arms sequential
-/// prefetch.
-fn sequential_read_template(start: u64, len: u64) -> TransactionTemplate {
-    TransactionTemplate {
-        tx_type: 0,
-        refs: (0..len)
-            .map(|i| ObjectRef {
-                partition: 0,
-                page: PageId(start + i),
-                object: ObjectId(start + i),
-                mode: AccessMode::Read,
-            })
-            .collect(),
-    }
-}
-
 #[test]
-fn every_io_scheduler_combination_is_deterministic() {
-    // Same seed ⇒ byte-identical report for each scheduler policy
-    // combination.
-    let combos = [
-        scheduler_params(true, false, 0),
-        scheduler_params(false, true, 0),
-        scheduler_params(true, true, 0),
-        scheduler_params(true, true, 4),
-        scheduler_params(false, false, 4),
-    ];
-    for params in combos {
-        let make = || {
-            let mut c = data_sharing_config(3, 150.0);
-            c.warmup_ms = 300.0;
-            c.measure_ms = 1_500.0;
-            c.buffer.mm_buffer_pages = 300; // small pools: real disk reads
-            c.io_scheduler = params;
-            c
-        };
-        let a = Simulation::new(make(), debit_credit_workload(100)).run();
-        let b = Simulation::new(make(), debit_credit_workload(100)).run();
-        assert_eq!(
-            format!("{a:#?}"),
-            format!("{b:#?}"),
-            "{params:?} is not deterministic"
-        );
-        assert!(
-            a.devices.iter().all(|d| d.scheduler.is_some()),
-            "an enabled policy must render the scheduler section on every unit"
-        );
-        assert!(a.completed > 0);
-    }
+fn coalescing_runs_are_deterministic() {
+    // Same seed ⇒ byte-identical report with coalescing on.
+    let make = || {
+        let mut c = data_sharing_config(3, 150.0);
+        c.warmup_ms = 300.0;
+        c.measure_ms = 1_500.0;
+        c.buffer.mm_buffer_pages = 300; // small pools: real disk reads
+        c.io_scheduler = IoSchedulerParams { coalesce: true };
+        c
+    };
+    let a = Simulation::new(make(), debit_credit_workload(100)).run();
+    let b = Simulation::new(make(), debit_credit_workload(100)).run();
+    assert_eq!(format!("{a:#?}"), format!("{b:#?}"));
+    assert!(
+        a.devices.iter().all(|d| d.scheduler.is_some()),
+        "coalescing must render the scheduler section on every unit"
+    );
+    assert!(a.completed > 0);
 }
 
 #[test]
@@ -872,66 +832,57 @@ fn coalesced_read_completion_wakes_every_joined_waiter() {
     let mut c = quick_config(DebitCreditStorage::Disk, 50.0);
     c.io_scheduler.coalesce = true;
     let mut sim = Simulation::new(c, debit_credit_workload(200));
-    for _ in 0..3 {
+    for _ in 0..5 {
         sim.activate(0, write_template(7), 0.0);
     }
-    // Three synchronous reads of the same page: the first dispatches, the
-    // other two join its in-flight request instead of paying for their own.
+    let coalesced = |sim: &Simulation<_>| sim.units[0].coalescing.as_ref().unwrap().coalesced;
+    let drain_io = |sim: &mut Simulation<_>| {
+        while let Some(event) = sim.queue.pop() {
+            if let Ev::IoStage(io_id) = event.payload {
+                sim.handle_io_stage(io_id);
+            }
+        }
+    };
+    // Three synchronous reads of the same page: the first starts a request,
+    // the other two join it instead of paying for their own.
     for slot in 0..3 {
         assert_eq!(
             sim.op_issue_io(slot, 0, IoKind::Read, PageId(7), true, false, false),
             Flow::Blocked
         );
     }
-    let stats = sim.units[0].scheduler.as_ref().expect("enabled").stats();
-    assert_eq!(stats.coalesced, 2, "two of the three reads must coalesce");
+    assert_eq!(coalesced(&sim), 2, "two of the three reads must coalesce");
     assert_eq!(sim.ios.live().count(), 1, "one physical request in flight");
-    let waiters = sim
-        .ios
-        .live()
-        .next()
-        .expect("live io")
-        .group_waiters
-        .clone();
-    assert_eq!(waiters, vec![0, 1, 2]);
+    let io = sim.ios.live().next().expect("live io");
+    assert_eq!((io.waiter, io.group_waiters.clone()), (Some(0), vec![1, 2]));
+    // A synchronous write of the page is not a read: it never joins.
+    assert_eq!(
+        sim.op_issue_io(4, 0, IoKind::Write, PageId(7), true, false, false),
+        Flow::Blocked
+    );
+    assert_eq!(
+        sim.ios.live().count(),
+        2,
+        "the write is a request of its own"
+    );
+    assert_eq!(coalesced(&sim), 2);
     // Drive only the I/O stages to completion: every joined waiter must be
     // woken by the single completion fan-out.
-    while let Some(event) = sim.queue.pop() {
-        if let Ev::IoStage(io_id) = event.payload {
-            sim.handle_io_stage(io_id);
-        }
-    }
+    drain_io(&mut sim);
     assert_eq!(sim.ios.live().count(), 0);
-    for slot in 0..3 {
+    for slot in [0, 1, 2, 4] {
         assert_eq!(sim.txs.tx(slot).state, TxState::Ready, "slot {slot} asleep");
     }
-}
-
-#[test]
-fn an_ascending_miss_run_triggers_prefetch_and_later_references_hit() {
-    let mut c = quick_config(DebitCreditStorage::Disk, 50.0);
-    c.io_scheduler = scheduler_params(true, false, 4);
-    let mut sim = Simulation::new(c, debit_credit_workload(200));
-    // Four consecutive pages, far from the debit-credit hot set: the second
-    // miss forms an ascending run of 2 and read-ahead covers the rest.
-    sim.activate(0, sequential_read_template(5_000, 4), 0.0);
-    sim.process_ready();
-    sim.run_event_loop();
-    let prefetch_issued: u64 = sim
-        .units
-        .iter()
-        .filter_map(|u| u.scheduler.as_ref())
-        .map(|s| s.stats().prefetch_issued)
-        .sum();
-    assert!(
-        prefetch_issued >= 2,
-        "an ascending run must arm read-ahead (issued {prefetch_issued})"
+    // The completed read left the in-flight list: the next read of the page
+    // starts a new physical request instead of joining a finished one.
+    assert_eq!(
+        sim.op_issue_io(3, 0, IoKind::Read, PageId(7), true, false, false),
+        Flow::Blocked
     );
-    let hits: u64 = sim.nodes[0].bufmgr.prefetch_hits().iter().sum();
-    assert!(
-        hits >= 1,
-        "later references of the run must hit prefetched frames (hits {hits})"
-    );
+    assert_eq!(sim.ios.live().count(), 1);
+    assert_eq!(coalesced(&sim), 2);
+    drain_io(&mut sim);
+    assert_eq!(sim.txs.tx(3).state, TxState::Ready);
 }
 
 #[test]

@@ -131,13 +131,6 @@ pub(crate) struct Transaction {
     pub lock_msg_paid: bool,
     /// Number of deadlock-induced restarts.
     pub restarts: u32,
-    /// Page of this transaction's most recent buffer miss that went to a
-    /// disk unit (sequential-prefetch detection; only maintained while the
-    /// I/O scheduler prefetches).
-    pub last_miss_page: Option<PageId>,
-    /// Length of the current ascending-page miss run ending at
-    /// `last_miss_page`.  A run of ≥ 2 triggers speculative read-ahead.
-    pub miss_run: u32,
 }
 
 impl Transaction {
@@ -157,8 +150,6 @@ impl Transaction {
             pending_lock_ref: None,
             lock_msg_paid: false,
             restarts: 0,
-            last_miss_page: None,
-            miss_run: 0,
         }
     }
 
@@ -178,8 +169,6 @@ impl Transaction {
         self.pending_lock_ref = None;
         self.lock_msg_paid = false;
         self.restarts = 0;
-        self.last_miss_page = None;
-        self.miss_run = 0;
     }
 
     /// Resets the transaction for a restart after a deadlock abort.  The
@@ -195,9 +184,6 @@ impl Transaction {
         self.pending_lock_ref = None;
         self.lock_msg_paid = false;
         self.restarts += 1;
-        // The re-execution's misses form a fresh run.
-        self.last_miss_page = None;
-        self.miss_run = 0;
     }
 
     /// Pushes a batch of micro operations to the *front* of the queue,
@@ -221,15 +207,11 @@ mod tests {
         tx.micro.push_back(MicroOp::Complete);
         tx.pending_lock_ref = Some(2);
         tx.exec_node = 3; // shipped to a remote owner when the deadlock hit
-        tx.last_miss_page = Some(PageId(9));
-        tx.miss_run = 3;
         tx.restart();
         assert_eq!(tx.exec_node, 0, "restart must return execution home");
         assert_eq!(tx.phase, TxPhase::BeforeAccess { next_ref: 0 });
         assert!(tx.micro.is_empty());
         assert_eq!(tx.pending_lock_ref, None);
-        assert_eq!(tx.last_miss_page, None, "restart starts a fresh miss run");
-        assert_eq!(tx.miss_run, 0);
         assert_eq!(tx.restarts, 1);
         assert_eq!(tx.arrival, 42.0);
         assert_eq!(tx.template, 7);
@@ -243,8 +225,6 @@ mod tests {
         tx.micro.push_back(MicroOp::Complete);
         tx.lock_msg_paid = true;
         tx.exec_node = 5;
-        tx.last_miss_page = Some(PageId(4));
-        tx.miss_run = 2;
         tx.reuse(9, 2, 3, 100.0);
         assert_eq!((tx.id, tx.node, tx.template, tx.arrival), (9, 2, 3, 100.0));
         assert_eq!(tx.exec_node, 2);
@@ -252,8 +232,6 @@ mod tests {
         assert!(tx.micro.is_empty());
         assert!(!tx.lock_msg_paid);
         assert_eq!(tx.restarts, 0);
-        assert_eq!(tx.last_miss_page, None);
-        assert_eq!(tx.miss_run, 0);
     }
 
     #[test]

@@ -42,34 +42,19 @@ impl ResponseTimeStats {
     }
 }
 
-/// Per-device I/O scheduler counters, present exactly when the run enabled
-/// a scheduling policy ([`storage::IoSchedulerParams::enabled`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Per-device read-coalescing counters, present exactly when the run
+/// enabled coalescing ([`storage::IoSchedulerParams::enabled`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IoSchedulerReport {
-    /// Mean pending-queue depth seen by arriving read requests.
-    pub mean_queue_depth: f64,
-    /// Reads that joined an existing pending or in-flight request for the
-    /// same page.
+    /// Reads that joined an in-flight read of the same page.
     pub coalesced: u64,
-    /// Extra pages carried by merged adjacent-page accesses (a batch of k
-    /// pages counts k - 1).
-    pub merged_adjacent: u64,
-    /// Speculative reads the scheduler accepted.
-    pub prefetch_issued: u64,
-    /// Prefetched buffer frames whose first reference was a hit (summed
-    /// over the nodes' pools, attributed to this device via the partition
-    /// locations).
-    pub prefetch_hits: u64,
-    /// Speculative reads that bought nothing (page already resident,
-    /// admission rejected, or the frame dropped unreferenced).
-    pub prefetch_wasted: u64,
 }
 
 /// Per-storage-device report.
 ///
 /// `Debug` is implemented by hand (field-for-field like the derive) so the
-/// `scheduler` section only renders when a scheduling policy ran: goldens
-/// captured before the scheduler existed stay byte-identical.
+/// `scheduler` section only renders when coalescing ran: goldens captured
+/// before it existed stay byte-identical.
 #[derive(Clone, PartialEq)]
 pub struct DeviceReport {
     /// Device name (e.g. "db-disks", "log-disk", "nvem-log").
@@ -83,8 +68,8 @@ pub struct DeviceReport {
     pub avg_disk_wait: SimTime,
     /// Cache / absorption counters.
     pub stats: DiskUnitStats,
-    /// Request-scheduler counters; `Some` exactly when the run enabled a
-    /// scheduling policy (and omitted from the `Debug` rendering otherwise).
+    /// Read-coalescing counters; `Some` exactly when the run enabled
+    /// coalescing (and omitted from the `Debug` rendering otherwise).
     pub scheduler: Option<IoSchedulerReport>,
 }
 
@@ -712,18 +697,10 @@ mod tests {
         let mut r = dummy_report();
         let without = format!("{r:#?}");
         assert!(!without.contains("scheduler"));
-        r.devices[0].scheduler = Some(IoSchedulerReport {
-            mean_queue_depth: 1.5,
-            coalesced: 4,
-            merged_adjacent: 2,
-            prefetch_issued: 8,
-            prefetch_hits: 5,
-            prefetch_wasted: 3,
-        });
+        r.devices[0].scheduler = Some(IoSchedulerReport { coalesced: 4 });
         let with = format!("{r:#?}");
         assert!(with.contains("scheduler"));
         assert!(with.contains("coalesced: 4"));
-        assert!(with.contains("prefetch_hits: 5"));
         assert!(with.len() > without.len());
     }
 

@@ -2,11 +2,10 @@
 //!
 //! The device and buffer-manager decisions on the simulator's per-operation
 //! path have small, known bounds (at most three service stages per device
-//! decision, at most three page operations per buffer reference, at most
-//! `MERGE_CAP` pages per dispatched read batch).  Returning them in a `Vec`
-//! costs one heap allocation per operation; [`InlineVec`] keeps them in the
-//! value itself.  Exceeding the capacity is a bug in the caller's bound and
-//! panics.
+//! decision, at most three page operations per buffer reference).  Returning
+//! them in a `Vec` costs one heap allocation per operation; [`InlineVec`]
+//! keeps them in the value itself.  Exceeding the capacity is a bug in the
+//! caller's bound and panics.
 
 use std::fmt;
 use std::ops::Deref;

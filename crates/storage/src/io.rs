@@ -94,17 +94,6 @@ impl IoDecision {
         self.background.iter().map(ServiceStage::service_time).sum()
     }
 
-    /// Sum of the foreground transmission stages: the per-page transfer
-    /// cost a merged batch member pays on top of its leader's seek (see
-    /// [`crate::scheduler`]).
-    pub fn transmission_time(&self) -> SimTime {
-        self.foreground
-            .iter()
-            .filter(|s| matches!(s, ServiceStage::Transmission(_)))
-            .map(ServiceStage::service_time)
-            .sum()
-    }
-
     /// True if the request needs a synchronous disk access.
     pub fn touches_disk_in_foreground(&self) -> bool {
         self.foreground
@@ -133,7 +122,6 @@ mod tests {
         d.background.push(ServiceStage::Disk(15.0));
         assert!((d.foreground_service_time() - 16.4).abs() < 1e-12);
         assert!((d.background_service_time() - 15.0).abs() < 1e-12);
-        assert!((d.transmission_time() - 0.4).abs() < 1e-12);
         assert!(d.touches_disk_in_foreground());
     }
 

@@ -15,11 +15,10 @@
 //!   update the disk copy asynchronously.
 //! * **NVEM** — non-volatile extended memory, a page-addressable store that is
 //!   accessed synchronously by the CPU via one or more NVEM servers.
-//! * **Request scheduling** — an optional per-unit scheduling layer
-//!   ([`scheduler::RequestScheduler`]) adding same-page coalescing,
-//!   adjacent-page merging, elevator (C-SCAN) dispatch with a deterministic
-//!   aging bound, and sequential-prefetch deduplication.  Disabled by
-//!   default; the engine bypasses it entirely then.
+//! * **Read coalescing** — an optional per-unit policy
+//!   ([`scheduler::IoSchedulerParams`]): a synchronous read of a page that
+//!   is already being read at the same unit joins that in-flight request.
+//!   Disabled by default; units then serve every read on its own.
 //!
 //! The device models are *policy only*: they decide which service stages an
 //! I/O must pass through ([`io::IoDecision`]) and keep the cache state, but
@@ -43,7 +42,4 @@ pub use lru::LruCache;
 pub use lru_k::LruKTracker;
 pub use nvem::{NvemDevice, NvemDeviceParams, NvemParams};
 pub use params::{DeviceTimings, DiskUnitKind, DiskUnitParams};
-pub use scheduler::{
-    CompletedBatch, DispatchBatch, IoSchedulerParams, IoSchedulerStats, PrefetchTag,
-    RequestScheduler, SubmitOutcome,
-};
+pub use scheduler::IoSchedulerParams;

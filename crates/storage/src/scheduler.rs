@@ -1,883 +1,26 @@
-//! Per-device I/O request scheduling: coalescing, elevator dispatch and
-//! sequential prefetch.
+//! Per-device read coalescing policy.
 //!
-//! Every storage unit today serves requests strictly FCFS, one page at a
-//! time, straight against its controller/disk resources.  This module adds
-//! an optional scheduling layer in front of a unit's disk servers:
-//!
-//! * **Coalescing** — concurrent reads of the same page join one in-flight
-//!   request (the engine fans the completion back out to every waiter), and
-//!   adjacent-page reads merge into one disk access paying a single seek
-//!   plus one transmission per page.
-//! * **Elevator (C-SCAN) dispatch** — when a disk server frees up, the next
-//!   request is picked by an ascending page-order sweep instead of arrival
-//!   order.  A deterministic aging bound guarantees no request starves: the
-//!   oldest pending request is dispatched after at most
-//!   [`IoSchedulerParams::aging_bound`] sweep picks that passed it over.
-//! * **Sequential prefetch** — the engine detects ascending runs of buffer
-//!   misses and submits speculative reads for the following pages; the
-//!   scheduler deduplicates them against pending and in-flight work.
-//!
-//! Determinism rules: the pending queue is a `BTreeMap` keyed by
-//! `(page, seq)` where `seq` is a per-scheduler arrival counter, so every
-//! tie is broken identically on every run and iteration order is
-//! reproducible.  The scheduler never consults simulated time; aging is
-//! counted in dispatch decisions, not milliseconds.
-//!
-//! The scheduler only *orders and groups* requests.  The engine still
-//! executes each dispatched batch's service stages against the unit's
-//! queued controller/disk resources, and the device model is still asked
-//! for a decision per member page so controller-cache state and per-unit
-//! counters evolve exactly as if the pages had been requested individually.
-//!
-//! Dispatch allocates nothing in steady state: a batch's pages and prefetch
-//! tags are stored inline (at most [`MERGE_CAP`] of each), and the waiter
-//! lists of pending requests are recycled — [`RequestScheduler::register_inflight`]
-//! takes the dispatched batch back and returns its waiter list to the pool
-//! the next [`RequestScheduler::submit`] draws from.
+//! Every storage unit serves its requests FCFS, one page at a time, against
+//! its controller and disk resources.  With coalescing on, a synchronous
+//! read of a page that is already being read at the same unit joins that
+//! in-flight request instead of paying for its own: the engine keeps the
+//! unit's in-flight reads and fans the one completion out to every waiter.
 
-use std::collections::BTreeMap;
-
-use dbmodel::PageId;
-use simkernel::time::SimTime;
-use simkernel::InlineVec;
-
-use crate::device::StorageDevice;
-use crate::io::IoKind;
-
-/// Maximum number of pages merged into one dispatched disk access.
+/// Read-coalescing policy for one simulation (applied to every disk unit).
 ///
-/// Bounds both the service time of a single batch (so one merged access
-/// cannot monopolise a disk server for arbitrarily long) and the size of
-/// the completion fan-out.
-pub const MERGE_CAP: usize = 8;
-
-/// Opaque tag carried by a speculative (prefetch) request and handed back to
-/// the submitter when the request completes.  The engine stores
-/// `(node, partition)` here so it can route the page into the right buffer
-/// pool; the scheduler itself never interprets the value.
-pub type PrefetchTag = (usize, usize);
-
-/// The member pages of one dispatched batch, ascending; the first is the
-/// seek leader.
-pub type BatchPages = InlineVec<PageId, MERGE_CAP>;
-
-/// Per-member prefetch tags of one batch, aligned with its [`BatchPages`]
-/// (`None` for demand reads).
-pub type BatchTags = InlineVec<Option<PrefetchTag>, MERGE_CAP>;
-
-/// Scheduling policy knobs for one simulation (applied to every disk unit).
-///
-/// The default is fully disabled: every request is dispatched immediately in
-/// arrival order, exactly as without a scheduler, and no scheduler section
-/// appears in reports — existing goldens stay byte-identical.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The default is disabled: every read is an I/O of its own, and no
+/// scheduler section appears in reports — existing goldens stay
+/// byte-identical.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IoSchedulerParams {
-    /// Join concurrent same-page reads and merge adjacent-page reads into
-    /// one disk access (single seek, one transmission per page).
+    /// Let a synchronous read join an in-flight read of the same page.
     pub coalesce: bool,
-    /// Dispatch pending reads in ascending page order (C-SCAN sweep)
-    /// instead of arrival order.
-    pub elevator: bool,
-    /// Number of pages to read ahead on a detected ascending miss run
-    /// (0 disables prefetching).
-    pub prefetch_depth: u32,
-    /// Starvation bound for the elevator: the oldest pending request is
-    /// dispatched after at most this many sweep picks that passed it over.
-    /// Ignored unless `elevator` is set; must be ≥ 1 when it is.
-    pub aging_bound: u32,
-}
-
-impl Default for IoSchedulerParams {
-    fn default() -> Self {
-        Self {
-            coalesce: false,
-            elevator: false,
-            prefetch_depth: 0,
-            aging_bound: 16,
-        }
-    }
 }
 
 impl IoSchedulerParams {
-    /// True if any scheduling policy is active.  When false the engine
-    /// bypasses the scheduler entirely.
+    /// True if coalescing is on.  When false the engine keeps no in-flight
+    /// read lists at all.
     pub fn enabled(&self) -> bool {
-        self.coalesce || self.elevator || self.prefetch_depth > 0
-    }
-
-    /// Validates the parameter combination.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.elevator && self.aging_bound == 0 {
-            return Err("elevator dispatch requires aging_bound >= 1 \
-                 (0 would let the sweep starve old requests forever)"
-                .into());
-        }
-        Ok(())
-    }
-}
-
-/// Counters kept by one device's scheduler.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct IoSchedulerStats {
-    /// Reads that joined an existing pending or in-flight request for the
-    /// same page instead of being queued separately.
-    pub coalesced: u64,
-    /// Extra pages carried by merged adjacent-page accesses (a batch of k
-    /// pages counts k - 1 here).
-    pub merged_adjacent: u64,
-    /// Speculative reads accepted into the pending queue.
-    pub prefetch_issued: u64,
-    /// Sum of pending-queue depths observed at each submission.
-    pub depth_sum: u64,
-    /// Number of submissions observed (denominator for the mean depth).
-    pub depth_samples: u64,
-}
-
-impl IoSchedulerStats {
-    /// Mean pending-queue depth seen by arriving requests (0 when no
-    /// request ever arrived).
-    pub fn mean_queue_depth(&self) -> f64 {
-        if self.depth_samples == 0 {
-            0.0
-        } else {
-            self.depth_sum as f64 / self.depth_samples as f64
-        }
-    }
-}
-
-/// What happened to a submitted read.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SubmitOutcome {
-    /// The page is already being read: the waiter must be attached to the
-    /// identified in-flight request's completion fan-out.
-    JoinedInflight(u32),
-    /// The request was queued (possibly joining a pending entry for the
-    /// same page).  The engine should try to dispatch.
-    Queued,
-}
-
-/// One dispatched batch: the pages to read in one disk access, every waiter
-/// to wake when it completes, and the prefetch tag (if any) per page.  Hand
-/// it back through [`RequestScheduler::register_inflight`] once the waiters
-/// are attached to the I/O.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DispatchBatch {
-    /// Member pages in ascending order; the first is the seek leader.
-    pub pages: BatchPages,
-    /// Transaction slots waiting for any member page.
-    pub waiters: Vec<usize>,
-    /// Per-page prefetch tag, aligned with `pages` (`None` for demand reads).
-    pub prefetch: BatchTags,
-}
-
-/// The pages and prefetch tags of a completed batch, handed back to the
-/// engine so it can admit speculative pages into the buffer pool.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CompletedBatch {
-    /// Member pages of the completed access.
-    pub pages: BatchPages,
-    /// `(page, tag)` for every member that was a speculative read.
-    pub prefetched: InlineVec<(PageId, PrefetchTag), MERGE_CAP>,
-}
-
-/// A queued (not yet dispatched) request.
-#[derive(Debug, Clone, PartialEq)]
-struct PendingEntry {
-    /// Arrival order, used for FCFS dispatch and the aging bound.
-    seq: u64,
-    /// Transaction slots waiting for the page (empty for pure prefetches).
-    waiters: Vec<usize>,
-    /// Set if the entry originated as a speculative read.
-    prefetch: Option<PrefetchTag>,
-}
-
-/// An already dispatched batch the scheduler still tracks (so same-page
-/// reads can join it and its completion frees a service slot).  Its
-/// prefetch tags, when it has any, wait in `RequestScheduler::inflight_tags`
-/// so the list every submission scans stays small.
-#[derive(Debug, Clone, PartialEq)]
-struct InflightBatch {
-    io_id: u32,
-    pages: BatchPages,
-}
-
-/// Per-device request scheduler.  See the module docs for the policies.
-#[derive(Debug)]
-pub struct RequestScheduler {
-    params: IoSchedulerParams,
-    /// Concurrent dispatch cap: one batch per disk server.  Requests beyond
-    /// it wait in `pending`, which is where reordering happens.
-    width: usize,
-    /// Pending reads keyed by `(page, seq)`: BTreeMap iteration *is* the
-    /// elevator's sweep order, and `seq` makes every key unique so ties are
-    /// broken by arrival deterministically.
-    pending: BTreeMap<(PageId, u64), PendingEntry>,
-    /// Next arrival sequence number.
-    next_seq: u64,
-    /// C-SCAN sweep position: the next dispatch prefers the smallest
-    /// pending page at or above this, wrapping to the smallest overall.
-    cursor: PageId,
-    /// Dispatch decisions that passed over the oldest pending request since
-    /// it became oldest; at `aging_bound` the oldest is dispatched next.
-    oldest_skipped: u32,
-    /// Batches currently executing against the device (≤ `width`).
-    in_service: usize,
-    inflight: Vec<InflightBatch>,
-    /// `(io_id, page, tag)` of every speculative member of an in-flight
-    /// batch, in dispatch order.
-    inflight_tags: Vec<(u32, PageId, PrefetchTag)>,
-    /// Emptied waiter lists (capacity kept), drawn from by `submit`.
-    spare_waiters: Vec<Vec<usize>>,
-    stats: IoSchedulerStats,
-}
-
-impl RequestScheduler {
-    /// Creates a scheduler for a unit with `num_disks` disk servers.
-    ///
-    /// # Panics
-    /// Panics if the parameters fail [`IoSchedulerParams::validate`].
-    pub fn new(params: IoSchedulerParams, num_disks: usize) -> Self {
-        if let Err(msg) = params.validate() {
-            panic!("invalid I/O scheduler parameters: {msg}");
-        }
-        Self {
-            params,
-            width: num_disks.max(1),
-            pending: BTreeMap::new(),
-            next_seq: 0,
-            cursor: PageId(0),
-            oldest_skipped: 0,
-            in_service: 0,
-            inflight: Vec::new(),
-            inflight_tags: Vec::new(),
-            spare_waiters: Vec::new(),
-            stats: IoSchedulerStats::default(),
-        }
-    }
-
-    /// The parameters in use.
-    pub fn params(&self) -> &IoSchedulerParams {
-        &self.params
-    }
-
-    /// Current counters.
-    pub fn stats(&self) -> IoSchedulerStats {
-        self.stats
-    }
-
-    /// Resets the counters (end of warm-up) without touching queue state.
-    pub fn reset_stats(&mut self) {
-        self.stats = IoSchedulerStats::default();
-    }
-
-    /// Number of queued (not yet dispatched) requests.
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Number of batches currently executing against the device.
-    pub fn in_service(&self) -> usize {
-        self.in_service
-    }
-
-    /// Submits a demand read of `page` on behalf of transaction slot
-    /// `waiter`.  The queue depth each request observes on arrival feeds
-    /// `mean_queue_depth`.
-    pub fn submit(&mut self, page: PageId, waiter: usize) -> SubmitOutcome {
-        self.stats.depth_sum += self.pending.len() as u64;
-        self.stats.depth_samples += 1;
-        if self.params.coalesce {
-            if let Some(batch) = self.inflight.iter().find(|b| b.pages.contains(&page)) {
-                self.stats.coalesced += 1;
-                return SubmitOutcome::JoinedInflight(batch.io_id);
-            }
-            if let Some(entry) = self.pending_entry_mut(page) {
-                entry.waiters.push(waiter);
-                self.stats.coalesced += 1;
-                return SubmitOutcome::Queued;
-            }
-        }
-        let seq = self.take_seq();
-        let mut waiters = self.spare_waiters.pop().unwrap_or_default();
-        waiters.push(waiter);
-        self.pending.insert(
-            (page, seq),
-            PendingEntry {
-                seq,
-                waiters,
-                prefetch: None,
-            },
-        );
-        SubmitOutcome::Queued
-    }
-
-    /// Submits a speculative read of `page`.  Returns false (a no-op) if the
-    /// page is already pending or in flight — the prefetch is redundant.
-    /// Deduplication applies regardless of `coalesce`: issuing the same
-    /// speculative page twice models nothing.
-    pub fn submit_prefetch(&mut self, page: PageId, tag: PrefetchTag) -> bool {
-        if self.inflight.iter().any(|b| b.pages.contains(&page))
-            || self.pending_entry_mut(page).is_some()
-        {
-            return false;
-        }
-        let seq = self.take_seq();
-        self.pending.insert(
-            (page, seq),
-            PendingEntry {
-                seq,
-                waiters: Vec::new(),
-                prefetch: Some(tag),
-            },
-        );
-        self.stats.prefetch_issued += 1;
-        true
-    }
-
-    /// Picks the next batch to dispatch, or `None` when every disk server
-    /// already has a batch in service or nothing is pending.  The caller
-    /// must follow up with [`RequestScheduler::register_inflight`] once the
-    /// batch has an I/O id.
-    pub fn next_batch(&mut self) -> Option<DispatchBatch> {
-        if self.in_service >= self.width || self.pending.is_empty() {
-            return None;
-        }
-        let leader = self.pick_leader();
-        let entry = self.pending.remove(&leader).expect("picked key pending");
-        let mut pages = BatchPages::new();
-        pages.push(leader.0);
-        let mut waiters = entry.waiters;
-        let mut prefetch = BatchTags::new();
-        prefetch.push(entry.prefetch);
-        if self.params.coalesce {
-            // Grab consecutive ascending neighbours: a single seek serves
-            // the whole run.
-            while pages.len() < MERGE_CAP {
-                let next_page = PageId(pages.last().expect("non-empty").0.wrapping_add(1));
-                let Some(key) = self.first_key_for(next_page) else {
-                    break;
-                };
-                let member = self.pending.remove(&key).expect("ranged key pending");
-                pages.push(next_page);
-                waiters.extend_from_slice(&member.waiters);
-                self.recycle_waiters(member.waiters);
-                prefetch.push(member.prefetch);
-                self.stats.merged_adjacent += 1;
-            }
-        }
-        self.cursor = PageId(pages.last().expect("non-empty").0.wrapping_add(1));
-        self.in_service += 1;
-        Some(DispatchBatch {
-            pages,
-            waiters,
-            prefetch,
-        })
-    }
-
-    /// Records the I/O id the engine assigned to a batch returned by
-    /// [`RequestScheduler::next_batch`], so later same-page submissions can
-    /// join it and its completion can be matched back.  Takes the batch
-    /// back: the caller has attached its waiters to the I/O by now, and the
-    /// emptied waiter list is recycled for later submissions.
-    pub fn register_inflight(&mut self, io_id: u32, batch: DispatchBatch) {
-        let tagged = batch.pages.iter().zip(batch.prefetch.iter());
-        self.inflight_tags
-            .extend(tagged.filter_map(|(&page, tag)| tag.map(|tag| (io_id, page, tag))));
-        self.inflight.push(InflightBatch {
-            io_id,
-            pages: batch.pages,
-        });
-        self.recycle_waiters(batch.waiters);
-    }
-
-    /// Reports the completion of the batch dispatched as `io_id`, freeing
-    /// its service slot.  Returns the batch's pages and prefetch tags, or
-    /// `None` if the id was never registered (a non-scheduled I/O).
-    pub fn complete(&mut self, io_id: u32) -> Option<CompletedBatch> {
-        let idx = self.inflight.iter().position(|b| b.io_id == io_id)?;
-        // In-flight batches never share a page a lookup could find (a read
-        // of an in-flight page joins it), so their order is unobservable.
-        let batch = self.inflight.swap_remove(idx);
-        debug_assert!(
-            self.in_service > 0,
-            "batch completion without a matching dispatch"
-        );
-        if let Some(next) = self.in_service.checked_sub(1) {
-            self.in_service = next;
-        }
-        let mut prefetched = InlineVec::new();
-        if !self.inflight_tags.is_empty() {
-            prefetched.extend(
-                self.inflight_tags
-                    .iter()
-                    .filter(|&&(id, _, _)| id == io_id)
-                    .map(|&(_, page, tag)| (page, tag)),
-            );
-            self.inflight_tags.retain(|&(id, _, _)| id != io_id);
-        }
-        Some(CompletedBatch {
-            pages: batch.pages,
-            prefetched,
-        })
-    }
-
-    /// True if `page` is pending or in flight (used to avoid duplicate
-    /// speculative work upstream).
-    pub fn tracks_page(&self, page: PageId) -> bool {
-        self.inflight.iter().any(|b| b.pages.contains(&page))
-            || self
-                .pending
-                .range((page, 0)..=(page, u64::MAX))
-                .next()
-                .is_some()
-    }
-
-    /// Keeps an emptied waiter list for reuse.  Lists that never allocated
-    /// (pure prefetches) are dropped, so the pool only holds buffers.
-    fn recycle_waiters(&mut self, mut waiters: Vec<usize>) {
-        if waiters.capacity() > 0 {
-            waiters.clear();
-            self.spare_waiters.push(waiters);
-        }
-    }
-
-    fn take_seq(&mut self) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        seq
-    }
-
-    /// The earliest-arrived pending entry for `page`, if any.
-    fn pending_entry_mut(&mut self, page: PageId) -> Option<&mut PendingEntry> {
-        let key = self.first_key_for(page)?;
-        self.pending.get_mut(&key)
-    }
-
-    fn first_key_for(&self, page: PageId) -> Option<(PageId, u64)> {
-        self.pending
-            .range((page, 0)..=(page, u64::MAX))
-            .next()
-            .map(|(&k, _)| k)
-    }
-
-    /// Key of the oldest (minimum-seq) pending entry.  BTreeMap iteration
-    /// is key-ordered, so the scan is deterministic (and seqs are unique).
-    fn oldest_key(&self) -> (PageId, u64) {
-        *self
-            .pending
-            .iter()
-            .min_by_key(|(_, e)| e.seq)
-            .map(|(k, _)| k)
-            .expect("pending non-empty")
-    }
-
-    /// Picks the leader key for the next dispatch: FCFS (minimum seq) when
-    /// the elevator is off; otherwise the C-SCAN sweep pick, overridden by
-    /// the oldest request once the aging bound is reached.
-    fn pick_leader(&mut self) -> (PageId, u64) {
-        if !self.params.elevator {
-            return self.oldest_key();
-        }
-        let oldest = self.oldest_key();
-        if self.oldest_skipped >= self.params.aging_bound {
-            self.oldest_skipped = 0;
-            return oldest;
-        }
-        let sweep = self
-            .pending
-            .range((self.cursor, 0)..)
-            .next()
-            .map(|(&k, _)| k)
-            .unwrap_or_else(|| {
-                // Wrap: sweep restarts at the smallest pending page.
-                *self.pending.keys().next().expect("pending non-empty")
-            });
-        if sweep == oldest {
-            self.oldest_skipped = 0;
-        } else {
-            self.oldest_skipped += 1;
-        }
-        sweep
-    }
-}
-
-/// Groups an ascending page list into maximal consecutive runs of at most
-/// `cap` pages each, returning `(start, len)` per run.  Shared by the
-/// steady-state dispatcher and the restart redo planner so both use one
-/// definition of "adjacent".
-pub fn coalesce_runs(pages: &[PageId], cap: usize) -> Vec<(PageId, usize)> {
-    let cap = cap.max(1);
-    let mut runs = Vec::new();
-    let mut iter = pages.iter().copied();
-    let Some(first) = iter.next() else {
-        return runs;
-    };
-    let (mut start, mut len) = (first, 1usize);
-    for page in iter {
-        if page.0 == start.0.wrapping_add(len as u64) && len < cap {
-            len += 1;
-        } else {
-            runs.push((start, len));
-            start = page;
-            len = 1;
-        }
-    }
-    runs.push((start, len));
-    runs
-}
-
-/// Plans the service time of reading `pages` (in the given order) from
-/// `device`, honouring the scheduler's coalescing policy.
-///
-/// * Scheduler (or coalescing) disabled: each page is requested
-///   individually and the foreground service times are summed in the given
-///   order — arithmetic-identical to issuing the reads one by one.
-/// * Coalescing enabled: the pages are sorted, grouped into consecutive
-///   runs of at most [`MERGE_CAP`], and each run pays its leader's full
-///   access plus one transmission per additional member.
-///
-/// Every page is still individually requested from the device so cache
-/// state and per-unit counters evolve exactly as under individual reads.
-/// Used by crash-restart redo replay so restart reads share the
-/// steady-state queueing model.
-pub fn plan_reads(
-    params: &IoSchedulerParams,
-    device: &mut dyn StorageDevice,
-    pages: &[PageId],
-) -> SimTime {
-    if !(params.enabled() && params.coalesce) {
-        return pages
-            .iter()
-            .map(|&p| device.request(IoKind::Read, p).foreground_service_time())
-            .sum();
-    }
-    let mut sorted = pages.to_vec();
-    sorted.sort_unstable();
-    let mut total: SimTime = 0.0;
-    for (start, len) in coalesce_runs(&sorted, MERGE_CAP) {
-        for i in 0..len {
-            let page = PageId(start.0.wrapping_add(i as u64));
-            let decision = device.request(IoKind::Read, page);
-            total += if i == 0 {
-                decision.foreground_service_time()
-            } else {
-                decision.transmission_time()
-            };
-        }
-    }
-    total
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::disk_unit::DiskUnit;
-    use crate::params::{DiskUnitKind, DiskUnitParams};
-
-    fn sched(params: IoSchedulerParams, width: usize) -> RequestScheduler {
-        RequestScheduler::new(params, width)
-    }
-
-    fn all_on() -> IoSchedulerParams {
-        IoSchedulerParams {
-            coalesce: true,
-            elevator: true,
-            prefetch_depth: 4,
-            aging_bound: 4,
-        }
-    }
-
-    #[test]
-    fn default_params_are_disabled_and_valid() {
-        let p = IoSchedulerParams::default();
-        assert!(!p.enabled());
-        assert!(p.validate().is_ok());
-        assert!(IoSchedulerParams {
-            elevator: true,
-            aging_bound: 0,
-            ..p
-        }
-        .validate()
-        .is_err());
-    }
-
-    #[test]
-    fn fcfs_dispatches_in_arrival_order() {
-        let mut s = sched(
-            IoSchedulerParams {
-                coalesce: true,
-                ..Default::default()
-            },
-            1,
-        );
-        s.submit(PageId(9), 0);
-        s.submit(PageId(3), 1);
-        let b = s.next_batch().unwrap();
-        assert_eq!(b.pages[..], [PageId(9)]);
-        // Width 1: nothing else dispatches until the batch completes.
-        assert!(s.next_batch().is_none());
-        s.register_inflight(7, b);
-        s.complete(7).unwrap();
-        assert_eq!(s.next_batch().unwrap().pages[..], [PageId(3)]);
-    }
-
-    #[test]
-    fn same_page_reads_coalesce_and_fan_out() {
-        let mut s = sched(
-            IoSchedulerParams {
-                coalesce: true,
-                ..Default::default()
-            },
-            1,
-        );
-        s.submit(PageId(5), 0);
-        assert_eq!(s.submit(PageId(5), 1), SubmitOutcome::Queued);
-        let b = s.next_batch().unwrap();
-        // Both waiters ride the single pending entry.
-        assert_eq!(b.pages[..], [PageId(5)]);
-        assert_eq!(b.waiters, vec![0, 1]);
-        s.register_inflight(11, b);
-        // A third reader arrives while the read is in flight: it joins it.
-        assert_eq!(s.submit(PageId(5), 2), SubmitOutcome::JoinedInflight(11));
-        assert_eq!(s.stats().coalesced, 2);
-        let done = s.complete(11).unwrap();
-        assert_eq!(done.pages[..], [PageId(5)]);
-        assert!(done.prefetched.is_empty());
-        assert_eq!(s.in_service(), 0);
-    }
-
-    #[test]
-    fn adjacent_pages_merge_into_one_batch() {
-        let mut s = sched(
-            IoSchedulerParams {
-                coalesce: true,
-                ..Default::default()
-            },
-            2,
-        );
-        s.submit(PageId(10), 0);
-        s.submit(PageId(12), 1);
-        s.submit(PageId(11), 2);
-        let b = s.next_batch().unwrap();
-        assert_eq!(b.pages[..], [PageId(10), PageId(11), PageId(12)]);
-        assert_eq!(b.waiters, vec![0, 2, 1]);
-        assert_eq!(s.stats().merged_adjacent, 2);
-        assert_eq!(s.pending_len(), 0);
-    }
-
-    #[test]
-    fn merge_cap_bounds_batch_size() {
-        let mut s = sched(
-            IoSchedulerParams {
-                coalesce: true,
-                ..Default::default()
-            },
-            4,
-        );
-        for (i, p) in (0..(MERGE_CAP as u64 + 3)).enumerate() {
-            s.submit(PageId(p), i);
-        }
-        let b = s.next_batch().unwrap();
-        assert_eq!(b.pages.len(), MERGE_CAP);
-        assert_eq!(s.pending_len(), 3);
-    }
-
-    #[test]
-    fn elevator_sweeps_in_page_order_with_wraparound() {
-        let mut s = sched(
-            IoSchedulerParams {
-                elevator: true,
-                aging_bound: 100,
-                ..Default::default()
-            },
-            1,
-        );
-        for (i, p) in [40u64, 10, 30, 20].into_iter().enumerate() {
-            s.submit(PageId(p), i);
-        }
-        let mut order = Vec::new();
-        for io in 0..4u32 {
-            let b = s.next_batch().unwrap();
-            order.push(b.pages[0]);
-            s.register_inflight(io, b);
-            s.complete(io).unwrap();
-        }
-        // Cursor starts at 0 → ascending sweep.
-        assert_eq!(order, vec![PageId(10), PageId(20), PageId(30), PageId(40)]);
-        // Now queue pages below the cursor: the sweep wraps.
-        s.submit(PageId(5), 9);
-        assert_eq!(s.next_batch().unwrap().pages[..], [PageId(5)]);
-    }
-
-    #[test]
-    fn aging_bound_dispatches_the_oldest_request() {
-        // Page 100 arrives first, then a stream of low pages keeps the sweep
-        // busy below it after a wrap.  The oldest entry must be dispatched
-        // after at most `aging_bound` picks that passed it over.
-        let bound = 3u32;
-        let mut s = sched(
-            IoSchedulerParams {
-                elevator: true,
-                aging_bound: bound,
-                ..Default::default()
-            },
-            1,
-        );
-        s.submit(PageId(100), 0);
-        // Drive the sweep past 100 once so the cursor wraps above it.
-        let mut io = 0u32;
-        let mut dispatch = |s: &mut RequestScheduler| {
-            let b = s.next_batch().unwrap();
-            let leader = b.pages[0];
-            s.register_inflight(io, b);
-            s.complete(io).unwrap();
-            io += 1;
-            leader
-        };
-        // Feed low pages; each dispatch picks the low page (cursor < 100
-        // never holds after the first pick at 100?). First dispatch picks
-        // 100 directly (cursor 0 → smallest ≥ 0 is 100 when alone), so add
-        // competitors first.
-        for (i, p) in [1u64, 2, 3, 4, 5, 6].into_iter().enumerate() {
-            s.submit(PageId(p), i + 1);
-        }
-        let mut skipped = 0u32;
-        loop {
-            let picked = dispatch(&mut s);
-            if picked == PageId(100) {
-                break;
-            }
-            skipped += 1;
-            // Keep the queue stocked with small pages so the sweep would
-            // otherwise never reach 100 (it wraps to the small pages).
-            s.submit(PageId(u64::from(skipped)), 50 + skipped as usize);
-            assert!(skipped <= bound, "oldest request starved past the bound");
-        }
-        assert_eq!(skipped, bound, "aging must fire exactly at the bound");
-    }
-
-    #[test]
-    fn prefetch_dedupes_against_pending_and_inflight() {
-        let mut s = sched(all_on(), 1);
-        assert!(s.submit_prefetch(PageId(7), (0, 0)));
-        assert!(!s.submit_prefetch(PageId(7), (0, 0)), "already pending");
-        let b = s.next_batch().unwrap();
-        s.register_inflight(3, b);
-        assert!(!s.submit_prefetch(PageId(7), (0, 0)), "already in flight");
-        let done = s.complete(3).unwrap();
-        assert_eq!(done.prefetched[..], [(PageId(7), (0, 0))]);
-        assert!(s.submit_prefetch(PageId(7), (0, 0)), "free again");
-        assert_eq!(s.stats().prefetch_issued, 2);
-        // Prefetch joins are not demand coalescing.
-        assert_eq!(s.stats().coalesced, 0);
-    }
-
-    #[test]
-    fn demand_read_joins_a_pending_prefetch() {
-        let mut s = sched(all_on(), 1);
-        assert!(s.submit_prefetch(PageId(20), (1, 2)));
-        assert_eq!(s.submit(PageId(20), 8), SubmitOutcome::Queued);
-        let b = s.next_batch().unwrap();
-        assert_eq!(b.pages[..], [PageId(20)]);
-        assert_eq!(b.waiters, vec![8]);
-        // The entry keeps its prefetch tag: admission still runs at
-        // completion (and will find the page already resident).
-        assert_eq!(b.prefetch[..], [Some((1, 2))]);
-        assert_eq!(s.stats().coalesced, 1);
-    }
-
-    #[test]
-    fn dispatched_waiter_lists_are_recycled() {
-        let mut s = sched(
-            IoSchedulerParams {
-                coalesce: true,
-                ..Default::default()
-            },
-            1,
-        );
-        for io in 0..3u32 {
-            s.submit(PageId(u64::from(io)), io as usize);
-            let b = s.next_batch().unwrap();
-            assert_eq!(b.waiters, vec![io as usize]);
-            s.register_inflight(io, b);
-            // The batch's list is back in the pool for the next submission.
-            assert_eq!(s.spare_waiters.len(), 1);
-            s.complete(io).unwrap();
-        }
-        // A pure prefetch never allocated a list and adds none to the pool.
-        assert!(s.submit_prefetch(PageId(50), (0, 0)));
-        s.spare_waiters.clear();
-        let b = s.next_batch().unwrap();
-        s.register_inflight(9, b);
-        assert!(s.spare_waiters.is_empty());
-    }
-
-    #[test]
-    fn mean_queue_depth_counts_arrival_depths() {
-        let mut s = sched(
-            IoSchedulerParams {
-                coalesce: true,
-                ..Default::default()
-            },
-            1,
-        );
-        s.submit(PageId(1), 0); // depth 0
-        s.submit(PageId(3), 1); // depth 1
-        s.submit(PageId(5), 2); // depth 2
-        assert!((s.stats().mean_queue_depth() - 1.0).abs() < 1e-12);
-        s.reset_stats();
-        assert_eq!(s.stats(), IoSchedulerStats::default());
-        assert_eq!(s.pending_len(), 3, "reset keeps queue state");
-    }
-
-    #[test]
-    fn coalesce_runs_groups_consecutive_pages() {
-        let pages: Vec<PageId> = [1u64, 2, 3, 7, 8, 20].iter().map(|&p| PageId(p)).collect();
-        assert_eq!(
-            coalesce_runs(&pages, 8),
-            vec![(PageId(1), 3), (PageId(7), 2), (PageId(20), 1)]
-        );
-        assert_eq!(
-            coalesce_runs(&pages, 2),
-            vec![
-                (PageId(1), 2),
-                (PageId(3), 1),
-                (PageId(7), 2),
-                (PageId(20), 1)
-            ]
-        );
-        assert!(coalesce_runs(&[], 8).is_empty());
-    }
-
-    #[test]
-    fn plan_reads_disabled_matches_per_page_sum() {
-        let params = DiskUnitParams::database_disks(DiskUnitKind::Regular, 4, 16);
-        let mut a = DiskUnit::new("a", params);
-        let mut b = DiskUnit::new("b", params);
-        let pages: Vec<PageId> = (0..5).map(PageId).collect();
-        let individually: SimTime = pages
-            .iter()
-            .map(|&p| a.request(IoKind::Read, p).foreground_service_time())
-            .sum();
-        let planned = plan_reads(&IoSchedulerParams::default(), &mut b, &pages);
-        assert_eq!(planned, individually, "bit-identical, not just close");
-        assert_eq!(a.stats(), b.stats());
-    }
-
-    #[test]
-    fn plan_reads_coalesced_pays_one_seek_per_run() {
-        let params = DiskUnitParams::database_disks(DiskUnitKind::Regular, 4, 16);
-        let mut u = DiskUnit::new("u", params);
-        let sched_params = IoSchedulerParams {
-            coalesce: true,
-            ..Default::default()
-        };
-        // Pages 3,1,2 form one run of 3 after sorting: 16.4 + 2 * 0.4.
-        let pages: Vec<PageId> = [3u64, 1, 2].iter().map(|&p| PageId(p)).collect();
-        let planned = plan_reads(&sched_params, &mut u, &pages);
-        assert!((planned - (16.4 + 2.0 * 0.4)).abs() < 1e-9);
-        // Device counters still see every page.
-        assert_eq!(u.stats().reads, 3);
+        self.coalesce
     }
 }

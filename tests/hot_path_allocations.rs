@@ -98,10 +98,7 @@ fn count(config: &SimulationConfig, measure_ms: f64) -> (u64, u64) {
 
 /// The configurations the steady-state bound covers.
 fn configs() -> Vec<(&'static str, SimulationConfig)> {
-    let coalesce = storage::IoSchedulerParams {
-        coalesce: true,
-        ..Default::default()
-    };
+    let coalesce = storage::IoSchedulerParams { coalesce: true };
     vec![
         (
             "quickstart",

@@ -345,14 +345,11 @@ fn golden_fig10x_shaped_workload_report_is_byte_identical() {
 }
 
 /// One fig11.x point: four nodes with same-page read coalescing and the log
-/// in NVEM, including the per-device scheduler section.  Covers the
-/// scheduler's dispatch path and the device decisions of merged reads.
+/// in NVEM, including the per-device scheduler section.  Covers the join
+/// and completion path of coalesced reads.
 #[test]
 fn golden_fig11x_coalescing_4_node_report_is_byte_identical() {
-    let coalesce = storage::IoSchedulerParams {
-        coalesce: true,
-        ..Default::default()
-    };
+    let coalesce = storage::IoSchedulerParams { coalesce: true };
     let mut config = scheduler_point(4, 60.0, coalesce, true);
     config.warmup_ms = 1_000.0;
     config.measure_ms = 4_000.0;
