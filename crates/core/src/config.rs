@@ -471,24 +471,13 @@ impl CoherenceParams {
 /// over simulated time.  Every variant scales the base
 /// [`SimulationConfig::arrival_rate_tps`]; `Constant` keeps the original
 /// homogeneous Poisson process (bit-for-bit, including its RNG draw
-/// sequence), the others drive a non-homogeneous Poisson process through
+/// sequence), `Burst` drives a non-homogeneous Poisson process through
 /// [`PiecewiseRate`] inversion.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum WorkloadSchedule {
     /// Fixed rate for the whole run (the paper's model; the default).
     #[default]
     Constant,
-    /// A stepped diurnal curve: eight equal steps per `period_ms` following
-    /// `1 + amplitude · sin`, so load swings between roughly
-    /// `(1 - amplitude)` and `(1 + amplitude)` times the base rate while the
-    /// *mean* rate stays exactly the base rate (the eight sine samples sum
-    /// to zero).
-    Diurnal {
-        /// Length of one day-cycle in simulated ms.
-        period_ms: SimTime,
-        /// Relative swing in `[0, 1)`.
-        amplitude: f64,
-    },
     /// Periodic load spikes: for the first `burst_fraction` of every
     /// `period_ms` the rate is `burst_factor ×` base, then base for the
     /// remainder.
@@ -500,18 +489,6 @@ pub enum WorkloadSchedule {
         /// Rate multiplier during the burst (> 0).
         burst_factor: f64,
     },
-    /// Overload-and-recover: `normal_ms` at the base rate, then
-    /// `overload_ms` at `overload_factor ×` base, repeating — the shape used
-    /// to study how far tail latency degrades under a sustained overload and
-    /// how quickly the queues drain afterwards.
-    OverloadRecover {
-        /// Length of the normal-load phase in simulated ms.
-        normal_ms: SimTime,
-        /// Length of the overload phase in simulated ms.
-        overload_ms: SimTime,
-        /// Rate multiplier during the overload phase (> 0).
-        overload_factor: f64,
-    },
 }
 
 impl WorkloadSchedule {
@@ -520,52 +497,21 @@ impl WorkloadSchedule {
         matches!(self, WorkloadSchedule::Constant)
     }
 
-    /// The cyclic segment list `(duration_ms, factor)` of the schedule, or
-    /// `None` for `Constant`.  Factors multiply the base arrival rate.
-    fn segments(&self) -> Option<Vec<(SimTime, f64)>> {
-        match *self {
-            WorkloadSchedule::Constant => None,
-            WorkloadSchedule::Diurnal {
-                period_ms,
-                amplitude,
-            } => {
-                let step = period_ms / 8.0;
-                Some(
-                    (0..8)
-                        .map(|i| {
-                            let angle = std::f64::consts::TAU * (i as f64 + 0.5) / 8.0;
-                            (step, 1.0 + amplitude * angle.sin())
-                        })
-                        .collect(),
-                )
-            }
-            WorkloadSchedule::Burst {
-                period_ms,
-                burst_fraction,
-                burst_factor,
-            } => Some(vec![
-                (period_ms * burst_fraction, burst_factor),
-                (period_ms * (1.0 - burst_fraction), 1.0),
-            ]),
-            WorkloadSchedule::OverloadRecover {
-                normal_ms,
-                overload_ms,
-                overload_factor,
-            } => Some(vec![(normal_ms, 1.0), (overload_ms, overload_factor)]),
-        }
-    }
-
     /// Compiles the schedule into the piecewise rate function driving the
     /// non-homogeneous Poisson arrival process, or `None` for `Constant`
     /// (the engine then keeps the original draw path untouched).
     pub fn to_piecewise(&self, base_rate_tps: f64) -> Option<PiecewiseRate> {
-        self.segments().map(|segs| {
-            PiecewiseRate::new(
-                segs.into_iter()
-                    .map(|(dur, factor)| (dur, base_rate_tps * factor))
-                    .collect(),
-            )
-        })
+        match *self {
+            WorkloadSchedule::Constant => None,
+            WorkloadSchedule::Burst {
+                period_ms,
+                burst_fraction,
+                burst_factor,
+            } => Some(PiecewiseRate::new(vec![
+                (period_ms * burst_fraction, base_rate_tps * burst_factor),
+                (period_ms * (1.0 - burst_fraction), base_rate_tps),
+            ])),
+        }
     }
 
     /// Validates the schedule parameters (positive, finite, non-degenerate
@@ -574,18 +520,6 @@ impl WorkloadSchedule {
     pub fn validate(&self) -> Result<(), String> {
         match *self {
             WorkloadSchedule::Constant => Ok(()),
-            WorkloadSchedule::Diurnal {
-                period_ms,
-                amplitude,
-            } => {
-                if !period_ms.is_finite() || period_ms <= 0.0 {
-                    return Err("diurnal period must be positive".into());
-                }
-                if !amplitude.is_finite() || !(0.0..1.0).contains(&amplitude) {
-                    return Err("diurnal amplitude must be in [0, 1)".into());
-                }
-                Ok(())
-            }
             WorkloadSchedule::Burst {
                 period_ms,
                 burst_fraction,
@@ -603,24 +537,6 @@ impl WorkloadSchedule {
                 }
                 if !burst_factor.is_finite() || burst_factor <= 0.0 {
                     return Err("burst factor must be positive".into());
-                }
-                Ok(())
-            }
-            WorkloadSchedule::OverloadRecover {
-                normal_ms,
-                overload_ms,
-                overload_factor,
-            } => {
-                if !normal_ms.is_finite() || normal_ms <= 0.0 {
-                    return Err("overload-recover normal phase must have positive duration".into());
-                }
-                if !overload_ms.is_finite() || overload_ms <= 0.0 {
-                    return Err(
-                        "overload-recover overload phase must have positive duration".into(),
-                    );
-                }
-                if !overload_factor.is_finite() || overload_factor <= 0.0 {
-                    return Err("overload factor must be positive".into());
                 }
                 Ok(())
             }
@@ -972,17 +888,6 @@ mod tests {
             burst_factor: 5.0,
         };
         assert!(c.validate().is_err());
-        c.workload.schedule = WorkloadSchedule::OverloadRecover {
-            normal_ms: 1000.0,
-            overload_ms: 0.0,
-            overload_factor: 2.0,
-        };
-        assert!(c.validate().is_err());
-        c.workload.schedule = WorkloadSchedule::Diurnal {
-            period_ms: 1000.0,
-            amplitude: 1.0,
-        };
-        assert!(c.validate().is_err());
         c.workload.schedule = WorkloadSchedule::Burst {
             period_ms: 1000.0,
             burst_fraction: 0.1,
@@ -1006,23 +911,6 @@ mod tests {
             burst_factor: 10.0,
         };
         assert!((c.expected_arrivals() - 600.0 * 1.9).abs() < 1e-6);
-
-        // Diurnal: the stepped sine is mean-preserving over whole periods.
-        let mut c = minimal_config();
-        c.workload.schedule = WorkloadSchedule::Diurnal {
-            period_ms: 3000.0,
-            amplitude: 0.8,
-        };
-        assert!((c.expected_arrivals() - 600.0).abs() < 1e-6);
-
-        // Overload-recover: 2 s at 1× + 1 s at 3× per 3 s cycle → mean 5/3.
-        let mut c = minimal_config();
-        c.workload.schedule = WorkloadSchedule::OverloadRecover {
-            normal_ms: 2000.0,
-            overload_ms: 1000.0,
-            overload_factor: 3.0,
-        };
-        assert!((c.expected_arrivals() - 1000.0).abs() < 1e-6);
     }
 
     #[test]

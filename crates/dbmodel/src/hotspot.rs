@@ -166,6 +166,20 @@ mod tests {
     }
 
     #[test]
+    fn benchmark_sized_hot_set_takes_its_share_of_traffic() {
+        // sn8-skew-burst's size: 20% of the full-scale 50 M accounts.
+        let s = HotSpotSampler::new(50_000_000, HotSpotParams::new(0.9, 0.2));
+        assert_eq!(s.hot_items(), 10_000_000);
+        let mut rng = SimRng::seed_from(36);
+        let draws = 20_000;
+        let hot = (0..draws)
+            .filter(|_| s.sample(&mut rng) < s.hot_items())
+            .count() as f64
+            / draws as f64;
+        assert!((hot - 0.8).abs() < 0.01, "hot share {hot}");
+    }
+
+    #[test]
     fn sampler_is_zipf_skewed_inside_hot_set() {
         let s = HotSpotSampler::new(100_000, HotSpotParams::new(0.9, 0.1));
         let mut rng = SimRng::seed_from(32);
