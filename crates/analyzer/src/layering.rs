@@ -8,7 +8,7 @@
 //! * **Manifests** — every `[dependencies]` entry of every crate under
 //!   `crates/` must be a path dependency to a crate the DAG allows.  An
 //!   external (non-path) dependency is *always* a finding: the workspace is
-//!   dependency-free by decree (in-repo RNG, bench shims, stats).
+//!   dependency-free by decree (in-repo RNG and stats).
 //! * **Sources** — a `use <crate>::` or `<crate>::path` token referring to a
 //!   workspace crate outside the allowed set is a finding even if the
 //!   manifest somehow let it slip.
@@ -79,14 +79,7 @@ pub const CRATE_DAG: &[CrateSpec] = &[
         dir: "bench",
         package: "tpsim-bench",
         lib: "tpsim_bench",
-        deps: &[
-            "tpsim",
-            "simkernel",
-            "dbmodel",
-            "storage",
-            "lockmgr",
-            "bufmgr",
-        ],
+        deps: &["tpsim", "simkernel", "storage", "lockmgr", "bufmgr"],
     },
     CrateSpec {
         dir: "analyzer",
@@ -174,7 +167,7 @@ pub fn check_manifest(dir: &str, toml: &str, rel_path: &Path) -> Vec<Finding> {
                 line: dep.line,
                 message: format!(
                     "external dependency `{}`: the workspace is dependency-free \
-                     (in-repo RNG/bench/stats shims replace crates.io)",
+                     (in-repo RNG and stats replace crates.io)",
                     dep.name
                 ),
                 justification: None,

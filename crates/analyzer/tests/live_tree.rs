@@ -55,26 +55,6 @@ const JUSTIFIED_SITES: &[(&str, &str, &str)] = &[
         "wall-clock",
         "Instant::now",
     ),
-    (
-        "crates/bench/src/microbench.rs",
-        "wall-clock",
-        "Instant::now",
-    ),
-    (
-        "crates/bench/src/microbench.rs",
-        "wall-clock",
-        "Instant::now",
-    ),
-    (
-        "crates/bench/src/microbench.rs",
-        "wall-clock",
-        "Instant::now",
-    ),
-    (
-        "crates/bench/src/microbench.rs",
-        "wall-clock",
-        "Instant::now",
-    ),
     ("crates/bufmgr/src/dirty.rs", "hash-iter", "entries"),
     ("crates/bufmgr/src/dirty.rs", "hash-iter", "entries"),
     (

@@ -5,18 +5,15 @@
 //!
 //! * the **`experiments` binary** (`cargo run --release -p tpsim-bench --bin
 //!   experiments`) prints the rows/series of each figure and table, and
-//! * the **Criterion benches** (`cargo bench -p tpsim-bench`), one per figure
-//!   and table, each of which runs representative configuration points of the
-//!   corresponding experiment.
+//! * the **profile suite** (`experiments --profile <out> --check-baseline
+//!   BENCH_kernel.json`), which measures the kernel's events/sec on fixed
+//!   representative points and gates them against the committed baseline.
 //!
 //! The functions in this library build the configurations from
 //! [`tpsim::presets`], run the simulations (optionally in parallel across the
-//! points of a sweep), and format the results as text tables.  The same code
-//! paths are used by the binary and by the benches so the regenerated numbers
-//! in `EXPERIMENTS.md` are exactly what the benches exercise.
+//! points of a sweep), and format the results as text tables.
 
 pub mod experiments;
-pub mod microbench;
 pub mod profile;
 pub mod runner;
 

@@ -76,7 +76,7 @@ impl RunSettings {
         }
     }
 
-    /// Minimal settings for smoke tests and Criterion benches.
+    /// Minimal settings (`--quick`) for smoke tests.
     pub fn quick() -> Self {
         Self {
             debit_credit_scale: 200,
@@ -119,11 +119,6 @@ pub struct ProfiledSweepPoint {
     pub point: SweepPoint,
     /// Wall-clock ms and events/sec of the run that produced it.
     pub profile: KernelProfile,
-}
-
-/// Runs one Debit-Credit point.
-pub fn run_debit_credit(settings: &RunSettings, config: SimulationConfig) -> SimulationReport {
-    run_point_profiled(settings, config, Family::DebitCredit).0
 }
 
 /// Runs one trace-replay point.
@@ -280,8 +275,7 @@ pub fn run_sweep_profiled(
 }
 
 // ---------------------------------------------------------------------------
-// Convenience constructors for the configurations of each experiment,
-// re-exported for the Criterion benches.
+// Convenience constructors for the configurations of each experiment.
 // ---------------------------------------------------------------------------
 
 /// Configuration of one Fig. 4.1 point.
@@ -327,7 +321,7 @@ pub fn fig4_8_point(
     presets::contention_config(allocation, granularity, rate)
 }
 
-/// Configuration of one multi-node scaling point (`fig5_x_node_scaling`):
+/// Configuration of one multi-node scaling point (`fig5.x`):
 /// `num_nodes` computing modules sharing the storage complex, offered
 /// `per_node_rate` TPS per node.
 pub fn data_sharing_point(num_nodes: usize, per_node_rate: f64) -> SimulationConfig {
@@ -364,9 +358,8 @@ pub fn scheduler_point(
     c
 }
 
-/// Configuration of one shared-nothing scaling point
-/// (`fig7_architecture_compare` / `fig7.x`): the same workload as
-/// [`data_sharing_point`] on the partitioned (function-shipping)
+/// Configuration of one shared-nothing scaling point (`fig7.x`): the same
+/// workload as [`data_sharing_point`] on the partitioned (function-shipping)
 /// architecture.
 pub fn shared_nothing_point(num_nodes: usize, per_node_rate: f64) -> SimulationConfig {
     presets::shared_nothing_config(num_nodes, per_node_rate * num_nodes as f64)
@@ -392,7 +385,7 @@ pub fn workload_point(
     c
 }
 
-/// Configuration of one restart-time point (`fig6_restart_time` / `fig6.x`):
+/// Configuration of one restart-time point (`fig6.x`):
 /// FORCE vs NOFORCE × disk- vs NVEM-resident log × checkpoint interval.
 pub fn recovery_point(
     force: bool,

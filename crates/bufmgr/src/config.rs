@@ -153,11 +153,6 @@ pub struct BufferConfig {
     pub nvem_write_buffer_pages: usize,
     /// FORCE or NOFORCE propagation.
     pub update_strategy: UpdateStrategy,
-    /// K of the LRU-K replacement policy for the main-memory buffer: victims
-    /// are ranked by their K-th most recent reference (O'Neil et al.).  K = 1
-    /// is plain LRU and uses the buffer's intrinsic LRU chain; K > 1 keeps a
-    /// per-page access history.
-    pub lru_k: usize,
     /// Per-partition policies, indexed by partition id.
     pub partitions: Vec<PartitionPolicy>,
 }
@@ -171,15 +166,8 @@ impl BufferConfig {
             nvem_cache_pages: 0,
             nvem_write_buffer_pages: 0,
             update_strategy: UpdateStrategy::NoForce,
-            lru_k: 1,
             partitions: vec![PartitionPolicy::on_disk_unit(0); db.num_partitions()],
         }
-    }
-
-    /// Sets the K of the LRU-K replacement policy (1 = plain LRU).
-    pub fn with_lru_k(mut self, k: usize) -> Self {
-        self.lru_k = k;
-        self
     }
 
     /// Sets the update strategy.
@@ -216,9 +204,6 @@ impl BufferConfig {
     pub fn validate(&self) -> Result<(), String> {
         if self.mm_buffer_pages == 0 {
             return Err("main-memory buffer must have at least one frame".to_string());
-        }
-        if self.lru_k == 0 {
-            return Err("LRU-K needs K >= 1 (1 = plain LRU)".to_string());
         }
         for (i, p) in self.partitions.iter().enumerate() {
             if p.nvem_cache.enabled() && self.nvem_cache_pages == 0 {
@@ -325,18 +310,6 @@ mod tests {
         let mut c = BufferConfig::disk_based(&db(), 100);
         c.mm_buffer_pages = 0;
         assert!(c.validate().is_err());
-    }
-
-    #[test]
-    fn lru_k_defaults_to_plain_lru_and_rejects_zero() {
-        let c = BufferConfig::disk_based(&db(), 100);
-        assert_eq!(c.lru_k, 1);
-        let c2 = c.clone().with_lru_k(2);
-        assert_eq!(c2.lru_k, 2);
-        assert!(c2.validate().is_ok());
-        let mut bad = c;
-        bad.lru_k = 0;
-        assert!(bad.validate().is_err());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! replicated (FORCE) NVEM caching, and commit-time forcing of modified pages.
 
 use dbmodel::PageId;
-use storage::{LruCache, LruKTracker};
+use storage::LruCache;
 
 use crate::config::{BufferConfig, PageLocation, UpdateStrategy};
 use crate::dirty::{DirtyPageTable, RecLsn};
@@ -34,11 +34,6 @@ struct NvemEntry {
 pub struct BufferManager {
     config: BufferConfig,
     mm: LruCache<PageId, FrameState>,
-    /// LRU-K access history for the main-memory buffer, active only when
-    /// `config.lru_k > 1`; with K = 1 victim selection uses the buffer's
-    /// intrinsic LRU chain, bit-for-bit as before.  Kept strictly in sync
-    /// with `mm`'s key set.
-    lru_k: Option<LruKTracker<PageId>>,
     nvem_cache: Option<LruCache<PageId, NvemEntry>>,
     write_buffer: Option<LruCache<PageId, u32>>,
     /// Committed-but-unpropagated updates for crash recovery; fed by the
@@ -68,10 +63,8 @@ impl BufferManager {
             && config.partitions.iter().any(|p| p.use_nvem_write_buffer))
         .then(|| LruCache::new(config.nvem_write_buffer_pages));
         let stats = BufferStats::new(config.partitions.len());
-        let lru_k = (config.lru_k > 1).then(|| LruKTracker::new(config.lru_k));
         Self {
             mm: LruCache::new(config.mm_buffer_pages),
-            lru_k,
             config,
             nvem_cache,
             write_buffer,
@@ -207,9 +200,6 @@ impl BufferManager {
         // Main-memory hit.
         if let Some(frame) = self.mm.get_mut(&page) {
             frame.dirty |= is_write;
-            if let Some(tracker) = self.lru_k.as_mut() {
-                tracker.record_access(page);
-            }
             self.stats.per_partition[partition].mm_hits += 1;
             return FetchOutcome::hit();
         }
@@ -230,9 +220,6 @@ impl BufferManager {
                 dirty: is_write,
             },
         );
-        if let Some(tracker) = self.lru_k.as_mut() {
-            tracker.record_access(page);
-        }
         FetchOutcome {
             main_memory_hit: false,
             nvem_cache_hit,
@@ -240,17 +227,10 @@ impl BufferManager {
         }
     }
 
-    /// Evicts one frame from main memory — the LRU frame with K = 1, the
-    /// largest-backward-K-distance frame under LRU-K — appending any
+    /// Evicts the least recently used frame from main memory, appending any
     /// write-back / migration operations to `ops`.
     fn evict_one(&mut self, ops: &mut PageOps) {
-        let victim = match self.lru_k.as_mut() {
-            Some(tracker) => tracker
-                .evict()
-                .and_then(|page| self.mm.remove(&page).map(|state| (page, state))),
-            None => self.mm.pop_lru(),
-        };
-        let Some((vpage, vstate)) = victim else {
+        let Some((vpage, vstate)) = self.mm.pop_lru() else {
             return;
         };
         self.stats.mm_evictions += 1;
@@ -502,13 +482,7 @@ impl BufferManager {
         // Whatever this node committed to the page is superseded: the
         // committing node now tracks the page in *its* dirty-page table.
         let dpt_cleared = self.dirty_table.clear_page(page).is_some();
-        let removed = self.mm.remove(&page);
-        if removed.is_some() {
-            if let Some(tracker) = self.lru_k.as_mut() {
-                tracker.remove(&page);
-            }
-        }
-        let mut dropped = removed.is_some();
+        let mut dropped = self.mm.remove(&page).is_some();
         if let Some(cache) = self.nvem_cache.as_mut() {
             if cache.peek(&page).is_some_and(|e| e.pending == 0) {
                 cache.remove(&page);
@@ -554,13 +528,7 @@ impl BufferManager {
     /// superseded redo entry.  Returns true if a copy was dropped.
     pub fn discard_stale_copy(&mut self, page: PageId) -> bool {
         let dpt_cleared = self.dirty_table.clear_page(page).is_some();
-        let removed = self.mm.remove(&page);
-        if removed.is_some() {
-            if let Some(tracker) = self.lru_k.as_mut() {
-                tracker.remove(&page);
-            }
-        }
-        let mut dropped = removed.is_some();
+        let mut dropped = self.mm.remove(&page).is_some();
         if let Some(cache) = self.nvem_cache.as_mut() {
             dropped |= cache.remove(&page).is_some();
         }
@@ -1138,51 +1106,15 @@ mod tests {
     }
 
     #[test]
-    fn lru_k2_evicts_single_touch_pages_before_the_hot_page() {
-        // mm holds 3 frames; page 1 is referenced twice (full K=2 history),
-        // then a scan of single-touch pages must evict among itself and leave
-        // the hot page resident (plain LRU would evict page 1 first).
-        let cfg = disk_config(3).with_lru_k(2);
-        let mut bm = BufferManager::new(cfg);
-        bm.reference_page(0, PageId(1), false);
-        bm.reference_page(0, PageId(1), false);
-        bm.reference_page(0, PageId(2), false);
-        bm.reference_page(0, PageId(3), false);
-        bm.reference_page(0, PageId(4), false); // evicts 2 (oldest single-touch)
-        assert!(bm.mm_contains(PageId(1)));
-        assert!(!bm.mm_contains(PageId(2)));
-        bm.reference_page(0, PageId(5), false); // evicts 3
-        assert!(bm.mm_contains(PageId(1)));
-        assert!(!bm.mm_contains(PageId(3)));
-        assert_eq!(bm.stats().mm_evictions, 2);
-    }
-
-    #[test]
-    fn lru_k1_config_keeps_the_plain_lru_chain() {
-        // K = 1 must not allocate a tracker and must evict in LRU order.
-        let cfg = disk_config(2).with_lru_k(1);
-        let mut bm = BufferManager::new(cfg);
+    fn mm_evicts_in_lru_order() {
+        // A hit refreshes the page's recency before the next eviction.
+        let mut bm = BufferManager::new(disk_config(2));
         bm.reference_page(0, PageId(1), false);
         bm.reference_page(0, PageId(2), false);
         bm.reference_page(0, PageId(1), false); // touch 1; 2 is now LRU
         bm.reference_page(0, PageId(3), false); // evicts 2
         assert!(bm.mm_contains(PageId(1)));
         assert!(!bm.mm_contains(PageId(2)));
-    }
-
-    #[test]
-    fn lru_k_tracker_stays_in_sync_across_invalidations() {
-        let cfg = disk_config(2).with_lru_k(2);
-        let mut bm = BufferManager::new(cfg);
-        bm.reference_page(0, PageId(1), false);
-        bm.reference_page(0, PageId(2), false);
-        assert!(bm.invalidate_page(PageId(1)));
-        // The freed frame is reusable and the tracker no longer knows page 1:
-        // filling the buffer again must evict among resident pages only.
-        bm.reference_page(0, PageId(3), false);
-        bm.reference_page(0, PageId(4), false); // evicts 2 or 3, never panics
-        assert_eq!(bm.mm_pages(), 2);
-        assert!(!bm.mm_contains(PageId(1)));
     }
 
     #[test]

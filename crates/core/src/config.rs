@@ -816,7 +816,6 @@ mod tests {
                 nvem_cache_pages: 0,
                 nvem_write_buffer_pages: 0,
                 update_strategy: bufmgr::UpdateStrategy::NoForce,
-                lru_k: 1,
                 partitions: vec![PartitionPolicy::on_disk_unit(0)],
             },
             cc_modes: vec![CcMode::Page],

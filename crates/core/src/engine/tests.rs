@@ -758,36 +758,6 @@ fn every_coherence_combination_is_deterministic() {
     }
 }
 
-#[test]
-fn lru_k1_report_is_byte_identical_to_the_default_lru() {
-    let make = |k: usize| {
-        let mut c = quick_config(DebitCreditStorage::Disk, 150.0);
-        c.buffer.mm_buffer_pages = 300; // small pool: steady-state evictions
-        c.buffer = c.buffer.clone().with_lru_k(k);
-        c
-    };
-    let baseline =
-        Simulation::new(quick_config_with_small_pool(), debit_credit_workload(100)).run();
-    let k1 = Simulation::new(make(1), debit_credit_workload(100)).run();
-    assert_eq!(
-        format!("{baseline:#?}"),
-        format!("{k1:#?}"),
-        "explicit K = 1 must be byte-identical to the default LRU chain"
-    );
-    // K = 2 is a different replacement policy but stays deterministic.
-    let k2a = Simulation::new(make(2), debit_credit_workload(100)).run();
-    let k2b = Simulation::new(make(2), debit_credit_workload(100)).run();
-    assert_eq!(format!("{k2a:#?}"), format!("{k2b:#?}"));
-    assert!(k2a.completed > 0);
-    assert!(k2a.buffer.mm_evictions > 0, "small pool must evict");
-}
-
-fn quick_config_with_small_pool() -> SimulationConfig {
-    let mut c = quick_config(DebitCreditStorage::Disk, 150.0);
-    c.buffer.mm_buffer_pages = 300;
-    c
-}
-
 // ---------------------------------------------------------------------------
 // Same-page read coalescing
 // ---------------------------------------------------------------------------

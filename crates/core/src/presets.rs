@@ -14,13 +14,12 @@
 //!
 //! Beyond the paper, [`data_sharing_config`] builds the multi-node
 //! data-sharing topology (N computing modules, shared storage complex, global
-//! lock service) swept by the `fig5_x_node_scaling` bench,
+//! lock service) swept by the `fig5.x` experiment,
 //! [`shared_nothing_config`] the partitioned (shared-nothing,
 //! function-shipping) alternative compared against it by the `fig7.x`
-//! experiment and the `fig7_architecture_compare` bench, and
-//! [`recovery_config`] builds the crash-recovery topology (FORCE/NOFORCE ×
-//! disk-/NVEM-resident log × checkpoint interval) swept by the
-//! `fig6_restart_time` bench.
+//! experiment, and [`recovery_config`] builds the crash-recovery topology
+//! (FORCE/NOFORCE × disk-/NVEM-resident log × checkpoint interval) swept by
+//! the `fig6.x` experiment.
 
 #[cfg(test)]
 use bufmgr::PageLocation;
@@ -135,7 +134,6 @@ pub fn debit_credit_config(storage: DebitCreditStorage, arrival_rate_tps: f64) -
         nvem_cache_pages: 0,
         nvem_write_buffer_pages: 0,
         update_strategy: UpdateStrategy::NoForce,
-        lru_k: 1,
         partitions: vec![PartitionPolicy::on_disk_unit(DB_UNIT); num_partitions],
     };
     let (devices, log_allocation) = match storage {
@@ -289,7 +287,7 @@ pub fn nvem_log_device_config(arrival_rate_tps: f64) -> SimulationConfig {
 /// The interesting regime is `arrival_rate_tps` above the ~200 TPS ceiling of
 /// one log disk: adding nodes then scales the CPU complex linearly but
 /// throughput sub-linearly, because all nodes queue at the shared log device
-/// and pay remote lock messages (`fig5_x_node_scaling` sweeps this).
+/// and pay remote lock messages (the `fig5.x` experiment sweeps this).
 pub fn data_sharing_config(num_nodes: usize, arrival_rate_tps: f64) -> SimulationConfig {
     let mut config = debit_credit_config(DebitCreditStorage::Disk, arrival_rate_tps);
     config.nodes = NodeParams::data_sharing(num_nodes);
@@ -511,7 +509,6 @@ pub fn trace_config(
         nvem_cache_pages: 0,
         nvem_write_buffer_pages: 0,
         update_strategy: UpdateStrategy::NoForce,
-        lru_k: 1,
         partitions: vec![PartitionPolicy::on_disk_unit(DB_UNIT); num_partitions],
     };
     let mut log_allocation = LogAllocation::DiskUnit(LOG_UNIT);
@@ -630,7 +627,6 @@ pub fn contention_config(
         nvem_cache_pages: 0,
         nvem_write_buffer_pages: 0,
         update_strategy: UpdateStrategy::NoForce,
-        lru_k: 1,
         partitions,
     };
     SimulationConfig {

@@ -30,7 +30,6 @@ pub mod device;
 pub mod disk_unit;
 pub mod io;
 pub mod lru;
-pub mod lru_k;
 pub mod nvem;
 pub mod params;
 pub mod scheduler;
@@ -39,7 +38,6 @@ pub use device::{DeviceSpec, StorageDevice};
 pub use disk_unit::{DiskUnit, DiskUnitStats};
 pub use io::{BackgroundStages, ForegroundStages, IoDecision, IoKind, ServiceStage};
 pub use lru::LruCache;
-pub use lru_k::LruKTracker;
 pub use nvem::{NvemDevice, NvemDeviceParams, NvemParams};
 pub use params::{DeviceTimings, DiskUnitKind, DiskUnitParams};
 pub use scheduler::IoSchedulerParams;
