@@ -3,25 +3,26 @@
 
 use std::fmt::Write as _;
 
+use bufmgr::UpdateStrategy;
 use lockmgr::CcMode;
 use tpsim::presets::{
-    ContentionAllocation, DebitCreditStorage, LogVariant, SecondLevel, TraceStorage, DB_UNIT,
+    self, ContentionAllocation, DebitCreditStorage, LogVariant, SecondLevel, TraceStorage, DB_UNIT,
 };
 use tpsim::tables;
 use tpsim::{CoherenceParams, WorkloadParams, WorkloadSchedule};
 
-use crate::runner::{
-    self, caching_point, fig4_1_point, fig4_2_point, fig4_3_point, fig4_8_point, trace_point,
-    Family, RunSettings, SweepPoint,
-};
+use crate::runner::{self, caching_point, Family, RunSettings, SweepPoint};
 
-/// Identifier and human-readable title of one experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// One experiment: its command-line id, its title and the function that
+/// regenerates its table.
+#[derive(Debug, Clone, Copy)]
 pub struct Experiment {
     /// Short id used on the command line (e.g. "fig4.1").
     pub id: &'static str,
     /// Title as in the paper.
     pub title: &'static str,
+    /// Runs the experiment and formats its table.
+    pub run: fn(&RunSettings) -> String,
 }
 
 /// The result of regenerating one experiment.
@@ -29,110 +30,111 @@ pub struct Experiment {
 pub struct ExperimentResult {
     /// The experiment that was run.
     pub experiment: Experiment,
-    /// Formatted text table (also embedded into `EXPERIMENTS.md`).
+    /// Formatted text table, as the `experiments` binary prints it.
     pub table: String,
 }
 
+/// The catalogue [`all_experiments`] returns.
+const EXPERIMENTS: &[Experiment] = &[
+    Experiment {
+        id: "table2.1",
+        title: "Table 2.1: storage cost and access times",
+        run: |_| table_2_1(),
+    },
+    Experiment {
+        id: "table2.2",
+        title: "Table 2.2: usage forms of intermediate storage types",
+        run: |_| table_2_2(),
+    },
+    Experiment {
+        id: "fig4.1",
+        title: "Fig. 4.1: influence of log file allocation (Debit-Credit, NOFORCE)",
+        run: fig4_1,
+    },
+    Experiment {
+        id: "fig4.2",
+        title: "Fig. 4.2: impact of database allocation (Debit-Credit, NOFORCE)",
+        run: fig4_2,
+    },
+    Experiment {
+        id: "fig4.3",
+        title: "Fig. 4.3: FORCE vs NOFORCE (Debit-Credit)",
+        run: fig4_3,
+    },
+    Experiment {
+        id: "fig4.4",
+        title: "Fig. 4.4: caching for different main-memory buffer sizes (NOFORCE)",
+        run: fig4_4,
+    },
+    Experiment {
+        id: "table4.2",
+        title: "Table 4.2: main memory and 2nd-level cache hit ratios",
+        run: table_4_2,
+    },
+    Experiment {
+        id: "fig4.5",
+        title: "Fig. 4.5: caching for different 2nd-level buffer sizes (NOFORCE)",
+        run: fig4_5,
+    },
+    Experiment {
+        id: "fig4.6",
+        title: "Fig. 4.6: impact of main-memory buffer size for real-life workload",
+        run: fig4_6,
+    },
+    Experiment {
+        id: "fig4.7",
+        title: "Fig. 4.7: impact of 2nd-level buffer size for real-life workload",
+        run: fig4_7,
+    },
+    Experiment {
+        id: "fig4.8",
+        title: "Fig. 4.8: page- vs object-locking for different allocation strategies",
+        run: fig4_8,
+    },
+    Experiment {
+        id: "fig5.x",
+        title: "Fig. 5.x: multi-node data-sharing scaling (beyond the paper)",
+        run: fig5_x,
+    },
+    Experiment {
+        id: "fig6.x",
+        title: "Fig. 6.x: restart time after a crash (beyond the paper)",
+        run: fig6_x,
+    },
+    Experiment {
+        id: "fig7.x",
+        title: "Fig. 7.x: data sharing vs shared nothing (beyond the paper)",
+        run: fig7_x,
+    },
+    Experiment {
+        id: "fig8.x",
+        title: "Fig. 8.x: coherence protocol and page-transfer policy (beyond the paper)",
+        run: fig8_x,
+    },
+    Experiment {
+        id: "fig10.x",
+        title: "Fig. 10.x: tail latency vs load under skew and bursts (beyond the paper)",
+        run: fig10_x,
+    },
+    Experiment {
+        id: "fig11.x",
+        title: "Fig. 11.x: same-page read coalescing (beyond the paper)",
+        run: fig11_x,
+    },
+];
+
 /// Every experiment of the paper, in paper order.
-pub fn all_experiments() -> Vec<Experiment> {
-    vec![
-        Experiment {
-            id: "table2.1",
-            title: "Table 2.1: storage cost and access times",
-        },
-        Experiment {
-            id: "table2.2",
-            title: "Table 2.2: usage forms of intermediate storage types",
-        },
-        Experiment {
-            id: "fig4.1",
-            title: "Fig. 4.1: influence of log file allocation (Debit-Credit, NOFORCE)",
-        },
-        Experiment {
-            id: "fig4.2",
-            title: "Fig. 4.2: impact of database allocation (Debit-Credit, NOFORCE)",
-        },
-        Experiment {
-            id: "fig4.3",
-            title: "Fig. 4.3: FORCE vs NOFORCE (Debit-Credit)",
-        },
-        Experiment {
-            id: "fig4.4",
-            title: "Fig. 4.4: caching for different main-memory buffer sizes (NOFORCE)",
-        },
-        Experiment {
-            id: "table4.2",
-            title: "Table 4.2: main memory and 2nd-level cache hit ratios",
-        },
-        Experiment {
-            id: "fig4.5",
-            title: "Fig. 4.5: caching for different 2nd-level buffer sizes (NOFORCE)",
-        },
-        Experiment {
-            id: "fig4.6",
-            title: "Fig. 4.6: impact of main-memory buffer size for real-life workload",
-        },
-        Experiment {
-            id: "fig4.7",
-            title: "Fig. 4.7: impact of 2nd-level buffer size for real-life workload",
-        },
-        Experiment {
-            id: "fig4.8",
-            title: "Fig. 4.8: page- vs object-locking for different allocation strategies",
-        },
-        Experiment {
-            id: "fig5.x",
-            title: "Fig. 5.x: multi-node data-sharing scaling (beyond the paper)",
-        },
-        Experiment {
-            id: "fig6.x",
-            title: "Fig. 6.x: restart time after a crash (beyond the paper)",
-        },
-        Experiment {
-            id: "fig7.x",
-            title: "Fig. 7.x: data sharing vs shared nothing (beyond the paper)",
-        },
-        Experiment {
-            id: "fig8.x",
-            title: "Fig. 8.x: coherence protocol and page-transfer policy (beyond the paper)",
-        },
-        Experiment {
-            id: "fig10.x",
-            title: "Fig. 10.x: tail latency vs load under skew and bursts (beyond the paper)",
-        },
-        Experiment {
-            id: "fig11.x",
-            title: "Fig. 11.x: same-page read coalescing (beyond the paper)",
-        },
-    ]
+pub fn all_experiments() -> &'static [Experiment] {
+    EXPERIMENTS
 }
 
 /// Runs one experiment by id.  Panics on an unknown id.
 pub fn run_experiment(id: &str, settings: &RunSettings) -> ExperimentResult {
-    let experiment = all_experiments()
-        .into_iter()
+    let experiment = *EXPERIMENTS
+        .iter()
         .find(|e| e.id == id)
         .unwrap_or_else(|| panic!("unknown experiment id {id}"));
-    let table = match id {
-        "table2.1" => table_2_1(),
-        "table2.2" => table_2_2(),
-        "fig4.1" => fig4_1(settings),
-        "fig4.2" => fig4_2(settings),
-        "fig4.3" => fig4_3(settings),
-        "fig4.4" => fig4_4(settings),
-        "table4.2" => table_4_2(settings),
-        "fig4.5" => fig4_5(settings),
-        "fig4.6" => fig4_6(settings),
-        "fig4.7" => fig4_7(settings),
-        "fig4.8" => fig4_8(settings),
-        "fig5.x" => fig5_x(settings),
-        "fig6.x" => fig6_x(settings),
-        "fig7.x" => fig7_x(settings),
-        "fig8.x" => fig8_x(settings),
-        "fig10.x" => fig10_x(settings),
-        "fig11.x" => fig11_x(settings),
-        _ => unreachable!(),
-    };
+    let table = (experiment.run)(settings);
     ExperimentResult { experiment, table }
 }
 
@@ -140,17 +142,20 @@ pub fn run_experiment(id: &str, settings: &RunSettings) -> ExperimentResult {
 // Formatting helpers
 // ---------------------------------------------------------------------------
 
-/// Formats a response-time-vs-arrival-rate sweep as one row per series with
-/// one column per rate.
-fn format_rate_table(points: &[SweepPoint], rates: &[f64], value: &str) -> String {
-    let mut out = String::new();
-    let _ = write!(
-        out,
-        "{:<46}",
-        format!("series \\ arrival rate [TPS] ({value})")
-    );
-    for r in rates {
-        let _ = write!(out, "{:>10.0}", r);
+/// Formats a sweep as a series × x grid: one row per series (in order of
+/// first appearance), one column per x value.  `corner` heads the label
+/// column of width `label_width`, `cell` formats one point's value, and a
+/// missing point renders as `-`.
+fn grid(
+    points: &[SweepPoint],
+    xs: &[f64],
+    corner: &str,
+    label_width: usize,
+    cell: impl Fn(&SweepPoint) -> String,
+) -> String {
+    let mut out = format!("{corner:<label_width$}");
+    for x in xs {
+        let _ = write!(out, "{x:>10.0}");
     }
     let _ = writeln!(out);
     let mut series: Vec<&str> = Vec::new();
@@ -160,60 +165,63 @@ fn format_rate_table(points: &[SweepPoint], rates: &[f64], value: &str) -> Strin
         }
     }
     for s in series {
-        let _ = write!(out, "{:<46}", s);
-        for r in rates {
-            let point = points
+        let _ = write!(out, "{s:<label_width$}");
+        for &x in xs {
+            let value = points
                 .iter()
-                .find(|p| p.series == s && (p.x - r).abs() < 1e-9);
-            match point {
-                Some(p) => {
-                    let _ = write!(out, "{:>10.2}", p.report.response_time.mean);
-                }
-                None => {
-                    let _ = write!(out, "{:>10}", "-");
-                }
-            }
+                .find(|p| p.series == s && (p.x - x).abs() < 1e-9)
+                .map_or_else(|| "-".to_string(), &cell);
+            let _ = write!(out, "{value:>10}");
         }
         let _ = writeln!(out);
     }
     out
 }
 
-/// Formats a generic x-sweep (buffer sizes) of response times.
-fn format_x_table(points: &[SweepPoint], xs: &[usize], x_name: &str) -> String {
-    let mut out = String::new();
-    let _ = write!(
-        out,
-        "{:<46}",
-        format!("series \\ {x_name} (mean response [ms])")
-    );
-    for x in xs {
-        let _ = write!(out, "{:>10}", x);
-    }
+/// Grid cell: mean response time [ms].
+fn mean_response(p: &SweepPoint) -> String {
+    format!("{:.2}", p.report.response_time.mean)
+}
+
+/// Grid cell: throughput [TPS].
+fn throughput(p: &SweepPoint) -> String {
+    format!("{:.1}", p.report.throughput_tps)
+}
+
+/// A response-time-vs-arrival-rate grid.
+fn rate_table(points: &[SweepPoint], rates: &[f64]) -> String {
+    grid(
+        points,
+        rates,
+        "series \\ arrival rate [TPS] (mean response [ms])",
+        46,
+        mean_response,
+    )
+}
+
+/// A response-time-vs-x grid for an x sweep (buffer sizes, node counts).
+fn x_table(points: &[SweepPoint], xs: &[usize], x_name: &str) -> String {
+    grid(
+        points,
+        &xs.iter().map(|&x| x as f64).collect::<Vec<_>>(),
+        &format!("series \\ {x_name} (mean response [ms])"),
+        46,
+        mean_response,
+    )
+}
+
+/// The response-time grid of a rate sweep followed by its throughput grid.
+fn rate_and_throughput_tables(points: &[SweepPoint], rates: &[f64]) -> String {
+    let mut out = rate_table(points, rates);
     let _ = writeln!(out);
-    let mut series: Vec<&str> = Vec::new();
-    for p in points {
-        if !series.contains(&p.series.as_str()) {
-            series.push(&p.series);
-        }
-    }
-    for s in series {
-        let _ = write!(out, "{:<46}", s);
-        for x in xs {
-            let point = points
-                .iter()
-                .find(|p| p.series == s && (p.x - *x as f64).abs() < 1e-9);
-            match point {
-                Some(p) => {
-                    let _ = write!(out, "{:>10.2}", p.report.response_time.mean);
-                }
-                None => {
-                    let _ = write!(out, "{:>10}", "-");
-                }
-            }
-        }
-        let _ = writeln!(out);
-    }
+    let _ = writeln!(out, "throughput [TPS] per series:");
+    out.push_str(&grid(
+        points,
+        rates,
+        "series \\ arrival rate [TPS]",
+        46,
+        throughput,
+    ));
     out
 }
 
@@ -283,50 +291,13 @@ fn fig4_1(settings: &RunSettings) -> String {
             points.push((
                 variant.label().to_string(),
                 rate,
-                fig4_1_point(variant, rate),
+                presets::log_allocation_config(variant, rate),
                 Family::DebitCredit,
             ));
         }
     }
     let results = runner::run_sweep(settings, points);
-    let mut out = format_rate_table(&results, &settings.rates, "mean response [ms]");
-    let _ = writeln!(out);
-    let _ = writeln!(out, "throughput [TPS] per series:");
-    out.push_str(&format_throughput(&results, &settings.rates));
-    out
-}
-
-fn format_throughput(points: &[SweepPoint], rates: &[f64]) -> String {
-    let mut out = String::new();
-    let mut series: Vec<&str> = Vec::new();
-    for p in points {
-        if !series.contains(&p.series.as_str()) {
-            series.push(&p.series);
-        }
-    }
-    let _ = write!(out, "{:<46}", "series \\ arrival rate [TPS]");
-    for r in rates {
-        let _ = write!(out, "{:>10.0}", r);
-    }
-    let _ = writeln!(out);
-    for s in series {
-        let _ = write!(out, "{:<46}", s);
-        for r in rates {
-            let point = points
-                .iter()
-                .find(|p| p.series == s && (p.x - r).abs() < 1e-9);
-            match point {
-                Some(p) => {
-                    let _ = write!(out, "{:>10.1}", p.report.throughput_tps);
-                }
-                None => {
-                    let _ = write!(out, "{:>10}", "-");
-                }
-            }
-        }
-        let _ = writeln!(out);
-    }
-    out
+    rate_and_throughput_tables(&results, &settings.rates)
 }
 
 // ---------------------------------------------------------------------------
@@ -340,13 +311,13 @@ fn fig4_2(settings: &RunSettings) -> String {
             points.push((
                 storage.label().to_string(),
                 rate,
-                fig4_2_point(storage, rate),
+                presets::debit_credit_config(storage, rate),
                 Family::DebitCredit,
             ));
         }
     }
     let results = runner::run_sweep(settings, points);
-    format_rate_table(&results, &settings.rates, "mean response [ms]")
+    rate_table(&results, &settings.rates)
 }
 
 fn fig4_3(settings: &RunSettings) -> String {
@@ -364,17 +335,16 @@ fn fig4_3(settings: &RunSettings) -> String {
                 storage.label()
             );
             for &rate in &settings.rates {
-                points.push((
-                    label.clone(),
-                    rate,
-                    fig4_3_point(storage, force, rate),
-                    Family::DebitCredit,
-                ));
+                let mut config = presets::debit_credit_config(storage, rate);
+                if force {
+                    config.buffer.update_strategy = UpdateStrategy::Force;
+                }
+                points.push((label.clone(), rate, config, Family::DebitCredit));
             }
         }
     }
     let results = runner::run_sweep(settings, points);
-    format_rate_table(&results, &settings.rates, "mean response [ms]")
+    rate_table(&results, &settings.rates)
 }
 
 // ---------------------------------------------------------------------------
@@ -418,7 +388,7 @@ fn fig4_4(settings: &RunSettings) -> String {
         }
     }
     let results = runner::run_sweep(settings, points);
-    format_x_table(&results, &mm_sizes, "main memory buffer size")
+    x_table(&results, &mm_sizes, "main memory buffer size")
 }
 
 fn table_4_2(settings: &RunSettings) -> String {
@@ -463,37 +433,23 @@ fn table_4_2(settings: &RunSettings) -> String {
             out,
             "{strategy} — hit ratios [%] by main-memory buffer size"
         );
-        let _ = write!(out, "{:<28}", "cache level");
-        for mm in mm_sizes {
-            let _ = write!(out, "{:>10}", mm);
-        }
-        let _ = writeln!(out);
         // First row: main-memory hit ratio of the MM-only configuration.
-        let _ = write!(out, "{:<28}", "main memory");
-        for &mm in &mm_sizes {
-            let p = results
-                .iter()
-                .find(|p| p.series == "main memory" && (p.x - mm as f64).abs() < 1e-9)
-                .expect("point exists");
-            let _ = write!(out, "{:>10.1}", p.report.mm_hit_ratio() * 100.0);
-        }
-        let _ = writeln!(out);
         // Remaining rows: the *additional* hit ratio of each second-level cache.
-        for (label, second) in &series {
-            let _ = write!(out, "{:<28}", label);
-            for &mm in &mm_sizes {
-                let p = results
-                    .iter()
-                    .find(|p| &p.series == label && (p.x - mm as f64).abs() < 1e-9)
-                    .expect("point exists");
-                let hit = match second {
-                    SecondLevel::NvemCache(_) => p.report.nvem_hit_ratio(),
-                    _ => second_level_disk_hit_ratio(&p.report),
-                };
-                let _ = write!(out, "{:>10.1}", hit * 100.0);
-            }
-            let _ = writeln!(out);
-        }
+        let hit = |p: &SweepPoint| {
+            let ratio = match series.iter().find(|(label, _)| *label == p.series) {
+                None => p.report.mm_hit_ratio(),
+                Some((_, SecondLevel::NvemCache(_))) => p.report.nvem_hit_ratio(),
+                Some(_) => second_level_disk_hit_ratio(&p.report),
+            };
+            format!("{:.1}", ratio * 100.0)
+        };
+        out.push_str(&grid(
+            &results,
+            &mm_sizes.map(|mm| mm as f64),
+            "cache level",
+            28,
+            hit,
+        ));
         let _ = writeln!(out);
     }
     out
@@ -533,33 +489,28 @@ fn fig4_5(settings: &RunSettings) -> String {
         }
     }
     let results = runner::run_sweep(settings, points);
-    let mut out = format_x_table(&results, &cache_sizes, "2nd-level cache size");
+    let mut out = x_table(&results, &cache_sizes, "2nd-level cache size");
     let _ = writeln!(out);
     let _ = writeln!(
         out,
         "additional 2nd-level hit ratio [%] (main-memory buffer 500 pages):"
     );
-    let _ = write!(out, "{:<46}", "series \\ 2nd-level cache size");
-    for s in cache_sizes {
-        let _ = write!(out, "{:>10}", s);
-    }
-    let _ = writeln!(out);
-    for (label, kind) in series {
-        let _ = write!(out, "{:<46}", label);
-        for &size in &cache_sizes {
-            let p = results
-                .iter()
-                .find(|p| p.series == label && (p.x - size as f64).abs() < 1e-9)
-                .expect("point exists");
-            let hit = if kind == 2 {
-                p.report.nvem_hit_ratio()
-            } else {
-                second_level_disk_hit_ratio(&p.report)
-            };
-            let _ = write!(out, "{:>10.1}", hit * 100.0);
-        }
-        let _ = writeln!(out);
-    }
+    let hit = |p: &SweepPoint| {
+        let nvem = series.contains(&(p.series.as_str(), 2));
+        let ratio = if nvem {
+            p.report.nvem_hit_ratio()
+        } else {
+            second_level_disk_hit_ratio(&p.report)
+        };
+        format!("{:.1}", ratio * 100.0)
+    };
+    out.push_str(&grid(
+        &results,
+        &cache_sizes.map(|size| size as f64),
+        "series \\ 2nd-level cache size",
+        46,
+        hit,
+    ));
     out
 }
 
@@ -595,13 +546,13 @@ fn fig4_6(settings: &RunSettings) -> String {
             points.push((
                 label.clone(),
                 mm as f64,
-                trace_point(mm, storage, settings.trace_rate),
+                presets::trace_config(mm, storage, settings.trace_rate),
                 Family::Trace,
             ));
         }
     }
     let results = runner::run_sweep(settings, points);
-    format_x_table(&results, &mm_sizes, "main memory buffer size")
+    x_table(&results, &mm_sizes, "main memory buffer size")
 }
 
 fn fig4_7(settings: &RunSettings) -> String {
@@ -626,13 +577,13 @@ fn fig4_7(settings: &RunSettings) -> String {
             points.push((
                 label.to_string(),
                 size as f64,
-                trace_point(1_000, storage, settings.trace_rate),
+                presets::trace_config(1_000, storage, settings.trace_rate),
                 Family::Trace,
             ));
         }
     }
     let results = runner::run_sweep(settings, points);
-    format_x_table(&results, &cache_sizes, "2nd-level buffer size")
+    x_table(&results, &cache_sizes, "2nd-level buffer size")
 }
 
 // ---------------------------------------------------------------------------
@@ -661,18 +612,14 @@ fn fig4_8(settings: &RunSettings) -> String {
                 points.push((
                     label.clone(),
                     rate,
-                    fig4_8_point(allocation, granularity, rate),
+                    presets::contention_config(allocation, granularity, rate),
                     Family::Contention,
                 ));
             }
         }
     }
     let results = runner::run_sweep(settings, points);
-    let mut out = format_rate_table(&results, &settings.rates, "mean response [ms]");
-    let _ = writeln!(out);
-    let _ = writeln!(out, "throughput [TPS] per series:");
-    out.push_str(&format_throughput(&results, &settings.rates));
-    out
+    rate_and_throughput_tables(&results, &settings.rates)
 }
 
 // ---------------------------------------------------------------------------
@@ -737,6 +684,11 @@ fn fig5_x(settings: &RunSettings) -> String {
 // Fig. 6.x — restart time after a crash (beyond the paper)
 // ---------------------------------------------------------------------------
 
+/// Arrival rate of the restart-time experiment at every scale: moderate
+/// enough that neither log variant saturates, so the variants reach equal
+/// throughput and only restart time diverges.
+const RECOVERY_RATE: f64 = 150.0;
+
 fn fig6_x(settings: &RunSettings) -> String {
     // FORCE vs NOFORCE × disk- vs NVEM-resident log × checkpoint interval,
     // all at the same moderate arrival rate (the eight-disk log unit keeps
@@ -744,7 +696,6 @@ fn fig6_x(settings: &RunSettings) -> String {
     // variants and the restart column carries the trade-off).  Every point
     // crashes at the same fraction of the measurement interval and replays
     // its redo tail from the configured log placement.
-    let rate = settings.recovery_rate;
     let intervals = [0.0, settings.measure_ms / 2.0, settings.measure_ms / 8.0];
     let series = [
         ("NOFORCE, disk-resident log", false, false),
@@ -758,7 +709,7 @@ fn fig6_x(settings: &RunSettings) -> String {
             points.push((
                 label.to_string(),
                 interval,
-                runner::recovery_point(force, nvem_log, interval, rate),
+                presets::recovery_config(force, nvem_log, interval, RECOVERY_RATE),
                 Family::RecoveryCrash,
             ));
         }
@@ -1014,49 +965,6 @@ fn workload_shapes() -> Vec<(&'static str, WorkloadParams)> {
     ]
 }
 
-/// Formats one percentile column of the fig10.x sweep as a rate table.
-fn format_tail_table(
-    points: &[SweepPoint],
-    rates: &[f64],
-    value: &str,
-    get: impl Fn(&tpsim::SimulationReport) -> f64,
-) -> String {
-    let mut out = String::new();
-    let _ = write!(
-        out,
-        "{:<46}",
-        format!("series \\ offered rate [TPS] ({value})")
-    );
-    for r in rates {
-        let _ = write!(out, "{:>10.0}", r);
-    }
-    let _ = writeln!(out);
-    let mut series: Vec<&str> = Vec::new();
-    for p in points {
-        if !series.contains(&p.series.as_str()) {
-            series.push(&p.series);
-        }
-    }
-    for s in series {
-        let _ = write!(out, "{:<46}", s);
-        for r in rates {
-            let point = points
-                .iter()
-                .find(|p| p.series == s && (p.x - r).abs() < 1e-9);
-            match point {
-                Some(p) => {
-                    let _ = write!(out, "{:>10.2}", get(&p.report));
-                }
-                None => {
-                    let _ = write!(out, "{:>10}", "-");
-                }
-            }
-        }
-        let _ = writeln!(out);
-    }
-    out
-}
-
 fn fig10_x(settings: &RunSettings) -> String {
     // The fig7.x two-node architecture comparison as an open system under
     // internet-style traffic: hot-spot-skewed page accesses (Zipf over a hot
@@ -1084,39 +992,25 @@ fn fig10_x(settings: &RunSettings) -> String {
         }
     }
     let results = runner::run_sweep(settings, points);
-    let tail = |f: fn(&tpsim::TailLatencyReport) -> f64| {
-        move |r: &tpsim::SimulationReport| r.tail.as_ref().map(&f).unwrap_or(0.0)
-    };
+    type Column = fn(&tpsim::SimulationReport) -> f64;
+    let columns: [(&str, Column); 4] = [
+        ("mean", |r| r.response_time.mean),
+        ("p50", |r| r.tail.as_ref().map_or(0.0, |t| t.p50)),
+        ("p99", |r| r.tail.as_ref().map_or(0.0, |t| t.p99)),
+        ("p999", |r| r.tail.as_ref().map_or(0.0, |t| t.p999)),
+    ];
     let mut out = String::new();
-    let _ = writeln!(out, "mean response [ms]:");
-    out.push_str(&format_tail_table(&results, &settings.rates, "mean", |r| {
-        r.response_time.mean
-    }));
-    let _ = writeln!(out);
-    let _ = writeln!(out, "p50 response [ms]:");
-    out.push_str(&format_tail_table(
-        &results,
-        &settings.rates,
-        "p50",
-        tail(|t| t.p50),
-    ));
-    let _ = writeln!(out);
-    let _ = writeln!(out, "p99 response [ms]:");
-    out.push_str(&format_tail_table(
-        &results,
-        &settings.rates,
-        "p99",
-        tail(|t| t.p99),
-    ));
-    let _ = writeln!(out);
-    let _ = writeln!(out, "p999 response [ms]:");
-    out.push_str(&format_tail_table(
-        &results,
-        &settings.rates,
-        "p999",
-        tail(|t| t.p999),
-    ));
-    let _ = writeln!(out);
+    for (name, get) in columns {
+        let _ = writeln!(out, "{name} response [ms]:");
+        out.push_str(&grid(
+            &results,
+            &settings.rates,
+            &format!("series \\ offered rate [TPS] ({name})"),
+            46,
+            |p| format!("{:.2}", get(&p.report)),
+        ));
+        let _ = writeln!(out);
+    }
     let worst_bound = results
         .iter()
         .filter_map(|p| p.report.tail.as_ref())
@@ -1172,7 +1066,7 @@ fn fig11_x(settings: &RunSettings) -> String {
         }
     }
     let results = runner::run_sweep(settings, points);
-    let mut out = format_x_table(&results, &node_counts, "nodes (60 TPS per node)");
+    let mut out = x_table(&results, &node_counts, "nodes (60 TPS per node)");
     let _ = writeln!(out);
     let _ = writeln!(
         out,

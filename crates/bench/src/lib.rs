@@ -19,4 +19,4 @@ pub mod runner;
 
 pub use experiments::{all_experiments, Experiment, ExperimentResult};
 pub use profile::{kernel_profile_suite, ProfilePoint};
-pub use runner::{ProfiledSweepPoint, RunSettings, SweepPoint};
+pub use runner::{RunSettings, SweepPoint};

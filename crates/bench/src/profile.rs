@@ -76,12 +76,12 @@ fn suite_points() -> Vec<(String, SimulationConfig, Family)> {
         .collect();
     points.push((
         "quickstart/disk".to_string(),
-        runner::fig4_2_point(tpsim::presets::DebitCreditStorage::Disk, 100.0),
+        tpsim::presets::debit_credit_config(tpsim::presets::DebitCreditStorage::Disk, 100.0),
         Family::DebitCredit,
     ));
     points.push((
         "fig6.x/noforce-disk-log".to_string(),
-        runner::recovery_point(false, false, 500.0, 150.0),
+        tpsim::presets::recovery_config(false, false, 500.0, 150.0),
         Family::RecoveryCrash,
     ));
     points.push((
@@ -108,8 +108,8 @@ pub fn kernel_profile_suite(reps: usize) -> Vec<ProfilePoint> {
         .map(|(id, mut config, family)| {
             // Derive the seed exactly as a one-point sweep would, so the
             // simulated workload (and its event count) matches what
-            // `run_sweep_profiled` of the same point produces and the
-            // committed baseline stays comparable.
+            // `run_sweep` of the same point produces and the committed
+            // baseline stays comparable.
             config.seed = runner::derive_run_seed(config.seed, 0);
             let mut best: Option<ProfilePoint> = None;
             for _ in 0..reps {

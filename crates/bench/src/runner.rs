@@ -5,11 +5,8 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use tpsim::presets::{self, DebitCreditStorage, LogVariant, SecondLevel, TraceStorage};
+use tpsim::presets::{self, SecondLevel};
 use tpsim::{KernelProfile, Simulation, SimulationConfig, SimulationReport};
-
-use lockmgr::CcMode;
-use tpsim::presets::ContentionAllocation;
 
 /// How large and how long the experiment runs are.
 #[derive(Debug, Clone)]
@@ -30,10 +27,6 @@ pub struct RunSettings {
     pub caching_rate: f64,
     /// Arrival rate used for the trace experiments.
     pub trace_rate: f64,
-    /// Arrival rate used for the restart-time experiment (moderate enough
-    /// that neither log variant saturates, so the variants reach equal
-    /// throughput and only restart time diverges).
-    pub recovery_rate: f64,
     /// Run the points of a sweep on multiple threads.
     pub parallel: bool,
     /// Worker threads for parallel sweeps (0 = one per available core).
@@ -52,7 +45,6 @@ impl RunSettings {
             rates: vec![10.0, 100.0, 200.0, 300.0, 400.0, 500.0, 600.0, 700.0],
             caching_rate: 500.0,
             trace_rate: 40.0,
-            recovery_rate: 150.0,
             parallel: true,
             threads: 0,
         }
@@ -70,7 +62,6 @@ impl RunSettings {
             rates: vec![10.0, 100.0, 200.0, 300.0, 400.0, 500.0, 600.0, 700.0],
             caching_rate: 500.0,
             trace_rate: 40.0,
-            recovery_rate: 150.0,
             parallel: true,
             threads: 0,
         }
@@ -86,7 +77,6 @@ impl RunSettings {
             rates: vec![50.0, 200.0, 500.0],
             caching_rate: 200.0,
             trace_rate: 25.0,
-            recovery_rate: 150.0,
             parallel: true,
             threads: 0,
         }
@@ -109,16 +99,6 @@ pub struct SweepPoint {
     pub x: f64,
     /// The simulation result.
     pub report: SimulationReport,
-}
-
-/// A sweep point plus the kernel's wall-clock profile for it (`--profile`
-/// mode of the sweep runner).
-#[derive(Debug, Clone)]
-pub struct ProfiledSweepPoint {
-    /// The simulated point.
-    pub point: SweepPoint,
-    /// Wall-clock ms and events/sec of the run that produced it.
-    pub profile: KernelProfile,
 }
 
 /// Runs one trace-replay point.
@@ -144,8 +124,8 @@ pub fn run_recovery_crash(settings: &RunSettings, config: SimulationConfig) -> S
 }
 
 /// Runs one point of the given workload family, also measuring the kernel's
-/// wall-clock event throughput (the `--profile` substrate: every profiled
-/// sweep and the perf-smoke suite go through here).
+/// wall-clock event throughput (every sweep and the profile suite go through
+/// here).
 pub fn run_point_profiled(
     settings: &RunSettings,
     config: SimulationConfig,
@@ -211,20 +191,6 @@ pub fn run_sweep(
     settings: &RunSettings,
     points: Vec<(String, f64, SimulationConfig, Family)>,
 ) -> Vec<SweepPoint> {
-    run_sweep_profiled(settings, points)
-        .into_iter()
-        .map(|p| p.point)
-        .collect()
-}
-
-/// [`run_sweep`] with per-point kernel profiles: every report is accompanied
-/// by the wall-clock ms and events/sec of the run that produced it.  The
-/// reports (and their order) are identical to [`run_sweep`]'s; only the
-/// wall-clock measurements differ run to run.
-pub fn run_sweep_profiled(
-    settings: &RunSettings,
-    points: Vec<(String, f64, SimulationConfig, Family)>,
-) -> Vec<ProfiledSweepPoint> {
     let jobs: Vec<(String, f64, SimulationConfig, Family)> = points
         .into_iter()
         .enumerate()
@@ -234,11 +200,8 @@ pub fn run_sweep_profiled(
         })
         .collect();
     let run_one = |(series, x, config, family): (String, f64, SimulationConfig, Family)| {
-        let (report, profile) = run_point_profiled(settings, config, family);
-        ProfiledSweepPoint {
-            point: SweepPoint { series, x, report },
-            profile,
-        }
+        let (report, _) = run_point_profiled(settings, config, family);
+        SweepPoint { series, x, report }
     };
     if !settings.parallel || jobs.len() <= 1 {
         return jobs.into_iter().map(run_one).collect();
@@ -252,8 +215,7 @@ pub fn run_sweep_profiled(
     }
     .min(jobs.len());
     let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<ProfiledSweepPoint>>> =
-        jobs.iter().map(|_| Mutex::new(None)).collect();
+    let slots: Vec<Mutex<Option<SweepPoint>>> = jobs.iter().map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
         for _ in 0..threads {
             scope.spawn(|| loop {
@@ -278,25 +240,6 @@ pub fn run_sweep_profiled(
 // Convenience constructors for the configurations of each experiment.
 // ---------------------------------------------------------------------------
 
-/// Configuration of one Fig. 4.1 point.
-pub fn fig4_1_point(variant: LogVariant, rate: f64) -> SimulationConfig {
-    presets::log_allocation_config(variant, rate)
-}
-
-/// Configuration of one Fig. 4.2 point (NOFORCE).
-pub fn fig4_2_point(storage: DebitCreditStorage, rate: f64) -> SimulationConfig {
-    presets::debit_credit_config(storage, rate)
-}
-
-/// Configuration of one Fig. 4.3 point.
-pub fn fig4_3_point(storage: DebitCreditStorage, force: bool, rate: f64) -> SimulationConfig {
-    let mut c = presets::debit_credit_config(storage, rate);
-    if force {
-        c.buffer.update_strategy = bufmgr::UpdateStrategy::Force;
-    }
-    c
-}
-
 /// Configuration of one Fig. 4.4 / Fig. 4.5 / Table 4.2 point.
 pub fn caching_point(
     mm_pages: usize,
@@ -305,20 +248,6 @@ pub fn caching_point(
     rate: f64,
 ) -> SimulationConfig {
     presets::caching_config(mm_pages, second_level, force, rate)
-}
-
-/// Configuration of one Fig. 4.6 / Fig. 4.7 point.
-pub fn trace_point(mm_pages: usize, storage: TraceStorage, rate: f64) -> SimulationConfig {
-    presets::trace_config(mm_pages, storage, rate)
-}
-
-/// Configuration of one Fig. 4.8 point.
-pub fn fig4_8_point(
-    allocation: ContentionAllocation,
-    granularity: CcMode,
-    rate: f64,
-) -> SimulationConfig {
-    presets::contention_config(allocation, granularity, rate)
 }
 
 /// Configuration of one multi-node scaling point (`fig5.x`):
@@ -385,20 +314,10 @@ pub fn workload_point(
     c
 }
 
-/// Configuration of one restart-time point (`fig6.x`):
-/// FORCE vs NOFORCE × disk- vs NVEM-resident log × checkpoint interval.
-pub fn recovery_point(
-    force: bool,
-    nvem_log: bool,
-    checkpoint_interval_ms: f64,
-    rate: f64,
-) -> SimulationConfig {
-    presets::recovery_config(force, nvem_log, checkpoint_interval_ms, rate)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tpsim::presets::DebitCreditStorage;
 
     #[test]
     fn quick_settings_run_a_small_sweep() {
@@ -407,13 +326,13 @@ mod tests {
             (
                 "disk".to_string(),
                 50.0,
-                fig4_2_point(DebitCreditStorage::Disk, 50.0),
+                presets::debit_credit_config(DebitCreditStorage::Disk, 50.0),
                 Family::DebitCredit,
             ),
             (
                 "nvem".to_string(),
                 50.0,
-                fig4_2_point(DebitCreditStorage::NvemResident, 50.0),
+                presets::debit_credit_config(DebitCreditStorage::NvemResident, 50.0),
                 Family::DebitCredit,
             ),
         ];
@@ -432,13 +351,13 @@ mod tests {
                 (
                     "a".to_string(),
                     100.0,
-                    fig4_2_point(DebitCreditStorage::Ssd, 100.0),
+                    presets::debit_credit_config(DebitCreditStorage::Ssd, 100.0),
                     Family::DebitCredit,
                 ),
                 (
                     "b".to_string(),
                     100.0,
-                    fig4_2_point(DebitCreditStorage::Disk, 100.0),
+                    presets::debit_credit_config(DebitCreditStorage::Disk, 100.0),
                     Family::DebitCredit,
                 ),
             ]

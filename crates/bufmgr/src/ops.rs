@@ -68,28 +68,6 @@ impl Default for PageOp {
     }
 }
 
-impl PageOp {
-    /// True for operations the transaction must wait for.
-    pub fn is_synchronous(&self) -> bool {
-        !matches!(self, PageOp::UnitWriteAsync { .. })
-    }
-
-    /// True for operations that hold the CPU while they run.
-    pub fn holds_cpu(&self) -> bool {
-        matches!(self, PageOp::NvemTransfer { .. })
-    }
-
-    /// The page the operation concerns.
-    pub fn page(&self) -> PageId {
-        match *self {
-            PageOp::NvemTransfer { page, .. }
-            | PageOp::UnitRead { page, .. }
-            | PageOp::UnitWrite { page, .. }
-            | PageOp::UnitWriteAsync { page, .. } => page,
-        }
-    }
-}
-
 /// The result of referencing a page through the buffer manager.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FetchOutcome {
@@ -111,11 +89,6 @@ impl FetchOutcome {
             ops: PageOps::new(),
         }
     }
-
-    /// Number of synchronous operations the transaction must wait for.
-    pub fn synchronous_ops(&self) -> usize {
-        self.ops.iter().filter(|o| o.is_synchronous()).count()
-    }
 }
 
 #[cfg(test)]
@@ -123,36 +96,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn op_classification() {
-        let nvem = PageOp::NvemTransfer {
-            page: PageId(1),
-            to_nvem: true,
-        };
-        let read = PageOp::UnitRead {
-            unit: 0,
-            page: PageId(2),
-        };
-        let write = PageOp::UnitWrite {
-            unit: 0,
-            page: PageId(3),
-        };
-        let async_write = PageOp::UnitWriteAsync {
-            unit: 1,
-            page: PageId(4),
-        };
-        assert!(nvem.is_synchronous() && nvem.holds_cpu());
-        assert!(read.is_synchronous() && !read.holds_cpu());
-        assert!(write.is_synchronous());
-        assert!(!async_write.is_synchronous());
-        assert_eq!(async_write.page(), PageId(4));
-        assert_eq!(nvem.page(), PageId(1));
-    }
-
-    #[test]
     fn fetch_outcome_hit_has_no_ops() {
         let h = FetchOutcome::hit();
         assert!(h.main_memory_hit);
         assert!(!h.nvem_cache_hit);
-        assert_eq!(h.synchronous_ops(), 0);
+        assert!(h.ops.is_empty());
     }
 }

@@ -28,7 +28,6 @@ impl<W: WorkloadGenerator> Simulation<W> {
             return;
         }
         let resp = now - arrival;
-        self.response.record(resp);
         self.response_hist.record(resp);
         let slot = match self.per_type.binary_search_by_key(&tx_type, |(ty, _)| *ty) {
             Ok(i) => i,
@@ -50,7 +49,6 @@ impl<W: WorkloadGenerator> Simulation<W> {
         let now = self.queue.now();
         self.warmup_done = true;
         self.measure_start = now;
-        self.response.reset();
         self.response_hist.reset();
         self.per_type.clear();
         self.completed = 0;
@@ -105,13 +103,14 @@ impl<W: WorkloadGenerator> Simulation<W> {
         self.active_tw.record(now, self.total_active as f64);
         self.inputq_tw.record(now, self.total_queued as f64);
 
-        let response_time = if self.response.count() > 0 {
+        let response = self.response_hist.tally();
+        let response_time = if response.count() > 0 {
             ResponseTimeStats {
-                count: self.response.count(),
-                mean: self.response.mean().unwrap_or(0.0),
-                std_dev: self.response.std_dev().unwrap_or(0.0),
-                min: self.response.min().unwrap_or(0.0),
-                max: self.response.max().unwrap_or(0.0),
+                count: response.count(),
+                mean: response.mean().unwrap_or(0.0),
+                std_dev: response.std_dev().unwrap_or(0.0),
+                min: response.min().unwrap_or(0.0),
+                max: response.max().unwrap_or(0.0),
                 p95: self.response_hist.quantile(0.95).unwrap_or(0.0),
             }
         } else {

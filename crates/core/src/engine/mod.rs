@@ -328,8 +328,8 @@ pub struct Simulation<W: WorkloadGenerator> {
     crash_stats: Option<CrashStatsSnapshot>,
 
     // Aggregate statistics (sums over all nodes, kept incrementally so the
-    // single-node report is identical to the per-node one).
-    response: Tally,
+    // single-node report is identical to the per-node one).  The histogram's
+    // tally is the aggregate response-time accumulator.
     response_hist: Histogram,
     /// Per-transaction-type response tallies, sorted by `tx_type`.  A sorted
     /// small vec (binary-search lookup) instead of a `HashMap`: the distinct
@@ -460,7 +460,6 @@ impl<W: WorkloadGenerator> Simulation<W> {
             crash_at: None,
             crashed: false,
             crash_stats: None,
-            response: Tally::new(),
             response_hist: Histogram::new(2.0, 5_000),
             per_type: Vec::new(),
             completed: 0,

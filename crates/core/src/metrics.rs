@@ -538,21 +538,6 @@ impl SimulationReport {
             self.locks.conflicts as f64 / self.locks.requests as f64
         }
     }
-
-    /// A single-line summary useful for sweep tables.
-    pub fn summary_line(&self) -> String {
-        format!(
-            "rate {:>6.1} TPS | thru {:>6.1} TPS | resp {:>8.2} ms | cpu {:>5.1}% | mm-hit {:>5.1}% | nvem-hit {:>4.1}% | conflicts {:>5.2}% | aborts {}",
-            self.arrival_rate_tps,
-            self.throughput_tps,
-            self.response_time.mean,
-            self.cpu_utilization * 100.0,
-            self.mm_hit_ratio() * 100.0,
-            self.nvem_hit_ratio() * 100.0,
-            self.lock_conflict_ratio() * 100.0,
-            self.aborts
-        )
-    }
 }
 
 #[cfg(test)]
@@ -627,14 +612,6 @@ mod tests {
         assert!((r.disk_cache_hit_ratio(0) - 0.25).abs() < 1e-12);
         assert_eq!(r.disk_cache_hit_ratio(5), 0.0);
         assert!((r.lock_conflict_ratio() - 0.05).abs() < 1e-12);
-    }
-
-    #[test]
-    fn summary_line_mentions_key_numbers() {
-        let line = dummy_report().summary_line();
-        assert!(line.contains("100.0 TPS"));
-        assert!(line.contains("25.00 ms"));
-        assert!(line.contains("70.0%"));
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Ready-made configurations for the experiments of §4 of the paper.
 //!
 //! Every figure and table of the evaluation is driven by one of the builders
-//! in this module (see `DESIGN.md` for the experiment index):
+//! in this module (the experiment index is `all_experiments` in the
+//! `tpsim-bench` crate's `experiments` module):
 //!
 //! * Fig. 4.1 — [`log_allocation_config`] with the four [`LogVariant`]s;
 //! * Fig. 4.2 / 4.3 — [`debit_credit_config`] with the six
@@ -396,19 +397,6 @@ pub enum SecondLevel {
     DiskCacheWriteBufferOnly,
 }
 
-impl SecondLevel {
-    /// Short label for report tables.
-    pub fn label(&self) -> String {
-        match self {
-            SecondLevel::None => "main memory caching only".to_string(),
-            SecondLevel::VolatileDiskCache(n) => format!("volatile disk cache ({n})"),
-            SecondLevel::NonVolatileDiskCache(n) => format!("non-volatile disk cache ({n})"),
-            SecondLevel::NvemCache(n) => format!("NVEM cache ({n})"),
-            SecondLevel::DiskCacheWriteBufferOnly => "disk-cache write buffer".to_string(),
-        }
-    }
-}
-
 /// Configuration for the Debit-Credit caching experiments: main-memory buffer
 /// of `mm_pages`, the given second-level configuration, FORCE or NOFORCE.
 ///
@@ -691,7 +679,6 @@ mod tests {
                 let c = caching_config(500, v, force, 500.0);
                 assert!(c.validate().is_ok(), "{v:?} force={force}");
             }
-            assert!(!v.label().is_empty());
         }
     }
 

@@ -23,7 +23,7 @@
 //!
 //! This module holds the pure data structures; the event-driven side
 //! (checkpoint events, the crash handler and the restart computation) lives
-//! in `engine/recovery.rs`.
+//! in `engine/recover.rs`.
 
 use std::collections::VecDeque;
 

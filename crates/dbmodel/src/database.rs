@@ -1,4 +1,4 @@
-//! Database model: partitions, sub-partitions, blocking factors.
+//! Database model: partitions and blocking factors.
 //!
 //! "The database is a collection of partitions.  A partition may be used to
 //! represent a file, a record type (relation), part of a record type, or an
@@ -6,38 +6,15 @@
 //! which in turn consist of a specific number of objects.  The number of
 //! objects per page is determined by the blocking factor." (§3.1)
 //!
-//! Within a partition the reference distribution is controlled by a
-//! generalized b/c rule: an arbitrary number of sub-partitions, each with a
-//! relative size and an access probability, uniform access inside each
-//! sub-partition.
+//! Objects inside a partition are drawn uniformly; skewed access comes from
+//! the Zipf hot spots of [`crate::hotspot`].
 
-use simkernel::dist::DiscreteDist;
 use simkernel::SimRng;
 
 use crate::types::{ObjectId, PageId};
 
 /// Identifier of a database partition.
 pub type PartitionId = usize;
-
-/// One sub-partition of the generalized b/c rule.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Subpartition {
-    /// Relative size (fraction of the partition's objects), need not be
-    /// normalized across sub-partitions.
-    pub relative_size: f64,
-    /// Relative access probability, need not be normalized.
-    pub access_probability: f64,
-}
-
-impl Subpartition {
-    /// Convenience constructor.
-    pub fn new(relative_size: f64, access_probability: f64) -> Self {
-        Self {
-            relative_size,
-            access_probability,
-        }
-    }
-}
 
 /// Static description of a database partition.
 #[derive(Debug, Clone)]
@@ -48,9 +25,6 @@ pub struct PartitionSpec {
     pub num_objects: u64,
     /// Objects per page.
     pub block_factor: u64,
-    /// Sub-partitions of the generalized b/c rule.  An empty vector means
-    /// uniform access over the whole partition.
-    pub subpartitions: Vec<Subpartition>,
     /// Sequential partitions are accessed by appending at the end of file
     /// (e.g. the Debit-Credit HISTORY relation).
     pub sequential: bool,
@@ -63,29 +37,6 @@ impl PartitionSpec {
             name: name.into(),
             num_objects,
             block_factor,
-            subpartitions: Vec::new(),
-            sequential: false,
-        }
-    }
-
-    /// Partition following a simple b/c rule: `b_percent` of the accesses go
-    /// to `c_percent` of the objects (e.g. 80/20).
-    pub fn bc_rule(
-        name: impl Into<String>,
-        num_objects: u64,
-        block_factor: u64,
-        b_percent: f64,
-        c_percent: f64,
-    ) -> Self {
-        assert!((0.0..=100.0).contains(&b_percent) && (0.0..=100.0).contains(&c_percent));
-        Self {
-            name: name.into(),
-            num_objects,
-            block_factor,
-            subpartitions: vec![
-                Subpartition::new(c_percent, b_percent),
-                Subpartition::new(100.0 - c_percent, 100.0 - b_percent),
-            ],
             sequential: false,
         }
     }
@@ -96,12 +47,6 @@ impl PartitionSpec {
         self
     }
 
-    /// Adds explicit sub-partitions (generalized b/c rule).
-    pub fn with_subpartitions(mut self, subs: Vec<Subpartition>) -> Self {
-        self.subpartitions = subs;
-        self
-    }
-
     /// Number of pages in the partition.
     pub fn num_pages(&self) -> u64 {
         debug_assert!(self.block_factor >= 1);
@@ -109,57 +54,19 @@ impl PartitionSpec {
     }
 }
 
-/// A partition instantiated inside a [`Database`], with its global page range
-/// and pre-computed sub-partition boundaries.
+/// A partition instantiated inside a [`Database`], with its global page and
+/// object range.
 #[derive(Debug, Clone)]
 pub struct Partition {
     spec: PartitionSpec,
     id: PartitionId,
     first_page: u64,
     first_object: u64,
-    /// Object-index boundaries of the sub-partitions (exclusive upper bounds).
-    sub_bounds: Vec<u64>,
-    /// Discrete distribution over sub-partitions by access probability.
-    sub_dist: Option<DiscreteDist>,
     /// Append cursor for sequential partitions (object index).
     append_cursor: u64,
 }
 
 impl Partition {
-    fn new(spec: PartitionSpec, id: PartitionId, first_page: u64, first_object: u64) -> Self {
-        let mut sub_bounds = Vec::with_capacity(spec.subpartitions.len());
-        let mut sub_dist = None;
-        if !spec.subpartitions.is_empty() {
-            let total_size: f64 = spec.subpartitions.iter().map(|s| s.relative_size).sum();
-            assert!(total_size > 0.0, "sub-partition sizes must not all be zero");
-            let mut acc = 0.0;
-            for s in &spec.subpartitions {
-                acc += s.relative_size;
-                let bound = ((acc / total_size) * spec.num_objects as f64).round() as u64;
-                sub_bounds.push(bound.clamp(1, spec.num_objects));
-            }
-            // The last bound must cover the whole partition.
-            if let Some(last) = sub_bounds.last_mut() {
-                *last = spec.num_objects;
-            }
-            let weights: Vec<f64> = spec
-                .subpartitions
-                .iter()
-                .map(|s| s.access_probability)
-                .collect();
-            sub_dist = DiscreteDist::new(&weights);
-        }
-        Self {
-            spec,
-            id,
-            first_page,
-            first_object,
-            sub_bounds,
-            sub_dist,
-            append_cursor: 0,
-        }
-    }
-
     /// Partition identifier.
     pub fn id(&self) -> PartitionId {
         self.id
@@ -212,30 +119,9 @@ impl Partition {
         PageId(self.first_page + local / self.spec.block_factor.max(1))
     }
 
-    /// True if the global page id belongs to this partition.
-    pub fn owns_page(&self, page: PageId) -> bool {
-        page.0 >= self.first_page && page.0 < self.first_page + self.num_pages()
-    }
-
-    /// Samples a local object index according to the sub-partition model.
+    /// Samples a local object index uniformly over the partition.
     pub fn sample_object(&self, rng: &mut SimRng) -> u64 {
-        match (&self.sub_dist, self.sub_bounds.is_empty()) {
-            (Some(dist), false) => {
-                let sub = dist.sample(rng);
-                let lo = if sub == 0 {
-                    0
-                } else {
-                    self.sub_bounds[sub - 1]
-                };
-                let hi = self.sub_bounds[sub];
-                if hi <= lo {
-                    lo.min(self.spec.num_objects - 1)
-                } else {
-                    lo + rng.below(hi - lo)
-                }
-            }
-            _ => rng.below(self.spec.num_objects),
-        }
+        rng.below(self.spec.num_objects)
     }
 
     /// Next append position for sequential partitions; wraps around when the
@@ -244,28 +130,6 @@ impl Partition {
         let obj = self.append_cursor;
         self.append_cursor = (self.append_cursor + 1) % self.spec.num_objects.max(1);
         obj
-    }
-
-    /// Fraction of accesses expected to fall into the hottest `frac` of the
-    /// partition (diagnostic used by tests).
-    pub fn expected_access_share(&self, frac: f64) -> f64 {
-        if self.sub_bounds.is_empty() {
-            return frac;
-        }
-        let cut = (frac * self.spec.num_objects as f64) as u64;
-        let dist = self.sub_dist.as_ref().expect("dist exists with bounds");
-        let mut share = 0.0;
-        let mut lo = 0u64;
-        for (i, &hi) in self.sub_bounds.iter().enumerate() {
-            let p = dist.probability(i);
-            if cut >= hi {
-                share += p;
-            } else if cut > lo {
-                share += p * (cut - lo) as f64 / (hi - lo) as f64;
-            }
-            lo = hi;
-        }
-        share
     }
 }
 
@@ -298,7 +162,13 @@ impl Database {
         assert!(spec.num_objects > 0, "partition must contain objects");
         assert!(spec.block_factor > 0, "blocking factor must be positive");
         let id = self.partitions.len();
-        let partition = Partition::new(spec, id, self.total_pages, self.total_objects);
+        let partition = Partition {
+            spec,
+            id,
+            first_page: self.total_pages,
+            first_object: self.total_objects,
+            append_cursor: 0,
+        };
         self.total_pages += partition.num_pages();
         self.total_objects += partition.num_objects();
         self.partitions.push(partition);
@@ -334,22 +204,6 @@ impl Database {
     pub fn partitions(&self) -> impl Iterator<Item = &Partition> {
         self.partitions.iter()
     }
-
-    /// Finds the partition owning a global page id.
-    pub fn partition_of_page(&self, page: PageId) -> Option<PartitionId> {
-        self.partitions
-            .iter()
-            .find(|p| p.owns_page(page))
-            .map(|p| p.id())
-    }
-
-    /// Looks up a partition id by name.
-    pub fn partition_by_name(&self, name: &str) -> Option<PartitionId> {
-        self.partitions
-            .iter()
-            .find(|p| p.name() == name)
-            .map(|p| p.id())
-    }
 }
 
 #[cfg(test)]
@@ -376,9 +230,13 @@ mod tests {
         assert_eq!(db.partition(0).first_page(), PageId(0));
         assert_eq!(db.partition(1).first_page(), PageId(10));
         assert_eq!(db.partition(2).first_page(), PageId(16));
-        assert_eq!(db.partition_of_page(PageId(12)), Some(1));
-        assert_eq!(db.partition_of_page(PageId(25)), Some(2));
-        assert_eq!(db.partition_of_page(PageId(26)), None);
+        // Each partition ends where the next begins; the last ends at the total.
+        let ends: Vec<u64> = db
+            .partitions()
+            .map(|p| p.first_page().0 + p.num_pages())
+            .collect();
+        assert_eq!(ends, vec![10, 16, 26]);
+        assert_eq!(ends[2], db.total_pages());
     }
 
     #[test]
@@ -389,45 +247,6 @@ mod tests {
         assert_eq!(p.page_of_object(9), PageId(0));
         assert_eq!(p.page_of_object(10), PageId(1));
         assert_eq!(p.page_of_object(99), PageId(9));
-    }
-
-    #[test]
-    fn bc_rule_80_20_is_skewed() {
-        let db = Database::from_specs(vec![PartitionSpec::bc_rule("H", 10_000, 10, 80.0, 20.0)]);
-        let p = db.partition(0);
-        // Analytical expectation: 80% of accesses to the first 20% of objects.
-        assert!((p.expected_access_share(0.2) - 0.8).abs() < 1e-9);
-        // Empirical check.
-        let mut rng = SimRng::seed_from(123);
-        let n = 100_000;
-        let hot = (0..n).filter(|_| p.sample_object(&mut rng) < 2000).count() as f64 / n as f64;
-        assert!((hot - 0.8).abs() < 0.01, "hot share {hot}");
-    }
-
-    #[test]
-    fn two_level_90_10_rule_from_paper() {
-        // "a two-level 90/10-rule ... three subpartitions with relative sizes
-        // of 81, 9, and 10 % and access probabilities of 1, 9, and 90 %".
-        // Note the paper lists sizes large-to-small with probabilities
-        // small-to-large; the hottest 1%-of-objects sub-partition is the last.
-        let spec = PartitionSpec::uniform("X", 100_000, 10).with_subpartitions(vec![
-            Subpartition::new(81.0, 1.0),
-            Subpartition::new(9.0, 9.0),
-            Subpartition::new(10.0, 90.0),
-        ]);
-        let db = Database::from_specs(vec![spec]);
-        let p = db.partition(0);
-        let mut rng = SimRng::seed_from(5);
-        let n = 200_000;
-        let mut last_10pct = 0usize;
-        for _ in 0..n {
-            let o = p.sample_object(&mut rng);
-            if o >= 90_000 {
-                last_10pct += 1;
-            }
-        }
-        let share = last_10pct as f64 / n as f64;
-        assert!((share - 0.9).abs() < 0.01, "share {share}");
     }
 
     #[test]
@@ -457,16 +276,6 @@ mod tests {
         assert!(p.is_sequential());
         let seq: Vec<u64> = (0..6).map(|_| p.next_append()).collect();
         assert_eq!(seq, vec![0, 1, 2, 3, 0, 1]);
-    }
-
-    #[test]
-    fn partition_lookup_by_name() {
-        let db = Database::from_specs(vec![
-            PartitionSpec::uniform("A", 10, 1),
-            PartitionSpec::uniform("B", 10, 1),
-        ]);
-        assert_eq!(db.partition_by_name("B"), Some(1));
-        assert_eq!(db.partition_by_name("missing"), None);
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! Zipfian hot-spot access model for internet-scale workloads.
 //!
-//! The paper's synthetic model skews access with contiguous sub-partitions
-//! (the generalized b/c rule); traffic from millions of users is better
-//! described by a Zipfian popularity curve over a *hot set*: a fraction
-//! `hot_fraction` of the items receives all but `hot_fraction` of the
-//! accesses, Zipf-distributed inside the hot set, with the cold remainder hit
-//! uniformly.  `hot_fraction = 0.2, theta = 0.9` therefore means "80 % of the
-//! traffic hammers a Zipf-skewed fifth of the data".
+//! This is the model's only skew mechanism: partitions are otherwise accessed
+//! uniformly.  Traffic from millions of users is described by a Zipfian
+//! popularity curve over a *hot set*: a fraction `hot_fraction` of the items
+//! receives all but `hot_fraction` of the accesses, Zipf-distributed inside
+//! the hot set, with the cold remainder hit uniformly.  `hot_fraction = 0.2,
+//! theta = 0.9` therefore means "80 % of the traffic hammers a Zipf-skewed
+//! fifth of the data".
 //!
 //! The default parameters (`theta = 0`, `hot_fraction = 1`) are **inactive**:
 //! generators must not change their draw sequences at all, so every existing

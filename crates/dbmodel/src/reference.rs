@@ -23,15 +23,6 @@ pub struct ReferenceMatrix {
 }
 
 impl ReferenceMatrix {
-    /// Creates a matrix of zeros for `num_tx_types` × `num_partitions`.
-    pub fn new(num_tx_types: usize, num_partitions: usize) -> Self {
-        Self {
-            num_partitions,
-            rows: vec![vec![0.0; num_partitions]; num_tx_types],
-            dists: vec![None; num_tx_types],
-        }
-    }
-
     /// Builds a matrix from explicit rows.  Every row must have the same
     /// number of columns.
     pub fn from_rows(rows: Vec<Vec<f64>>) -> Self {
@@ -47,14 +38,6 @@ impl ReferenceMatrix {
         };
         m.dists = m.rows.iter().map(|r| DiscreteDist::new(r)).collect();
         m
-    }
-
-    /// Sets one cell and refreshes the row's sampling distribution.
-    pub fn set(&mut self, tx_type: TxTypeId, partition: PartitionId, weight: f64) {
-        assert!(partition < self.num_partitions, "partition out of range");
-        assert!(weight >= 0.0, "weights must be non-negative");
-        self.rows[tx_type][partition] = weight;
-        self.dists[tx_type] = DiscreteDist::new(&self.rows[tx_type]);
     }
 
     /// Number of transaction types (rows).
@@ -142,21 +125,9 @@ mod tests {
     }
 
     #[test]
-    fn set_updates_distribution() {
-        let mut m = ReferenceMatrix::new(1, 3);
-        assert!(!m.row_is_valid(0));
-        m.set(0, 2, 5.0);
-        assert!(m.row_is_valid(0));
-        let mut rng = SimRng::seed_from(1);
-        for _ in 0..100 {
-            assert_eq!(m.sample_partition(0, &mut rng), 2);
-        }
-    }
-
-    #[test]
     #[should_panic]
     fn sampling_invalid_row_panics() {
-        let m = ReferenceMatrix::new(2, 2);
+        let m = ReferenceMatrix::from_rows(vec![vec![0.0, 0.0]]);
         let mut rng = SimRng::seed_from(1);
         let _ = m.sample_partition(0, &mut rng);
     }

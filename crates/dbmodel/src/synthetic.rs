@@ -6,7 +6,7 @@
 //! accesses (fixed or exponentially distributed), a write probability, and a
 //! sequential or non-sequential access pattern; the partition accessed per
 //! reference is drawn from the relative reference matrix, the object within
-//! the partition from the partition's sub-partition model.
+//! the partition uniformly or from its hot-spot sampler.
 
 use simkernel::SimRng;
 
@@ -80,8 +80,8 @@ pub struct SyntheticWorkload {
     database: Database,
     tx_types: Vec<TransactionTypeSpec>,
     matrix: ReferenceMatrix,
-    /// Per-partition hot-spot samplers; when set they replace the
-    /// sub-partition object draw (the partition mix is unchanged).
+    /// Per-partition hot-spot samplers; when set they replace the uniform
+    /// object draw (the partition mix is unchanged).
     hot_spot: Option<Vec<HotSpotSampler>>,
 }
 
@@ -120,7 +120,7 @@ impl SyntheticWorkload {
     }
 
     /// Samples a local object index of `partition`: from the hot-spot curve
-    /// when skew is active, from the sub-partition model otherwise.
+    /// when skew is active, uniformly otherwise.
     fn sample_local(&self, partition: usize, rng: &mut SimRng) -> u64 {
         match &self.hot_spot {
             Some(samplers) => samplers[partition].sample(rng),

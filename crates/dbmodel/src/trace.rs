@@ -19,12 +19,8 @@
 //!   with more than 11,000 references,
 //! * strong locality of reference (a main-memory buffer of 2,000 pages yields
 //!   a hit ratio above 80 %).
-//!
-//! Traces can also be serialized to / parsed from a simple line-oriented text
-//! format so externally produced traces can be replayed.
 
 use std::collections::BTreeSet;
-use std::fmt::Write as _;
 
 use simkernel::dist::Zipf;
 use simkernel::SimRng;
@@ -110,15 +106,6 @@ impl Trace {
             .unwrap_or(0)
     }
 
-    /// Average number of references per transaction.
-    pub fn avg_transaction_size(&self) -> f64 {
-        if self.transactions.is_empty() {
-            0.0
-        } else {
-            self.total_references() as f64 / self.transactions.len() as f64
-        }
-    }
-
     /// Builds the [`Database`] corresponding to the traced files (one
     /// partition per file, blocking factor 1, i.e. page-level objects).
     pub fn build_database(&self) -> Database {
@@ -128,125 +115,7 @@ impl Trace {
         }
         db
     }
-
-    /// Serializes the trace to the text format.
-    ///
-    /// ```text
-    /// files 2
-    /// file CUST 1000
-    /// file ORDERS 5000
-    /// tx 3
-    /// r 0 17
-    /// w 1 4711
-    /// ```
-    pub fn to_text(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "files {}", self.files.len());
-        for (name, pages) in &self.files {
-            let _ = writeln!(out, "file {name} {pages}");
-        }
-        for t in &self.transactions {
-            let _ = writeln!(out, "tx {}", t.tx_type);
-            for (f, p, m) in &t.refs {
-                let tag = if m.is_write() { 'w' } else { 'r' };
-                let _ = writeln!(out, "{tag} {f} {p}");
-            }
-        }
-        out
-    }
-
-    /// Parses a trace from the text format produced by [`Trace::to_text`].
-    pub fn from_text(text: &str) -> Result<Self, TraceParseError> {
-        let mut files = Vec::new();
-        let mut transactions: Vec<TraceTransaction> = Vec::new();
-        for (lineno, raw) in text.lines().enumerate() {
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let mut parts = line.split_whitespace();
-            let head = parts.next().unwrap_or("");
-            let err = |msg: &str| TraceParseError {
-                line: lineno + 1,
-                message: msg.to_string(),
-            };
-            match head {
-                "files" => { /* declarative count; ignored */ }
-                "file" => {
-                    let name = parts.next().ok_or_else(|| err("missing file name"))?;
-                    let pages: u64 = parts
-                        .next()
-                        .ok_or_else(|| err("missing page count"))?
-                        .parse()
-                        .map_err(|_| err("invalid page count"))?;
-                    files.push((name.to_string(), pages));
-                }
-                "tx" => {
-                    let tx_type: usize = parts
-                        .next()
-                        .ok_or_else(|| err("missing tx type"))?
-                        .parse()
-                        .map_err(|_| err("invalid tx type"))?;
-                    transactions.push(TraceTransaction {
-                        tx_type,
-                        refs: Vec::new(),
-                    });
-                }
-                "r" | "w" => {
-                    let file: usize = parts
-                        .next()
-                        .ok_or_else(|| err("missing file index"))?
-                        .parse()
-                        .map_err(|_| err("invalid file index"))?;
-                    let page: u64 = parts
-                        .next()
-                        .ok_or_else(|| err("missing page index"))?
-                        .parse()
-                        .map_err(|_| err("invalid page index"))?;
-                    if file >= files.len() {
-                        return Err(err("reference to undeclared file"));
-                    }
-                    let mode = if head == "w" {
-                        AccessMode::Write
-                    } else {
-                        AccessMode::Read
-                    };
-                    transactions
-                        .last_mut()
-                        .ok_or_else(|| err("reference before any tx line"))?
-                        .refs
-                        .push((file, page, mode));
-                }
-                _ => return Err(err("unknown record")),
-            }
-        }
-        Ok(Self {
-            files,
-            transactions,
-        })
-    }
 }
-
-/// Error produced when parsing a textual trace fails.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceParseError {
-    /// 1-based line number of the offending record.
-    pub line: usize,
-    /// Description of the problem.
-    pub message: String,
-}
-
-impl std::fmt::Display for TraceParseError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "trace parse error at line {}: {}",
-            self.line, self.message
-        )
-    }
-}
-
-impl std::error::Error for TraceParseError {}
 
 /// Parameters of the synthetic trace generator.
 ///
@@ -563,45 +432,6 @@ mod tests {
         let total: u64 = freqs.iter().sum();
         let share = hot as f64 / total as f64;
         assert!(share > 0.6, "hot-10% share {share}");
-    }
-
-    #[test]
-    fn trace_text_roundtrip() {
-        let spec = SyntheticTraceSpec {
-            num_transactions: 50,
-            referenced_pages: 500,
-            total_pages: 2_000,
-            adhoc_query_size: 100,
-            mean_tx_size: 5.0,
-            ..SyntheticTraceSpec::default()
-        };
-        let mut rng = SimRng::seed_from(3);
-        let trace = spec.generate(&mut rng);
-        let text = trace.to_text();
-        let parsed = Trace::from_text(&text).expect("roundtrip parse");
-        assert_eq!(parsed.files, trace.files);
-        assert_eq!(parsed.transactions, trace.transactions);
-    }
-
-    #[test]
-    fn trace_parser_rejects_malformed_input() {
-        assert!(Trace::from_text("bogus line").is_err());
-        assert!(Trace::from_text("r 0 5").is_err()); // reference before file/tx
-        let err = Trace::from_text("file A 10\nr 0 5").unwrap_err();
-        assert_eq!(err.line, 2);
-        assert!(err.to_string().contains("line 2"));
-        // Reference to a file that was never declared.
-        assert!(Trace::from_text("file A 10\ntx 0\nr 3 1").is_err());
-    }
-
-    #[test]
-    fn trace_parser_ignores_comments_and_blank_lines() {
-        let text = "# a comment\n\nfiles 1\nfile A 10\ntx 2\nr 0 3\nw 0 4\n";
-        let trace = Trace::from_text(text).unwrap();
-        assert_eq!(trace.files.len(), 1);
-        assert_eq!(trace.transactions.len(), 1);
-        assert_eq!(trace.transactions[0].refs.len(), 2);
-        assert!(trace.transactions[0].is_update());
     }
 
     #[test]

@@ -77,19 +77,6 @@ impl TransactionTemplate {
         self.refs.iter().any(|r| r.mode.is_write())
     }
 
-    /// Number of distinct pages written by the transaction.
-    pub fn distinct_pages_written(&self) -> usize {
-        let mut pages: Vec<PageId> = self
-            .refs
-            .iter()
-            .filter(|r| r.mode.is_write())
-            .map(|r| r.page)
-            .collect();
-        pages.sort_unstable();
-        pages.dedup();
-        pages.len()
-    }
-
     /// Number of distinct pages referenced by the transaction.
     pub fn distinct_pages(&self) -> usize {
         let mut pages: Vec<PageId> = self.refs.iter().map(|r| r.page).collect();
@@ -181,7 +168,6 @@ mod tests {
         };
         assert_eq!(t.len(), 4);
         assert_eq!(t.distinct_pages(), 3);
-        assert_eq!(t.distinct_pages_written(), 2);
         assert!(!t.is_empty());
     }
 

@@ -2,7 +2,7 @@
 //! per-partition concurrency-control modes together and keeps the statistics
 //! TPSIM reports (lock requests, conflicts, deadlocks).
 
-use dbmodel::{AccessMode, Database, ObjectRef, PartitionId};
+use dbmodel::{AccessMode, ObjectRef, PartitionId};
 use simkernel::IdMap;
 
 use crate::deadlock::WaitsForGraph;
@@ -91,19 +91,6 @@ impl LockManager {
             waiting_on: IdMap::default(),
             stats: LockManagerStats::default(),
         }
-    }
-
-    /// Convenience constructor: the same mode for every partition of `db`.
-    pub fn uniform(db: &Database, mode: CcMode) -> Self {
-        Self::new(vec![mode; db.num_partitions()])
-    }
-
-    /// Overrides the mode of one partition.
-    pub fn set_mode(&mut self, partition: PartitionId, mode: CcMode) {
-        if partition >= self.modes.len() {
-            self.modes.resize(partition + 1, CcMode::default());
-        }
-        self.modes[partition] = mode;
     }
 
     /// The mode configured for `partition` (default page-level).
@@ -379,15 +366,11 @@ mod tests {
     }
 
     #[test]
-    fn set_mode_overrides_partition() {
-        let db_less = LockManager::new(vec![CcMode::Page]);
-        assert_eq!(db_less.mode(5), CcMode::Page); // default for unknown
-        let mut m = LockManager::new(vec![CcMode::Page]);
-        m.set_mode(0, CcMode::None);
+    fn unknown_partition_defaults_to_page_locking() {
+        let m = LockManager::new(vec![CcMode::None, CcMode::Object]);
         assert_eq!(m.mode(0), CcMode::None);
-        m.set_mode(3, CcMode::Object);
-        assert_eq!(m.mode(3), CcMode::Object);
-        assert_eq!(m.mode(1), CcMode::Page);
+        assert_eq!(m.mode(1), CcMode::Object);
+        assert_eq!(m.mode(5), CcMode::Page);
     }
 
     #[test]

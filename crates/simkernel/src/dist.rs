@@ -1,110 +1,18 @@
 //! Reusable probability distributions.
 //!
-//! TPSIM's workload model needs a handful of distributions: exponential
-//! service times and inter-arrival times, uniform selection within a
-//! sub-partition, and general discrete distributions (the relative reference
-//! matrix and the b/c-rule sub-partition weights).  Everything samples from a
-//! [`SimRng`] so runs remain deterministic.
+//! TPSIM's workload model needs three distributions beyond the exponential
+//! and uniform draws of [`SimRng`] itself: general discrete distributions
+//! (the rows of the relative reference matrix), Zipf popularity (trace files
+//! and hot spots) and piecewise-constant arrival rates (shaped workloads).
+//! Everything samples from a [`SimRng`] so runs remain deterministic.
 
 use crate::rng::SimRng;
-
-/// A distribution that can produce an `f64` sample from the simulation RNG.
-pub trait Draw {
-    /// Draws one sample.
-    fn draw(&self, rng: &mut SimRng) -> f64;
-
-    /// The distribution's mean, if defined.
-    fn mean(&self) -> f64;
-}
-
-/// Exponential distribution with a given mean.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Exponential {
-    mean: f64,
-}
-
-impl Exponential {
-    /// Creates an exponential distribution with `mean > 0`.
-    pub fn new(mean: f64) -> Self {
-        assert!(mean > 0.0, "exponential mean must be positive, got {mean}");
-        Self { mean }
-    }
-}
-
-impl Draw for Exponential {
-    #[inline]
-    fn draw(&self, rng: &mut SimRng) -> f64 {
-        rng.exponential(self.mean)
-    }
-
-    #[inline]
-    fn mean(&self) -> f64 {
-        self.mean
-    }
-}
-
-/// Either a fixed constant or an exponential around a mean.
-///
-/// Transaction sizes and CPU bursts in the paper can be "fixed or variable; in
-/// the latter case the actual number ... is determined according to an
-/// exponential distribution over the specified mean" (§3.1).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum FixedOrExp {
-    /// Always returns the same value.
-    Fixed(f64),
-    /// Exponentially distributed around the mean.
-    Exp(f64),
-}
-
-impl Draw for FixedOrExp {
-    #[inline]
-    fn draw(&self, rng: &mut SimRng) -> f64 {
-        match *self {
-            FixedOrExp::Fixed(v) => v,
-            FixedOrExp::Exp(mean) => rng.exponential(mean),
-        }
-    }
-
-    #[inline]
-    fn mean(&self) -> f64 {
-        match *self {
-            FixedOrExp::Fixed(v) | FixedOrExp::Exp(v) => v,
-        }
-    }
-}
-
-/// Continuous uniform distribution over `[lo, hi)`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct UniformRange {
-    lo: f64,
-    hi: f64,
-}
-
-impl UniformRange {
-    /// Creates a uniform distribution over `[lo, hi)` with `hi >= lo`.
-    pub fn new(lo: f64, hi: f64) -> Self {
-        assert!(hi >= lo, "invalid uniform range [{lo}, {hi})");
-        Self { lo, hi }
-    }
-}
-
-impl Draw for UniformRange {
-    #[inline]
-    fn draw(&self, rng: &mut SimRng) -> f64 {
-        rng.range_f64(self.lo, self.hi)
-    }
-
-    #[inline]
-    fn mean(&self) -> f64 {
-        (self.lo + self.hi) / 2.0
-    }
-}
 
 /// A discrete distribution over `0..n` built from arbitrary non-negative
 /// weights, sampled by binary search over the cumulative weights.
 ///
-/// Used for the relative reference matrix rows and for sub-partition
-/// selection, where the same distribution is sampled millions of times.
+/// Used for the relative reference matrix rows, where the same distribution
+/// is sampled millions of times.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DiscreteDist {
     cumulative: Vec<f64>,
@@ -152,20 +60,14 @@ impl DiscreteDist {
             Err(i) => i.min(self.cumulative.len() - 1),
         }
     }
-
-    /// Probability mass of category `i`.
-    pub fn probability(&self, i: usize) -> f64 {
-        let prev = if i == 0 { 0.0 } else { self.cumulative[i - 1] };
-        (self.cumulative[i] - prev) / self.total
-    }
 }
 
 /// Zipf-like distribution over `0..n` with skew parameter `theta` in `[0, 1)`.
 ///
 /// Gray et al.'s generator ("Quickly Generating Billion-Record Synthetic
 /// Databases", SIGMOD 1994).  Used by the synthetic trace generator's
-/// per-file page popularity and by `dbmodel`'s hot-spot sampler (the paper's
-/// own synthetic model uses sub-partitions / the b-c rule instead).
+/// per-file page popularity and by `dbmodel`'s hot-spot sampler, the
+/// database model's only skew mechanism.
 /// `theta = 0` is uniform; values around 0.8–0.99 give the heavy skew typical
 /// of OLTP traces.  Construction costs O(1) in `n`.
 #[derive(Debug, Clone)]
@@ -382,48 +284,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn exponential_draw_mean() {
-        let d = Exponential::new(2.0);
-        let mut rng = SimRng::seed_from(1);
-        let n = 100_000;
-        let avg: f64 = (0..n).map(|_| d.draw(&mut rng)).sum::<f64>() / n as f64;
-        assert!((avg - 2.0).abs() < 0.05, "avg {avg}");
-        assert_eq!(d.mean(), 2.0);
-    }
-
-    #[test]
-    #[should_panic]
-    fn exponential_rejects_nonpositive_mean() {
-        let _ = Exponential::new(0.0);
-    }
-
-    #[test]
-    fn fixed_or_exp_fixed_is_constant() {
-        let d = FixedOrExp::Fixed(4.0);
-        let mut rng = SimRng::seed_from(1);
-        for _ in 0..10 {
-            assert_eq!(d.draw(&mut rng), 4.0);
-        }
-        assert_eq!(d.mean(), 4.0);
-    }
-
-    #[test]
-    fn uniform_range_bounds_and_mean() {
-        let d = UniformRange::new(1.0, 3.0);
-        let mut rng = SimRng::seed_from(1);
-        for _ in 0..1000 {
-            let x = d.draw(&mut rng);
-            assert!((1.0..3.0).contains(&x));
-        }
-        assert_eq!(d.mean(), 2.0);
-    }
-
-    #[test]
     fn discrete_dist_matches_weights() {
         let d = DiscreteDist::new(&[1.0, 3.0, 6.0]).unwrap();
         assert_eq!(d.len(), 3);
-        assert!((d.probability(0) - 0.1).abs() < 1e-12);
-        assert!((d.probability(2) - 0.6).abs() < 1e-12);
         let mut rng = SimRng::seed_from(77);
         let mut counts = [0usize; 3];
         for _ in 0..100_000 {

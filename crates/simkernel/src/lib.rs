@@ -10,8 +10,9 @@
 //! * a deterministic [`events::EventQueue`] (future event list),
 //! * FCFS multi-server [`resource::Resource`] stations with utilization and
 //!   queue-length statistics,
-//! * random [`dist`] sampling (exponential, uniform, discrete, zipf) on top of
-//!   a seedable PRNG, and
+//! * random sampling: exponential and uniform draws on a seedable PRNG
+//!   ([`rng::SimRng`]) and the discrete, Zipf and piecewise-rate [`dist`]
+//!   distributions built on it, and
 //! * [`stats`] accumulators (tally and time-weighted) with warm-up support,
 //! * the allocation-free building blocks of the per-operation path: the
 //!   deterministic [`idhash`] hasher for maps keyed by simulator ids and the
@@ -31,12 +32,12 @@ pub mod sketch;
 pub mod stats;
 pub mod time;
 
-pub use dist::{Draw, Exponential, PiecewiseRate, UniformRange};
+pub use dist::PiecewiseRate;
 pub use events::{EventQueue, ScheduledEvent};
 pub use idhash::{IdBuildHasher, IdHasher, IdMap, IdSet};
 pub use inline::InlineVec;
 pub use resource::{Resource, ResourceStats};
 pub use rng::SimRng;
 pub use sketch::QuantileSketch;
-pub use stats::{Counter, Histogram, Tally, TimeWeighted};
+pub use stats::{Histogram, Tally, TimeWeighted};
 pub use time::SimTime;

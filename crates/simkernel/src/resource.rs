@@ -122,19 +122,6 @@ impl Resource {
         granted
     }
 
-    /// Removes a queued token (used when a waiting transaction is aborted).
-    /// Returns true if the token was found and removed.
-    pub fn cancel_waiter(&mut self, now: SimTime, token: u64) -> bool {
-        let removed = if let Some(pos) = self.queue.iter().position(|(t, _)| *t == token) {
-            self.queue.remove(pos);
-            true
-        } else {
-            false
-        };
-        self.sample(now);
-        removed
-    }
-
     /// Records the current busy/queue levels into the time-weighted statistics.
     fn sample(&mut self, now: SimTime) {
         self.busy_stat.record(now, self.busy as f64);
@@ -223,17 +210,6 @@ mod tests {
         let s = r.stats(6.0);
         assert_eq!(s.grants, 2);
         assert!((s.avg_wait - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn cancel_waiter_removes_from_queue() {
-        let mut r = Resource::new("cpu", 1);
-        r.acquire(0.0, 1);
-        r.acquire(0.0, 2);
-        r.acquire(0.0, 3);
-        assert!(r.cancel_waiter(1.0, 2));
-        assert!(!r.cancel_waiter(1.0, 99));
-        assert_eq!(r.release(2.0), Some(3));
     }
 
     #[test]

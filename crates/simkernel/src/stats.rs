@@ -1,8 +1,8 @@
 //! Statistics accumulators.
 //!
 //! TPSIM reports response times (tally statistics over observations), device
-//! utilizations and queue lengths (time-weighted statistics), hit ratios and
-//! event counts (counters), and response-time distributions (histograms).
+//! utilizations and queue lengths (time-weighted statistics), and
+//! response-time distributions (histograms).
 //! All accumulators support being reset at the end of a warm-up period.
 
 use crate::time::SimTime;
@@ -141,54 +141,6 @@ impl TimeWeighted {
     pub fn max(&self) -> Option<f64> {
         (self.max > f64::NEG_INFINITY).then_some(self.max)
     }
-
-    /// Value most recently recorded.
-    pub fn current(&self) -> f64 {
-        self.last_value
-    }
-}
-
-/// A named monotone counter.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// Creates a zeroed counter.
-    pub fn new() -> Self {
-        Self(0)
-    }
-
-    /// Adds one.
-    #[inline]
-    pub fn incr(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Adds `n`.
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Current value.
-    #[inline]
-    pub fn get(&self) -> u64 {
-        self.0
-    }
-
-    /// Resets to zero.
-    pub fn reset(&mut self) {
-        self.0 = 0;
-    }
-
-    /// This counter as a fraction of `total` (0 if `total` is 0).
-    pub fn ratio_of(&self, total: u64) -> f64 {
-        if total == 0 {
-            0.0
-        } else {
-            self.0 as f64 / total as f64
-        }
-    }
 }
 
 /// Fixed-bucket histogram for response-time distributions.
@@ -196,19 +148,17 @@ impl Counter {
 pub struct Histogram {
     bucket_width: f64,
     buckets: Vec<u64>,
-    overflow: u64,
     tally: Tally,
 }
 
 impl Histogram {
     /// Creates a histogram with `buckets` buckets of `bucket_width` each;
-    /// values beyond the last bucket are counted in an overflow bin.
+    /// values beyond the last bucket are only tallied.
     pub fn new(bucket_width: f64, buckets: usize) -> Self {
         assert!(bucket_width > 0.0 && buckets > 0);
         Self {
             bucket_width,
             buckets: vec![0; buckets],
-            overflow: 0,
             tally: Tally::new(),
         }
     }
@@ -221,8 +171,6 @@ impl Histogram {
             self.buckets[0] += 1;
         } else if (idx as usize) < self.buckets.len() {
             self.buckets[idx as usize] += 1;
-        } else {
-            self.overflow += 1;
         }
     }
 
@@ -247,13 +195,8 @@ impl Histogram {
                 return Some((i as f64 + 1.0) * self.bucket_width);
             }
         }
-        // Fell into the overflow bucket.
+        // Beyond the bucketed range.
         self.tally.max()
-    }
-
-    /// Number of values that exceeded the bucketed range.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
     }
 
     /// Clears the histogram.
@@ -261,7 +204,6 @@ impl Histogram {
         for b in &mut self.buckets {
             *b = 0;
         }
-        self.overflow = 0;
         self.tally.reset();
     }
 }
@@ -310,7 +252,6 @@ mod tests {
         tw.record(20.0, 0.0);
         assert!((tw.mean().unwrap() - 3.0).abs() < 1e-12);
         assert_eq!(tw.max(), Some(4.0));
-        assert_eq!(tw.current(), 0.0);
     }
 
     #[test]
@@ -318,18 +259,6 @@ mod tests {
         let mut tw = TimeWeighted::new();
         tw.record(5.0, 1.0);
         assert_eq!(tw.mean(), None);
-    }
-
-    #[test]
-    fn counter_ratio() {
-        let mut c = Counter::new();
-        c.add(30);
-        c.incr();
-        assert_eq!(c.get(), 31);
-        assert!((c.ratio_of(62) - 0.5).abs() < 1e-12);
-        assert_eq!(c.ratio_of(0), 0.0);
-        c.reset();
-        assert_eq!(c.get(), 0);
     }
 
     #[test]
@@ -343,14 +272,12 @@ mod tests {
         assert!((median - 50.0).abs() <= 1.0, "median {median}");
         let p95 = h.quantile(0.95).unwrap();
         assert!((p95 - 95.0).abs() <= 1.0, "p95 {p95}");
-        assert_eq!(h.overflow(), 0);
     }
 
     #[test]
     fn histogram_overflow_and_reset() {
         let mut h = Histogram::new(1.0, 10);
         h.record(100.0);
-        assert_eq!(h.overflow(), 1);
         assert_eq!(h.quantile(0.5), Some(100.0));
         h.reset();
         assert_eq!(h.tally().count(), 0);

@@ -12,9 +12,6 @@ pub type SimTime = f64;
 /// One microsecond expressed in [`SimTime`] units.
 pub const MICROSECOND: SimTime = 0.001;
 
-/// One millisecond expressed in [`SimTime`] units.
-pub const MILLISECOND: SimTime = 1.0;
-
 /// One second expressed in [`SimTime`] units.
 pub const SECOND: SimTime = 1000.0;
 
@@ -22,18 +19,6 @@ pub const SECOND: SimTime = 1000.0;
 #[inline]
 pub fn from_micros(us: f64) -> SimTime {
     us * MICROSECOND
-}
-
-/// Converts a duration given in seconds into [`SimTime`].
-#[inline]
-pub fn from_secs(s: f64) -> SimTime {
-    s * SECOND
-}
-
-/// Converts a [`SimTime`] duration into seconds.
-#[inline]
-pub fn to_secs(t: SimTime) -> f64 {
-    t / SECOND
 }
 
 /// Time (ms) to execute `instructions` on a CPU rated at `mips` million
@@ -82,12 +67,5 @@ mod tests {
     #[test]
     fn interarrival_for_500_tps() {
         assert!((interarrival_ms(500.0) - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn seconds_roundtrip() {
-        let t = from_secs(2.5);
-        assert!((t - 2500.0).abs() < 1e-12);
-        assert!((to_secs(t) - 2.5).abs() < 1e-12);
     }
 }

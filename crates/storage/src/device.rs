@@ -125,15 +125,6 @@ impl DeviceSpec {
             other => panic!("device spec {other:?} is not a disk unit"),
         }
     }
-
-    /// Mutable access to the disk-unit parameters (same contract as
-    /// [`DeviceSpec::disk`]).
-    pub fn disk_mut(&mut self) -> &mut DiskUnitParams {
-        match self {
-            DeviceSpec::DiskUnit(p) => p,
-            other => panic!("device spec {other:?} is not a disk unit"),
-        }
-    }
 }
 
 #[cfg(test)]

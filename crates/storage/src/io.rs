@@ -89,11 +89,6 @@ impl IoDecision {
         self.foreground.iter().map(ServiceStage::service_time).sum()
     }
 
-    /// Sum of the background service times.
-    pub fn background_service_time(&self) -> SimTime {
-        self.background.iter().map(ServiceStage::service_time).sum()
-    }
-
     /// True if the request needs a synchronous disk access.
     pub fn touches_disk_in_foreground(&self) -> bool {
         self.foreground
@@ -121,7 +116,6 @@ mod tests {
         ]);
         d.background.push(ServiceStage::Disk(15.0));
         assert!((d.foreground_service_time() - 16.4).abs() < 1e-12);
-        assert!((d.background_service_time() - 15.0).abs() < 1e-12);
         assert!(d.touches_disk_in_foreground());
     }
 

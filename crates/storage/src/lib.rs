@@ -39,5 +39,5 @@ pub use disk_unit::{DiskUnit, DiskUnitStats};
 pub use io::{BackgroundStages, ForegroundStages, IoDecision, IoKind, ServiceStage};
 pub use lru::LruCache;
 pub use nvem::{NvemDevice, NvemDeviceParams, NvemParams};
-pub use params::{DeviceTimings, DiskUnitKind, DiskUnitParams};
+pub use params::{DiskUnitKind, DiskUnitParams};
 pub use scheduler::IoSchedulerParams;

@@ -1,6 +1,6 @@
 //! Device parameters (Table 2.1 and Table 3.4 of the paper).
 
-use simkernel::time::{self, SimTime};
+use simkernel::time::SimTime;
 
 /// The four kinds of disk units TPSIM supports ("regular, volatile cache,
 /// non-volatile cache, SSD", Table 3.4).
@@ -116,38 +116,6 @@ impl DiskUnitParams {
     }
 }
 
-/// Aggregate timing constants of the storage hierarchy (Table 2.1), used by
-/// the Table 2.1 reproduction and for documentation.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DeviceTimings {
-    /// NVEM access time per 4 KB page including OS overhead (ms).
-    pub nvem_access: SimTime,
-    /// SSD / cached-disk access time per page (ms).
-    pub ssd_access: SimTime,
-    /// Disk access time per page (ms).
-    pub disk_access: SimTime,
-    /// Approximate cost per megabyte for extended memory (USD, 1990 mainframe
-    /// pricing, midpoint of the paper's range).
-    pub extended_memory_cost_per_mb: f64,
-    /// Approximate cost per megabyte for SSD (USD).
-    pub ssd_cost_per_mb: f64,
-    /// Approximate cost per megabyte for disks (USD).
-    pub disk_cost_per_mb: f64,
-}
-
-impl Default for DeviceTimings {
-    fn default() -> Self {
-        Self {
-            nvem_access: time::from_micros(75.0),
-            ssd_access: 2.0,
-            disk_access: 15.0,
-            extended_memory_cost_per_mb: 1_500.0,
-            ssd_cost_per_mb: 750.0,
-            disk_cost_per_mb: 12.0,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -171,16 +139,6 @@ mod tests {
         assert!(DiskUnitKind::Ssd.absorbs_writes());
         assert!(!DiskUnitKind::VolatileCache.absorbs_writes());
         assert!(!DiskUnitKind::Regular.absorbs_writes());
-    }
-
-    #[test]
-    fn table_2_1_ordering_of_speeds_and_costs() {
-        let t = DeviceTimings::default();
-        // Faster storage is more expensive per megabyte.
-        assert!(t.nvem_access < t.ssd_access);
-        assert!(t.ssd_access < t.disk_access);
-        assert!(t.extended_memory_cost_per_mb > t.ssd_cost_per_mb);
-        assert!(t.ssd_cost_per_mb > t.disk_cost_per_mb);
     }
 
     #[test]

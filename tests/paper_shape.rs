@@ -21,9 +21,10 @@ use tpsim::presets::{
 use tpsim::{
     LogAllocation, Simulation, SimulationConfig, SimulationReport, WorkloadParams, WorkloadSchedule,
 };
+use tpsim_bench::experiments::{all_experiments, run_experiment};
 use tpsim_bench::runner::{
-    caching_point, data_sharing_point, recovery_point, run_recovery_crash, run_sweep,
-    scheduler_point, shared_nothing_point, Family, RunSettings,
+    caching_point, data_sharing_point, run_recovery_crash, run_sweep, scheduler_point,
+    shared_nothing_point, Family, RunSettings,
 };
 
 /// Shortens a configuration to test-friendly simulated durations and runs it
@@ -226,7 +227,7 @@ fn recovery_sweep_is_byte_identical_in_parallel_and_serial() {
                 (
                     format!("variant-{i}"),
                     i as f64,
-                    recovery_point(force, nvem_log, 500.0, 100.0),
+                    recovery_config(force, nvem_log, 500.0, 100.0),
                     Family::RecoveryCrash,
                 )
             })
@@ -377,6 +378,23 @@ fn golden_nvem_cache_force_report_is_byte_identical() {
     assert_matches_golden("nvem_cache_force", &format!("{report:#?}\n"));
 }
 
+/// Every experiment table at quick scale, rendered as the `experiments`
+/// binary prints it (without the wall-clock line).  Covers the table
+/// renderers and every sweep's configuration.
+#[test]
+fn golden_experiment_tables_at_quick_scale_are_byte_identical() {
+    let settings = RunSettings::quick();
+    let mut out = String::new();
+    for experiment in all_experiments() {
+        let result = run_experiment(experiment.id, &settings);
+        out.push_str(&format!(
+            "## {} — {}\n\n{}\n",
+            experiment.id, experiment.title, result.table
+        ));
+    }
+    assert_matches_golden("experiments_quick", &out);
+}
+
 // ---------------------------------------------------------------------------
 // Fig. 4.1 — log allocation ordering (slow, release CI job)
 // ---------------------------------------------------------------------------
@@ -518,9 +536,9 @@ fn fig6_x_nvem_log_noforce_restarts_faster_at_equal_throughput() {
     let mut settings = RunSettings::standard();
     settings.debit_credit_scale = 100;
     let rate = 150.0;
-    let disk = run_recovery_crash(&settings, recovery_point(false, false, 0.0, rate));
-    let nvem = run_recovery_crash(&settings, recovery_point(false, true, 0.0, rate));
-    let force = run_recovery_crash(&settings, recovery_point(true, false, 0.0, rate));
+    let disk = run_recovery_crash(&settings, recovery_config(false, false, 0.0, rate));
+    let nvem = run_recovery_crash(&settings, recovery_config(false, true, 0.0, rate));
+    let force = run_recovery_crash(&settings, recovery_config(true, false, 0.0, rate));
 
     // Equal throughput: the log allocation is off the critical path.
     assert!(
