@@ -15,10 +15,12 @@
 //!   micro-operation deque's capacity survives and steady-state arrivals
 //!   allocate nothing.
 //! * [`TemplateTable`] — the shared transaction-template table.  The SOURCE
-//!   interns each generated template once; the input queue and the
-//!   transaction slots hold `u32` indices instead of owning (and moving)
-//!   reference strings, and per-template derived data (update flag, distinct
-//!   written pages) is computed exactly once instead of at every commit.
+//!   has the workload generator fill a free entry's template in place, so a
+//!   freed entry's reference buffer serves the next arrival; the input
+//!   queue and the transaction slots hold `u32` indices instead of owning
+//!   (and moving) reference strings, and per-template derived data (update
+//!   flag, distinct written pages) is computed exactly once instead of at
+//!   every commit.
 //!
 //! Slot recycling is deterministic (LIFO free lists, no hashing), and no
 //! arena id ever reaches the lock manager — the lock manager keeps the
@@ -235,6 +237,7 @@ impl TxArena {
 }
 
 /// One interned transaction template with its derived per-template data.
+#[derive(Default)]
 pub(crate) struct TemplateEntry {
     /// The reference string.
     pub template: TransactionTemplate,
@@ -262,50 +265,38 @@ pub(crate) struct TemplateTable {
 }
 
 impl TemplateTable {
-    /// Interns a generated template, precomputing its derived data (written
-    /// pages, and — when a shared-nothing `map` is given — the owner per
-    /// reference and the distinct owners of the written pages).  Returns
-    /// the table index; freed entries (and their derived-data buffers) are
-    /// reused.
-    pub fn insert(&mut self, template: TransactionTemplate, map: Option<&PartitionMap>) -> u32 {
-        match self.free.pop() {
-            Some(id) => {
-                let entry = &mut self.entries[id as usize];
-                entry.template = template;
-                entry.is_update = entry.template.is_update();
-                Self::collect_written_pages(&entry.template, &mut entry.written_pages);
-                Self::collect_owners(
-                    &entry.template,
-                    &entry.written_pages,
-                    map,
-                    &mut entry.ref_owners,
-                    &mut entry.written_owners,
-                );
-                id
-            }
-            None => {
-                let is_update = template.is_update();
-                let mut written_pages = Vec::new();
-                Self::collect_written_pages(&template, &mut written_pages);
-                let mut ref_owners = Vec::new();
-                let mut written_owners = Vec::new();
-                Self::collect_owners(
-                    &template,
-                    &written_pages,
-                    map,
-                    &mut ref_owners,
-                    &mut written_owners,
-                );
-                self.entries.push(TemplateEntry {
-                    template,
-                    written_pages,
-                    ref_owners,
-                    written_owners,
-                    is_update,
-                });
-                (self.entries.len() - 1) as u32
-            }
+    /// Interns a transaction that `fill` writes in place into a free
+    /// entry's template, reusing a freed entry (and its reference and
+    /// derived-data buffers) LIFO.  Then precomputes the derived data
+    /// (written pages, and — when a shared-nothing `map` is given — the
+    /// owner per reference and the distinct owners of the written pages)
+    /// and returns the table index.  When `fill` returns `false` (the
+    /// workload is exhausted) the entry goes back on the free list and
+    /// nothing is interned.
+    pub fn fill(
+        &mut self,
+        map: Option<&PartitionMap>,
+        fill: impl FnOnce(&mut TransactionTemplate) -> bool,
+    ) -> Option<u32> {
+        let id = self.free.pop().unwrap_or_else(|| {
+            self.entries.push(TemplateEntry::default());
+            (self.entries.len() - 1) as u32
+        });
+        let entry = &mut self.entries[id as usize];
+        if !fill(&mut entry.template) {
+            self.free.push(id);
+            return None;
         }
+        entry.is_update = entry.template.is_update();
+        Self::collect_written_pages(&entry.template, &mut entry.written_pages);
+        Self::collect_owners(
+            &entry.template,
+            &entry.written_pages,
+            map,
+            &mut entry.ref_owners,
+            &mut entry.written_owners,
+        );
+        Some(id)
     }
 
     /// The interned entry `id`.
@@ -413,6 +404,21 @@ mod tests {
         assert!(tx.micro.is_empty(), "reuse must clear the micro queue");
     }
 
+    /// Interns `template` the way a generator fills an entry: in place.
+    fn intern(
+        table: &mut TemplateTable,
+        template: &TransactionTemplate,
+        map: Option<&PartitionMap>,
+    ) -> u32 {
+        let filled = table.fill(map, |t| {
+            t.tx_type = template.tx_type;
+            t.refs.clear();
+            t.refs.extend_from_slice(&template.refs);
+            true
+        });
+        filled.expect("the fill succeeds")
+    }
+
     #[test]
     fn template_table_precomputes_written_pages() {
         let template = TransactionTemplate {
@@ -439,8 +445,9 @@ mod tests {
             ],
         };
         let mut table = TemplateTable::default();
-        let id = table.insert(template, None);
+        let id = intern(&mut table, &template, None);
         let entry = table.entry(id);
+        assert_eq!(entry.template, template);
         assert!(entry.is_update);
         assert_eq!(entry.written_pages, vec![(1, PageId(5))]);
         assert!(entry.ref_owners.is_empty(), "no owners under data sharing");
@@ -455,7 +462,7 @@ mod tests {
                 mode: AccessMode::Read,
             }],
         };
-        let id2 = table.insert(read_only, None);
+        let id2 = intern(&mut table, &read_only, None);
         assert_eq!(id2, id, "freed entry must be reused");
         let entry = table.entry(id2);
         assert!(!entry.is_update);
@@ -481,14 +488,15 @@ mod tests {
             refs: vec![mk_ref(0, false), mk_ref(2, true), mk_ref(3, true)],
         };
         let mut table = TemplateTable::default();
-        let id = table.insert(template, Some(&map));
+        let id = intern(&mut table, &template, Some(&map));
         let entry = table.entry(id);
         assert_eq!(entry.ref_owners, vec![0, 1, 1]);
         assert_eq!(entry.written_owners, vec![1], "distinct owners, deduped");
         // Recycled entries recompute (and clear) the owner buffers.
         table.free(id);
-        let id2 = table.insert(
-            TransactionTemplate {
+        let id2 = intern(
+            &mut table,
+            &TransactionTemplate {
                 tx_type: 0,
                 refs: vec![mk_ref(1, false)],
             },
@@ -497,5 +505,40 @@ mod tests {
         assert_eq!(id2, id);
         assert!(table.entry(id2).ref_owners.is_empty());
         assert!(table.entry(id2).written_owners.is_empty());
+    }
+
+    #[test]
+    fn template_table_refills_freed_entries_in_place() {
+        let mk_ref = |page: u64| ObjectRef {
+            partition: 0,
+            page: PageId(page),
+            object: ObjectId(page),
+            mode: AccessMode::Write,
+        };
+        let mut table = TemplateTable::default();
+        let long = TransactionTemplate {
+            tx_type: 0,
+            refs: (1..=8).map(mk_ref).collect(),
+        };
+        let id = intern(&mut table, &long, None);
+        let refs = table.entry(id).template.refs.as_ptr();
+        table.free(id);
+        // An exhausted workload fills nothing, and the claimed entry goes
+        // back on the free list ...
+        assert_eq!(table.fill(None, |_| false), None);
+        // ... so the next arrival still gets it, and its reference buffer.
+        let short = TransactionTemplate {
+            tx_type: 1,
+            refs: vec![mk_ref(9)],
+        };
+        let again = intern(&mut table, &short, None);
+        assert_eq!(again, id);
+        let template = &table.entry(again).template;
+        assert_eq!(*template, short);
+        // Same buffer: same address, and the long transaction's capacity (a
+        // fresh buffer for one reference would have less).
+        assert_eq!(template.refs.as_ptr(), refs);
+        assert!(template.refs.capacity() >= long.refs.len());
+        assert_eq!(table.entry(again).written_pages, vec![(0, PageId(9))]);
     }
 }

@@ -222,8 +222,7 @@ impl<W: WorkloadGenerator> Simulation<W> {
         // Phase 2 of commit: release all locks and wake waiters.  Release
         // messages to the global lock service are asynchronous — the
         // committer does not wait for them.
-        let woken = self.lockmgr.release_all(tx_id);
-        self.wake_lock_waiters(&woken);
+        self.wake_lock_waiters(|locks| locks.release_all(tx_id));
 
         // Statistics.
         self.record_completion(now, node, arrival, tx_type);

@@ -20,7 +20,7 @@
 
 use bufmgr::UpdateStrategy;
 use dbmodel::WorkloadGenerator;
-use lockmgr::LockOutcome;
+use lockmgr::{GlobalLockService, LockOutcome};
 use simkernel::time::{instr_time, SimTime};
 
 use super::transaction::{MicroOp, TxPhase, TxState};
@@ -296,8 +296,7 @@ impl<W: WorkloadGenerator> Simulation<W> {
             LockOutcome::Deadlock => {
                 self.aborts += 1;
                 self.nodes[home].aborts += 1;
-                let woken = self.lockmgr.abort(tx_id);
-                self.wake_lock_waiters(&woken);
+                self.wake_lock_waiters(|locks| locks.abort(tx_id));
                 // Restart the victim with the same reference string.
                 let bot = instr_time(
                     self.service_rng.exponential(self.config.cm.instr_bot),
@@ -314,8 +313,16 @@ impl<W: WorkloadGenerator> Simulation<W> {
         }
     }
 
-    pub(super) fn wake_lock_waiters(&mut self, ids: &[u64]) {
-        for id in ids {
+    /// Resumes the transactions whose queued lock requests `release` (a
+    /// commit's `release_all` or a deadlock victim's `abort`) granted.
+    pub(super) fn wake_lock_waiters(
+        &mut self,
+        release: impl FnOnce(&mut GlobalLockService) -> &[u64],
+    ) {
+        let mut ids = std::mem::take(&mut self.woken_scratch);
+        ids.clear();
+        ids.extend_from_slice(release(&mut self.lockmgr));
+        for id in &ids {
             let Some(&slot) = self.id_to_slot.get(id) else {
                 continue;
             };
@@ -329,6 +336,7 @@ impl<W: WorkloadGenerator> Simulation<W> {
             }
             self.ready.push_back(slot);
         }
+        self.woken_scratch = ids;
     }
 
     /// Expands micro operations for the transaction in `slot` into the

@@ -41,17 +41,20 @@
 //! (`id_to_slot`, the coherence index `holders`, the version stamps, and the
 //! lock, buffer and cache tables below the engine) are keyed by simulator
 //! ids and hash with the fixed [`simkernel::IdMap`] hasher instead of
-//! SipHash.  The per-operation path allocates nothing once its pools have
-//! reached their working size: device decisions and buffer-manager page
-//! operations arrive inline, micro operations are expanded in one reused
-//! scratch buffer (`micro_scratch`), and completed I/O requests (with their
-//! stage and waiter lists), lock-table entries and held-lock lists are
-//! recycled.  A coalescing unit lists its in-flight reads as `(page, io id)`
-//! pairs in a short `Vec` that a read scans for its page.  On the simulator
-//! benchmark a committed transaction costs 1.12, 1.25 and 1.04 heap
-//! allocations on `ds16-nvemlog`, `sn8-skew-burst` and
-//! `dc1-nvemcache-force`: what remains is the workload generator's reference
-//! string.  `tests/hot_path_allocations.rs` bounds the count.
+//! SipHash.  The per-transaction path allocates nothing once its pools have
+//! reached their working size: the workload generator writes each arrival
+//! into a free template-table entry's reused buffer, device decisions and
+//! buffer-manager page operations arrive inline, micro operations are
+//! expanded in one reused scratch buffer (`micro_scratch`), the transactions
+//! a lock release wakes are copied into another (`woken_scratch`), and
+//! completed I/O requests (with their stage and waiter lists), lock-table
+//! entries and held-lock lists are recycled.  A coalescing unit lists its
+//! in-flight reads as `(page, io id)` pairs in a short `Vec` that a read
+//! scans for its page.  On the simulator benchmark a committed transaction
+//! costs 0.013, 0.012 and 0.007 heap allocations on `ds16-nvemlog`,
+//! `sn8-skew-burst` and `dc1-nvemcache-force`, all of it pools growing to
+//! their working size.  `tests/hot_path_allocations.rs` bounds the steady
+//! state at 0.05.
 //!
 //! The engine is split into focused subsystems (see `docs/ARCHITECTURE.md`
 //! for the full map and an event-lifecycle walkthrough); this module only
@@ -286,6 +289,10 @@ pub struct Simulation<W: WorkloadGenerator> {
     /// Scratch buffer the page operations of one buffer reference or commit
     /// force are expanded into before they join the transaction's queue.
     micro_scratch: Vec<MicroOp>,
+    /// Scratch copy of the transactions a lock release woke (the lock
+    /// manager's answer borrows it, and resuming them calls back into the
+    /// engine).
+    woken_scratch: Vec<u64>,
     /// Round-robin assignment cursor of the SOURCE (always 0 with one node;
     /// consumes no randomness, so a single-node run draws the exact same
     /// streams as the pre-data-sharing engine).
@@ -443,6 +450,7 @@ impl<W: WorkloadGenerator> Simulation<W> {
             next_tx_id: 1,
             ready: VecDeque::new(),
             micro_scratch: Vec::new(),
+            woken_scratch: Vec::new(),
             next_arrival_node: 0,
             total_active: 0,
             total_queued: 0,

@@ -9,9 +9,11 @@
 //! A slot freed at commit immediately admits the oldest transaction waiting
 //! at that node.
 //!
-//! Generated templates are interned into the engine's shared
-//! [`TemplateTable`](super::arena::TemplateTable) on arrival; the input
-//! queues and transaction slots only carry `u32` indices.
+//! On arrival the workload generator writes the transaction straight into a
+//! free entry of the engine's shared
+//! [`TemplateTable`](super::arena::TemplateTable)
+//! ([`WorkloadGenerator::next_into`]), reusing the entry's reference buffer;
+//! the input queues and transaction slots only carry `u32` indices.
 
 #[cfg(test)]
 use dbmodel::TransactionTemplate;
@@ -33,10 +35,15 @@ impl<W: WorkloadGenerator> Simulation<W> {
         if now + gap < self.end_time {
             self.queue.schedule_in(gap, Ev::Arrival);
         }
-        // Generate the transaction and assign it to a node.
-        match self.workload.next_transaction(&mut self.workload_rng) {
+        // Generate the transaction into a free template entry and assign it
+        // to a node.
+        let generated = self
+            .templates
+            .fill(self.partition_map.as_ref(), |template| {
+                self.workload.next_into(&mut self.workload_rng, template)
+            });
+        match generated {
             Some(template) => {
-                let template = self.templates.insert(template, self.partition_map.as_ref());
                 let node = self.next_arrival_node;
                 self.next_arrival_node = (self.next_arrival_node + 1) % self.num_nodes();
                 if self.nodes[node].active_count < self.config.cm.mpl {
@@ -63,7 +70,13 @@ impl<W: WorkloadGenerator> Simulation<W> {
         template: TransactionTemplate,
         arrival: SimTime,
     ) {
-        let template = self.templates.insert(template, self.partition_map.as_ref());
+        let template = self
+            .templates
+            .fill(self.partition_map.as_ref(), |t| {
+                *t = template;
+                true
+            })
+            .expect("the fill always succeeds");
         self.activate_interned(node, template, arrival);
     }
 

@@ -2,7 +2,10 @@
 //! regression tests against the commit-path internals (group commit,
 //! cross-node invalidation, log write-buffer accounting).
 
-use dbmodel::{AccessMode, ObjectId, ObjectRef, PageId, TransactionTemplate};
+use dbmodel::{
+    AccessMode, ObjectId, ObjectRef, PageId, Trace, TraceGenerator, TraceTransaction,
+    TransactionTemplate,
+};
 use storage::{IoKind, IoSchedulerParams, NvemDeviceParams};
 
 use bufmgr::PageOp;
@@ -555,6 +558,39 @@ fn holders_index_matches_broadcast_on_randomized_multi_node_configs() {
 }
 
 #[test]
+fn exhausted_trace_puts_the_claimed_template_entry_back() {
+    // A non-cycling trace of two transactions: the third arrival finds it
+    // exhausted and stops the arrivals.
+    let trace = Trace {
+        files: vec![("A".into(), 100)],
+        transactions: vec![
+            TraceTransaction {
+                tx_type: 0,
+                refs: vec![(0, 5, AccessMode::Read)],
+            },
+            TraceTransaction {
+                tx_type: 0,
+                refs: vec![(0, 7, AccessMode::Write)],
+            },
+        ],
+    };
+    let mut sim = Simulation::new(
+        quick_config(DebitCreditStorage::Disk, 50.0),
+        TraceGenerator::new(trace, false),
+    );
+    for _ in 0..3 {
+        sim.handle_arrival();
+    }
+    assert!(sim.stop_arrivals);
+    assert_eq!(sim.total_active, 2);
+    // The entry the exhausted arrival claimed went back on the free list:
+    // the next template takes it instead of growing the table.
+    sim.activate(0, write_template(1), 0.0);
+    assert_eq!(sim.txs.tx(2).template, 2);
+    assert_eq!(sim.templates.entry(2).template, write_template(1));
+}
+
+#[test]
 fn duplicate_written_pages_intern_once_and_invalidate_once() {
     // A transaction writing the same page through two references must
     // intern one `written_pages` entry and invalidate each holder once.
@@ -869,6 +905,8 @@ fn log_wb_completion_decrements_occupancy() {
     assert_eq!(sim.log_wb_pending, 1);
 }
 
+// The check is a `debug_assert!`, which release builds compile out.
+#[cfg(debug_assertions)]
 #[test]
 #[should_panic(expected = "write-buffer occupancy underflow")]
 fn log_wb_underflow_is_surfaced_in_debug_builds() {

@@ -225,6 +225,11 @@ impl DebitCreditGenerator {
 
 impl WorkloadGenerator for DebitCreditGenerator {
     fn next_transaction(&mut self, rng: &mut SimRng) -> Option<TransactionTemplate> {
+        let mut template = TransactionTemplate::default();
+        self.next_into(rng, &mut template).then_some(template)
+    }
+
+    fn next_into(&mut self, rng: &mut SimRng, out: &mut TransactionTemplate) -> bool {
         let cfg = &self.config;
         let branch = rng.below(cfg.num_branches);
         let teller_in_branch = rng.below(cfg.tellers_per_branch());
@@ -266,13 +271,15 @@ impl WorkloadGenerator for DebitCreditGenerator {
         // between; all four record types in the same order for every
         // transaction so no deadlocks can occur among Debit-Credit
         // transactions (§3.1).
-        let refs = vec![
+        out.tx_type = 0;
+        out.refs.clear();
+        out.refs.extend([
             self.account_ref(account),
             history_ref,
             self.teller_ref(branch, teller_in_branch),
             self.branch_ref(branch),
-        ];
-        Some(TransactionTemplate { tx_type: 0, refs })
+        ]);
+        true
     }
 
     fn num_tx_types(&self) -> usize {
@@ -428,6 +435,14 @@ mod tests {
         let share = hot as f64 / n as f64;
         // 90% of accesses fall in the hottest 10% of accounts.
         assert!((share - 0.9).abs() < 0.02, "hot share {share}");
+    }
+
+    #[test]
+    fn next_into_matches_next_transaction_and_reuses_the_buffer() {
+        let mut g = DebitCreditGenerator::new(DebitCreditConfig::scaled_down(100));
+        crate::types::assert_next_into_matches(&g, 8, 200);
+        g.apply_hot_spot(crate::hotspot::HotSpotParams::new(0.9, 0.1));
+        crate::types::assert_next_into_matches(&g, 9, 200);
     }
 
     #[test]

@@ -79,6 +79,8 @@ pub struct SyntheticWorkload {
     name: String,
     database: Database,
     tx_types: Vec<TransactionTypeSpec>,
+    /// `tx_types`' arrival weights, the argument of every type draw.
+    arrival_weights: Vec<f64>,
     matrix: ReferenceMatrix,
     /// Per-partition hot-spot samplers; when set they replace the uniform
     /// object draw (the partition mix is unchanged).
@@ -110,10 +112,12 @@ impl SyntheticWorkload {
                 "transaction type {i} has an all-zero reference matrix row"
             );
         }
+        let arrival_weights = tx_types.iter().map(|t| t.arrival_weight).collect();
         Self {
             name: name.into(),
             database,
             tx_types,
+            arrival_weights,
             matrix,
             hot_spot: None,
         }
@@ -140,8 +144,7 @@ impl SyntheticWorkload {
 
     /// Samples which transaction type arrives next.
     pub fn sample_tx_type(&self, rng: &mut SimRng) -> TxTypeId {
-        let weights: Vec<f64> = self.tx_types.iter().map(|t| t.arrival_weight).collect();
-        rng.weighted_index(&weights)
+        rng.weighted_index(&self.arrival_weights)
     }
 
     /// Number of object accesses for one instance of `tx_type`.
@@ -157,11 +160,21 @@ impl SyntheticWorkload {
 
     /// Generates one transaction of the given type.
     pub fn generate_of_type(&mut self, tx_type: TxTypeId, rng: &mut SimRng) -> TransactionTemplate {
+        let mut template = TransactionTemplate::default();
+        self.fill_of_type(tx_type, rng, &mut template);
+        template
+    }
+
+    /// Writes one transaction of the given type into `out`, reusing its
+    /// reference buffer.
+    fn fill_of_type(&self, tx_type: TxTypeId, rng: &mut SimRng, out: &mut TransactionTemplate) {
         let size = self.sample_size(tx_type, rng);
         let spec = &self.tx_types[tx_type];
         let write_prob = spec.write_prob;
         let sequential = spec.sequential;
-        let mut refs = Vec::with_capacity(size as usize);
+        out.tx_type = tx_type;
+        let refs = &mut out.refs;
+        refs.clear();
 
         if sequential {
             // Sequential transactions: all accesses to one partition, starting
@@ -201,14 +214,19 @@ impl SyntheticWorkload {
                 });
             }
         }
-        TransactionTemplate { tx_type, refs }
     }
 }
 
 impl WorkloadGenerator for SyntheticWorkload {
     fn next_transaction(&mut self, rng: &mut SimRng) -> Option<TransactionTemplate> {
+        let mut template = TransactionTemplate::default();
+        self.next_into(rng, &mut template).then_some(template)
+    }
+
+    fn next_into(&mut self, rng: &mut SimRng, out: &mut TransactionTemplate) -> bool {
         let tx_type = self.sample_tx_type(rng);
-        Some(self.generate_of_type(tx_type, rng))
+        self.fill_of_type(tx_type, rng, out);
+        true
     }
 
     fn num_tx_types(&self) -> usize {
@@ -352,6 +370,24 @@ mod tests {
         assert_eq!(w.name(), "test");
         assert_eq!(w.num_tx_types(), 2);
         assert!(w.next_transaction(&mut rng).is_some());
+    }
+
+    #[test]
+    fn next_into_matches_next_transaction_and_reuses_the_buffer() {
+        // A fixed-size and a variable-size type ...
+        crate::types::assert_next_into_matches(&simple_workload(), 8, 300);
+        // ... and a variable-size sequential one next to a non-sequential one.
+        let database = Database::from_specs(vec![
+            PartitionSpec::uniform("P1", 1000, 10),
+            PartitionSpec::uniform("P2", 2000, 10),
+        ]);
+        let types = vec![
+            TransactionTypeSpec::variable("VAR", 8.0, 0.5),
+            TransactionTypeSpec::variable("SEQ", 6.0, 0.2).sequential(),
+        ];
+        let matrix = ReferenceMatrix::from_rows(vec![vec![0.5, 0.5], vec![0.0, 1.0]]);
+        let w = SyntheticWorkload::new("mix", database, types, matrix);
+        crate::types::assert_next_into_matches(&w, 9, 300);
     }
 
     #[test]

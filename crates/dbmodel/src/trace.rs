@@ -318,49 +318,44 @@ impl TraceGenerator {
     pub fn trace(&self) -> &Trace {
         &self.trace
     }
-
-    fn template_for(&self, idx: usize) -> TransactionTemplate {
-        let t = &self.trace.transactions[idx];
-        let refs = t
-            .refs
-            .iter()
-            .map(|(file, page, mode)| {
-                let p = self.database.partition(*file);
-                // Trace references are page references; with blocking factor 1
-                // the page index doubles as the object index.  Clamp to the
-                // declared file size to stay robust against slightly
-                // inconsistent traces.
-                let local = (*page).min(p.num_objects() - 1);
-                ObjectRef {
-                    partition: *file,
-                    page: p.page_of_object(local),
-                    object: ObjectId(p.object(local).0),
-                    mode: *mode,
-                }
-            })
-            .collect();
-        TransactionTemplate {
-            tx_type: t.tx_type,
-            refs,
-        }
-    }
 }
 
 impl WorkloadGenerator for TraceGenerator {
-    fn next_transaction(&mut self, _rng: &mut SimRng) -> Option<TransactionTemplate> {
+    fn next_transaction(&mut self, rng: &mut SimRng) -> Option<TransactionTemplate> {
+        let mut template = TransactionTemplate::default();
+        self.next_into(rng, &mut template).then_some(template)
+    }
+
+    fn next_into(&mut self, _rng: &mut SimRng, out: &mut TransactionTemplate) -> bool {
         if self.trace.transactions.is_empty() {
-            return None;
+            return false;
         }
         if self.next >= self.trace.transactions.len() {
             if self.cycle {
                 self.next = 0;
             } else {
-                return None;
+                return false;
             }
         }
-        let t = self.template_for(self.next);
+        let t = &self.trace.transactions[self.next];
         self.next += 1;
-        Some(t)
+        out.tx_type = t.tx_type;
+        out.refs.clear();
+        out.refs.extend(t.refs.iter().map(|(file, page, mode)| {
+            let p = self.database.partition(*file);
+            // Trace references are page references; with blocking factor 1
+            // the page index doubles as the object index.  Clamp to the
+            // declared file size to stay robust against slightly
+            // inconsistent traces.
+            let local = (*page).min(p.num_objects() - 1);
+            ObjectRef {
+                partition: *file,
+                page: p.page_of_object(local),
+                object: ObjectId(p.object(local).0),
+                mode: *mode,
+            }
+        }));
+        true
     }
 
     fn num_tx_types(&self) -> usize {
@@ -474,6 +469,31 @@ mod tests {
         for _ in 0..5 {
             assert!(g.next_transaction(&mut rng).is_some());
         }
+    }
+
+    #[test]
+    fn next_into_matches_next_transaction_and_reuses_the_buffer() {
+        let trace = Trace {
+            files: vec![("A".into(), 100), ("B".into(), 50)],
+            transactions: vec![
+                TraceTransaction {
+                    tx_type: 0,
+                    refs: vec![(0, 5, AccessMode::Read), (1, 3, AccessMode::Write)],
+                },
+                TraceTransaction {
+                    tx_type: 1,
+                    refs: vec![(1, 7, AccessMode::Read)],
+                },
+                TraceTransaction {
+                    tx_type: 2,
+                    refs: vec![(0, 9, AccessMode::Read); 3],
+                },
+            ],
+        };
+        // Cycling: ten calls wrap around the three transactions three times.
+        crate::types::assert_next_into_matches(&TraceGenerator::new(trace.clone(), true), 1, 10);
+        // Replay once: the fourth and fifth calls find the trace exhausted.
+        crate::types::assert_next_into_matches(&TraceGenerator::new(trace, false), 1, 5);
     }
 
     #[test]

@@ -51,7 +51,7 @@ pub struct ObjectRef {
 
 /// A fully materialized transaction: its type and the ordered list of object
 /// references it will perform.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TransactionTemplate {
     /// Transaction type (indexes per-type statistics and the reference matrix).
     pub tx_type: TxTypeId,
@@ -97,6 +97,25 @@ pub trait WorkloadGenerator {
     /// exhausted (only trace-driven workloads terminate).
     fn next_transaction(&mut self, rng: &mut SimRng) -> Option<TransactionTemplate>;
 
+    /// Writes the next transaction into `out`, replacing its type and
+    /// references, and returns `true`; returns `false`, leaving `out`
+    /// unchanged, when the workload is exhausted.  Draws the same values
+    /// from `rng` as [`next_transaction`](Self::next_transaction).
+    ///
+    /// The SOURCE calls this with a template it reuses, so a generator that
+    /// overrides it fills `out.refs` in place and allocates nothing once
+    /// that buffer has reached the longest transaction's size.  The default
+    /// moves `next_transaction`'s fresh template into `out`.
+    fn next_into(&mut self, rng: &mut SimRng, out: &mut TransactionTemplate) -> bool {
+        match self.next_transaction(rng) {
+            Some(template) => {
+                *out = template;
+                true
+            }
+            None => false,
+        }
+    }
+
     /// Number of distinct transaction types this workload can generate.
     fn num_tx_types(&self) -> usize;
 
@@ -120,6 +139,52 @@ pub trait WorkloadGenerator {
     fn apply_hot_spot(&mut self, params: crate::hotspot::HotSpotParams) {
         let _ = params;
     }
+}
+
+/// Checks a generator's `next_into` against its `next_transaction`: from
+/// the same seed, `n` calls of `next_into` into one reused template yield
+/// the same transactions (and the same exhaustion) as `next_transaction` on
+/// a clone, and fill the template's buffer in place whenever the
+/// transaction fits it.
+#[cfg(test)]
+pub(crate) fn assert_next_into_matches<G: WorkloadGenerator + Clone>(
+    generator: &G,
+    seed: u64,
+    n: usize,
+) {
+    let (mut by_value, mut in_place) = (generator.clone(), generator.clone());
+    let (mut rng_a, mut rng_b) = (SimRng::seed_from(seed), SimRng::seed_from(seed));
+    // A buffer larger than a fresh one, so that replacing it shows as lost
+    // capacity even where the allocator hands back the same address.
+    let mut out = TransactionTemplate {
+        tx_type: 0,
+        refs: Vec::with_capacity(64),
+    };
+    let mut in_place_fills = 0;
+    for i in 0..n {
+        let before = (out.clone(), out.refs.as_ptr(), out.refs.capacity());
+        let expected = by_value.next_transaction(&mut rng_a);
+        let filled = in_place.next_into(&mut rng_b, &mut out);
+        match expected {
+            Some(expected) => {
+                assert!(filled, "call {i}: next_into ran dry first");
+                assert_eq!(out, expected, "call {i}");
+                assert!(
+                    out.refs.capacity() >= before.2,
+                    "call {i} replaced the buffer"
+                );
+                if out.refs.len() <= before.2 {
+                    assert_eq!(out.refs.as_ptr(), before.1, "call {i} reallocated");
+                    in_place_fills += 1;
+                }
+            }
+            None => {
+                assert!(!filled, "call {i}: next_transaction ran dry first");
+                assert_eq!(out, before.0, "call {i}: exhaustion changed the template");
+            }
+        }
+    }
+    assert!(in_place_fills > 0, "no call filled the buffer in place");
 }
 
 #[cfg(test)]

@@ -12,11 +12,13 @@
 //! ([`WaitsForGraph::remove_transaction`] runs for *every* release), so it
 //! keeps a reverse index (blocker → waiters) to remove a transaction in
 //! `O(degree)` instead of scanning every blocked transaction, reuses its
-//! DFS scratch buffers across checks instead of allocating per denied
-//! request, and recycles the per-transaction edge sets through a free pool:
-//! under contention, transactions block and release continuously, and
-//! without the pool every block/release pair allocated (and dropped) fresh
-//! hash sets on this hot path.
+//! DFS scratch buffers across checks, and recycles the per-transaction edge
+//! sets through a free pool: under contention, transactions block and
+//! release continuously, and without the pool every block/release pair
+//! allocated (and dropped) fresh hash sets on this hot path.  The lock
+//! manager passes the blockers in, and returns the transactions a release
+//! wakes, in buffers it reuses too, so a denied request allocates nothing
+//! once these pools have reached their working size.
 
 use simkernel::{IdMap, IdSet};
 

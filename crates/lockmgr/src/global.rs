@@ -137,13 +137,16 @@ impl GlobalLockService {
     }
 
     /// Releases all locks of `tx` (commit phase 2).  Returns the transactions
-    /// whose queued requests became granted.
-    pub fn release_all(&mut self, tx: TxId) -> Vec<TxId> {
+    /// whose queued requests became granted, from a buffer the table reuses
+    /// (see [`LockManager::release_all`]).
+    pub fn release_all(&mut self, tx: TxId) -> &[TxId] {
         self.table.release_all(tx)
     }
 
     /// Aborts `tx`: cancels a pending wait and releases all held locks.
-    pub fn abort(&mut self, tx: TxId) -> Vec<TxId> {
+    /// Returns the woken transactions as
+    /// [`release_all`](Self::release_all) does.
+    pub fn abort(&mut self, tx: TxId) -> &[TxId] {
         self.table.abort(tx)
     }
 
@@ -235,8 +238,7 @@ mod tests {
         // A transaction on another node conflicts on the same page.
         assert_eq!(s.acquire(1, 2, &obj_ref(0, 9, true)), LockOutcome::Blocked);
         assert_eq!(s.stats().conflicts, 1);
-        let woken = s.release_all(1);
-        assert_eq!(woken, vec![2]);
+        assert_eq!(s.release_all(1), [2]);
         assert!(s.abort(2).is_empty());
     }
 
@@ -266,7 +268,7 @@ mod tests {
         assert_eq!(g.total_message_delay_ms, 0.0);
         // Conflicts (and deadlock detection) still work through the table.
         assert_eq!(s.acquire(2, 3, &obj_ref(0, 1, true)), LockOutcome::Blocked);
-        assert_eq!(s.release_all(1), vec![3]);
+        assert_eq!(s.release_all(1), [3]);
         // The ordinary constructors stay non-local.
         assert!(!GlobalLockService::single_node(vec![CcMode::Page]).is_local_only());
     }

@@ -76,6 +76,11 @@ pub struct LockManager {
     spare_held: Vec<Vec<LockableId>>,
     /// The single item each blocked transaction is waiting for.
     waiting_on: IdMap<TxId, LockableId>,
+    /// Scratch for a denied request's wait-for set (reused per conflict).
+    blockers: Vec<TxId>,
+    /// The transactions the last `release_all` or `abort` woke, returned
+    /// by reference so the conflict path allocates nothing.
+    woken: Vec<TxId>,
     stats: LockManagerStats,
 }
 
@@ -89,6 +94,8 @@ impl LockManager {
             held: IdMap::default(),
             spare_held: Vec::new(),
             waiting_on: IdMap::default(),
+            blockers: Vec::new(),
+            woken: Vec::new(),
             stats: LockManagerStats::default(),
         }
     }
@@ -148,14 +155,15 @@ impl LockManager {
                 LockOutcome::Granted
             }
             TableOutcome::Blocked => {
-                let blockers = self.table.wait_for_set(item, tx, req.mode);
-                if self.graph.would_deadlock(tx, &blockers) {
+                self.table
+                    .wait_for_set(item, tx, req.mode, &mut self.blockers);
+                if self.graph.would_deadlock(tx, &self.blockers) {
                     // Abort the requester: remove the queued request again.
                     self.table.cancel_wait(item, tx);
                     self.stats.deadlocks += 1;
                     LockOutcome::Deadlock
                 } else {
-                    self.graph.add_waits(tx, &blockers);
+                    self.graph.add_waits(tx, &self.blockers);
                     self.waiting_on.insert(tx, item);
                     self.stats.conflicts += 1;
                     LockOutcome::Blocked
@@ -188,30 +196,33 @@ impl LockManager {
     }
 
     /// Releases all locks of `tx` (strict 2PL: at commit, phase 2).
-    /// Returns the transactions whose queued requests became granted; the
-    /// caller must resume them.
-    pub fn release_all(&mut self, tx: TxId) -> Vec<TxId> {
-        let mut woken = Vec::new();
+    /// Returns the transactions whose queued requests became granted,
+    /// sorted and deduplicated; the caller must resume them.  The slice is
+    /// a buffer the manager reuses, valid until its next call.
+    pub fn release_all(&mut self, tx: TxId) -> &[TxId] {
+        self.woken.clear();
         if let Some(mut items) = self.held.remove(&tx) {
             for &item in &items {
                 self.stats.releases += 1;
-                for w in self.table.release(item, tx) {
-                    self.on_wakeup(w);
-                    woken.push(w);
+                let first = self.woken.len();
+                self.table.release(item, tx, &mut self.woken);
+                for i in first..self.woken.len() {
+                    self.on_wakeup(self.woken[i]);
                 }
             }
             items.clear();
             self.spare_held.push(items);
         }
         self.graph.remove_transaction(tx);
-        woken.sort_unstable();
-        woken.dedup();
-        woken
+        self.woken.sort_unstable();
+        self.woken.dedup();
+        &self.woken
     }
 
     /// Aborts `tx`: cancels a pending wait if any and releases all held locks.
-    /// Returns the transactions woken by the released locks.
-    pub fn abort(&mut self, tx: TxId) -> Vec<TxId> {
+    /// Returns the transactions woken by the released locks, as
+    /// [`release_all`](Self::release_all) does.
+    pub fn abort(&mut self, tx: TxId) -> &[TxId] {
         if let Some(item) = self.waiting_on.remove(&tx) {
             self.table.cancel_wait(item, tx);
         }
@@ -317,8 +328,7 @@ mod tests {
         let mut m = page_level_mgr();
         m.acquire(1, &obj_ref(0, 10, 1, true));
         assert_eq!(m.acquire(2, &obj_ref(0, 10, 2, true)), LockOutcome::Blocked);
-        let woken = m.release_all(1);
-        assert_eq!(woken, vec![2]);
+        assert_eq!(m.release_all(1), [2]);
         assert!(!m.is_blocked(2));
         assert_eq!(m.locks_held(2), 1);
         // tx 2 can later release without issue.
@@ -338,8 +348,7 @@ mod tests {
         assert_eq!(m.acquire(2, &obj_ref(0, 1, 4, true)), LockOutcome::Deadlock);
         assert_eq!(m.stats().deadlocks, 1);
         // Aborting T2 releases page 2 and wakes T1.
-        let woken = m.abort(2);
-        assert_eq!(woken, vec![1]);
+        assert_eq!(m.abort(2), [1]);
         assert_eq!(m.locks_held(1), 2);
     }
 
@@ -348,8 +357,7 @@ mod tests {
         let mut m = page_level_mgr();
         m.acquire(1, &obj_ref(0, 1, 1, true));
         assert_eq!(m.acquire(2, &obj_ref(0, 1, 2, true)), LockOutcome::Blocked);
-        let woken = m.abort(2);
-        assert!(woken.is_empty());
+        assert!(m.abort(2).is_empty());
         assert!(!m.is_blocked(2));
         // T1's later release wakes nobody.
         assert!(m.release_all(1).is_empty());
@@ -399,7 +407,7 @@ mod tests {
         // ... and the table is genuinely empty: a restart transaction can
         // take any lock immediately, including the previously contended one.
         assert_eq!(m.acquire(9, &obj_ref(0, 1, 1, true)), LockOutcome::Granted);
-        assert_eq!(m.release_all(9), Vec::<TxId>::new());
+        assert!(m.release_all(9).is_empty());
     }
 
     #[test]

@@ -132,25 +132,12 @@ impl LockTable {
         self.entries.get(&id)
     }
 
-    /// Transactions currently holding `id` in a mode incompatible with `mode`,
-    /// excluding `tx` itself.
-    pub fn conflicting_holders(&self, id: LockableId, tx: TxId, mode: LockMode) -> Vec<TxId> {
-        match self.entries.get(&id) {
-            None => Vec::new(),
-            Some(e) => e
-                .holders
-                .iter()
-                .filter(|(t, m)| *t != tx && !m.compatible(mode))
-                .map(|(t, _)| *t)
-                .collect(),
-        }
-    }
-
-    /// All transactions ahead of `tx` (holders plus earlier waiters) that `tx`
+    /// Writes into `out` (sorted, deduplicated, replacing its contents) all
+    /// transactions ahead of `tx` (holders plus earlier waiters) that `tx`
     /// would wait for if queued on `id` in `mode`.  Used to build waits-for
     /// edges.
-    pub fn wait_for_set(&self, id: LockableId, tx: TxId, mode: LockMode) -> Vec<TxId> {
-        let mut out = Vec::new();
+    pub fn wait_for_set(&self, id: LockableId, tx: TxId, mode: LockMode, out: &mut Vec<TxId>) {
+        out.clear();
         if let Some(e) = self.entries.get(&id) {
             for (t, m) in &e.holders {
                 if *t != tx && (!m.compatible(mode) || mode.is_exclusive() || m.is_exclusive()) {
@@ -165,7 +152,6 @@ impl LockTable {
         }
         out.sort_unstable();
         out.dedup();
-        out
     }
 
     /// Requests `id` in `mode` for `tx`.
@@ -223,23 +209,22 @@ impl LockTable {
     }
 
     /// Releases the lock held by `tx` on `id` and grants as many queued
-    /// requests as have now become compatible (FIFO).  Returns the
-    /// transactions whose queued requests were granted by this release.
-    pub fn release(&mut self, id: LockableId, tx: TxId) -> Vec<TxId> {
+    /// requests as have now become compatible (FIFO).  Appends the
+    /// transactions whose queued requests this release granted to
+    /// `granted`, in grant order.
+    pub fn release(&mut self, id: LockableId, tx: TxId, granted: &mut Vec<TxId>) {
         let Entry::Occupied(mut occ) = self.entries.entry(id) else {
-            return Vec::new();
+            return;
         };
         let entry = occ.get_mut();
         entry.holders.retain(|(t, _)| *t != tx);
-        let granted = Self::promote_waiters(entry);
+        Self::promote_waiters(entry, granted);
         if entry.holders.is_empty() && entry.waiters.is_empty() {
             self.spare.push(occ.remove());
         }
-        granted
     }
 
-    fn promote_waiters(entry: &mut LockEntry) -> Vec<TxId> {
-        let mut granted = Vec::new();
+    fn promote_waiters(entry: &mut LockEntry, granted: &mut Vec<TxId>) {
         while let Some(w) = entry.waiters.first().copied() {
             let compatible = entry
                 .holders
@@ -261,7 +246,6 @@ impl LockTable {
                 break;
             }
         }
-        granted
     }
 }
 
@@ -271,6 +255,13 @@ mod tests {
 
     fn page(n: u64) -> LockableId {
         LockableId::Page(PageId(n))
+    }
+
+    /// [`LockTable::release`] with the granted transactions collected.
+    fn release(t: &mut LockTable, id: LockableId, tx: TxId) -> Vec<TxId> {
+        let mut granted = Vec::new();
+        t.release(id, tx, &mut granted);
+        granted
     }
 
     #[test]
@@ -296,8 +287,8 @@ mod tests {
             TableOutcome::Blocked
         );
         assert_eq!(
-            t.conflicting_holders(page(1), 2, LockMode::Exclusive),
-            vec![1]
+            t.entry(page(1)).unwrap().holders(),
+            &[(1, LockMode::Shared)]
         );
     }
 
@@ -336,7 +327,7 @@ mod tests {
             TableOutcome::Blocked
         );
         // When tx 2 releases, tx 1's upgrade is granted.
-        let granted = t.release(page(1), 2);
+        let granted = release(&mut t, page(1), 2);
         assert_eq!(granted, vec![1]);
         assert!(t.entry(page(1)).unwrap().holders()[0].1.is_exclusive());
     }
@@ -348,12 +339,19 @@ mod tests {
         t.request(page(1), 2, LockMode::Shared);
         t.request(page(1), 3, LockMode::Shared);
         t.request(page(1), 4, LockMode::Exclusive);
-        let granted = t.release(page(1), 1);
+        let mut granted = Vec::new();
+        t.release(page(1), 1, &mut granted);
         // The two shared waiters are granted together; the exclusive waits.
-        assert_eq!(granted, vec![2, 3]);
+        assert_eq!(granted, [2, 3]);
         assert_eq!(t.entry(page(1)).unwrap().waiters().len(), 1);
-        assert_eq!(t.release(page(1), 2), Vec::<TxId>::new());
-        assert_eq!(t.release(page(1), 3), vec![4]);
+        t.release(page(1), 2, &mut granted);
+        assert_eq!(
+            granted,
+            [2, 3],
+            "a release that grants nothing appends nothing"
+        );
+        t.release(page(1), 3, &mut granted);
+        assert_eq!(granted, [2, 3, 4]);
     }
 
     #[test]
@@ -375,7 +373,7 @@ mod tests {
         t.request(page(1), 2, LockMode::Exclusive);
         assert!(t.cancel_wait(page(1), 2));
         assert!(!t.cancel_wait(page(1), 2));
-        assert_eq!(t.release(page(1), 1), Vec::<TxId>::new());
+        assert_eq!(release(&mut t, page(1), 1), Vec::<TxId>::new());
         // Entry is fully cleaned up.
         assert_eq!(t.active_items(), 0);
     }
@@ -386,8 +384,8 @@ mod tests {
         t.request(page(1), 1, LockMode::Exclusive);
         t.request(page(1), 2, LockMode::Exclusive);
         assert!(t.spare.is_empty());
-        assert_eq!(t.release(page(1), 1), vec![2]);
-        assert_eq!(t.release(page(1), 2), Vec::<TxId>::new());
+        assert_eq!(release(&mut t, page(1), 1), vec![2]);
+        assert_eq!(release(&mut t, page(1), 2), Vec::<TxId>::new());
         // The emptied entry went to the pool with its lists' capacity ...
         assert_eq!(t.spare.len(), 1);
         assert!(t.spare[0].holders.capacity() > 0 && t.spare[0].waiters.capacity() > 0);
@@ -401,7 +399,7 @@ mod tests {
         assert!(t.entry(page(9)).unwrap().waiters().is_empty());
         t.request(page(9), 4, LockMode::Exclusive);
         assert!(t.cancel_wait(page(9), 4));
-        assert_eq!(t.release(page(9), 3), Vec::<TxId>::new());
+        assert_eq!(release(&mut t, page(9), 3), Vec::<TxId>::new());
         assert_eq!((t.active_items(), t.spare.len()), (0, 1));
     }
 
@@ -410,8 +408,10 @@ mod tests {
         let mut t = LockTable::new();
         t.request(page(1), 1, LockMode::Exclusive);
         t.request(page(1), 2, LockMode::Exclusive);
-        let wf = t.wait_for_set(page(1), 3, LockMode::Shared);
-        assert_eq!(wf, vec![1, 2]);
+        // The buffer's old contents are replaced.
+        let mut wf = vec![7];
+        t.wait_for_set(page(1), 3, LockMode::Shared, &mut wf);
+        assert_eq!(wf, [1, 2]);
     }
 
     #[test]

@@ -181,29 +181,28 @@ impl QuantileSketch {
     /// Compacts level `l`: sorts it, promotes every other item (weight
     /// doubling) to level `l + 1`, and discards the rest.  Which half
     /// survives alternates deterministically per level.  Cascades upward if
-    /// the next level fills.
+    /// the next level fills.  Allocates nothing once the levels have reached
+    /// their working size: the sort is in place (an unstable sort puts items
+    /// in the same order as a stable one, because items that `total_cmp`
+    /// calls equal are bit-identical), and promoted items go straight into
+    /// the next level.
     fn compact(&mut self, l: usize) {
-        self.levels[l].sort_by(|a, b| a.total_cmp(b));
-        let n = self.levels[l].len();
-        let paired = n & !1;
+        self.levels[l].sort_unstable_by(f64::total_cmp);
+        let paired = self.levels[l].len() & !1;
         if paired == 0 {
             return;
         }
         let keep_odd = self.keep_odd[l];
         self.keep_odd[l] = !keep_odd;
-        let offset = usize::from(keep_odd);
-        let promoted: Vec<f64> = (0..paired / 2)
-            .map(|i| self.levels[l][2 * i + offset])
-            .collect();
-        // An odd trailing item stays at this level with its weight intact.
-        let leftover = (n > paired).then(|| self.levels[l][n - 1]);
-        self.levels[l].clear();
-        self.levels[l].extend(leftover);
         if self.levels.len() == l + 1 {
             self.levels.push(Vec::new());
             self.keep_odd.push(false);
         }
-        self.levels[l + 1].extend_from_slice(&promoted);
+        let (lower, upper) = self.levels.split_at_mut(l + 1);
+        let (level, next) = (&mut lower[l], &mut upper[0]);
+        next.extend(level[usize::from(keep_odd)..paired].iter().step_by(2));
+        // An odd trailing item stays at this level with its weight intact.
+        level.drain(..paired);
         self.rank_error_bound += 1u64 << l;
         if self.levels[l + 1].len() >= self.k {
             self.compact(l + 1);
