@@ -1,6 +1,7 @@
 //! Buffer-manager configuration: buffer sizes, update strategy, and the
-//! per-partition storage policies of Fig. 3.2 (allocation, NVEM caching mode,
-//! NVEM write buffer use).
+//! per-partition storage policies of Fig. 3.2 (allocation and NVEM write
+//! buffer use).  A second-level NVEM cache, when sized, serves every
+//! disk-resident partition.
 
 use dbmodel::Database;
 
@@ -25,60 +26,6 @@ impl Default for PageLocation {
     }
 }
 
-impl Default for PartitionPolicy {
-    fn default() -> Self {
-        Self {
-            location: PageLocation::DiskUnit(0),
-            nvem_cache: SecondLevelMode::None,
-            use_nvem_write_buffer: false,
-        }
-    }
-}
-
-impl PageLocation {
-    /// Compact helper used by reports.
-    pub fn describe(&self) -> String {
-        match self {
-            PageLocation::MainMemoryResident => "main memory resident".to_string(),
-            PageLocation::NvemResident => "NVEM resident".to_string(),
-            PageLocation::DiskUnit(u) => format!("disk unit {u}"),
-        }
-    }
-}
-
-/// Which pages migrate from main memory to the second-level NVEM cache when
-/// they are replaced (the "NVEM caching mode" parameter of Table 3.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SecondLevelMode {
-    /// No NVEM caching for this partition.
-    #[default]
-    None,
-    /// All replaced pages migrate to the NVEM cache.
-    All,
-    /// Only modified pages migrate.
-    OnlyModified,
-    /// Only unmodified pages migrate.
-    OnlyUnmodified,
-}
-
-impl SecondLevelMode {
-    /// True if NVEM caching is enabled at all.
-    pub fn enabled(self) -> bool {
-        !matches!(self, SecondLevelMode::None)
-    }
-
-    /// True if a page with the given dirty state should migrate to NVEM when
-    /// replaced from main memory.
-    pub fn migrates(self, dirty: bool) -> bool {
-        match self {
-            SecondLevelMode::None => false,
-            SecondLevelMode::All => true,
-            SecondLevelMode::OnlyModified => dirty,
-            SecondLevelMode::OnlyUnmodified => !dirty,
-        }
-    }
-}
-
 /// Propagation strategy for modified pages (Härder/Reuter 1983).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum UpdateStrategy {
@@ -93,12 +40,10 @@ pub enum UpdateStrategy {
 }
 
 /// Per-partition buffer-management policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PartitionPolicy {
     /// Where the partition's home copy lives.
     pub location: PageLocation,
-    /// Second-level NVEM caching mode for the partition.
-    pub nvem_cache: SecondLevelMode,
     /// Whether page writes of this partition use the NVEM write buffer.
     pub use_nvem_write_buffer: bool,
 }
@@ -128,12 +73,6 @@ impl PartitionPolicy {
         }
     }
 
-    /// Enables second-level NVEM caching with the given mode.
-    pub fn with_nvem_cache(mut self, mode: SecondLevelMode) -> Self {
-        self.nvem_cache = mode;
-        self
-    }
-
     /// Routes page writes of the partition through the NVEM write buffer.
     pub fn with_nvem_write_buffer(mut self) -> Self {
         self.use_nvem_write_buffer = true;
@@ -146,8 +85,9 @@ impl PartitionPolicy {
 pub struct BufferConfig {
     /// Size of the main-memory database buffer in page frames.
     pub mm_buffer_pages: usize,
-    /// Size of the second-level NVEM database buffer in page frames
-    /// (0 disables NVEM caching even if a partition policy requests it).
+    /// Size of the second-level NVEM database buffer in page frames; when
+    /// non-zero the cache serves every disk-resident partition (0 disables
+    /// it).
     pub nvem_cache_pages: usize,
     /// Size of the NVEM write buffer in page frames (0 disables it).
     pub nvem_write_buffer_pages: usize,
@@ -185,13 +125,11 @@ impl BufferConfig {
         self
     }
 
-    /// Enables a shared second-level NVEM cache of the given size with the
-    /// given migration mode for every partition.
-    pub fn with_nvem_cache(mut self, pages: usize, mode: SecondLevelMode) -> Self {
+    /// Enables a shared second-level NVEM cache of the given size: every
+    /// page replaced from main memory of a disk-resident partition migrates
+    /// into it.
+    pub fn with_nvem_cache(mut self, pages: usize) -> Self {
         self.nvem_cache_pages = pages;
-        for p in &mut self.partitions {
-            p.nvem_cache = mode;
-        }
         self
     }
 
@@ -206,21 +144,16 @@ impl BufferConfig {
             return Err("main-memory buffer must have at least one frame".to_string());
         }
         for (i, p) in self.partitions.iter().enumerate() {
-            if p.nvem_cache.enabled() && self.nvem_cache_pages == 0 {
-                return Err(format!(
-                    "partition {i} requests NVEM caching but the NVEM cache size is 0"
-                ));
-            }
             if p.use_nvem_write_buffer && self.nvem_write_buffer_pages == 0 {
                 return Err(format!(
                     "partition {i} requests the NVEM write buffer but its size is 0"
                 ));
             }
-            if p.use_nvem_write_buffer && p.nvem_cache.enabled() {
+            if p.use_nvem_write_buffer && self.nvem_cache_pages > 0 {
                 // "when NVEM caching is employed for a partition there is no
                 // further need for a write buffer" (§3.3, footnote 4).
                 return Err(format!(
-                    "partition {i} enables both NVEM caching and the NVEM write buffer"
+                    "partition {i} uses the NVEM write buffer but the NVEM cache serves it"
                 ));
             }
             if p.use_nvem_write_buffer
@@ -251,17 +184,6 @@ mod tests {
     }
 
     #[test]
-    fn second_level_mode_migration_rules() {
-        assert!(!SecondLevelMode::None.migrates(true));
-        assert!(SecondLevelMode::All.migrates(true));
-        assert!(SecondLevelMode::All.migrates(false));
-        assert!(SecondLevelMode::OnlyModified.migrates(true));
-        assert!(!SecondLevelMode::OnlyModified.migrates(false));
-        assert!(SecondLevelMode::OnlyUnmodified.migrates(false));
-        assert!(!SecondLevelMode::OnlyUnmodified.migrates(true));
-    }
-
-    #[test]
     fn disk_based_config_is_valid() {
         let c = BufferConfig::disk_based(&db(), 100);
         assert!(c.validate().is_ok());
@@ -274,18 +196,11 @@ mod tests {
     fn builders_compose() {
         let c = BufferConfig::disk_based(&db(), 100)
             .with_update_strategy(UpdateStrategy::Force)
-            .with_nvem_cache(500, SecondLevelMode::All);
+            .with_nvem_cache(500);
         assert_eq!(c.update_strategy, UpdateStrategy::Force);
         assert_eq!(c.nvem_cache_pages, 500);
-        assert!(c.policy(1).nvem_cache.enabled());
+        assert_eq!(c.policy(1), PartitionPolicy::on_disk_unit(0));
         assert!(c.validate().is_ok());
-    }
-
-    #[test]
-    fn validation_catches_missing_nvem_cache_size() {
-        let mut c = BufferConfig::disk_based(&db(), 100);
-        c.partitions[0].nvem_cache = SecondLevelMode::All;
-        assert!(c.validate().is_err());
     }
 
     #[test]
@@ -299,10 +214,11 @@ mod tests {
 
     #[test]
     fn validation_rejects_cache_plus_write_buffer() {
-        let mut c = BufferConfig::disk_based(&db(), 100).with_nvem_write_buffer(100);
-        c.nvem_cache_pages = 100;
-        c.partitions[0].nvem_cache = SecondLevelMode::All;
-        assert!(c.validate().is_err());
+        let c = BufferConfig::disk_based(&db(), 100).with_nvem_write_buffer(100);
+        assert!(c.validate().is_ok());
+        let c = c.with_nvem_cache(100);
+        let err = c.validate().unwrap_err();
+        assert!(err.contains("NVEM cache serves it"), "{err}");
     }
 
     #[test]
@@ -317,19 +233,8 @@ mod tests {
         let mut c = BufferConfig::disk_based(&db(), 100).with_nvem_write_buffer(100);
         c.partitions[0] = PartitionPolicy {
             location: PageLocation::NvemResident,
-            nvem_cache: SecondLevelMode::None,
             use_nvem_write_buffer: true,
         };
         assert!(c.validate().is_err());
-    }
-
-    #[test]
-    fn location_describe() {
-        assert_eq!(
-            PageLocation::MainMemoryResident.describe(),
-            "main memory resident"
-        );
-        assert_eq!(PageLocation::DiskUnit(3).describe(), "disk unit 3");
-        assert_eq!(PageLocation::NvemResident.describe(), "NVEM resident");
     }
 }

@@ -3,11 +3,11 @@
 //! Implements the BM component of §3.2:
 //!
 //! * caching of database pages in **main memory** under a global LRU policy;
-//! * a **second-level database buffer in NVEM** with per-partition caching
-//!   modes (migrate only modified pages, only unmodified pages, or all pages);
-//!   under NOFORCE the main-memory and NVEM buffers are kept *exclusive* (a
-//!   page is cached at most once), under FORCE pages forced to NVEM also stay
-//!   in main memory (replication);
+//! * a **second-level database buffer in NVEM** that every page replaced
+//!   from main memory of a disk-resident partition migrates into; under
+//!   NOFORCE the main-memory and NVEM buffers are kept *exclusive* (a page
+//!   is cached at most once), under FORCE pages forced to NVEM also stay in
+//!   main memory (replication);
 //! * a **write buffer in NVEM** that absorbs page writes at NVEM speed and
 //!   updates the disk copy asynchronously;
 //! * the **FORCE / NOFORCE** update strategies;
@@ -29,7 +29,7 @@ pub mod manager;
 pub mod ops;
 pub mod stats;
 
-pub use config::{BufferConfig, PageLocation, PartitionPolicy, SecondLevelMode, UpdateStrategy};
+pub use config::{BufferConfig, PageLocation, PartitionPolicy, UpdateStrategy};
 pub use dirty::{DirtyPageTable, RecLsn};
 pub use manager::BufferManager;
 pub use ops::{FetchOutcome, PageOp, PageOps};

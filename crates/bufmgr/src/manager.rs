@@ -56,9 +56,8 @@ impl BufferManager {
         if let Err(msg) = config.validate() {
             panic!("invalid buffer configuration: {msg}");
         }
-        let nvem_cache = (config.nvem_cache_pages > 0
-            && config.partitions.iter().any(|p| p.nvem_cache.enabled()))
-        .then(|| LruCache::new(config.nvem_cache_pages));
+        let nvem_cache =
+            (config.nvem_cache_pages > 0).then(|| LruCache::new(config.nvem_cache_pages));
         let write_buffer = (config.nvem_write_buffer_pages > 0
             && config.partitions.iter().any(|p| p.use_nvem_write_buffer))
         .then(|| LruCache::new(config.nvem_write_buffer_pages));
@@ -209,7 +208,7 @@ impl BufferManager {
         if self.mm.is_full() {
             self.evict_one(&mut ops);
         }
-        let nvem_cache_hit = self.fetch_missing_page(partition, page, policy.location, &mut ops);
+        let nvem_cache_hit = self.fetch_missing_page(page, policy.location, &mut ops);
         if nvem_cache_hit {
             self.stats.per_partition[partition].nvem_hits += 1;
         }
@@ -237,8 +236,7 @@ impl BufferManager {
         if vstate.dirty {
             self.stats.dirty_evictions += 1;
         }
-        let vpolicy = self.config.policy(vstate.partition);
-        match vpolicy.location {
+        match self.config.policy(vstate.partition).location {
             PageLocation::MainMemoryResident => {
                 // Memory-resident pages never occupy buffer frames; nothing to do.
             }
@@ -253,9 +251,7 @@ impl BufferManager {
                 }
             }
             PageLocation::DiskUnit(unit) => {
-                let migrate =
-                    self.nvem_cache.is_some() && vpolicy.nvem_cache.migrates(vstate.dirty);
-                if migrate {
+                if self.nvem_cache.is_some() {
                     // The NVEM cache copy is non-volatile: committed updates
                     // survive a crash from here on.
                     self.dirty_table.clear_page(vpage);
@@ -273,7 +269,7 @@ impl BufferManager {
                 } else if vstate.dirty {
                     self.write_back_dirty(vpage, vstate.partition, unit, ops);
                 }
-                // Clean, non-migrating pages are simply dropped.
+                // Without an NVEM cache, clean pages are simply dropped.
             }
         }
     }
@@ -323,7 +319,6 @@ impl BufferManager {
     /// was a second-level NVEM cache hit.
     fn fetch_missing_page(
         &mut self,
-        partition: usize,
         page: PageId,
         location: PageLocation,
         ops: &mut PageOps,
@@ -338,12 +333,10 @@ impl BufferManager {
                 false
             }
             PageLocation::DiskUnit(unit) => {
-                let policy = self.config.policy(partition);
-                let in_nvem = policy.nvem_cache.enabled()
-                    && self
-                        .nvem_cache
-                        .as_mut()
-                        .is_some_and(|c| c.get(&page).is_some());
+                let in_nvem = self
+                    .nvem_cache
+                    .as_mut()
+                    .is_some_and(|c| c.get(&page).is_some());
                 if in_nvem {
                     ops.push(PageOp::NvemTransfer {
                         page,
@@ -418,7 +411,7 @@ impl BufferManager {
                     return ops;
                 }
                 self.stats.forced_pages += 1;
-                if self.nvem_cache.is_some() && policy.nvem_cache.enabled() {
+                if self.nvem_cache.is_some() {
                     // FORCE writes the update to the NVEM cache; the page also
                     // stays buffered in main memory (replication, §3.2).
                     self.dirty_table.clear_page(page);
@@ -552,7 +545,7 @@ impl BufferManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{PartitionPolicy, SecondLevelMode};
+    use crate::config::PartitionPolicy;
     use dbmodel::database::PartitionSpec;
     use dbmodel::Database;
 
@@ -725,7 +718,7 @@ mod tests {
 
     #[test]
     fn noforce_nvem_cache_is_exclusive() {
-        let cfg = disk_config(2).with_nvem_cache(4, SecondLevelMode::All);
+        let cfg = disk_config(2).with_nvem_cache(4);
         let mut bm = BufferManager::new(cfg);
         bm.reference_page(0, PageId(1), true);
         bm.reference_page(0, PageId(2), false);
@@ -767,7 +760,7 @@ mod tests {
     #[test]
     fn force_nvem_cache_replicates_pages() {
         let cfg = disk_config(4)
-            .with_nvem_cache(4, SecondLevelMode::All)
+            .with_nvem_cache(4)
             .with_update_strategy(UpdateStrategy::Force);
         let mut bm = BufferManager::new(cfg);
         bm.reference_page(0, PageId(1), true);
@@ -831,32 +824,64 @@ mod tests {
     }
 
     #[test]
-    fn migration_mode_only_modified_drops_clean_victims() {
-        let cfg = disk_config(1).with_nvem_cache(4, SecondLevelMode::OnlyModified);
+    fn nvem_cache_serves_only_disk_resident_partitions() {
+        let mut cfg = disk_config(1).with_nvem_cache(4);
+        cfg.partitions = vec![
+            PartitionPolicy::on_disk_unit(0),
+            PartitionPolicy::nvem_resident(),
+            PartitionPolicy::memory_resident(),
+        ];
         let mut bm = BufferManager::new(cfg);
-        bm.reference_page(0, PageId(1), false); // clean
-        let out = bm.reference_page(0, PageId(2), true);
-        // Clean victim is dropped, not migrated.
+        // A memory-resident page never occupies a frame, so it never migrates.
+        assert!(bm.reference_page(2, PageId(2000), true).main_memory_hit);
+        bm.reference_page(1, PageId(1000), true);
+        // The dirty NVEM-resident victim goes back to its NVEM home copy.
+        let out = bm.reference_page(0, PageId(1), true);
         assert_eq!(
             out.ops.to_vec(),
-            vec![PageOp::UnitRead {
-                unit: 0,
-                page: PageId(2)
-            }]
+            vec![
+                PageOp::NvemTransfer {
+                    page: PageId(1000),
+                    to_nvem: true
+                },
+                PageOp::UnitRead {
+                    unit: 0,
+                    page: PageId(1)
+                },
+            ]
         );
-        assert!(!bm.nvem_contains(PageId(1)));
-        // Dirty victim migrates.
-        let out = bm.reference_page(0, PageId(3), false);
-        assert!(out.ops.contains(&PageOp::NvemTransfer {
-            page: PageId(2),
-            to_nvem: true
-        }));
-        assert!(bm.nvem_contains(PageId(2)));
+        // The disk partition's dirty victim migrates and starts its disk update.
+        let out = bm.reference_page(1, PageId(1001), false);
+        assert_eq!(
+            out.ops.to_vec(),
+            vec![
+                PageOp::NvemTransfer {
+                    page: PageId(1),
+                    to_nvem: true
+                },
+                PageOp::UnitWriteAsync {
+                    unit: 0,
+                    page: PageId(1)
+                },
+                PageOp::NvemTransfer {
+                    page: PageId(1001),
+                    to_nvem: false
+                },
+            ]
+        );
+        // A clean NVEM-resident victim is simply dropped.
+        bm.reference_page(0, PageId(2), false);
+        for page in [1000, 1001, 2000] {
+            assert!(!bm.nvem_contains(PageId(page)), "page {page}");
+        }
+        assert!(bm.nvem_contains(PageId(1)));
+        assert_eq!(bm.nvem_pages(), 1);
+        assert_eq!(bm.stats().migrations_to_nvem, 1);
     }
 
     #[test]
     fn nvem_cache_prefers_replacing_clean_frames() {
-        let cfg = disk_config(1).with_nvem_cache(2, SecondLevelMode::All);
+        let cfg = disk_config(1).with_nvem_cache(2);
         let mut bm = BufferManager::new(cfg);
         // Create three migrations: 1 dirty, 2 clean, 3 clean.
         bm.reference_page(0, PageId(1), true);
@@ -899,7 +924,7 @@ mod tests {
 
     #[test]
     fn invalidate_page_drops_mm_and_nvem_copies() {
-        let cfg = disk_config(2).with_nvem_cache(4, SecondLevelMode::All);
+        let cfg = disk_config(2).with_nvem_cache(4);
         let mut bm = BufferManager::new(cfg);
         bm.reference_page(0, PageId(1), false);
         bm.reference_page(0, PageId(2), false);
@@ -922,7 +947,7 @@ mod tests {
 
     #[test]
     fn invalidate_page_spares_nvem_entries_with_inflight_writes() {
-        let cfg = disk_config(1).with_nvem_cache(4, SecondLevelMode::All);
+        let cfg = disk_config(1).with_nvem_cache(4);
         let mut bm = BufferManager::new(cfg);
         bm.reference_page(0, PageId(1), true);
         bm.reference_page(0, PageId(2), false); // evicts 1 dirty → NVEM, async write pending
@@ -992,7 +1017,7 @@ mod tests {
         bm.force_page(0, PageId(1));
         assert!(bm.dirty_page_table().is_empty());
         // Migration into the (non-volatile) NVEM cache.
-        let cfg = disk_config(1).with_nvem_cache(4, SecondLevelMode::All);
+        let cfg = disk_config(1).with_nvem_cache(4);
         let mut bm = BufferManager::new(cfg);
         bm.reference_page(0, PageId(1), true);
         bm.note_committed_update(0, PageId(1), 2);
@@ -1040,7 +1065,7 @@ mod tests {
     fn holds_page_matches_invalidate_page_reach() {
         // `holds_page` must be true exactly when `invalidate_page` would do
         // any work: MM copy, NVEM-cache entry (pending or not), DPT entry.
-        let cfg = disk_config(1).with_nvem_cache(4, SecondLevelMode::All);
+        let cfg = disk_config(1).with_nvem_cache(4);
         let mut bm = BufferManager::new(cfg);
         assert!(!bm.holds_page(PageId(1)));
         bm.reference_page(0, PageId(1), true);
@@ -1069,7 +1094,7 @@ mod tests {
         // because of an in-flight write remains referencable and serves a
         // second-level hit on the next miss.  OnRequestValidate closes this
         // window at the engine level with per-page version stamps.
-        let cfg = disk_config(1).with_nvem_cache(4, SecondLevelMode::All);
+        let cfg = disk_config(1).with_nvem_cache(4);
         let mut bm = BufferManager::new(cfg);
         bm.reference_page(0, PageId(1), true);
         bm.reference_page(0, PageId(2), false); // evicts 1 dirty → NVEM, pending
@@ -1083,7 +1108,7 @@ mod tests {
         // Same setup as above, but the on-request-validation discard must
         // remove the pending entry so the re-read cannot hit it, and the
         // in-flight write's completion must tolerate the missing entry.
-        let cfg = disk_config(1).with_nvem_cache(4, SecondLevelMode::All);
+        let cfg = disk_config(1).with_nvem_cache(4);
         let mut bm = BufferManager::new(cfg);
         bm.reference_page(0, PageId(1), true);
         bm.reference_page(0, PageId(2), false); // evicts 1 dirty → NVEM, pending

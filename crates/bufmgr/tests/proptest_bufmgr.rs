@@ -4,7 +4,7 @@
 //! these tests drive the same invariants with many deterministic
 //! pseudo-random cases generated by the kernel's seedable RNG.
 
-use bufmgr::{BufferConfig, BufferManager, PageOp, SecondLevelMode, UpdateStrategy};
+use bufmgr::{BufferConfig, BufferManager, PageOp, UpdateStrategy};
 use dbmodel::database::PartitionSpec;
 use dbmodel::{Database, PageId};
 use simkernel::SimRng;
@@ -40,8 +40,7 @@ fn noforce_exclusive_caching_invariants() {
         let nvem_cap = 1 + rng.below(11) as usize;
         let refs = 1 + rng.below(400) as usize;
         let db = database();
-        let cfg =
-            BufferConfig::disk_based(&db, mm_cap).with_nvem_cache(nvem_cap, SecondLevelMode::All);
+        let cfg = BufferConfig::disk_based(&db, mm_cap).with_nvem_cache(nvem_cap);
         let mut bm = BufferManager::new(cfg);
         for _ in 0..refs {
             let page = rng.below(40);

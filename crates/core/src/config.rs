@@ -7,7 +7,7 @@ use dbmodel::{HotSpotParams, PartitionScheme};
 use lockmgr::CcMode;
 use simkernel::dist::PiecewiseRate;
 use simkernel::time::SimTime;
-use storage::{DeviceSpec, IoSchedulerParams, NvemParams};
+use storage::{DiskUnitParams, IoSchedulerParams, NvemParams};
 
 /// CM (computing module) parameters — Table 3.3 / Table 4.1.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -27,9 +27,6 @@ pub struct CmParams {
     pub num_cpus: usize,
     /// MIPS rate per CPU.
     pub mips: f64,
-    /// Whether logging is performed (one log page write per update
-    /// transaction at commit).
-    pub logging: bool,
     /// Group-commit batch size for device log writes: up to this many
     /// committing transactions share one log page write.  Applies to
     /// [`LogAllocation::DiskUnit`] logs and to the synchronous overflow
@@ -60,7 +57,6 @@ impl Default for CmParams {
             instr_io: 3_000.0,
             num_cpus: 4,
             mips: 50.0,
-            logging: true,
             group_commit_size: 1,
             group_commit_timeout_ms: 1.0,
             log_record_bytes: 512,
@@ -243,114 +239,6 @@ pub enum LogAllocation {
     /// The log is written to the given disk unit but the log pages first go
     /// through the NVEM write buffer (asynchronous disk update).
     DiskUnitViaNvemWriteBuffer(usize),
-}
-
-/// Update-propagation policy the recovery subsystem assumes (Härder/Reuter).
-///
-/// Under [`ForcePolicy::Force`] every committed update is already in the
-/// permanent database (or non-volatile intermediate storage) at commit, so a
-/// crash loses no committed work and restart degenerates to a log scan.
-/// Under [`ForcePolicy::NoForce`] committed updates may exist only in the
-/// volatile main-memory buffer and must be redone from the log after a crash.
-/// When recovery is enabled the policy must agree with
-/// [`bufmgr::UpdateStrategy`] in [`SimulationConfig::buffer`] (checked by
-/// [`SimulationConfig::validate`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ForcePolicy {
-    /// Modified pages are propagated at commit; restart needs no page redo.
-    Force,
-    /// Modified pages are propagated lazily; restart redoes committed
-    /// updates from the log.
-    NoForce,
-}
-
-/// Where the *active* redo-log tail (everything after the last checkpoint)
-/// lives for restart purposes (§3.3: NVEM-resident log truncation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LogTruncation {
-    /// The log tail is read back from the device named by
-    /// [`SimulationConfig::log_allocation`]; every log page read during
-    /// restart pays that device's read latency.
-    DiskResident,
-    /// The log tail is retained in non-volatile extended memory (the log is
-    /// truncated into NVEM at every checkpoint), so restart reads it at NVEM
-    /// speed regardless of where the durable log copy lives.
-    NvemResident,
-}
-
-/// Crash-recovery and checkpointing parameters.
-///
-/// `checkpoint_interval_ms == 0` disables checkpointing entirely: no
-/// checkpoint events are scheduled, no redo bookkeeping is performed (unless
-/// a crash is requested via [`crate::Simulation::simulate_crash_at`]) and the
-/// run is bit-for-bit identical to an engine without the recovery subsystem.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RecoveryParams {
-    /// Interval between fuzzy checkpoints (ms of simulated time); `0`
-    /// disables checkpointing.  Each checkpoint writes one checkpoint record
-    /// to the log allocation (contending with commit log writes), advances
-    /// the redo boundary to the oldest committed-but-unpropagated update and
-    /// truncates the redo log before it.
-    pub checkpoint_interval_ms: SimTime,
-    /// The update-propagation policy recovery assumes; must match
-    /// [`SimulationConfig::buffer`]`.update_strategy` when recovery is
-    /// enabled.
-    pub force_policy: ForcePolicy,
-    /// Where the active log tail is kept for restart reads.
-    pub log_truncation: LogTruncation,
-}
-
-impl Default for RecoveryParams {
-    fn default() -> Self {
-        Self::disabled()
-    }
-}
-
-impl RecoveryParams {
-    /// Recovery switched off (no checkpoints, NOFORCE assumptions,
-    /// disk-resident log tail).  This is the default of every preset.
-    pub fn disabled() -> Self {
-        Self {
-            checkpoint_interval_ms: 0.0,
-            force_policy: ForcePolicy::NoForce,
-            log_truncation: LogTruncation::DiskResident,
-        }
-    }
-
-    /// Checkpointing enabled at the given interval with NOFORCE assumptions.
-    pub fn noforce(checkpoint_interval_ms: SimTime) -> Self {
-        Self {
-            checkpoint_interval_ms,
-            ..Self::disabled()
-        }
-    }
-
-    /// Checkpointing enabled at the given interval with FORCE assumptions.
-    pub fn force(checkpoint_interval_ms: SimTime) -> Self {
-        Self {
-            checkpoint_interval_ms,
-            force_policy: ForcePolicy::Force,
-            ..Self::disabled()
-        }
-    }
-
-    /// True if checkpointing (and with it steady-state redo bookkeeping) is
-    /// enabled.
-    pub fn enabled(&self) -> bool {
-        self.checkpoint_interval_ms > 0.0
-    }
-
-    /// True if the recovery force policy agrees with the buffer manager's
-    /// update strategy (the single source of truth for the consistency check
-    /// in [`SimulationConfig::validate`] and
-    /// [`crate::Simulation::simulate_crash_at`]).
-    pub fn matches_update_strategy(&self, strategy: bufmgr::UpdateStrategy) -> bool {
-        matches!(
-            (self.force_policy, strategy),
-            (ForcePolicy::Force, bufmgr::UpdateStrategy::Force)
-                | (ForcePolicy::NoForce, bufmgr::UpdateStrategy::NoForce)
-        )
-    }
 }
 
 /// Unused by the engine: the event kernel is sequential, and independent
@@ -597,18 +485,28 @@ pub struct SimulationConfig {
     pub nvem: NvemParams,
     /// The external storage devices of the configuration (indexed by the ids
     /// used in [`bufmgr::PageLocation::DiskUnit`] and
-    /// [`LogAllocation::DiskUnit`]).  Each slot is a [`DeviceSpec`] — a disk
-    /// unit of any kind or an NVEM server device — so storage topologies are
-    /// configuration, not engine code.
-    pub devices: Vec<DeviceSpec>,
+    /// [`LogAllocation::DiskUnit`]): disk units of any kind, so storage
+    /// topologies are configuration, not engine code.
+    pub devices: Vec<DiskUnitParams>,
     /// Log allocation.
     pub log_allocation: LogAllocation,
-    /// Crash-recovery and checkpointing parameters (disabled by default).
-    pub recovery: RecoveryParams,
+    /// Interval between fuzzy checkpoints (ms of simulated time).  Each
+    /// checkpoint writes one checkpoint record to the log allocation
+    /// (contending with commit log writes), advances the redo boundary to
+    /// the oldest committed-but-unpropagated update and truncates the redo
+    /// log before it.  Restart assumes the buffer's update strategy and
+    /// reads the redo log tail at NVEM speed exactly when the log is
+    /// NVEM-resident.  `0`, the default of every preset, disables
+    /// checkpointing: no checkpoint events are scheduled and no redo
+    /// bookkeeping is performed (unless a crash is requested via
+    /// [`crate::Simulation::simulate_crash_at`]), so the run is bit-for-bit
+    /// identical to an engine without the recovery subsystem.
+    pub checkpoint_interval_ms: SimTime,
     /// Buffer-manager configuration (buffer sizes, update strategy,
     /// per-partition allocation and NVEM usage).
     pub buffer: BufferConfig,
-    /// Concurrency-control mode per partition.
+    /// Concurrency-control mode per partition, one for each policy in
+    /// `buffer.partitions`.
     pub cc_modes: Vec<CcMode>,
     /// Unused by the engine; kept for the benchmark package (see
     /// [`ParallelismParams`]).
@@ -689,7 +587,7 @@ impl SimulationConfig {
         }
         self.workload.validate()?;
         if self.architecture == Architecture::SharedNothing {
-            if self.recovery.enabled() {
+            if self.checkpoint_interval_ms > 0.0 {
                 return Err(
                     "crash recovery is only modelled for the data-sharing architecture".into(),
                 );
@@ -727,23 +625,24 @@ impl SimulationConfig {
                 crate::recovery::LOG_PAGE_BYTES
             ));
         }
-        if self.recovery.checkpoint_interval_ms.is_nan()
-            || self.recovery.checkpoint_interval_ms < 0.0
-        {
+        if self.checkpoint_interval_ms.is_nan() || self.checkpoint_interval_ms < 0.0 {
             return Err("checkpoint interval must be non-negative".into());
         }
-        if self.recovery.enabled() {
-            if !self.cm.logging {
-                return Err("recovery requires logging to be enabled".into());
-            }
-            if !self
-                .recovery
-                .matches_update_strategy(self.buffer.update_strategy)
-            {
-                return Err("recovery force policy must match the buffer update strategy".into());
+        self.buffer.validate()?;
+        if self.cc_modes.len() != self.buffer.partitions.len() {
+            return Err(format!(
+                "{} concurrency-control modes for {} buffer partition policies",
+                self.cc_modes.len(),
+                self.buffer.partitions.len()
+            ));
+        }
+        for (i, d) in self.devices.iter().enumerate() {
+            if d.num_controllers == 0 || d.num_disks == 0 {
+                return Err(format!(
+                    "storage device {i} needs at least one controller and one disk"
+                ));
             }
         }
-        self.buffer.validate()?;
         // Every device reference must exist.
         let check_unit = |u: usize, what: &str| -> Result<(), String> {
             if u >= self.devices.len() {
@@ -799,7 +698,7 @@ impl SimulationConfig {
 mod tests {
     use super::*;
     use bufmgr::PartitionPolicy;
-    use storage::{DiskUnitKind, DiskUnitParams};
+    use storage::DiskUnitKind;
 
     fn minimal_config() -> SimulationConfig {
         SimulationConfig {
@@ -808,9 +707,9 @@ mod tests {
             architecture: Architecture::default(),
             partitioning: PartitioningParams::default(),
             nvem: NvemParams::default(),
-            devices: vec![DiskUnitParams::database_disks(DiskUnitKind::Regular, 2, 8).into()],
+            devices: vec![DiskUnitParams::database_disks(DiskUnitKind::Regular, 2, 8)],
             log_allocation: LogAllocation::DiskUnit(0),
-            recovery: RecoveryParams::disabled(),
+            checkpoint_interval_ms: 0.0,
             buffer: BufferConfig {
                 mm_buffer_pages: 100,
                 nvem_cache_pages: 0,
@@ -975,11 +874,30 @@ mod tests {
     }
 
     #[test]
-    fn nvem_server_device_slot_validates() {
+    fn validation_catches_disk_units_without_servers() {
         let mut c = minimal_config();
-        c.devices.push(storage::NvemDeviceParams::default().into());
-        c.log_allocation = LogAllocation::DiskUnit(1);
+        c.devices[0].num_controllers = 0;
+        let err = c.validate().unwrap_err();
+        assert!(err.contains("storage device 0"), "{err}");
+        let mut c = minimal_config();
+        c.devices[0].num_disks = 0;
+        assert!(c.validate().is_err());
+        c.devices[0].num_disks = 1;
+        c.devices[0].num_controllers = 1;
         assert!(c.validate().is_ok());
+    }
+
+    #[test]
+    fn validation_catches_cc_modes_of_another_length() {
+        let mut c = minimal_config();
+        c.cc_modes.push(CcMode::Object);
+        let err = c.validate().unwrap_err();
+        assert!(err.contains("2 concurrency-control modes for 1"), "{err}");
+        c.buffer.partitions.push(PartitionPolicy::on_disk_unit(0));
+        assert!(c.validate().is_ok());
+        let mut c = minimal_config();
+        c.buffer.partitions.push(PartitionPolicy::memory_resident());
+        assert!(c.validate().is_err());
     }
 
     #[test]
@@ -1001,29 +919,20 @@ mod tests {
 
     #[test]
     fn validation_catches_bad_recovery_params() {
+        // The checkpoint interval is the one recovery parameter: negative
+        // and NaN intervals are rejected ...
         let mut c = minimal_config();
-        c.recovery.checkpoint_interval_ms = -1.0;
+        c.checkpoint_interval_ms = -1.0;
+        let err = c.validate().unwrap_err();
+        assert!(err.contains("checkpoint interval"), "{err}");
+        c.checkpoint_interval_ms = f64::NAN;
         assert!(c.validate().is_err());
-        let mut c = minimal_config();
-        c.recovery.checkpoint_interval_ms = f64::NAN;
-        assert!(c.validate().is_err());
-        // Enabled recovery needs logging ...
-        let mut c = minimal_config();
-        c.recovery = RecoveryParams::noforce(1_000.0);
-        c.cm.logging = false;
-        assert!(c.validate().is_err());
-        // ... and a force policy that matches the buffer update strategy.
-        let mut c = minimal_config();
-        c.recovery = RecoveryParams::force(1_000.0);
-        assert!(c.validate().is_err());
+        // ... while any positive interval enables recovery under either
+        // update strategy.
+        c.checkpoint_interval_ms = 1_000.0;
+        assert!(c.validate().is_ok());
         c.buffer.update_strategy = bufmgr::UpdateStrategy::Force;
         assert!(c.validate().is_ok());
-        // A mismatching policy is fine while recovery is disabled.
-        let mut c = minimal_config();
-        c.recovery.force_policy = ForcePolicy::Force;
-        assert!(c.validate().is_ok());
-        assert!(!RecoveryParams::disabled().enabled());
-        assert!(RecoveryParams::noforce(10.0).enabled());
     }
 
     #[test]
@@ -1058,7 +967,7 @@ mod tests {
         // … but refuses recovery and FORCE (both are data-sharing-only).
         let mut c = minimal_config();
         c.architecture = Architecture::SharedNothing;
-        c.recovery = RecoveryParams::noforce(500.0);
+        c.checkpoint_interval_ms = 500.0;
         assert!(c.validate().is_err());
         let mut c = minimal_config();
         c.architecture = Architecture::SharedNothing;

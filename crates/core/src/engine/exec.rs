@@ -136,7 +136,7 @@ impl<W: WorkloadGenerator> Simulation<W> {
                 if participants > 0 {
                     tx.micro.push_back(MicroOp::CommitExchange { participants });
                 }
-                if is_update && cm.logging {
+                if is_update {
                     tx.micro.push_back(MicroOp::LogWrite);
                 }
                 if is_update && force {

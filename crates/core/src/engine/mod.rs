@@ -130,7 +130,7 @@ enum Ev {
     /// is still open (timeout path).
     GroupCommitFlush(u64),
     /// Take a fuzzy checkpoint (only scheduled when
-    /// `config.recovery.checkpoint_interval_ms > 0`).
+    /// `config.checkpoint_interval_ms > 0`).
     Checkpoint,
     /// The simulated crash point: stop the run and enter restart processing
     /// (only scheduled via [`Simulation::simulate_crash_at`]).
@@ -382,8 +382,8 @@ impl<W: WorkloadGenerator> Simulation<W> {
             .enumerate()
             .map(|(i, spec)| UnitRuntime {
                 device: spec.build(format!("unit-{i}")),
-                controllers: Resource::new(format!("unit-{i}-controllers"), spec.num_controllers()),
-                disks: Resource::new(format!("unit-{i}-disks"), spec.num_disks()),
+                controllers: Resource::new(format!("unit-{i}-controllers"), spec.num_controllers),
+                disks: Resource::new(format!("unit-{i}-disks"), spec.num_disks),
                 coalescing: config.io_scheduler.enabled().then(ReadCoalescing::default),
             })
             .collect();
@@ -421,9 +421,7 @@ impl<W: WorkloadGenerator> Simulation<W> {
         });
         let shipping = ShippingReport::empty(config.nodes.num_nodes);
         let end_time = config.total_time_ms();
-        let recovery = config
-            .recovery
-            .enabled()
+        let recovery = (config.checkpoint_interval_ms > 0.0)
             .then(|| RecoveryRuntime::new(config.cm.log_record_bytes));
 
         Self {
@@ -493,8 +491,7 @@ impl<W: WorkloadGenerator> Simulation<W> {
     ///
     /// # Panics
     /// Panics if the crash point is not strictly inside the measurement
-    /// interval, if logging is disabled, or if the recovery force policy
-    /// contradicts the buffer update strategy.
+    /// interval, or under the shared-nothing architecture.
     pub fn simulate_crash_at(mut self, at_ms: SimTime) -> Self {
         assert!(
             at_ms > self.config.warmup_ms && at_ms < self.end_time,
@@ -504,18 +501,8 @@ impl<W: WorkloadGenerator> Simulation<W> {
             self.end_time
         );
         assert!(
-            self.config.cm.logging,
-            "crash recovery requires logging to be enabled"
-        );
-        assert!(
             self.config.architecture == Architecture::DataSharing,
             "crash recovery is only modelled for the data-sharing architecture"
-        );
-        assert!(
-            self.config
-                .recovery
-                .matches_update_strategy(self.config.buffer.update_strategy),
-            "recovery force policy must match the buffer update strategy"
         );
         if self.recovery.is_none() {
             self.recovery = Some(RecoveryRuntime::new(self.config.cm.log_record_bytes));
@@ -599,7 +586,7 @@ impl<W: WorkloadGenerator> Simulation<W> {
 
     /// The non-arrival control events of `seed_initial_events`.
     fn seed_control_events(&mut self) {
-        let checkpoint_interval = self.config.recovery.checkpoint_interval_ms;
+        let checkpoint_interval = self.config.checkpoint_interval_ms;
         if self.recovery.is_some() && checkpoint_interval > 0.0 {
             self.queue.schedule_at(checkpoint_interval, Ev::Checkpoint);
         }

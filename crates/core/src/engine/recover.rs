@@ -6,10 +6,10 @@
 //! [`crate::recovery`]; the dirty-page tables live with the per-node buffer
 //! managers ([`bufmgr::DirtyPageTable`]).  Everything here is inert unless
 //! the recovery subsystem is active (checkpointing enabled via
-//! [`crate::config::RecoveryParams`], and/or a crash requested via
-//! [`Simulation::simulate_crash_at`]) — an inactive run performs no redo
-//! bookkeeping at all and is bit-for-bit identical to an engine without the
-//! subsystem.
+//! [`crate::SimulationConfig::checkpoint_interval_ms`], and/or a crash
+//! requested via [`Simulation::simulate_crash_at`]) — an inactive run
+//! performs no redo bookkeeping at all and is bit-for-bit identical to an
+//! engine without the subsystem.
 //!
 //! **Restart model.**  After a crash the system is empty: no transactions,
 //! cold buffers, a cleared lock table.  Restart is therefore modelled as a
@@ -17,8 +17,7 @@
 //!
 //! 1. one read per log page of the redo tail (everything after the last
 //!    checkpoint's redo boundary) against the configured log device, or at
-//!    NVEM speed when the tail is NVEM-resident
-//!    ([`crate::config::LogTruncation`]),
+//!    NVEM speed when the log is NVEM-resident ([`LogAllocation::Nvem`]),
 //! 2. a redo-apply CPU burst per record whose update was actually lost
 //!    (present in a dirty-page table at the crash), and
 //! 3. one read of each lost page from its home location — through the same
@@ -37,7 +36,7 @@ use storage::IoKind;
 
 use bufmgr::PageLocation;
 
-use crate::config::{LogAllocation, LogTruncation};
+use crate::config::LogAllocation;
 use crate::metrics::RestartReport;
 use crate::recovery::{Lsn, RedoRecord};
 
@@ -117,7 +116,7 @@ impl<W: WorkloadGenerator> Simulation<W> {
                 }
             }
         }
-        let next = now + self.config.recovery.checkpoint_interval_ms;
+        let next = now + self.config.checkpoint_interval_ms;
         let horizon = self.crash_at.unwrap_or(self.end_time);
         if next < horizon {
             self.queue.schedule_at(next, Ev::Checkpoint);
@@ -174,24 +173,21 @@ impl<W: WorkloadGenerator> Simulation<W> {
         let mut restart_ms = 0.0;
 
         // 1. Read the log tail, sequentially (restart is the only activity).
-        //    An NVEM-resident tail is read at NVEM speed; a device-resident
-        //    tail pays the device model per page.  The most recently written
+        //    An NVEM-resident log is read at NVEM speed; a device-resident
+        //    log pays the device model per page.  The most recently written
         //    log page ids sit just above `next_log_page`, so a cached log
         //    device sees the same recency the steady-state run produced.
-        let tail_on_nvem = self.config.recovery.log_truncation == LogTruncation::NvemResident
-            || self.config.log_allocation == LogAllocation::Nvem;
-        if tail_on_nvem {
-            restart_ms += nvem_cost * log_pages_read as f64;
-        } else if let LogAllocation::DiskUnit(unit)
-        | LogAllocation::DiskUnitViaNvemWriteBuffer(unit) = self.config.log_allocation
-        {
-            for i in 0..log_pages_read {
-                let page = PageId(self.next_log_page.wrapping_add(1 + i));
-                restart_ms += io_cpu
-                    + self.units[unit]
-                        .device
-                        .request(IoKind::Read, page)
-                        .foreground_service_time();
+        match self.config.log_allocation {
+            LogAllocation::Nvem => restart_ms += nvem_cost * log_pages_read as f64,
+            LogAllocation::DiskUnit(unit) | LogAllocation::DiskUnitViaNvemWriteBuffer(unit) => {
+                for i in 0..log_pages_read {
+                    let page = PageId(self.next_log_page.wrapping_add(1 + i));
+                    restart_ms += io_cpu
+                        + self.units[unit]
+                            .device
+                            .request(IoKind::Read, page)
+                            .foreground_service_time();
+                }
             }
         }
 
@@ -236,7 +232,7 @@ impl<W: WorkloadGenerator> Simulation<W> {
             }
         }
         for (unit, service) in unit_service.into_iter().enumerate() {
-            restart_ms += service / self.config.devices[unit].num_disks() as f64;
+            restart_ms += service / self.config.devices[unit].num_disks as f64;
         }
 
         // 4. Re-acquire (and afterwards release) the locks covering the

@@ -6,11 +6,11 @@ use dbmodel::{
     AccessMode, ObjectId, ObjectRef, PageId, Trace, TraceGenerator, TraceTransaction,
     TransactionTemplate,
 };
-use storage::{IoKind, IoSchedulerParams, NvemDeviceParams};
+use storage::{IoKind, IoSchedulerParams};
 
 use bufmgr::PageOp;
 
-use crate::config::{CoherenceParams, LogAllocation, RecoveryParams};
+use crate::config::CoherenceParams;
 use crate::presets::{
     data_sharing_config, debit_credit_config, debit_credit_workload, recovery_config,
     shared_nothing_config, DebitCreditStorage, LOG_UNIT,
@@ -1038,7 +1038,7 @@ fn recovery_is_deterministic_for_fixed_seed_and_crash_point() {
 fn disabled_recovery_reports_nothing_and_stays_deterministic() {
     let make = || {
         let mut c = quick_config(DebitCreditStorage::Disk, 80.0);
-        c.recovery = RecoveryParams::disabled();
+        c.checkpoint_interval_ms = 0.0;
         Simulation::new(c, debit_credit_workload(100)).run()
     };
     let a = make();
@@ -1052,7 +1052,7 @@ fn multi_node_crash_replays_every_nodes_redo_records() {
     let mut c = data_sharing_config(2, 120.0);
     c.warmup_ms = 300.0;
     c.measure_ms = 1_500.0;
-    c.recovery = RecoveryParams::noforce(500.0);
+    c.checkpoint_interval_ms = 500.0;
     let report = Simulation::new(c, debit_credit_workload(100))
         .simulate_crash_at(1_500.0)
         .run();
@@ -1075,33 +1075,4 @@ fn multi_node_crash_replays_every_nodes_redo_records() {
 fn crash_point_outside_the_measurement_interval_is_rejected() {
     let c = quick_config(DebitCreditStorage::Disk, 50.0);
     let _ = Simulation::new(c, debit_credit_workload(100)).simulate_crash_at(100.0);
-}
-
-#[test]
-fn nvem_log_device_topology_is_pure_config() {
-    // The paper's log variants are disk-based or synchronous NVEM; with the
-    // pluggable device layer an *NVEM server device* in the log slot is just
-    // configuration.  The log write then queues at the NVEM servers instead
-    // of paying a disk access, so the run behaves like the fast log variants.
-    let mut config = crate::presets::nvem_log_device_config(150.0);
-    config.warmup_ms = 300.0;
-    config.measure_ms = 1_500.0;
-    assert_eq!(config.devices[LOG_UNIT], NvemDeviceParams::default().into());
-    assert_eq!(config.log_allocation, LogAllocation::DiskUnit(LOG_UNIT));
-    let report = Simulation::new(config, debit_credit_workload(100)).run();
-    assert!(report.completed > 50);
-    // All log writes were absorbed by the NVEM device.
-    assert!(report.devices[LOG_UNIT].stats.writes > 0);
-    assert_eq!(
-        report.devices[LOG_UNIT].stats.writes,
-        report.devices[LOG_UNIT].stats.absorbed_writes
-    );
-    assert_eq!(report.devices[LOG_UNIT].disk_utilization, 0.0);
-    // And the response time stays far below the disk-log configuration.
-    let disk_log = Simulation::new(
-        quick_config(DebitCreditStorage::Disk, 150.0),
-        debit_credit_workload(100),
-    )
-    .run();
-    assert!(report.response_time.mean < disk_log.response_time.mean);
 }

@@ -46,9 +46,9 @@ pub mod recovery;
 pub mod tables;
 
 pub use config::{
-    Architecture, CmParams, CoherenceParams, CoherenceProtocol, ForcePolicy, LogAllocation,
-    LogTruncation, NodeParams, PageTransfer, ParallelismParams, PartitioningParams, RecoveryParams,
-    SimulationConfig, WorkloadParams, WorkloadSchedule,
+    Architecture, CmParams, CoherenceParams, CoherenceProtocol, LogAllocation, NodeParams,
+    PageTransfer, ParallelismParams, PartitioningParams, SimulationConfig, WorkloadParams,
+    WorkloadSchedule,
 };
 pub use engine::Simulation;
 pub use metrics::{

@@ -436,7 +436,7 @@ pub struct SimulationReport {
     /// `Some` exactly when the workload was shaped (non-constant schedule or
     /// hot-spot skew) and omitted from the `Debug` rendering otherwise.
     pub tail: Option<TailLatencyReport>,
-    /// Per-storage-device reports (one per configured [`storage::DeviceSpec`]).
+    /// Per-storage-device reports (one per configured [`storage::DiskUnitParams`]).
     pub devices: Vec<DeviceReport>,
     /// Per-node breakdown (one entry per computing module; a single-node run
     /// has one entry mirroring the aggregate fields).

@@ -24,18 +24,18 @@
 
 #[cfg(test)]
 use bufmgr::PageLocation;
-use bufmgr::{BufferConfig, PartitionPolicy, SecondLevelMode, UpdateStrategy};
+use bufmgr::{BufferConfig, PartitionPolicy, UpdateStrategy};
 use dbmodel::{
     synthetic, DebitCreditConfig, DebitCreditGenerator, SyntheticTraceSpec, SyntheticWorkload,
     TraceGenerator,
 };
 use lockmgr::CcMode;
 use simkernel::SimRng;
-use storage::{DeviceSpec, DiskUnitKind, DiskUnitParams, IoSchedulerParams, NvemParams};
+use storage::{DiskUnitKind, DiskUnitParams, IoSchedulerParams, NvemParams};
 
 use crate::config::{
-    Architecture, CmParams, CoherenceParams, ForcePolicy, LogAllocation, LogTruncation, NodeParams,
-    ParallelismParams, PartitioningParams, RecoveryParams, SimulationConfig, WorkloadParams,
+    Architecture, CmParams, CoherenceParams, LogAllocation, NodeParams, ParallelismParams,
+    PartitioningParams, SimulationConfig, WorkloadParams,
 };
 
 /// Index of the database disk unit in every preset that uses disks.
@@ -46,19 +46,15 @@ pub const LOG_UNIT: usize = 1;
 /// Default seed used by the presets (override `config.seed` to vary).
 pub const DEFAULT_SEED: u64 = 21_691; // TR 216/91
 
-fn db_disk_unit(kind: DiskUnitKind, cache_pages: usize) -> DeviceSpec {
+fn db_disk_unit(kind: DiskUnitKind, cache_pages: usize) -> DiskUnitParams {
     // Enough controllers and disk servers that the database disks never become
     // the bottleneck at the studied transaction rates (§4.3: "a sufficiently
     // high number of disk servers and controllers to avoid bottlenecks").
-    DiskUnitParams::database_disks(kind, 32, 128)
-        .with_cache_size(cache_pages.max(1))
-        .into()
+    DiskUnitParams::database_disks(kind, 32, 128).with_cache_size(cache_pages.max(1))
 }
 
-fn log_disk_unit(kind: DiskUnitKind, disks: usize, cache_pages: usize) -> DeviceSpec {
-    DiskUnitParams::log_disks(kind, disks.clamp(1, 8), disks)
-        .with_cache_size(cache_pages.max(1))
-        .into()
+fn log_disk_unit(kind: DiskUnitKind, disks: usize, cache_pages: usize) -> DiskUnitParams {
+    DiskUnitParams::log_disks(kind, disks.clamp(1, 8), disks).with_cache_size(cache_pages.max(1))
 }
 
 fn debit_credit_cc_modes() -> Vec<CcMode> {
@@ -192,7 +188,7 @@ pub fn debit_credit_config(storage: DebitCreditStorage, arrival_rate_tps: f64) -
         nvem: NvemParams::default(),
         devices,
         log_allocation,
-        recovery: RecoveryParams::disabled(),
+        checkpoint_interval_ms: 0.0,
         buffer,
         cc_modes: debit_credit_cc_modes(),
         parallelism: ParallelismParams::default(),
@@ -262,16 +258,6 @@ pub fn log_allocation_config(variant: LogVariant, arrival_rate_tps: f64) -> Simu
     config
 }
 
-/// Debit-Credit configuration with the log slot occupied by an **NVEM server
-/// device** ([`storage::DeviceSpec::NvemServer`]): log writes queue at the
-/// NVEM servers instead of paying a disk access.  This topology is not in the
-/// paper — with the pluggable device layer it is pure configuration.
-pub fn nvem_log_device_config(arrival_rate_tps: f64) -> SimulationConfig {
-    let mut config = debit_credit_config(DebitCreditStorage::Disk, arrival_rate_tps);
-    config.devices[LOG_UNIT] = storage::NvemDeviceParams::default().into();
-    config
-}
-
 /// Data-sharing configuration: `num_nodes` computing modules — each with the
 /// full CM complex of Table 4.1 — share one disk-resident Debit-Credit
 /// database and a *single* shared log disk (the Fig. 4.1 bottleneck device).
@@ -335,14 +321,12 @@ pub fn shared_nothing_config(num_nodes: usize, arrival_rate_tps: f64) -> Simulat
 /// Debit-Credit database with recovery enabled, crossing FORCE vs NOFORCE
 /// with a disk- vs NVEM-resident log.
 ///
-/// * `force` selects the update strategy **and** the matching
-///   [`ForcePolicy`]: under FORCE every committed update is propagated at
-///   commit and restart degenerates to a log scan; under NOFORCE restart
-///   must redo the lost updates.
-/// * `nvem_log` moves the log to NVEM ([`LogAllocation::Nvem`] +
-///   [`LogTruncation::NvemResident`]), so both commit log writes and the
-///   restart's log-tail reads run at NVEM speed instead of paying the log
-///   disks.
+/// * `force` selects the update strategy restart assumes: under FORCE
+///   every committed update is propagated at commit and restart degenerates
+///   to a log scan; under NOFORCE restart must redo the lost updates.
+/// * `nvem_log` moves the log to NVEM ([`LogAllocation::Nvem`]), so both
+///   commit log writes and the restart's log-tail reads run at NVEM speed
+///   instead of paying the log disks.
 /// * `checkpoint_interval_ms` enables fuzzy checkpoints (`0` disables them;
 ///   redo then reaches back to the start of the log).
 ///
@@ -358,19 +342,7 @@ pub fn recovery_config(
     arrival_rate_tps: f64,
 ) -> SimulationConfig {
     let mut config = debit_credit_config(DebitCreditStorage::Disk, arrival_rate_tps);
-    config.recovery = RecoveryParams {
-        checkpoint_interval_ms,
-        force_policy: if force {
-            ForcePolicy::Force
-        } else {
-            ForcePolicy::NoForce
-        },
-        log_truncation: if nvem_log {
-            LogTruncation::NvemResident
-        } else {
-            LogTruncation::DiskResident
-        },
-    };
+    config.checkpoint_interval_ms = checkpoint_interval_ms;
     if force {
         config.buffer.update_strategy = UpdateStrategy::Force;
     }
@@ -424,7 +396,7 @@ pub fn caching_config(
             config.devices[LOG_UNIT] = log_disk_unit(DiskUnitKind::NonVolatileCache, 8, 500);
         }
         SecondLevel::NvemCache(pages) => {
-            config.buffer = config.buffer.with_nvem_cache(pages, SecondLevelMode::All);
+            config.buffer = config.buffer.with_nvem_cache(pages);
             config.log_allocation = LogAllocation::Nvem;
         }
         SecondLevel::DiskCacheWriteBufferOnly => {
@@ -514,7 +486,7 @@ pub fn trace_config(
             devices[LOG_UNIT] = log_disk_unit(DiskUnitKind::NonVolatileCache, 4, 500);
         }
         TraceStorage::NvemCache(pages) => {
-            buffer = buffer.with_nvem_cache(pages, SecondLevelMode::All);
+            buffer = buffer.with_nvem_cache(pages);
             log_allocation = LogAllocation::Nvem;
         }
         TraceStorage::Ssd => {
@@ -539,7 +511,7 @@ pub fn trace_config(
         nvem: NvemParams::default(),
         devices,
         log_allocation,
-        recovery: RecoveryParams::disabled(),
+        checkpoint_interval_ms: 0.0,
         buffer,
         cc_modes,
         parallelism: ParallelismParams::default(),
@@ -628,7 +600,7 @@ pub fn contention_config(
             log_disk_unit(DiskUnitKind::Regular, 8, 1),
         ],
         log_allocation,
-        recovery: RecoveryParams::disabled(),
+        checkpoint_interval_ms: 0.0,
         buffer,
         cc_modes: vec![granularity; 2],
         parallelism: ParallelismParams::default(),
@@ -759,16 +731,14 @@ mod tests {
                         "force={force} nvem_log={nvem_log} interval={interval}: {:?}",
                         c.validate()
                     );
-                    assert_eq!(c.recovery.enabled(), interval > 0.0);
+                    assert_eq!(c.checkpoint_interval_ms, interval);
                 }
             }
         }
         let nvem = recovery_config(false, true, 1_000.0, 150.0);
         assert_eq!(nvem.log_allocation, LogAllocation::Nvem);
-        assert_eq!(nvem.recovery.log_truncation, LogTruncation::NvemResident);
         let force = recovery_config(true, false, 1_000.0, 150.0);
         assert_eq!(force.buffer.update_strategy, UpdateStrategy::Force);
-        assert_eq!(force.recovery.force_policy, ForcePolicy::Force);
         // With recovery disabled the base preset is unchanged.
         assert_eq!(
             recovery_config(false, false, 0.0, 150.0),
@@ -783,7 +753,7 @@ mod tests {
             assert!(c.validate().is_ok(), "{n} nodes: {:?}", c.validate());
             assert_eq!(c.nodes.num_nodes, n);
             assert!(c.nodes.remote_lock_delay_ms > 0.0);
-            assert_eq!(c.devices[LOG_UNIT].disk().num_disks, 1);
+            assert_eq!(c.devices[LOG_UNIT].num_disks, 1);
         }
         // A single node is the centralized single-log-disk system.
         let single = data_sharing_config(1, 300.0);
@@ -801,7 +771,7 @@ mod tests {
             assert_eq!(c.architecture, Architecture::SharedNothing);
             assert_eq!(c.nodes.num_nodes, n);
             // One log disk per node (the partitioned log).
-            assert_eq!(c.devices[LOG_UNIT].disk().num_disks, n);
+            assert_eq!(c.devices[LOG_UNIT].num_disks, n);
         }
         // Apart from architecture, partitioning and the log layout, the
         // shared-nothing preset is the data-sharing topology.
@@ -814,14 +784,14 @@ mod tests {
     #[test]
     fn log_variants_differ_in_log_unit_configuration() {
         let single = log_allocation_config(LogVariant::SingleDisk, 100.0);
-        assert_eq!(single.devices[LOG_UNIT].disk().num_disks, 1);
+        assert_eq!(single.devices[LOG_UNIT].num_disks, 1);
         let cached = log_allocation_config(LogVariant::SingleDiskNvCache, 100.0);
         assert_eq!(
-            cached.devices[LOG_UNIT].disk().kind,
+            cached.devices[LOG_UNIT].kind,
             DiskUnitKind::NonVolatileCache
         );
         let ssd = log_allocation_config(LogVariant::Ssd, 100.0);
-        assert_eq!(ssd.devices[LOG_UNIT].disk().kind, DiskUnitKind::Ssd);
+        assert_eq!(ssd.devices[LOG_UNIT].kind, DiskUnitKind::Ssd);
         let nvem = log_allocation_config(LogVariant::Nvem, 100.0);
         assert_eq!(nvem.log_allocation, LogAllocation::Nvem);
     }

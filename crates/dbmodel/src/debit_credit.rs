@@ -9,7 +9,7 @@
 //!   the tellers of that branch, and K % of the ACCOUNT accesses (K = 85) go
 //!   to an account of the selected branch;
 //! * HISTORY is sequentially appended;
-//! * optional clustering of BRANCH and TELLER records into the same page,
+//! * BRANCH and TELLER records are clustered into the same page (§4.1),
 //!   which reduces the page accesses per transaction to three;
 //! * the small TELLER and BRANCH records are accessed last to keep their lock
 //!   holding times short (ordering: ACCOUNT, HISTORY, TELLER, BRANCH).
@@ -31,16 +31,12 @@ pub struct DebitCreditConfig {
     pub num_accounts: u64,
     /// Blocking factor of the ACCOUNT partition (10 → 5,000,000 pages).
     pub account_block_factor: u64,
-    /// Blocking factor of the TELLER partition when not clustered (10).
-    pub teller_block_factor: u64,
     /// Blocking factor of the HISTORY partition (20).
     pub history_block_factor: u64,
     /// Number of HISTORY objects (size immaterial; the file wraps around).
     pub history_objects: u64,
     /// Percentage of ACCOUNT accesses that stay within the selected branch.
     pub k_same_branch_percent: f64,
-    /// Cluster BRANCH and TELLER records into a common partition/page.
-    pub cluster_branch_teller: bool,
 }
 
 impl Default for DebitCreditConfig {
@@ -50,11 +46,9 @@ impl Default for DebitCreditConfig {
             num_tellers: 5_000,
             num_accounts: 50_000_000,
             account_block_factor: 10,
-            teller_block_factor: 10,
             history_block_factor: 20,
             history_objects: 1_000_000,
             k_same_branch_percent: 85.0,
-            cluster_branch_teller: true,
         }
     }
 }
@@ -93,10 +87,9 @@ impl DebitCreditConfig {
 /// Identifiers of the Debit-Credit partitions inside the generated database.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DebitCreditPartitions {
-    /// BRANCH partition (also holds the TELLER records when clustered).
+    /// BRANCH/TELLER partition: each page holds a BRANCH record and its
+    /// TELLER records.
     pub branch: PartitionId,
-    /// TELLER partition (equal to `branch` when clustered).
-    pub teller: PartitionId,
     /// ACCOUNT partition.
     pub account: PartitionId,
     /// HISTORY partition.
@@ -118,29 +111,17 @@ impl DebitCreditGenerator {
     /// Builds the database for `config` and the generator over it.
     pub fn new(config: DebitCreditConfig) -> Self {
         let mut database = Database::new();
-        let (branch, teller) = if config.cluster_branch_teller {
-            // Clustered: one partition whose pages each hold a BRANCH record
-            // and its TELLER records.  With 500 branches this yields the 500
-            // BRANCH/TELLER pages of §4.1.  Objects are laid out per branch:
-            // object (branch * (1 + tellers_per_branch)) is the branch record,
-            // the following tellers_per_branch objects are its tellers.
-            let per_branch = 1 + config.tellers_per_branch();
-            let id = database.add_partition(PartitionSpec::uniform(
-                "BRANCH/TELLER",
-                config.num_branches * per_branch,
-                per_branch,
-            ));
-            (id, id)
-        } else {
-            let b =
-                database.add_partition(PartitionSpec::uniform("BRANCH", config.num_branches, 1));
-            let t = database.add_partition(PartitionSpec::uniform(
-                "TELLER",
-                config.num_tellers,
-                config.teller_block_factor,
-            ));
-            (b, t)
-        };
+        // One partition whose pages each hold a BRANCH record and its TELLER
+        // records.  With 500 branches this yields the 500 BRANCH/TELLER pages
+        // of §4.1.  Objects are laid out per branch: object
+        // (branch * (1 + tellers_per_branch)) is the branch record, the
+        // following tellers_per_branch objects are its tellers.
+        let per_branch = 1 + config.tellers_per_branch();
+        let branch = database.add_partition(PartitionSpec::uniform(
+            "BRANCH/TELLER",
+            config.num_branches * per_branch,
+            per_branch,
+        ));
         let account = database.add_partition(PartitionSpec::uniform(
             "ACCOUNT",
             config.num_accounts,
@@ -159,7 +140,6 @@ impl DebitCreditGenerator {
             database,
             partitions: DebitCreditPartitions {
                 branch,
-                teller,
                 account,
                 history,
             },
@@ -184,11 +164,7 @@ impl DebitCreditGenerator {
 
     fn branch_ref(&self, branch: u64) -> ObjectRef {
         let p = self.database.partition(self.partitions.branch);
-        let local = if self.config.cluster_branch_teller {
-            branch * (1 + self.config.tellers_per_branch())
-        } else {
-            branch
-        };
+        let local = branch * (1 + self.config.tellers_per_branch());
         ObjectRef {
             partition: self.partitions.branch,
             page: p.page_of_object(local),
@@ -198,14 +174,10 @@ impl DebitCreditGenerator {
     }
 
     fn teller_ref(&self, branch: u64, teller_in_branch: u64) -> ObjectRef {
-        let p = self.database.partition(self.partitions.teller);
-        let local = if self.config.cluster_branch_teller {
-            branch * (1 + self.config.tellers_per_branch()) + 1 + teller_in_branch
-        } else {
-            branch * self.config.tellers_per_branch() + teller_in_branch
-        };
+        let p = self.database.partition(self.partitions.branch);
+        let local = branch * (1 + self.config.tellers_per_branch()) + 1 + teller_in_branch;
         ObjectRef {
-            partition: self.partitions.teller,
+            partition: self.partitions.branch,
             page: p.page_of_object(local),
             object: p.object(local),
             mode: AccessMode::Write,
@@ -337,8 +309,10 @@ mod tests {
         let t = g.next_transaction(&mut rng).unwrap();
         assert_eq!(t.refs[0].partition, parts.account);
         assert_eq!(t.refs[1].partition, parts.history);
-        assert_eq!(t.refs[2].partition, parts.teller);
+        assert_eq!(t.refs[2].partition, parts.branch);
         assert_eq!(t.refs[3].partition, parts.branch);
+        // The TELLER record follows its BRANCH record in the shared page.
+        assert!(t.refs[2].object.0 > t.refs[3].object.0);
     }
 
     #[test]
@@ -395,18 +369,6 @@ mod tests {
     }
 
     #[test]
-    fn unclustered_configuration_uses_separate_partitions() {
-        let cfg = DebitCreditConfig {
-            cluster_branch_teller: false,
-            ..DebitCreditConfig::scaled_down(100)
-        };
-        let g = DebitCreditGenerator::new(cfg);
-        let parts = g.partitions();
-        assert_ne!(parts.branch, parts.teller);
-        assert_eq!(g.database().num_partitions(), 4);
-    }
-
-    #[test]
     fn generator_metadata() {
         let g = DebitCreditGenerator::new(DebitCreditConfig::scaled_down(1000));
         assert_eq!(g.num_tx_types(), 1);
@@ -456,7 +418,7 @@ mod tests {
             assert_eq!(t.len(), 4);
             assert_eq!(t.refs[0].partition, parts.account);
             assert_eq!(t.refs[1].partition, parts.history);
-            assert_eq!(t.refs[2].partition, parts.teller);
+            assert_eq!(t.refs[2].partition, parts.branch);
             assert_eq!(t.refs[3].partition, parts.branch);
         }
     }

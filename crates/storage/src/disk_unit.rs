@@ -19,6 +19,7 @@
 
 use dbmodel::PageId;
 
+use crate::device::StorageDevice;
 use crate::io::{BackgroundStages, ForegroundStages, IoDecision, IoKind, ServiceStage};
 use crate::lru::LruCache;
 use crate::params::{DiskUnitKind, DiskUnitParams};
@@ -84,24 +85,9 @@ impl DiskUnit {
         }
     }
 
-    /// The unit's name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// The unit's parameters.
     pub fn params(&self) -> &DiskUnitParams {
         &self.params
-    }
-
-    /// Current statistics.
-    pub fn stats(&self) -> DiskUnitStats {
-        self.stats
-    }
-
-    /// Resets the statistics (end of warm-up) without touching cache contents.
-    pub fn reset_stats(&mut self) {
-        self.stats = DiskUnitStats::default();
     }
 
     /// Number of pages currently in the controller cache.
@@ -133,14 +119,6 @@ impl DiskUnit {
         let mut stages = BackgroundStages::new();
         stages.push(ServiceStage::Disk(self.params.disk_delay));
         stages
-    }
-
-    /// Handles an I/O request for `page` and returns the service decision.
-    pub fn request(&mut self, kind: IoKind, page: PageId) -> IoDecision {
-        match kind {
-            IoKind::Read => self.read(page),
-            IoKind::Write => self.write(page),
-        }
     }
 
     fn read(&mut self, page: PageId) -> IoDecision {
@@ -288,10 +266,22 @@ impl DiskUnit {
         }
         cache.insert(page, initial);
     }
+}
 
-    /// Called by the engine when an asynchronous destage for `page` completed:
-    /// the disk copy is now current and the frame becomes replaceable.
-    pub fn destage_complete(&mut self, page: PageId) {
+impl StorageDevice for DiskUnit {
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn request(&mut self, kind: IoKind, page: PageId) -> IoDecision {
+        match kind {
+            IoKind::Read => self.read(page),
+            IoKind::Write => self.write(page),
+        }
+    }
+
+    /// The disk copy is now current and the frame becomes replaceable.
+    fn destage_complete(&mut self, page: PageId) {
         self.stats.destages_completed += 1;
         if let Some(cache) = self.cache.as_mut() {
             if let Some(pending) = cache.peek_mut(&page) {
@@ -299,34 +289,13 @@ impl DiskUnit {
             }
         }
     }
-}
-
-impl crate::device::StorageDevice for DiskUnit {
-    fn name(&self) -> &str {
-        DiskUnit::name(self)
-    }
-
-    fn request(&mut self, kind: IoKind, page: PageId) -> IoDecision {
-        DiskUnit::request(self, kind, page)
-    }
-
-    fn destage_complete(&mut self, page: PageId) {
-        DiskUnit::destage_complete(self, page)
-    }
 
     fn stats(&self) -> DiskUnitStats {
-        DiskUnit::stats(self)
+        self.stats
     }
 
     fn reset_stats(&mut self) {
-        DiskUnit::reset_stats(self)
-    }
-
-    fn uncached_latency(&self) -> simkernel::time::SimTime {
-        match self.params.kind {
-            DiskUnitKind::Ssd => self.params.cache_hit_latency(),
-            _ => self.params.disk_access_latency(),
-        }
+        self.stats = DiskUnitStats::default();
     }
 }
 

@@ -34,10 +34,10 @@ pub mod nvem;
 pub mod params;
 pub mod scheduler;
 
-pub use device::{DeviceSpec, StorageDevice};
+pub use device::StorageDevice;
 pub use disk_unit::{DiskUnit, DiskUnitStats};
 pub use io::{BackgroundStages, ForegroundStages, IoDecision, IoKind, ServiceStage};
 pub use lru::LruCache;
-pub use nvem::{NvemDevice, NvemDeviceParams, NvemParams};
+pub use nvem::NvemParams;
 pub use params::{DiskUnitKind, DiskUnitParams};
 pub use scheduler::IoSchedulerParams;

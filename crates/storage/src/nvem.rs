@@ -43,142 +43,9 @@ impl NvemParams {
     }
 }
 
-/// Parameters of NVEM accessed through a *server interface* — the
-/// [`StorageDevice`](crate::device::StorageDevice) flavour of extended memory, used when a configuration
-/// allocates a whole device slot (e.g. the log) to NVEM instead of modelling
-/// the access as a synchronous CPU instruction.
-///
-/// Unlike the synchronous [`NvemParams`] path, requests to an NVEM device
-/// queue at its servers like any other device, which models an NVEM reached
-/// via an asynchronous page-transfer interface (channel-attached expanded
-/// storage).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NvemDeviceParams {
-    /// Number of NVEM servers handling concurrent page transfers.
-    pub num_servers: usize,
-    /// Service time per page transfer at a server (ms).
-    pub access_time: SimTime,
-    /// Page transmission delay between main memory and the NVEM (ms); a pure
-    /// delay without queueing.
-    pub transmission_delay: SimTime,
-}
-
-impl Default for NvemDeviceParams {
-    fn default() -> Self {
-        Self {
-            num_servers: 1,
-            access_time: time::from_micros(50.0),
-            transmission_delay: time::from_micros(25.0),
-        }
-    }
-}
-
-/// NVEM with a device (server) interface: every read and write is absorbed
-/// at NVEM speed, no request ever touches a disk.
-#[derive(Debug)]
-pub struct NvemDevice {
-    name: String,
-    params: NvemDeviceParams,
-    stats: crate::disk_unit::DiskUnitStats,
-}
-
-impl NvemDevice {
-    /// Creates an NVEM device.
-    pub fn new(name: impl Into<String>, params: NvemDeviceParams) -> Self {
-        Self {
-            name: name.into(),
-            params,
-            stats: Default::default(),
-        }
-    }
-
-    /// The device parameters.
-    pub fn params(&self) -> &NvemDeviceParams {
-        &self.params
-    }
-
-    fn access(&self) -> crate::io::ForegroundStages {
-        let mut stages = crate::io::ForegroundStages::new();
-        stages.push(crate::io::ServiceStage::Controller(self.params.access_time));
-        stages.push(crate::io::ServiceStage::Transmission(
-            self.params.transmission_delay,
-        ));
-        stages
-    }
-}
-
-impl crate::device::StorageDevice for NvemDevice {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn request(
-        &mut self,
-        kind: crate::io::IoKind,
-        _page: dbmodel::PageId,
-    ) -> crate::io::IoDecision {
-        match kind {
-            crate::io::IoKind::Read => {
-                self.stats.reads += 1;
-                self.stats.read_hits += 1;
-            }
-            crate::io::IoKind::Write => {
-                self.stats.writes += 1;
-                self.stats.write_hits += 1;
-                self.stats.absorbed_writes += 1;
-            }
-        }
-        crate::io::IoDecision {
-            foreground: self.access(),
-            background: crate::io::BackgroundStages::new(),
-            cache_hit: true,
-            absorbed_write: kind == crate::io::IoKind::Write,
-        }
-    }
-
-    fn destage_complete(&mut self, _page: dbmodel::PageId) {
-        // NVEM never destages: the device itself is non-volatile.
-    }
-
-    fn stats(&self) -> crate::disk_unit::DiskUnitStats {
-        self.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.stats = Default::default();
-    }
-
-    fn uncached_latency(&self) -> SimTime {
-        self.params.access_time + self.params.transmission_delay
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::device::StorageDevice;
-    use crate::io::IoKind;
-    use dbmodel::PageId;
-
-    #[test]
-    fn nvem_device_absorbs_everything() {
-        let mut d = NvemDevice::new("nvem", NvemDeviceParams::default());
-        assert_eq!(d.name(), "nvem");
-        let r = d.request(IoKind::Read, PageId(1));
-        let w = d.request(IoKind::Write, PageId(2));
-        assert!(r.cache_hit && !r.absorbed_write);
-        assert!(w.cache_hit && w.absorbed_write);
-        assert!(!r.touches_disk_in_foreground());
-        assert!(w.background.is_empty());
-        let s = StorageDevice::stats(&d);
-        assert_eq!(s.reads, 1);
-        assert_eq!(s.writes, 1);
-        assert_eq!(s.absorbed_writes, 1);
-        d.destage_complete(PageId(2));
-        d.reset_stats();
-        assert_eq!(StorageDevice::stats(&d).reads, 0);
-        assert!((d.uncached_latency() - 0.075).abs() < 1e-12);
-    }
 
     #[test]
     fn default_access_time_is_50_microseconds() {
