@@ -72,6 +72,7 @@ const JUSTIFIED_SITES: &[(&str, &str, &str)] = &[
         "hash-iter",
         "dirty_page_table",
     ),
+    ("crates/core/src/engine/tests.rs", "hash-iter", "holders"),
     ("crates/lockmgr/src/deadlock.rs", "hash-iter", "blockers"),
     ("crates/lockmgr/src/deadlock.rs", "hash-iter", "next"),
     ("crates/lockmgr/src/deadlock.rs", "hash-iter", "prev"),

@@ -21,7 +21,8 @@
 //! reference returns the ordered list of [`ops::PageOp`]s the transaction must
 //! perform (synchronous NVEM transfers, device reads, synchronous or
 //! asynchronous device writes); the engine executes them with queueing and
-//! timing.
+//! timing.  The result also names the page, if any, that the call evicted,
+//! so a caller can track which pools hold a page without asking every pool.
 
 pub mod config;
 pub mod dirty;
@@ -32,5 +33,5 @@ pub mod stats;
 pub use config::{BufferConfig, PageLocation, PartitionPolicy, UpdateStrategy};
 pub use dirty::{DirtyPageTable, RecLsn};
 pub use manager::BufferManager;
-pub use ops::{FetchOutcome, PageOp, PageOps};
+pub use ops::{FetchOutcome, ForceOutcome, PageOp, PageOps};
 pub use stats::{BufferStats, PartitionBufferStats};

@@ -10,7 +10,7 @@ use storage::LruCache;
 
 use crate::config::{BufferConfig, PageLocation, UpdateStrategy};
 use crate::dirty::{DirtyPageTable, RecLsn};
-use crate::ops::{FetchOutcome, PageOp, PageOps};
+use crate::ops::{FetchOutcome, ForceOutcome, PageOp, PageOps};
 use crate::stats::BufferStats;
 
 /// State of a page frame in the main-memory buffer.
@@ -134,11 +134,14 @@ impl BufferManager {
     /// True if [`BufferManager::invalidate_page`] on `page` would do any
     /// work at all: a main-memory copy, a second-level NVEM cache entry
     /// (even one with an in-flight write, which invalidation spares but
-    /// still constitutes a held copy) or a dirty-page-table entry.  The
-    /// engine's page→holders index uses this as the ground truth when
-    /// asserting index-vs-broadcast equivalence: for any page, a node with
-    /// `!holds_page(page)` experiences `invalidate_page(page)` as a complete
-    /// no-op, so skipping it cannot change simulation state.
+    /// still constitutes a held copy) or a dirty-page-table entry.  For any
+    /// page, a pool with `!holds_page(page)` experiences
+    /// `invalidate_page(page)` as a complete no-op, so skipping it cannot
+    /// change simulation state.  The engine's page → holders index keeps a
+    /// node's bit exactly while this is true: it clears the bit when this
+    /// turns false after an eviction the pool reports
+    /// ([`FetchOutcome::evicted`], [`ForceOutcome::evicted`]) or after an
+    /// invalidation, and debug builds assert it at every commit fan-out.
     pub fn holds_page(&self, page: PageId) -> bool {
         self.mm.contains(&page)
             || self.nvem_contains(page)
@@ -205,9 +208,11 @@ impl BufferManager {
 
         // Miss: make room, fetch the page, insert it.
         let mut ops = PageOps::new();
-        if self.mm.is_full() {
-            self.evict_one(&mut ops);
-        }
+        let evicted = if self.mm.is_full() {
+            self.evict_one(&mut ops)
+        } else {
+            None
+        };
         let nvem_cache_hit = self.fetch_missing_page(page, policy.location, &mut ops);
         if nvem_cache_hit {
             self.stats.per_partition[partition].nvem_hits += 1;
@@ -223,15 +228,16 @@ impl BufferManager {
             main_memory_hit: false,
             nvem_cache_hit,
             ops,
+            evicted,
         }
     }
 
     /// Evicts the least recently used frame from main memory, appending any
-    /// write-back / migration operations to `ops`.
-    fn evict_one(&mut self, ops: &mut PageOps) {
-        let Some((vpage, vstate)) = self.mm.pop_lru() else {
-            return;
-        };
+    /// write-back / migration operations to `ops`.  Returns the page that
+    /// left the pool: the victim itself, or — when the victim migrates into
+    /// the NVEM cache — the cache's own victim, if the insert displaced one.
+    fn evict_one(&mut self, ops: &mut PageOps) -> Option<PageId> {
+        let (vpage, vstate) = self.mm.pop_lru()?;
         self.stats.mm_evictions += 1;
         if vstate.dirty {
             self.stats.dirty_evictions += 1;
@@ -264,14 +270,15 @@ impl BufferManager {
                         // NVEM frame can later be replaced without delay (§3.2).
                         ops.push(PageOp::UnitWriteAsync { unit, page: vpage });
                     }
-                    self.insert_into_nvem_cache(vpage, vstate.partition, vstate.dirty);
                     self.stats.migrations_to_nvem += 1;
+                    return self.insert_into_nvem_cache(vpage, vstate.partition, vstate.dirty);
                 } else if vstate.dirty {
                     self.write_back_dirty(vpage, vstate.partition, unit, ops);
                 }
                 // Without an NVEM cache, clean pages are simply dropped.
             }
         }
+        Some(vpage)
     }
 
     /// Handles the write-back of a dirty page that does not migrate to the
@@ -360,44 +367,51 @@ impl BufferManager {
     }
 
     /// Inserts a page into the second-level NVEM cache, preferring to replace
-    /// a clean (already destaged) frame when the cache is full.
-    fn insert_into_nvem_cache(&mut self, page: PageId, partition: usize, dirty: bool) {
-        let Some(cache) = self.nvem_cache.as_mut() else {
-            return;
+    /// a clean (already destaged) frame when the cache is full.  Returns the
+    /// page the insert displaced, if any.
+    fn insert_into_nvem_cache(
+        &mut self,
+        page: PageId,
+        partition: usize,
+        dirty: bool,
+    ) -> Option<PageId> {
+        let cache = self.nvem_cache.as_mut()?;
+        let clean_victim = if cache.is_full() && !cache.contains(&page) {
+            cache.lru_matching(|e| e.pending == 0)
+        } else {
+            None
         };
-        if cache.is_full() && !cache.contains(&page) {
-            if let Some(clean) = cache.lru_matching(|e| e.pending == 0) {
-                cache.remove(&clean);
-            }
-            // Otherwise the plain LRU frame is evicted by `insert`; its disk
-            // update is already under way, so no data is lost.
+        if let Some(clean) = clean_victim {
+            cache.remove(&clean);
         }
+        // Without a clean frame the plain LRU frame is evicted by `insert`;
+        // its disk update is already under way, so no data is lost.
         let pending_from_existing = cache.peek(&page).map(|e| e.pending).unwrap_or(0);
-        cache.insert(
+        let lru_victim = cache.insert(
             page,
             NvemEntry {
                 partition,
                 pending: pending_from_existing + u32::from(dirty),
             },
         );
+        clean_victim.or(lru_victim.map(|(victim, _)| victim))
     }
 
     /// Commit-time forcing of a modified page (FORCE strategy).  Returns the
     /// operations the committing transaction must wait for (asynchronous disk
-    /// updates excluded).
-    pub fn force_page(&mut self, partition: usize, page: PageId) -> PageOps {
+    /// updates excluded) and the page the force evicted from the NVEM cache.
+    pub fn force_page(&mut self, partition: usize, page: PageId) -> ForceOutcome {
         self.ensure_partition_stats(partition);
         let policy = self.config.policy(partition);
-        let mut ops = PageOps::new();
+        let mut forced = ForceOutcome::default();
         match policy.location {
             PageLocation::MainMemoryResident => {
                 // Memory-resident partitions use NOFORCE semantics.
-                return ops;
             }
             PageLocation::NvemResident => {
                 if self.mark_clean_if_dirty(page) {
                     self.dirty_table.clear_page(page);
-                    ops.push(PageOp::NvemTransfer {
+                    forced.ops.push(PageOp::NvemTransfer {
                         page,
                         to_nvem: true,
                     });
@@ -408,26 +422,26 @@ impl BufferManager {
                 if !self.mark_clean_if_dirty(page) {
                     // The page was already written back (e.g. evicted before
                     // commit); nothing to force.
-                    return ops;
+                    return forced;
                 }
                 self.stats.forced_pages += 1;
                 if self.nvem_cache.is_some() {
                     // FORCE writes the update to the NVEM cache; the page also
                     // stays buffered in main memory (replication, §3.2).
                     self.dirty_table.clear_page(page);
-                    ops.push(PageOp::NvemTransfer {
+                    forced.ops.push(PageOp::NvemTransfer {
                         page,
                         to_nvem: true,
                     });
-                    ops.push(PageOp::UnitWriteAsync { unit, page });
-                    self.insert_into_nvem_cache(page, partition, true);
+                    forced.ops.push(PageOp::UnitWriteAsync { unit, page });
+                    forced.evicted = self.insert_into_nvem_cache(page, partition, true);
                     self.stats.migrations_to_nvem += 1;
                 } else {
-                    self.write_back_dirty(page, partition, unit, &mut ops);
+                    self.write_back_dirty(page, partition, unit, &mut forced.ops);
                 }
             }
         }
-        ops
+        forced
     }
 
     /// Marks the main-memory copy of `page` clean.  Returns true if the page
@@ -764,9 +778,9 @@ mod tests {
             .with_update_strategy(UpdateStrategy::Force);
         let mut bm = BufferManager::new(cfg);
         bm.reference_page(0, PageId(1), true);
-        let ops = bm.force_page(0, PageId(1));
+        let forced = bm.force_page(0, PageId(1));
         assert_eq!(
-            ops.to_vec(),
+            forced.ops.to_vec(),
             vec![
                 PageOp::NvemTransfer {
                     page: PageId(1),
@@ -800,8 +814,8 @@ mod tests {
         let cfg = disk_config(4).with_update_strategy(UpdateStrategy::Force);
         let mut bm = BufferManager::new(cfg);
         bm.reference_page(0, PageId(1), false);
-        assert!(bm.force_page(0, PageId(1)).is_empty());
-        assert!(bm.force_page(0, PageId(99)).is_empty());
+        assert!(bm.force_page(0, PageId(1)).ops.is_empty());
+        assert!(bm.force_page(0, PageId(99)).ops.is_empty());
         assert_eq!(bm.stats().forced_pages, 0);
     }
 
@@ -810,9 +824,9 @@ mod tests {
         let cfg = disk_config(4).with_update_strategy(UpdateStrategy::Force);
         let mut bm = BufferManager::new(cfg);
         bm.reference_page(1, PageId(7), true);
-        let ops = bm.force_page(1, PageId(7));
+        let forced = bm.force_page(1, PageId(7));
         assert_eq!(
-            ops.to_vec(),
+            forced.ops.to_vec(),
             vec![PageOp::UnitWrite {
                 unit: 0,
                 page: PageId(7)
@@ -820,7 +834,7 @@ mod tests {
         );
         assert!(!bm.mm_is_dirty(PageId(7)));
         // Forcing again is a no-op (already clean).
-        assert!(bm.force_page(1, PageId(7)).is_empty());
+        assert!(bm.force_page(1, PageId(7)).ops.is_empty());
     }
 
     #[test]
@@ -1085,6 +1099,69 @@ mod tests {
         assert!(bm.holds_page(PageId(500))); // DPT entry only
         bm.invalidate_page(PageId(500));
         assert!(!bm.holds_page(PageId(500)));
+    }
+
+    #[test]
+    fn eviction_report_names_main_memory_victims_that_leave_the_pool() {
+        let mut cfg = disk_config(1);
+        cfg.partitions[1] = PartitionPolicy::nvem_resident();
+        let mut bm = BufferManager::new(cfg);
+        bm.reference_page(0, PageId(1), true);
+        // A dirty victim is written back and reported ...
+        let out = bm.reference_page(0, PageId(2), false);
+        assert_eq!(out.evicted, Some(PageId(1)));
+        assert!(!bm.holds_page(PageId(1)));
+        // ... and so is a clean one, which is simply dropped.
+        let out = bm.reference_page(1, PageId(1000), true);
+        assert_eq!(out.evicted, Some(PageId(2)));
+        // An NVEM-resident victim goes back to its home copy, not to a cache.
+        let out = bm.reference_page(0, PageId(3), false);
+        assert_eq!(out.evicted, Some(PageId(1000)));
+        assert!(!bm.holds_page(PageId(1000)));
+    }
+
+    #[test]
+    fn eviction_report_names_nvem_cache_victims_but_not_migrations() {
+        let cfg = disk_config(1).with_nvem_cache(1);
+        let mut bm = BufferManager::new(cfg);
+        bm.reference_page(0, PageId(1), true);
+        // Page 1 migrates into the NVEM cache: the pool still holds it.
+        let out = bm.reference_page(0, PageId(2), false);
+        assert_eq!(out.evicted, None);
+        assert!(bm.holds_page(PageId(1)));
+        // Page 2's migration displaces page 1 from the full cache.
+        let out = bm.reference_page(0, PageId(3), false);
+        assert_eq!(out.evicted, Some(PageId(1)));
+        assert!(!bm.holds_page(PageId(1)));
+
+        // FORCE: the forced page's NVEM insert displaces an earlier forced
+        // page, whose replicated main-memory copy the pool still holds.
+        let cfg = disk_config(4)
+            .with_nvem_cache(1)
+            .with_update_strategy(UpdateStrategy::Force);
+        let mut bm = BufferManager::new(cfg);
+        bm.reference_page(0, PageId(1), true);
+        assert_eq!(bm.force_page(0, PageId(1)).evicted, None);
+        bm.reference_page(0, PageId(2), true);
+        assert_eq!(bm.force_page(0, PageId(2)).evicted, Some(PageId(1)));
+        assert!(!bm.nvem_contains(PageId(1)));
+        assert!(bm.holds_page(PageId(1)));
+    }
+
+    #[test]
+    fn hits_and_misses_without_eviction_report_nothing() {
+        let mut cfg = disk_config(2);
+        cfg.partitions[1] = PartitionPolicy::memory_resident();
+        let mut bm = BufferManager::new(cfg);
+        assert_eq!(bm.reference_page(0, PageId(1), true).evicted, None);
+        assert_eq!(bm.reference_page(0, PageId(1), false).evicted, None);
+        assert_eq!(bm.reference_page(1, PageId(500), true).evicted, None);
+        assert_eq!(bm.reference_page(0, PageId(2), false).evicted, None);
+        // Forcing without an NVEM cache writes to disk and evicts nothing.
+        let cfg = disk_config(2).with_update_strategy(UpdateStrategy::Force);
+        let mut bm = BufferManager::new(cfg);
+        bm.reference_page(0, PageId(1), true);
+        assert_eq!(bm.force_page(0, PageId(1)).evicted, None);
     }
 
     #[test]

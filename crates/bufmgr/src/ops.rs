@@ -2,7 +2,8 @@
 //!
 //! A page reference or a commit force yields at most [`MAX_PAGE_OPS`]
 //! operations — a victim's write-back or migration (two at most) plus the
-//! read of the missing page — so they travel inline as [`PageOps`].
+//! read of the missing page — so they travel inline as [`PageOps`].  Next to
+//! them travels the one page, if any, that the call pushed out of the pool.
 
 use dbmodel::PageId;
 use simkernel::InlineVec;
@@ -78,6 +79,13 @@ pub struct FetchOutcome {
     pub nvem_cache_hit: bool,
     /// Operations to execute, in order.
     pub ops: PageOps,
+    /// The page the reference pushed out of the pool, if any: a main-memory
+    /// victim that did not migrate into the NVEM cache, or the victim of an
+    /// NVEM-cache insert.  One reference evicts at most one such page.  Under
+    /// FORCE an NVEM-cache victim may keep its main-memory copy, so a caller
+    /// that tracks where pages are held asks
+    /// [`crate::BufferManager::holds_page`].
+    pub evicted: Option<PageId>,
 }
 
 impl FetchOutcome {
@@ -87,7 +95,31 @@ impl FetchOutcome {
             main_memory_hit: true,
             nvem_cache_hit: false,
             ops: PageOps::new(),
+            evicted: None,
         }
+    }
+}
+
+/// The result of forcing a modified page at commit (FORCE strategy).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ForceOutcome {
+    /// Operations the committing transaction must wait for, in order
+    /// (asynchronous disk updates are started, not waited for).
+    pub ops: PageOps,
+    /// The page the forced page's NVEM-cache insert pushed out of the cache,
+    /// if any; see [`FetchOutcome::evicted`].
+    pub evicted: Option<PageId>,
+}
+
+/// Iterating a force yields its operations, in order, like [`PageOps`]: a
+/// caller that only executes them (the benchmark's buffer-manager replay in
+/// `simbench/`) needs nothing else.
+impl IntoIterator for ForceOutcome {
+    type Item = PageOp;
+    type IntoIter = <PageOps as IntoIterator>::IntoIter;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.ops.into_iter()
     }
 }
 
@@ -101,5 +133,6 @@ mod tests {
         assert!(h.main_memory_hit);
         assert!(!h.nvem_cache_hit);
         assert!(h.ops.is_empty());
+        assert_eq!(h.evicted, None);
     }
 }

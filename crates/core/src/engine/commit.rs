@@ -183,11 +183,17 @@ impl<W: WorkloadGenerator> Simulation<W> {
     pub(super) fn op_force_pages(&mut self, slot: usize) -> Flow {
         let node = self.txs.tx(slot).node;
         let template = self.txs.tx(slot).template;
+        let coherent = self.coherence_active();
         self.expand_ops(slot, |sim, ops| {
             for idx in 0..sim.templates.entry(template).written_pages.len() {
                 let (partition, page) = sim.templates.entry(template).written_pages[idx];
                 let forced = sim.nodes[node].bufmgr.force_page(partition, page);
-                sim.convert_page_ops(&forced, ops);
+                sim.convert_page_ops(&forced.ops, ops);
+                if coherent {
+                    if let Some(evicted) = forced.evicted {
+                        sim.release_holder(node, evicted);
+                    }
+                }
             }
         });
         Flow::Continue

@@ -18,7 +18,7 @@
 //! surcharge run on the owner's CPUs, the page is fetched through the
 //! owner's buffer pool, and a second `RemoteCall` ships the reply home.
 
-use bufmgr::UpdateStrategy;
+use bufmgr::{PageLocation, UpdateStrategy};
 use dbmodel::WorkloadGenerator;
 use lockmgr::{GlobalLockService, LockOutcome};
 use simkernel::time::{instr_time, SimTime};
@@ -361,10 +361,11 @@ impl<W: WorkloadGenerator> Simulation<W> {
     /// operations.
     ///
     /// Under multi-node data sharing this is also the coherence hook: the
-    /// node is registered in the page → holders index, an on-request
-    /// validation check may turn a stale hit into a miss (plus a validation
-    /// round trip), and a miss may be served by a direct cache-to-cache
-    /// transfer from a donor node instead of a disk re-read.
+    /// node is registered in the page → holders index (and released from
+    /// it for the page its pool evicted), an on-request validation check
+    /// may turn a stale hit into a miss (plus a validation round trip), and
+    /// a miss may be served by a direct cache-to-cache transfer from a
+    /// donor node instead of a disk re-read.
     fn buffer_fetch(&mut self, slot: usize, ref_idx: usize) {
         let (node, obj_ref) = {
             let tx = self.txs.tx(slot);
@@ -394,7 +395,19 @@ impl<W: WorkloadGenerator> Simulation<W> {
                 sim.convert_page_ops(&outcome.ops, ops);
             }
             if coherent {
-                sim.note_holder(node, obj_ref.page);
+                // A memory-resident page occupies no frame: its node holds
+                // it only once a commit gives it a dirty-page-table entry.
+                let location = sim.nodes[node]
+                    .bufmgr
+                    .config()
+                    .policy(obj_ref.partition)
+                    .location;
+                if location != PageLocation::MainMemoryResident {
+                    sim.note_holder(node, obj_ref.page);
+                }
+                if let Some(evicted) = outcome.evicted {
+                    sim.release_holder(node, evicted);
+                }
                 sim.stamp_fetch(node, obj_ref.page);
             }
         });

@@ -260,11 +260,13 @@ pub struct Simulation<W: WorkloadGenerator> {
     shipping: ShippingReport,
 
     // Cross-node buffer coherence (multi-node data sharing only; see the
-    // `coherence` submodule).  `holders` maps each page to the bitmask of
-    // nodes that may hold a buffered copy or a dirty-page-table entry — a
-    // conservative superset maintained at fetch time and pruned lazily
-    // during commit fan-out, so commit invalidation touches only actual
-    // holders instead of broadcasting to every node.  `page_versions` and
+    // `coherence` submodule).  `holders` maps each page some pool holds to
+    // the bitmask of the nodes whose pool holds a buffered copy or a
+    // dirty-page-table entry: a bit is set at fetch time and cleared when
+    // the pool evicts the page or an invalidation empties it, and a page
+    // nobody holds has no entry.  Commit invalidation therefore touches
+    // only actual holders instead of broadcasting to every node, and the
+    // map stays as small as the pools.  `page_versions` and
     // `node_versions` carry the per-page version stamps of the on-request
     // validation protocol (unused, and empty, under broadcast
     // invalidation).  `coherence_stats` accumulates the report section

@@ -64,12 +64,19 @@ impl<W: WorkloadGenerator> Simulation<W> {
             let tx = self.txs.tx(slot);
             (tx.node, tx.template)
         };
+        let coherent = self.coherence_active();
         let rec = self.recovery.as_mut().expect("recovery runtime");
         for &(partition, page) in &self.templates.entry(template).written_pages {
             let lsn = rec.redo.append(node, partition, page);
-            self.nodes[node]
-                .bufmgr
-                .note_committed_update(partition, page, lsn);
+            let bufmgr = &mut self.nodes[node].bufmgr;
+            bufmgr.note_committed_update(partition, page, lsn);
+            // A memory-resident page is held only through the dirty-page-table
+            // entry just made: register the holder (`note_holder`) now.
+            if coherent
+                && bufmgr.config().policy(partition).location == PageLocation::MainMemoryResident
+            {
+                *self.holders.entry(page).or_insert(0) |= 1u64 << node;
+            }
             self.nodes[node].redo_records += 1;
         }
     }

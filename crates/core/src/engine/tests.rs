@@ -8,7 +8,7 @@ use dbmodel::{
 };
 use storage::{IoKind, IoSchedulerParams};
 
-use bufmgr::PageOp;
+use bufmgr::{PageOp, PartitionPolicy, UpdateStrategy};
 
 use crate::config::CoherenceParams;
 use crate::presets::{
@@ -535,16 +535,38 @@ fn holders_index_matches_broadcast_on_randomized_multi_node_configs() {
     // `invalidate_page` as a complete no-op — so simply *running* a spread
     // of multi-node shapes under the default protocol proves the index path
     // equivalent to the broadcast it replaced (any divergence panics).
-    for (nodes, tps, seed) in [
-        (2, 120.0, 7),
-        (3, 180.0, 11),
-        (5, 250.0, 23),
-        (8, 320.0, 42),
-    ] {
+    let shape = |nodes, tps, seed| {
         let mut c = data_sharing_config(nodes, tps);
         c.warmup_ms = 300.0;
         c.measure_ms = 1_500.0;
         c.seed = seed;
+        c
+    };
+    let mut configs: Vec<SimulationConfig> = [
+        (2, 120.0, 7),
+        (3, 180.0, 11),
+        (5, 250.0, 23),
+        (8, 320.0, 42),
+    ]
+    .into_iter()
+    .map(|(nodes, tps, seed)| shape(nodes, tps, seed))
+    .collect();
+    // NVEM caches under NOFORCE and FORCE, with pools and caches small
+    // enough that both evict: the NVEM victims' release runs under the check.
+    for strategy in [UpdateStrategy::NoForce, UpdateStrategy::Force] {
+        let mut c = shape(4, 200.0, 31);
+        c.buffer = c.buffer.with_nvem_cache(50).with_update_strategy(strategy);
+        c.buffer.mm_buffer_pages = 50;
+        configs.push(c);
+    }
+    // Memory-resident BRANCH/TELLER pages under checkpointing are held only
+    // through dirty-page-table entries.
+    let mut c = shape(3, 150.0, 17);
+    c.buffer.partitions[0] = PartitionPolicy::memory_resident();
+    c.checkpoint_interval_ms = 500.0;
+    configs.push(c);
+    for c in configs {
+        let nodes = c.nodes.num_nodes;
         let report = Simulation::new(c, debit_credit_workload(100)).run();
         assert!(
             report.invalidations() > 0,
@@ -554,6 +576,59 @@ fn holders_index_matches_broadcast_on_randomized_multi_node_configs() {
             report.coherence.is_none(),
             "default protocol must not render a coherence section"
         );
+    }
+}
+
+#[test]
+fn holders_index_stays_bounded_by_the_buffer_pools() {
+    // Every fetch sets a holder bit; unless evictions clear them again, the
+    // index grows with the pages ever touched, i.e. with run length.
+    let disk: fn(&mut SimulationConfig) = |_| {};
+    // Memory-resident pages occupy no frames: without dirty-page-table
+    // entries no pool holds them.
+    let memory_resident_branches: fn(&mut SimulationConfig) =
+        |c| c.buffer.partitions[0] = PartitionPolicy::memory_resident();
+    // FORCE replicates pages in the NVEM cache; its victims, also those of
+    // the forces themselves, may or may not stay buffered in main memory.
+    let forced_into_nvem_cache: fn(&mut SimulationConfig) = |c| {
+        c.buffer.mm_buffer_pages = 100;
+        c.buffer.nvem_cache_pages = 100;
+        c.buffer.update_strategy = UpdateStrategy::Force;
+    };
+    for (measure_ms, shape) in [
+        (4_000.0, disk),
+        (12_000.0, disk),
+        (4_000.0, memory_resident_branches),
+        (4_000.0, forced_into_nvem_cache),
+    ] {
+        let mut c = data_sharing_config(4, 100.0);
+        c.buffer.mm_buffer_pages = 200;
+        shape(&mut c);
+        c.warmup_ms = 1_000.0;
+        c.measure_ms = measure_ms;
+        let mut sim = Simulation::new(c, debit_credit_workload(100));
+        sim.seed_initial_events();
+        sim.run_event_loop();
+        let buffered: usize = sim
+            .nodes
+            .iter()
+            .map(|rt| rt.bufmgr.mm_pages() + rt.bufmgr.nvem_pages())
+            .sum();
+        assert!(
+            sim.holders.len() <= buffered,
+            "{measure_ms} ms: {} index entries for {buffered} buffered pages",
+            sim.holders.len()
+        );
+        // analyzer: allow(hash-iter): every entry is checked, order-independent
+        for (&page, &mask) in &sim.holders {
+            assert_ne!(mask, 0, "page {page:?} kept an empty mask");
+            for (node, rt) in sim.nodes.iter().enumerate() {
+                assert!(
+                    mask & (1u64 << node) == 0 || rt.bufmgr.holds_page(page),
+                    "{measure_ms} ms: node {node} is indexed for page {page:?} it does not hold"
+                );
+            }
+        }
     }
 }
 
@@ -685,6 +760,22 @@ fn on_request_validation_eagerly_clears_superseded_dpt_entries() {
     assert_eq!(sim.nodes[1].bufmgr.stats().invalidations, 0);
     assert!(sim.validate_reference(1, PageId(42)).is_some());
     assert!(!sim.nodes[1].bufmgr.mm_contains(PageId(42)));
+}
+
+#[test]
+fn superseded_dpt_entry_of_a_memory_resident_page_releases_its_holder() {
+    let mut c = data_sharing_config(2, 60.0);
+    c.coherence = CoherenceParams::on_request_validate();
+    c.buffer.partitions[0] = PartitionPolicy::memory_resident();
+    let mut sim = Simulation::new(c, debit_credit_workload(200));
+    // Node 1 holds memory-resident page 42 only through its redo entry.
+    sim.nodes[1].bufmgr.note_committed_update(0, PageId(42), 7);
+    sim.note_holder(1, PageId(42));
+    sim.activate(0, write_template(42), 0.0);
+    assert_eq!(sim.op_complete(0), Flow::Finished);
+    // Node 0's commit supersedes that entry, and with it node 1's holding.
+    assert!(!sim.nodes[1].bufmgr.holds_page(PageId(42)));
+    assert_eq!(sim.holders.get(&PageId(42)), None);
 }
 
 #[test]
