@@ -297,8 +297,6 @@ pub fn shared_nothing_point(num_nodes: usize, per_node_rate: f64) -> SimulationC
 /// Configuration of one open-system workload point (`fig10.x`): the fig7.x
 /// architecture-comparison workload under a shaped arrival process
 /// (time-varying rate schedule) and/or hot-spot-skewed page accesses.
-/// Shaped runs carry the tail-latency section (`report.tail`) with the
-/// percentiles read from the merged per-node quantile sketches.
 pub fn workload_point(
     shared_nothing: bool,
     num_nodes: usize,
@@ -446,7 +444,7 @@ mod tests {
         // Extends the parallel-equals-serial guarantee to the workload-engine
         // dimension: points with a time-varying arrival schedule and hot-spot
         // skew must be byte-identical however the sweep is scheduled, and
-        // must carry the tail-latency section.
+        // must report ordered percentiles.
         let mut settings = RunSettings::quick();
         let mk_points = || {
             let mut burst = tpsim::WorkloadParams::skewed(0.9, 0.2);
@@ -478,9 +476,9 @@ mod tests {
         assert_eq!(seq.len(), par.len());
         for (s, p) in seq.iter().zip(par.iter()) {
             assert_eq!(s.report, p.report);
-            let tail = s.report.tail.expect("shaped run carries the tail section");
-            assert!(tail.count > 0);
-            assert!(tail.p50 <= tail.p99 && tail.p99 <= tail.p999);
+            let rt = s.report.response_time;
+            assert!(rt.count > 0);
+            assert!(rt.p50 <= rt.p99 && rt.p99 <= rt.p999);
         }
     }
 

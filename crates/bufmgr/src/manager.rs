@@ -40,11 +40,6 @@ pub struct BufferManager {
     /// engine at commit, drained here whenever a page is propagated.
     dirty_table: DirtyPageTable,
     stats: BufferStats,
-    /// Invalidations that found no buffered copy to drop but did clear a
-    /// dirty-page-table entry (the page was evicted/written back while a
-    /// remote commit superseded its redo entry).  Kept outside
-    /// [`BufferStats`] so report renderings stay byte-identical.
-    dpt_only_clears: u64,
 }
 
 impl BufferManager {
@@ -69,7 +64,6 @@ impl BufferManager {
             write_buffer,
             dirty_table: DirtyPageTable::new(),
             stats,
-            dpt_only_clears: 0,
         }
     }
 
@@ -86,13 +80,6 @@ impl BufferManager {
     /// Resets the statistics (end of warm-up) without flushing the buffers.
     pub fn reset_stats(&mut self) {
         self.stats.reset();
-        self.dpt_only_clears = 0;
-    }
-
-    /// Invalidations that cleared only a dirty-page-table entry (no buffered
-    /// copy was present any more); see [`BufferManager::invalidate_page`].
-    pub fn dpt_only_clears(&self) -> u64 {
-        self.dpt_only_clears
     }
 
     /// Number of pages in the main-memory buffer.
@@ -488,7 +475,7 @@ impl BufferManager {
     pub fn invalidate_page(&mut self, page: PageId) -> bool {
         // Whatever this node committed to the page is superseded: the
         // committing node now tracks the page in *its* dirty-page table.
-        let dpt_cleared = self.dirty_table.clear_page(page).is_some();
+        self.dirty_table.clear_page(page);
         let mut dropped = self.mm.remove(&page).is_some();
         if let Some(cache) = self.nvem_cache.as_mut() {
             if cache.peek(&page).is_some_and(|e| e.pending == 0) {
@@ -498,11 +485,6 @@ impl BufferManager {
         }
         if dropped {
             self.stats.invalidations += 1;
-        } else if dpt_cleared {
-            // The stale copy was already evicted / written back, but the
-            // remote commit still superseded this node's redo entry.  Count
-            // it so the invalidation really is visible in reports.
-            self.dpt_only_clears += 1;
         }
         dropped
     }
@@ -517,11 +499,7 @@ impl BufferManager {
     /// boundary instead of a superseded one.  Returns true if an entry was
     /// cleared.
     pub fn clear_superseded_dpt(&mut self, page: PageId) -> bool {
-        let cleared = self.dirty_table.clear_page(page).is_some();
-        if cleared {
-            self.dpt_only_clears += 1;
-        }
-        cleared
+        self.dirty_table.clear_page(page).is_some()
     }
 
     /// Drops any buffered copy of `page` *unconditionally* because a
@@ -534,15 +512,13 @@ impl BufferManager {
     /// decrement).  The dirty-page-table entry is cleared like any other
     /// superseded redo entry.  Returns true if a copy was dropped.
     pub fn discard_stale_copy(&mut self, page: PageId) -> bool {
-        let dpt_cleared = self.dirty_table.clear_page(page).is_some();
+        self.dirty_table.clear_page(page);
         let mut dropped = self.mm.remove(&page).is_some();
         if let Some(cache) = self.nvem_cache.as_mut() {
             dropped |= cache.remove(&page).is_some();
         }
         if dropped {
             self.stats.invalidations += 1;
-        } else if dpt_cleared {
-            self.dpt_only_clears += 1;
         }
         dropped
     }
@@ -1049,30 +1025,27 @@ mod tests {
     }
 
     #[test]
-    fn dpt_only_clear_is_counted_for_evicted_then_remotely_committed_pages() {
-        // Regression for the invisible-invalidation bug: a node holding a
-        // dirty-page-table entry for a page it no longer buffers (here a
-        // memory-resident partition, which never occupies buffer frames) is
-        // remotely invalidated.  The DPT entry must be cleared — and, new in
-        // this PR, the clear must be counted instead of vanishing from every
-        // report because no buffered copy dropped.
+    fn invalidation_clears_the_dpt_entry_of_a_page_without_a_buffered_copy() {
+        // A node holding a dirty-page-table entry for a page it does not
+        // buffer (here a memory-resident partition, which never occupies
+        // buffer frames) is remotely invalidated: no copy drops, but the
+        // superseded DPT entry must still be cleared.
         let mut cfg = disk_config(1);
         cfg.partitions[1] = PartitionPolicy::memory_resident();
         let mut bm = BufferManager::new(cfg);
         bm.reference_page(1, PageId(500), true);
         bm.note_committed_update(1, PageId(500), 7);
-        // MM-resident pages never occupy buffer frames: a remote commit finds
-        // no copy to drop but must still clear (and now count) the DPT entry.
+        bm.note_committed_update(1, PageId(501), 8);
         assert!(!bm.invalidate_page(PageId(500)));
-        assert!(bm.dirty_page_table().is_empty());
+        assert_eq!(bm.dirty_page_table().rec_lsn(PageId(500)), None);
+        assert_eq!(bm.dirty_page_table().rec_lsn(PageId(501)), Some(8));
         assert_eq!(bm.stats().invalidations, 0);
-        assert_eq!(bm.dpt_only_clears(), 1);
-        // A pure no-op invalidation (no copy, no DPT entry) counts nothing.
+        // A pure no-op invalidation (no copy, no DPT entry) leaves the
+        // table as it is.
+        assert!(!bm.invalidate_page(PageId(502)));
+        assert_eq!(bm.dirty_page_table().rec_lsn(PageId(501)), Some(8));
         assert!(!bm.invalidate_page(PageId(501)));
-        assert_eq!(bm.dpt_only_clears(), 1);
-        // Reset at end of warm-up clears the counter.
-        bm.reset_stats();
-        assert_eq!(bm.dpt_only_clears(), 0);
+        assert!(bm.dirty_page_table().is_empty());
     }
 
     #[test]
@@ -1204,7 +1177,7 @@ mod tests {
         // Discard with no copy anywhere is a complete no-op.
         assert!(!bm.discard_stale_copy(PageId(99)));
         assert_eq!(bm.stats().invalidations, 1);
-        assert_eq!(bm.dpt_only_clears(), 0);
+        assert!(bm.dirty_page_table().is_empty());
     }
 
     #[test]

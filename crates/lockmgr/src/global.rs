@@ -3,11 +3,11 @@
 //! When several computing modules (nodes) share the database (Rahm's
 //! data-sharing architecture), concurrency control must be global: all nodes
 //! synchronize their accesses through one logically centralized lock table.
-//! This module models that service as a [`GlobalLockTable`] (the plain
-//! [`LockManager`] acting as the shared table) fronted by a configurable
-//! *message delay*: a lock request from a node other than the service's home
-//! node pays a round-trip communication cost before the table answers, while
-//! requests from the home node are served locally for free.
+//! This module models that service as one shared [`LockManager`] table
+//! fronted by a configurable *message delay*: a lock request from a node
+//! other than the service's home node pays a round-trip communication cost
+//! before the table answers, while requests from the home node are served
+//! locally for free.
 //!
 //! Like the rest of the crate the service is a pure data structure — it never
 //! advances simulated time.  The transaction system asks
@@ -22,11 +22,6 @@ use dbmodel::ObjectRef;
 
 use crate::manager::{CcMode, LockManager, LockManagerStats, LockOutcome};
 use crate::table::TxId;
-
-/// The shared global lock table: one [`LockManager`] that every node's lock
-/// requests are routed to.  The alias documents the role the plain manager
-/// plays inside [`GlobalLockService`].
-pub type GlobalLockTable = LockManager;
 
 /// Counters specific to the global lock service (on top of the table's own
 /// [`LockManagerStats`]).
@@ -47,7 +42,8 @@ pub struct GlobalLockStats {
 /// A globally shared lock table fronted by a per-request message delay.
 #[derive(Debug)]
 pub struct GlobalLockService {
-    table: GlobalLockTable,
+    /// The shared table every node's lock requests are routed to.
+    table: LockManager,
     home_node: usize,
     message_delay_ms: f64,
     /// Shared-nothing mode: every request is node-local (the requesting node
@@ -62,18 +58,12 @@ impl GlobalLockService {
     /// to every other node.
     pub fn new(modes: Vec<CcMode>, home_node: usize, message_delay_ms: f64) -> Self {
         Self {
-            table: GlobalLockTable::new(modes),
+            table: LockManager::new(modes),
             home_node,
             message_delay_ms: message_delay_ms.max(0.0),
             local_only: false,
             stats: GlobalLockStats::default(),
         }
-    }
-
-    /// A degenerate single-node service: every request is local, no messages
-    /// are ever exchanged.  Behaves exactly like a plain [`LockManager`].
-    pub fn single_node(modes: Vec<CcMode>) -> Self {
-        Self::new(modes, 0, 0.0)
     }
 
     /// A *node-local* service for shared-nothing configurations: every node
@@ -172,11 +162,6 @@ impl GlobalLockService {
         self.table.reset_stats();
         self.stats = GlobalLockStats::default();
     }
-
-    /// Read access to the underlying shared table.
-    pub fn table(&self) -> &GlobalLockTable {
-        &self.table
-    }
 }
 
 #[cfg(test)]
@@ -244,7 +229,7 @@ mod tests {
 
     #[test]
     fn single_node_service_never_charges_messages() {
-        let mut s = GlobalLockService::single_node(vec![CcMode::Page]);
+        let mut s = GlobalLockService::new(vec![CcMode::Page], 0, 0.0);
         assert_eq!(s.remote_round_trip(0), None);
         assert_eq!(s.remote_round_trip(4), None);
         s.acquire(4, 1, &obj_ref(0, 1, true));
@@ -270,7 +255,7 @@ mod tests {
         assert_eq!(s.acquire(2, 3, &obj_ref(0, 1, true)), LockOutcome::Blocked);
         assert_eq!(s.release_all(1), [3]);
         // The ordinary constructors stay non-local.
-        assert!(!GlobalLockService::single_node(vec![CcMode::Page]).is_local_only());
+        assert!(!GlobalLockService::new(vec![CcMode::Page], 0, 0.0).is_local_only());
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //!
 //! For data-sharing configurations (several computing modules against one
 //! storage complex) the [`global`] module wraps the same table in a
-//! [`GlobalLockService`]: one shared [`GlobalLockTable`] plus a configurable
-//! message delay per remote lock request.
+//! [`GlobalLockService`]: one shared [`LockManager`] table plus a
+//! configurable message delay per remote lock request.
 
 // Every public item must be documented (same discipline as `tpsim`; CI
 // builds docs with `RUSTDOCFLAGS=-D warnings`).
@@ -25,6 +25,6 @@ pub mod global;
 pub mod manager;
 pub mod table;
 
-pub use global::{GlobalLockService, GlobalLockStats, GlobalLockTable};
+pub use global::{GlobalLockService, GlobalLockStats};
 pub use manager::{CcMode, LockManager, LockManagerStats, LockOutcome, LockRequest};
 pub use table::{LockMode, LockableId, TxId};

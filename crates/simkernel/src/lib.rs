@@ -14,6 +14,8 @@
 //!   ([`rng::SimRng`]) and the discrete, Zipf and piecewise-rate [`dist`]
 //!   distributions built on it, and
 //! * [`stats`] accumulators (tally and time-weighted) with warm-up support,
+//! * a deterministic, constant-memory quantile [`sketch`] for response-time
+//!   percentiles,
 //! * the allocation-free building blocks of the per-operation path: the
 //!   deterministic [`idhash`] hasher for maps keyed by simulator ids and the
 //!   fixed-capacity [`inline::InlineVec`].
@@ -39,5 +41,5 @@ pub use inline::InlineVec;
 pub use resource::{Resource, ResourceStats};
 pub use rng::SimRng;
 pub use sketch::QuantileSketch;
-pub use stats::{Histogram, Tally, TimeWeighted};
+pub use stats::{Tally, TimeWeighted};
 pub use time::SimTime;

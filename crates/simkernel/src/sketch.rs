@@ -1,8 +1,8 @@
-//! Deterministic, mergeable, constant-memory quantile sketch.
+//! Deterministic, constant-memory quantile sketch.
 //!
-//! Streaming tail-latency collection (p99/p999 over hundreds of thousands of
+//! Response-time percentiles (p50 to p999 over hundreds of thousands of
 //! completions) cannot afford a per-sample vector.  This module provides a
-//! KLL/MRL-style compactor sketch with three properties the rest of the
+//! KLL/MRL-style compactor sketch with two properties the rest of the
 //! simulator depends on:
 //!
 //! * **Deterministic.**  Classic KLL flips a coin per compaction; here the
@@ -13,10 +13,8 @@
 //!   rank by at most `2^l` (the weight of the discarded items), so the sketch
 //!   maintains a running upper bound on its own absolute rank error.  Tests
 //!   assert the observed error against this bound — the certificate ships
-//!   with the answer.
-//! * **Mergeable.**  `merge` concatenates levels and re-compacts; the error
-//!   bounds add.  Per-node sketches are merged into the cluster-wide report
-//!   and stay exact about what they know.
+//!   with the answer.  Until the first compaction (fewer than `k` samples)
+//!   the bound is 0 and every answer is the exact order statistic.
 //!
 //! Memory is `O(k · log(n/k))` for `n` insertions — effectively constant for
 //! any run this simulator performs (default `k = 4096` keeps a one-million
@@ -27,7 +25,7 @@
 /// thousand, so p999 is trustworthy.
 pub const DEFAULT_SKETCH_CAPACITY: usize = 4096;
 
-/// A deterministic mergeable quantile sketch over `f64` samples.
+/// A deterministic quantile sketch over `f64` samples.
 #[derive(Debug, Clone)]
 pub struct QuantileSketch {
     /// Per-level capacity; a level compacts when it reaches this size.
@@ -36,7 +34,7 @@ pub struct QuantileSketch {
     levels: Vec<Vec<f64>>,
     /// Which half a compaction of level `l` keeps next; alternates per level.
     keep_odd: Vec<bool>,
-    /// Total number of inserted samples (merge adds the other side's count).
+    /// Total number of inserted samples.
     count: u64,
     /// Exact minimum and maximum (tracked outside the compactors).
     min: f64,
@@ -68,7 +66,7 @@ impl QuantileSketch {
         }
     }
 
-    /// Number of samples inserted (including merged-in samples).
+    /// Number of samples inserted.
     pub fn count(&self) -> u64 {
         self.count
     }
@@ -105,36 +103,6 @@ impl QuantileSketch {
         }
     }
 
-    /// Merges another sketch into this one.  Counts, extremes and error
-    /// bounds add; the result answers quantiles over the union stream.
-    pub fn merge(&mut self, other: &QuantileSketch) {
-        if other.count == 0 {
-            return;
-        }
-        self.count += other.count;
-        if other.min < self.min {
-            self.min = other.min;
-        }
-        if other.max > self.max {
-            self.max = other.max;
-        }
-        self.rank_error_bound += other.rank_error_bound;
-        for (l, items) in other.levels.iter().enumerate() {
-            while self.levels.len() <= l {
-                self.levels.push(Vec::new());
-                self.keep_odd.push(false);
-            }
-            self.levels[l].extend_from_slice(items);
-        }
-        let mut l = 0;
-        while l < self.levels.len() {
-            if self.levels[l].len() >= self.k {
-                self.compact(l);
-            }
-            l += 1;
-        }
-    }
-
     /// Forgets all samples (used at warm-up end) but keeps the capacity.
     pub fn reset(&mut self) {
         self.levels.clear();
@@ -150,7 +118,8 @@ impl QuantileSketch {
     /// Value at quantile `q` in `[0, 1]`: the stored value whose cumulative
     /// weight first reaches rank `ceil(q · count)`.  Returns `None` for an
     /// empty sketch.  `q <= 0` yields the exact minimum, `q >= 1` the exact
-    /// maximum.
+    /// maximum.  Allocates one buffer of [`QuantileSketch::stored_items`]
+    /// entries per call.
     pub fn quantile(&self, q: f64) -> Option<f64> {
         if self.count == 0 {
             return None;
@@ -161,12 +130,16 @@ impl QuantileSketch {
         if q >= 1.0 {
             return Some(self.max);
         }
-        let mut items: Vec<(f64, u64)> = Vec::new();
+        let mut items: Vec<(f64, u64)> = Vec::with_capacity(self.stored_items());
         for (l, level) in self.levels.iter().enumerate() {
             let weight = 1u64 << l;
             items.extend(level.iter().map(|&v| (v, weight)));
         }
-        items.sort_by(|a, b| a.0.total_cmp(&b.0));
+        // Items that `total_cmp` calls equal are bit-identical, so however an
+        // unstable sort orders them (and their weights), the cumulative
+        // weight first reaches the target inside the same run of equal
+        // values: the answer is the one a stable sort gives.
+        items.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
         let target = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
         let mut cum = 0u64;
         for (v, w) in items {
@@ -209,8 +182,7 @@ impl QuantileSketch {
         }
     }
 
-    /// Total stored items across all levels (diagnostic; bounded by
-    /// `k · levels`).
+    /// Total stored items across all levels (bounded by `k · levels`).
     pub fn stored_items(&self) -> usize {
         self.levels.iter().map(Vec::len).sum()
     }
@@ -355,65 +327,6 @@ mod tests {
         }
         assert_eq!(a.rank_error_bound(), b.rank_error_bound());
         assert_eq!(a.stored_items(), b.stored_items());
-    }
-
-    #[test]
-    fn merge_of_shards_matches_concatenation_bound() {
-        let mut rng = SimRng::seed_from(16);
-        let samples: Vec<f64> = (0..24_000).map(|_| rng.exponential(25.0)).collect();
-        let mut sorted = samples.clone();
-        sorted.sort_by(|a, b| a.total_cmp(b));
-
-        // Sketch of the concatenated stream.
-        let mut whole = QuantileSketch::new(64);
-        for &v in &samples {
-            whole.insert(v);
-        }
-        // Merge of four shard sketches over the same data.
-        let mut merged = QuantileSketch::new(64);
-        for shard in samples.chunks(samples.len() / 4) {
-            let mut s = QuantileSketch::new(64);
-            for &v in shard {
-                s.insert(v);
-            }
-            merged.merge(&s);
-        }
-        assert_eq!(merged.count(), whole.count());
-        assert_eq!(merged.min(), whole.min());
-        assert_eq!(merged.max(), whole.max());
-        let bound = merged.rank_error_bound().max(whole.rank_error_bound());
-        assert!(bound < samples.len() as u64 / 2);
-        for q in [0.01, 0.5, 0.9, 0.99, 0.999] {
-            let em = rank_error(&sorted, q, merged.quantile(q).unwrap());
-            let ew = rank_error(&sorted, q, whole.quantile(q).unwrap());
-            assert!(em <= merged.rank_error_bound(), "merged q={q} err {em}");
-            assert!(ew <= whole.rank_error_bound(), "whole q={q} err {ew}");
-            // Merge and concatenation agree within the joint certificate.
-            let rank_m = sorted.partition_point(|&v| v < merged.quantile(q).unwrap());
-            let rank_w = sorted.partition_point(|&v| v < whole.quantile(q).unwrap());
-            assert!(
-                rank_m.abs_diff(rank_w) as u64
-                    <= merged.rank_error_bound() + whole.rank_error_bound(),
-                "q={q}: merged rank {rank_m} vs whole rank {rank_w}"
-            );
-        }
-    }
-
-    #[test]
-    fn merge_into_empty_and_with_empty() {
-        let mut rng = SimRng::seed_from(17);
-        let mut a = QuantileSketch::new(32);
-        for _ in 0..1000 {
-            a.insert(rng.unit());
-        }
-        let empty = QuantileSketch::new(32);
-        let before = a.quantile(0.5);
-        a.merge(&empty);
-        assert_eq!(a.quantile(0.5), before);
-        let mut b = QuantileSketch::new(32);
-        b.merge(&a);
-        assert_eq!(b.count(), a.count());
-        assert_eq!(b.quantile(0.99), a.quantile(0.99));
     }
 
     #[test]

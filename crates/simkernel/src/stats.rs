@@ -1,8 +1,8 @@
 //! Statistics accumulators.
 //!
-//! TPSIM reports response times (tally statistics over observations), device
-//! utilizations and queue lengths (time-weighted statistics), and
-//! response-time distributions (histograms).
+//! TPSIM reports response times (tally statistics over observations) and
+//! device utilizations and queue lengths (time-weighted statistics); the
+//! response-time percentiles come from [`crate::sketch::QuantileSketch`].
 //! All accumulators support being reset at the end of a warm-up period.
 
 use crate::time::SimTime;
@@ -45,11 +45,6 @@ impl Tally {
     /// Number of observations.
     pub fn count(&self) -> u64 {
         self.count
-    }
-
-    /// Sum of observations.
-    pub fn sum(&self) -> f64 {
-        self.sum
     }
 
     /// Mean, or `None` if no observations were recorded.
@@ -96,7 +91,6 @@ pub struct TimeWeighted {
     last_value: f64,
     weighted_sum: f64,
     total_time: SimTime,
-    max: f64,
 }
 
 impl Default for TimeWeighted {
@@ -113,7 +107,6 @@ impl TimeWeighted {
             last_value: 0.0,
             weighted_sum: 0.0,
             total_time: 0.0,
-            max: f64::NEG_INFINITY,
         }
     }
 
@@ -127,84 +120,11 @@ impl TimeWeighted {
         }
         self.last_time = Some(now);
         self.last_value = value;
-        if value > self.max {
-            self.max = value;
-        }
     }
 
     /// Time-weighted mean over the observed interval.
     pub fn mean(&self) -> Option<f64> {
         (self.total_time > 0.0).then(|| self.weighted_sum / self.total_time)
-    }
-
-    /// Maximum observed value, or `None` if nothing was recorded.
-    pub fn max(&self) -> Option<f64> {
-        (self.max > f64::NEG_INFINITY).then_some(self.max)
-    }
-}
-
-/// Fixed-bucket histogram for response-time distributions.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    bucket_width: f64,
-    buckets: Vec<u64>,
-    tally: Tally,
-}
-
-impl Histogram {
-    /// Creates a histogram with `buckets` buckets of `bucket_width` each;
-    /// values beyond the last bucket are only tallied.
-    pub fn new(bucket_width: f64, buckets: usize) -> Self {
-        assert!(bucket_width > 0.0 && buckets > 0);
-        Self {
-            bucket_width,
-            buckets: vec![0; buckets],
-            tally: Tally::new(),
-        }
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, value: f64) {
-        self.tally.record(value);
-        let idx = (value / self.bucket_width).floor();
-        if idx < 0.0 {
-            self.buckets[0] += 1;
-        } else if (idx as usize) < self.buckets.len() {
-            self.buckets[idx as usize] += 1;
-        }
-    }
-
-    /// Underlying tally (mean/min/max of the recorded values).
-    pub fn tally(&self) -> &Tally {
-        &self.tally
-    }
-
-    /// Approximate quantile `q` in `[0,1]` from the bucket boundaries.
-    /// Returns `None` if empty.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        let total = self.tally.count();
-        if total == 0 {
-            return None;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let target = (q * total as f64).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return Some((i as f64 + 1.0) * self.bucket_width);
-            }
-        }
-        // Beyond the bucketed range.
-        self.tally.max()
-    }
-
-    /// Clears the histogram.
-    pub fn reset(&mut self) {
-        for b in &mut self.buckets {
-            *b = 0;
-        }
-        self.tally.reset();
     }
 }
 
@@ -251,7 +171,6 @@ mod tests {
         tw.record(10.0, 4.0); // value 4 for 10..20
         tw.record(20.0, 0.0);
         assert!((tw.mean().unwrap() - 3.0).abs() < 1e-12);
-        assert_eq!(tw.max(), Some(4.0));
     }
 
     #[test]
@@ -259,28 +178,5 @@ mod tests {
         let mut tw = TimeWeighted::new();
         tw.record(5.0, 1.0);
         assert_eq!(tw.mean(), None);
-    }
-
-    #[test]
-    fn histogram_quantiles() {
-        let mut h = Histogram::new(1.0, 100);
-        for i in 1..=100 {
-            h.record(i as f64 - 0.5);
-        }
-        assert_eq!(h.tally().count(), 100);
-        let median = h.quantile(0.5).unwrap();
-        assert!((median - 50.0).abs() <= 1.0, "median {median}");
-        let p95 = h.quantile(0.95).unwrap();
-        assert!((p95 - 95.0).abs() <= 1.0, "p95 {p95}");
-    }
-
-    #[test]
-    fn histogram_overflow_and_reset() {
-        let mut h = Histogram::new(1.0, 10);
-        h.record(100.0);
-        assert_eq!(h.quantile(0.5), Some(100.0));
-        h.reset();
-        assert_eq!(h.tally().count(), 0);
-        assert_eq!(h.quantile(0.5), None);
     }
 }

@@ -8,9 +8,8 @@
 
 /// Read-coalescing policy for one simulation (applied to every disk unit).
 ///
-/// The default is disabled: every read is an I/O of its own, and no
-/// scheduler section appears in reports — existing goldens stay
-/// byte-identical.
+/// The default is disabled: every read is an I/O of its own, and each
+/// device report's `scheduler` section is `None`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IoSchedulerParams {
     /// Let a synchronous read join an in-flight read of the same page.

@@ -28,9 +28,11 @@ fn main() {
             "  throughput             : {:.1} TPS",
             report.throughput_tps
         );
+        let rt = report.response_time;
+        println!("  mean response time     : {:.2} ms", rt.mean);
         println!(
-            "  mean response time     : {:.2} ms (p95 {:.2} ms)",
-            report.response_time.mean, report.response_time.p95
+            "  p50 / p95 / p99        : {:.2} / {:.2} / {:.2} ms",
+            rt.p50, rt.p95, rt.p99
         );
         println!(
             "  CPU utilization        : {:.1} %",

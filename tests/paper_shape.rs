@@ -35,6 +35,15 @@ fn run_debit_credit_quickly(mut config: SimulationConfig) -> SimulationReport {
     Simulation::new(config, debit_credit_workload(100)).run()
 }
 
+/// The response-time summary counts every measured completion, and its
+/// percentiles lie in order between the exact extremes.
+fn assert_response_summary_is_consistent(r: &SimulationReport) {
+    let rt = &r.response_time;
+    assert_eq!(rt.count, r.completed);
+    assert!(rt.min <= rt.p50 && rt.p50 <= rt.p95 && rt.p95 <= rt.p99);
+    assert!(rt.p99 <= rt.p999 && rt.p999 <= rt.max);
+}
+
 // ---------------------------------------------------------------------------
 // Determinism of the multi-node dimension (cheap, always run)
 // ---------------------------------------------------------------------------
@@ -52,6 +61,7 @@ fn multi_node_engine_is_deterministic_for_fixed_seed() {
     assert_eq!(a, b, "same seed must reproduce the full multi-node report");
     assert_eq!(a.nodes.len(), 3);
     assert!(a.completed > 0);
+    assert_response_summary_is_consistent(&a);
 }
 
 #[test]
@@ -101,6 +111,7 @@ fn shared_nothing_engine_is_deterministic_for_fixed_seed() {
     assert_eq!(a, b, "same seed must reproduce the shared-nothing report");
     assert_eq!(a.nodes.len(), 3);
     assert!(a.completed > 0);
+    assert_response_summary_is_consistent(&a);
     assert!(
         a.shipping.as_ref().is_some_and(|s| s.remote_calls > 0),
         "a 3-node shared-nothing run must ship calls"
@@ -156,9 +167,8 @@ fn fig10x_config() -> SimulationConfig {
 
 #[test]
 fn shaped_workload_engine_is_deterministic_for_fixed_seed() {
-    // Satellite guarantee of the workload-engine PR: a time-varying arrival
-    // schedule plus hot-spot skew must reproduce the complete report —
-    // including the sketch-derived tail section — byte for byte.
+    // A time-varying arrival schedule plus hot-spot skew must reproduce the
+    // complete report, sketch-derived percentiles included, byte for byte.
     let make = || {
         let mut c = fig10x_config();
         c.warmup_ms = 300.0;
@@ -168,23 +178,8 @@ fn shaped_workload_engine_is_deterministic_for_fixed_seed() {
     let a = Simulation::new(make(), debit_credit_workload(200)).run();
     let b = Simulation::new(make(), debit_credit_workload(200)).run();
     assert_eq!(a, b, "same seed must reproduce the shaped-workload report");
-    let tail = a.tail.expect("shaped runs carry the tail section");
-    assert!(tail.count > 0);
-    assert!(tail.p50 <= tail.p95 && tail.p95 <= tail.p99);
-    assert!(tail.p99 <= tail.p999 && tail.p999 <= tail.max);
-}
-
-#[test]
-fn unshaped_runs_omit_the_tail_section() {
-    // The inverse gate: a default (constant-rate, unskewed) configuration
-    // must not carry the tail section, and its `{:#?}` rendering must not
-    // mention it — that is what keeps every pre-existing golden byte-exact.
-    let mut c = data_sharing_config(2, 120.0);
-    c.warmup_ms = 300.0;
-    c.measure_ms = 1_500.0;
-    let report = Simulation::new(c, debit_credit_workload(200)).run();
-    assert!(report.tail.is_none());
-    assert!(!format!("{report:#?}").contains("tail"));
+    assert!(a.completed > 0);
+    assert_response_summary_is_consistent(&a);
 }
 
 // ---------------------------------------------------------------------------
@@ -207,6 +202,7 @@ fn crash_replay_is_deterministic_for_fixed_seed_and_crash_point() {
     let a = run();
     let b = run();
     assert_eq!(a, b, "crash replay diverged for identical inputs");
+    assert_response_summary_is_consistent(&a);
     let restart = a
         .recovery
         .as_ref()
@@ -254,16 +250,17 @@ fn recovery_sweep_is_byte_identical_in_parallel_and_serial() {
 // Byte-identity goldens (cheap, always run)
 // ---------------------------------------------------------------------------
 //
-// The hot-path kernel work (event queue, engine arenas) must not change
-// simulation output *at all*: these tests render complete reports of three
-// representative configurations with `{:#?}` and compare them byte for byte
-// against goldens captured before the refactor.  Regenerate with
+// A refactor or optimization must not change simulation output *at all*:
+// these tests render complete reports of seven representative
+// configurations with `{:#?}` (the report types derive `Debug`, so a new
+// report field appears in every one of them) and compare them byte for byte
+// against the committed goldens.  Regenerate with
 //
 // ```bash
 // UPDATE_GOLDENS=1 cargo test --release --test paper_shape golden_
 // ```
 //
-// only when an intentional model change is made (and say so in the PR).
+// only for an intentional model or report change (and say so in the PR).
 
 fn assert_matches_golden(name: &str, actual: &str) {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -278,8 +275,8 @@ fn assert_matches_golden(name: &str, actual: &str) {
         .unwrap_or_else(|e| panic!("missing golden {}: {e}", path.display()));
     assert_eq!(
         expected, actual,
-        "report of '{name}' diverged from the pre-refactor golden \
-         (tests/goldens/{name}.txt); the kernel refactor must be output-preserving"
+        "report of '{name}' diverged from the golden (tests/goldens/{name}.txt); \
+         a refactor must be output-preserving"
     );
 }
 
