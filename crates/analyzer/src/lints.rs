@@ -60,9 +60,9 @@ pub const HASH_CONTAINERS: &[(&str, bool)] = &[
 /// Constructors that exist only for the default (`RandomState`) hasher.
 const DEFAULT_HASHER_CTORS: &[&str] = &["::new(", "::with_capacity("];
 
-/// Repo-native accessor methods that expose a hash-backed iterator, per
-/// crate directory.  `dirty_page_table()` returns `&DirtyPageTable`, whose
-/// `iter()` walks a `HashMap`.
+/// Repo-native accessor methods whose result is hash-backed, per crate
+/// directory.  `dirty_page_table()` returns `&DirtyPageTable`, which wraps a
+/// hash map, so an iterator over it would walk hash order.
 const HASH_ACCESSORS: &[(&str, &str)] =
     &[("core", "dirty_page_table"), ("bufmgr", "dirty_page_table")];
 

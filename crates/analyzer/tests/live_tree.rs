@@ -56,7 +56,6 @@ const JUSTIFIED_SITES: &[(&str, &str, &str)] = &[
         "Instant::now",
     ),
     ("crates/bufmgr/src/dirty.rs", "hash-iter", "entries"),
-    ("crates/bufmgr/src/dirty.rs", "hash-iter", "entries"),
     (
         "crates/core/src/engine/coherence.rs",
         "wall-clock",
@@ -66,11 +65,6 @@ const JUSTIFIED_SITES: &[(&str, &str, &str)] = &[
         "crates/core/src/engine/mod.rs",
         "wall-clock",
         "Instant::now",
-    ),
-    (
-        "crates/core/src/engine/recover.rs",
-        "hash-iter",
-        "dirty_page_table",
     ),
     ("crates/core/src/engine/tests.rs", "hash-iter", "holders"),
     ("crates/lockmgr/src/deadlock.rs", "hash-iter", "blockers"),

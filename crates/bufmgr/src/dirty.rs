@@ -1,17 +1,18 @@
 //! The dirty-page table of the recovery subsystem.
 //!
-//! Tracks, per buffer pool, the pages that carry a *committed* update which
+//! Tracks the pages of a buffer pool that carry a *committed* update which
 //! has not yet reached non-volatile storage, together with the page's
 //! recovery LSN (the LSN of the oldest such update).  The transaction engine
 //! inserts entries when an update transaction commits; the buffer manager
 //! removes them the moment the page's current version is propagated —
 //! written back to its disk unit, migrated into the (non-volatile) NVEM
-//! cache or write buffer, forced at commit, or invalidated because another
-//! node's commit superseded the copy.
+//! cache or write buffer, or forced at commit.  Recovery runs on one node,
+//! so one table describes every lost update and no other node's commit
+//! ever supersedes an entry.
 //!
 //! A fuzzy checkpoint reads [`DirtyPageTable::min_rec_lsn`] to find the redo
-//! boundary; a crash reads the whole table to know which pages must be
-//! re-read and redone.
+//! boundary; a crash asks [`DirtyPageTable::rec_lsn`] which redo records
+//! belong to a lost update.
 
 use dbmodel::PageId;
 use simkernel::IdMap;
@@ -40,8 +41,8 @@ impl DirtyPageTable {
     }
 
     /// Removes `page` from the table (its current version reached
-    /// non-volatile storage, or another node took ownership).  Returns the
-    /// page's recovery LSN if it was present.
+    /// non-volatile storage).  Returns the page's recovery LSN if it was
+    /// present.
     pub fn clear_page(&mut self, page: PageId) -> Option<RecLsn> {
         self.entries.remove(&page)
     }
@@ -67,13 +68,6 @@ impl DirtyPageTable {
     /// True when no page carries an unpropagated committed update.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// Iterates over `(page, recovery LSN)` pairs (unordered).
-    pub fn iter(&self) -> impl Iterator<Item = (PageId, RecLsn)> + '_ {
-        // analyzer: allow(hash-iter): documented-unordered accessor; callers
-        // must fold order-independently or sort (recovery folds a per-page min)
-        self.entries.iter().map(|(p, l)| (*p, *l))
     }
 }
 
@@ -112,7 +106,6 @@ mod tests {
         t.clear_page(PageId(7)); // written back
         t.note_committed_update(PageId(7), 90);
         assert_eq!(t.rec_lsn(PageId(7)), Some(90));
-        let pairs: Vec<_> = t.iter().collect();
-        assert_eq!(pairs, vec![(PageId(7), 90)]);
+        assert_eq!(t.len(), 1);
     }
 }

@@ -119,20 +119,18 @@ impl BufferManager {
     }
 
     /// True if [`BufferManager::invalidate_page`] on `page` would do any
-    /// work at all: a main-memory copy, a second-level NVEM cache entry
+    /// work at all: a main-memory copy or a second-level NVEM cache entry
     /// (even one with an in-flight write, which invalidation spares but
-    /// still constitutes a held copy) or a dirty-page-table entry.  For any
-    /// page, a pool with `!holds_page(page)` experiences
-    /// `invalidate_page(page)` as a complete no-op, so skipping it cannot
-    /// change simulation state.  The engine's page → holders index keeps a
-    /// node's bit exactly while this is true: it clears the bit when this
-    /// turns false after an eviction the pool reports
-    /// ([`FetchOutcome::evicted`], [`ForceOutcome::evicted`]) or after an
-    /// invalidation, and debug builds assert it at every commit fan-out.
+    /// still constitutes a held copy).  For any page, a pool with
+    /// `!holds_page(page)` experiences `invalidate_page(page)` as a complete
+    /// no-op, so skipping it cannot change simulation state.  The engine's
+    /// page → holders index keeps a node's bit exactly while this is true:
+    /// it clears the bit when this turns false after an eviction the pool
+    /// reports ([`FetchOutcome::evicted`], [`ForceOutcome::evicted`]) or
+    /// after an invalidation, and debug builds assert it at every commit
+    /// fan-out.
     pub fn holds_page(&self, page: PageId) -> bool {
-        self.mm.contains(&page)
-            || self.nvem_contains(page)
-            || self.dirty_table.rec_lsn(page).is_some()
+        self.mm.contains(&page) || self.nvem_contains(page)
     }
 
     /// True if this pool holds a copy of `page` that may be shipped to
@@ -472,10 +470,10 @@ impl BufferManager {
     /// this node produced earlier are left alone so the write's completion
     /// bookkeeping stays consistent: write-buffer frames always, and
     /// NVEM-cache entries while their pending count is non-zero.
+    ///
+    /// The dirty-page table is not touched: it has entries only on a
+    /// single-node run, where no other node's commit invalidates a page.
     pub fn invalidate_page(&mut self, page: PageId) -> bool {
-        // Whatever this node committed to the page is superseded: the
-        // committing node now tracks the page in *its* dirty-page table.
-        self.dirty_table.clear_page(page);
         let mut dropped = self.mm.remove(&page).is_some();
         if let Some(cache) = self.nvem_cache.as_mut() {
             if cache.peek(&page).is_some_and(|e| e.pending == 0) {
@@ -489,19 +487,6 @@ impl BufferManager {
         dropped
     }
 
-    /// Clears a *superseded* dirty-page-table entry for `page` without
-    /// touching any buffered copy (on-request validation: a remote commit
-    /// produced a newer committed version, so this node's pending redo
-    /// entry is obsolete — but no invalidation message exists to drop the
-    /// copy itself; the copy is detected stale at the next reference).
-    /// Keeping the DPT exact between the remote commit and that reference
-    /// tightens `min_rec_lsn`, so fuzzy checkpoints record the true redo
-    /// boundary instead of a superseded one.  Returns true if an entry was
-    /// cleared.
-    pub fn clear_superseded_dpt(&mut self, page: PageId) -> bool {
-        self.dirty_table.clear_page(page).is_some()
-    }
-
     /// Drops any buffered copy of `page` *unconditionally* because a
     /// reference-time version check found it stale (on-request validation).
     /// Unlike commit-time [`BufferManager::invalidate_page`] this also
@@ -509,10 +494,10 @@ impl BufferManager {
     /// the stale copy must not satisfy the re-read that follows, and the
     /// in-flight writes' completions tolerate a missing entry
     /// ([`BufferManager::async_write_complete`] simply finds nothing to
-    /// decrement).  The dirty-page-table entry is cleared like any other
-    /// superseded redo entry.  Returns true if a copy was dropped.
+    /// decrement).  Like invalidation it leaves the dirty-page table alone,
+    /// which is empty on every multi-node run.  Returns true if a copy was
+    /// dropped.
     pub fn discard_stale_copy(&mut self, page: PageId) -> bool {
-        self.dirty_table.clear_page(page);
         let mut dropped = self.mm.remove(&page).is_some();
         if let Some(cache) = self.nvem_cache.as_mut() {
             dropped |= cache.remove(&page).is_some();
@@ -1016,42 +1001,9 @@ mod tests {
     }
 
     #[test]
-    fn invalidation_clears_the_dirty_table_entry() {
-        let mut bm = BufferManager::new(disk_config(4));
-        bm.reference_page(0, PageId(1), true);
-        bm.note_committed_update(0, PageId(1), 5);
-        assert!(bm.invalidate_page(PageId(1)));
-        assert!(bm.dirty_page_table().is_empty());
-    }
-
-    #[test]
-    fn invalidation_clears_the_dpt_entry_of_a_page_without_a_buffered_copy() {
-        // A node holding a dirty-page-table entry for a page it does not
-        // buffer (here a memory-resident partition, which never occupies
-        // buffer frames) is remotely invalidated: no copy drops, but the
-        // superseded DPT entry must still be cleared.
-        let mut cfg = disk_config(1);
-        cfg.partitions[1] = PartitionPolicy::memory_resident();
-        let mut bm = BufferManager::new(cfg);
-        bm.reference_page(1, PageId(500), true);
-        bm.note_committed_update(1, PageId(500), 7);
-        bm.note_committed_update(1, PageId(501), 8);
-        assert!(!bm.invalidate_page(PageId(500)));
-        assert_eq!(bm.dirty_page_table().rec_lsn(PageId(500)), None);
-        assert_eq!(bm.dirty_page_table().rec_lsn(PageId(501)), Some(8));
-        assert_eq!(bm.stats().invalidations, 0);
-        // A pure no-op invalidation (no copy, no DPT entry) leaves the
-        // table as it is.
-        assert!(!bm.invalidate_page(PageId(502)));
-        assert_eq!(bm.dirty_page_table().rec_lsn(PageId(501)), Some(8));
-        assert!(!bm.invalidate_page(PageId(501)));
-        assert!(bm.dirty_page_table().is_empty());
-    }
-
-    #[test]
     fn holds_page_matches_invalidate_page_reach() {
         // `holds_page` must be true exactly when `invalidate_page` would do
-        // any work: MM copy, NVEM-cache entry (pending or not), DPT entry.
+        // any work: MM copy or NVEM-cache entry (pending or not).
         let cfg = disk_config(1).with_nvem_cache(4);
         let mut bm = BufferManager::new(cfg);
         assert!(!bm.holds_page(PageId(1)));
@@ -1063,15 +1015,6 @@ mod tests {
         assert!(bm.holds_page(PageId(1))); // NVEM entry, clean
         bm.invalidate_page(PageId(1));
         assert!(!bm.holds_page(PageId(1)));
-        // DPT-only holding (memory-resident partition).
-        let mut cfg = disk_config(1);
-        cfg.partitions[1] = PartitionPolicy::memory_resident();
-        let mut bm = BufferManager::new(cfg);
-        bm.reference_page(1, PageId(500), true);
-        bm.note_committed_update(1, PageId(500), 3);
-        assert!(bm.holds_page(PageId(500))); // DPT entry only
-        bm.invalidate_page(PageId(500));
-        assert!(!bm.holds_page(PageId(500)));
     }
 
     #[test]

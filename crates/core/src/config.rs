@@ -267,9 +267,9 @@ pub struct ParallelismParams {
 ///   global per-page version counter; nothing is eagerly invalidated.
 ///   A node detects staleness lazily when it next references the page — a
 ///   buffered copy whose validation stamp is behind the global version is
-///   discarded (with the same bookkeeping as an eager invalidation, dirty-
-///   page-table clear included), the reference pays a validation round trip
-///   to the global lock service, and the access proceeds as a buffer miss.
+///   discarded (with the same bookkeeping as an eager invalidation), the
+///   reference pays a validation round trip to the global lock service, and
+///   the access proceeds as a buffer miss.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CoherenceProtocol {
     /// Eager commit-time invalidation of stale remote copies.
@@ -484,9 +484,10 @@ pub struct SimulationConfig {
     /// the oldest committed-but-unpropagated update and truncates the redo
     /// log before it.  Restart assumes the buffer's update strategy and
     /// reads the redo log tail at NVEM speed exactly when the log is
-    /// NVEM-resident.  `0`, the default of every preset, disables
-    /// checkpointing: no checkpoint events are scheduled and no redo
-    /// bookkeeping is performed (unless a crash is requested via
+    /// NVEM-resident.  A positive interval needs one node under
+    /// [`Architecture::DataSharing`].  `0`, the default of every preset,
+    /// disables checkpointing: no checkpoint events are scheduled and no
+    /// redo bookkeeping is performed (unless a crash is requested via
     /// [`crate::Simulation::simulate_crash_at`]), so the run is bit-for-bit
     /// identical to an engine without the recovery subsystem.
     pub checkpoint_interval_ms: SimTime,
@@ -522,6 +523,14 @@ pub struct SimulationConfig {
 }
 
 impl SimulationConfig {
+    /// True when the run may checkpoint or crash: one node under
+    /// [`Architecture::DataSharing`], so that one dirty-page table describes
+    /// every committed-but-unpropagated update and no other node's commit
+    /// ever supersedes one of its entries.
+    pub(crate) fn recovery_supported(&self) -> bool {
+        self.architecture == Architecture::DataSharing && self.nodes.num_nodes == 1
+    }
+
     /// Basic consistency checks.  Returns a description of the first problem.
     pub fn validate(&self) -> Result<(), String> {
         if self.arrival_rate_tps <= 0.0 {
@@ -574,12 +583,13 @@ impl SimulationConfig {
             return Err("page-transfer copy cost must be non-negative".into());
         }
         self.workload.validate()?;
+        if self.checkpoint_interval_ms > 0.0 && !self.recovery_supported() {
+            return Err(
+                "crash recovery is only modelled for one node of the data-sharing architecture"
+                    .into(),
+            );
+        }
         if self.architecture == Architecture::SharedNothing {
-            if self.checkpoint_interval_ms > 0.0 {
-                return Err(
-                    "crash recovery is only modelled for the data-sharing architecture".into(),
-                );
-            }
             if self.buffer.update_strategy == bufmgr::UpdateStrategy::Force {
                 return Err(
                     "the FORCE update strategy is not supported in shared-nothing mode \
@@ -901,10 +911,16 @@ mod tests {
         c.checkpoint_interval_ms = f64::NAN;
         assert!(c.validate().is_err());
         // ... while any positive interval enables recovery under either
-        // update strategy.
+        // update strategy ...
         c.checkpoint_interval_ms = 1_000.0;
         assert!(c.validate().is_ok());
         c.buffer.update_strategy = bufmgr::UpdateStrategy::Force;
+        assert!(c.validate().is_ok());
+        // ... on one node only.
+        c.nodes = NodeParams::data_sharing(2);
+        let err = c.validate().unwrap_err();
+        assert!(err.contains("one node"), "{err}");
+        c.checkpoint_interval_ms = 0.0;
         assert!(c.validate().is_ok());
     }
 

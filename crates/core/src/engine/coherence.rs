@@ -9,20 +9,18 @@
 //!   committed update drops the stale copies of its written pages from every
 //!   other node's buffer pool at commit time.  Instead of broadcasting to
 //!   all nodes, the engine consults a page → holders index — a bitmask of
-//!   the nodes whose pool holds a buffered copy or a dirty-page-table entry
+//!   the nodes whose pool holds a buffered copy
 //!   ([`bufmgr::BufferManager::holds_page`]) — so the fan-out touches only
-//!   actual holders.  A bit is set when a fetch buffers the page (or, for a
-//!   memory-resident page, when a commit gives it a dirty-page-table entry)
-//!   and cleared as soon as the pool stops holding the page: after an
-//!   eviction the pool reports (a main-memory victim that does not migrate
-//!   into the NVEM cache, or an NVEM-cache victim) and after an
-//!   invalidation.  An entry whose mask reaches zero is deleted, so the
-//!   index never outgrows what the pools hold.  Skipping the nodes outside
-//!   the mask is safe because [`bufmgr::BufferManager::invalidate_page`] on
-//!   a node without a copy and without a dirty-page-table entry is a
-//!   complete no-op; debug builds assert exactly this for every node outside
-//!   the mask, proving the index path equivalent to the broadcast it
-//!   replaced.
+//!   actual holders.  A bit is set when a fetch buffers the page and
+//!   cleared as soon as the pool stops holding it: after an eviction the
+//!   pool reports (a main-memory victim that does not migrate into the NVEM
+//!   cache, or an NVEM-cache victim) and after an invalidation.  An entry
+//!   whose mask reaches zero is deleted, so the index never outgrows what
+//!   the pools hold.  Skipping the nodes outside the mask is safe because
+//!   [`bufmgr::BufferManager::invalidate_page`] on a node without a copy is
+//!   a complete no-op; debug builds assert exactly this for every node
+//!   outside the mask, proving the index path equivalent to the broadcast
+//!   it replaced.
 //!
 //! * **On-request validation**: commit only bumps a global per-page version
 //!   number (no messages to other nodes); each node stamps its buffered
@@ -30,12 +28,10 @@
 //!   stamp behind the global version discards the copy, pays a validation
 //!   message round trip, and re-fetches — turning the stale hit into a miss.
 //!   A fresh hit costs nothing extra (the check piggybacks on the lock
-//!   request's message).  Superseded dirty-page-table entries at other
-//!   holders are cleared *eagerly at the remote commit* (pure local
-//!   bookkeeping — no invalidation message is modelled, and the stale
-//!   buffer copies themselves still wait for their next reference), so a
-//!   fuzzy checkpoint between the commit and that reference records the
-//!   true redo boundary rather than a superseded one.
+//!   request's message).
+//!
+//! Crash recovery runs on one node only, so no dirty-page-table entry ever
+//! meets a coherence protocol: neither protocol touches the tables.
 //!
 //! Orthogonally, **direct page transfer** replaces the disk re-read of a
 //! miss whose page is currently buffered at another node with a modelled
@@ -116,25 +112,10 @@ impl<W: WorkloadGenerator> Simulation<W> {
                     let version = self.page_versions.entry(page).or_insert(0);
                     *version += 1;
                     let version = *version;
-                    // The committer's own copy is the new version.
+                    // The committer's own copy is the new version; the other
+                    // holders' copies stay until validate_reference catches
+                    // them.
                     self.node_versions[node].insert(page, version);
-                    // Other holders' pending redo entries for the page are
-                    // superseded by this commit; clear them eagerly (no
-                    // message — version bumps are local bookkeeping) so
-                    // checkpoints between now and the holders' next
-                    // references record the true redo boundary.  The buffered
-                    // copies stay: they are caught by validate_reference.
-                    let mut pending =
-                        self.holders.get(&page).copied().unwrap_or(0) & !(1u64 << node);
-                    while pending != 0 {
-                        let other = pending.trailing_zeros() as usize;
-                        pending &= pending - 1;
-                        // A memory-resident page is held only through its
-                        // dirty-page-table entry.
-                        if self.nodes[other].bufmgr.clear_superseded_dpt(page) {
-                            self.release_holder(other, page);
-                        }
-                    }
                 }
             }
         }
@@ -146,13 +127,12 @@ impl<W: WorkloadGenerator> Simulation<W> {
     /// committing node, clearing the bits of holders that hold nothing any
     /// more.  Debug builds verify the index against the full broadcast:
     /// every node outside the mask must experience `invalidate_page` as a
-    /// no-op (no buffered copy, no dirty-page-table entry).
+    /// no-op (no buffered copy).
     fn invalidate_holders(&mut self, committer: usize, page: PageId) {
         let Some(mask) = self.holders.get(&page).copied() else {
             // No pool holds the page — an empty broadcast.  The committer's
-            // copy left its pool before the commit (or, on a memory-resident
-            // page, never got a dirty-page-table entry), and no other node
-            // holds the page either.
+            // copy left its pool before the commit (a memory-resident page
+            // never enters one), and no other node holds the page either.
             debug_assert!(
                 self.nodes.iter().all(|rt| !rt.bufmgr.holds_page(page)),
                 "page {page:?} held by a node missing from the holders index"

@@ -80,7 +80,6 @@ impl<W: WorkloadGenerator> Simulation<W> {
             node.completed = 0;
             node.aborts = 0;
             node.remote_lock_requests = 0;
-            node.redo_records = 0;
             node.response.reset();
             node.active_tw = TimeWeighted::new();
             node.active_tw.record(now, node.active_count as f64);
@@ -182,7 +181,6 @@ impl<W: WorkloadGenerator> Simulation<W> {
                 avg_active_transactions: node.active_tw.mean().unwrap_or(0.0),
                 avg_input_queue: node.inputq_tw.mean().unwrap_or(0.0),
                 remote_lock_requests: node.remote_lock_requests,
-                redo_records: node.redo_records,
                 buffer: node.bufmgr.stats().clone(),
             });
         }
@@ -191,7 +189,7 @@ impl<W: WorkloadGenerator> Simulation<W> {
         let recovery = self.recovery.as_ref().map(|rec| RecoveryReport {
             checkpoints_taken: rec.checkpoints_taken,
             checkpoint_overhead_ms: rec.checkpoint_overhead_ms,
-            redo_log_records: self.nodes.iter().map(|n| n.redo_records).sum(),
+            redo_log_records: rec.records_appended,
             log_records_truncated: rec.records_truncated,
             records_per_log_page: rec.redo.records_per_page(),
             restart,
@@ -204,7 +202,6 @@ impl<W: WorkloadGenerator> Simulation<W> {
         let coherence =
             (!self.config.coherence.is_default_protocol()).then_some(self.coherence_stats);
 
-        let nvem_capacity = self.config.nvem.num_servers.max(1) as f64;
         SimulationReport {
             arrival_rate_tps: self.config.arrival_rate_tps,
             completed: self.completed,
@@ -215,7 +212,7 @@ impl<W: WorkloadGenerator> Simulation<W> {
             response_time,
             per_type,
             cpu_utilization,
-            nvem_utilization: (self.nvem_busy / (measured * nvem_capacity)).min(1.0),
+            nvem_utilization: (self.nvem_busy / measured).min(1.0),
             avg_active_transactions: self.active_tw.mean().unwrap_or(0.0),
             avg_input_queue: self.inputq_tw.mean().unwrap_or(0.0),
             buffer,

@@ -395,8 +395,8 @@ impl<W: WorkloadGenerator> Simulation<W> {
                 sim.convert_page_ops(&outcome.ops, ops);
             }
             if coherent {
-                // A memory-resident page occupies no frame: its node holds
-                // it only once a commit gives it a dirty-page-table entry.
+                // A memory-resident page occupies no frame, so no pool
+                // holds it.
                 let location = sim.nodes[node]
                     .bufmgr
                     .config()

@@ -201,7 +201,6 @@ struct NodeRuntime {
     completed: u64,
     aborts: u64,
     remote_lock_requests: u64,
-    redo_records: u64,
     response: Tally,
     active_tw: TimeWeighted,
     inputq_tw: TimeWeighted,
@@ -217,7 +216,6 @@ impl NodeRuntime {
             completed: 0,
             aborts: 0,
             remote_lock_requests: 0,
-            redo_records: 0,
             response: Tally::new(),
             active_tw: TimeWeighted::new(),
             inputq_tw: TimeWeighted::new(),
@@ -257,16 +255,15 @@ pub struct Simulation<W: WorkloadGenerator> {
 
     // Cross-node buffer coherence (multi-node data sharing only; see the
     // `coherence` submodule).  `holders` maps each page some pool holds to
-    // the bitmask of the nodes whose pool holds a buffered copy or a
-    // dirty-page-table entry: a bit is set at fetch time and cleared when
-    // the pool evicts the page or an invalidation empties it, and a page
-    // nobody holds has no entry.  Commit invalidation therefore touches
-    // only actual holders instead of broadcasting to every node, and the
-    // map stays as small as the pools.  `page_versions` and
-    // `node_versions` carry the per-page version stamps of the on-request
-    // validation protocol (unused, and empty, under broadcast
-    // invalidation).  `coherence_stats` accumulates the report section
-    // since the warm-up reset; the fan-out counters feed the kernel
+    // the bitmask of the nodes whose pool holds a buffered copy: a bit is
+    // set at fetch time and cleared when the pool evicts the page or an
+    // invalidation empties it, and a page nobody holds has no entry.
+    // Commit invalidation therefore touches only actual holders instead of
+    // broadcasting to every node, and the map stays as small as the pools.
+    // `page_versions` and `node_versions` carry the per-page version stamps
+    // of the on-request validation protocol (unused, and empty, under
+    // broadcast invalidation).  `coherence_stats` accumulates the report
+    // section since the warm-up reset; the fan-out counters feed the kernel
     // profile (whole-run wall-clock accounting, never reset).
     holders: IdMap<PageId, u64>,
     page_versions: IdMap<PageId, u64>,
@@ -493,7 +490,9 @@ impl<W: WorkloadGenerator> Simulation<W> {
     ///
     /// # Panics
     /// Panics if the crash point is not strictly inside the measurement
-    /// interval, or under the shared-nothing architecture.
+    /// interval, or if the run is not one node under the data-sharing
+    /// architecture (the rule [`SimulationConfig::validate`] applies to
+    /// `checkpoint_interval_ms`).
     pub fn simulate_crash_at(mut self, at_ms: SimTime) -> Self {
         assert!(
             at_ms > self.config.warmup_ms && at_ms < self.end_time,
@@ -503,8 +502,8 @@ impl<W: WorkloadGenerator> Simulation<W> {
             self.end_time
         );
         assert!(
-            self.config.architecture == Architecture::DataSharing,
-            "crash recovery is only modelled for the data-sharing architecture"
+            self.config.recovery_supported(),
+            "crash recovery is only modelled for one node of the data-sharing architecture"
         );
         if self.recovery.is_none() {
             self.recovery = Some(RecoveryRuntime::new(self.config.cm.log_record_bytes));

@@ -3,13 +3,15 @@
 //! crash-and-restart pass.
 //!
 //! The pure data structures (redo log, LSNs, checkpoint accounting) live in
-//! [`crate::recovery`]; the dirty-page tables live with the per-node buffer
-//! managers ([`bufmgr::DirtyPageTable`]).  Everything here is inert unless
-//! the recovery subsystem is active (checkpointing enabled via
+//! [`crate::recovery`]; the dirty-page table lives with the buffer manager
+//! ([`bufmgr::DirtyPageTable`]).  Everything here is inert unless the
+//! recovery subsystem is active (checkpointing enabled via
 //! [`crate::SimulationConfig::checkpoint_interval_ms`], and/or a crash
 //! requested via [`Simulation::simulate_crash_at`]) — an inactive run
 //! performs no redo bookkeeping at all and is bit-for-bit identical to an
-//! engine without the subsystem.
+//! engine without the subsystem.  An active run has one node (both entry
+//! points enforce it), so node 0's buffer manager holds the one dirty-page
+//! table.
 //!
 //! **Restart model.**  After a crash the system is empty: no transactions,
 //! cold buffers, a cleared lock table.  Restart is therefore modelled as a
@@ -19,7 +21,7 @@
 //!    checkpoint's redo boundary) against the configured log device, or at
 //!    NVEM speed when the log is NVEM-resident ([`LogAllocation::Nvem`]),
 //! 2. a redo-apply CPU burst per record whose update was actually lost
-//!    (present in a dirty-page table at the crash), and
+//!    (present in the dirty-page table at the crash), and
 //! 3. one read of each lost page from its home location — through the same
 //!    [`storage::StorageDevice`] models the steady-state run uses, with the
 //!    reads prefetched in parallel across each unit's disk servers (the scan
@@ -31,14 +33,13 @@
 
 use dbmodel::{AccessMode, ObjectId, ObjectRef, PageId, WorkloadGenerator};
 use simkernel::time::{instr_time, SimTime};
-use simkernel::IdMap;
 use storage::IoKind;
 
 use bufmgr::PageLocation;
 
 use crate::config::LogAllocation;
 use crate::metrics::RestartReport;
-use crate::recovery::{Lsn, RedoRecord};
+use crate::recovery::RedoRecord;
 
 use super::{Ev, Simulation};
 
@@ -47,8 +48,8 @@ const RESTART_TX: u64 = 0;
 
 impl<W: WorkloadGenerator> Simulation<W> {
     /// Appends one redo record per page written by the committing
-    /// transaction in `slot` and registers the pages in the owning node's
-    /// dirty-page table.  No-op while the recovery subsystem is inactive.
+    /// transaction in `slot` and registers the pages in the dirty-page
+    /// table.  No-op while the recovery subsystem is inactive.
     ///
     /// Called at commit completion, when the commit log record is durable —
     /// a crash never replays a transaction whose log write was still in
@@ -60,38 +61,24 @@ impl<W: WorkloadGenerator> Simulation<W> {
         if self.recovery.is_none() {
             return;
         }
-        let (node, template) = {
-            let tx = self.txs.tx(slot);
-            (tx.node, tx.template)
-        };
-        let coherent = self.coherence_active();
+        let template = self.txs.tx(slot).template;
         let rec = self.recovery.as_mut().expect("recovery runtime");
         for &(partition, page) in &self.templates.entry(template).written_pages {
-            let lsn = rec.redo.append(node, partition, page);
-            let bufmgr = &mut self.nodes[node].bufmgr;
-            bufmgr.note_committed_update(partition, page, lsn);
-            // A memory-resident page is held only through the dirty-page-table
-            // entry just made: register the holder (`note_holder`) now.
-            if coherent
-                && bufmgr.config().policy(partition).location == PageLocation::MainMemoryResident
-            {
-                *self.holders.entry(page).or_insert(0) |= 1u64 << node;
-            }
-            self.nodes[node].redo_records += 1;
+            let lsn = rec.redo.append(partition, page);
+            self.nodes[0]
+                .bufmgr
+                .note_committed_update(partition, page, lsn);
+            rec.records_appended += 1;
         }
     }
 
     /// Takes a fuzzy checkpoint: advances the redo boundary to the oldest
-    /// committed-but-unpropagated update over all nodes, truncates the redo
-    /// log before it and writes one checkpoint record to the log allocation
-    /// (contending with commit log writes).  Dirty pages are *not* flushed.
+    /// committed-but-unpropagated update, truncates the redo log before it
+    /// and writes one checkpoint record to the log allocation (contending
+    /// with commit log writes).  Dirty pages are *not* flushed.
     pub(super) fn handle_checkpoint(&mut self) {
         let now = self.queue.now();
-        let min_rec_lsn: Option<Lsn> = self
-            .nodes
-            .iter()
-            .filter_map(|n| n.bufmgr.dirty_page_table().min_rec_lsn())
-            .min();
+        let min_rec_lsn = self.nodes[0].bufmgr.dirty_page_table().min_rec_lsn();
         {
             let Some(rec) = self.recovery.as_mut() else {
                 return;
@@ -151,17 +138,9 @@ impl<W: WorkloadGenerator> Simulation<W> {
         // Every lock held by an in-flight transaction dies with the system.
         let locks_released_at_crash = self.lockmgr.crash_reset();
 
-        // Union of the per-node dirty-page tables: the pages whose committed
-        // updates existed only in volatile main memory.
-        let mut lost: IdMap<PageId, Lsn> = IdMap::default();
-        for node in &self.nodes {
-            // analyzer: allow(hash-iter): folded into a per-page min, order-independent
-            for (page, lsn) in node.bufmgr.dirty_page_table().iter() {
-                lost.entry(page)
-                    .and_modify(|l| *l = (*l).min(lsn))
-                    .or_insert(lsn);
-            }
-        }
+        // The dirty-page table: the pages whose committed updates existed
+        // only in volatile main memory.
+        let lost = self.nodes[0].bufmgr.dirty_page_table();
         let dirty_pages_at_crash = lost.len() as u64;
 
         // The redo tail: everything after the last checkpoint's boundary.
@@ -201,7 +180,7 @@ impl<W: WorkloadGenerator> Simulation<W> {
         // 2./3. Replay: records whose page carries a lost committed update
         // (recovery LSN at or below the record's LSN) are applied; the page
         // itself is re-read once from its home location.
-        let is_lost = |r: &RedoRecord| lost.get(&r.page).is_some_and(|&rec_lsn| r.lsn >= rec_lsn);
+        let is_lost = |r: &RedoRecord| lost.rec_lsn(r.page).is_some_and(|rec_lsn| r.lsn >= rec_lsn);
         let applied_records = records.iter().filter(|r| is_lost(r)).count() as u64;
         restart_ms += apply_cpu * applied_records as f64;
 

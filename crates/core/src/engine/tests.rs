@@ -444,6 +444,15 @@ fn shared_nothing_crash_simulation_is_rejected() {
     let _ = Simulation::new(c, debit_credit_workload(100)).simulate_crash_at(1_000.0);
 }
 
+#[test]
+#[should_panic(expected = "one node")]
+fn multi_node_crash_simulation_is_rejected() {
+    let mut c = data_sharing_config(2, 100.0);
+    c.warmup_ms = 300.0;
+    c.measure_ms = 2_000.0;
+    let _ = Simulation::new(c, debit_credit_workload(100)).simulate_crash_at(1_000.0);
+}
+
 // ---------------------------------------------------------------------------
 // Commit-path regression tests (direct engine manipulation)
 // ---------------------------------------------------------------------------
@@ -563,12 +572,6 @@ fn holders_index_matches_broadcast_on_randomized_multi_node_configs() {
         c.buffer.mm_buffer_pages = 50;
         configs.push(c);
     }
-    // Memory-resident BRANCH/TELLER pages under checkpointing are held only
-    // through dirty-page-table entries.
-    let mut c = shape(3, 150.0, 17);
-    c.buffer.partitions[0] = PartitionPolicy::memory_resident();
-    c.checkpoint_interval_ms = 500.0;
-    configs.push(c);
     for c in configs {
         let nodes = c.nodes.num_nodes;
         let report = Simulation::new(c, debit_credit_workload(100)).run();
@@ -588,8 +591,7 @@ fn holders_index_stays_bounded_by_the_buffer_pools() {
     // Every fetch sets a holder bit; unless evictions clear them again, the
     // index grows with the pages ever touched, i.e. with run length.
     let disk: fn(&mut SimulationConfig) = |_| {};
-    // Memory-resident pages occupy no frames: without dirty-page-table
-    // entries no pool holds them.
+    // Memory-resident pages occupy no frames, so no pool holds them.
     let memory_resident_branches: fn(&mut SimulationConfig) =
         |c| c.buffer.partitions[0] = PartitionPolicy::memory_resident();
     // FORCE replicates pages in the NVEM cache; its victims, also those of
@@ -726,58 +728,6 @@ fn on_request_validation_defers_invalidation_to_the_reference() {
     assert!(sim.nodes[0].bufmgr.mm_contains(PageId(42)));
     // A node without any buffered copy has nothing to validate.
     assert_eq!(sim.validate_reference(2, PageId(43)), None);
-}
-
-#[test]
-fn on_request_validation_eagerly_clears_superseded_dpt_entries() {
-    let mut c = data_sharing_config(3, 60.0);
-    c.warmup_ms = 300.0;
-    c.measure_ms = 1_500.0;
-    c.coherence = CoherenceParams::on_request_validate();
-    let mut sim = Simulation::new(c, debit_credit_workload(200));
-    // Node 1 buffered page 42 dirty and has an unpropagated committed
-    // update of its own: a dirty-page-table entry pinning the redo boundary.
-    sim.nodes[1].bufmgr.reference_page(0, PageId(42), true);
-    sim.note_holder(1, PageId(42));
-    sim.nodes[1].bufmgr.note_committed_update(0, PageId(42), 7);
-    assert_eq!(
-        sim.nodes[1].bufmgr.dirty_page_table().rec_lsn(PageId(42)),
-        Some(7)
-    );
-    // Node 0 commits a newer update to the page.
-    sim.nodes[0].bufmgr.reference_page(0, PageId(42), true);
-    sim.note_holder(0, PageId(42));
-    sim.activate(0, write_template(42), 0.0);
-    assert_eq!(sim.op_complete(0), Flow::Finished);
-    // Node 1's superseded redo entry is gone at the commit — not deferred
-    // to the next reference — so a checkpoint taken now records the true
-    // redo boundary...
-    assert_eq!(
-        sim.nodes[1].bufmgr.dirty_page_table().rec_lsn(PageId(42)),
-        None
-    );
-    // ...but the stale buffered copy stays (no invalidation message is
-    // modelled); it is discarded only by the reference-time version check.
-    assert!(sim.nodes[1].bufmgr.mm_contains(PageId(42)));
-    assert_eq!(sim.nodes[1].bufmgr.stats().invalidations, 0);
-    assert!(sim.validate_reference(1, PageId(42)).is_some());
-    assert!(!sim.nodes[1].bufmgr.mm_contains(PageId(42)));
-}
-
-#[test]
-fn superseded_dpt_entry_of_a_memory_resident_page_releases_its_holder() {
-    let mut c = data_sharing_config(2, 60.0);
-    c.coherence = CoherenceParams::on_request_validate();
-    c.buffer.partitions[0] = PartitionPolicy::memory_resident();
-    let mut sim = Simulation::new(c, debit_credit_workload(200));
-    // Node 1 holds memory-resident page 42 only through its redo entry.
-    sim.nodes[1].bufmgr.note_committed_update(0, PageId(42), 7);
-    sim.note_holder(1, PageId(42));
-    sim.activate(0, write_template(42), 0.0);
-    assert_eq!(sim.op_complete(0), Flow::Finished);
-    // Node 0's commit supersedes that entry, and with it node 1's holding.
-    assert!(!sim.nodes[1].bufmgr.holds_page(PageId(42)));
-    assert_eq!(sim.holders.get(&PageId(42)), None);
 }
 
 #[test]
@@ -1044,11 +994,10 @@ fn crash_and_restart_reports_recovery_metrics() {
     assert!(restart.data_pages_read > 0);
     assert!(restart.locks_released_at_crash > 0);
     assert!(restart.locks_reacquired > 0);
-    // The per-node redo records sum to the aggregate.
-    assert_eq!(
-        report.nodes.iter().map(|n| n.redo_records).sum::<u64>(),
-        rec.redo_log_records
-    );
+    // The appended-record count restarts at the warm-up reset, while the
+    // redo tail (no checkpoint ever truncated it) reaches back to the log's
+    // first record.
+    assert!(rec.redo_log_records < restart.redo_records);
 }
 
 #[test]
@@ -1064,7 +1013,7 @@ fn checkpoints_truncate_the_log_and_cost_overhead() {
     assert!(rec.checkpoint_overhead_ms > 0.0);
     assert!(rec.log_records_truncated > 0);
     // Under FORCE every committed update is propagated at commit, so the
-    // dirty-page tables stay empty and each checkpoint advances the redo
+    // dirty-page table stays empty and each checkpoint advances the redo
     // boundary to the log's end: the redo tail at the crash is a fraction of
     // the un-checkpointed one.
     let redo_with = rec.restart.as_ref().unwrap().redo_records;
@@ -1132,31 +1081,7 @@ fn disabled_recovery_reports_nothing_and_stays_deterministic() {
     };
     let a = make();
     assert!(a.recovery.is_none(), "inactive recovery must not report");
-    assert!(a.nodes.iter().all(|n| n.redo_records == 0));
     assert_eq!(a, make());
-}
-
-#[test]
-fn multi_node_crash_replays_every_nodes_redo_records() {
-    let mut c = data_sharing_config(2, 120.0);
-    c.warmup_ms = 300.0;
-    c.measure_ms = 1_500.0;
-    c.checkpoint_interval_ms = 500.0;
-    let report = Simulation::new(c, debit_credit_workload(100))
-        .simulate_crash_at(1_500.0)
-        .run();
-    let rec = report.recovery.as_ref().expect("recovery section");
-    assert_eq!(report.nodes.len(), 2);
-    for node in &report.nodes {
-        assert!(node.redo_records > 0, "node {} logged nothing", node.node);
-    }
-    assert_eq!(
-        report.nodes.iter().map(|n| n.redo_records).sum::<u64>(),
-        rec.redo_log_records
-    );
-    let restart = rec.restart.as_ref().expect("restart section");
-    assert!(restart.redo_records > 0);
-    assert!(restart.restart_ms > 0.0);
 }
 
 #[test]

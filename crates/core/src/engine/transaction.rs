@@ -129,8 +129,6 @@ pub(crate) struct Transaction {
     /// The message round trip for the current lock request was already paid
     /// (so a re-executed [`MicroOp::Lock`] does not pay it twice).
     pub lock_msg_paid: bool,
-    /// Number of deadlock-induced restarts.
-    pub restarts: u32,
 }
 
 impl Transaction {
@@ -149,7 +147,6 @@ impl Transaction {
             pending_burst_nvem: false,
             pending_lock_ref: None,
             lock_msg_paid: false,
-            restarts: 0,
         }
     }
 
@@ -168,7 +165,6 @@ impl Transaction {
         self.pending_burst_nvem = false;
         self.pending_lock_ref = None;
         self.lock_msg_paid = false;
-        self.restarts = 0;
     }
 
     /// Resets the transaction for a restart after a deadlock abort.  The
@@ -183,7 +179,6 @@ impl Transaction {
         self.exec_node = self.node;
         self.pending_lock_ref = None;
         self.lock_msg_paid = false;
-        self.restarts += 1;
     }
 
     /// Pushes a batch of micro operations to the *front* of the queue,
@@ -212,7 +207,6 @@ mod tests {
         assert_eq!(tx.phase, TxPhase::BeforeAccess { next_ref: 0 });
         assert!(tx.micro.is_empty());
         assert_eq!(tx.pending_lock_ref, None);
-        assert_eq!(tx.restarts, 1);
         assert_eq!(tx.arrival, 42.0);
         assert_eq!(tx.template, 7);
         assert_eq!(tx.state, TxState::Ready);
@@ -231,7 +225,6 @@ mod tests {
         assert_eq!(tx.phase, TxPhase::BeforeAccess { next_ref: 0 });
         assert!(tx.micro.is_empty());
         assert!(!tx.lock_msg_paid);
-        assert_eq!(tx.restarts, 0);
     }
 
     #[test]

@@ -119,10 +119,6 @@ pub struct NodeReport {
     /// Lock requests this node sent to the remote global lock service (0 on
     /// the service's home node).
     pub remote_lock_requests: u64,
-    /// Redo records this node's committed update transactions appended to
-    /// the log during the measurement interval (0 while the recovery
-    /// subsystem is inactive).
-    pub redo_records: u64,
     /// This node's buffer-manager statistics (including invalidations
     /// received from other nodes' commits).
     pub buffer: BufferStats,
@@ -170,8 +166,8 @@ pub struct RestartReport {
     /// Database pages re-read from their home location to apply lost
     /// committed updates.
     pub data_pages_read: u64,
-    /// Pages with committed-but-unpropagated updates at the crash (union of
-    /// the per-node dirty-page tables).
+    /// Pages with committed-but-unpropagated updates at the crash (the
+    /// dirty-page table's size).
     pub dirty_pages_at_crash: u64,
     /// Locks still held by in-flight transactions when the system crashed
     /// (all dropped).
@@ -367,7 +363,8 @@ pub struct SimulationReport {
     pub per_type: Vec<TxTypeReport>,
     /// Average CPU utilization (0..=1).
     pub cpu_utilization: f64,
-    /// Average utilization of the NVEM servers (0..=1); 0 when NVEM is unused.
+    /// NVEM page-move time over the measurement interval, capped at 1; 0
+    /// when NVEM is unused.
     pub nvem_utilization: f64,
     /// Time-average number of active (admitted) transactions.
     pub avg_active_transactions: f64,

@@ -4,17 +4,21 @@
 //! (§3.3: FORCE/NOFORCE, log allocation and NVEM-resident log truncation
 //! traded against restart time):
 //!
+//! * Recovery runs on one node of the data-sharing architecture
+//!   ([`crate::SimulationConfig::validate`] and
+//!   [`crate::Simulation::simulate_crash_at`] reject anything else), so one
+//!   dirty-page table ([`bufmgr::DirtyPageTable`]) describes every lost
+//!   update.
 //! * Every committed update transaction appends one [`RedoRecord`] per
-//!   written page to the global [`RedoLog`]; the record's LSN also enters the
-//!   owning node's dirty-page table ([`bufmgr::DirtyPageTable`]) as the
-//!   page's recovery LSN if the page has no earlier unpropagated committed
-//!   update.  The buffer manager removes the entry as soon as the page's
-//!   current version reaches non-volatile storage (write-back, NVEM
-//!   migration, FORCE write) or is invalidated by another node's commit.
+//!   written page to the [`RedoLog`]; the record's LSN also enters the
+//!   dirty-page table as the page's recovery LSN if the page has no earlier
+//!   unpropagated committed update.  The buffer manager removes the entry as
+//!   soon as the page's current version reaches non-volatile storage
+//!   (write-back, NVEM migration, FORCE write).
 //! * A *fuzzy checkpoint* (every `checkpoint_interval_ms`) writes one
 //!   checkpoint record to the log allocation, advances the redo boundary to
-//!   the minimum recovery LSN over all nodes' dirty-page tables and truncates
-//!   the redo log before it.  Checkpoints never flush dirty pages.
+//!   the table's minimum recovery LSN and truncates the redo log before it.
+//!   Checkpoints never flush dirty pages.
 //! * A simulated crash ([`crate::Simulation::simulate_crash_at`]) stops the
 //!   run, discards all volatile state and replays the redo records from the
 //!   last checkpoint's boundary, paying the log-device (or NVEM) read latency
@@ -36,24 +40,21 @@ pub type Lsn = u64;
 /// Size of one log page in bytes (the paper's 4 KB page).
 pub const LOG_PAGE_BYTES: usize = 4096;
 
-/// One redo record: a committed update to `page` by a transaction on `node`.
+/// One redo record: a committed update to `page`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RedoRecord {
     /// The record's log sequence number.
     pub lsn: Lsn,
-    /// The computing module whose transaction committed the update.
-    pub node: usize,
     /// The partition of the written page.
     pub partition: usize,
     /// The written page.
     pub page: PageId,
 }
 
-/// The global redo log: committed-update records in LSN order.
+/// The redo log: committed-update records in LSN order.
 ///
-/// The log is shared by all nodes (like the log device).  Checkpoints
-/// truncate it so memory stays bounded by the redo distance, not the run
-/// length.
+/// Checkpoints truncate it so memory stays bounded by the redo distance, not
+/// the run length.
 #[derive(Debug)]
 pub struct RedoLog {
     records: VecDeque<RedoRecord>,
@@ -85,12 +86,11 @@ impl RedoLog {
     }
 
     /// Appends a committed-update record and returns its LSN.
-    pub fn append(&mut self, node: usize, partition: usize, page: PageId) -> Lsn {
+    pub fn append(&mut self, partition: usize, page: PageId) -> Lsn {
         let lsn = self.next_lsn;
         self.next_lsn += 1;
         self.records.push_back(RedoRecord {
             lsn,
-            node,
             partition,
             page,
         });
@@ -140,10 +140,12 @@ impl RedoLog {
 /// current redo boundary and the checkpoint accounting.
 #[derive(Debug)]
 pub(crate) struct RecoveryRuntime {
-    /// The global redo log.
+    /// The redo log.
     pub redo: RedoLog,
     /// Redo starts here after a crash (advanced by every checkpoint).
     pub redo_start_lsn: Lsn,
+    /// Redo records appended during the measurement interval.
+    pub records_appended: u64,
     /// Checkpoints completed during the measurement interval.
     pub checkpoints_taken: u64,
     /// Simulated time spent writing checkpoint records (ms, measurement
@@ -159,6 +161,7 @@ impl RecoveryRuntime {
         Self {
             redo: RedoLog::new(log_record_bytes),
             redo_start_lsn: 1,
+            records_appended: 0,
             checkpoints_taken: 0,
             checkpoint_overhead_ms: 0.0,
             records_truncated: 0,
@@ -171,6 +174,7 @@ impl RecoveryRuntime {
     /// in-flight checkpoint writes, so their (partly pre-warm-up) latency
     /// cannot leak into the measured checkpoint overhead.
     pub fn reset_stats(&mut self) {
+        self.records_appended = 0;
         self.checkpoints_taken = 0;
         self.checkpoint_overhead_ms = 0.0;
         self.records_truncated = 0;
@@ -185,8 +189,8 @@ mod tests {
     fn lsns_are_monotonic_and_start_at_one() {
         let mut log = RedoLog::new(512);
         assert_eq!(log.next_lsn(), 1);
-        assert_eq!(log.append(0, 0, PageId(10)), 1);
-        assert_eq!(log.append(1, 2, PageId(11)), 2);
+        assert_eq!(log.append(0, PageId(10)), 1);
+        assert_eq!(log.append(2, PageId(11)), 2);
         assert_eq!(log.next_lsn(), 3);
         assert_eq!(log.len(), 2);
         assert!(!log.is_empty());
@@ -205,7 +209,7 @@ mod tests {
     fn truncation_drops_old_records_and_counts_them() {
         let mut log = RedoLog::new(512);
         for i in 0..10 {
-            log.append(0, 0, PageId(i));
+            log.append(0, PageId(i));
         }
         assert_eq!(log.truncate_before(5), 4); // LSNs 1..=4
         assert_eq!(log.len(), 6);
@@ -231,12 +235,14 @@ mod tests {
     #[test]
     fn runtime_reset_keeps_the_log_and_boundary() {
         let mut rt = RecoveryRuntime::new(512);
-        rt.redo.append(0, 0, PageId(1));
+        rt.redo.append(0, PageId(1));
         rt.redo_start_lsn = 1;
+        rt.records_appended = 1;
         rt.checkpoints_taken = 3;
         rt.checkpoint_overhead_ms = 7.5;
         rt.records_truncated = 2;
         rt.reset_stats();
+        assert_eq!(rt.records_appended, 0);
         assert_eq!(rt.checkpoints_taken, 0);
         assert_eq!(rt.checkpoint_overhead_ms, 0.0);
         assert_eq!(rt.records_truncated, 0);

@@ -1,7 +1,7 @@
 //! FCFS multi-server resources (stations).
 //!
-//! CPUs, NVEM servers, disk controllers and disk servers are all modelled as a
-//! pool of identical servers with a single FIFO queue.  The resource tracks
+//! CPUs, disk controllers and disk servers are all modelled as a pool of
+//! identical servers with a single FIFO queue.  The resource tracks
 //! time-weighted utilization and queue length so device bottlenecks (the
 //! central mechanism behind most results of the paper) can be reported.
 //!

@@ -14,7 +14,7 @@
 //!   non-volatile caches absorb writes when a clean frame is available and
 //!   update the disk copy asynchronously.
 //! * **NVEM** — non-volatile extended memory, a page-addressable store that is
-//!   accessed synchronously by the CPU via one or more NVEM servers.
+//!   accessed synchronously by the CPU, which stays busy for the page move.
 //! * **Read coalescing** — an optional per-unit policy
 //!   ([`scheduler::IoSchedulerParams`]): a synchronous read of a page that
 //!   is already being read at the same unit joins that in-flight request.

@@ -8,16 +8,15 @@
 //!
 //! The contents of the NVEM (second-level database buffer, write buffer,
 //! resident files) are managed by the DBMS buffer manager (`bufmgr` crate);
-//! this module only carries the device parameters, the service model (one or
-//! more NVEM servers) being provided by `simkernel::Resource` in the engine.
+//! this module only carries the device parameters.  There is no NVEM server
+//! queue: the engine charges a transaction's access as a CPU burst of
+//! [`NvemParams::synchronous_cost`] on the accessing node's CPUs.
 
 use simkernel::time::{self, SimTime};
 
 /// NVEM device parameters (Table 3.4 / Table 4.1).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NvemParams {
-    /// Number of NVEM servers (controllers) allowing concurrent page moves.
-    pub num_servers: usize,
     /// Average access time per page move between main memory and NVEM (ms).
     pub access_time: SimTime,
     /// CPU instructions charged per NVEM access (page-move instruction plus
@@ -28,7 +27,6 @@ pub struct NvemParams {
 impl Default for NvemParams {
     fn default() -> Self {
         Self {
-            num_servers: 1,
             access_time: time::from_micros(50.0),
             instr_per_access: 300.0,
         }
@@ -51,7 +49,6 @@ mod tests {
     fn default_access_time_is_50_microseconds() {
         let p = NvemParams::default();
         assert!((p.access_time - 0.05).abs() < 1e-12);
-        assert_eq!(p.num_servers, 1);
     }
 
     #[test]
