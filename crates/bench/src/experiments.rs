@@ -1023,14 +1023,9 @@ fn fig10_x(settings: &RunSettings) -> String {
         out,
         " partition, Zipf-ranked; burst = 4x the base rate for 25 % of each period;"
     );
-    // The percentiles come from one run-wide sketch, which gives the values
-    // a merge of per-node sketches gives while the bound is 0.  The footer
-    // keeps its "merged per-node" wording so the `experiments_quick` golden
-    // stays byte-identical; reword it at that golden's next re-bless
-    // (ROADMAP item 1).
     let _ = writeln!(
         out,
-        " percentiles from merged per-node sketches, worst rank-error bound {worst_bound})"
+        " percentiles from one run-wide sketch, worst rank-error bound {worst_bound})"
     );
     out
 }

@@ -101,16 +101,6 @@ pub struct SweepPoint {
     pub report: SimulationReport,
 }
 
-/// Runs one trace-replay point.
-pub fn run_trace(settings: &RunSettings, config: SimulationConfig) -> SimulationReport {
-    run_point_profiled(settings, config, Family::Trace).0
-}
-
-/// Runs one lock-contention point.
-pub fn run_contention(settings: &RunSettings, config: SimulationConfig) -> SimulationReport {
-    run_point_profiled(settings, config, Family::Contention).0
-}
-
 /// Where in the measurement interval the recovery experiments crash the
 /// system (fraction of `measure_ms` after the warm-up).  Late enough that a
 /// realistic redo distance accumulates, strictly before the end of the run.

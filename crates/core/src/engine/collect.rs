@@ -6,7 +6,7 @@ use simkernel::stats::{Tally, TimeWeighted};
 use simkernel::time::SimTime;
 
 use crate::metrics::{
-    DeviceReport, IoSchedulerReport, NodeReport, RecoveryReport, ResponseTimeStats, RestartReport,
+    DeviceReport, IoSchedulerReport, NodeReport, RecoveryReport, ResponseTimeStats,
     SimulationReport, TxTypeReport,
 };
 
@@ -92,9 +92,9 @@ impl<W: WorkloadGenerator> Simulation<W> {
         self.inputq_tw.record(now, self.total_queued as f64);
     }
 
-    /// Assembles the final report at the end of the run (or at the crash,
-    /// in which case `restart` carries the redo-pass result).
-    pub(super) fn build_report(mut self, restart: Option<RestartReport>) -> SimulationReport {
+    /// Assembles the report at the end of the run or at the crash instant;
+    /// after a crash the caller adds the restart section.
+    pub(super) fn build_report(&mut self) -> SimulationReport {
         let now = self.queue.now();
         let measured = (now - self.measure_start).max(1e-9);
         self.active_tw.record(now, self.total_active as f64);
@@ -130,16 +130,10 @@ impl<W: WorkloadGenerator> Simulation<W> {
             })
             .collect();
 
-        // After a crash, the device and lock counters frozen at the crash
-        // instant are reported instead of the live ones, so the restart
-        // pass's reads and lock re-acquisitions stay out of the steady-state
-        // sections (they appear in the `RestartReport`).
-        let crash_stats = self.crash_stats.as_ref();
         let devices = self
             .units
             .iter_mut()
-            .enumerate()
-            .map(|(i, u)| {
+            .map(|u| {
                 let dstats = u.disks.stats(now);
                 let cstats = u.controllers.stats(now);
                 DeviceReport {
@@ -147,9 +141,7 @@ impl<W: WorkloadGenerator> Simulation<W> {
                     disk_utilization: dstats.utilization,
                     controller_utilization: cstats.utilization,
                     avg_disk_wait: dstats.avg_wait,
-                    stats: crash_stats
-                        .map(|s| s.devices[i])
-                        .unwrap_or_else(|| u.device.stats()),
+                    stats: u.device.stats(),
                     scheduler: u.coalescing.as_ref().map(|c| IoSchedulerReport {
                         coalesced: c.coalesced,
                     }),
@@ -192,7 +184,7 @@ impl<W: WorkloadGenerator> Simulation<W> {
             redo_log_records: rec.records_appended,
             log_records_truncated: rec.records_truncated,
             records_per_log_page: rec.redo.records_per_page(),
-            restart,
+            restart: None,
         });
 
         // Each optional section is `Some` exactly when its mechanism ran:
@@ -216,16 +208,8 @@ impl<W: WorkloadGenerator> Simulation<W> {
             avg_active_transactions: self.active_tw.mean().unwrap_or(0.0),
             avg_input_queue: self.inputq_tw.mean().unwrap_or(0.0),
             buffer,
-            locks: self
-                .crash_stats
-                .as_ref()
-                .map(|s| s.locks)
-                .unwrap_or_else(|| self.lockmgr.stats()),
-            global_locks: self
-                .crash_stats
-                .as_ref()
-                .map(|s| s.global_locks)
-                .unwrap_or_else(|| self.lockmgr.global_stats()),
+            locks: self.lockmgr.stats(),
+            global_locks: self.lockmgr.global_stats(),
             recovery,
             coherence,
             shipping,

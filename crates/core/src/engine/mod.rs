@@ -95,13 +95,13 @@ use std::time::Instant;
 
 use bufmgr::BufferManager;
 use dbmodel::{PageId, PartitionMap, PartitionScheme, WorkloadGenerator};
-use lockmgr::{GlobalLockService, GlobalLockStats, LockManagerStats};
+use lockmgr::GlobalLockService;
 use simkernel::dist::PiecewiseRate;
 use simkernel::sketch::QuantileSketch;
 use simkernel::stats::{Tally, TimeWeighted};
 use simkernel::time::{interarrival_ms, SimTime};
 use simkernel::{EventQueue, IdMap, Resource, SimRng};
-use storage::{DiskUnitStats, StorageDevice};
+use storage::StorageDevice;
 
 use crate::config::{Architecture, SimulationConfig};
 use crate::metrics::{CoherenceReport, KernelProfile, ShippingReport, SimulationReport};
@@ -173,17 +173,6 @@ struct ReadCoalescing {
     in_flight: Vec<(PageId, u32)>,
     /// Reads that joined an in-flight read since the warm-up reset.
     coalesced: u64,
-}
-
-/// Device and lock statistics frozen at the crash instant.  The restart
-/// pass drives the device models and the lock service directly, so without
-/// the snapshot its reads and lock re-acquisitions would leak into the
-/// steady-state sections of the report (they are reported separately in
-/// [`crate::metrics::RestartReport`]).
-struct CrashStatsSnapshot {
-    devices: Vec<DiskUnitStats>,
-    locks: LockManagerStats,
-    global_locks: GlobalLockStats,
 }
 
 /// Runtime state of one computing module (node): its CPU servers, local
@@ -327,7 +316,6 @@ pub struct Simulation<W: WorkloadGenerator> {
     recovery: Option<RecoveryRuntime>,
     crash_at: Option<SimTime>,
     crashed: bool,
-    crash_stats: Option<CrashStatsSnapshot>,
 
     // Aggregate statistics (sums over all nodes, kept incrementally so the
     // single-node report is identical to the per-node one).
@@ -463,7 +451,6 @@ impl<W: WorkloadGenerator> Simulation<W> {
             recovery,
             crash_at: None,
             crashed: false,
-            crash_stats: None,
             response: Tally::new(),
             response_sketch: QuantileSketch::default(),
             per_type: Vec::new(),
@@ -545,12 +532,18 @@ impl<W: WorkloadGenerator> Simulation<W> {
         self.run_event_loop();
         let events = self.queue.popped_total();
         let (fanout_commits, fanout_ns) = (self.fanout_commits, self.fanout_ns);
-        let restart = if self.crashed {
-            Some(self.perform_restart())
-        } else {
-            None
-        };
-        let report = self.build_report(restart);
+        // Read the report at the crash instant: the restart pass then drives
+        // the device models and the lock service, and its reads and lock
+        // re-acquisitions belong to the restart section alone.
+        let mut report = self.build_report();
+        if self.crashed {
+            let restart = self.perform_restart();
+            report
+                .recovery
+                .as_mut()
+                .expect("a crash runs with recovery state")
+                .restart = Some(restart);
+        }
         let wall_ms = wall_start.elapsed().as_secs_f64() * 1e3;
         let profile =
             KernelProfile::new(events, wall_ms).with_commit_fanout(fanout_commits, fanout_ns);

@@ -126,15 +126,6 @@ impl<W: WorkloadGenerator> Simulation<W> {
         let io_cpu = instr_time(cm.instr_io, cm.mips);
         let apply_cpu = instr_time(cm.instr_or, cm.mips);
 
-        // Freeze the steady-state device and lock statistics before the redo
-        // pass drives the same models: the report's measurement-interval
-        // sections must not include restart work.
-        self.crash_stats = Some(super::CrashStatsSnapshot {
-            devices: self.units.iter().map(|u| u.device.stats()).collect(),
-            locks: self.lockmgr.stats(),
-            global_locks: self.lockmgr.global_stats(),
-        });
-
         // Every lock held by an in-flight transaction dies with the system.
         let locks_released_at_crash = self.lockmgr.crash_reset();
 

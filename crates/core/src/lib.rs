@@ -6,8 +6,9 @@
 //!
 //! TPSIM models a centralized transaction system (Fig. 3.1 of the paper):
 //!
-//! * a **SOURCE** generating the workload (Debit-Credit, general synthetic
-//!   loads, or database-trace replays — see the [`dbmodel`] crate),
+//! * a **SOURCE** generating the workload (Debit-Credit, the synthetic
+//!   lock-contention load of §4.7, or database-trace replays — see the
+//!   [`dbmodel`] crate),
 //! * a **computing module (CM)** with a transaction manager, CPU servers, a
 //!   concurrency-control component (strict two-phase locking, [`lockmgr`]),
 //!   and a DBMS buffer manager ([`bufmgr`]), and

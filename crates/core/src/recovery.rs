@@ -59,7 +59,6 @@ pub struct RedoRecord {
 pub struct RedoLog {
     records: VecDeque<RedoRecord>,
     next_lsn: Lsn,
-    truncated_records: u64,
     records_per_page: u64,
 }
 
@@ -70,7 +69,6 @@ impl RedoLog {
         Self {
             records: VecDeque::new(),
             next_lsn: 1,
-            truncated_records: 0,
             records_per_page: per_page as u64,
         }
     }
@@ -107,11 +105,6 @@ impl RedoLog {
         self.records.is_empty()
     }
 
-    /// Records dropped by checkpoint truncation so far.
-    pub fn truncated_records(&self) -> u64 {
-        self.truncated_records
-    }
-
     /// Drops every record with an LSN below `lsn` (checkpoint truncation);
     /// returns how many records were dropped.
     pub fn truncate_before(&mut self, lsn: Lsn) -> u64 {
@@ -120,7 +113,6 @@ impl RedoLog {
             self.records.pop_front();
             dropped += 1;
         }
-        self.truncated_records += dropped;
         dropped
     }
 
@@ -213,7 +205,6 @@ mod tests {
         }
         assert_eq!(log.truncate_before(5), 4); // LSNs 1..=4
         assert_eq!(log.len(), 6);
-        assert_eq!(log.truncated_records(), 4);
         // Truncating again at the same boundary is a no-op.
         assert_eq!(log.truncate_before(5), 0);
         // Records since the boundary are exactly the retained tail.
@@ -221,6 +212,9 @@ mod tests {
         assert_eq!(lsns, vec![5, 6, 7, 8, 9, 10]);
         // A later boundary filters within the retained records too.
         assert_eq!(log.records_since(9).count(), 2);
+        // A later truncation counts only the records below its boundary.
+        assert_eq!(log.truncate_before(8), 3); // LSNs 5..=7
+        assert_eq!(log.len(), 3);
     }
 
     #[test]

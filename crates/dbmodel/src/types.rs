@@ -53,7 +53,7 @@ pub struct ObjectRef {
 /// references it will perform.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TransactionTemplate {
-    /// Transaction type (indexes per-type statistics and the reference matrix).
+    /// Transaction type (indexes the per-type statistics).
     pub tx_type: TxTypeId,
     /// Ordered object references.
     pub refs: Vec<ObjectRef>,
@@ -133,9 +133,10 @@ pub trait WorkloadGenerator {
     /// Switches the generator into Zipfian hot-spot mode (see
     /// [`crate::hotspot::HotSpotParams`]).  Called once before the run starts,
     /// and only with *active* parameters — generators that do not support
-    /// skew (e.g. trace replay, whose accesses are fixed) keep the default
-    /// no-op.  Implementations must leave their draw sequences untouched
-    /// until this is called, so runs without skew stay byte-identical.
+    /// skew (trace replay, whose accesses are fixed, and the lock-contention
+    /// workload) keep the default no-op.  Implementations must leave their
+    /// draw sequences untouched until this is called, so runs without skew
+    /// stay byte-identical.
     fn apply_hot_spot(&mut self, params: crate::hotspot::HotSpotParams) {
         let _ = params;
     }

@@ -1,66 +1,11 @@
 //! Reusable probability distributions.
 //!
-//! TPSIM's workload model needs three distributions beyond the exponential
-//! and uniform draws of [`SimRng`] itself: general discrete distributions
-//! (the rows of the relative reference matrix), Zipf popularity (trace files
-//! and hot spots) and piecewise-constant arrival rates (shaped workloads).
+//! TPSIM's workload model needs two distributions beyond the exponential
+//! and uniform draws of [`SimRng`] itself: Zipf popularity (trace files and
+//! hot spots) and piecewise-constant arrival rates (shaped workloads).
 //! Everything samples from a [`SimRng`] so runs remain deterministic.
 
 use crate::rng::SimRng;
-
-/// A discrete distribution over `0..n` built from arbitrary non-negative
-/// weights, sampled by binary search over the cumulative weights.
-///
-/// Used for the relative reference matrix rows, where the same distribution
-/// is sampled millions of times.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DiscreteDist {
-    cumulative: Vec<f64>,
-    total: f64,
-}
-
-impl DiscreteDist {
-    /// Builds the distribution.  Returns `None` if every weight is zero or the
-    /// slice is empty.
-    pub fn new(weights: &[f64]) -> Option<Self> {
-        if weights.is_empty() {
-            return None;
-        }
-        let mut cumulative = Vec::with_capacity(weights.len());
-        let mut total = 0.0;
-        for &w in weights {
-            let w = if w.is_finite() && w > 0.0 { w } else { 0.0 };
-            total += w;
-            cumulative.push(total);
-        }
-        if total <= 0.0 {
-            return None;
-        }
-        Some(Self { cumulative, total })
-    }
-
-    /// Number of categories.
-    pub fn len(&self) -> usize {
-        self.cumulative.len()
-    }
-
-    /// True if there are no categories (never constructed; kept for API symmetry).
-    pub fn is_empty(&self) -> bool {
-        self.cumulative.is_empty()
-    }
-
-    /// Samples a category index.
-    pub fn sample(&self, rng: &mut SimRng) -> usize {
-        let x = rng.unit() * self.total;
-        // Binary search for the first cumulative weight > x.  total_cmp is
-        // identical to partial_cmp on the finite weights stored here, but
-        // cannot silently collapse the ordering if a NaN ever slips in.
-        match self.cumulative.binary_search_by(|c| c.total_cmp(&x)) {
-            Ok(i) => (i + 1).min(self.cumulative.len() - 1),
-            Err(i) => i.min(self.cumulative.len() - 1),
-        }
-    }
-}
 
 /// Zipf-like distribution over `0..n` with skew parameter `theta` in `[0, 1)`.
 ///
@@ -282,25 +227,6 @@ impl PiecewiseRate {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn discrete_dist_matches_weights() {
-        let d = DiscreteDist::new(&[1.0, 3.0, 6.0]).unwrap();
-        assert_eq!(d.len(), 3);
-        let mut rng = SimRng::seed_from(77);
-        let mut counts = [0usize; 3];
-        for _ in 0..100_000 {
-            counts[d.sample(&mut rng)] += 1;
-        }
-        let f2 = counts[2] as f64 / 100_000.0;
-        assert!((f2 - 0.6).abs() < 0.01, "f2 {f2}");
-    }
-
-    #[test]
-    fn discrete_dist_rejects_degenerate_input() {
-        assert!(DiscreteDist::new(&[]).is_none());
-        assert!(DiscreteDist::new(&[0.0, 0.0]).is_none());
-    }
 
     #[test]
     fn zipf_is_skewed_toward_small_indices() {

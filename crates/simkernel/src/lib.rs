@@ -11,7 +11,7 @@
 //! * FCFS multi-server [`resource::Resource`] stations with utilization and
 //!   queue-length statistics,
 //! * random sampling: exponential and uniform draws on a seedable PRNG
-//!   ([`rng::SimRng`]) and the discrete, Zipf and piecewise-rate [`dist`]
+//!   ([`rng::SimRng`]) and the Zipf and piecewise-rate [`dist`]
 //!   distributions built on it, and
 //! * [`stats`] accumulators (tally and time-weighted) with warm-up support,
 //! * a deterministic, constant-memory quantile [`sketch`] for response-time

@@ -122,27 +122,6 @@ impl SimRng {
         debug_assert!(mean > 0.0);
         -mean * self.unit().ln()
     }
-
-    /// Samples an index from a discrete distribution given by `weights`.
-    ///
-    /// Weights need not be normalized.  Returns 0 if all weights are zero.
-    pub fn weighted_index(&mut self, weights: &[f64]) -> usize {
-        let total: f64 = weights.iter().copied().filter(|w| *w > 0.0).sum();
-        if total <= 0.0 {
-            return 0;
-        }
-        let mut x = self.unit() * total;
-        for (i, w) in weights.iter().enumerate() {
-            if *w <= 0.0 {
-                continue;
-            }
-            if x < *w {
-                return i;
-            }
-            x -= *w;
-        }
-        weights.len() - 1
-    }
 }
 
 /// Final mixing function of splitmix64.
@@ -207,25 +186,6 @@ mod tests {
         let mut rng = SimRng::seed_from(3);
         assert!(!rng.chance(0.0));
         assert!(rng.chance(1.0));
-    }
-
-    #[test]
-    fn weighted_index_respects_weights() {
-        let mut rng = SimRng::seed_from(9);
-        let weights = [0.0, 0.8, 0.2];
-        let mut counts = [0usize; 3];
-        for _ in 0..50_000 {
-            counts[rng.weighted_index(&weights)] += 1;
-        }
-        assert_eq!(counts[0], 0);
-        let frac1 = counts[1] as f64 / 50_000.0;
-        assert!((frac1 - 0.8).abs() < 0.02, "frac1 {frac1}");
-    }
-
-    #[test]
-    fn weighted_index_all_zero_returns_zero() {
-        let mut rng = SimRng::seed_from(9);
-        assert_eq!(rng.weighted_index(&[0.0, 0.0]), 0);
     }
 
     #[test]
