@@ -56,6 +56,7 @@ const JUSTIFIED_SITES: &[(&str, &str, &str)] = &[
         "Instant::now",
     ),
     ("crates/bufmgr/src/dirty.rs", "hash-iter", "entries"),
+    ("crates/bufmgr/src/dirty.rs", "hash-iter", "entries"),
     (
         "crates/core/src/engine/coherence.rs",
         "wall-clock",

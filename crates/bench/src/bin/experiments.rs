@@ -151,19 +151,10 @@ fn run_profile_mode(profile_out: Option<String>, baseline_path: Option<String>) 
             p.id, p.events, p.wall_ms, p.events_per_sec, p.fanout_us_per_commit
         );
     }
-    if fresh.iter().any(|p| p.sched.is_some()) {
-        println!();
-        println!("# read coalescing (simulated, summed over devices)");
-        println!("{:<26} {:>12}", "point", "coalesced");
-        for p in &fresh {
-            let Some(s) = &p.sched else { continue };
-            println!("{:<26} {:>12}", p.id, s.coalesced);
-        }
-    }
     if let Some(out) = profile_out {
         // A fresh emission carries no history; the committed BENCH_kernel.json
-        // keeps its hand-curated history section across PRs.
-        std::fs::write(&out, render_bench_json(&fresh, &[])).unwrap_or_else(|e| {
+        // keeps its hand-curated history section.
+        std::fs::write(&out, render_bench_json(&fresh)).unwrap_or_else(|e| {
             eprintln!("cannot write {out}: {e}");
             std::process::exit(2);
         });

@@ -9,9 +9,9 @@
 //! re-measures the suite and fails when events/sec drops more than the
 //! configured tolerance below the committed numbers, or when a point's
 //! event count differs from the committed one at all (the simulation is
-//! deterministic, so a different count means different behaviour), and
-//! each PR that moves the numbers appends its before/after to the
-//! `history` section.
+//! deterministic, so a different count means different behaviour).  The
+//! committed file also carries a hand-curated `history` section of earlier
+//! snapshots, which the gate ignores and a fresh emission does not write.
 //!
 //! The JSON is written *and* parsed by this module (the workspace has no
 //! serde); the parser only understands the flat shape emitted here, which is
@@ -36,30 +36,6 @@ pub struct ProfilePoint {
     /// Wall-clock microseconds per commit-time coherence fan-out (0 when the
     /// run had no such fan-outs, e.g. single-node points).
     pub fanout_us_per_commit: f64,
-    /// Read-coalescing counters of the simulated run, summed over the
-    /// devices (`None` when the point runs without coalescing).  Simulated
-    /// results, not wall-clock: byte-identical across reps.
-    pub sched: Option<SchedulerProfile>,
-}
-
-/// Read-coalescing counters of one profile point, summed over the point's
-/// devices.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SchedulerProfile {
-    /// Reads that joined an in-flight read of the same page.
-    pub coalesced: u64,
-}
-
-/// Sums the per-device coalescing sections of a report into one
-/// [`SchedulerProfile`]; `None` when no device coalesced.
-fn scheduler_profile(report: &tpsim::SimulationReport) -> Option<SchedulerProfile> {
-    report
-        .devices
-        .iter()
-        .filter_map(|d| d.scheduler)
-        .map(|s| s.coalesced)
-        .reduce(|a, b| a + b)
-        .map(|coalesced| SchedulerProfile { coalesced })
 }
 
 /// The fixed configurations of the profile suite, as `(id, config, family)`.
@@ -113,14 +89,13 @@ pub fn kernel_profile_suite(reps: usize) -> Vec<ProfilePoint> {
             config.seed = runner::derive_run_seed(config.seed, 0);
             let mut best: Option<ProfilePoint> = None;
             for _ in 0..reps {
-                let (report, p) = runner::run_point_profiled(&settings, config.clone(), family);
+                let (_, p) = runner::run_point_profiled(&settings, config.clone(), family);
                 let candidate = ProfilePoint {
                     id: id.clone(),
                     events: p.events,
                     wall_ms: p.wall_ms,
                     events_per_sec: p.events_per_sec,
                     fanout_us_per_commit: p.fanout_us_per_commit(),
-                    sched: scheduler_profile(&report),
                 };
                 let better = best
                     .as_ref()
@@ -134,36 +109,8 @@ pub fn kernel_profile_suite(reps: usize) -> Vec<ProfilePoint> {
         .collect()
 }
 
-/// One labelled snapshot in the `history` section.
-#[derive(Debug, Clone)]
-pub struct HistoryEntry {
-    /// Snapshot label (e.g. `PR4-pre: binary heap + hashmap engine`).
-    pub label: String,
-    /// The snapshot's measured points.
-    pub points: Vec<ProfilePoint>,
-}
-
-fn render_points(out: &mut String, points: &[ProfilePoint], indent: &str) {
-    for (i, p) in points.iter().enumerate() {
-        let comma = if i + 1 < points.len() { "," } else { "" };
-        // The coalescing counter rides along only on coalescing points; the
-        // baseline parser extracts keys by name and ignores it.
-        let sched = match &p.sched {
-            Some(s) => format!(", \"sched_coalesced\": {}", s.coalesced),
-            None => String::new(),
-        };
-        let _ = writeln!(
-            out,
-            "{indent}{{\"id\": \"{}\", \"events\": {}, \"wall_ms\": {:.3}, \
-             \"events_per_sec\": {:.0}, \"fanout_us_per_commit\": {:.3}{sched}}}{comma}",
-            p.id, p.events, p.wall_ms, p.events_per_sec, p.fanout_us_per_commit
-        );
-    }
-}
-
-/// Renders `BENCH_kernel.json`: the current baseline points and the
-/// historical snapshots.
-pub fn render_bench_json(points: &[ProfilePoint], history: &[HistoryEntry]) -> String {
+/// Renders `BENCH_kernel.json`'s baseline points.
+pub fn render_bench_json(points: &[ProfilePoint]) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"schema\": 1,\n");
@@ -172,14 +119,14 @@ pub fn render_bench_json(points: &[ProfilePoint], history: &[HistoryEntry]) -> S
          (regenerate: cargo run --release -p tpsim-bench --bin experiments -- --profile)\",\n",
     );
     out.push_str("  \"points\": [\n");
-    render_points(&mut out, points, "    ");
-    out.push_str("  ],\n");
-    out.push_str("  \"history\": [\n");
-    for (i, h) in history.iter().enumerate() {
-        let comma = if i + 1 < history.len() { "," } else { "" };
-        let _ = writeln!(out, "    {{\"label\": \"{}\", \"points\": [", h.label);
-        render_points(&mut out, &h.points, "      ");
-        let _ = writeln!(out, "    ]}}{comma}");
+    for (i, p) in points.iter().enumerate() {
+        let comma = if i + 1 < points.len() { "," } else { "" };
+        let _ = writeln!(
+            out,
+            "    {{\"id\": \"{}\", \"events\": {}, \"wall_ms\": {:.3}, \
+             \"events_per_sec\": {:.0}, \"fanout_us_per_commit\": {:.3}}}{comma}",
+            p.id, p.events, p.wall_ms, p.events_per_sec, p.fanout_us_per_commit
+        );
     }
     out.push_str("  ]\n");
     out.push_str("}\n");
@@ -198,8 +145,9 @@ pub struct BaselinePoint {
 }
 
 /// Parses the *top-level* `points` array of a `BENCH_kernel.json` produced by
-/// [`render_bench_json`].  History entries are ignored.  Returns an error for
-/// files this module did not write.
+/// [`render_bench_json`].  Extra keys and a hand-curated `history` section
+/// after the points are ignored.  Returns an error for files this module did
+/// not write.
 pub fn parse_baseline(json: &str) -> Result<Vec<BaselinePoint>, String> {
     let start = json
         .find("\"points\": [")
@@ -313,7 +261,6 @@ mod tests {
                 wall_ms: 50.0,
                 events_per_sec: 20_000_000.0,
                 fanout_us_per_commit: 1.25,
-                sched: Some(SchedulerProfile { coalesced: 10 }),
             },
             ProfilePoint {
                 id: "quickstart/disk".to_string(),
@@ -321,40 +268,49 @@ mod tests {
                 wall_ms: 10.5,
                 events_per_sec: 11_757_714.0,
                 fanout_us_per_commit: 0.0,
-                sched: None,
             },
         ]
     }
 
     #[test]
     fn json_roundtrips_through_the_parser() {
-        let history = vec![HistoryEntry {
-            label: "PR4-pre".to_string(),
-            points: vec![ProfilePoint {
-                id: "fig5.x/8-nodes".to_string(),
-                events: 1_000_000,
-                wall_ms: 100.0,
-                events_per_sec: 10_000_000.0,
-                fanout_us_per_commit: 2.5,
-                sched: None,
-            }],
-        }];
-        let json = render_bench_json(&sample_points(), &history);
+        let json = render_bench_json(&sample_points());
         assert!(!json.contains("\"scaling\""));
         // The fan-out column rides along in every point; the baseline parser
         // must keep working with (and ignoring) it.
         assert!(json.contains("\"fanout_us_per_commit\": 1.250"));
-        // The coalescing counter appears only on coalescing points; the
-        // parser must likewise ignore it.
-        assert!(json.contains("\"sched_coalesced\": 10"));
         let parsed = parse_baseline(&json).expect("parse own output");
-        // Only the top-level points, not the history snapshot.
         assert_eq!(parsed.len(), 2);
         assert_eq!(parsed[0].id, "fig5.x/8-nodes");
         assert_eq!(parsed[0].events, 1_000_000);
         assert!((parsed[0].events_per_sec - 20_000_000.0).abs() < 1.0);
         assert_eq!(parsed[1].id, "quickstart/disk");
         assert_eq!(parsed[1].events, 123_456);
+    }
+
+    #[test]
+    fn parser_ignores_extra_keys_and_the_history_section() {
+        let json = r#"{
+  "schema": 1,
+  "points": [
+    {"id": "fig11.x/8-nodes-sched", "events": 130071, "wall_ms": 76.633, "events_per_sec": 1697313, "fanout_us_per_commit": 1.052, "sched_coalesced": 482}
+  ],
+  "history": [
+    {"label": "an earlier snapshot", "points": [
+      {"id": "fig5.x/1-nodes", "events": 23358, "wall_ms": 3.977, "events_per_sec": 5873271}
+    ]}
+  ]
+}
+"#;
+        let parsed = parse_baseline(json).expect("parse a curated baseline");
+        assert_eq!(
+            parsed,
+            vec![BaselinePoint {
+                id: "fig11.x/8-nodes-sched".to_string(),
+                events: 130_071,
+                events_per_sec: 1_697_313.0,
+            }]
+        );
     }
 
     fn baseline(id: &str, events: u64, events_per_sec: f64) -> Vec<BaselinePoint> {

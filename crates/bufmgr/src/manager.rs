@@ -123,12 +123,14 @@ impl BufferManager {
     /// (even one with an in-flight write, which invalidation spares but
     /// still constitutes a held copy).  For any page, a pool with
     /// `!holds_page(page)` experiences `invalidate_page(page)` as a complete
-    /// no-op, so skipping it cannot change simulation state.  The engine's
-    /// page → holders index keeps a node's bit exactly while this is true:
-    /// it clears the bit when this turns false after an eviction the pool
-    /// reports ([`FetchOutcome::evicted`], [`ForceOutcome::evicted`]) or
-    /// after an invalidation, and debug builds assert it at every commit
-    /// fan-out.
+    /// no-op, so skipping it cannot change simulation state.  Under
+    /// broadcast invalidation the engine's page → holders index keeps a
+    /// node's bit exactly while this is true: it clears the bit when this
+    /// turns false after an eviction the pool reports
+    /// ([`FetchOutcome::evicted`], [`ForceOutcome::evicted`]) or after an
+    /// invalidation, and debug builds assert it at every commit fan-out.
+    /// Under on-request validation a commit also clears the other nodes'
+    /// bits, so a held page without its bit is a stale copy.
     pub fn holds_page(&self, page: PageId) -> bool {
         self.mm.contains(&page) || self.nvem_contains(page)
     }
@@ -159,8 +161,14 @@ impl BufferManager {
             PageLocation::MainMemoryResident => true,
             _ => self.mm.peek(&page).map(|f| f.dirty).unwrap_or(false),
         };
+        // Every propagation clears the page's entry, so a tracked page is
+        // still volatile and its update count covers every later commit.
+        debug_assert!(
+            volatile || !self.dirty_table.contains(page),
+            "page {page:?} reached non-volatile storage but kept its dirty-page table entry"
+        );
         if volatile {
-            self.dirty_table.note_committed_update(page, lsn);
+            self.dirty_table.note_committed_update(partition, page, lsn);
         }
     }
 

@@ -148,23 +148,13 @@ pub(crate) struct TxArena {
 impl TxArena {
     /// The live transaction in `slot`, or `None` for freed/unknown slots
     /// (late events referencing a completed transaction).
-    #[cfg(test)]
+    #[inline]
     pub fn get(&self, slot: usize) -> Option<&Transaction> {
         self.live
             .get(slot)
             .copied()
             .unwrap_or(false)
             .then(|| &self.slots[slot])
-    }
-
-    /// Mutable access to the live transaction in `slot`, or `None`.
-    #[inline]
-    pub fn get_mut(&mut self, slot: usize) -> Option<&mut Transaction> {
-        if self.live.get(slot).copied().unwrap_or(false) {
-            Some(&mut self.slots[slot])
-        } else {
-            None
-        }
     }
 
     /// The live transaction in `slot`.

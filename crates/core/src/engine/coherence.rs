@@ -22,13 +22,16 @@
 //!   outside the mask, proving the index path equivalent to the broadcast
 //!   it replaced.
 //!
-//! * **On-request validation**: commit only bumps a global per-page version
-//!   number (no messages to other nodes); each node stamps its buffered
-//!   copy with the version it fetched.  A reference that finds its copy's
-//!   stamp behind the global version discards the copy, pays a validation
-//!   message round trip, and re-fetches — turning the stale hit into a miss.
-//!   A fresh hit costs nothing extra (the check piggybacks on the lock
-//!   request's message).
+//! * **On-request validation**: commit sends no messages; it only drops
+//!   the other nodes from each written page's holder mask, leaving their
+//!   copies buffered.  Under this protocol a bit therefore marks a
+//!   *current* copy: a copy is stale exactly when its node holds the page
+//!   but its bit is unset, i.e. another node committed the page since this
+//!   node's last reference or own commit.  A reference that finds its
+//!   node's copy stale discards the copy, pays a validation message round
+//!   trip, and re-fetches — turning the stale hit into a miss.  A fresh hit
+//!   costs nothing extra (the check piggybacks on the lock request's
+//!   message).  The re-fetch sets the bit again.
 //!
 //! Crash recovery runs on one node only, so no dirty-page-table entry ever
 //! meets a coherence protocol: neither protocol touches the tables.
@@ -59,9 +62,10 @@ impl<W: WorkloadGenerator> Simulation<W> {
     }
 
     /// Registers `node` as a holder of `page` (called while coherence is
-    /// active, whenever the node's pool starts holding the page).  Node
-    /// counts are capped at 64 by config validation, so one `u64` bitmask
-    /// per page suffices.
+    /// active, at every reference that leaves the page in the node's pool;
+    /// under on-request validation this marks the node's copy current).
+    /// Node counts are capped at 64 by config validation, so one `u64`
+    /// bitmask per page suffices.
     pub(super) fn note_holder(&mut self, node: usize, page: PageId) {
         *self.holders.entry(page).or_insert(0) |= 1u64 << node;
     }
@@ -88,7 +92,7 @@ impl<W: WorkloadGenerator> Simulation<W> {
 
     /// Commit-time coherence fan-out for the update transaction committing
     /// on `node` with template `template`: invalidates the written pages'
-    /// holders (broadcast protocol) or bumps their global versions
+    /// holders (broadcast protocol) or drops them from the holder masks
     /// (on-request validation).  No-op on single-node and shared-nothing
     /// runs.  The wall-clock time spent here feeds the kernel profile's
     /// commit-fan-out accounting.
@@ -109,13 +113,15 @@ impl<W: WorkloadGenerator> Simulation<W> {
             CoherenceProtocol::OnRequestValidate => {
                 for idx in 0..num_written {
                     let (_, page) = self.templates.entry(template).written_pages[idx];
-                    let version = self.page_versions.entry(page).or_insert(0);
-                    *version += 1;
-                    let version = *version;
-                    // The committer's own copy is the new version; the other
-                    // holders' copies stay until validate_reference catches
-                    // them.
-                    self.node_versions[node].insert(page, version);
+                    // The committer's own copy is the new version, even if
+                    // another node's commit left it stale since its
+                    // reference; the other holders' copies stay buffered
+                    // until validate_reference catches them.
+                    if self.nodes[node].bufmgr.holds_page(page) {
+                        self.holders.insert(page, 1u64 << node);
+                    } else {
+                        self.holders.remove(&page);
+                    }
                 }
             }
         }
@@ -171,8 +177,8 @@ impl<W: WorkloadGenerator> Simulation<W> {
 
     /// On-request validation check for a reference to `page` on `node`,
     /// *before* the buffer lookup.  When the node's buffered copy is stale
-    /// (its stamp is behind the global version), the copy is discarded —
-    /// the lookup that follows will miss and re-fetch — and the validation
+    /// (held, but its holder bit is unset), the copy is discarded — the
+    /// lookup that follows will miss and re-fetch — and the validation
     /// message round trip to charge is returned.
     pub(super) fn validate_reference(&mut self, node: usize, page: PageId) -> Option<f64> {
         if self.config.coherence.protocol != CoherenceProtocol::OnRequestValidate
@@ -180,37 +186,21 @@ impl<W: WorkloadGenerator> Simulation<W> {
         {
             return None;
         }
-        let global = self.page_versions.get(&page).copied().unwrap_or(0);
-        if global == 0 {
-            return None; // never updated by anyone: every copy is current
+        let current = self
+            .holders
+            .get(&page)
+            .is_some_and(|mask| mask & (1u64 << node) != 0);
+        if current {
+            return None; // the check piggybacks on the lock message
         }
-        let bufmgr = &self.nodes[node].bufmgr;
-        if !bufmgr.mm_contains(page) && !bufmgr.nvem_contains(page) {
+        if !self.nodes[node].bufmgr.holds_page(page) {
             return None; // no copy: a plain miss, nothing to validate
-        }
-        let stamp = self.node_versions[node].get(&page).copied().unwrap_or(0);
-        if stamp >= global {
-            return None; // current copy: the check piggybacks on the lock message
         }
         self.nodes[node].bufmgr.discard_stale_copy(page);
         let round_trip = 2.0 * self.config.coherence.transfer_msg_ms;
         self.coherence_stats.stale_validations += 1;
         self.coherence_stats.validation_delay_ms += round_trip;
         Some(round_trip)
-    }
-
-    /// Stamps `node`'s freshly fetched copy of `page` with the current
-    /// global version (on-request validation only; pages nobody ever
-    /// updated stay unstamped — absent means version 0, matching the
-    /// absent global entry).
-    pub(super) fn stamp_fetch(&mut self, node: usize, page: PageId) {
-        if self.config.coherence.protocol != CoherenceProtocol::OnRequestValidate {
-            return;
-        }
-        let global = self.page_versions.get(&page).copied().unwrap_or(0);
-        if global > 0 {
-            self.node_versions[node].insert(page, global);
-        }
     }
 
     /// Converts the page operations of a buffer miss like
@@ -265,30 +255,16 @@ impl<W: WorkloadGenerator> Simulation<W> {
     /// Picks the donor node for a direct cache-to-cache transfer of `page`
     /// to `requester`: the lowest-numbered other holder with a current copy
     /// (main-memory frame or fully destaged NVEM entry; under on-request
-    /// validation additionally stamped with the current global version).
-    /// Returns `None` when no such node exists — the miss then falls back
-    /// to its disk re-read.
+    /// validation a stale copy has no holder bit).  Returns `None` when no
+    /// such node exists — the miss then falls back to its disk re-read.
     fn direct_transfer_donor(&self, requester: usize, page: PageId) -> Option<usize> {
-        let validate = self.config.coherence.protocol == CoherenceProtocol::OnRequestValidate;
-        let global = if validate {
-            self.page_versions.get(&page).copied().unwrap_or(0)
-        } else {
-            0
-        };
         let mut pending = self.holders.get(&page).copied().unwrap_or(0) & !(1u64 << requester);
         while pending != 0 {
             let node = pending.trailing_zeros() as usize;
             pending &= pending - 1;
-            if !self.nodes[node].bufmgr.has_current_copy(page) {
-                continue;
+            if self.nodes[node].bufmgr.has_current_copy(page) {
+                return Some(node);
             }
-            if validate && global > 0 {
-                let stamp = self.node_versions[node].get(&page).copied().unwrap_or(0);
-                if stamp < global {
-                    continue;
-                }
-            }
-            return Some(node);
         }
         None
     }

@@ -183,7 +183,7 @@ impl<W: WorkloadGenerator> Simulation<W> {
             checkpoint_overhead_ms: rec.checkpoint_overhead_ms,
             redo_log_records: rec.records_appended,
             log_records_truncated: rec.records_truncated,
-            records_per_log_page: rec.redo.records_per_page(),
+            records_per_log_page: rec.records_per_page,
             restart: None,
         });
 

@@ -20,7 +20,7 @@ use storage::IoKind;
 
 use crate::config::LogAllocation;
 
-use super::transaction::{MicroOp, TxState};
+use super::transaction::MicroOp;
 use super::{Ev, Flow, Simulation};
 
 impl<W: WorkloadGenerator> Simulation<W> {
@@ -118,7 +118,6 @@ impl<W: WorkloadGenerator> Simulation<W> {
     /// Adds the committing transaction in `slot` to the open group-commit
     /// batch for the log device `unit`, flushing the batch when it is full.
     pub(super) fn join_commit_group(&mut self, slot: usize, unit: usize) -> Flow {
-        self.txs.tx_mut(slot).state = TxState::WaitingIo;
         self.commit_group.push(slot);
         self.commit_group_unit = unit;
         if self.commit_group.len() >= self.config.cm.group_commit_size {
@@ -160,8 +159,7 @@ impl<W: WorkloadGenerator> Simulation<W> {
 
     pub(super) fn wake_slots(&mut self, slots: &[usize]) {
         for &slot in slots {
-            if let Some(tx) = self.txs.get_mut(slot) {
-                tx.state = TxState::Ready;
+            if self.txs.is_live(slot) {
                 self.ready.push_back(slot);
             }
         }
@@ -217,8 +215,8 @@ impl<W: WorkloadGenerator> Simulation<W> {
         let is_update = entry.is_update;
         // Data sharing: a committed update invalidates stale copies of the
         // written pages in the *other* holders' buffer pools (via the
-        // page → holders index) or, under on-request validation, bumps the
-        // pages' global versions.  Stale copies are dropped without a
+        // page → holders index) or, under on-request validation, marks
+        // those copies stale.  Stale copies are dropped without a
         // write-back even when dirty (NOFORCE): the committing node holds
         // the current version and propagates it itself, so only the latest
         // owner ever writes the page.  Shared nothing needs no coherence at

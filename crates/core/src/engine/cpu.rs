@@ -11,7 +11,7 @@ use dbmodel::WorkloadGenerator;
 use simkernel::resource::Acquire;
 use simkernel::time::{instr_time, SimTime};
 
-use super::transaction::{MicroOp, TxState};
+use super::transaction::MicroOp;
 use super::{Ev, Flow, Simulation};
 
 impl<W: WorkloadGenerator> Simulation<W> {
@@ -23,17 +23,11 @@ impl<W: WorkloadGenerator> Simulation<W> {
         let node = {
             let tx = self.txs.tx_mut(slot);
             tx.pending_burst = ms;
-            tx.pending_burst_nvem = nvem;
             tx.exec_node
         };
-        match self.nodes[node].cpus.acquire(now, slot as u64) {
-            Acquire::Granted => {
-                self.txs.tx_mut(slot).state = TxState::RunningCpu;
-                self.queue.schedule_in(ms, Ev::CpuDone(slot));
-            }
-            Acquire::Queued => {
-                self.txs.tx_mut(slot).state = TxState::WaitingCpu;
-            }
+        // A queued burst starts when `handle_cpu_done` hands it the CPU.
+        if let Acquire::Granted = self.nodes[node].cpus.acquire(now, slot as u64) {
+            self.queue.schedule_in(ms, Ev::CpuDone(slot));
         }
         Flow::Blocked
     }
@@ -46,14 +40,12 @@ impl<W: WorkloadGenerator> Simulation<W> {
         // Free the CPU and hand it to the node's next queued burst, if any.
         if let Some(next) = self.nodes[node].cpus.release(now) {
             let nslot = next as usize;
-            if let Some(tx) = self.txs.get_mut(nslot) {
-                tx.state = TxState::RunningCpu;
+            if let Some(tx) = self.txs.get(nslot) {
                 let burst = tx.pending_burst;
                 self.queue.schedule_in(burst, Ev::CpuDone(nslot));
             }
         }
-        if let Some(tx) = self.txs.get_mut(slot) {
-            tx.state = TxState::Ready;
+        if self.txs.is_live(slot) {
             self.ready.push_back(slot);
         }
     }

@@ -8,7 +8,8 @@
 //!
 //! Lock requests go to the *global* lock service.  In a data-sharing run a
 //! request from a node other than the service's home node first pays a
-//! message round trip ([`MicroOp::RemoteDelay`]) before it reaches the shared
+//! message round trip ([`MicroOp::RemoteDelay`], queued between the
+//! reference's CPU burst and its lock request) before it reaches the shared
 //! lock table; on a single node every request is local and free.
 //!
 //! In a shared-nothing run the lock service is node-local (no messages);
@@ -23,7 +24,7 @@ use dbmodel::WorkloadGenerator;
 use lockmgr::{GlobalLockService, LockOutcome};
 use simkernel::time::{instr_time, SimTime};
 
-use super::transaction::{MicroOp, TxPhase, TxState};
+use super::transaction::{MicroOp, TxPhase};
 use super::{Ev, Flow, Simulation};
 
 impl<W: WorkloadGenerator> Simulation<W> {
@@ -99,11 +100,23 @@ impl<W: WorkloadGenerator> Simulation<W> {
                         tx.micro.push_back(MicroOp::RemoteCall { node: home });
                     }
                     None => {
+                        // A remote request to the global lock service pays
+                        // its message round trip first (never under the
+                        // shared-nothing local-only service).
+                        let tx = self.txs.tx(slot);
+                        let obj_ref = &self.templates.entry(tx.template).template.refs[next_ref];
+                        let round_trip = self
+                            .lockmgr
+                            .remote_round_trip(tx.node)
+                            .filter(|_| self.lockmgr.needs_lock(obj_ref));
                         let tx = self.txs.tx_mut(slot);
                         tx.micro.push_back(MicroOp::CpuBurst {
                             ms: or,
                             nvem: false,
                         });
+                        if let Some(ms) = round_trip {
+                            tx.micro.push_back(MicroOp::RemoteDelay { ms });
+                        }
                         tx.micro.push_back(MicroOp::Lock { ref_idx: next_ref });
                     }
                 }
@@ -172,20 +185,19 @@ impl<W: WorkloadGenerator> Simulation<W> {
         }
     }
 
-    /// Pure delay: the message round trip of a remote lock request.
+    /// Pure delay: the message round trip of a remote lock request, a
+    /// validation or a direct page transfer.
     fn op_remote_delay(&mut self, slot: usize, ms: SimTime) -> Flow {
-        self.txs.tx_mut(slot).state = TxState::WaitingMessage;
         self.queue.schedule_in(ms, Ev::MsgDone(slot));
         Flow::Blocked
     }
 
-    /// A message for the transaction in `slot` arrived — a data-sharing lock
-    /// round trip ([`Ev::MsgDone`]) or a shared-nothing function-shipping /
-    /// commit-exchange message ([`Ev::RemoteDone`]): resume the transaction
-    /// (at its already-switched execution node, for remote calls).
+    /// A message for the transaction in `slot` arrived ([`Ev::MsgDone`]) — a
+    /// data-sharing round trip or a shared-nothing function-shipping /
+    /// commit-exchange message: resume the transaction (at its
+    /// already-switched execution node, for remote calls).
     pub(super) fn handle_msg_done(&mut self, slot: usize) {
-        if let Some(tx) = self.txs.get_mut(slot) {
-            tx.state = TxState::Ready;
+        if self.txs.is_live(slot) {
             self.ready.push_back(slot);
         }
     }
@@ -194,12 +206,11 @@ impl<W: WorkloadGenerator> Simulation<W> {
     /// `node` (one one-way message).  The outbound leg (to a node other than
     /// the home node) is what counts as a *remote call*; the reply leg only
     /// adds its message.  Execution resumes at `node` when
-    /// [`Ev::RemoteDone`] delivers the message.
+    /// [`Ev::MsgDone`] delivers the message.
     fn op_remote_call(&mut self, slot: usize, node: usize) -> Flow {
         let msg = self.config.partitioning.remote_msg_ms;
         let home = {
             let tx = self.txs.tx_mut(slot);
-            tx.state = TxState::WaitingMessage;
             tx.exec_node = node;
             tx.node
         };
@@ -213,7 +224,7 @@ impl<W: WorkloadGenerator> Simulation<W> {
                 self.config.cm.mips,
             );
         }
-        self.queue.schedule_in(msg, Ev::RemoteDone(slot));
+        self.queue.schedule_in(msg, Ev::MsgDone(slot));
         Flow::Blocked
     }
 
@@ -231,8 +242,7 @@ impl<W: WorkloadGenerator> Simulation<W> {
         // 2 prepare/vote messages plus 1 commit message per participant.
         self.shipping.messages += 3 * u64::from(participants);
         self.shipping.total_message_delay_ms += round_trip;
-        self.txs.tx_mut(slot).state = TxState::WaitingMessage;
-        self.queue.schedule_in(round_trip, Ev::RemoteDone(slot));
+        self.queue.schedule_in(round_trip, Ev::MsgDone(slot));
         Flow::Blocked
     }
 
@@ -240,38 +250,15 @@ impl<W: WorkloadGenerator> Simulation<W> {
         // `node` is the node the lock request is issued from: the home node
         // under data sharing, the page's owner while a shared-nothing
         // reference executes function-shipped (the two coincide otherwise).
-        let (tx_id, home, node, obj_ref, msg_paid) = {
+        let (tx_id, home, node, obj_ref) = {
             let tx = self.txs.tx(slot);
             let entry = self.templates.entry(tx.template);
-            (
-                tx.id,
-                tx.node,
-                tx.exec_node,
-                entry.template.refs[ref_idx],
-                tx.lock_msg_paid,
-            )
+            (tx.id, tx.node, tx.exec_node, entry.template.refs[ref_idx])
         };
         // Shared nothing: a reference executing on its home node is a local
         // access (the remote split is counted by the shipping `RemoteCall`s).
         if self.partition_map.is_some() && node == home {
             self.shipping.local_refs += 1;
-        }
-        // Remote request: pay the message round trip to the global lock
-        // service first, then retry the lock operation.  (Never taken by the
-        // shared-nothing local-only service.)
-        if !msg_paid && self.lockmgr.needs_lock(&obj_ref) {
-            if let Some(round_trip) = self.lockmgr.remote_round_trip(node) {
-                let tx = self.txs.tx_mut(slot);
-                tx.lock_msg_paid = true;
-                tx.push_ops_front(&[
-                    MicroOp::RemoteDelay { ms: round_trip },
-                    MicroOp::Lock { ref_idx },
-                ]);
-                return Flow::Continue;
-            }
-        }
-        if msg_paid {
-            self.txs.tx_mut(slot).lock_msg_paid = false;
         }
         // Count the per-node remote request at the same instant the service
         // counts its side (the acquire), so the two stay consistent across a
@@ -288,9 +275,7 @@ impl<W: WorkloadGenerator> Simulation<W> {
                 Flow::Continue
             }
             LockOutcome::Blocked => {
-                let tx = self.txs.tx_mut(slot);
-                tx.pending_lock_ref = Some(ref_idx);
-                tx.state = TxState::WaitingLock;
+                self.txs.tx_mut(slot).pending_lock_ref = Some(ref_idx);
                 Flow::Blocked
             }
             LockOutcome::Deadlock => {
@@ -326,12 +311,7 @@ impl<W: WorkloadGenerator> Simulation<W> {
             let Some(&slot) = self.id_to_slot.get(id) else {
                 continue;
             };
-            let ref_idx = {
-                let tx = self.txs.tx_mut(slot);
-                tx.state = TxState::Ready;
-                tx.pending_lock_ref.take()
-            };
-            if let Some(ref_idx) = ref_idx {
+            if let Some(ref_idx) = self.txs.tx_mut(slot).pending_lock_ref.take() {
                 self.buffer_fetch(slot, ref_idx);
             }
             self.ready.push_back(slot);
@@ -408,7 +388,6 @@ impl<W: WorkloadGenerator> Simulation<W> {
                 if let Some(evicted) = outcome.evicted {
                     sim.release_holder(node, evicted);
                 }
-                sim.stamp_fetch(node, obj_ref.page);
             }
         });
     }

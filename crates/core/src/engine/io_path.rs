@@ -27,7 +27,7 @@ use simkernel::resource::Acquire;
 use storage::{IoKind, ServiceStage};
 
 use super::iorequest::HeldResource;
-use super::transaction::{MicroOp, TxState};
+use super::transaction::MicroOp;
 use super::{Ev, Flow, Simulation};
 
 impl<W: WorkloadGenerator> Simulation<W> {
@@ -139,7 +139,6 @@ impl<W: WorkloadGenerator> Simulation<W> {
                         .expect("listed reads are live")
                         .group_waiters
                         .push(slot);
-                    self.txs.tx_mut(slot).state = TxState::WaitingIo;
                     return Flow::Blocked;
                 }
             }
@@ -150,7 +149,6 @@ impl<W: WorkloadGenerator> Simulation<W> {
         let node = self.exec_node_of(slot);
         self.start_io(node, unit, kind, page, wait.then_some(slot), notify, log_wb);
         if wait {
-            self.txs.tx_mut(slot).state = TxState::WaitingIo;
             Flow::Blocked
         } else {
             Flow::Continue
@@ -292,11 +290,8 @@ impl<W: WorkloadGenerator> Simulation<W> {
             // A page is listed at most once, so the order is unobservable.
             in_flight.swap_remove(listed);
         }
-        if let Some(slot) = waiter {
-            if let Some(tx) = self.txs.get_mut(slot) {
-                tx.state = TxState::Ready;
-                self.ready.push_back(slot);
-            }
+        if let Some(slot) = waiter.filter(|&slot| self.txs.is_live(slot)) {
+            self.ready.push_back(slot);
         }
         // Wake a whole group-commit batch parked on this log write, or every
         // reader that joined this read.

@@ -21,7 +21,7 @@
 //! is instead *partitioned* over the nodes ([`dbmodel::PartitionMap`]).
 //! An object reference whose page is owned by another node is
 //! function-shipped: a `MicroOp::RemoteCall` carries execution to the owner
-//! (one-way message, `Ev::RemoteDone` delivers it), the reference's CPU
+//! (one-way message, `Ev::MsgDone` delivers it), the reference's CPU
 //! burst — plus a remote-handling surcharge — runs on the *owner's* CPUs,
 //! the lock is taken without any message (locking is purely node-local; the
 //! global lock service runs in its local-only mode), the page is fetched
@@ -38,7 +38,7 @@
 //! ids, transaction slots with carcass reuse, and a shared
 //! transaction-template table — so event dispatch and I/O completion index
 //! plain `Vec`s.  The maps that remain
-//! (`id_to_slot`, the coherence index `holders`, the version stamps, and the
+//! (`id_to_slot`, the coherence index `holders`, and the
 //! lock, buffer and cache tables below the engine) are keyed by simulator
 //! ids and hash with the fixed [`simkernel::IdMap`] hasher instead of
 //! SipHash.  The per-transaction path allocates nothing once its pools have
@@ -119,13 +119,12 @@ enum Ev {
     CpuDone(usize),
     /// The current service stage of the given I/O request finished.
     IoStage(u32),
-    /// The message round trip of the transaction in the given slot finished.
+    /// A message the transaction in the given slot waited for arrived: a
+    /// data-sharing round trip (remote lock request, validation, page
+    /// transfer) finished, or, under shared nothing, a function-shipping
+    /// message was delivered (execution resumes at the node its `RemoteCall`
+    /// shipped to) or a commit prepare round trip completed.
     MsgDone(usize),
-    /// Shared nothing: the one-way function-shipping message of the
-    /// transaction in the given slot was delivered (execution resumes at the
-    /// node its `RemoteCall` shipped to), or its commit prepare round trip
-    /// completed.
-    RemoteDone(usize),
     /// Flush the open group-commit batch with the given sequence number if it
     /// is still open (timeout path).
     GroupCommitFlush(u64),
@@ -249,14 +248,13 @@ pub struct Simulation<W: WorkloadGenerator> {
     // invalidation empties it, and a page nobody holds has no entry.
     // Commit invalidation therefore touches only actual holders instead of
     // broadcasting to every node, and the map stays as small as the pools.
-    // `page_versions` and `node_versions` carry the per-page version stamps
-    // of the on-request validation protocol (unused, and empty, under
-    // broadcast invalidation).  `coherence_stats` accumulates the report
-    // section since the warm-up reset; the fan-out counters feed the kernel
-    // profile (whole-run wall-clock accounting, never reset).
+    // An on-request-validation commit instead clears the other nodes' bits
+    // and leaves their copies buffered, so under that protocol a bit marks
+    // a *current* copy and a held copy without one is stale.
+    // `coherence_stats` accumulates the report section since the warm-up
+    // reset; the fan-out counters feed the kernel profile (whole-run
+    // wall-clock accounting, never reset).
     holders: IdMap<PageId, u64>,
-    page_versions: IdMap<PageId, u64>,
-    node_versions: Vec<IdMap<PageId, u64>>,
     coherence_stats: CoherenceReport,
     fanout_commits: u64,
     fanout_ns: u64,
@@ -423,8 +421,6 @@ impl<W: WorkloadGenerator> Simulation<W> {
             partition_map,
             shipping,
             holders: IdMap::default(),
-            page_versions: IdMap::default(),
-            node_versions: vec![IdMap::default(); config.nodes.num_nodes],
             coherence_stats: CoherenceReport::empty(),
             fanout_commits: 0,
             fanout_ns: 0,
@@ -604,10 +600,7 @@ impl<W: WorkloadGenerator> Simulation<W> {
                 Ev::Arrival => self.handle_arrival(),
                 Ev::CpuDone(slot) => self.handle_cpu_done(slot),
                 Ev::IoStage(io_id) => self.handle_io_stage(io_id),
-                // Both message kinds resume the parked transaction the same
-                // way; a remote call's execution node was already switched
-                // when the message was scheduled.
-                Ev::MsgDone(slot) | Ev::RemoteDone(slot) => self.handle_msg_done(slot),
+                Ev::MsgDone(slot) => self.handle_msg_done(slot),
                 Ev::GroupCommitFlush(seq) => self.handle_group_commit_flush(seq),
                 Ev::Checkpoint => self.handle_checkpoint(),
             }

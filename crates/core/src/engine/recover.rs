@@ -2,8 +2,8 @@
 //! bookkeeping at commit, fuzzy checkpoints, and the simulated
 //! crash-and-restart pass.
 //!
-//! The pure data structures (redo log, LSNs, checkpoint accounting) live in
-//! [`crate::recovery`]; the dirty-page table lives with the buffer manager
+//! The pure bookkeeping (LSNs, redo boundary, checkpoint accounting) lives
+//! in [`crate::recovery`]; the dirty-page table lives with the buffer manager
 //! ([`bufmgr::DirtyPageTable`]).  Everything here is inert unless the
 //! recovery subsystem is active (checkpointing enabled via
 //! [`crate::SimulationConfig::checkpoint_interval_ms`], and/or a crash
@@ -21,7 +21,7 @@
 //!    checkpoint's redo boundary) against the configured log device, or at
 //!    NVEM speed when the log is NVEM-resident ([`LogAllocation::Nvem`]),
 //! 2. a redo-apply CPU burst per record whose update was actually lost
-//!    (present in the dirty-page table at the crash), and
+//!    (counted by the page's dirty-page-table entry at the crash), and
 //! 3. one read of each lost page from its home location — through the same
 //!    [`storage::StorageDevice`] models the steady-state run uses, with the
 //!    reads prefetched in parallel across each unit's disk servers (the scan
@@ -39,7 +39,6 @@ use bufmgr::PageLocation;
 
 use crate::config::LogAllocation;
 use crate::metrics::RestartReport;
-use crate::recovery::RedoRecord;
 
 use super::{Ev, Simulation};
 
@@ -47,9 +46,9 @@ use super::{Ev, Simulation};
 const RESTART_TX: u64 = 0;
 
 impl<W: WorkloadGenerator> Simulation<W> {
-    /// Appends one redo record per page written by the committing
-    /// transaction in `slot` and registers the pages in the dirty-page
-    /// table.  No-op while the recovery subsystem is inactive.
+    /// Gives each page written by the committing transaction in `slot` the
+    /// LSN of its redo record and registers it in the dirty-page table.
+    /// No-op while the recovery subsystem is inactive.
     ///
     /// Called at commit completion, when the commit log record is durable —
     /// a crash never replays a transaction whose log write was still in
@@ -64,16 +63,15 @@ impl<W: WorkloadGenerator> Simulation<W> {
         let template = self.txs.tx(slot).template;
         let rec = self.recovery.as_mut().expect("recovery runtime");
         for &(partition, page) in &self.templates.entry(template).written_pages {
-            let lsn = rec.redo.append(partition, page);
+            let lsn = rec.append();
             self.nodes[0]
                 .bufmgr
                 .note_committed_update(partition, page, lsn);
-            rec.records_appended += 1;
         }
     }
 
     /// Takes a fuzzy checkpoint: advances the redo boundary to the oldest
-    /// committed-but-unpropagated update, truncates the redo log before it
+    /// committed-but-unpropagated update, truncating the log before it,
     /// and writes one checkpoint record to the log allocation (contending
     /// with commit log writes).  Dirty pages are *not* flushed.
     pub(super) fn handle_checkpoint(&mut self) {
@@ -83,9 +81,7 @@ impl<W: WorkloadGenerator> Simulation<W> {
             let Some(rec) = self.recovery.as_mut() else {
                 return;
             };
-            let redo_start = min_rec_lsn.unwrap_or_else(|| rec.redo.next_lsn());
-            rec.redo_start_lsn = redo_start;
-            rec.records_truncated += rec.redo.truncate_before(redo_start);
+            rec.advance_redo_start(min_rec_lsn.unwrap_or(rec.next_lsn));
             rec.checkpoints_taken += 1;
         }
         // The checkpoint record itself: a synchronous NVEM store for
@@ -129,23 +125,23 @@ impl<W: WorkloadGenerator> Simulation<W> {
         // Every lock held by an in-flight transaction dies with the system.
         let locks_released_at_crash = self.lockmgr.crash_reset();
 
-        // The dirty-page table: the pages whose committed updates existed
-        // only in volatile main memory.
-        let lost = self.nodes[0].bufmgr.dirty_page_table();
-        let dirty_pages_at_crash = lost.len() as u64;
-
         // The redo tail: everything after the last checkpoint's boundary.
-        let (records, log_pages_read) = {
-            let rec = self.recovery.as_ref().expect("crash needs recovery state");
-            let records: Vec<RedoRecord> = rec
-                .redo
-                .records_since(rec.redo_start_lsn)
-                .copied()
-                .collect();
-            let pages = rec.redo.pages_for(records.len() as u64);
-            (records, pages)
-        };
-        let redo_records = records.len() as u64;
+        let rec = self.recovery.as_ref().expect("crash needs recovery state");
+        let redo_records = rec.redo_records();
+        let log_pages_read = rec.pages_for(redo_records);
+
+        // The dirty-page table: the pages whose committed updates existed
+        // only in volatile main memory.  Every recovery LSN lies at or after
+        // the boundary, so the tail holds each entry's updates, and they are
+        // exactly the records redo applies.
+        let lost = self.nodes[0].bufmgr.dirty_page_table();
+        debug_assert!(
+            lost.min_rec_lsn()
+                .is_none_or(|lsn| lsn >= rec.redo_start_lsn),
+            "a lost update precedes the redo boundary"
+        );
+        let dirty_pages_at_crash = lost.len() as u64;
+        let (redo_pages, applied_records) = lost.redo_pass();
 
         let mut restart_ms = 0.0;
 
@@ -168,22 +164,11 @@ impl<W: WorkloadGenerator> Simulation<W> {
             }
         }
 
-        // 2./3. Replay: records whose page carries a lost committed update
-        // (recovery LSN at or below the record's LSN) are applied; the page
-        // itself is re-read once from its home location.
-        let is_lost = |r: &RedoRecord| lost.rec_lsn(r.page).is_some_and(|rec_lsn| r.lsn >= rec_lsn);
-        let applied_records = records.iter().filter(|r| is_lost(r)).count() as u64;
+        // 2. Apply the records of the lost updates.
         restart_ms += apply_cpu * applied_records as f64;
 
-        let mut redo_pages: Vec<(usize, PageId)> = records
-            .iter()
-            .filter(|r| is_lost(r))
-            .map(|r| (r.partition, r.page))
-            .collect();
-        redo_pages.sort_unstable_by_key(|(partition, page)| (*partition, page.0));
-        redo_pages.dedup();
-
-        // Unlike the log (read sequentially in LSN order), the page re-reads
+        // 3. Re-read each lost page once from its home location.  Unlike
+        // the log (read sequentially in LSN order), the page re-reads
         // are known in advance from the scan and prefetch in parallel across
         // each unit's disk servers: the elapsed time per unit is the summed
         // service time divided by its disk count.  The per-I/O CPU overhead

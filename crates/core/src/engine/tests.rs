@@ -16,7 +16,7 @@ use crate::presets::{
     shared_nothing_config, DebitCreditStorage, LOG_UNIT,
 };
 
-use super::transaction::{MicroOp, TxState};
+use super::transaction::MicroOp;
 use super::{Ev, Flow, Simulation};
 use crate::config::SimulationConfig;
 use crate::metrics::SimulationReport;
@@ -625,15 +625,21 @@ fn holders_index_stays_bounded_by_the_buffer_pools() {
             "{measure_ms} ms: {} index entries for {buffered} buffered pages",
             sim.holders.len()
         );
-        // analyzer: allow(hash-iter): every entry is checked, order-independent
-        for (&page, &mask) in &sim.holders {
-            assert_ne!(mask, 0, "page {page:?} kept an empty mask");
-            for (node, rt) in sim.nodes.iter().enumerate() {
-                assert!(
-                    mask & (1u64 << node) == 0 || rt.bufmgr.holds_page(page),
-                    "{measure_ms} ms: node {node} is indexed for page {page:?} it does not hold"
-                );
-            }
+        assert_holder_bits_on_held_pages(&sim, &format!("{measure_ms} ms"));
+    }
+}
+
+/// Asserts that no holders-index entry is empty and that each of its bits
+/// sits on a node whose pool holds the page.
+fn assert_holder_bits_on_held_pages<W: dbmodel::WorkloadGenerator>(sim: &Simulation<W>, run: &str) {
+    // analyzer: allow(hash-iter): every entry is checked, order-independent
+    for (&page, &mask) in &sim.holders {
+        assert_ne!(mask, 0, "{run}: page {page:?} kept an empty mask");
+        for (node, rt) in sim.nodes.iter().enumerate() {
+            assert!(
+                mask & (1u64 << node) == 0 || rt.bufmgr.holds_page(page),
+                "{run}: node {node} is indexed for page {page:?} it does not hold"
+            );
         }
     }
 }
@@ -711,23 +717,60 @@ fn on_request_validation_defers_invalidation_to_the_reference() {
     }
     sim.activate(0, write_template(42), 0.0);
     assert_eq!(sim.op_complete(0), Flow::Finished);
-    // Commit sent nothing: the other nodes keep their (now stale) copies.
+    // Commit sent nothing: the other nodes keep their copies, but only the
+    // committer's copy keeps its holder bit.
     assert!(sim.nodes[1].bufmgr.mm_contains(PageId(42)));
     assert!(sim.nodes[2].bufmgr.mm_contains(PageId(42)));
     assert_eq!(sim.nodes[1].bufmgr.stats().invalidations, 0);
-    // The next reference validates: node 1's stamp (absent = version 0) is
-    // behind the bumped global version, so the copy is discarded and the
-    // validation round trip is charged — the stale hit became a miss.
+    assert_eq!(sim.holders.get(&PageId(42)), Some(&0b001));
+    // The next reference validates: node 1 holds a copy without a holder
+    // bit, so the copy is discarded and the validation round trip is
+    // charged — the stale hit became a miss.
     let delay = sim.validate_reference(1, PageId(42));
     assert_eq!(delay, Some(2.0 * sim.config.coherence.transfer_msg_ms));
     assert!(!sim.nodes[1].bufmgr.mm_contains(PageId(42)));
     assert_eq!(sim.nodes[1].bufmgr.stats().invalidations, 1);
     assert_eq!(sim.coherence_stats.stale_validations, 1);
-    // The committer stamped its own copy with the new version: current.
+    // The committer's own copy is the new version: current.
     assert_eq!(sim.validate_reference(0, PageId(42)), None);
     assert!(sim.nodes[0].bufmgr.mm_contains(PageId(42)));
     // A node without any buffered copy has nothing to validate.
     assert_eq!(sim.validate_reference(2, PageId(43)), None);
+    // Node 2 commits the page over its stale copy, as a transaction writing
+    // another object of the page does: its copy becomes the current one and
+    // node 0's goes stale.
+    sim.activate(2, write_template(42), 0.0);
+    assert_eq!(sim.txs.tx(0).node, 2);
+    assert_eq!(sim.op_complete(0), Flow::Finished);
+    assert_eq!(sim.holders.get(&PageId(42)), Some(&0b100));
+    assert_eq!(sim.validate_reference(2, PageId(42)), None);
+    assert!(sim.validate_reference(0, PageId(42)).is_some());
+}
+
+#[test]
+fn on_request_validation_keeps_holder_bits_on_held_pages() {
+    for seed in [7, 1234, 98765] {
+        let mut c = data_sharing_config(4, 240.0);
+        c.warmup_ms = 500.0;
+        c.measure_ms = 3_000.0;
+        c.seed = seed;
+        c.buffer.mm_buffer_pages = 200;
+        c.coherence = CoherenceParams::on_request_validate().with_direct_transfer();
+        let mut sim = Simulation::new(c, debit_credit_workload(100));
+        sim.seed_initial_events();
+        sim.run_event_loop();
+        assert!(
+            sim.coherence_stats.stale_validations > 0,
+            "seed {seed}: no stale copy was ever validated"
+        );
+        assert!(
+            sim.coherence_stats.direct_transfers > 0,
+            "seed {seed}: no current copy was ever shipped"
+        );
+        // Commits clear bits and drop entries: a bit still only ever sits
+        // on a node whose pool holds the page.
+        assert_holder_bits_on_held_pages(&sim, &format!("seed {seed}"));
+    }
 }
 
 #[test]
@@ -880,6 +923,9 @@ fn coalesced_read_completion_wakes_every_joined_waiter() {
     for _ in 0..5 {
         sim.activate(0, write_template(7), 0.0);
     }
+    // Activation queued every slot as ready; from here on only an I/O
+    // completion puts a slot back.
+    sim.ready.clear();
     let coalesced = |sim: &Simulation<_>| sim.units[0].coalescing.as_ref().unwrap().coalesced;
     let drain_io = |sim: &mut Simulation<_>| {
         while let Some(event) = sim.queue.pop() {
@@ -916,7 +962,7 @@ fn coalesced_read_completion_wakes_every_joined_waiter() {
     drain_io(&mut sim);
     assert_eq!(sim.ios.live().count(), 0);
     for slot in [0, 1, 2, 4] {
-        assert_eq!(sim.txs.tx(slot).state, TxState::Ready, "slot {slot} asleep");
+        assert!(sim.ready.contains(&slot), "slot {slot} asleep");
     }
     // The completed read left the in-flight list: the next read of the page
     // starts a new physical request instead of joining a finished one.
@@ -927,7 +973,7 @@ fn coalesced_read_completion_wakes_every_joined_waiter() {
     assert_eq!(sim.ios.live().count(), 1);
     assert_eq!(coalesced(&sim), 2);
     drain_io(&mut sim);
-    assert_eq!(sim.txs.tx(3).state, TxState::Ready);
+    assert!(sim.ready.contains(&3));
 }
 
 #[test]

@@ -39,12 +39,13 @@ pub(crate) enum MicroOp {
     },
     /// Request the lock for object reference `ref_idx`.
     Lock { ref_idx: usize },
-    /// Pure delay of `ms` (the message round trip of a remote request to the
-    /// global lock service in a data-sharing configuration).
+    /// Pure delay of `ms`: a data-sharing message round trip (a remote
+    /// request to the global lock service, an on-request validation or a
+    /// direct page transfer).
     RemoteDelay { ms: SimTime },
     /// Shared nothing: ship execution to `node` (one-way message of the
     /// configured `remote_msg_ms`).  The transaction blocks until
-    /// [`Ev::RemoteDone`](super::Ev) delivers the message; subsequent micro
+    /// [`Ev::MsgDone`](super::Ev) delivers the message; subsequent micro
     /// operations (CPU bursts, lock requests, buffer fetches, I/O) run at
     /// `node` until the next `RemoteCall` ships execution elsewhere (the
     /// reply leg ships it back home).
@@ -75,23 +76,6 @@ pub(crate) enum TxPhase {
     Committing,
 }
 
-/// What the transaction is currently waiting for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum TxState {
-    /// Ready to execute the next micro operation.
-    Ready,
-    /// Queued at the CPU resource.
-    WaitingCpu,
-    /// Currently holding a CPU (a `CpuDone` event is scheduled).
-    RunningCpu,
-    /// Blocked on a lock request.
-    WaitingLock,
-    /// Waiting for a synchronous I/O to complete.
-    WaitingIo,
-    /// Waiting for a message round trip to the global lock service.
-    WaitingMessage,
-}
-
 /// The dynamic state of one active transaction.
 #[derive(Debug)]
 pub(crate) struct Transaction {
@@ -118,17 +102,10 @@ pub(crate) struct Transaction {
     pub phase: TxPhase,
     /// Pending micro operations.
     pub micro: VecDeque<MicroOp>,
-    /// Wait state.
-    pub state: TxState,
     /// CPU burst length waiting for a CPU grant.
     pub pending_burst: SimTime,
-    /// Whether the pending burst is an NVEM transfer.
-    pub pending_burst_nvem: bool,
     /// Object reference index whose lock request is outstanding.
     pub pending_lock_ref: Option<usize>,
-    /// The message round trip for the current lock request was already paid
-    /// (so a re-executed [`MicroOp::Lock`] does not pay it twice).
-    pub lock_msg_paid: bool,
 }
 
 impl Transaction {
@@ -142,11 +119,8 @@ impl Transaction {
             arrival,
             phase: TxPhase::BeforeAccess { next_ref: 0 },
             micro: VecDeque::new(),
-            state: TxState::Ready,
             pending_burst: 0.0,
-            pending_burst_nvem: false,
             pending_lock_ref: None,
-            lock_msg_paid: false,
         }
     }
 
@@ -160,11 +134,8 @@ impl Transaction {
         self.arrival = arrival;
         self.phase = TxPhase::BeforeAccess { next_ref: 0 };
         self.micro.clear();
-        self.state = TxState::Ready;
         self.pending_burst = 0.0;
-        self.pending_burst_nvem = false;
         self.pending_lock_ref = None;
-        self.lock_msg_paid = false;
     }
 
     /// Resets the transaction for a restart after a deadlock abort.  The
@@ -173,12 +144,10 @@ impl Transaction {
     pub fn restart(&mut self) {
         self.phase = TxPhase::BeforeAccess { next_ref: 0 };
         self.micro.clear();
-        self.state = TxState::Ready;
         // A victim shipped to a remote owner restarts at home (the abort
         // notification itself is not charged).
         self.exec_node = self.node;
         self.pending_lock_ref = None;
-        self.lock_msg_paid = false;
     }
 
     /// Pushes a batch of micro operations to the *front* of the queue,
@@ -209,7 +178,6 @@ mod tests {
         assert_eq!(tx.pending_lock_ref, None);
         assert_eq!(tx.arrival, 42.0);
         assert_eq!(tx.template, 7);
-        assert_eq!(tx.state, TxState::Ready);
     }
 
     #[test]
@@ -217,14 +185,14 @@ mod tests {
         let mut tx = Transaction::new(1, 0, 7, 42.0);
         tx.restart();
         tx.micro.push_back(MicroOp::Complete);
-        tx.lock_msg_paid = true;
+        tx.pending_lock_ref = Some(1);
         tx.exec_node = 5;
         tx.reuse(9, 2, 3, 100.0);
         assert_eq!((tx.id, tx.node, tx.template, tx.arrival), (9, 2, 3, 100.0));
         assert_eq!(tx.exec_node, 2);
         assert_eq!(tx.phase, TxPhase::BeforeAccess { next_ref: 0 });
         assert!(tx.micro.is_empty());
-        assert!(!tx.lock_msg_paid);
+        assert_eq!(tx.pending_lock_ref, None);
     }
 
     #[test]

@@ -25,9 +25,6 @@ pub struct PartitionSpec {
     pub num_objects: u64,
     /// Objects per page.
     pub block_factor: u64,
-    /// Sequential partitions are accessed by appending at the end of file
-    /// (e.g. the Debit-Credit HISTORY relation).
-    pub sequential: bool,
 }
 
 impl PartitionSpec {
@@ -37,14 +34,7 @@ impl PartitionSpec {
             name: name.into(),
             num_objects,
             block_factor,
-            sequential: false,
         }
-    }
-
-    /// Marks the partition as sequentially accessed (append at end of file).
-    pub fn sequential(mut self) -> Self {
-        self.sequential = true;
-        self
     }
 
     /// Number of pages in the partition.
@@ -62,7 +52,7 @@ pub struct Partition {
     id: PartitionId,
     first_page: u64,
     first_object: u64,
-    /// Append cursor for sequential partitions (object index).
+    /// Append cursor of [`Partition::next_append`] (object index).
     append_cursor: u64,
 }
 
@@ -92,11 +82,6 @@ impl Partition {
         self.spec.block_factor
     }
 
-    /// True for sequentially accessed (append-only) partitions.
-    pub fn is_sequential(&self) -> bool {
-        self.spec.sequential
-    }
-
     /// First global page id owned by this partition.
     pub fn first_page(&self) -> PageId {
         PageId(self.first_page)
@@ -124,7 +109,8 @@ impl Partition {
         rng.below(self.spec.num_objects)
     }
 
-    /// Next append position for sequential partitions; wraps around when the
+    /// Next append position at the end of the partition (the Debit-Credit
+    /// HISTORY relation is appended this way); wraps around when the
     /// partition is exhausted (the paper notes the HISTORY size is immaterial).
     pub fn next_append(&mut self) -> u64 {
         let obj = self.append_cursor;
@@ -195,7 +181,7 @@ impl Database {
         &self.partitions[id]
     }
 
-    /// Mutable accessor (needed for sequential append cursors).
+    /// Mutable accessor (needed for the append cursors).
     pub fn partition_mut(&mut self, id: PartitionId) -> &mut Partition {
         &mut self.partitions[id]
     }
@@ -271,9 +257,8 @@ mod tests {
 
     #[test]
     fn sequential_append_wraps() {
-        let mut db = Database::from_specs(vec![PartitionSpec::uniform("H", 4, 2).sequential()]);
+        let mut db = Database::from_specs(vec![PartitionSpec::uniform("H", 4, 2)]);
         let p = db.partition_mut(0);
-        assert!(p.is_sequential());
         let seq: Vec<u64> = (0..6).map(|_| p.next_append()).collect();
         assert_eq!(seq, vec![0, 1, 2, 3, 0, 1]);
     }

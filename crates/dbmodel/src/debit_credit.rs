@@ -127,14 +127,11 @@ impl DebitCreditGenerator {
             config.num_accounts,
             config.account_block_factor,
         ));
-        let history = database.add_partition(
-            PartitionSpec::uniform(
-                "HISTORY",
-                config.history_objects,
-                config.history_block_factor,
-            )
-            .sequential(),
-        );
+        let history = database.add_partition(PartitionSpec::uniform(
+            "HISTORY",
+            config.history_objects,
+            config.history_block_factor,
+        ));
         Self {
             config,
             database,
@@ -284,7 +281,6 @@ mod tests {
         assert_eq!(db.partition(parts.branch).num_pages(), 500);
         // ACCOUNT: 5 million pages.
         assert_eq!(db.partition(parts.account).num_pages(), 5_000_000);
-        assert!(db.partition(parts.history).is_sequential());
     }
 
     #[test]

@@ -88,19 +88,6 @@ impl SimRng {
         ((u128::from(self.next_u64()) * u128::from(n)) >> 64) as u64
     }
 
-    /// Uniform integer in `[lo, hi]` (inclusive).
-    ///
-    /// # Panics
-    /// Panics when `hi < lo` (an empty range), in every build profile.
-    #[inline]
-    pub fn range_u64(&mut self, lo: u64, hi: u64) -> u64 {
-        assert!(hi >= lo, "empty range in SimRng::range_u64");
-        if lo == 0 && hi == u64::MAX {
-            return self.next_u64();
-        }
-        lo + self.below(hi - lo + 1)
-    }
-
     /// Bernoulli trial with probability `p` of returning `true`.
     #[inline]
     pub fn chance(&mut self, p: f64) -> bool {
@@ -205,8 +192,6 @@ mod tests {
         for _ in 0..1000 {
             let v = rng.range_f64(2.0, 3.0);
             assert!((2.0..3.0).contains(&v));
-            let i = rng.range_u64(10, 20);
-            assert!((10..=20).contains(&i));
         }
     }
 }
