@@ -13,9 +13,7 @@
 //!   (`HashMap<K, HashSet<V>>`, `IdMap<K, IdSet<V>>`), identifiers bound
 //!   from `name.remove(…)` / `name.get(…)` / `name.get_mut(…)` /
 //!   `name.entry(…)` inherit hash-ness (this is how the waits-for graph's
-//!   drained edge sets are tracked);
-//! * a small repo-native list of accessor methods known to expose hash
-//!   iteration (e.g. `dirty_page_table()`) is treated like a container name.
+//!   drained edge sets are tracked).
 //!
 //! The wall-clock lint also catches `RandomState` used *implicitly*: in the
 //! simulator crates ([`SIMULATOR_CRATES`]) a `HashMap<K, V>` or
@@ -59,12 +57,6 @@ pub const HASH_CONTAINERS: &[(&str, bool)] = &[
 
 /// Constructors that exist only for the default (`RandomState`) hasher.
 const DEFAULT_HASHER_CTORS: &[&str] = &["::new(", "::with_capacity("];
-
-/// Repo-native accessor methods whose result is hash-backed, per crate
-/// directory.  `dirty_page_table()` returns `&DirtyPageTable`, which wraps a
-/// hash map, so an iterator over it would walk hash order.
-const HASH_ACCESSORS: &[(&str, &str)] =
-    &[("core", "dirty_page_table"), ("bufmgr", "dirty_page_table")];
 
 const ITER_METHODS: &[&str] = &[
     ".iter()",
@@ -240,9 +232,8 @@ fn ident_ending_before(code: &str, pos: usize) -> Option<String> {
 }
 
 /// Runs the source lints over one stripped file.  `crate_dir` is the
-/// directory name under `crates/` (selects hash-iter applicability and the
-/// repo-native accessor list); `knowledge` is the crate-wide declaration
-/// pass; `allowed_libs` are the `use`-path crate identifiers this crate may
+/// directory name under `crates/` (selects hash-iter applicability);
+/// `knowledge` is the crate-wide declaration pass; `allowed_libs` are the `use`-path crate identifiers this crate may
 /// reference (for the layering use-check), with `all_libs` the full
 /// workspace set.
 pub fn lint_file(
@@ -258,12 +249,6 @@ pub fn lint_file(
     let hasher_must_be_explicit = SIMULATOR_CRATES.contains(&crate_dir);
     // Names derived file-locally from lookups on `yields_hash` maps.
     let mut derived: BTreeSet<String> = BTreeSet::new();
-    let mut hash_names: BTreeSet<String> = knowledge.hash_names.clone();
-    for (dir, accessor) in HASH_ACCESSORS {
-        if *dir == crate_dir {
-            hash_names.insert((*accessor).to_string());
-        }
-    }
 
     for (idx, line) in file.lines.iter().enumerate() {
         if line.in_test {
@@ -326,7 +311,7 @@ pub fn lint_file(
 
         // --- hash-iter -------------------------------------------------
         if hash_iter_applies {
-            let mut names: Vec<&String> = hash_names.iter().collect();
+            let mut names: Vec<&String> = knowledge.hash_names.iter().collect();
             names.extend(derived.iter());
             if let Some(name) = hash_iter_hit(code, &names) {
                 fire(
@@ -737,15 +722,6 @@ mod tests {
         let f = lint_str("storage", "use tpsim::config::SimulationConfig;\n");
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].lint, Lint::Layering);
-    }
-
-    #[test]
-    fn accessor_methods_count_as_hash_names() {
-        let src =
-            "fn f(n: &Node) { for (p, l) in n.bufmgr.dirty_page_table().iter() { go(p, l); } }\n";
-        let f = lint_str("core", src);
-        assert_eq!(f.len(), 1);
-        assert!(f[0].message.contains("dirty_page_table"));
     }
 
     #[test]

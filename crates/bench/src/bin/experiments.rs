@@ -13,8 +13,9 @@
 //! cargo run --release -p tpsim-bench --bin experiments -- --full fig4.2
 //!
 //! # Kernel profile: run the profile suite (fig5.x sweep + quickstart +
-//! # fig6.x points), print wall-clock ms and events/sec per point and write
-//! # the JSON (default BENCH_kernel.json; pass a path to override):
+//! # fig6.x points) and print wall-clock ms and events/sec per point; with
+//! # a .json path, also write the points there (never implicitly, so the
+//! # curated history of the committed BENCH_kernel.json survives):
 //! cargo run --release -p tpsim-bench --bin experiments -- --profile out.json
 //!
 //! # Perf gate (CI): additionally compare against a committed baseline and
@@ -40,6 +41,7 @@ fn main() {
     let mut settings = RunSettings::standard();
     let mut scale_label = "standard";
     let mut requested: Vec<String> = Vec::new();
+    let mut profile = false;
     let mut profile_out: Option<String> = None;
     let mut baseline_path: Option<String> = None;
     let mut iter = args.iter().peekable();
@@ -59,17 +61,12 @@ fn main() {
             }
             "--sequential" => settings.parallel = false,
             "--profile" => {
-                // Optional output path; defaults to BENCH_kernel.json.  Only
-                // a `.json` token is taken as the path, so an experiment id
-                // following `--profile` is never silently swallowed.
-                let path = iter
-                    .peek()
-                    .filter(|next| next.ends_with(".json"))
-                    .map(|next| next.to_string());
-                if path.is_some() {
-                    iter.next();
-                }
-                profile_out = Some(path.unwrap_or_else(|| "BENCH_kernel.json".to_string()));
+                // Optional output path; without one nothing is written.
+                // Only a `.json` token is taken as the path, so an
+                // experiment id following `--profile` is never silently
+                // swallowed.
+                profile = true;
+                profile_out = iter.next_if(|next| next.ends_with(".json")).cloned();
             }
             "--check-baseline" => {
                 let Some(path) = iter.next() else {
@@ -86,7 +83,7 @@ fn main() {
         }
     }
 
-    if profile_out.is_some() || baseline_path.is_some() {
+    if profile || baseline_path.is_some() {
         // Profile mode always runs the fixed full-scale suite; combining it
         // with experiment ids would silently ignore them, so refuse instead.
         if !requested.is_empty() {
@@ -152,8 +149,8 @@ fn run_profile_mode(profile_out: Option<String>, baseline_path: Option<String>) 
         );
     }
     if let Some(out) = profile_out {
-        // A fresh emission carries no history; the committed BENCH_kernel.json
-        // keeps its hand-curated history section.
+        // A fresh emission carries no history: the committed
+        // BENCH_kernel.json keeps its hand-curated section.
         std::fs::write(&out, render_bench_json(&fresh)).unwrap_or_else(|e| {
             eprintln!("cannot write {out}: {e}");
             std::process::exit(2);

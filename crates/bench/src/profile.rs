@@ -4,14 +4,17 @@
 //! The profile suite runs a fixed set of representative configurations —
 //! the fig5.x node-scaling sweep plus a quickstart-style single-node point
 //! and a fig6.x crash-replay point — several times each, keeps the best
-//! (least-noisy) run per point and emits `BENCH_kernel.json` at the repo
-//! root.  The committed file is the perf trajectory of the repository: CI
+//! (least-noisy) run per point and can write the points in the shape of
+//! `BENCH_kernel.json` at the repo root.  The committed file is the perf
+//! trajectory of the repository: CI
 //! re-measures the suite and fails when events/sec drops more than the
 //! configured tolerance below the committed numbers, or when a point's
 //! event count differs from the committed one at all (the simulation is
 //! deterministic, so a different count means different behaviour).  The
 //! committed file also carries a hand-curated `history` section of earlier
-//! snapshots, which the gate ignores and a fresh emission does not write.
+//! snapshots, which the gate ignores and a fresh emission does not write:
+//! the profile mode writes only to a path it is given, and new points are
+//! copied into the committed file by hand.
 //!
 //! The JSON is written *and* parsed by this module (the workspace has no
 //! serde); the parser only understands the flat shape emitted here, which is
@@ -116,7 +119,8 @@ pub fn render_bench_json(points: &[ProfilePoint]) -> String {
     out.push_str("  \"schema\": 1,\n");
     out.push_str(
         "  \"description\": \"Kernel wall-clock baseline: events/sec per profile-suite point \
-         (regenerate: cargo run --release -p tpsim-bench --bin experiments -- --profile)\",\n",
+         (measure afresh: cargo run --release -p tpsim-bench --bin experiments -- \
+         --profile fresh.json)\",\n",
     );
     out.push_str("  \"points\": [\n");
     for (i, p) in points.iter().enumerate() {

@@ -33,5 +33,5 @@ pub mod stats;
 pub use config::{BufferConfig, PageLocation, PartitionPolicy, UpdateStrategy};
 pub use dirty::{DirtyPageTable, RecLsn};
 pub use manager::BufferManager;
-pub use ops::{FetchOutcome, ForceOutcome, PageOp, PageOps};
+pub use ops::{PageOp, PageOps, PageOutcome};
 pub use stats::{BufferStats, PartitionBufferStats};

@@ -10,7 +10,7 @@ use storage::LruCache;
 
 use crate::config::{BufferConfig, PageLocation, UpdateStrategy};
 use crate::dirty::{DirtyPageTable, RecLsn};
-use crate::ops::{FetchOutcome, ForceOutcome, PageOp, PageOps};
+use crate::ops::{PageOp, PageOps, PageOutcome};
 use crate::stats::BufferStats;
 
 /// State of a page frame in the main-memory buffer.
@@ -20,21 +20,16 @@ struct FrameState {
     dirty: bool,
 }
 
-/// State of a page in the second-level NVEM cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct NvemEntry {
-    partition: usize,
-    /// Asynchronous disk writes still in flight for this page.  The entry is
-    /// "clean" (freely replaceable) once this reaches zero.
-    pending: u32,
-}
-
 /// The TPSIM buffer manager.
+///
+/// The second-level NVEM cache and the NVEM write buffer are write-behind
+/// stores: each entry counts its page's asynchronous disk writes in flight,
+/// and an entry with none is clean (freely replaceable).
 #[derive(Debug)]
 pub struct BufferManager {
     config: BufferConfig,
     mm: LruCache<PageId, FrameState>,
-    nvem_cache: Option<LruCache<PageId, NvemEntry>>,
+    nvem_cache: Option<LruCache<PageId, u32>>,
     write_buffer: Option<LruCache<PageId, u32>>,
     /// Committed-but-unpropagated updates for crash recovery; fed by the
     /// engine at commit, drained here whenever a page is propagated.
@@ -127,8 +122,8 @@ impl BufferManager {
     /// broadcast invalidation the engine's page → holders index keeps a
     /// node's bit exactly while this is true: it clears the bit when this
     /// turns false after an eviction the pool reports
-    /// ([`FetchOutcome::evicted`], [`ForceOutcome::evicted`]) or after an
-    /// invalidation, and debug builds assert it at every commit fan-out.
+    /// ([`PageOutcome::evicted`]) or after an invalidation, and debug builds
+    /// assert it at every commit fan-out.
     /// Under on-request validation a commit also clears the other nodes'
     /// bits, so a held page without its bit is a stale copy.
     pub fn holds_page(&self, page: PageId) -> bool {
@@ -142,11 +137,7 @@ impl BufferManager {
     /// an entry is spared by [`BufferManager::invalidate_page`] and may
     /// therefore be stale, so it must never serve as a donor.
     pub fn has_current_copy(&self, page: PageId) -> bool {
-        self.mm.contains(&page)
-            || self
-                .nvem_cache
-                .as_ref()
-                .is_some_and(|c| c.peek(&page).is_some_and(|e| e.pending == 0))
+        self.mm.contains(&page) || self.nvem_cache.as_ref().is_some_and(|c| c.is_clean(&page))
     }
 
     /// Records that a transaction committed an update to `page` of
@@ -180,7 +171,7 @@ impl BufferManager {
         partition: usize,
         page: PageId,
         is_write: bool,
-    ) -> FetchOutcome {
+    ) -> PageOutcome {
         self.ensure_partition_stats(partition);
         self.stats.per_partition[partition].references += 1;
         let policy = self.config.policy(partition);
@@ -189,14 +180,14 @@ impl BufferManager {
         // (NOFORCE with logging only, §3.2).
         if policy.location == PageLocation::MainMemoryResident {
             self.stats.per_partition[partition].mm_hits += 1;
-            return FetchOutcome::hit();
+            return PageOutcome::default();
         }
 
         // Main-memory hit.
         if let Some(frame) = self.mm.get_mut(&page) {
             frame.dirty |= is_write;
             self.stats.per_partition[partition].mm_hits += 1;
-            return FetchOutcome::hit();
+            return PageOutcome::default();
         }
 
         // Miss: make room, fetch the page, insert it.
@@ -206,8 +197,7 @@ impl BufferManager {
         } else {
             None
         };
-        let nvem_cache_hit = self.fetch_missing_page(page, policy.location, &mut ops);
-        if nvem_cache_hit {
+        if self.fetch_missing_page(page, policy.location, &mut ops) {
             self.stats.per_partition[partition].nvem_hits += 1;
         }
         self.mm.insert(
@@ -217,12 +207,7 @@ impl BufferManager {
                 dirty: is_write,
             },
         );
-        FetchOutcome {
-            main_memory_hit: false,
-            nvem_cache_hit,
-            ops,
-            evicted,
-        }
+        PageOutcome { ops, evicted }
     }
 
     /// Evicts the least recently used frame from main memory, appending any
@@ -264,7 +249,7 @@ impl BufferManager {
                         ops.push(PageOp::UnitWriteAsync { unit, page: vpage });
                     }
                     self.stats.migrations_to_nvem += 1;
-                    return self.insert_into_nvem_cache(vpage, vstate.partition, vstate.dirty);
+                    return self.insert_into_nvem_cache(vpage, vstate.dirty);
                 } else if vstate.dirty {
                     self.write_back_dirty(vpage, vstate.partition, unit, ops);
                 }
@@ -285,20 +270,7 @@ impl BufferManager {
         let use_wb = self.config.policy(partition).use_nvem_write_buffer;
         if use_wb {
             if let Some(wb) = self.write_buffer.as_mut() {
-                let absorbed = if let Some(pending) = wb.get_mut(&page) {
-                    *pending += 1;
-                    true
-                } else if !wb.is_full() {
-                    wb.insert(page, 1);
-                    true
-                } else if let Some(clean) = wb.lru_matching(|pending| *pending == 0) {
-                    wb.remove(&clean);
-                    wb.insert(page, 1);
-                    true
-                } else {
-                    false
-                };
-                if absorbed {
+                if wb.absorb(page).is_some() {
                     ops.push(PageOp::NvemTransfer {
                         page,
                         to_nvem: true,
@@ -359,44 +331,21 @@ impl BufferManager {
         }
     }
 
-    /// Inserts a page into the second-level NVEM cache, preferring to replace
-    /// a clean (already destaged) frame when the cache is full.  Returns the
-    /// page the insert displaced, if any.
-    fn insert_into_nvem_cache(
-        &mut self,
-        page: PageId,
-        partition: usize,
-        dirty: bool,
-    ) -> Option<PageId> {
-        let cache = self.nvem_cache.as_mut()?;
-        let clean_victim = if cache.is_full() && !cache.contains(&page) {
-            cache.lru_matching(|e| e.pending == 0)
-        } else {
-            None
-        };
-        if let Some(clean) = clean_victim {
-            cache.remove(&clean);
-        }
-        // Without a clean frame the plain LRU frame is evicted by `insert`;
-        // its disk update is already under way, so no data is lost.
-        let pending_from_existing = cache.peek(&page).map(|e| e.pending).unwrap_or(0);
-        let lru_victim = cache.insert(
-            page,
-            NvemEntry {
-                partition,
-                pending: pending_from_existing + u32::from(dirty),
-            },
-        );
-        clean_victim.or(lru_victim.map(|(victim, _)| victim))
+    /// Inserts a page into the second-level NVEM cache, with one disk write
+    /// in flight if it is `dirty`, preferring to replace a clean (already
+    /// destaged) frame when the cache is full.  Returns the page the insert
+    /// displaced, if any.
+    fn insert_into_nvem_cache(&mut self, page: PageId, dirty: bool) -> Option<PageId> {
+        self.nvem_cache.as_mut()?.admit(page, u32::from(dirty))
     }
 
     /// Commit-time forcing of a modified page (FORCE strategy).  Returns the
     /// operations the committing transaction must wait for (asynchronous disk
     /// updates excluded) and the page the force evicted from the NVEM cache.
-    pub fn force_page(&mut self, partition: usize, page: PageId) -> ForceOutcome {
+    pub fn force_page(&mut self, partition: usize, page: PageId) -> PageOutcome {
         self.ensure_partition_stats(partition);
         let policy = self.config.policy(partition);
-        let mut forced = ForceOutcome::default();
+        let mut forced = PageOutcome::default();
         match policy.location {
             PageLocation::MainMemoryResident => {
                 // Memory-resident partitions use NOFORCE semantics.
@@ -427,7 +376,7 @@ impl BufferManager {
                         to_nvem: true,
                     });
                     forced.ops.push(PageOp::UnitWriteAsync { unit, page });
-                    forced.evicted = self.insert_into_nvem_cache(page, partition, true);
+                    forced.evicted = self.insert_into_nvem_cache(page, true);
                     self.stats.migrations_to_nvem += 1;
                 } else {
                     self.write_back_dirty(page, partition, unit, &mut forced.ops);
@@ -453,16 +402,11 @@ impl BufferManager {
     /// earlier [`PageOp::UnitWriteAsync`]: the corresponding NVEM cache or
     /// write-buffer frame becomes clean (replaceable).
     pub fn async_write_complete(&mut self, page: PageId) {
-        if let Some(cache) = self.nvem_cache.as_mut() {
-            if let Some(entry) = cache.peek_mut(&page) {
-                entry.pending = entry.pending.saturating_sub(1);
-                return;
-            }
+        if self.nvem_cache.as_mut().is_some_and(|c| c.destaged(&page)) {
+            return;
         }
         if let Some(wb) = self.write_buffer.as_mut() {
-            if let Some(pending) = wb.peek_mut(&page) {
-                *pending = pending.saturating_sub(1);
-            }
+            wb.destaged(&page);
         }
     }
 
@@ -484,7 +428,7 @@ impl BufferManager {
     pub fn invalidate_page(&mut self, page: PageId) -> bool {
         let mut dropped = self.mm.remove(&page).is_some();
         if let Some(cache) = self.nvem_cache.as_mut() {
-            if cache.peek(&page).is_some_and(|e| e.pending == 0) {
+            if cache.is_clean(&page) {
                 cache.remove(&page);
                 dropped = true;
             }
@@ -496,7 +440,9 @@ impl BufferManager {
     }
 
     /// Drops any buffered copy of `page` *unconditionally* because a
-    /// reference-time version check found it stale (on-request validation).
+    /// reference found it stale (on-request validation: the pool holds the
+    /// page, but another node's commit has since cleared this node's holder
+    /// bit).
     /// Unlike commit-time [`BufferManager::invalidate_page`] this also
     /// removes a second-level NVEM entry with write-backs still in flight:
     /// the stale copy must not satisfy the re-read that follows, and the
@@ -547,7 +493,7 @@ mod tests {
     fn read_miss_then_hit() {
         let mut bm = BufferManager::new(disk_config(10));
         let miss = bm.reference_page(0, PageId(1), false);
-        assert!(!miss.main_memory_hit);
+        assert_eq!(bm.stats().per_partition[0].mm_hits, 0);
         assert_eq!(
             miss.ops.to_vec(),
             vec![PageOp::UnitRead {
@@ -556,7 +502,7 @@ mod tests {
             }]
         );
         let hit = bm.reference_page(0, PageId(1), false);
-        assert!(hit.main_memory_hit);
+        assert_eq!(bm.stats().per_partition[0].mm_hits, 1);
         assert!(hit.ops.is_empty());
         assert!((bm.stats().mm_hit_ratio() - 0.5).abs() < 1e-12);
     }
@@ -609,8 +555,7 @@ mod tests {
         let mut bm = BufferManager::new(cfg);
         for i in 0..100 {
             let out = bm.reference_page(1, PageId(1000 + i), true);
-            assert!(out.main_memory_hit);
-            assert!(out.ops.is_empty());
+            assert_eq!(out, PageOutcome::default());
         }
         assert_eq!(bm.mm_pages(), 0);
         assert!((bm.stats().per_partition[1].mm_hit_ratio() - 1.0).abs() < 1e-12);
@@ -729,7 +674,7 @@ mod tests {
         // Re-referencing page 1: NVEM hit, page moves back to main memory and
         // is removed from the NVEM cache (exclusive caching).
         let out = bm.reference_page(0, PageId(1), false);
-        assert!(out.nvem_cache_hit);
+        assert_eq!(bm.stats().per_partition[0].nvem_hits, 1);
         assert_eq!(out.ops.len(), 2); // eviction of page 2 (clean → dropped) has no op
         assert!(matches!(
             out.ops.last(),
@@ -774,7 +719,14 @@ mod tests {
         bm.reference_page(0, PageId(5), false);
         assert!(!bm.mm_contains(PageId(1)));
         let out = bm.reference_page(0, PageId(1), false);
-        assert!(out.nvem_cache_hit);
+        assert_eq!(
+            out.ops.last(),
+            Some(&PageOp::NvemTransfer {
+                page: PageId(1),
+                to_nvem: false
+            })
+        );
+        assert_eq!(bm.stats().per_partition[0].nvem_hits, 1);
         assert!(bm.nvem_contains(PageId(1)));
     }
 
@@ -816,7 +768,10 @@ mod tests {
         ];
         let mut bm = BufferManager::new(cfg);
         // A memory-resident page never occupies a frame, so it never migrates.
-        assert!(bm.reference_page(2, PageId(2000), true).main_memory_hit);
+        assert_eq!(
+            bm.reference_page(2, PageId(2000), true),
+            PageOutcome::default()
+        );
         bm.reference_page(1, PageId(1000), true);
         // The dirty NVEM-resident victim goes back to its NVEM home copy.
         let out = bm.reference_page(0, PageId(1), true);
@@ -925,7 +880,13 @@ mod tests {
         assert_eq!(bm.stats().invalidations, 2);
         // The next reference misses again (the stale copy is gone).
         let out = bm.reference_page(0, PageId(2), false);
-        assert!(!out.main_memory_hit && !out.nvem_cache_hit);
+        assert_eq!(
+            out.ops.last(),
+            Some(&PageOp::UnitRead {
+                unit: 0,
+                page: PageId(2)
+            })
+        );
     }
 
     #[test]
@@ -1094,14 +1055,20 @@ mod tests {
         // the stale-NVEM-hit window: an NVEM entry spared by invalidation
         // because of an in-flight write remains referencable and serves a
         // second-level hit on the next miss.  OnRequestValidate closes this
-        // window at the engine level with per-page version stamps.
+        // window at the engine level: a commit clears the other nodes'
+        // holder bits, and a reference to a held copy without its bit
+        // discards the copy first.
         let cfg = disk_config(1).with_nvem_cache(4);
         let mut bm = BufferManager::new(cfg);
         bm.reference_page(0, PageId(1), true);
         bm.reference_page(0, PageId(2), false); // evicts 1 dirty → NVEM, pending
         assert!(!bm.invalidate_page(PageId(1))); // spared: pending > 0
-        let out = bm.reference_page(0, PageId(1), false); // evicts 2, refetches 1
-        assert!(out.nvem_cache_hit, "spared entry serves the stale hit");
+        bm.reference_page(0, PageId(1), false); // evicts 2, refetches 1
+        assert_eq!(
+            bm.stats().per_partition[0].nvem_hits,
+            1,
+            "spared entry serves the stale hit"
+        );
     }
 
     #[test]
@@ -1124,7 +1091,15 @@ mod tests {
         assert_eq!(bm.stats().invalidations, 1);
         bm.async_write_complete(PageId(1)); // in-flight write completes: no-op
         let out = bm.reference_page(0, PageId(1), false);
-        assert!(!out.nvem_cache_hit, "discarded entry no longer serves hits");
+        assert_eq!(
+            bm.stats().per_partition[0].nvem_hits,
+            0,
+            "discarded entry no longer serves hits"
+        );
+        assert!(out.ops.contains(&PageOp::UnitRead {
+            unit: 0,
+            page: PageId(1)
+        }));
         // Discard with no copy anywhere is a complete no-op.
         assert!(!bm.discard_stale_copy(PageId(99)));
         assert_eq!(bm.stats().invalidations, 1);
@@ -1151,6 +1126,7 @@ mod tests {
         assert_eq!(bm.stats().references(), 0);
         assert!(bm.mm_contains(PageId(1)));
         let out = bm.reference_page(0, PageId(1), false);
-        assert!(out.main_memory_hit);
+        assert!(out.ops.is_empty());
+        assert_eq!(bm.stats().per_partition[0].mm_hits, 1);
     }
 }

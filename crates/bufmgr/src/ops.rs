@@ -10,7 +10,7 @@ use simkernel::InlineVec;
 
 /// One storage operation resulting from a page reference or a commit force.
 ///
-/// The engine executes the operations of a [`FetchOutcome`] strictly in order:
+/// The engine executes the operations of a [`PageOutcome`] strictly in order:
 /// synchronous operations delay the transaction (and, for NVEM transfers,
 /// keep the CPU busy), asynchronous writes are started and forgotten by the
 /// transaction (their completion is reported back to the buffer manager and
@@ -69,52 +69,27 @@ impl Default for PageOp {
     }
 }
 
-/// The result of referencing a page through the buffer manager.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FetchOutcome {
-    /// True if the reference was satisfied in main memory (or the partition is
-    /// main-memory resident) without any storage operation.
-    pub main_memory_hit: bool,
-    /// True if the reference was satisfied by the second-level NVEM cache.
-    pub nvem_cache_hit: bool,
-    /// Operations to execute, in order.
+/// The result of referencing a page, or of forcing a modified page at
+/// commit (FORCE strategy), through the buffer manager.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct PageOutcome {
+    /// Operations to execute, in order.  A force's asynchronous disk updates
+    /// are started, not waited for.  A reference satisfied in main memory
+    /// (or of a main-memory-resident partition) has none.
     pub ops: PageOps,
-    /// The page the reference pushed out of the pool, if any: a main-memory
+    /// The page the call pushed out of the pool, if any: a main-memory
     /// victim that did not migrate into the NVEM cache, or the victim of an
-    /// NVEM-cache insert.  One reference evicts at most one such page.  Under
+    /// NVEM-cache insert.  One call evicts at most one such page.  Under
     /// FORCE an NVEM-cache victim may keep its main-memory copy, so a caller
     /// that tracks where pages are held asks
     /// [`crate::BufferManager::holds_page`].
     pub evicted: Option<PageId>,
 }
 
-impl FetchOutcome {
-    /// A pure main-memory hit.
-    pub fn hit() -> Self {
-        Self {
-            main_memory_hit: true,
-            nvem_cache_hit: false,
-            ops: PageOps::new(),
-            evicted: None,
-        }
-    }
-}
-
-/// The result of forcing a modified page at commit (FORCE strategy).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ForceOutcome {
-    /// Operations the committing transaction must wait for, in order
-    /// (asynchronous disk updates are started, not waited for).
-    pub ops: PageOps,
-    /// The page the forced page's NVEM-cache insert pushed out of the cache,
-    /// if any; see [`FetchOutcome::evicted`].
-    pub evicted: Option<PageId>,
-}
-
-/// Iterating a force yields its operations, in order, like [`PageOps`]: a
-/// caller that only executes them (the benchmark's buffer-manager replay in
-/// `simbench/`) needs nothing else.
-impl IntoIterator for ForceOutcome {
+/// Iterating an outcome yields its operations, in order, like [`PageOps`]:
+/// a caller that only executes them (the benchmark's buffer-manager replay
+/// in `simbench/`) needs nothing else.
+impl IntoIterator for PageOutcome {
     type Item = PageOp;
     type IntoIter = <PageOps as IntoIterator>::IntoIter;
 
@@ -128,11 +103,21 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fetch_outcome_hit_has_no_ops() {
-        let h = FetchOutcome::hit();
-        assert!(h.main_memory_hit);
-        assert!(!h.nvem_cache_hit);
-        assert!(h.ops.is_empty());
-        assert_eq!(h.evicted, None);
+    fn page_outcome_iterates_its_ops_in_order() {
+        assert_eq!(PageOutcome::default().into_iter().count(), 0);
+        let mut ops = PageOps::new();
+        ops.push(PageOp::UnitWrite {
+            unit: 1,
+            page: PageId(4),
+        });
+        ops.push(PageOp::UnitRead {
+            unit: 0,
+            page: PageId(5),
+        });
+        let outcome = PageOutcome {
+            ops,
+            evicted: Some(PageId(4)),
+        };
+        assert_eq!(outcome.into_iter().collect::<Vec<_>>(), ops.to_vec());
     }
 }

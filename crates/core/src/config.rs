@@ -263,19 +263,19 @@ pub struct ParallelismParams {
 ///   synchronously drops the stale copies of its written pages from the
 ///   other nodes' buffer pools at commit.  Remote pools never hold stale
 ///   data, but every commit pays a fan-out over the holding nodes.
-/// * [`CoherenceProtocol::OnRequestValidate`]: commit only advances a
-///   global per-page version counter; nothing is eagerly invalidated.
-///   A node detects staleness lazily when it next references the page — a
-///   buffered copy whose validation stamp is behind the global version is
+/// * [`CoherenceProtocol::OnRequestValidate`]: commit only drops the other
+///   nodes from each written page's holder mask; nothing is eagerly
+///   invalidated.  A node detects staleness lazily when it next references
+///   the page — a buffered copy whose node has lost its holder bit is
 ///   discarded (with the same bookkeeping as an eager invalidation), the
-///   reference pays a validation round trip to the global lock service, and
-///   the access proceeds as a buffer miss.
+///   reference pays a validation round trip, and the access proceeds as a
+///   buffer miss.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CoherenceProtocol {
     /// Eager commit-time invalidation of stale remote copies.
     #[default]
     BroadcastInvalidate,
-    /// Lazy validation: version check on reference, stale hit ⇒ miss.
+    /// Lazy validation: holder-bit check on reference, stale hit ⇒ miss.
     OnRequestValidate,
 }
 
@@ -302,8 +302,8 @@ pub struct CoherenceParams {
     /// How misses on remotely-held pages are satisfied.
     pub page_transfer: PageTransfer,
     /// One-way message delay (ms) of a direct page transfer; a transfer pays
-    /// a round trip (request + page shipment).  Also the delay of an
-    /// on-request validation round trip to the global version service.
+    /// a round trip (request + page shipment).  A reference that finds its
+    /// copy stale under on-request validation pays the same round trip.
     pub transfer_msg_ms: SimTime,
     /// CPU instructions to copy a transferred page between pools, charged on
     /// the requester's CPUs.

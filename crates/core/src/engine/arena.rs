@@ -8,8 +8,8 @@
 //! * [`IoArena`] — in-flight I/O requests under stable `u32` ids: the id *is*
 //!   the slot index, so the per-event lookups in the I/O path are plain `Vec`
 //!   indexing.  Freed slots are recycled LIFO, and a completed request stays
-//!   in its slot as a carcass whose stage and waiter lists the next request
-//!   on the slot reuses.
+//!   in its slot as a carcass whose waiter list the next request on the slot
+//!   reuses.
 //! * [`TxArena`] — transaction slots.  A completed transaction's carcass
 //!   stays in place and is *reused* by the next arrival on the slot, so its
 //!   micro-operation deque's capacity survives and steady-state arrivals
@@ -39,7 +39,7 @@ use super::transaction::Transaction;
 /// every live request is referenced by exactly one pending event *or* one
 /// resource queue position, so recycled slots can never be reached through a
 /// stale id.  Like [`TxArena`], a released slot keeps its request in place,
-/// and the next [`IoArena::claim`] of the slot reuses its lists.
+/// and the next [`IoArena::claim`] of the slot reuses its waiter list.
 #[derive(Default)]
 pub(crate) struct IoArena {
     slots: Vec<IoRequest>,
@@ -48,23 +48,22 @@ pub(crate) struct IoArena {
 }
 
 impl IoArena {
-    /// Registers a new request for `page` at `unit` and returns its id with
-    /// the request (no stages yet) to fill in.  Reuses a freed slot, LIFO.
-    pub fn claim(
-        &mut self,
-        unit: usize,
-        page: PageId,
-        waiter: Option<usize>,
-    ) -> (u32, &mut IoRequest) {
+    /// Registers `request` and returns its id with the live request, whose
+    /// waiter list starts empty.  Reuses a freed slot, LIFO, and its
+    /// waiter list's capacity.
+    pub fn claim(&mut self, request: IoRequest) -> (u32, &mut IoRequest) {
         let id = match self.free.pop() {
             Some(id) => {
                 debug_assert!(!self.live[id as usize]);
-                self.slots[id as usize].reuse(unit, page, waiter);
+                let slot = &mut self.slots[id as usize];
+                let mut waiters = std::mem::take(&mut slot.waiters);
+                waiters.clear();
+                *slot = IoRequest { waiters, ..request };
                 self.live[id as usize] = true;
                 id
             }
             None => {
-                self.slots.push(IoRequest::new(unit, page, waiter));
+                self.slots.push(request);
                 self.live.push(true);
                 (self.slots.len() - 1) as u32
             }
@@ -84,25 +83,6 @@ impl IoArena {
     pub fn get_mut(&mut self, id: u32) -> Option<&mut IoRequest> {
         let idx = id as usize;
         (*self.live.get(idx)?).then(|| &mut self.slots[idx])
-    }
-
-    /// Mutable access to two distinct live requests.
-    ///
-    /// # Panics
-    /// Panics if `a == b` or either is not live.
-    pub fn pair_mut(&mut self, a: u32, b: u32) -> (&mut IoRequest, &mut IoRequest) {
-        let (a, b) = (a as usize, b as usize);
-        assert!(
-            a != b && self.live[a] && self.live[b],
-            "two live io requests"
-        );
-        if a < b {
-            let (lo, hi) = self.slots.split_at_mut(b);
-            (&mut lo[a], &mut hi[0])
-        } else {
-            let (lo, hi) = self.slots.split_at_mut(a);
-            (&mut hi[0], &mut lo[b])
-        }
     }
 
     /// Completes request `id`, freeing its slot for reuse.  The request
@@ -336,39 +316,67 @@ impl TemplateTable {
 mod tests {
     use super::*;
     use dbmodel::{AccessMode, ObjectId, ObjectRef};
-    use storage::ServiceStage;
+    use storage::{BackgroundStages, ForegroundStages, ServiceStage};
+
+    use super::super::iorequest::Completion;
+
+    /// A request for `page` at `unit` without stages.
+    fn request(unit: usize, page: u64) -> IoRequest {
+        IoRequest {
+            unit,
+            node: 0,
+            page: PageId(page),
+            stages: ForegroundStages::new(),
+            taken: 0,
+            background: BackgroundStages::new(),
+            completion: Completion::Plain,
+            issued_at: 0.0,
+            joinable: false,
+            waiters: Vec::new(),
+        }
+    }
 
     #[test]
     fn io_arena_recycles_slots_lifo() {
         let mut arena = IoArena::default();
-        let (a, _) = arena.claim(0, PageId(1), None);
-        let (b, _) = arena.claim(0, PageId(2), None);
+        let (a, _) = arena.claim(request(0, 1));
+        let (b, _) = arena.claim(request(0, 2));
         assert_ne!(a, b);
         arena.release(a);
         assert!(arena.get(a).is_none());
         assert!(arena.get(b).is_some());
         assert!(arena.get(99).is_none());
-        let (c, _) = arena.claim(0, PageId(3), None);
+        let (c, _) = arena.claim(request(0, 3));
         assert_eq!(c, a, "freed slot must be reused LIFO");
         assert_eq!(arena.live().count(), 2);
-        let (first, second) = arena.pair_mut(b, c);
-        assert_eq!((first.page, second.page), (PageId(2), PageId(3)));
+        assert_eq!(arena.get(b).map(|io| io.page), Some(PageId(2)));
+        assert_eq!(arena.get_mut(c).map(|io| io.page), Some(PageId(3)));
     }
 
     #[test]
     fn io_arena_reuses_completed_requests_in_place() {
         let mut arena = IoArena::default();
-        let (id, io) = arena.claim(1, PageId(5), Some(2));
-        io.extend_stages(&[ServiceStage::Disk(1.0)]);
-        io.group_waiters.extend([4, 5]);
-        let waiters = io.group_waiters.as_ptr();
+        let mut first = request(1, 5);
+        first.stages.push(ServiceStage::Disk(1.0));
+        first.background.push(ServiceStage::Disk(1.0));
+        first.completion = Completion::Checkpoint;
+        first.joinable = true;
+        let (id, io) = arena.claim(first);
+        io.waiters.extend([2, 4, 5]);
+        io.pop_stage();
+        let waiters = io.waiters.as_ptr();
         arena.release(id);
-        // The next claim gets the slot back, cleared, with its lists intact.
-        let (again, next) = arena.claim(3, PageId(6), None);
+        // The next claim gets the slot back with every field its own and the
+        // waiter list emptied, its buffer intact.
+        let (again, next) = arena.claim(request(3, 6));
         assert_eq!(again, id);
-        assert_eq!((next.unit, next.page, next.waiter), (3, PageId(6), None));
-        assert!(next.group_waiters.is_empty());
-        assert_eq!(next.group_waiters.as_ptr(), waiters);
+        assert_eq!((next.unit, next.node, next.page), (3, 0, PageId(6)));
+        assert_eq!((next.taken, next.current_stage()), (0, None));
+        assert!(next.stages.is_empty() && next.background.is_empty());
+        assert_eq!(next.completion, Completion::Plain);
+        assert!(!next.joinable);
+        assert!(next.waiters.is_empty());
+        assert_eq!(next.waiters.as_ptr(), waiters);
         assert_eq!(next.pop_stage(), None);
     }
 

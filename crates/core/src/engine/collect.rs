@@ -10,6 +10,7 @@ use crate::metrics::{
     SimulationReport, TxTypeReport,
 };
 
+use super::iorequest::Completion;
 use super::Simulation;
 
 impl<W: WorkloadGenerator> Simulation<W> {
@@ -67,11 +68,13 @@ impl<W: WorkloadGenerator> Simulation<W> {
         self.coherence_stats = crate::metrics::CoherenceReport::empty();
         if let Some(rec) = self.recovery.as_mut() {
             rec.reset_stats();
-            // Forget the issue stamps of in-flight checkpoint writes: their
+            // In-flight checkpoint writes complete as plain ones: their
             // (partly pre-warm-up) latency must not leak into the measured
             // checkpoint overhead.
             for io in self.ios.live_mut() {
-                io.checkpoint_issued_at = None;
+                if io.completion == Completion::Checkpoint {
+                    io.completion = Completion::Plain;
+                }
             }
         }
         for node in &mut self.nodes {

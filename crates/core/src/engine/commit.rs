@@ -20,6 +20,7 @@ use storage::IoKind;
 
 use crate::config::LogAllocation;
 
+use super::iorequest::Completion;
 use super::transaction::MicroOp;
 use super::{Ev, Flow, Simulation};
 
@@ -27,6 +28,7 @@ impl<W: WorkloadGenerator> Simulation<W> {
     pub(super) fn op_log_write(&mut self, slot: usize) -> Flow {
         let cm = self.config.cm;
         let nvem_cost = self.config.nvem.synchronous_cost(cm.mips);
+        let capacity = self.config.buffer.nvem_write_buffer_pages;
         self.expand_ops(slot, |sim, ops| match sim.config.log_allocation {
             LogAllocation::Nvem => {
                 ops.push(MicroOp::CpuBurst {
@@ -34,7 +36,29 @@ impl<W: WorkloadGenerator> Simulation<W> {
                     nvem: true,
                 });
             }
-            LogAllocation::DiskUnit(unit) => {
+            LogAllocation::DiskUnitViaNvemWriteBuffer(unit) if sim.log_wb_pending < capacity => {
+                // Absorbed by the NVEM write buffer: the transaction only
+                // waits for the NVEM transfer; the disk is updated
+                // asynchronously.
+                sim.log_wb_pending += 1;
+                let page = sim.next_log_page();
+                ops.extend([
+                    MicroOp::CpuBurst {
+                        ms: nvem_cost,
+                        nvem: true,
+                    },
+                    sim.io_overhead_burst(),
+                    MicroOp::IssueIo {
+                        unit,
+                        kind: IoKind::Write,
+                        page,
+                        completion: Completion::LogWriteBuffer,
+                    },
+                ]);
+            }
+            // A device-resident log, or a saturated write buffer whose
+            // overflow writes are synchronous device log writes.
+            LogAllocation::DiskUnit(unit) | LogAllocation::DiskUnitViaNvemWriteBuffer(unit) => {
                 if cm.group_commit_size > 1 {
                     // Each member still pays its own per-I/O CPU overhead
                     // (the DBMS issues a log request per transaction); only
@@ -48,53 +72,7 @@ impl<W: WorkloadGenerator> Simulation<W> {
                             unit,
                             kind: IoKind::Write,
                             page,
-                            wait: true,
-                            notify: false,
-                            log_wb: false,
-                        },
-                    ]);
-                }
-            }
-            LogAllocation::DiskUnitViaNvemWriteBuffer(unit) => {
-                let capacity = sim.config.buffer.nvem_write_buffer_pages;
-                if sim.log_wb_pending < capacity {
-                    // Absorbed by the NVEM write buffer: the transaction only
-                    // waits for the NVEM transfer; the disk is updated
-                    // asynchronously.
-                    sim.log_wb_pending += 1;
-                    let page = sim.next_log_page();
-                    ops.extend([
-                        MicroOp::CpuBurst {
-                            ms: nvem_cost,
-                            nvem: true,
-                        },
-                        sim.io_overhead_burst(),
-                        MicroOp::IssueIo {
-                            unit,
-                            kind: IoKind::Write,
-                            page,
-                            wait: false,
-                            notify: false,
-                            log_wb: true,
-                        },
-                    ]);
-                } else if cm.group_commit_size > 1 {
-                    // Write buffer saturated: the overflow writes are
-                    // synchronous device log writes, so group commit batches
-                    // them exactly like plain device-resident logs.
-                    ops.extend([sim.io_overhead_burst(), MicroOp::JoinCommitGroup { unit }]);
-                } else {
-                    // Write buffer saturated: synchronous log write.
-                    let page = sim.next_log_page();
-                    ops.extend([
-                        sim.io_overhead_burst(),
-                        MicroOp::IssueIo {
-                            unit,
-                            kind: IoKind::Write,
-                            page,
-                            wait: true,
-                            notify: false,
-                            log_wb: false,
+                            completion: Completion::Plain,
                         },
                     ]);
                 }
@@ -151,27 +129,10 @@ impl<W: WorkloadGenerator> Simulation<W> {
         }
         self.log_group_writes += 1;
         let page = self.next_log_page();
-        // The members ride on the write's request itself, attached before
-        // its first stage runs, so even a synchronously completing write
-        // wakes the whole batch.
-        self.issue_group_commit_io(unit, page);
-    }
-
-    pub(super) fn wake_slots(&mut self, slots: &[usize]) {
-        for &slot in slots {
-            if self.txs.is_live(slot) {
-                self.ready.push_back(slot);
-            }
-        }
-    }
-
-    /// Number of group log writes currently in flight (test diagnostic).
-    #[cfg(test)]
-    pub(super) fn group_writes_in_flight(&self) -> usize {
-        self.ios
-            .live()
-            .filter(|io| !io.group_waiters.is_empty())
-            .count()
+        let mut members = std::mem::take(&mut self.commit_group);
+        self.start_io(0, unit, IoKind::Write, page, Completion::Plain, &members);
+        members.clear();
+        self.commit_group = members;
     }
 
     // ------------------------------------------------------------------

@@ -46,15 +46,15 @@
 //! into a free template-table entry's reused buffer, device decisions and
 //! buffer-manager page operations arrive inline, micro operations are
 //! expanded in one reused scratch buffer (`micro_scratch`), the transactions
-//! a lock release wakes are copied into another (`woken_scratch`), and
-//! completed I/O requests (with their stage and waiter lists), lock-table
-//! entries and held-lock lists are recycled.  A coalescing unit lists its
-//! in-flight reads as `(page, io id)` pairs in a short `Vec` that a read
-//! scans for its page.  On the simulator benchmark a committed transaction
-//! costs 0.013, 0.012 and 0.007 heap allocations on `ds16-nvemlog`,
-//! `sn8-skew-burst` and `dc1-nvemcache-force`, all of it pools growing to
-//! their working size.  `tests/hot_path_allocations.rs` bounds the steady
-//! state at 0.05.
+//! a lock release wakes are copied into another (`woken_scratch`), an I/O
+//! request copies its stages inline, and completed I/O requests (with their
+//! waiter lists), lock-table entries and held-lock lists are recycled.  A
+//! coalescing unit lists its in-flight reads as `(page, io id)` pairs in a
+//! short `Vec` that a read scans for its page.  On the simulator benchmark a
+//! committed transaction costs 0.010, 0.011 and 0.007 heap allocations on
+//! `ds16-nvemlog`, `sn8-skew-burst` and `dc1-nvemcache-force`, all of it
+//! pools growing to their working size.  `tests/hot_path_allocations.rs`
+//! bounds the steady state at 0.05.
 //!
 //! The engine is split into focused subsystems (see `docs/ARCHITECTURE.md`
 //! for the full map and an event-lifecycle walkthrough); this module only

@@ -40,6 +40,7 @@ use bufmgr::PageLocation;
 use crate::config::LogAllocation;
 use crate::metrics::RestartReport;
 
+use super::iorequest::Completion;
 use super::{Ev, Simulation};
 
 /// Transaction id the restart pass locks under (real ids start at 1).
@@ -97,13 +98,10 @@ impl<W: WorkloadGenerator> Simulation<W> {
                 rec.checkpoint_overhead_ms += cost;
             }
             LogAllocation::DiskUnit(unit) => {
+                // Completion charges the measured latency as checkpoint
+                // overhead.
                 let page = self.next_log_page();
-                let io_id = self.issue_detached_io(unit, IoKind::Write, page);
-                // The request carries its issue time itself; completion
-                // charges the measured latency as checkpoint overhead.
-                if let Some(io) = self.ios.get_mut(io_id) {
-                    io.checkpoint_issued_at = Some(now);
-                }
+                self.start_io(0, unit, IoKind::Write, page, Completion::Checkpoint, &[]);
             }
         }
         let next = now + self.config.checkpoint_interval_ms;

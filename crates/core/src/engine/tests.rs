@@ -13,9 +13,10 @@ use bufmgr::{PageOp, PartitionPolicy, UpdateStrategy};
 use crate::config::CoherenceParams;
 use crate::presets::{
     data_sharing_config, debit_credit_config, debit_credit_workload, recovery_config,
-    shared_nothing_config, DebitCreditStorage, LOG_UNIT,
+    shared_nothing_config, DebitCreditStorage, DB_UNIT, LOG_UNIT,
 };
 
+use super::iorequest::Completion;
 use super::transaction::MicroOp;
 use super::{Ev, Flow, Simulation};
 use crate::config::SimulationConfig;
@@ -26,6 +27,16 @@ fn quick_config(storage: DebitCreditStorage, tps: f64) -> SimulationConfig {
     c.warmup_ms = 300.0;
     c.measure_ms = 1_500.0;
     c
+}
+
+/// Pops every pending event, serving only the I/O stages: drives the
+/// requests in flight to completion and nothing else.
+fn drain_io<W: dbmodel::WorkloadGenerator>(sim: &mut Simulation<W>) {
+    while let Some(event) = sim.queue.pop() {
+        if let Ev::IoStage(io_id) = event.payload {
+            sim.handle_io_stage(io_id);
+        }
+    }
 }
 
 /// A single-reference update transaction touching `page` of partition 0
@@ -474,11 +485,7 @@ fn stale_group_commit_timeout_is_a_noop_and_never_flushes_a_newer_batch() {
     assert_eq!(sim.join_commit_group(1, LOG_UNIT), Flow::Blocked);
     assert_eq!(sim.commit_group_seq, seq0 + 1);
     assert!(sim.commit_group.is_empty());
-    assert_eq!(
-        sim.group_writes_in_flight(),
-        1,
-        "one group log write in flight"
-    );
+    assert_eq!(sim.ios.live().count(), 1, "one group log write in flight");
     // Slot 2 opens the next batch (seq 1).
     assert_eq!(sim.join_commit_group(2, LOG_UNIT), Flow::Blocked);
     assert_eq!(sim.commit_group.len(), 1);
@@ -486,14 +493,14 @@ fn stale_group_commit_timeout_is_a_noop_and_never_flushes_a_newer_batch() {
     // neither flush the newer batch early nor disturb the in-flight write.
     sim.handle_group_commit_flush(seq0);
     assert_eq!(sim.commit_group.len(), 1, "newer batch flushed early");
-    assert_eq!(sim.group_writes_in_flight(), 1);
+    assert_eq!(sim.ios.live().count(), 1);
     // The newer batch's own timeout flushes it ...
     sim.handle_group_commit_flush(seq0 + 1);
     assert!(sim.commit_group.is_empty());
-    assert_eq!(sim.group_writes_in_flight(), 2);
+    assert_eq!(sim.ios.live().count(), 2);
     // ... and a late duplicate timeout for it is a no-op as well.
     sim.handle_group_commit_flush(seq0 + 1);
-    assert_eq!(sim.group_writes_in_flight(), 2);
+    assert_eq!(sim.ios.live().count(), 2);
     assert_eq!(sim.log_group_writes, 2);
 }
 
@@ -927,28 +934,25 @@ fn coalesced_read_completion_wakes_every_joined_waiter() {
     // completion puts a slot back.
     sim.ready.clear();
     let coalesced = |sim: &Simulation<_>| sim.units[0].coalescing.as_ref().unwrap().coalesced;
-    let drain_io = |sim: &mut Simulation<_>| {
-        while let Some(event) = sim.queue.pop() {
-            if let Ev::IoStage(io_id) = event.payload {
-                sim.handle_io_stage(io_id);
-            }
-        }
-    };
     // Three synchronous reads of the same page: the first starts a request,
     // the other two join it instead of paying for their own.
     for slot in 0..3 {
         assert_eq!(
-            sim.op_issue_io(slot, 0, IoKind::Read, PageId(7), true, false, false),
+            sim.op_issue_io(slot, 0, IoKind::Read, PageId(7), Completion::Plain),
             Flow::Blocked
         );
     }
     assert_eq!(coalesced(&sim), 2, "two of the three reads must coalesce");
     assert_eq!(sim.ios.live().count(), 1, "one physical request in flight");
     let io = sim.ios.live().next().expect("live io");
-    assert_eq!((io.waiter, io.group_waiters.clone()), (Some(0), vec![1, 2]));
+    assert_eq!(
+        io.waiters,
+        vec![0, 1, 2],
+        "the issuer first, then the joiners"
+    );
     // A synchronous write of the page is not a read: it never joins.
     assert_eq!(
-        sim.op_issue_io(4, 0, IoKind::Write, PageId(7), true, false, false),
+        sim.op_issue_io(4, 0, IoKind::Write, PageId(7), Completion::Plain),
         Flow::Blocked
     );
     assert_eq!(
@@ -967,7 +971,7 @@ fn coalesced_read_completion_wakes_every_joined_waiter() {
     // The completed read left the in-flight list: the next read of the page
     // starts a new physical request instead of joining a finished one.
     assert_eq!(
-        sim.op_issue_io(3, 0, IoKind::Read, PageId(7), true, false, false),
+        sim.op_issue_io(3, 0, IoKind::Read, PageId(7), Completion::Plain),
         Flow::Blocked
     );
     assert_eq!(sim.ios.live().count(), 1);
@@ -983,10 +987,16 @@ fn log_wb_completion_decrements_occupancy() {
         debit_credit_workload(200),
     );
     sim.log_wb_pending = 2;
-    // An empty stage list completes immediately on advance.
-    let (io_id, io) = sim.ios.claim(0, PageId(7), None);
-    io.log_wb = true;
-    sim.advance_io(io_id);
+    sim.start_io(
+        0,
+        LOG_UNIT,
+        IoKind::Write,
+        PageId(7),
+        Completion::LogWriteBuffer,
+        &[],
+    );
+    assert_eq!(sim.log_wb_pending, 2, "the write is still in flight");
+    drain_io(&mut sim);
     assert_eq!(sim.log_wb_pending, 1);
 }
 
@@ -1002,9 +1012,67 @@ fn log_wb_underflow_is_surfaced_in_debug_builds() {
     assert_eq!(sim.log_wb_pending, 0);
     // A log write-buffer completion without a matching reservation is an
     // accounting bug and must assert instead of clamping silently.
-    let (io_id, io) = sim.ios.claim(0, PageId(8), None);
-    io.log_wb = true;
-    sim.advance_io(io_id);
+    sim.start_io(
+        0,
+        LOG_UNIT,
+        IoKind::Write,
+        PageId(8),
+        Completion::LogWriteBuffer,
+        &[],
+    );
+    drain_io(&mut sim);
+}
+
+#[test]
+fn a_freed_server_serves_the_next_queued_read_for_its_own_stage() {
+    let mut c = quick_config(DebitCreditStorage::Disk, 50.0);
+    c.devices[DB_UNIT].num_controllers = 1;
+    c.devices[DB_UNIT].num_disks = 1;
+    let mut sim = Simulation::new(c, debit_credit_workload(200));
+    for page in [1, 2] {
+        sim.activate(0, write_template(page), 0.0);
+    }
+    sim.ready.clear();
+    // Two reads issued together: controller 1 ms, disk 15 ms, transmission
+    // 0.4 ms each.
+    for (slot, page) in [(0, 1), (1, 2)] {
+        assert_eq!(
+            sim.op_issue_io(slot, DB_UNIT, IoKind::Read, PageId(page), Completion::Plain),
+            Flow::Blocked
+        );
+    }
+    let mut woken = Vec::new();
+    while let Some(event) = sim.queue.pop() {
+        if let Ev::IoStage(io_id) = event.payload {
+            sim.handle_io_stage(io_id);
+            woken.extend(sim.ready.drain(..).map(|slot| (slot, sim.queue.now())));
+        }
+    }
+    // The second read queues at the controller until 1 ms and at the disk
+    // until 16 ms, and is served there for its own stage each time.
+    assert_eq!(woken.len(), 2, "{woken:?}");
+    assert_eq!(woken[0].0, 0);
+    assert!((woken[0].1 - 16.4).abs() < 1e-9, "{woken:?}");
+    assert_eq!(woken[1].0, 1);
+    assert!((woken[1].1 - 31.4).abs() < 1e-9, "{woken:?}");
+}
+
+#[test]
+fn checkpoint_writes_in_flight_at_the_warm_up_reset_charge_no_overhead() {
+    let c = recovery_config(false, false, 100.0, 50.0);
+    let mut sim = Simulation::new(c, debit_credit_workload(200));
+    let overhead = |sim: &Simulation<_>| sim.recovery.as_ref().unwrap().checkpoint_overhead_ms;
+    // The warm-up ends while a checkpoint record is being written: its
+    // latency, spent partly before the reset, is not measured.
+    sim.handle_checkpoint();
+    sim.end_warmup();
+    drain_io(&mut sim);
+    assert_eq!(overhead(&sim), 0.0);
+    // A record written after the reset charges its latency at the idle log
+    // disk: controller 1 ms, disk 5 ms, transmission 0.4 ms.
+    sim.handle_checkpoint();
+    drain_io(&mut sim);
+    assert!((overhead(&sim) - 6.4).abs() < 1e-9, "{}", overhead(&sim));
 }
 
 // ---------------------------------------------------------------------------

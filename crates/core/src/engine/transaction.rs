@@ -18,6 +18,8 @@ use dbmodel::PageId;
 use simkernel::time::SimTime;
 use storage::IoKind;
 
+use super::iorequest::Completion;
+
 /// One step of a transaction that the engine knows how to execute.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum MicroOp {
@@ -25,17 +27,15 @@ pub(crate) enum MicroOp {
     /// bursts that represent a synchronous NVEM page transfer (for NVEM
     /// utilization accounting).
     CpuBurst { ms: SimTime, nvem: bool },
-    /// Issue an I/O at disk unit `unit`.  With `wait` the transaction blocks
-    /// until the foreground part completes; with `notify` the buffer manager
-    /// is informed when the (asynchronous) write finishes.  `log_wb` marks
-    /// asynchronous log writes going through the NVEM write buffer.
+    /// Issue an I/O at disk unit `unit`.  A [`Completion::Plain`] I/O
+    /// blocks the transaction until its foreground part completes; the
+    /// others are asynchronous writes whose completion does the named
+    /// follow-up.
     IssueIo {
         unit: usize,
         kind: IoKind,
         page: PageId,
-        wait: bool,
-        notify: bool,
-        log_wb: bool,
+        completion: Completion,
     },
     /// Request the lock for object reference `ref_idx`.
     Lock { ref_idx: usize },
@@ -181,7 +181,7 @@ mod tests {
     }
 
     #[test]
-    fn reuse_resets_everything_including_restart_count() {
+    fn reuse_resets_every_field_for_the_next_arrival() {
         let mut tx = Transaction::new(1, 0, 7, 42.0);
         tx.restart();
         tx.micro.push_back(MicroOp::Complete);

@@ -244,9 +244,10 @@ impl ShippingReport {
 /// protocol message.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CoherenceReport {
-    /// Buffered copies found stale by a reference-time version check and
-    /// discarded (on-request validation; each also counts as a buffer
-    /// invalidation in [`bufmgr::BufferStats`]).
+    /// Buffered copies a reference found stale — held, but another node's
+    /// commit had cleared their node's holder bit — and discarded
+    /// (on-request validation; each also counts as a buffer invalidation in
+    /// [`bufmgr::BufferStats`]).
     pub stale_validations: u64,
     /// Total simulated delay of the validation round trips charged for
     /// stale hits (ms).
@@ -291,8 +292,9 @@ pub struct KernelProfile {
     /// Events per wall-clock second.
     pub events_per_sec: f64,
     /// Committed update transactions that ran the commit-time coherence
-    /// fan-out (version bumps or holder invalidations; 0 on single-node and
-    /// shared-nothing runs, which have no fan-out).
+    /// fan-out (holder invalidations, or holder-mask updates under
+    /// on-request validation; 0 on single-node and shared-nothing runs,
+    /// which have no fan-out).
     pub fanout_commits: u64,
     /// Wall-clock nanoseconds spent in the commit-time coherence fan-out,
     /// summed over all commits.

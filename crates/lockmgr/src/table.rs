@@ -85,16 +85,11 @@ impl LockEntry {
         self.holders.iter().find(|(t, _)| *t == tx).map(|(_, m)| *m)
     }
 
-    /// True if a new request by `tx` in `mode` can be granted right now,
-    /// honouring FIFO fairness (a compatible request behind incompatible
-    /// waiters must wait).
-    fn can_grant(&self, tx: TxId, mode: LockMode) -> bool {
-        let others_compatible = self
-            .holders
-            .iter()
-            .filter(|(t, _)| *t != tx)
-            .all(|(_, m)| m.compatible(mode));
-        others_compatible && (self.waiters.is_empty() || self.holds(tx).is_some())
+    /// True if a new request in `mode` by a transaction that does not hold
+    /// the item can be granted right now, honouring FIFO fairness (a
+    /// compatible request behind waiters must wait).
+    fn can_grant(&self, mode: LockMode) -> bool {
+        self.waiters.is_empty() && self.holders.iter().all(|(_, m)| m.compatible(mode))
     }
 }
 
@@ -140,7 +135,7 @@ impl LockTable {
         out.clear();
         if let Some(e) = self.entries.get(&id) {
             for (t, m) in &e.holders {
-                if *t != tx && (!m.compatible(mode) || mode.is_exclusive() || m.is_exclusive()) {
+                if *t != tx && !m.compatible(mode) {
                     out.push(*t);
                 }
             }
@@ -182,7 +177,7 @@ impl LockTable {
             entry.waiters.push(Waiter { tx, mode });
             return TableOutcome::Blocked;
         }
-        if entry.can_grant(tx, mode) {
+        if entry.can_grant(mode) {
             entry.holders.push((tx, mode));
             TableOutcome::Granted
         } else {

@@ -54,19 +54,17 @@ impl DiskUnitStats {
     }
 }
 
-/// Cache entry state: number of pending asynchronous disk updates for the
-/// page.  An entry is "unmodified" (clean, replaceable) when the count is 0.
-type PendingDestages = u32;
-
 /// A disk unit: policy state (cache contents) and statistics.
 ///
 /// The unit does not advance simulated time; it returns [`IoDecision`]s that
 /// the engine executes against the unit's controller and disk resources.
+/// A non-volatile cache is a write-behind store: each cached page counts its
+/// destages in flight ([`LruCache::absorb`]).
 #[derive(Debug)]
 pub struct DiskUnit {
     name: String,
     params: DiskUnitParams,
-    cache: Option<LruCache<PageId, PendingDestages>>,
+    cache: Option<LruCache<PageId, u32>>,
     stats: DiskUnitStats,
 }
 
@@ -100,171 +98,104 @@ impl DiskUnit {
         self.cache.as_ref().is_some_and(|c| c.contains(&page))
     }
 
-    fn full_access(&self) -> ForegroundStages {
-        let mut stages = ForegroundStages::new();
-        stages.push(ServiceStage::Controller(self.params.controller_delay));
-        stages.push(ServiceStage::Disk(self.params.disk_delay));
-        stages.push(ServiceStage::Transmission(self.params.transmission_delay));
-        stages
+    /// Controller, disk and transmission: a miss, or any uncached unit.
+    fn full_access(&self) -> IoDecision {
+        let mut foreground = ForegroundStages::new();
+        foreground.push(ServiceStage::Controller(self.params.controller_delay));
+        foreground.push(ServiceStage::Disk(self.params.disk_delay));
+        foreground.push(ServiceStage::Transmission(self.params.transmission_delay));
+        IoDecision {
+            foreground,
+            background: BackgroundStages::new(),
+        }
     }
 
-    fn cache_access(&self) -> ForegroundStages {
-        let mut stages = ForegroundStages::new();
-        stages.push(ServiceStage::Controller(self.params.controller_delay));
-        stages.push(ServiceStage::Transmission(self.params.transmission_delay));
-        stages
+    /// Controller and transmission only: served from the cache.
+    fn cache_access(&self) -> IoDecision {
+        let mut foreground = ForegroundStages::new();
+        foreground.push(ServiceStage::Controller(self.params.controller_delay));
+        foreground.push(ServiceStage::Transmission(self.params.transmission_delay));
+        IoDecision {
+            foreground,
+            background: BackgroundStages::new(),
+        }
     }
 
-    fn destage(&self) -> BackgroundStages {
-        let mut stages = BackgroundStages::new();
-        stages.push(ServiceStage::Disk(self.params.disk_delay));
-        stages
+    /// A write a non-volatile cache absorbs: a cache access, then the
+    /// destage to disk in the background.
+    fn absorbed_write(&self) -> IoDecision {
+        let mut decision = self.cache_access();
+        decision
+            .background
+            .push(ServiceStage::Disk(self.params.disk_delay));
+        decision
     }
 
     fn read(&mut self, page: PageId) -> IoDecision {
         self.stats.reads += 1;
-        match self.params.kind {
-            DiskUnitKind::Regular => IoDecision {
-                foreground: self.full_access(),
-                background: BackgroundStages::new(),
-                cache_hit: false,
-                absorbed_write: false,
-            },
-            DiskUnitKind::Ssd => {
-                self.stats.read_hits += 1;
-                IoDecision {
-                    foreground: self.cache_access(),
-                    background: BackgroundStages::new(),
-                    cache_hit: true,
-                    absorbed_write: false,
-                }
-            }
+        let hit = match self.params.kind {
+            DiskUnitKind::Regular => false,
+            DiskUnitKind::Ssd => true,
             DiskUnitKind::VolatileCache | DiskUnitKind::NonVolatileCache => {
                 let cache = self.cache.as_mut().expect("cached unit has a cache");
-                if cache.get(&page).is_some() {
-                    self.stats.read_hits += 1;
-                    IoDecision {
-                        foreground: self.cache_access(),
-                        background: BackgroundStages::new(),
-                        cache_hit: true,
-                        absorbed_write: false,
-                    }
-                } else {
-                    // Read miss: fetch from disk and allocate in the cache.
-                    // The evicted frame must be clean for a non-volatile cache;
-                    // prefer the LRU clean frame, otherwise drop the LRU frame
-                    // (its destage is already under way and will simply find
-                    // the page gone when it completes).
-                    Self::allocate_frame(cache, page, 0);
-                    IoDecision {
-                        foreground: self.full_access(),
-                        background: BackgroundStages::new(),
-                        cache_hit: false,
-                        absorbed_write: false,
-                    }
+                let hit = cache.get(&page).is_some();
+                if !hit {
+                    // Read miss: fetch from disk and allocate in the cache,
+                    // replacing the LRU clean frame, else the LRU frame (its
+                    // destage is already under way and will simply find the
+                    // page gone when it completes).
+                    cache.admit(page, 0);
                 }
+                hit
             }
+        };
+        if hit {
+            self.stats.read_hits += 1;
+            self.cache_access()
+        } else {
+            self.full_access()
         }
     }
 
     fn write(&mut self, page: PageId) -> IoDecision {
         self.stats.writes += 1;
         match self.params.kind {
-            DiskUnitKind::Regular => IoDecision {
-                foreground: self.full_access(),
-                background: BackgroundStages::new(),
-                cache_hit: false,
-                absorbed_write: false,
-            },
+            DiskUnitKind::Regular => self.full_access(),
             DiskUnitKind::Ssd => {
                 self.stats.write_hits += 1;
                 self.stats.absorbed_writes += 1;
-                IoDecision {
-                    foreground: self.cache_access(),
-                    background: BackgroundStages::new(),
-                    cache_hit: true,
-                    absorbed_write: true,
-                }
+                self.cache_access()
             }
             DiskUnitKind::VolatileCache => {
                 let cache = self.cache.as_mut().expect("cached unit has a cache");
                 // Write-through: the disk is always accessed.  A write hit
                 // refreshes the cached copy (LRU update); a write miss leaves
                 // the cache unchanged.
-                let hit = cache.touch(&page);
-                if hit {
+                if cache.touch(&page) {
                     self.stats.write_hits += 1;
                 }
-                IoDecision {
-                    foreground: self.full_access(),
-                    background: BackgroundStages::new(),
-                    cache_hit: hit,
-                    absorbed_write: false,
-                }
+                self.full_access()
             }
             DiskUnitKind::NonVolatileCache => {
                 let cache = self.cache.as_mut().expect("cached unit has a cache");
-                if let Some(pending) = cache.get_mut(&page) {
-                    // Write hit: absorb, destage asynchronously.
-                    *pending += 1;
-                    self.stats.write_hits += 1;
-                    self.stats.absorbed_writes += 1;
-                    IoDecision {
-                        foreground: self.cache_access(),
-                        background: self.destage(),
-                        cache_hit: true,
-                        absorbed_write: true,
-                    }
-                } else {
-                    // Write miss: need a clean (fully destaged) frame.
-                    let have_room = !cache.is_full();
-                    let clean_victim = if have_room {
-                        None
-                    } else {
-                        cache.lru_matching(|pending| *pending == 0)
-                    };
-                    if have_room || clean_victim.is_some() {
-                        if let Some(victim) = clean_victim {
-                            cache.remove(&victim);
+                match cache.absorb(page) {
+                    Some(hit) => {
+                        if hit {
+                            self.stats.write_hits += 1;
                         }
-                        cache.insert(page, 1);
                         self.stats.absorbed_writes += 1;
-                        IoDecision {
-                            foreground: self.cache_access(),
-                            background: self.destage(),
-                            cache_hit: false,
-                            absorbed_write: true,
-                        }
-                    } else {
+                        self.absorbed_write()
+                    }
+                    None => {
                         // Every cached page still has a pending disk update:
                         // "we cannot satisfy the write I/O in the cache but
                         // directly go to the disk".
                         self.stats.forced_sync_writes += 1;
-                        IoDecision {
-                            foreground: self.full_access(),
-                            background: BackgroundStages::new(),
-                            cache_hit: false,
-                            absorbed_write: false,
-                        }
+                        self.full_access()
                     }
                 }
             }
         }
-    }
-
-    /// Allocates a cache frame for `page` after a read miss.
-    fn allocate_frame(
-        cache: &mut LruCache<PageId, PendingDestages>,
-        page: PageId,
-        initial: PendingDestages,
-    ) {
-        if cache.is_full() && !cache.contains(&page) {
-            // Prefer evicting a clean frame; fall back to the plain LRU frame.
-            if let Some(victim) = cache.lru_matching(|pending| *pending == 0) {
-                cache.remove(&victim);
-            }
-        }
-        cache.insert(page, initial);
     }
 }
 
@@ -284,9 +215,7 @@ impl StorageDevice for DiskUnit {
     fn destage_complete(&mut self, page: PageId) {
         self.stats.destages_completed += 1;
         if let Some(cache) = self.cache.as_mut() {
-            if let Some(pending) = cache.peek_mut(&page) {
-                *pending = pending.saturating_sub(1);
-            }
+            cache.destaged(&page);
         }
     }
 
@@ -320,10 +249,11 @@ mod tests {
         for kind in [IoKind::Read, IoKind::Write] {
             let d = u.request(kind, PageId(1));
             assert!((d.foreground_service_time() - 16.4).abs() < 1e-9);
-            assert!(!d.cache_hit);
             assert!(d.background.is_empty());
         }
         assert_eq!(u.cached_pages(), 0);
+        let s = u.stats();
+        assert_eq!((s.read_hits, s.write_hits, s.absorbed_writes), (0, 0, 0));
     }
 
     #[test]
@@ -334,18 +264,18 @@ mod tests {
         assert!((r.foreground_service_time() - 1.4).abs() < 1e-9);
         assert!((w.foreground_service_time() - 1.4).abs() < 1e-9);
         assert!(!r.touches_disk_in_foreground());
-        assert!(w.absorbed_write);
         assert!(w.background.is_empty());
+        let s = u.stats();
+        assert_eq!((s.read_hits, s.write_hits, s.absorbed_writes), (1, 1, 1));
     }
 
     #[test]
     fn volatile_cache_read_miss_then_hit() {
         let mut u = unit(DiskUnitKind::VolatileCache, 10);
         let miss = u.request(IoKind::Read, PageId(7));
-        assert!(!miss.cache_hit);
+        assert_eq!(u.stats().read_hits, 0);
         assert!(miss.touches_disk_in_foreground());
         let hit = u.request(IoKind::Read, PageId(7));
-        assert!(hit.cache_hit);
         assert!((hit.foreground_service_time() - 1.4).abs() < 1e-9);
         assert_eq!(u.stats().read_hits, 1);
         assert!((u.stats().read_hit_ratio() - 0.5).abs() < 1e-9);
@@ -357,12 +287,12 @@ mod tests {
         // Write miss: disk access, cache unchanged.
         let w = u.request(IoKind::Write, PageId(3));
         assert!(w.touches_disk_in_foreground());
-        assert!(!w.absorbed_write);
+        assert!(w.background.is_empty());
         assert!(!u.cache_contains(PageId(3)));
+        assert_eq!(u.stats().write_hits, 0);
         // Read allocates; subsequent write hit still goes to disk.
         u.request(IoKind::Read, PageId(3));
         let w2 = u.request(IoKind::Write, PageId(3));
-        assert!(w2.cache_hit);
         assert!(w2.touches_disk_in_foreground());
         assert_eq!(u.stats().write_hits, 1);
         assert_eq!(u.stats().absorbed_writes, 0);
@@ -372,7 +302,7 @@ mod tests {
     fn nonvolatile_cache_absorbs_writes_and_destages() {
         let mut u = unit(DiskUnitKind::NonVolatileCache, 10);
         let w = u.request(IoKind::Write, PageId(5));
-        assert!(w.absorbed_write);
+        assert_eq!(u.stats().absorbed_writes, 1);
         assert!(!w.touches_disk_in_foreground());
         assert!((w.foreground_service_time() - 1.4).abs() < 1e-9);
         assert_eq!(w.background.len(), 1);
@@ -382,7 +312,8 @@ mod tests {
         assert_eq!(u.stats().destages_completed, 1);
         // A read of the page now hits.
         let r = u.request(IoKind::Read, PageId(5));
-        assert!(r.cache_hit);
+        assert!(!r.touches_disk_in_foreground());
+        assert_eq!(u.stats().read_hits, 1);
     }
 
     #[test]
@@ -390,7 +321,8 @@ mod tests {
         let mut u = unit(DiskUnitKind::NonVolatileCache, 4);
         u.request(IoKind::Write, PageId(1));
         let w2 = u.request(IoKind::Write, PageId(1));
-        assert!(w2.cache_hit && w2.absorbed_write);
+        assert_eq!(w2.background.len(), 1);
+        assert_eq!((u.stats().write_hits, u.stats().absorbed_writes), (1, 2));
         // Two destages pending; the first completion does not make it clean.
         u.destage_complete(PageId(1));
         // Fill the cache with dirty pages and check page 1 only becomes a
@@ -401,10 +333,12 @@ mod tests {
         assert!(u.cache_contains(PageId(1)));
         let w5 = u.request(IoKind::Write, PageId(5));
         // No clean frame anywhere → forced synchronous write.
-        assert!(!w5.absorbed_write);
+        assert!(w5.touches_disk_in_foreground());
+        assert_eq!(u.stats().forced_sync_writes, 1);
         u.destage_complete(PageId(1));
         let w6 = u.request(IoKind::Write, PageId(6));
-        assert!(w6.absorbed_write);
+        assert!(!w6.touches_disk_in_foreground());
+        assert_eq!(u.stats().absorbed_writes, 6);
         assert!(!u.cache_contains(PageId(1)), "clean LRU frame was replaced");
     }
 
@@ -412,15 +346,19 @@ mod tests {
     fn nonvolatile_cache_forced_sync_write_when_all_frames_dirty() {
         let mut u = unit(DiskUnitKind::NonVolatileCache, 3);
         for p in 1..=3 {
-            assert!(u.request(IoKind::Write, PageId(p)).absorbed_write);
+            u.request(IoKind::Write, PageId(p));
         }
+        assert_eq!(u.stats().absorbed_writes, 3);
         let w = u.request(IoKind::Write, PageId(99));
-        assert!(!w.absorbed_write);
         assert!(w.touches_disk_in_foreground());
+        assert!(w.background.is_empty());
         assert_eq!(u.stats().forced_sync_writes, 1);
+        assert_eq!(u.stats().absorbed_writes, 3);
         // After destaging one page, absorption works again.
         u.destage_complete(PageId(2));
-        assert!(u.request(IoKind::Write, PageId(100)).absorbed_write);
+        let again = u.request(IoKind::Write, PageId(100));
+        assert!(!again.touches_disk_in_foreground());
+        assert_eq!(u.stats().absorbed_writes, 4);
     }
 
     #[test]

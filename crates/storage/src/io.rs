@@ -75,11 +75,6 @@ pub struct IoDecision {
     /// Stages performed asynchronously after the foreground part completed
     /// (e.g. the destage of an absorbed write).  The requester does not wait.
     pub background: BackgroundStages,
-    /// True if the request hit in the unit's cache.
-    pub cache_hit: bool,
-    /// True if a write was absorbed by a non-volatile cache (disk copy updated
-    /// asynchronously).
-    pub absorbed_write: bool,
 }
 
 impl IoDecision {
@@ -106,8 +101,6 @@ mod tests {
         let mut d = IoDecision {
             foreground: ForegroundStages::new(),
             background: BackgroundStages::new(),
-            cache_hit: false,
-            absorbed_write: false,
         };
         d.foreground.extend([
             ServiceStage::Controller(1.0),
@@ -124,8 +117,6 @@ mod tests {
         let mut d = IoDecision {
             foreground: ForegroundStages::new(),
             background: BackgroundStages::new(),
-            cache_hit: true,
-            absorbed_write: false,
         };
         d.foreground.extend([
             ServiceStage::Controller(1.0),

@@ -12,7 +12,11 @@
 //!   the IBM 3990 behaviour described in the paper: read misses allocate,
 //!   volatile caches write through (write misses do not allocate),
 //!   non-volatile caches absorb writes when a clean frame is available and
-//!   update the disk copy asynchronously.
+//!   update the disk copy asynchronously.  A non-volatile cache is a
+//!   *write-behind store*, an [`LruCache`] counting each page's writes in
+//!   flight; the buffer manager's NVEM cache and NVEM write buffer are the
+//!   same type under the same rule ([`LruCache::absorb`],
+//!   [`LruCache::admit`], [`LruCache::destaged`]).
 //! * **NVEM** — non-volatile extended memory, a page-addressable store that is
 //!   accessed synchronously by the CPU, which stays busy for the page move.
 //! * **Read coalescing** — an optional per-unit policy
@@ -21,10 +25,12 @@
 //!   Disabled by default; units then serve every read on its own.
 //!
 //! The device models are *policy only*: they decide which service stages an
-//! I/O must pass through ([`io::IoDecision`]) and keep the cache state, but
-//! they do not advance simulated time themselves — the transaction engine in
-//! the `tpsim` crate executes the stages against `simkernel` resources so that
-//! queueing at controllers and disk arms is modelled faithfully.
+//! I/O must pass through ([`io::IoDecision`], its foreground and background
+//! stages and nothing else) and keep the cache state and the hit and
+//! absorbed-write counts ([`DiskUnitStats`]), but they do not advance
+//! simulated time themselves — the transaction engine in the `tpsim` crate
+//! executes the stages against `simkernel` resources so that queueing at
+//! controllers and disk arms is modelled faithfully.
 
 pub mod device;
 pub mod disk_unit;

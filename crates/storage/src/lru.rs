@@ -1,10 +1,15 @@
 //! An order-preserving LRU cache with O(1) access, insert and removal.
 //!
 //! Used for the disk caches (volatile and non-volatile), the second-level
-//! NVEM database buffer and the main-memory buffer.  Besides the usual LRU
-//! operations it supports scanning from the least-recently-used end for the
-//! first entry matching a predicate — needed to find "the least recently
-//! accessed unmodified page" when a non-volatile cache handles a write miss.
+//! NVEM database buffer, the NVEM write buffer and the main-memory buffer.
+//!
+//! A *write-behind store* — the non-volatile disk cache, the NVEM cache and
+//! the NVEM write buffer — is an `LruCache<K, u32>` whose value counts the
+//! page's asynchronous disk writes in flight (zero means clean).  Such a
+//! store follows one rule (§3.2–3.3): a write takes a frame, the disk copy is
+//! updated asynchronously, and a full store replaces "the least recently
+//! accessed unmodified page" ([`LruCache::absorb`], [`LruCache::admit`],
+//! [`LruCache::destaged`]).
 
 use std::hash::Hash;
 
@@ -203,19 +208,6 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         (self.tail != NIL).then(|| &self.nodes[self.tail].key)
     }
 
-    /// Scans from the least-recently-used end and returns the key of the first
-    /// entry whose value matches `pred`.
-    pub fn lru_matching<F: Fn(&V) -> bool>(&self, pred: F) -> Option<K> {
-        let mut idx = self.tail;
-        while idx != NIL {
-            if self.nodes[idx].value.as_ref().is_some_and(&pred) {
-                return Some(self.nodes[idx].key.clone());
-            }
-            idx = self.nodes[idx].prev;
-        }
-        None
-    }
-
     /// Iterates from least-recently-used to most-recently-used.
     pub fn iter_lru(&self) -> impl Iterator<Item = (&K, &V)> {
         let mut idx = self.tail;
@@ -240,6 +232,79 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         self.free.clear();
         self.head = NIL;
         self.tail = NIL;
+    }
+}
+
+/// The write-behind rule: the value counts the page's asynchronous disk
+/// writes in flight, and a page with none is clean (replaceable).
+impl<K: Eq + Hash + Clone> LruCache<K, u32> {
+    /// True if `key` is cached with no write in flight.
+    pub fn is_clean(&self, key: &K) -> bool {
+        self.peek(key) == Some(&0)
+    }
+
+    /// The least recently used clean page.
+    fn lru_clean(&self) -> Option<K> {
+        let mut idx = self.tail;
+        while idx != NIL {
+            if self.nodes[idx].value == Some(0) {
+                return Some(self.nodes[idx].key.clone());
+            }
+            idx = self.nodes[idx].prev;
+        }
+        None
+    }
+
+    /// A write of `key` that the store absorbs, starting one asynchronous
+    /// disk write.  A cached page counts one more write and becomes most
+    /// recently used; otherwise the page takes a free frame or the least
+    /// recently used clean one.  Returns whether the page was cached, or
+    /// `None` — changing nothing — when every frame has a write in flight.
+    pub fn absorb(&mut self, key: K) -> Option<bool> {
+        if let Some(pending) = self.get_mut(&key) {
+            *pending += 1;
+            return Some(true);
+        }
+        if self.is_full() {
+            let clean = self.lru_clean()?;
+            self.remove(&clean);
+        }
+        self.insert(key, 1);
+        Some(false)
+    }
+
+    /// Brings `key` in with `pending` writes in flight.  A cached page adds
+    /// them to its count and becomes most recently used; otherwise a full
+    /// store replaces its least recently used clean page, or its plain least
+    /// recently used page when none is clean (that page's writes are already
+    /// under way, so nothing is lost).  Returns the page that left.
+    pub fn admit(&mut self, key: K, pending: u32) -> Option<K> {
+        if let Some(count) = self.get_mut(&key) {
+            *count += pending;
+            return None;
+        }
+        let victim = if self.is_full() {
+            self.lru_clean().or_else(|| self.lru_key().cloned())
+        } else {
+            None
+        };
+        if let Some(victim) = &victim {
+            self.remove(victim);
+        }
+        self.insert(key, pending);
+        victim
+    }
+
+    /// One asynchronous write of `key` completed (saturating at clean).
+    /// Returns false when the page is no longer cached.
+    pub fn destaged(&mut self, key: &K) -> bool {
+        match self.peek_mut(key) {
+            Some(pending) => {
+                *pending = pending.saturating_sub(1);
+                true
+            }
+            None => false,
+        }
     }
 }
 
@@ -306,20 +371,6 @@ mod tests {
         assert_eq!(c.pop_lru(), Some((1, 'a')));
         assert_eq!(c.pop_lru(), None);
         assert!(c.is_empty());
-    }
-
-    #[test]
-    fn lru_matching_finds_oldest_matching_entry() {
-        let mut c = LruCache::new(4);
-        c.insert(1, true); // dirty
-        c.insert(2, false); // clean
-        c.insert(3, true);
-        c.insert(4, false);
-        // Oldest clean entry is 2.
-        assert_eq!(c.lru_matching(|dirty| !*dirty), Some(2));
-        // Oldest dirty entry is 1.
-        assert_eq!(c.lru_matching(|dirty| *dirty), Some(1));
-        assert_eq!(c.lru_matching(|_| false), None);
     }
 
     #[test]
@@ -397,37 +448,84 @@ mod tests {
     }
 
     #[test]
-    fn capacity_one_predicate_scan() {
-        let mut c = LruCache::new(1);
-        assert_eq!(c.lru_matching(|_: &bool| true), None);
-        c.insert(7, true);
-        assert_eq!(c.lru_matching(|dirty| *dirty), Some(7));
-        assert_eq!(c.lru_matching(|dirty| !*dirty), None);
+    fn absorb_takes_a_free_frame_then_the_lru_clean_one() {
+        let mut c: LruCache<u64, u32> = LruCache::new(3);
+        assert_eq!(c.absorb(1), Some(false));
+        assert_eq!(c.admit(2, 0), None); // clean
+        assert_eq!(c.absorb(3), Some(false));
+        assert!(c.is_full());
+        // A cached page counts one more write and becomes most recent.
+        assert_eq!(c.absorb(1), Some(true));
+        assert_eq!(c.peek(&1), Some(&2));
+        assert_eq!(c.lru_key(), Some(&2));
+        // A miss on a full store replaces the least recently used clean page.
+        assert_eq!(c.absorb(4), Some(false));
+        assert!(!c.contains(&2));
+        assert_eq!(c.peek(&4), Some(&1));
+        // With every frame written behind, the write is refused untouched.
+        let order: Vec<u64> = c.iter_lru().map(|(k, _)| *k).collect();
+        assert_eq!(c.absorb(5), None);
+        assert!(!c.contains(&5));
+        assert_eq!(c.iter_lru().map(|(k, _)| *k).collect::<Vec<_>>(), order);
     }
 
     #[test]
-    fn lru_matching_models_find_from_lru_for_unmodified_pages() {
-        // The non-volatile disk cache's "least recently used unmodified page"
-        // lookup: values count pending destages, 0 = clean (replaceable).
-        let mut c: LruCache<u64, u32> = LruCache::new(4);
-        c.insert(1, 0); // clean, oldest
-        c.insert(2, 2); // dirty
-        c.insert(3, 0); // clean
-        c.insert(4, 1); // dirty
-        assert_eq!(c.lru_matching(|pending| *pending == 0), Some(1));
-        // Touching page 1 makes page 3 the LRU clean frame.
-        c.touch(&1);
-        assert_eq!(c.lru_matching(|pending| *pending == 0), Some(3));
-        // Dirty pages become candidates once their destages complete.
-        *c.peek_mut(&2).unwrap() = 0;
-        assert_eq!(c.lru_matching(|pending| *pending == 0), Some(2));
-        // With every frame dirty the scan finds nothing.
-        for k in [1, 2, 3] {
-            *c.peek_mut(&k).unwrap() = 1;
-        }
-        assert_eq!(c.lru_matching(|pending| *pending == 0), None);
-        // The scan must not disturb recency: page 2 is still the LRU frame.
-        assert_eq!(c.lru_key(), Some(&2));
+    fn admit_prefers_the_lru_clean_page_and_falls_back_to_the_lru_page() {
+        let mut c: LruCache<u64, u32> = LruCache::new(3);
+        c.admit(1, 1); // written behind, oldest
+        c.admit(2, 0); // clean
+        c.admit(3, 1);
+        // The clean page leaves although page 1 is older.
+        assert_eq!(c.admit(4, 0), Some(2));
+        // A cached page adds to its count, evicts nothing and becomes most
+        // recent.
+        assert_eq!(c.admit(1, 1), None);
+        assert_eq!(c.peek(&1), Some(&2));
+        assert_eq!(c.lru_key(), Some(&3));
+        // Page 4 is the only clean one left.
+        assert_eq!(c.admit(5, 1), Some(4));
+        // No page is clean: the plain LRU page leaves.
+        assert_eq!(c.admit(6, 0), Some(3));
+        assert_eq!(c.len(), 3);
+    }
+
+    #[test]
+    fn destaged_counts_down_to_clean_and_reports_missing_pages() {
+        let mut c: LruCache<u64, u32> = LruCache::new(2);
+        c.absorb(1);
+        c.absorb(1);
+        assert!(!c.is_clean(&1));
+        assert!(c.destaged(&1));
+        assert!(!c.is_clean(&1), "one write is still in flight");
+        assert!(c.destaged(&1));
+        assert!(c.is_clean(&1));
+        // Saturating: a late completion leaves the page clean.
+        assert!(c.destaged(&1));
+        assert_eq!(c.peek(&1), Some(&0));
+        // A page that left the store is neither clean nor destaged.
+        assert!(!c.destaged(&9));
+        assert!(!c.is_clean(&9));
+        // Completions change no recency.
+        c.absorb(2);
+        c.destaged(&1);
+        assert_eq!(c.lru_key(), Some(&1));
+    }
+
+    #[test]
+    fn capacity_one_write_behind_store() {
+        let mut c: LruCache<u64, u32> = LruCache::new(1);
+        assert_eq!(c.absorb(7), Some(false));
+        // The sole frame has a write in flight: the next write is refused.
+        assert_eq!(c.absorb(8), None);
+        assert_eq!(c.absorb(7), Some(true));
+        // A read miss replaces the sole frame even while it is written behind.
+        assert_eq!(c.admit(8, 0), Some(7));
+        assert!(c.is_clean(&8));
+        // A clean sole frame takes the next write.
+        assert_eq!(c.absorb(9), Some(false));
+        assert_eq!(c.lru_key(), Some(&9));
+        assert!(c.destaged(&9));
+        assert_eq!(c.admit(10, 1), Some(9));
     }
 
     #[test]
