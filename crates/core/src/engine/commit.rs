@@ -112,7 +112,7 @@ impl<W: WorkloadGenerator> Simulation<W> {
 
     /// Timeout path: flush the batch with sequence number `seq` if it is
     /// still the open one (otherwise it was already flushed when it filled).
-    pub(super) fn handle_group_commit_flush(&mut self, seq: u64) {
+    pub(super) fn handle_group_commit_flush(&mut self, seq: u32) {
         if seq != self.commit_group_seq || self.commit_group.is_empty() {
             return;
         }
@@ -123,7 +123,9 @@ impl<W: WorkloadGenerator> Simulation<W> {
     /// the write's request until it completes.
     fn flush_commit_group(&mut self) {
         let unit = self.commit_group_unit;
-        self.commit_group_seq += 1;
+        // Wraps: a timeout only compares its number for equality, and no run
+        // opens 2^32 batches within one timeout interval.
+        self.commit_group_seq = self.commit_group_seq.wrapping_add(1);
         if self.commit_group.is_empty() {
             return;
         }

@@ -12,7 +12,7 @@ use simkernel::resource::Acquire;
 use simkernel::time::{instr_time, SimTime};
 
 use super::transaction::MicroOp;
-use super::{Ev, Flow, Simulation};
+use super::{slot_payload, Ev, Flow, Simulation};
 
 impl<W: WorkloadGenerator> Simulation<W> {
     pub(super) fn op_cpu_burst(&mut self, slot: usize, ms: SimTime, nvem: bool) -> Flow {
@@ -27,7 +27,7 @@ impl<W: WorkloadGenerator> Simulation<W> {
         };
         // A queued burst starts when `handle_cpu_done` hands it the CPU.
         if let Acquire::Granted = self.nodes[node].cpus.acquire(now, slot as u64) {
-            self.queue.schedule_in(ms, Ev::CpuDone(slot));
+            self.queue.schedule_in(ms, Ev::CpuDone(slot_payload(slot)));
         }
         Flow::Blocked
     }
@@ -42,7 +42,8 @@ impl<W: WorkloadGenerator> Simulation<W> {
             let nslot = next as usize;
             if let Some(tx) = self.txs.get(nslot) {
                 let burst = tx.pending_burst;
-                self.queue.schedule_in(burst, Ev::CpuDone(nslot));
+                self.queue
+                    .schedule_in(burst, Ev::CpuDone(slot_payload(nslot)));
             }
         }
         if self.txs.is_live(slot) {

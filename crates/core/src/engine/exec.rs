@@ -25,7 +25,7 @@ use lockmgr::{GlobalLockService, LockOutcome};
 use simkernel::time::{instr_time, SimTime};
 
 use super::transaction::{MicroOp, TxPhase};
-use super::{Ev, Flow, Simulation};
+use super::{slot_payload, Ev, Flow, Simulation};
 
 impl<W: WorkloadGenerator> Simulation<W> {
     /// Drains the ready queue, advancing every runnable transaction.
@@ -192,7 +192,7 @@ impl<W: WorkloadGenerator> Simulation<W> {
     /// Pure delay: the message round trip of a remote lock request, a
     /// validation or a direct page transfer.
     fn op_remote_delay(&mut self, slot: usize, ms: SimTime) -> Flow {
-        self.queue.schedule_in(ms, Ev::MsgDone(slot));
+        self.queue.schedule_in(ms, Ev::MsgDone(slot_payload(slot)));
         Flow::Blocked
     }
 
@@ -228,7 +228,7 @@ impl<W: WorkloadGenerator> Simulation<W> {
                 self.config.cm.mips,
             );
         }
-        self.queue.schedule_in(msg, Ev::MsgDone(slot));
+        self.queue.schedule_in(msg, Ev::MsgDone(slot_payload(slot)));
         Flow::Blocked
     }
 
@@ -246,7 +246,8 @@ impl<W: WorkloadGenerator> Simulation<W> {
         // 2 prepare/vote messages plus 1 commit message per participant.
         self.shipping.messages += 3 * u64::from(participants);
         self.shipping.total_message_delay_ms += round_trip;
-        self.queue.schedule_in(round_trip, Ev::MsgDone(slot));
+        self.queue
+            .schedule_in(round_trip, Ev::MsgDone(slot_payload(slot)));
         Flow::Blocked
     }
 

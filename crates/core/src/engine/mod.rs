@@ -32,10 +32,12 @@
 //! the remote owners of the written pages.
 //!
 //! **Hot path**: the future event list ([`simkernel::EventQueue`]) keeps
-//! the soonest events in a short sorted `Vec`, sized to the few dozen events
-//! the engine keeps pending, and the per-event state lives in slab arenas
-//! (the private `arena` module) — in-flight I/O requests under stable `u32`
-//! ids, transaction slots with carcass reuse, and a shared
+//! the soonest events in a short sorted `Vec` of 16-byte entries, sized to
+//! the few dozen events the engine keeps pending: an event (`Ev`) is 8
+//! bytes, a variant tag and a `u32` slot, I/O id or batch number, and the
+//! `const` assert below `Ev` pins that.  The per-event state lives in slab
+//! arenas (the private `arena` module) — in-flight I/O requests under
+//! stable `u32` ids, transaction slots with carcass reuse, and a shared
 //! transaction-template table — so event dispatch and I/O completion index
 //! plain `Vec`s.  The maps that remain
 //! (`id_to_slot`, the coherence index `holders`, and the
@@ -110,13 +112,14 @@ use crate::recovery::RecoveryRuntime;
 use arena::{IoArena, TemplateTable, TxArena};
 use transaction::MicroOp;
 
-/// Events of the simulation.
+/// Events of the simulation: 8 bytes, so a near entry of the event list
+/// fills 16.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Ev {
     /// A new transaction arrives at the SOURCE.
     Arrival,
     /// The CPU burst of the transaction in the given slot finished.
-    CpuDone(usize),
+    CpuDone(u32),
     /// The current service stage of the given I/O request finished.
     IoStage(u32),
     /// A message the transaction in the given slot waited for arrived: a
@@ -124,10 +127,10 @@ enum Ev {
     /// transfer) finished, or, under shared nothing, a function-shipping
     /// message was delivered (execution resumes at the node its `RemoteCall`
     /// shipped to) or a commit prepare round trip completed.
-    MsgDone(usize),
+    MsgDone(u32),
     /// Flush the open group-commit batch with the given sequence number if it
     /// is still open (timeout path).
-    GroupCommitFlush(u64),
+    GroupCommitFlush(u32),
     /// Take a fuzzy checkpoint (only scheduled when
     /// `config.checkpoint_interval_ms > 0`).
     Checkpoint,
@@ -138,6 +141,16 @@ enum Ev {
     EndWarmup,
     /// End of the measurement interval: stop the simulation.
     EndRun,
+}
+
+const _: () = assert!(std::mem::size_of::<Ev>() == 8);
+
+/// The event payload naming the transaction in `slot`.  Slots index the
+/// live transactions, so they fit a `u32` by far; this is the one place
+/// that checks it.
+#[inline]
+fn slot_payload(slot: usize) -> u32 {
+    u32::try_from(slot).expect("transaction slot exceeds an event payload")
 }
 
 /// Control-flow result of executing one micro operation.
@@ -298,7 +311,7 @@ pub struct Simulation<W: WorkloadGenerator> {
     // group log write are parked on the write's `IoRequest` itself.
     commit_group: Vec<usize>,
     commit_group_unit: usize,
-    commit_group_seq: u64,
+    commit_group_seq: u32,
 
     // Run control.
     end_time: SimTime,
@@ -598,9 +611,9 @@ impl<W: WorkloadGenerator> Simulation<W> {
                 }
                 Ev::EndWarmup => self.end_warmup(),
                 Ev::Arrival => self.handle_arrival(),
-                Ev::CpuDone(slot) => self.handle_cpu_done(slot),
+                Ev::CpuDone(slot) => self.handle_cpu_done(slot as usize),
                 Ev::IoStage(io_id) => self.handle_io_stage(io_id),
-                Ev::MsgDone(slot) => self.handle_msg_done(slot),
+                Ev::MsgDone(slot) => self.handle_msg_done(slot as usize),
                 Ev::GroupCommitFlush(seq) => self.handle_group_commit_flush(seq),
                 Ev::Checkpoint => self.handle_checkpoint(),
             }

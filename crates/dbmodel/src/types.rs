@@ -132,13 +132,21 @@ pub trait WorkloadGenerator {
 
     /// Switches the generator into Zipfian hot-spot mode (see
     /// [`crate::hotspot::HotSpotParams`]).  Called once before the run starts,
-    /// and only with *active* parameters — generators that do not support
-    /// skew (trace replay, whose accesses are fixed, and the lock-contention
-    /// workload) keep the default no-op.  Implementations must leave their
+    /// and only with *active* parameters.  Implementations must leave their
     /// draw sequences untouched until this is called, so runs without skew
     /// stay byte-identical.
+    ///
+    /// # Panics
+    /// The default panics, naming the generator: a generator without a hot
+    /// spot (trace replay, whose accesses are fixed, and the lock-contention
+    /// workload) cannot honour the configured skew, and a run that ignored
+    /// it would report an unskewed load as a skewed one.
     fn apply_hot_spot(&mut self, params: crate::hotspot::HotSpotParams) {
-        let _ = params;
+        panic!(
+            "the {} workload generator has no hot-spot mode, but the configuration \
+             asks for one ({params:?})",
+            self.name()
+        );
     }
 }
 

@@ -7,35 +7,47 @@
 //!
 //! # Implementation: a two-tier queue sized to the engine's traffic
 //!
-//! The engine keeps few events pending (31–37 on average and at most 84 on
-//! the simulator benchmark's workloads, 92 on average on the saturated
-//! 64-node fig5.x point), and a new event usually lands a handful of places
-//! from the front (median 4–6).  The queue is built for that shape:
+//! The engine keeps few events pending (30–36 on average and at most 84 on
+//! the simulator benchmark's workloads; 91 on average and at most 182 on the
+//! saturated 64-node fig5.x point of the profile suite), and a new event
+//! lands a mean of 7.5–9.5 places from the soonest end.  The queue is built
+//! for that shape:
 //!
-//! * the **near tier** is a `Vec` of at most `NEAR_CAP` (128) of the soonest
-//!   events, sorted with the next event *last*, so a pop is `Vec::pop` and an
-//!   insert scans linearly from the soonest end;
-//! * the **far tier** is a binary heap holding only events later than every
-//!   near event.  It is touched only when the near tier overflows (its latest
-//!   event moves to the heap) or runs dry (it refills with the `REFILL` (64)
-//!   soonest far events), so it stays empty unless the backlog outgrows the
-//!   near tier.
+//! * the **near tier** is a `Vec` of 16-byte `(key, payload)` entries (for an
+//!   8-byte payload), sorted by key in descending order with equal keys
+//!   youngest first, so the next event is last and a pop is `Vec::pop`.  An
+//!   insert walks back from the soonest end in one pass, moving each entry
+//!   that pops before the new one up a slot, and writes the new entry into
+//!   the gap;
+//! * the **far tier** is a binary heap of `(key, seq, payload)` entries.  The
+//!   `seq` is a counter drawn when an event enters the far tier, so equal
+//!   keys there pop first in, first out.
+//!
+//! Every near key is *strictly* below every far key, so no key is ever split
+//! between the tiers and the near tier needs no sequence numbers: a new
+//! event is younger than every pending event of its key and goes in front
+//! of them.  An event later than the near tier's latest key goes straight to
+//! the far tier while that tier is non-empty.  The tiers exchange whole key
+//! groups only: when the near tier grows past `NEAR_CAP` (128) it spills its
+//! latest key group to the far tier, oldest first (unless that group is the
+//! whole tier, as when more than `NEAR_CAP` events share one instant), and
+//! when it runs dry it refills with the `REFILL` (64) soonest far events plus
+//! the rest of the last one's key group.  On the benchmark's workloads the
+//! far tier stays empty; the 64-node point sends 14% of its events there.
 //!
 //! Every comparison is on a `u64` time key computed once per event
-//! (`time_key`), whose unsigned order is [`f64::total_cmp`]'s order.  A new
-//! event's sequence number is larger than every pending one, so the near
-//! tier's insert never compares sequence numbers: among equal keys the new
-//! event simply goes behind the ones already there.
+//! (`time_key`), whose unsigned order is [`f64::total_cmp`]'s order.
 //!
 //! # Ordering contract
 //!
-//! Events pop in ascending `(time, seq)` order, with times compared by
-//! [`f64::total_cmp`].  Scheduled times must be finite (and, after the
-//! clamp against the current clock, non-negative); debug builds assert this.
-//! Under `total_cmp` a NaN would order *after* every finite time instead of
-//! comparing `Equal` to everything (the silent-`Equal` hazard of
-//! `partial_cmp`), so even an unasserted release build keeps a total order
-//! and cannot lose or reorder finite events.
+//! Events pop in ascending time order, and events of equal time in the order
+//! they were scheduled, with times compared by [`f64::total_cmp`].  Scheduled
+//! times must be finite (and, after the clamp against the current clock,
+//! non-negative); debug builds assert this.  Under `total_cmp` a NaN would
+//! order *after* every finite time instead of comparing `Equal` to
+//! everything (the silent-`Equal` hazard of `partial_cmp`), so even an
+//! unasserted release build keeps a total order and cannot lose or reorder
+//! finite events.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -47,18 +59,17 @@ use crate::time::SimTime;
 pub struct ScheduledEvent<P> {
     /// Simulated time at which the event fires.
     pub time: SimTime,
-    /// Monotonically increasing sequence number (insertion order).
-    pub seq: u64,
     /// Caller-defined payload.
     pub payload: P,
 }
 
-/// Most events the near tier holds: above the largest backlog of the
-/// simulator benchmark's workloads, so their events never reach the far
-/// tier.
+/// Most events the near tier holds unless one instant alone holds more:
+/// above the largest backlog of the simulator benchmark's workloads, so
+/// their events never reach the far tier.
 const NEAR_CAP: usize = 128;
 
-/// Events an empty near tier takes from the far tier at once.
+/// Events an empty near tier takes from the far tier at once (plus the rest
+/// of the last one's key group).
 const REFILL: usize = 64;
 
 /// The sign bit of an IEEE double.
@@ -82,30 +93,40 @@ fn key_time(key: u64) -> SimTime {
     SimTime::from_bits(if key & SIGN != 0 { key & !SIGN } else { !key })
 }
 
-/// One pending event.
-struct Entry<P> {
+/// One pending event of the near tier.
+#[derive(Clone, Copy)]
+struct Near<P> {
+    key: u64,
+    payload: P,
+}
+
+// A near entry of an 8-byte payload (the engine's event) fills 16 bytes.
+const _: () = assert!(std::mem::size_of::<Near<u64>>() == 16);
+
+/// One pending event of the far tier.
+struct Far<P> {
     key: u64,
     seq: u64,
     payload: P,
 }
 
-// Entries order by `(key, seq)`, the order events pop in; `seq` is unique, so
-// the payload never takes part.
-impl<P> PartialEq for Entry<P> {
+// Far entries order by `(key, seq)`, the order events pop in; `seq` is unique,
+// so the payload never takes part.
+impl<P> PartialEq for Far<P> {
     fn eq(&self, other: &Self) -> bool {
         (self.key, self.seq) == (other.key, other.seq)
     }
 }
 
-impl<P> Eq for Entry<P> {}
+impl<P> Eq for Far<P> {}
 
-impl<P> PartialOrd for Entry<P> {
+impl<P> PartialOrd for Far<P> {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl<P> Ord for Entry<P> {
+impl<P> Ord for Far<P> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         (self.key, self.seq).cmp(&(other.key, other.seq))
     }
@@ -113,29 +134,31 @@ impl<P> Ord for Entry<P> {
 
 /// The future event list of the simulation.
 pub struct EventQueue<P> {
-    /// The soonest pending events, sorted descending by `(key, seq)`: the next
-    /// event is last.  Empty only when `far` is empty too.
-    near: Vec<Entry<P>>,
+    /// The soonest pending events, sorted descending by key with equal keys
+    /// youngest first: the next event is last.  Every key here is strictly
+    /// below every far key.  Empty only when `far` is empty too.
+    near: Vec<Near<P>>,
     /// Pending events later than every near event (min-heap).
-    far: BinaryHeap<Reverse<Entry<P>>>,
-    next_seq: u64,
+    far: BinaryHeap<Reverse<Far<P>>>,
+    /// The next far-tier sequence number.
+    far_seq: u64,
     now: SimTime,
     popped_total: u64,
 }
 
-impl<P> Default for EventQueue<P> {
+impl<P: Copy> Default for EventQueue<P> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<P> EventQueue<P> {
+impl<P: Copy> EventQueue<P> {
     /// Creates an empty event queue with the clock at time 0.
     pub fn new() -> Self {
         Self {
             near: Vec::new(),
             far: BinaryHeap::new(),
-            next_seq: 0,
+            far_seq: 0,
             now: 0.0,
             popped_total: 0,
         }
@@ -181,29 +204,33 @@ impl<P> EventQueue<P> {
         // `<=` (not `<`) also normalizes a stray `-0.0` to the clock's `+0.0`
         // so the `total_cmp` order cannot see a sign-of-zero difference.
         let at = if at <= self.now { self.now } else { at };
-        let entry = Entry {
-            key: time_key(at),
-            seq: self.next_seq,
-            payload,
-        };
-        self.next_seq += 1;
-        // With a non-empty far tier, an event not earlier than the latest near
+        let key = time_key(at);
+        // With a non-empty far tier, an event later than the latest near
         // event may tie with or follow far events, so it belongs there.
-        if !self.far.is_empty() && self.near.first().is_some_and(|l| entry.key >= l.key) {
-            self.far.push(Reverse(entry));
+        if !self.far.is_empty() && self.near.first().is_some_and(|l| key > l.key) {
+            self.push_far(key, payload);
             return;
         }
-        // Equal keys pop oldest first and the new event is the youngest, so it
-        // goes below the index of every equal key: they pop before it.
-        let pos = self
-            .near
-            .iter()
-            .rposition(|e| e.key > entry.key)
-            .map_or(0, |i| i + 1);
-        self.near.insert(pos, entry);
+        // One backward pass from the soonest end: every entry that pops
+        // before the new one (a sooner key, or an equal and so older one)
+        // moves up a slot, and the new entry takes the gap.  Plain element
+        // moves, not `Vec::insert`: the few slots moved do not pay for an
+        // out-of-line `memmove` call.  Walking an iterator leaves the loop
+        // without bounds checks.
+        let entry = Near { key, payload };
+        self.near.push(entry);
+        let mut slots = self.near.iter_mut().rev();
+        let mut gap = slots.next().expect("the entry just pushed");
+        for prev in slots {
+            if prev.key > key {
+                break;
+            }
+            *gap = *prev;
+            gap = prev;
+        }
+        *gap = entry;
         if self.near.len() > NEAR_CAP {
-            let latest = self.near.remove(0);
-            self.far.push(Reverse(latest));
+            self.spill();
         }
     }
 
@@ -218,11 +245,8 @@ impl<P> EventQueue<P> {
     /// Pops the next event and advances the clock to its time.
     pub fn pop(&mut self) -> Option<ScheduledEvent<P>> {
         let entry = self.near.pop()?;
-        if self.near.is_empty() {
-            let far = &mut self.far;
-            self.near
-                .extend(std::iter::from_fn(|| far.pop().map(|Reverse(e)| e)).take(REFILL));
-            self.near.reverse();
+        if self.near.is_empty() && !self.far.is_empty() {
+            self.refill();
         }
         self.popped_total += 1;
         let time = key_time(entry.key);
@@ -230,9 +254,45 @@ impl<P> EventQueue<P> {
         self.now = time.max(self.now);
         Some(ScheduledEvent {
             time: self.now,
-            seq: entry.seq,
             payload: entry.payload,
         })
+    }
+
+    /// Adds an event to the far tier, behind every far event of its key.
+    fn push_far(&mut self, key: u64, payload: P) {
+        let seq = self.far_seq;
+        self.far_seq += 1;
+        self.far.push(Reverse(Far { key, seq, payload }));
+    }
+
+    /// Moves the near tier's latest key group to the far tier, oldest first,
+    /// unless that group is the whole tier.
+    #[cold]
+    fn spill(&mut self) {
+        let latest = self.near[0].key;
+        let group = self.near.iter().take_while(|e| e.key == latest).count();
+        if group == self.near.len() {
+            return;
+        }
+        for i in (0..group).rev() {
+            let Near { key, payload } = self.near[i];
+            self.push_far(key, payload);
+        }
+        self.near.drain(..group);
+    }
+
+    /// Refills the empty near tier with the `REFILL` soonest far events plus
+    /// the rest of the last one's key group, so no key straddles the tiers.
+    #[cold]
+    fn refill(&mut self) {
+        while let Some(Reverse(Far { key, payload, .. })) = self.far.pop() {
+            self.near.push(Near { key, payload });
+            let group_done = self.far.peek().is_none_or(|Reverse(next)| next.key != key);
+            if group_done && self.near.len() >= REFILL {
+                break;
+            }
+        }
+        self.near.reverse();
     }
 }
 
@@ -324,19 +384,82 @@ mod tests {
         }
         assert_eq!(q.len(), n as usize);
         assert!(!q.far.is_empty() && q.near.len() == NEAR_CAP);
+        // Payloads number the events in schedule order, so `(time, payload)`
+        // must rise strictly.
         let mut last = (f64::NEG_INFINITY, 0u64);
         let mut popped = 0;
         while let Some(e) = q.pop() {
             assert!(
-                (last.0, last.1) < (e.time, e.seq),
+                (last.0, last.1) < (e.time, e.payload),
                 "pop order violated: {last:?} then ({}, {})",
                 e.time,
-                e.seq
+                e.payload
             );
-            last = (e.time, e.seq);
+            last = (e.time, e.payload);
             popped += 1;
         }
         assert_eq!(popped, n);
+    }
+
+    /// Asserts the layout invariants: the near tier sorted descending by
+    /// key, and every near key strictly below every far key.
+    fn assert_tiers_split(q: &EventQueue<u64>) {
+        assert!(q.near.windows(2).all(|w| w[0].key >= w[1].key));
+        if let (Some(latest), Some(Reverse(soonest))) = (q.near.first(), q.far.peek()) {
+            assert!(latest.key < soonest.key, "a key straddles the tiers");
+        }
+    }
+
+    #[test]
+    fn one_instant_beyond_near_cap_stays_near_and_later_events_go_far() {
+        let mut q = EventQueue::new();
+        let n = NEAR_CAP as u64 + 40;
+        for i in 0..n {
+            q.schedule_at(1.0, i);
+        }
+        // The only key group is the whole tier: nothing can spill.
+        assert!(q.far.is_empty() && q.near.len() == n as usize);
+        q.schedule_at(2.0, n);
+        assert_eq!(q.far.len(), 1, "the later event spills alone");
+        q.schedule_at(3.0, n + 1);
+        assert_eq!(q.far.len(), 2, "a later event joins the far tier");
+        q.schedule_at(1.0, n + 2);
+        assert_tiers_split(&q);
+        let order: Vec<_> = std::iter::from_fn(|| q.pop().map(|e| e.payload)).collect();
+        let mut want: Vec<u64> = (0..n).collect();
+        want.extend([n + 2, n, n + 1]);
+        assert_eq!(order, want);
+    }
+
+    #[test]
+    fn spill_and_refill_move_whole_key_groups() {
+        // Ten instants of 20 events each, scheduled latest instant first so
+        // every overflow spills the latest group; the refill must take the
+        // whole group the `REFILL`-th event belongs to.
+        let mut q = EventQueue::new();
+        let mut payload = 0u64;
+        for t in (0..10).rev() {
+            for _ in 0..20 {
+                q.schedule_at(t as f64, payload);
+                payload += 1;
+                assert_tiers_split(&q);
+            }
+        }
+        assert!(!q.far.is_empty());
+        let mut refills = 0;
+        let mut last = (f64::NEG_INFINITY, 0u64);
+        loop {
+            let before = q.near.len();
+            let Some(e) = q.pop() else { break };
+            assert!(last < (e.time, e.payload), "pop order violated");
+            last = (e.time, e.payload);
+            assert_tiers_split(&q);
+            if before == 1 && !q.near.is_empty() {
+                refills += 1;
+                assert!(q.far.is_empty() || (q.near.len() >= REFILL && q.near.len() % 20 == 0));
+            }
+        }
+        assert!(refills > 0, "the near tier never refilled");
     }
 
     #[test]
@@ -352,7 +475,7 @@ mod tests {
             let e = q.pop().unwrap();
             assert!(e.time >= last_time);
             last_time = e.time;
-            q.schedule_in((e.seq % 13) as f64 * 0.37, 64 + i);
+            q.schedule_in((e.payload % 13) as f64 * 0.37, 64 + i);
         }
     }
 }

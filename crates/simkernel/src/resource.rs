@@ -10,10 +10,16 @@
 //! `Granted`, otherwise the token is queued and will be returned by a later
 //! [`Resource::release`] call, at which point the caller schedules the token's
 //! continuation.
+//!
+//! Both levels change only at an acquire or a release, so one integral
+//! serves both: before each level change the resource adds the busy and
+//! queue levels held since the previous one, times the elapsed span, to
+//! their areas.  The means are `busy_area / span` and `queue_area / span`,
+//! bit for bit what a [`crate::stats::TimeWeighted`] per level gives when
+//! fed the new level after each change.
 
 use std::collections::VecDeque;
 
-use crate::stats::TimeWeighted;
 use crate::time::SimTime;
 
 /// Result of an [`Resource::acquire`] call.
@@ -45,8 +51,15 @@ pub struct Resource {
     capacity: usize,
     busy: usize,
     queue: VecDeque<(u64, SimTime)>,
-    busy_stat: TimeWeighted,
-    queue_stat: TimeWeighted,
+    /// Time of the last level change, statistics reset or read; `None`
+    /// before the first.
+    last: Option<SimTime>,
+    /// Integral of the busy level since the reset.
+    busy_area: f64,
+    /// Integral of the queue length since the reset.
+    queue_area: f64,
+    /// Time integrated since the reset.
+    span: SimTime,
     grants: u64,
     total_wait: SimTime,
 }
@@ -60,8 +73,10 @@ impl Resource {
             capacity,
             busy: 0,
             queue: VecDeque::new(),
-            busy_stat: TimeWeighted::new(),
-            queue_stat: TimeWeighted::new(),
+            last: None,
+            busy_area: 0.0,
+            queue_area: 0.0,
+            span: 0.0,
             grants: 0,
             total_wait: 0.0,
         }
@@ -89,18 +104,15 @@ impl Resource {
 
     /// Requests one server for `token` at time `now`.
     pub fn acquire(&mut self, now: SimTime, token: u64) -> Acquire {
-        let outcome = if self.busy < self.capacity {
+        self.integrate(now);
+        if self.busy < self.capacity {
             self.busy += 1;
             self.grants += 1;
             Acquire::Granted
         } else {
             self.queue.push_back((token, now));
             Acquire::Queued
-        };
-        // Record the *new* occupancy: the time-weighted statistics weight the
-        // previously recorded level up to `now` and this level from `now` on.
-        self.sample(now);
-        outcome
+        }
     }
 
     /// Releases one server at time `now`.
@@ -109,7 +121,8 @@ impl Resource {
     /// caller must schedule its continuation (typically at `now`).
     pub fn release(&mut self, now: SimTime) -> Option<u64> {
         assert!(self.busy > 0, "release on idle resource {}", self.name);
-        let granted = if let Some((token, enqueued_at)) = self.queue.pop_front() {
+        self.integrate(now);
+        if let Some((token, enqueued_at)) = self.queue.pop_front() {
             // Hand the server directly to the next waiter: busy count unchanged.
             self.grants += 1;
             self.total_wait += now - enqueued_at;
@@ -117,35 +130,46 @@ impl Resource {
         } else {
             self.busy -= 1;
             None
-        };
-        self.sample(now);
-        granted
+        }
     }
 
-    /// Records the current busy/queue levels into the time-weighted statistics.
-    fn sample(&mut self, now: SimTime) {
-        self.busy_stat.record(now, self.busy as f64);
-        self.queue_stat.record(now, self.queue.len() as f64);
+    /// Adds the current busy and queue levels, held since the last call, to
+    /// their integrals up to `now`.  Called before every level change.
+    #[inline]
+    fn integrate(&mut self, now: SimTime) {
+        if let Some(prev) = self.last {
+            let dt = (now - prev).max(0.0);
+            self.busy_area += self.busy as f64 * dt;
+            self.queue_area += self.queue.len() as f64 * dt;
+            self.span += dt;
+        }
+        self.last = Some(now);
     }
 
     /// Resets the statistics (e.g. at the end of the warm-up period) without
     /// disturbing the dynamic state.
     pub fn reset_stats(&mut self, now: SimTime) {
-        self.busy_stat = TimeWeighted::new();
-        self.queue_stat = TimeWeighted::new();
-        self.busy_stat.record(now, self.busy as f64);
-        self.queue_stat.record(now, self.queue.len() as f64);
+        self.last = Some(now);
+        self.busy_area = 0.0;
+        self.queue_area = 0.0;
+        self.span = 0.0;
         self.grants = 0;
         self.total_wait = 0.0;
     }
 
     /// Finalizes and returns the statistics at time `now`.
     pub fn stats(&mut self, now: SimTime) -> ResourceStats {
-        self.sample(now);
-        let avg_busy = self.busy_stat.mean().unwrap_or(0.0);
+        self.integrate(now);
+        let mean = |area: f64| {
+            if self.span > 0.0 {
+                area / self.span
+            } else {
+                0.0
+            }
+        };
         ResourceStats {
-            utilization: avg_busy / self.capacity as f64,
-            avg_queue_len: self.queue_stat.mean().unwrap_or(0.0),
+            utilization: mean(self.busy_area) / self.capacity as f64,
+            avg_queue_len: mean(self.queue_area),
             grants: self.grants,
             avg_wait: if self.grants > 0 {
                 self.total_wait / self.grants as f64

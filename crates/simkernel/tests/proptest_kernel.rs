@@ -4,6 +4,7 @@
 //! these tests drive the same invariants with many deterministic
 //! pseudo-random cases generated by the kernel's own seedable RNG.
 
+use simkernel::resource::Acquire;
 use simkernel::{EventQueue, Resource, SimRng, Tally, TimeWeighted};
 
 const CASES: u64 = 64;
@@ -74,6 +75,100 @@ fn resource_conserves_tokens() {
             assert_eq!(r.busy() as u64, in_service, "case {case}");
             assert_eq!(r.queue_len(), expected_queue.len(), "case {case}");
         }
+    }
+}
+
+/// The old statistics of a `Resource`: one `TimeWeighted` per level, fed the
+/// busy and queue levels after every call, plus the grant count and the
+/// summed queue wait.
+struct StationOracle {
+    busy: TimeWeighted,
+    queue: TimeWeighted,
+    grants: u64,
+    total_wait: f64,
+}
+
+impl StationOracle {
+    fn new() -> Self {
+        Self {
+            busy: TimeWeighted::new(),
+            queue: TimeWeighted::new(),
+            grants: 0,
+            total_wait: 0.0,
+        }
+    }
+
+    fn record(&mut self, now: f64, r: &Resource) {
+        self.busy.record(now, r.busy() as f64);
+        self.queue.record(now, r.queue_len() as f64);
+    }
+
+    /// Reads `r`'s statistics at `now` and asserts they equal the old
+    /// `Resource::stats` formula bit for bit.
+    fn assert_matches(&mut self, r: &mut Resource, now: f64, at: &str) {
+        let s = r.stats(now);
+        self.record(now, r);
+        let avg_wait = if self.grants > 0 {
+            self.total_wait / self.grants as f64
+        } else {
+            0.0
+        };
+        let want = [
+            (self.busy.mean().unwrap_or(0.0) / r.capacity() as f64).to_bits(),
+            self.queue.mean().unwrap_or(0.0).to_bits(),
+            self.grants,
+            avg_wait.to_bits(),
+        ];
+        let got = [
+            s.utilization.to_bits(),
+            s.avg_queue_len.to_bits(),
+            s.grants,
+            s.avg_wait.to_bits(),
+        ];
+        assert_eq!(got, want, "{at}");
+    }
+}
+
+/// A resource's one level integral reproduces the two time-weighted
+/// statistics it replaced bit for bit, through acquires, releases, warm-up
+/// resets and reads at arbitrary (also repeated) instants.
+#[test]
+fn resource_statistics_match_two_time_weighted_levels_bit_for_bit() {
+    for case in 0..CASES {
+        let mut rng = SimRng::seed_from(0x57A7 + case);
+        let capacity = 1 + rng.below(4) as usize;
+        let mut r = Resource::new("r", capacity);
+        let mut oracle = StationOracle::new();
+        let mut waiting = std::collections::VecDeque::new();
+        let mut now = 0.0;
+        for step in 0..1 + rng.below(400) {
+            // Zero steps (several calls at one instant) and irregular ones.
+            if rng.below(4) != 0 {
+                now += rng.exponential(1.7);
+            }
+            match rng.below(10) {
+                0..=4 => match r.acquire(now, step) {
+                    Acquire::Granted => oracle.grants += 1,
+                    Acquire::Queued => waiting.push_back(now),
+                },
+                5..=7 if r.busy() > 0 => {
+                    if r.release(now).is_some() {
+                        oracle.grants += 1;
+                        oracle.total_wait += now - waiting.pop_front().unwrap();
+                    }
+                }
+                8 => {
+                    r.reset_stats(now);
+                    oracle = StationOracle::new();
+                }
+                _ => {
+                    oracle.assert_matches(&mut r, now, &format!("case {case}, step {step}"));
+                    continue;
+                }
+            }
+            oracle.record(now, &r);
+        }
+        oracle.assert_matches(&mut r, now + 3.0, &format!("case {case}, final read"));
     }
 }
 

@@ -7,7 +7,9 @@
 //! [`f64::total_cmp`]) and drives both queues through randomized schedules —
 //! heavy same-time ties, interleaved schedule/pop churn, and backlogs that
 //! cross the boundary between the tiers — asserting the pop sequences are
-//! identical.
+//! identical.  Every payload numbers its event in schedule order, so
+//! comparing `(time, payload)` pins the tie order as exactly as the oracle's
+//! sequence number would.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -83,10 +85,10 @@ impl<P> BinaryHeapQueue<P> {
         self.schedule_at(now + delay.max(0.0), payload);
     }
 
-    fn pop(&mut self) -> Option<(SimTime, u64, P)> {
+    fn pop(&mut self) -> Option<(SimTime, P)> {
         let entry = self.heap.pop()?;
         self.now = entry.time.max(self.now);
-        Some((self.now, entry.seq, entry.payload))
+        Some((self.now, entry.payload))
     }
 }
 
@@ -107,7 +109,7 @@ fn draw_delay(rng: &mut SimRng) -> SimTime {
 }
 
 /// Runs `ops` interleaved schedule/pop operations against both queues and
-/// asserts every pop returns the same `(time, seq, payload)` triple.
+/// asserts every pop returns the same `(time, payload)` pair.
 fn assert_equivalent_run(seed: u64, ops: usize, tie_heavy: bool) {
     let mut rng_plan = SimRng::seed_from(seed);
     let mut rng_queue = SimRng::seed_from(seed ^ 0xD1F); // same stream per queue
@@ -131,19 +133,18 @@ fn assert_equivalent_run(seed: u64, ops: usize, tie_heavy: bool) {
                 payload += 1;
             }
         } else {
-            let got = queue.pop().map(|e| (e.time, e.seq, e.payload));
-            let want = oracle.pop();
+            let got = queue.pop().map(|e| (e.time.to_bits(), e.payload));
+            let want = oracle.pop().map(|(t, p)| (t.to_bits(), p));
             assert_eq!(
-                got.map(|(t, s, p)| (t.to_bits(), s, p)),
-                want.map(|(t, s, p)| (t.to_bits(), s, p)),
+                got, want,
                 "pop #{step} diverged from the binary-heap oracle (seed {seed})"
             );
         }
     }
     // Drain both completely: the tails must match too.
     loop {
-        let got = queue.pop().map(|e| (e.time.to_bits(), e.seq, e.payload));
-        let want = oracle.pop().map(|(t, s, p)| (t.to_bits(), s, p));
+        let got = queue.pop().map(|e| (e.time.to_bits(), e.payload));
+        let want = oracle.pop().map(|(t, p)| (t.to_bits(), p));
         assert_eq!(got, want, "drain diverged (seed {seed})");
         if got.is_none() {
             break;
@@ -178,10 +179,10 @@ fn two_tier_queue_matches_oracle_on_pure_hold_model() {
         oracle.schedule_at(t, i);
     }
     for i in 0..20_000u64 {
-        let got = queue.pop().map(|e| (e.time, e.seq, e.payload)).unwrap();
+        let got = queue.pop().map(|e| (e.time, e.payload)).unwrap();
         let want = oracle.pop().unwrap();
         assert_eq!(got.0.to_bits(), want.0.to_bits());
-        assert_eq!((got.1, got.2), (want.1, want.2));
+        assert_eq!(got.1, want.1);
         let delay = rng.exponential(5.0);
         queue.schedule_in(delay, 256 + i);
         oracle.schedule_in(delay, 256 + i);
@@ -191,8 +192,8 @@ fn two_tier_queue_matches_oracle_on_pure_hold_model() {
 /// Pops both queues, asserts they return the same event, and reports whether
 /// one was pending.
 fn pop_both(queue: &mut EventQueue<u64>, oracle: &mut BinaryHeapQueue<u64>) -> bool {
-    let got = queue.pop().map(|e| (e.time.to_bits(), e.seq, e.payload));
-    let want = oracle.pop().map(|(t, s, p)| (t.to_bits(), s, p));
+    let got = queue.pop().map(|e| (e.time.to_bits(), e.payload));
+    let want = oracle.pop().map(|(t, p)| (t.to_bits(), p));
     assert_eq!(got, want, "pop diverged from the binary-heap oracle");
     got.is_some()
 }
@@ -226,6 +227,89 @@ fn two_tier_queue_matches_oracle_across_the_tier_boundary() {
         // Drain most of the backlog so the near tier refills repeatedly.
         for _ in 0..queue.len() - 100 {
             pop_both(&mut queue, &mut oracle);
+        }
+    }
+    while pop_both(&mut queue, &mut oracle) {}
+}
+
+/// Schedules `payload` at `at` in both queues and returns the next payload.
+fn schedule_both(
+    queue: &mut EventQueue<u64>,
+    oracle: &mut BinaryHeapQueue<u64>,
+    at: SimTime,
+    payload: u64,
+) -> u64 {
+    queue.schedule_at(at, payload);
+    oracle.schedule_at(at, payload);
+    payload + 1
+}
+
+#[test]
+fn two_tier_queue_matches_oracle_when_one_instant_outgrows_the_near_tier() {
+    // 300 events at one instant: more than the near tier's cap, but a key
+    // group never spills when it is the whole tier.  Pops, events at the
+    // same instant and later events interleave; FIFO must hold throughout.
+    let mut queue: EventQueue<u64> = EventQueue::new();
+    let mut oracle: BinaryHeapQueue<u64> = BinaryHeapQueue::new();
+    let mut rng = SimRng::seed_from(0x1A57);
+    let mut payload = 0u64;
+    for _ in 0..300 {
+        payload = schedule_both(&mut queue, &mut oracle, 5.0, payload);
+    }
+    for step in 0..600 {
+        match rng.below(4) {
+            0 => pop_both(&mut queue, &mut oracle),
+            1 => {
+                let at = queue.now().max(5.0);
+                payload = schedule_both(&mut queue, &mut oracle, at, payload);
+                true
+            }
+            _ => {
+                let at = 5.0 + 0.25 * (1 + rng.below(8)) as f64;
+                payload = schedule_both(&mut queue, &mut oracle, at, payload);
+                true
+            }
+        };
+        if step == 300 {
+            assert!(queue.len() > 300, "the instant must outgrow the near tier");
+        }
+    }
+    while pop_both(&mut queue, &mut oracle) {}
+}
+
+#[test]
+fn two_tier_queue_matches_oracle_when_a_spilled_group_refills_among_ties() {
+    // A group at the latest instant spills to the far tier when earlier
+    // events overflow the near tier; while the earlier events drain and the
+    // spilled group refills, new events keep tying with it.
+    let mut queue: EventQueue<u64> = EventQueue::new();
+    let mut oracle: BinaryHeapQueue<u64> = BinaryHeapQueue::new();
+    let mut rng = SimRng::seed_from(0x5B11);
+    let mut payload = 0u64;
+    for round in 0..20 {
+        let base = queue.now();
+        let latest = base + 10.0;
+        for _ in 0..40 {
+            payload = schedule_both(&mut queue, &mut oracle, latest, payload);
+        }
+        // Earlier events push the near tier past its cap: the latest group
+        // is the one that spills.
+        for _ in 0..150 {
+            let at = base + rng.below(40) as f64 * 0.2;
+            payload = schedule_both(&mut queue, &mut oracle, at, payload);
+        }
+        assert!(
+            queue.len() > 150,
+            "round {round}: the backlog must overflow"
+        );
+        // Drain up to the spilled instant, tying with it on the way.
+        while queue.now() < latest {
+            if rng.below(3) == 0 {
+                payload = schedule_both(&mut queue, &mut oracle, latest, payload);
+            }
+            if !pop_both(&mut queue, &mut oracle) {
+                break;
+            }
         }
     }
     while pop_both(&mut queue, &mut oracle) {}

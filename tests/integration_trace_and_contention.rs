@@ -6,7 +6,7 @@ use tpsim::presets::{
     contention_config, contention_workload, trace_config, trace_workload, ContentionAllocation,
     TraceStorage, DB_UNIT,
 };
-use tpsim::Simulation;
+use tpsim::{Simulation, WorkloadParams};
 
 fn run_trace(mm_pages: usize, storage: TraceStorage) -> tpsim::SimulationReport {
     // 55 TPS (≈60 % CPU utilization for the ≈56-reference transactions) and a
@@ -182,4 +182,17 @@ fn deadlocks_are_detected_and_resolved_under_contention() {
     // Deadlocks may or may not occur depending on timing, but if they do the
     // abort counter and the lock-manager counter agree.
     assert_eq!(report.aborts, report.locks.deadlocks);
+}
+
+#[test]
+#[should_panic(expected = "the lock-contention workload generator has no hot-spot mode")]
+fn a_hot_spot_on_the_contention_workload_is_refused() {
+    // Fig. 4.8's disk-based page-locking point with Zipf skew: the
+    // contention generator cannot skew its accesses, so the run must not
+    // start (it used to run unskewed and report like the skewed load).
+    let mut config = contention_config(ContentionAllocation::DiskBased, CcMode::Page, 100.0);
+    config.warmup_ms = 300.0;
+    config.measure_ms = 1_500.0;
+    config.workload = WorkloadParams::skewed(0.9, 0.1);
+    let _ = Simulation::new(config, contention_workload());
 }
