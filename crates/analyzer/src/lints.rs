@@ -12,8 +12,8 @@
 //! * when a map's *value* type is itself a hash set
 //!   (`HashMap<K, HashSet<V>>`, `IdMap<K, IdSet<V>>`), identifiers bound
 //!   from `name.remove(…)` / `name.get(…)` / `name.get_mut(…)` /
-//!   `name.entry(…)` inherit hash-ness (this is how the waits-for graph's
-//!   drained edge sets are tracked).
+//!   `name.entry(…)` inherit hash-ness (so a set taken out of such a map
+//!   and drained is still tracked).
 //!
 //! The wall-clock lint also catches `RandomState` used *implicitly*: in the
 //! simulator crates ([`SIMULATOR_CRATES`]) a `HashMap<K, V>` or

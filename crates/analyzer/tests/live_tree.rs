@@ -68,10 +68,6 @@ const JUSTIFIED_SITES: &[(&str, &str, &str)] = &[
         "Instant::now",
     ),
     ("crates/core/src/engine/tests.rs", "hash-iter", "holders"),
-    ("crates/lockmgr/src/deadlock.rs", "hash-iter", "blockers"),
-    ("crates/lockmgr/src/deadlock.rs", "hash-iter", "next"),
-    ("crates/lockmgr/src/deadlock.rs", "hash-iter", "prev"),
-    ("crates/lockmgr/src/deadlock.rs", "hash-iter", "waiters"),
     ("crates/lockmgr/src/manager.rs", "hash-iter", "held"),
 ];
 

@@ -532,24 +532,67 @@ impl SimulationConfig {
     }
 
     /// Basic consistency checks.  Returns a description of the first problem.
+    /// Every float must be finite: a NaN or infinite time or cost would
+    /// otherwise validate and then run without measuring anything.
     pub fn validate(&self) -> Result<(), String> {
-        if self.arrival_rate_tps <= 0.0 {
-            return Err("arrival rate must be positive".into());
+        use Bound::{NonNegative, Positive};
+        let cm = &self.cm;
+        for (value, message) in [
+            (self.arrival_rate_tps, "arrival rate must be positive"),
+            (self.measure_ms, "measurement interval must be positive"),
+            (cm.mips, "CPU configuration must have capacity"),
+        ] {
+            check_float(value, Positive, message)?;
         }
-        if self.cm.num_cpus == 0 || self.cm.mips <= 0.0 {
+        if cm.group_commit_size > 1 {
+            let message = "group commit requires a positive timeout";
+            check_float(cm.group_commit_timeout_ms, Positive, message)?;
+        }
+        for (value, message) in [
+            (self.warmup_ms, "warm-up interval must be non-negative"),
+            (cm.instr_bot, "BOT instructions must be non-negative"),
+            (cm.instr_or, "reference instructions must be non-negative"),
+            (cm.instr_eot, "EOT instructions must be non-negative"),
+            (cm.instr_io, "I/O instructions must be non-negative"),
+            (
+                cm.group_commit_timeout_ms,
+                "group commit timeout must be non-negative",
+            ),
+            (
+                self.nodes.remote_lock_delay_ms,
+                "remote lock delay must be non-negative",
+            ),
+            (
+                self.partitioning.remote_msg_ms,
+                "remote message delay must be non-negative",
+            ),
+            (
+                self.partitioning.remote_cpu_instr,
+                "remote CPU cost must be non-negative",
+            ),
+            (
+                self.coherence.transfer_msg_ms,
+                "page-transfer message delay must be non-negative",
+            ),
+            (
+                self.coherence.transfer_copy_instr,
+                "page-transfer copy cost must be non-negative",
+            ),
+            (
+                self.checkpoint_interval_ms,
+                "checkpoint interval must be non-negative",
+            ),
+        ] {
+            check_float(value, NonNegative, message)?;
+        }
+        if cm.num_cpus == 0 {
             return Err("CPU configuration must have capacity".into());
         }
-        if self.cm.mpl == 0 {
+        if cm.mpl == 0 {
             return Err("multiprogramming level must be at least 1".into());
         }
-        if self.measure_ms <= 0.0 {
-            return Err("measurement interval must be positive".into());
-        }
-        if self.cm.group_commit_size == 0 {
+        if cm.group_commit_size == 0 {
             return Err("group commit size must be at least 1".into());
-        }
-        if self.cm.group_commit_size > 1 && self.cm.group_commit_timeout_ms <= 0.0 {
-            return Err("group commit requires a positive timeout".into());
         }
         if self.nodes.num_nodes == 0 {
             return Err("at least one computing module is required".into());
@@ -557,17 +600,8 @@ impl SimulationConfig {
         if self.nodes.num_nodes > 64 {
             return Err("more than 64 computing modules are not supported".into());
         }
-        if self.nodes.remote_lock_delay_ms < 0.0 {
-            return Err("remote lock delay must be non-negative".into());
-        }
         if self.partitioning.partitions_per_node == 0 {
             return Err("at least one partition per node is required".into());
-        }
-        if self.partitioning.remote_msg_ms.is_nan() || self.partitioning.remote_msg_ms < 0.0 {
-            return Err("remote message delay must be non-negative".into());
-        }
-        if self.partitioning.remote_cpu_instr.is_nan() || self.partitioning.remote_cpu_instr < 0.0 {
-            return Err("remote CPU cost must be non-negative".into());
         }
         if self.parallelism.kernel_threads > 1 {
             return Err(
@@ -575,12 +609,6 @@ impl SimulationConfig {
                  (run independent simulations in parallel instead, as sweeps do)"
                     .into(),
             );
-        }
-        if self.coherence.transfer_msg_ms.is_nan() || self.coherence.transfer_msg_ms < 0.0 {
-            return Err("page-transfer message delay must be non-negative".into());
-        }
-        if self.coherence.transfer_copy_instr.is_nan() || self.coherence.transfer_copy_instr < 0.0 {
-            return Err("page-transfer copy cost must be non-negative".into());
         }
         self.workload.validate()?;
         if self.checkpoint_interval_ms > 0.0 && !self.recovery_supported() {
@@ -622,9 +650,6 @@ impl SimulationConfig {
                 "log record size must be between 1 and {} bytes",
                 crate::recovery::LOG_PAGE_BYTES
             ));
-        }
-        if self.checkpoint_interval_ms.is_nan() || self.checkpoint_interval_ms < 0.0 {
-            return Err("checkpoint interval must be non-negative".into());
         }
         self.buffer.validate()?;
         if self.cc_modes.len() != self.buffer.partitions.len() {
@@ -689,6 +714,26 @@ impl SimulationConfig {
             None => self.arrival_rate_tps * self.total_time_ms() / 1000.0,
             Some(rate) => rate.expected_events(0.0, self.total_time_ms()),
         }
+    }
+}
+
+/// The range a configured float must lie in, besides being finite.
+#[derive(Clone, Copy)]
+enum Bound {
+    Positive,
+    NonNegative,
+}
+
+/// `Err(message)` unless `value` is finite and within `bound`.
+fn check_float(value: f64, bound: Bound, message: &str) -> Result<(), String> {
+    let in_bound = match bound {
+        Bound::Positive => value > 0.0,
+        Bound::NonNegative => value >= 0.0,
+    };
+    if value.is_finite() && in_bound {
+        Ok(())
+    } else {
+        Err(message.into())
     }
 }
 
@@ -1021,5 +1066,70 @@ mod tests {
         let mut c = minimal_config();
         c.cm.num_cpus = 0;
         assert!(c.validate().is_err());
+    }
+
+    /// A field of [`SimulationConfig`] that holds a float.
+    type FloatField = fn(&mut SimulationConfig) -> &mut f64;
+
+    /// One case per float: NaN, the infinities and a value just outside its
+    /// range are rejected, the bound itself (or a value just inside it) is
+    /// accepted.
+    #[test]
+    fn validation_rejects_non_finite_and_out_of_range_floats() {
+        let positive: [(&str, FloatField); 3] = [
+            ("arrival_rate_tps", |c| &mut c.arrival_rate_tps),
+            ("measure_ms", |c| &mut c.measure_ms),
+            ("cm.mips", |c| &mut c.cm.mips),
+        ];
+        let non_negative: [(&str, FloatField); 12] = [
+            ("warmup_ms", |c| &mut c.warmup_ms),
+            ("cm.instr_bot", |c| &mut c.cm.instr_bot),
+            ("cm.instr_or", |c| &mut c.cm.instr_or),
+            ("cm.instr_eot", |c| &mut c.cm.instr_eot),
+            ("cm.instr_io", |c| &mut c.cm.instr_io),
+            ("cm.group_commit_timeout_ms", |c| {
+                &mut c.cm.group_commit_timeout_ms
+            }),
+            ("nodes.remote_lock_delay_ms", |c| {
+                &mut c.nodes.remote_lock_delay_ms
+            }),
+            ("partitioning.remote_msg_ms", |c| {
+                &mut c.partitioning.remote_msg_ms
+            }),
+            ("partitioning.remote_cpu_instr", |c| {
+                &mut c.partitioning.remote_cpu_instr
+            }),
+            ("coherence.transfer_msg_ms", |c| {
+                &mut c.coherence.transfer_msg_ms
+            }),
+            ("coherence.transfer_copy_instr", |c| {
+                &mut c.coherence.transfer_copy_instr
+            }),
+            ("checkpoint_interval_ms", |c| &mut c.checkpoint_interval_ms),
+        ];
+        let cases = positive
+            .into_iter()
+            .map(|(name, field)| (name, field, 0.0, 1e-9))
+            .chain(
+                non_negative
+                    .into_iter()
+                    .map(|(name, field)| (name, field, -1e-9, 0.0)),
+            );
+        for (name, field, outside, inside) in cases {
+            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, outside] {
+                let mut c = minimal_config();
+                *field(&mut c) = bad;
+                assert!(c.validate().is_err(), "{name} = {bad} validated");
+            }
+            let mut c = minimal_config();
+            *field(&mut c) = inside;
+            assert_eq!(c.validate(), Ok(()), "{name} = {inside}");
+        }
+        // With group commit on, its timeout must be positive.
+        let mut c = minimal_config();
+        c.cm.group_commit_size = 4;
+        c.cm.group_commit_timeout_ms = f64::NAN;
+        let err = c.validate().unwrap_err();
+        assert_eq!(err, "group commit requires a positive timeout");
     }
 }

@@ -111,10 +111,7 @@ impl<W: WorkloadGenerator> Simulation<W> {
                         // shared-nothing local-only service).
                         let tx = self.txs.tx(slot);
                         let obj_ref = &self.templates.entry(tx.template).template.refs[next_ref];
-                        let round_trip = self
-                            .lockmgr
-                            .remote_round_trip(tx.node)
-                            .filter(|_| self.lockmgr.needs_lock(obj_ref));
+                        let round_trip = self.lockmgr.remote_round_trip(tx.node, obj_ref);
                         let tx = self.txs.tx_mut(slot);
                         tx.micro.push_back(MicroOp::CpuBurst {
                             ms: or,
@@ -268,10 +265,7 @@ impl<W: WorkloadGenerator> Simulation<W> {
         // Count the per-node remote request at the same instant the service
         // counts its side (the acquire), so the two stay consistent across a
         // warm-up reset and for zero-delay configurations.
-        if !self.lockmgr.is_local_only()
-            && node != self.lockmgr.home_node()
-            && self.lockmgr.needs_lock(&obj_ref)
-        {
+        if self.lockmgr.is_remote(node, &obj_ref) {
             self.nodes[node].remote_lock_requests += 1;
         }
         match self.lockmgr.acquire(node, tx_id, &obj_ref) {

@@ -79,12 +79,6 @@ impl GlobalLockService {
         }
     }
 
-    /// True for the shared-nothing (node-local) service: lock requests never
-    /// exchange messages and are never counted as remote.
-    pub fn is_local_only(&self) -> bool {
-        self.local_only
-    }
-
     /// The node hosting the service.
     pub fn home_node(&self) -> usize {
         self.home_node
@@ -102,11 +96,18 @@ impl GlobalLockService {
         self.table.request_for(r).item.is_some()
     }
 
-    /// The round-trip communication delay (ms) a lock request from `node`
-    /// must simulate before calling [`GlobalLockService::acquire`], or `None`
-    /// when the request is local (home node, or a zero configured delay).
-    pub fn remote_round_trip(&self, node: usize) -> Option<f64> {
-        (!self.local_only && node != self.home_node && self.message_delay_ms > 0.0)
+    /// True if the lock request for `r` from `node` is remote: it needs a
+    /// lock and travels from another node to the service's home node.  The
+    /// node-local (shared-nothing) service has no remote requests.
+    pub fn is_remote(&self, node: usize, r: &ObjectRef) -> bool {
+        !self.local_only && node != self.home_node && self.needs_lock(r)
+    }
+
+    /// The round-trip communication delay (ms) the lock request for `r` from
+    /// `node` must simulate before calling [`GlobalLockService::acquire`], or
+    /// `None` when the request is not remote or the configured delay is zero.
+    pub fn remote_round_trip(&self, node: usize, r: &ObjectRef) -> Option<f64> {
+        (self.is_remote(node, r) && self.message_delay_ms > 0.0)
             .then_some(2.0 * self.message_delay_ms)
     }
 
@@ -114,14 +115,12 @@ impl GlobalLockService {
     /// running on `node`.  The caller must already have simulated the
     /// [`GlobalLockService::remote_round_trip`] delay, if any.
     pub fn acquire(&mut self, node: usize, tx: TxId, r: &ObjectRef) -> LockOutcome {
-        if self.needs_lock(r) {
-            if self.local_only || node == self.home_node {
-                self.stats.local_requests += 1;
-            } else {
-                self.stats.remote_requests += 1;
-                self.stats.messages += 2;
-                self.stats.total_message_delay_ms += 2.0 * self.message_delay_ms;
-            }
+        if self.is_remote(node, r) {
+            self.stats.remote_requests += 1;
+            self.stats.messages += 2;
+            self.stats.total_message_delay_ms += 2.0 * self.message_delay_ms;
+        } else if self.needs_lock(r) {
+            self.stats.local_requests += 1;
         }
         self.table.acquire(tx, r)
     }
@@ -189,7 +188,8 @@ mod tests {
     #[test]
     fn home_node_requests_are_local_and_free() {
         let mut s = service();
-        assert_eq!(s.remote_round_trip(0), None);
+        assert!(!s.is_remote(0, &obj_ref(0, 1, true)));
+        assert_eq!(s.remote_round_trip(0, &obj_ref(0, 1, true)), None);
         assert_eq!(s.acquire(0, 1, &obj_ref(0, 1, true)), LockOutcome::Granted);
         assert_eq!(s.global_stats().local_requests, 1);
         assert_eq!(s.global_stats().remote_requests, 0);
@@ -199,7 +199,8 @@ mod tests {
     #[test]
     fn remote_requests_pay_a_round_trip_and_are_counted() {
         let mut s = service();
-        assert_eq!(s.remote_round_trip(3), Some(0.5));
+        assert!(s.is_remote(3, &obj_ref(0, 1, true)));
+        assert_eq!(s.remote_round_trip(3, &obj_ref(0, 1, true)), Some(0.5));
         assert_eq!(s.acquire(3, 1, &obj_ref(0, 1, true)), LockOutcome::Granted);
         let g = s.global_stats();
         assert_eq!(g.remote_requests, 1);
@@ -211,6 +212,8 @@ mod tests {
     fn no_cc_partitions_need_no_lock_and_no_messages() {
         let mut s = service();
         assert!(!s.needs_lock(&obj_ref(1, 7, true)));
+        assert!(!s.is_remote(5, &obj_ref(1, 7, true)));
+        assert_eq!(s.remote_round_trip(5, &obj_ref(1, 7, true)), None);
         assert_eq!(s.acquire(5, 1, &obj_ref(1, 7, true)), LockOutcome::Granted);
         assert_eq!(s.global_stats(), GlobalLockStats::default());
         assert_eq!(s.stats().requests, 0);
@@ -230,8 +233,8 @@ mod tests {
     #[test]
     fn single_node_service_never_charges_messages() {
         let mut s = GlobalLockService::new(vec![CcMode::Page], 0, 0.0);
-        assert_eq!(s.remote_round_trip(0), None);
-        assert_eq!(s.remote_round_trip(4), None);
+        assert_eq!(s.remote_round_trip(0, &obj_ref(0, 1, true)), None);
+        assert_eq!(s.remote_round_trip(4, &obj_ref(0, 1, true)), None);
         s.acquire(4, 1, &obj_ref(0, 1, true));
         // Node 4 is "remote" but the delay is zero; the split is still kept.
         assert_eq!(s.global_stats().remote_requests, 1);
@@ -241,9 +244,8 @@ mod tests {
     #[test]
     fn node_local_service_never_messages_and_counts_everything_local() {
         let mut s = GlobalLockService::node_local(vec![CcMode::Page]);
-        assert!(s.is_local_only());
-        assert_eq!(s.remote_round_trip(0), None);
-        assert_eq!(s.remote_round_trip(5), None);
+        assert!(!s.is_remote(5, &obj_ref(0, 1, true)));
+        assert_eq!(s.remote_round_trip(5, &obj_ref(0, 1, true)), None);
         assert_eq!(s.acquire(5, 1, &obj_ref(0, 1, true)), LockOutcome::Granted);
         assert_eq!(s.acquire(2, 2, &obj_ref(0, 2, true)), LockOutcome::Granted);
         let g = s.global_stats();
@@ -255,7 +257,9 @@ mod tests {
         assert_eq!(s.acquire(2, 3, &obj_ref(0, 1, true)), LockOutcome::Blocked);
         assert_eq!(s.release_all(1), [3]);
         // The ordinary constructors stay non-local.
-        assert!(!GlobalLockService::new(vec![CcMode::Page], 0, 0.0).is_local_only());
+        assert!(
+            GlobalLockService::new(vec![CcMode::Page], 0, 0.0).is_remote(5, &obj_ref(0, 1, true))
+        );
     }
 
     #[test]

@@ -1,11 +1,11 @@
-//! The lock manager: ties the lock table, the waits-for graph and the
-//! per-partition concurrency-control modes together and keeps the statistics
-//! TPSIM reports (lock requests, conflicts, deadlocks).
+//! The lock manager: ties the lock table, the locks each transaction holds
+//! and the per-partition concurrency-control modes together, checks every
+//! denied request for a deadlock, and keeps the statistics TPSIM reports
+//! (lock requests, conflicts, deadlocks).
 
 use dbmodel::{AccessMode, ObjectRef, PartitionId};
-use simkernel::IdMap;
+use simkernel::{IdMap, IdSet};
 
-use crate::deadlock::WaitsForGraph;
 use crate::table::{LockMode, LockTable, LockableId, TableOutcome, TxId};
 
 /// Concurrency-control mode of a partition (§3.2: "no CC, page-level CC, or
@@ -65,7 +65,6 @@ pub struct LockManagerStats {
 pub struct LockManager {
     modes: Vec<CcMode>,
     table: LockTable,
-    graph: WaitsForGraph,
     /// Locks currently held per transaction (for release at EOT / abort).
     /// A plain de-duplicated `Vec` per transaction: transactions hold few
     /// locks, so a linear membership check beats hashing on the per-request
@@ -78,6 +77,10 @@ pub struct LockManager {
     waiting_on: IdMap<TxId, LockableId>,
     /// Scratch for a denied request's wait-for set (reused per conflict).
     blockers: Vec<TxId>,
+    /// Deadlock-check scratch: the transactions reached so far, and those
+    /// still to expand (both cleared per check, allocations reused).
+    visited: IdSet<TxId>,
+    stack: Vec<TxId>,
     /// The transactions the last `release_all` or `abort` woke, returned
     /// by reference so the conflict path allocates nothing.
     woken: Vec<TxId>,
@@ -90,11 +93,12 @@ impl LockManager {
         Self {
             modes,
             table: LockTable::new(),
-            graph: WaitsForGraph::new(),
             held: IdMap::default(),
             spare_held: Vec::new(),
             waiting_on: IdMap::default(),
             blockers: Vec::new(),
+            visited: IdSet::default(),
+            stack: Vec::new(),
             woken: Vec::new(),
             stats: LockManagerStats::default(),
         }
@@ -157,13 +161,12 @@ impl LockManager {
             TableOutcome::Blocked => {
                 self.table
                     .wait_for_set(item, tx, req.mode, &mut self.blockers);
-                if self.graph.would_deadlock(tx, &self.blockers) {
+                if self.would_deadlock(tx) {
                     // Abort the requester: remove the queued request again.
                     self.table.cancel_wait(item, tx);
                     self.stats.deadlocks += 1;
                     LockOutcome::Deadlock
                 } else {
-                    self.graph.add_waits(tx, &self.blockers);
                     self.waiting_on.insert(tx, item);
                     self.stats.conflicts += 1;
                     LockOutcome::Blocked
@@ -172,14 +175,52 @@ impl LockManager {
         }
     }
 
+    /// True if the denied request of `tx`, whose blockers are in
+    /// `self.blockers`, closes a waits-for cycle: if a blocker waits for `tx`,
+    /// directly or through other waiters.
+    ///
+    /// The walk runs backward from `tx` over the lock table's current state,
+    /// so no edge is stored: a transaction `t` is waited for by the requests
+    /// [`LockTable::waiting_for`] lists on the items `t` holds and on the
+    /// item it is queued on.  Its work is bounded by the transitive waiters
+    /// of `tx`, not by the whole blocked population.
+    fn would_deadlock(&mut self, tx: TxId) -> bool {
+        let Self {
+            table,
+            held,
+            waiting_on,
+            blockers,
+            visited,
+            stack,
+            ..
+        } = self;
+        visited.clear();
+        stack.clear();
+        visited.insert(tx);
+        stack.push(tx);
+        while let Some(t) = stack.pop() {
+            let holds = held.get(&t).map(Vec::as_slice).unwrap_or_default();
+            let queued = waiting_on.get(&t).copied();
+            for &item in holds.iter().chain(&queued) {
+                for w in table.waiting_for(item, t) {
+                    if blockers.binary_search(&w).is_ok() {
+                        return true;
+                    }
+                    if visited.insert(w) {
+                        stack.push(w);
+                    }
+                }
+            }
+        }
+        false
+    }
+
     /// Called when the lock table has granted a queued request of `tx`
-    /// (returned from a release).  Marks the lock as held and clears the
-    /// waits-for edges.
+    /// (returned from a release): marks the lock as held.
     fn on_wakeup(&mut self, tx: TxId) {
         if let Some(item) = self.waiting_on.remove(&tx) {
             self.note_held(tx, item);
         }
-        self.graph.clear_waits(tx);
     }
 
     /// Records that `tx` holds `item` (once), starting its list from the
@@ -213,7 +254,6 @@ impl LockManager {
             items.clear();
             self.spare_held.push(items);
         }
-        self.graph.remove_transaction(tx);
         self.woken.sort_unstable();
         self.woken.dedup();
         &self.woken
@@ -243,7 +283,6 @@ impl LockManager {
         // analyzer: allow(hash-iter): sum of set sizes is order-independent
         let held: u64 = self.held.values().map(|s| s.len() as u64).sum();
         self.table = LockTable::new();
-        self.graph = WaitsForGraph::new();
         self.held.clear();
         self.waiting_on.clear();
         held
@@ -254,6 +293,8 @@ impl LockManager {
 mod tests {
     use super::*;
     use dbmodel::{ObjectId, PageId};
+    use simkernel::SimRng;
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn obj_ref(partition: usize, page: u64, object: u64, write: bool) -> ObjectRef {
         ObjectRef {
@@ -350,6 +391,205 @@ mod tests {
         // Aborting T2 releases page 2 and wakes T1.
         assert_eq!(m.abort(2), [1]);
         assert_eq!(m.locks_held(1), 2);
+    }
+
+    /// Requests page `page` of partition 0 (page-level locking) for `tx`.
+    fn lock(m: &mut LockManager, tx: TxId, page: u64, write: bool) -> LockOutcome {
+        m.acquire(tx, &obj_ref(0, page, page, write))
+    }
+
+    #[test]
+    fn two_transaction_cycle_is_a_deadlock() {
+        let mut m = page_level_mgr();
+        lock(&mut m, 1, 1, true);
+        lock(&mut m, 2, 2, true);
+        // T1 waits for T2.
+        assert_eq!(lock(&mut m, 1, 2, true), LockOutcome::Blocked);
+        // T3 waiting for T1 closes no cycle; T2 does: T2 → T1 → T2.
+        assert_eq!(lock(&mut m, 3, 1, true), LockOutcome::Blocked);
+        assert_eq!(lock(&mut m, 2, 1, true), LockOutcome::Deadlock);
+        assert_eq!(m.stats().deadlocks, 1);
+    }
+
+    #[test]
+    fn three_transaction_cycle_is_a_deadlock() {
+        let mut m = page_level_mgr();
+        for tx in 1..=3 {
+            assert_eq!(lock(&mut m, tx, tx, true), LockOutcome::Granted);
+        }
+        assert_eq!(lock(&mut m, 1, 2, true), LockOutcome::Blocked);
+        assert_eq!(lock(&mut m, 2, 3, true), LockOutcome::Blocked);
+        // T3 → T1 → T2 → T3.
+        assert_eq!(lock(&mut m, 3, 1, true), LockOutcome::Deadlock);
+        assert_eq!(m.stats().deadlocks, 1);
+        // The victim's request is gone; its abort wakes T2.
+        assert_eq!(m.abort(3), [2]);
+        assert_eq!(m.release_all(2), [1]);
+    }
+
+    #[test]
+    fn diamond_without_cycle_is_not_a_deadlock() {
+        let mut m = page_level_mgr();
+        // T2 and T3 share page 1, T4 holds page 4, T5 holds page 5.
+        lock(&mut m, 2, 1, false);
+        lock(&mut m, 3, 1, false);
+        lock(&mut m, 4, 4, true);
+        lock(&mut m, 5, 5, true);
+        // T1 waits for T2 and T3; both wait for T4.
+        assert_eq!(lock(&mut m, 1, 1, true), LockOutcome::Blocked);
+        assert_eq!(lock(&mut m, 2, 4, true), LockOutcome::Blocked);
+        assert_eq!(lock(&mut m, 3, 4, true), LockOutcome::Blocked);
+        // T4 reaches no waiter of its own by two paths: no cycle.
+        assert_eq!(lock(&mut m, 4, 5, true), LockOutcome::Blocked);
+        assert_eq!(m.stats().deadlocks, 0);
+        // T5 queues behind T1, which waits (through the diamond) for T5.
+        assert_eq!(lock(&mut m, 5, 1, false), LockOutcome::Deadlock);
+    }
+
+    #[test]
+    fn cycle_through_a_queued_request_is_a_deadlock() {
+        let mut m = page_level_mgr();
+        lock(&mut m, 1, 1, false);
+        lock(&mut m, 3, 3, true);
+        // T2's exclusive request waits for reader T1; T3's shared request
+        // is compatible with T1 but queues behind T2, so it waits only
+        // for T2's queued request.
+        assert_eq!(lock(&mut m, 2, 1, true), LockOutcome::Blocked);
+        assert_eq!(lock(&mut m, 3, 1, false), LockOutcome::Blocked);
+        // T1 → T3 → T2 → T1.
+        assert_eq!(lock(&mut m, 1, 3, true), LockOutcome::Deadlock);
+    }
+
+    #[test]
+    fn second_of_two_upgrading_readers_is_the_victim() {
+        let mut m = page_level_mgr();
+        lock(&mut m, 1, 1, false);
+        lock(&mut m, 2, 1, false);
+        assert_eq!(lock(&mut m, 1, 1, true), LockOutcome::Blocked);
+        assert_eq!(lock(&mut m, 2, 1, true), LockOutcome::Deadlock);
+        // Aborting T2 grants T1's upgrade: a new reader now waits.
+        assert_eq!(m.abort(2), [1]);
+        assert_eq!(m.locks_held(1), 1);
+        assert_eq!(lock(&mut m, 3, 1, false), LockOutcome::Blocked);
+    }
+
+    #[test]
+    fn a_committed_blocker_closes_no_cycle() {
+        let mut m = page_level_mgr();
+        // T3 waits for readers T1 and T2; T1 commits, T3 still waits.
+        lock(&mut m, 1, 1, false);
+        lock(&mut m, 2, 1, false);
+        lock(&mut m, 3, 3, true);
+        assert_eq!(lock(&mut m, 3, 1, true), LockOutcome::Blocked);
+        assert!(m.release_all(1).is_empty());
+        // T1 runs again (as a restarted victim does), holding nothing:
+        // nobody waits for it any more.
+        assert_eq!(lock(&mut m, 1, 3, true), LockOutcome::Blocked);
+        // T2 still closes a cycle through T3.
+        assert_eq!(lock(&mut m, 2, 3, true), LockOutcome::Deadlock);
+    }
+
+    #[test]
+    fn a_woken_waiter_closes_no_cycle() {
+        let mut m = page_level_mgr();
+        lock(&mut m, 3, 9, true);
+        lock(&mut m, 1, 1, true);
+        // T3 queues behind T2 on page 1, then both wake together.
+        assert_eq!(lock(&mut m, 2, 1, false), LockOutcome::Blocked);
+        assert_eq!(lock(&mut m, 3, 1, false), LockOutcome::Blocked);
+        assert_eq!(m.release_all(1), [2, 3]);
+        // T3 no longer waits for T2 ...
+        assert_eq!(lock(&mut m, 2, 9, true), LockOutcome::Blocked);
+        // ... but its upgrade now does.
+        assert_eq!(lock(&mut m, 3, 1, true), LockOutcome::Deadlock);
+    }
+
+    /// The recorded waits-for graph the lock manager used to keep: an edge
+    /// is written when a request blocks and deleted when either end
+    /// finishes or the waiter wakes.
+    #[derive(Default)]
+    struct RecordedGraph {
+        edges: BTreeMap<TxId, BTreeSet<TxId>>,
+    }
+
+    impl RecordedGraph {
+        /// True if a blocker reaches `waiter` over recorded edges.
+        fn closes_cycle(&self, waiter: TxId, blockers: &[TxId]) -> bool {
+            let mut seen = BTreeSet::new();
+            let mut stack = blockers.to_vec();
+            while let Some(t) = stack.pop() {
+                if t == waiter {
+                    return true;
+                }
+                if seen.insert(t) {
+                    stack.extend(self.edges.get(&t).into_iter().flatten());
+                }
+            }
+            false
+        }
+
+        fn block(&mut self, waiter: TxId, blockers: &[TxId]) {
+            self.edges
+                .insert(waiter, blockers.iter().copied().collect());
+        }
+
+        /// `tx` finished, and the transactions in `woken` were granted.
+        fn release(&mut self, tx: TxId, woken: &[TxId]) {
+            self.edges.remove(&tx);
+            for w in woken {
+                self.edges.remove(w);
+            }
+            for blockers in self.edges.values_mut() {
+                blockers.remove(&tx);
+            }
+        }
+    }
+
+    /// Random shared and exclusive requests (upgrades among them), commits
+    /// and victim aborts over a few items: every denied request is decided
+    /// as the recorded graph decides it.
+    #[test]
+    fn deadlock_decisions_match_the_recorded_graph() {
+        let (mut checks, mut deadlocks) = (0, 0);
+        for seed in 0..500 {
+            let mut rng = SimRng::seed_from(seed);
+            let items = 1 + rng.below(10);
+            let txs = 2 + rng.below(14);
+            let mut m = page_level_mgr();
+            let mut graph = RecordedGraph::default();
+            for step in 0..200 {
+                let running: Vec<TxId> = (1..=txs).filter(|&t| !m.is_blocked(t)).collect();
+                assert!(
+                    !running.is_empty(),
+                    "seed {seed}: every transaction blocked"
+                );
+                let tx = running[rng.below(running.len() as u64) as usize];
+                if rng.chance(0.2) {
+                    let woken = m.release_all(tx).to_vec();
+                    graph.release(tx, &woken);
+                    continue;
+                }
+                let outcome = lock(&mut m, tx, rng.below(items), rng.chance(0.5));
+                if outcome == LockOutcome::Granted {
+                    continue;
+                }
+                checks += 1;
+                let expected = graph.closes_cycle(tx, &m.blockers);
+                let deadlock = outcome == LockOutcome::Deadlock;
+                assert_eq!(deadlock, expected, "seed {seed}, step {step}, tx {tx}");
+                if deadlock {
+                    deadlocks += 1;
+                    let woken = m.abort(tx).to_vec();
+                    graph.release(tx, &woken);
+                } else {
+                    graph.block(tx, &m.blockers);
+                }
+            }
+        }
+        assert!(
+            checks > 10_000 && deadlocks > 1_000,
+            "{checks} / {deadlocks}"
+        );
     }
 
     #[test]

@@ -129,8 +129,8 @@ impl LockTable {
 
     /// Writes into `out` (sorted, deduplicated, replacing its contents) all
     /// transactions ahead of `tx` (holders plus earlier waiters) that `tx`
-    /// would wait for if queued on `id` in `mode`.  Used to build waits-for
-    /// edges.
+    /// would wait for if queued on `id` in `mode`: the blockers of a denied
+    /// request, which the deadlock check looks for among what waits for `tx`.
     pub fn wait_for_set(&self, id: LockableId, tx: TxId, mode: LockMode, out: &mut Vec<TxId>) {
         out.clear();
         if let Some(e) = self.entries.get(&id) {
@@ -147,6 +147,27 @@ impl LockTable {
         }
         out.sort_unstable();
         out.dedup();
+    }
+
+    /// The transactions queued on `id` that wait for `tx`, the reverse of
+    /// [`wait_for_set`](Self::wait_for_set): every request behind `tx`'s own
+    /// queued request, and every other request whose mode conflicts with the
+    /// mode `tx` holds.
+    pub fn waiting_for(&self, id: LockableId, tx: TxId) -> impl Iterator<Item = TxId> + '_ {
+        let entry = self.entries.get(&id);
+        let held = entry.and_then(|e| e.holds(tx));
+        let mut behind = false;
+        let waiters = entry.map(|e| e.waiters.as_slice()).unwrap_or_default();
+        waiters.iter().filter_map(move |w| {
+            if w.tx == tx {
+                behind = true;
+                None
+            } else if behind || held.is_some_and(|m| !m.compatible(w.mode)) {
+                Some(w.tx)
+            } else {
+                None
+            }
+        })
     }
 
     /// Requests `id` in `mode` for `tx`.
@@ -407,6 +428,28 @@ mod tests {
         let mut wf = vec![7];
         t.wait_for_set(page(1), 3, LockMode::Shared, &mut wf);
         assert_eq!(wf, [1, 2]);
+    }
+
+    #[test]
+    fn waiting_for_lists_the_requests_that_wait_for_a_transaction() {
+        let mut t = LockTable::new();
+        t.request(page(1), 1, LockMode::Shared);
+        t.request(page(1), 2, LockMode::Shared);
+        t.request(page(1), 1, LockMode::Exclusive); // upgrade, waits for 2
+        t.request(page(1), 3, LockMode::Shared); // queues behind the upgrade
+        t.request(page(1), 4, LockMode::Exclusive);
+        let waiting_for = |tx| t.waiting_for(page(1), tx).collect::<Vec<_>>();
+        // Behind 1's queued upgrade ...
+        assert_eq!(waiting_for(1), [3, 4]);
+        // ... and in conflict with 2's shared lock, which reader 3 is not.
+        assert_eq!(waiting_for(2), [1, 4]);
+        assert_eq!(waiting_for(3), [4]);
+        assert!(waiting_for(4).is_empty());
+        // The reverse of the blockers 4 had when it queued.
+        let mut wf = Vec::new();
+        t.wait_for_set(page(1), 4, LockMode::Exclusive, &mut wf);
+        assert_eq!(wf, [1, 2, 3]);
+        assert!(t.waiting_for(page(9), 1).next().is_none());
     }
 
     #[test]

@@ -13,10 +13,12 @@
 //! The non-ignored tests are the cheap determinism guarantees of the
 //! multi-node (data-sharing) dimension.
 
+use tpsim::lockmgr::CcMode;
 use tpsim::presets::{
-    self, caching_config, data_sharing_config, debit_credit_config, debit_credit_workload,
-    log_allocation_config, recovery_config, shared_nothing_config, DebitCreditStorage, LogVariant,
-    SecondLevel, LOG_UNIT,
+    self, caching_config, contention_config, contention_workload, data_sharing_config,
+    debit_credit_config, debit_credit_workload, log_allocation_config, recovery_config,
+    shared_nothing_config, trace_config, trace_workload, ContentionAllocation, DebitCreditStorage,
+    LogVariant, SecondLevel, TraceStorage, LOG_UNIT,
 };
 use tpsim::{
     LogAllocation, Simulation, SimulationConfig, SimulationReport, WorkloadParams, WorkloadSchedule,
@@ -251,10 +253,10 @@ fn recovery_sweep_is_byte_identical_in_parallel_and_serial() {
 // ---------------------------------------------------------------------------
 //
 // A refactor or optimization must not change simulation output *at all*:
-// these tests render complete reports of seven representative
-// configurations with `{:#?}` (the report types derive `Debug`, so a new
-// report field appears in every one of them) and compare them byte for byte
-// against the committed goldens.  Regenerate with
+// these tests render complete reports of representative configurations
+// with `{:#?}` (the report types derive `Debug`, so a new report field
+// appears in every one of them) and compare them byte for byte against the
+// committed goldens.  Regenerate with
 //
 // ```bash
 // UPDATE_GOLDENS=1 cargo test --release --test paper_shape golden_
@@ -373,6 +375,28 @@ fn golden_nvem_cache_force_report_is_byte_identical() {
     let report = Simulation::new(config, debit_credit_workload(100)).run();
     assert!(report.buffer.forced_pages > 0 && report.nvem_hit_ratio() > 0.0);
     assert_matches_golden("nvem_cache_force", &format!("{report:#?}\n"));
+}
+
+/// Two points that resolve deadlocks, which every Debit-Credit golden
+/// avoids by ordering its references: fig4.8's mixed allocation with page
+/// locking at 200 TPS, and a trace-replay point whose transactions upgrade
+/// shared locks.  Pins every deadlock decision of the lock manager.
+#[test]
+fn golden_lock_contention_reports_are_byte_identical() {
+    let mut out = String::new();
+    let mut contention = contention_config(ContentionAllocation::Mixed, CcMode::Page, 200.0);
+    contention.warmup_ms = 500.0;
+    contention.measure_ms = 3_000.0;
+    let report = Simulation::new(contention, contention_workload()).run();
+    assert!(report.locks.deadlocks > 0, "fig4.8 point must deadlock");
+    out.push_str(&format!("== fig4.8 mixed / page locks ==\n{report:#?}\n"));
+    let mut trace = trace_config(1_000, TraceStorage::MmOnly, 40.0);
+    trace.warmup_ms = 500.0;
+    trace.measure_ms = 3_000.0;
+    let report = Simulation::new(trace, trace_workload(10, 7)).run();
+    assert!(report.locks.deadlocks > 0, "trace point must deadlock");
+    out.push_str(&format!("== trace replay / mm only ==\n{report:#?}\n"));
+    assert_matches_golden("lock_contention", &out);
 }
 
 /// Every experiment table at quick scale, rendered as the `experiments`
