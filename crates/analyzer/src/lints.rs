@@ -313,7 +313,7 @@ pub fn lint_file(
         if hash_iter_applies {
             let mut names: Vec<&String> = knowledge.hash_names.iter().collect();
             names.extend(derived.iter());
-            if let Some(name) = hash_iter_hit(code, &names) {
+            if let Some(name) = hash_iter_hit(code, &names, &knowledge.yields_hash) {
                 fire(
                     Lint::HashIter,
                     format!(
@@ -410,7 +410,10 @@ fn top_level_args(list: &str) -> Option<usize> {
 
 /// Detects an iteration construct over any of `names` on this line; returns
 /// the matched name.  At most one hit per line keeps finding counts stable.
-fn hash_iter_hit(code: &str, names: &[&String]) -> Option<String> {
+/// In a `for … in` expression a point lookup (`.get(`, `.get_mut(`,
+/// `.contains_key(`) yields at most one value, so it iterates nothing in
+/// hash order, unless the map's values are hash containers (`yields_hash`).
+fn hash_iter_hit(code: &str, names: &[&String], yields_hash: &BTreeSet<String>) -> Option<String> {
     for name in names {
         let mut from = 0;
         while let Some(pos) = find_word_from(code, name, from) {
@@ -434,13 +437,31 @@ fn hash_iter_hit(code: &str, names: &[&String]) -> Option<String> {
             let head = code[..in_pos].trim_start();
             if head.starts_with("for ") || head.contains(" for ") {
                 let tail = &code[in_pos + 4..];
-                if find_word_from(tail, name, 0).is_some() {
+                if iterated_in(tail, name, yields_hash.contains(*name)) {
                     return Some((*name).clone());
                 }
             }
         }
     }
     None
+}
+
+/// True if `tail`, the expression of a `for … in`, mentions `name` other
+/// than as the receiver of a point lookup; with `yields_hash` a lookup
+/// counts too, since it yields a hash container.
+fn iterated_in(tail: &str, name: &str, yields_hash: bool) -> bool {
+    let mut from = 0;
+    while let Some(pos) = find_word_from(tail, name, from) {
+        from = pos + name.len();
+        let rest = &tail[from..];
+        let lookup = [".get(", ".get_mut(", ".contains_key("]
+            .iter()
+            .any(|m| rest.starts_with(m));
+        if !lookup || yields_hash {
+            return true;
+        }
+    }
+    false
 }
 
 /// Binds identifiers from `let`/`if let`/`while let` patterns whose RHS

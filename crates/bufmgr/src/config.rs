@@ -4,6 +4,7 @@
 //! disk-resident partition.
 
 use dbmodel::Database;
+use storage::lru::MAX_CAPACITY;
 
 /// Where the home copy of a partition lives (the "DBallocation" parameter of
 /// Table 3.4 plus the main-memory-resident option of Table 3.3).
@@ -143,6 +144,17 @@ impl BufferConfig {
         if self.mm_buffer_pages == 0 {
             return Err("main-memory buffer must have at least one frame".to_string());
         }
+        for (pages, pool) in [
+            (self.mm_buffer_pages, "main-memory buffer"),
+            (self.nvem_cache_pages, "NVEM cache"),
+            (self.nvem_write_buffer_pages, "NVEM write buffer"),
+        ] {
+            if pages > MAX_CAPACITY {
+                return Err(format!(
+                    "{pool} of {pages} frames exceeds the {MAX_CAPACITY} a buffer pool indexes"
+                ));
+            }
+        }
         for (i, p) in self.partitions.iter().enumerate() {
             if p.use_nvem_write_buffer && self.nvem_write_buffer_pages == 0 {
                 return Err(format!(
@@ -226,6 +238,24 @@ mod tests {
         let mut c = BufferConfig::disk_based(&db(), 100);
         c.mm_buffer_pages = 0;
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn validation_rejects_pools_beyond_a_u32_frame_index() {
+        let c = BufferConfig::disk_based(&db(), MAX_CAPACITY)
+            .with_nvem_cache(MAX_CAPACITY)
+            .with_update_strategy(UpdateStrategy::Force);
+        assert!(c.validate().is_ok());
+        let mut c = BufferConfig::disk_based(&db(), MAX_CAPACITY + 1);
+        let err = c.validate().unwrap_err();
+        assert!(err.starts_with("main-memory buffer of"), "{err}");
+        c.mm_buffer_pages = 100;
+        c.nvem_cache_pages = MAX_CAPACITY + 1;
+        let err = c.validate().unwrap_err();
+        assert!(err.starts_with("NVEM cache of"), "{err}");
+        let c = BufferConfig::disk_based(&db(), 100).with_nvem_write_buffer(MAX_CAPACITY + 1);
+        let err = c.validate().unwrap_err();
+        assert!(err.starts_with("NVEM write buffer of"), "{err}");
     }
 
     #[test]

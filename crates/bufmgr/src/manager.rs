@@ -16,9 +16,13 @@ use crate::stats::BufferStats;
 /// State of a page frame in the main-memory buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct FrameState {
-    partition: usize,
+    /// The page's partition (an index into the per-partition statistics).
+    partition: u32,
     dirty: bool,
 }
+
+// A main-memory frame, links included, fills 24 bytes.
+const _: () = assert!(LruCache::<PageId, FrameState>::FRAME_BYTES == 24);
 
 /// The TPSIM buffer manager.
 ///
@@ -122,8 +126,8 @@ impl BufferManager {
     /// broadcast invalidation the engine's page → holders index keeps a
     /// node's bit exactly while this is true: it clears the bit when this
     /// turns false after an eviction the pool reports
-    /// ([`PageOutcome::evicted`]) or after an invalidation, and debug builds
-    /// assert it at every commit fan-out.
+    /// ([`PageOutcome::evicted`]) or after an invalidation (which reports
+    /// it), and debug builds assert it at every commit fan-out.
     /// Under on-request validation a commit also clears the other nodes'
     /// bits, so a held page without its bit is a stale copy.
     pub fn holds_page(&self, page: PageId) -> bool {
@@ -203,7 +207,7 @@ impl BufferManager {
         self.mm.insert(
             page,
             FrameState {
-                partition,
+                partition: partition as u32,
                 dirty: is_write,
             },
         );
@@ -220,7 +224,8 @@ impl BufferManager {
         if vstate.dirty {
             self.stats.dirty_evictions += 1;
         }
-        match self.config.policy(vstate.partition).location {
+        let partition = vstate.partition as usize;
+        match self.config.policy(partition).location {
             PageLocation::MainMemoryResident => {
                 // Memory-resident pages never occupy buffer frames; nothing to do.
             }
@@ -251,7 +256,7 @@ impl BufferManager {
                     self.stats.migrations_to_nvem += 1;
                     return self.insert_into_nvem_cache(vpage, vstate.dirty);
                 } else if vstate.dirty {
-                    self.write_back_dirty(vpage, vstate.partition, unit, ops);
+                    self.write_back_dirty(vpage, partition, unit, ops);
                 }
                 // Without an NVEM cache, clean pages are simply dropped.
             }
@@ -416,27 +421,35 @@ impl BufferManager {
     /// (possible under NOFORCE): its update is superseded by the committing
     /// node's version, which that node holds dirty in its own pool and will
     /// itself propagate — only the latest owner writes the page, as in a
-    /// real coherence protocol.  Returns true if a copy was dropped.
+    /// real coherence protocol.
     ///
     /// Frames that track an *in-flight* asynchronous disk write of a version
     /// this node produced earlier are left alone so the write's completion
     /// bookkeeping stays consistent: write-buffer frames always, and
-    /// NVEM-cache entries while their pending count is non-zero.
+    /// NVEM-cache entries while their pending count is non-zero.  Returns
+    /// true if the pool still holds the page afterwards
+    /// ([`BufferManager::holds_page`]): an NVEM-cache entry spared for its
+    /// in-flight write.
     ///
     /// The dirty-page table is not touched: it has entries only on a
     /// single-node run, where no other node's commit invalidates a page.
     pub fn invalidate_page(&mut self, page: PageId) -> bool {
         let mut dropped = self.mm.remove(&page).is_some();
+        let mut spared = false;
         if let Some(cache) = self.nvem_cache.as_mut() {
-            if cache.is_clean(&page) {
-                cache.remove(&page);
-                dropped = true;
+            match cache.peek(&page) {
+                Some(0) => {
+                    cache.remove(&page);
+                    dropped = true;
+                }
+                Some(_) => spared = true,
+                None => {}
             }
         }
         if dropped {
             self.stats.invalidations += 1;
         }
-        dropped
+        spared
     }
 
     /// Drops any buffered copy of `page` *unconditionally* because a
@@ -869,9 +882,10 @@ mod tests {
         bm.reference_page(0, PageId(3), false); // evicts 1 (clean) → NVEM cache
         assert!(bm.nvem_contains(PageId(1)));
         assert!(bm.mm_contains(PageId(2)));
-        // Invalidate a main-memory copy and a clean NVEM-cache copy.
-        assert!(bm.invalidate_page(PageId(2)));
-        assert!(bm.invalidate_page(PageId(1)));
+        // Invalidate a main-memory copy and a clean NVEM-cache copy: the
+        // pool holds neither page afterwards.
+        assert!(!bm.invalidate_page(PageId(2)));
+        assert!(!bm.invalidate_page(PageId(1)));
         assert!(!bm.mm_contains(PageId(2)));
         assert!(!bm.nvem_contains(PageId(1)));
         assert_eq!(bm.stats().invalidations, 2);
@@ -897,14 +911,15 @@ mod tests {
         bm.reference_page(0, PageId(2), false); // evicts 1 dirty → NVEM, async write pending
         assert!(bm.nvem_contains(PageId(1)));
         // The pending entry tracks an in-flight disk write: invalidation must
-        // leave its bookkeeping alone.
-        assert!(!bm.invalidate_page(PageId(1)));
+        // leave its bookkeeping alone, and reports that the pool still
+        // holds the page.
+        assert!(bm.invalidate_page(PageId(1)));
         assert!(bm.nvem_contains(PageId(1)));
         assert_eq!(bm.stats().invalidations, 0);
         // Once the write completes the entry is a plain (clean) cache copy
         // and becomes invalidatable.
         bm.async_write_complete(PageId(1));
-        assert!(bm.invalidate_page(PageId(1)));
+        assert!(!bm.invalidate_page(PageId(1)));
         assert!(!bm.nvem_contains(PageId(1)));
         assert_eq!(bm.stats().invalidations, 1);
     }
@@ -972,7 +987,8 @@ mod tests {
     #[test]
     fn holds_page_matches_invalidate_page_reach() {
         // `holds_page` must be true exactly when `invalidate_page` would do
-        // any work: MM copy or NVEM-cache entry (pending or not).
+        // any work: MM copy or NVEM-cache entry (pending or not); and
+        // `invalidate_page` reports what the pool still holds.
         let cfg = disk_config(1).with_nvem_cache(4);
         let mut bm = BufferManager::new(cfg);
         assert!(!bm.holds_page(PageId(1)));
@@ -980,10 +996,24 @@ mod tests {
         assert!(bm.holds_page(PageId(1))); // MM copy
         bm.reference_page(0, PageId(2), false); // evicts 1 dirty → NVEM, pending write
         assert!(bm.holds_page(PageId(1))); // NVEM entry, even with pending > 0
+        assert!(bm.invalidate_page(PageId(1))); // spared
+        assert!(bm.holds_page(PageId(1)));
         bm.async_write_complete(PageId(1));
         assert!(bm.holds_page(PageId(1))); // NVEM entry, clean
-        bm.invalidate_page(PageId(1));
+        assert!(!bm.invalidate_page(PageId(1)));
         assert!(!bm.holds_page(PageId(1)));
+        // FORCE replicates a page in main memory and the NVEM cache: the
+        // main-memory copy goes, the entry with its write in flight stays.
+        let cfg = disk_config(2)
+            .with_nvem_cache(4)
+            .with_update_strategy(UpdateStrategy::Force);
+        let mut bm = BufferManager::new(cfg);
+        bm.reference_page(0, PageId(1), true);
+        bm.force_page(0, PageId(1));
+        assert!(bm.mm_contains(PageId(1)) && bm.nvem_contains(PageId(1)));
+        assert!(bm.invalidate_page(PageId(1)));
+        assert!(!bm.mm_contains(PageId(1)) && bm.holds_page(PageId(1)));
+        assert_eq!(bm.stats().invalidations, 1);
     }
 
     #[test]
@@ -1062,7 +1092,7 @@ mod tests {
         let mut bm = BufferManager::new(cfg);
         bm.reference_page(0, PageId(1), true);
         bm.reference_page(0, PageId(2), false); // evicts 1 dirty → NVEM, pending
-        assert!(!bm.invalidate_page(PageId(1))); // spared: pending > 0
+        assert!(bm.invalidate_page(PageId(1))); // spared: pending > 0
         bm.reference_page(0, PageId(1), false); // evicts 2, refetches 1
         assert_eq!(
             bm.stats().per_partition[0].nvem_hits,

@@ -665,6 +665,13 @@ impl SimulationConfig {
                     "storage device {i} needs at least one controller and one disk"
                 ));
             }
+            if d.kind.has_cache() && d.cache_size > storage::lru::MAX_CAPACITY {
+                return Err(format!(
+                    "storage device {i}: a disk cache of {} pages exceeds the {} a cache indexes",
+                    d.cache_size,
+                    storage::lru::MAX_CAPACITY
+                ));
+            }
         }
         // Every device reference must exist.
         let check_unit = |u: usize, what: &str| -> Result<(), String> {
@@ -862,6 +869,34 @@ mod tests {
         let mut c = minimal_config();
         c.buffer.partitions[0] = PartitionPolicy::on_disk_unit(3);
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn validation_rejects_caches_beyond_a_u32_frame_index() {
+        let max = storage::lru::MAX_CAPACITY;
+        let mut c = minimal_config();
+        c.devices[0] = DiskUnitParams::database_disks(DiskUnitKind::NonVolatileCache, 2, 8)
+            .with_cache_size(max);
+        assert!(c.validate().is_ok());
+        c.devices[0].cache_size = max + 1;
+        let err = c.validate().unwrap_err();
+        assert!(err.contains("disk cache"), "{err}");
+        // A unit without a cache ignores its cache size.
+        c.devices[0].kind = DiskUnitKind::Regular;
+        assert!(c.validate().is_ok());
+        // The buffer pools' sizes are checked by the buffer configuration.
+        let mut c = minimal_config();
+        c.buffer.mm_buffer_pages = max + 1;
+        let err = c.validate().unwrap_err();
+        assert!(err.contains("main-memory buffer"), "{err}");
+        let mut c = minimal_config();
+        c.buffer.nvem_cache_pages = max + 1;
+        let err = c.validate().unwrap_err();
+        assert!(err.contains("NVEM cache"), "{err}");
+        let mut c = minimal_config();
+        c.buffer.nvem_write_buffer_pages = max + 1;
+        let err = c.validate().unwrap_err();
+        assert!(err.contains("NVEM write buffer"), "{err}");
     }
 
     #[test]

@@ -62,12 +62,22 @@ impl<W: WorkloadGenerator> Simulation<W> {
     }
 
     /// Registers `node` as a holder of `page` (called while coherence is
-    /// active, at every reference that leaves the page in the node's pool;
-    /// under on-request validation this marks the node's copy current).
+    /// active, at every reference that missed main memory and so fetched
+    /// the page into the node's pool; under on-request validation this
+    /// marks the node's copy current).  A main-memory hit needs no call:
+    /// the pool holds the page, so its bit is set, and on-request
+    /// validation has already turned a stale hit into a miss.
     /// Node counts are capped at 64 by config validation, so one `u64`
     /// bitmask per page suffices.
     pub(super) fn note_holder(&mut self, node: usize, page: PageId) {
         *self.holders.entry(page).or_insert(0) |= 1u64 << node;
+    }
+
+    /// True if `node`'s bit for `page` is set in the holders index.
+    pub(super) fn has_holder_bit(&self, node: usize, page: PageId) -> bool {
+        self.holders
+            .get(&page)
+            .is_some_and(|mask| mask & (1u64 << node) != 0)
     }
 
     /// Clears `node`'s holder bit for `page` if its pool no longer holds
@@ -131,11 +141,12 @@ impl<W: WorkloadGenerator> Simulation<W> {
 
     /// Drops the stale copies of `page` from every holder other than the
     /// committing node, clearing the bits of holders that hold nothing any
-    /// more.  Debug builds verify the index against the full broadcast:
-    /// every node outside the mask must experience `invalidate_page` as a
-    /// no-op (no buffered copy).
+    /// more.  The mask is read and written in place, so the page is hashed
+    /// once unless its last holder lets go.  Debug builds verify the index
+    /// against the full broadcast: every node outside the mask must
+    /// experience `invalidate_page` as a no-op (no buffered copy).
     fn invalidate_holders(&mut self, committer: usize, page: PageId) {
-        let Some(mask) = self.holders.get(&page).copied() else {
+        let Some(mask) = self.holders.get_mut(&page) else {
             // No pool holds the page — an empty broadcast.  The committer's
             // copy left its pool before the commit (a memory-resident page
             // never enters one), and no other node holds the page either.
@@ -147,7 +158,7 @@ impl<W: WorkloadGenerator> Simulation<W> {
         };
         #[cfg(debug_assertions)]
         for (other, rt) in self.nodes.iter().enumerate() {
-            if mask & (1u64 << other) == 0 {
+            if *mask & (1u64 << other) == 0 {
                 debug_assert!(
                     !rt.bufmgr.holds_page(page),
                     "node {other} holds page {page:?} but its holder bit is unset: \
@@ -155,23 +166,19 @@ impl<W: WorkloadGenerator> Simulation<W> {
                 );
             }
         }
-        let mut remaining = mask;
-        let mut pending = mask & !(1u64 << committer);
+        let mut pending = *mask & !(1u64 << committer);
         while pending != 0 {
             let other = pending.trailing_zeros() as usize;
             pending &= pending - 1;
-            self.nodes[other].bufmgr.invalidate_page(page);
             // The bit stays only while something invalidation could still
-            // reach remains (e.g. an NVEM entry spared because of an
-            // in-flight write-back).
-            if !self.nodes[other].bufmgr.holds_page(page) {
-                remaining &= !(1u64 << other);
+            // reach remains (an NVEM entry spared because of an in-flight
+            // write-back).
+            if !self.nodes[other].bufmgr.invalidate_page(page) {
+                *mask &= !(1u64 << other);
             }
         }
-        if remaining == 0 {
+        if *mask == 0 {
             self.holders.remove(&page);
-        } else if remaining != mask {
-            self.holders.insert(page, remaining);
         }
     }
 
@@ -186,11 +193,7 @@ impl<W: WorkloadGenerator> Simulation<W> {
         {
             return None;
         }
-        let current = self
-            .holders
-            .get(&page)
-            .is_some_and(|mask| mask & (1u64 << node) != 0);
-        if current {
+        if self.has_holder_bit(node, page) {
             return None; // the check piggybacks on the lock message
         }
         if !self.nodes[node].bufmgr.holds_page(page) {

@@ -19,7 +19,7 @@
 //! surcharge run on the owner's CPUs, the page is fetched through the
 //! owner's buffer pool, and a second `RemoteCall` ships the reply home.
 
-use bufmgr::{PageLocation, UpdateStrategy};
+use bufmgr::UpdateStrategy;
 use dbmodel::WorkloadGenerator;
 use lockmgr::{GlobalLockService, LockOutcome};
 use simkernel::time::{instr_time, SimTime};
@@ -372,15 +372,18 @@ impl<W: WorkloadGenerator> Simulation<W> {
                 return sim.convert_page_ops(&outcome.ops, ops);
             }
             sim.convert_page_ops_with_transfer(node, obj_ref.page, &outcome.ops, ops);
-            // A memory-resident page occupies no frame, so no pool holds it.
-            let location = sim.nodes[node]
-                .bufmgr
-                .config()
-                .policy(obj_ref.partition)
-                .location;
-            if location != PageLocation::MainMemoryResident {
+            // Only a main-memory miss fetches, and so has operations: a hit
+            // finds the node's bit set, and a memory-resident page occupies
+            // no frame, so no pool holds it.
+            if !outcome.ops.is_empty() {
                 sim.note_holder(node, obj_ref.page);
             }
+            debug_assert!(
+                !sim.nodes[node].bufmgr.holds_page(obj_ref.page)
+                    || sim.has_holder_bit(node, obj_ref.page),
+                "node {node} holds page {:?} without its holder bit",
+                obj_ref.page
+            );
             if let Some(evicted) = outcome.evicted {
                 sim.release_holder(node, evicted);
             }

@@ -163,7 +163,15 @@ impl LockManager {
                     .wait_for_set(item, tx, req.mode, &mut self.blockers);
                 if self.would_deadlock(tx) {
                     // Abort the requester: remove the queued request again.
-                    self.table.cancel_wait(item, tx);
+                    // It is the item's newest, so removing it grants
+                    // nothing.
+                    self.woken.clear();
+                    self.table.cancel_wait(item, tx, &mut self.woken);
+                    debug_assert!(
+                        self.woken.is_empty(),
+                        "cancelling the newest request granted {:?}",
+                        self.woken
+                    );
                     self.stats.deadlocks += 1;
                     LockOutcome::Deadlock
                 } else {
@@ -200,8 +208,7 @@ impl LockManager {
         stack.push(tx);
         while let Some(t) = stack.pop() {
             let holds = held.get(&t).map(Vec::as_slice).unwrap_or_default();
-            let queued = waiting_on.get(&t).copied();
-            for &item in holds.iter().chain(&queued) {
+            for &item in holds.iter().chain(waiting_on.get(&t)) {
                 for w in table.waiting_for(item, t) {
                     if blockers.binary_search(&w).is_ok() {
                         return true;
@@ -213,14 +220,6 @@ impl LockManager {
             }
         }
         false
-    }
-
-    /// Called when the lock table has granted a queued request of `tx`
-    /// (returned from a release): marks the lock as held.
-    fn on_wakeup(&mut self, tx: TxId) {
-        if let Some(item) = self.waiting_on.remove(&tx) {
-            self.note_held(tx, item);
-        }
     }
 
     /// Records that `tx` holds `item` (once), starting its list from the
@@ -236,37 +235,62 @@ impl LockManager {
         }
     }
 
+    /// Marks held the queued requests the lock table granted, which it
+    /// appended to `woken` from position `first` on.
+    fn wake_from(&mut self, first: usize) {
+        for i in first..self.woken.len() {
+            let tx = self.woken[i];
+            if let Some(item) = self.waiting_on.remove(&tx) {
+                self.note_held(tx, item);
+            }
+        }
+    }
+
+    /// Releases every lock `tx` holds, appending the transactions whose
+    /// queued requests this granted to `woken`.
+    fn release_held(&mut self, tx: TxId) {
+        if let Some(mut items) = self.held.remove(&tx) {
+            for &item in &items {
+                self.stats.releases += 1;
+                let first = self.woken.len();
+                self.table.release(item, tx, &mut self.woken);
+                self.wake_from(first);
+            }
+            items.clear();
+            self.spare_held.push(items);
+        }
+    }
+
+    /// The transactions woken since `woken` was cleared, sorted and
+    /// deduplicated.
+    fn sorted_woken(&mut self) -> &[TxId] {
+        self.woken.sort_unstable();
+        self.woken.dedup();
+        &self.woken
+    }
+
     /// Releases all locks of `tx` (strict 2PL: at commit, phase 2).
     /// Returns the transactions whose queued requests became granted,
     /// sorted and deduplicated; the caller must resume them.  The slice is
     /// a buffer the manager reuses, valid until its next call.
     pub fn release_all(&mut self, tx: TxId) -> &[TxId] {
         self.woken.clear();
-        if let Some(mut items) = self.held.remove(&tx) {
-            for &item in &items {
-                self.stats.releases += 1;
-                let first = self.woken.len();
-                self.table.release(item, tx, &mut self.woken);
-                for i in first..self.woken.len() {
-                    self.on_wakeup(self.woken[i]);
-                }
-            }
-            items.clear();
-            self.spare_held.push(items);
-        }
-        self.woken.sort_unstable();
-        self.woken.dedup();
-        &self.woken
+        self.release_held(tx);
+        self.sorted_woken()
     }
 
     /// Aborts `tx`: cancels a pending wait if any and releases all held locks.
-    /// Returns the transactions woken by the released locks, as
+    /// Returns the transactions whose queued requests this granted — behind
+    /// the cancelled request or on the released items — as
     /// [`release_all`](Self::release_all) does.
     pub fn abort(&mut self, tx: TxId) -> &[TxId] {
+        self.woken.clear();
         if let Some(item) = self.waiting_on.remove(&tx) {
-            self.table.cancel_wait(item, tx);
+            self.table.cancel_wait(item, tx, &mut self.woken);
+            self.wake_from(0);
         }
-        self.release_all(tx)
+        self.release_held(tx);
+        self.sorted_woken()
     }
 
     /// True if `tx` is currently blocked.
@@ -292,6 +316,7 @@ impl LockManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::table::{LockEntry, Waiter};
     use dbmodel::{ObjectId, PageId};
     use simkernel::SimRng;
     use std::collections::{BTreeMap, BTreeSet};
@@ -533,6 +558,18 @@ mod tests {
                 .insert(waiter, blockers.iter().copied().collect());
         }
 
+        /// `holder` was granted an exclusive lock while `waiters` were
+        /// queued on the item: an upgrade in place, which every queued
+        /// request now waits for.  The stored graph never recorded this
+        /// edge; without aborts of waiting transactions it needed none,
+        /// because a request that queued behind a waiter for the upgrader
+        /// reached it through that waiter.
+        fn exclusive_grant(&mut self, holder: TxId, waiters: &[Waiter]) {
+            for w in waiters {
+                self.edges.entry(w.tx).or_default().insert(holder);
+            }
+        }
+
         /// `tx` finished, and the transactions in `woken` were granted.
         fn release(&mut self, tx: TxId, woken: &[TxId]) {
             self.edges.remove(&tx);
@@ -545,12 +582,30 @@ mod tests {
         }
     }
 
-    /// Random shared and exclusive requests (upgrades among them), commits
-    /// and victim aborts over a few items: every denied request is decided
-    /// as the recorded graph decides it.
+    /// Every queue's head request conflicts with a holder other than its
+    /// own transaction: a request that could be granted never waits.
+    fn assert_heads_are_blocked(m: &LockManager, items: u64, context: &str) {
+        for page in 0..items {
+            let Some(entry) = m.table.entry(LockableId::Page(PageId(page))) else {
+                continue;
+            };
+            if let Some(head) = entry.waiters().first() {
+                let blocked = entry
+                    .holders()
+                    .iter()
+                    .any(|&(t, mode)| t != head.tx && !mode.compatible(head.mode));
+                assert!(blocked, "{context}: grantable head {head:?} on page {page}");
+            }
+        }
+    }
+
+    /// Random shared and exclusive requests (upgrades among them), commits,
+    /// victim aborts and aborts of waiting transactions over a few items:
+    /// every denied request is decided as the recorded graph decides it,
+    /// and no queue's head could be granted.
     #[test]
     fn deadlock_decisions_match_the_recorded_graph() {
-        let (mut checks, mut deadlocks) = (0, 0);
+        let (mut checks, mut deadlocks, mut waiting_aborts) = (0, 0, 0);
         for seed in 0..500 {
             let mut rng = SimRng::seed_from(seed);
             let items = 1 + rng.below(10);
@@ -558,38 +613,76 @@ mod tests {
             let mut m = page_level_mgr();
             let mut graph = RecordedGraph::default();
             for step in 0..200 {
+                let context = format!("seed {seed}, step {step}");
+                let blocked: Vec<TxId> = (1..=txs).filter(|&t| m.is_blocked(t)).collect();
+                if !blocked.is_empty() && rng.chance(0.1) {
+                    let tx = blocked[rng.below(blocked.len() as u64) as usize];
+                    waiting_aborts += 1;
+                    let woken = m.abort(tx).to_vec();
+                    assert!(!m.is_blocked(tx) && m.locks_held(tx) == 0, "{context}");
+                    for &w in &woken {
+                        assert!(!m.is_blocked(w), "{context}: woken {w} still waits");
+                    }
+                    graph.release(tx, &woken);
+                    assert_heads_are_blocked(&m, items, &context);
+                    continue;
+                }
                 let running: Vec<TxId> = (1..=txs).filter(|&t| !m.is_blocked(t)).collect();
-                assert!(
-                    !running.is_empty(),
-                    "seed {seed}: every transaction blocked"
-                );
+                assert!(!running.is_empty(), "{context}: every transaction blocked");
                 let tx = running[rng.below(running.len() as u64) as usize];
                 if rng.chance(0.2) {
                     let woken = m.release_all(tx).to_vec();
                     graph.release(tx, &woken);
+                    assert_heads_are_blocked(&m, items, &context);
                     continue;
                 }
-                let outcome = lock(&mut m, tx, rng.below(items), rng.chance(0.5));
+                let (page, write) = (rng.below(items), rng.chance(0.5));
+                let outcome = lock(&mut m, tx, page, write);
+                assert_heads_are_blocked(&m, items, &context);
                 if outcome == LockOutcome::Granted {
+                    if write {
+                        let entry = m.table.entry(LockableId::Page(PageId(page)));
+                        let waiters = entry.map(LockEntry::waiters).unwrap_or_default();
+                        graph.exclusive_grant(tx, waiters);
+                    }
                     continue;
                 }
                 checks += 1;
                 let expected = graph.closes_cycle(tx, &m.blockers);
                 let deadlock = outcome == LockOutcome::Deadlock;
-                assert_eq!(deadlock, expected, "seed {seed}, step {step}, tx {tx}");
+                assert_eq!(deadlock, expected, "{context}, tx {tx}");
                 if deadlock {
                     deadlocks += 1;
                     let woken = m.abort(tx).to_vec();
                     graph.release(tx, &woken);
+                    assert_heads_are_blocked(&m, items, &context);
                 } else {
                     graph.block(tx, &m.blockers);
                 }
             }
         }
         assert!(
-            checks > 10_000 && deadlocks > 1_000,
-            "{checks} / {deadlocks}"
+            checks > 10_000 && deadlocks > 1_000 && waiting_aborts > 1_000,
+            "{checks} / {deadlocks} / {waiting_aborts}"
         );
+    }
+
+    #[test]
+    fn abort_of_a_waiting_transaction_wakes_the_requests_behind_it() {
+        let mut m = page_level_mgr();
+        // Reader T1 holds page 1; T2's exclusive request waits for it, and
+        // reader T3 queues behind T2.
+        assert_eq!(lock(&mut m, 1, 1, false), LockOutcome::Granted);
+        assert_eq!(lock(&mut m, 2, 1, true), LockOutcome::Blocked);
+        assert_eq!(lock(&mut m, 3, 1, false), LockOutcome::Blocked);
+        // Aborting T2 leaves nothing ahead of T3 that conflicts with it.
+        assert_eq!(m.abort(2), [3]);
+        assert!(!m.is_blocked(3));
+        assert_eq!(m.locks_held(3), 1);
+        // T3 holds the lock: T1's commit wakes nobody, and T3 releases it.
+        assert!(m.release_all(1).is_empty());
+        assert!(m.release_all(3).is_empty());
+        assert_eq!(m.stats().releases, 2);
     }
 
     #[test]

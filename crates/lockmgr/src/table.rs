@@ -207,21 +207,23 @@ impl LockTable {
         }
     }
 
-    /// Removes a waiting request of `tx` on `id` (after an abort).  Returns
-    /// true if a waiter was removed.
-    pub fn cancel_wait(&mut self, id: LockableId, tx: TxId) -> bool {
-        if let Some(entry) = self.entries.get_mut(&id) {
-            let before = entry.waiters.len();
-            entry.waiters.retain(|w| w.tx != tx);
-            let removed = entry.waiters.len() != before;
-            if entry.holders.is_empty() && entry.waiters.is_empty() {
-                let emptied = self.entries.remove(&id).expect("entry present");
-                self.spare.push(emptied);
-            }
-            removed
-        } else {
-            false
+    /// Removes a waiting request of `tx` on `id` (after an abort) and, as
+    /// [`release`](Self::release) does, grants the queued requests that
+    /// have now become compatible (FIFO), appending their transactions to
+    /// `granted` in grant order.  Returns true if a waiter was removed.
+    pub fn cancel_wait(&mut self, id: LockableId, tx: TxId, granted: &mut Vec<TxId>) -> bool {
+        let Entry::Occupied(mut occ) = self.entries.entry(id) else {
+            return false;
+        };
+        let entry = occ.get_mut();
+        let before = entry.waiters.len();
+        entry.waiters.retain(|w| w.tx != tx);
+        let removed = entry.waiters.len() != before;
+        Self::promote_waiters(entry, granted);
+        if entry.holders.is_empty() && entry.waiters.is_empty() {
+            self.spare.push(occ.remove());
         }
+        removed
     }
 
     /// Releases the lock held by `tx` on `id` and grants as many queued
@@ -382,16 +384,56 @@ mod tests {
         );
     }
 
+    /// [`LockTable::cancel_wait`] with the granted transactions collected.
+    fn cancel(t: &mut LockTable, id: LockableId, tx: TxId) -> (bool, Vec<TxId>) {
+        let mut granted = Vec::new();
+        let removed = t.cancel_wait(id, tx, &mut granted);
+        (removed, granted)
+    }
+
     #[test]
     fn cancel_wait_removes_queued_request() {
         let mut t = LockTable::new();
         t.request(page(1), 1, LockMode::Exclusive);
         t.request(page(1), 2, LockMode::Exclusive);
-        assert!(t.cancel_wait(page(1), 2));
-        assert!(!t.cancel_wait(page(1), 2));
+        assert_eq!(cancel(&mut t, page(1), 2), (true, vec![]));
+        assert_eq!(cancel(&mut t, page(1), 2), (false, vec![]));
         assert_eq!(release(&mut t, page(1), 1), Vec::<TxId>::new());
         // Entry is fully cleaned up.
         assert_eq!(t.active_items(), 0);
+        assert_eq!(cancel(&mut t, page(1), 2), (false, vec![]));
+    }
+
+    #[test]
+    fn cancel_wait_grants_the_requests_behind_it() {
+        let mut t = LockTable::new();
+        t.request(page(1), 1, LockMode::Shared);
+        t.request(page(1), 2, LockMode::Exclusive);
+        t.request(page(1), 3, LockMode::Shared);
+        t.request(page(1), 4, LockMode::Shared);
+        t.request(page(1), 5, LockMode::Exclusive);
+        // With the exclusive request gone, the readers behind it are
+        // compatible with reader 1; the exclusive request still waits.
+        assert_eq!(cancel(&mut t, page(1), 2), (true, vec![3, 4]));
+        let e = t.entry(page(1)).unwrap();
+        assert_eq!(
+            e.holders(),
+            &[
+                (1, LockMode::Shared),
+                (3, LockMode::Shared),
+                (4, LockMode::Shared)
+            ]
+        );
+        assert_eq!(
+            e.waiters(),
+            &[Waiter {
+                tx: 5,
+                mode: LockMode::Exclusive
+            }]
+        );
+        // Cancelling a request that is not at the head grants nothing.
+        t.request(page(1), 6, LockMode::Shared);
+        assert_eq!(cancel(&mut t, page(1), 6), (true, vec![]));
     }
 
     #[test]
@@ -414,7 +456,7 @@ mod tests {
         );
         assert!(t.entry(page(9)).unwrap().waiters().is_empty());
         t.request(page(9), 4, LockMode::Exclusive);
-        assert!(t.cancel_wait(page(9), 4));
+        assert_eq!(cancel(&mut t, page(9), 4), (true, vec![]));
         assert_eq!(release(&mut t, page(9), 3), Vec::<TxId>::new());
         assert_eq!((t.active_items(), t.spare.len()), (0, 1));
     }

@@ -1,7 +1,21 @@
-//! An order-preserving LRU cache with O(1) access, insert and removal.
+//! A fixed-capacity, order-preserving LRU cache: a table of frames kept in
+//! recency order by `u32` links, and an id map from each key to its frame.
 //!
 //! Used for the disk caches (volatile and non-volatile), the second-level
 //! NVEM database buffer, the NVEM write buffer and the main-memory buffer.
+//!
+//! A frame is `{ key, value, prev, next }` with `Copy` keys and values, so
+//! a page's frame in the main-memory buffer or in a write-behind store
+//! takes 24 bytes.  A frame that leaves the cache goes on a free list
+//! linked through `next`; nothing tags it as vacant, because only the map
+//! and the recency list lead to live frames.  The free list's order is
+//! unobservable, the recency order is not: every eviction follows it.
+//!
+//! [`LruCache::insert`], [`LruCache::absorb`] and [`LruCache::admit`] probe
+//! the map once for their key.  A miss on a full cache enters the key into
+//! its victim's frame in place and then removes the victim's key with one
+//! more probe; the map is sized for one entry more than the capacity, so
+//! that transient extra entry never grows it.
 //!
 //! A *write-behind store* — the non-volatile disk cache, the NVEM cache and
 //! the NVEM write buffer — is an `LruCache<K, u32>` whose value counts the
@@ -11,41 +25,78 @@
 //! accessed unmodified page" ([`LruCache::absorb`], [`LruCache::admit`],
 //! [`LruCache::destaged`]).
 
+use std::collections::hash_map::Entry;
 use std::hash::Hash;
 
 use simkernel::IdMap;
 
-const NIL: usize = usize::MAX;
+/// The end of a list: no frame.
+const NIL: u32 = u32::MAX;
 
-#[derive(Debug, Clone)]
-struct Node<K, V> {
+/// The largest capacity an [`LruCache`] accepts: every frame index must fit
+/// a `u32` below the list end marker.
+pub const MAX_CAPACITY: usize = NIL as usize;
+
+/// One cache entry and its place in the recency list.
+#[derive(Debug, Clone, Copy)]
+struct Frame<K, V> {
     key: K,
-    /// `None` only for slots on the free list.
-    value: Option<V>,
-    prev: usize,
-    next: usize,
+    value: V,
+    /// The next more recently used frame.
+    prev: u32,
+    /// The next less recently used frame; on the free list, the next free
+    /// frame.
+    next: u32,
+}
+
+// A page's frame in a write-behind store (a `u32` count of writes in
+// flight) fills 24 bytes; the buffer manager pins its main-memory frame.
+const _: () = assert!(LruCache::<dbmodel::PageId, u32>::FRAME_BYTES == 24);
+
+/// Where one map probe left a key: in its own frame, or entered into a
+/// frame that still has to take it.
+enum Probe {
+    /// The key is cached in this frame.
+    Hit(u32),
+    /// The key now maps to this unused frame (the cache was not full).
+    Free(u32),
+    /// The key now maps to this victim frame, whose key must leave the map.
+    Victim(u32),
+    /// The cache is full and has no victim: nothing changed.
+    Refused,
 }
 
 /// A fixed-capacity LRU cache.
 #[derive(Debug, Clone)]
-pub struct LruCache<K: Eq + Hash + Clone, V> {
+pub struct LruCache<K, V> {
+    map: IdMap<K, u32>,
+    frames: Vec<Frame<K, V>>,
     capacity: usize,
-    map: IdMap<K, usize>,
-    nodes: Vec<Node<K, V>>,
-    free: Vec<usize>,
-    head: usize, // most recently used
-    tail: usize, // least recently used
+    free: u32, // first frame of the free list
+    head: u32, // most recently used
+    tail: u32, // least recently used
 }
 
-impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
-    /// Creates a cache holding at most `capacity` entries (capacity >= 1).
+impl<K: Copy + Eq + Hash, V: Copy> LruCache<K, V> {
+    /// The bytes one entry's frame takes, links included.
+    pub const FRAME_BYTES: usize = std::mem::size_of::<Frame<K, V>>();
+
+    /// Creates a cache holding at most `capacity` entries
+    /// (`1 ..= MAX_CAPACITY`).
     pub fn new(capacity: usize) -> Self {
         assert!(capacity >= 1, "LRU capacity must be at least 1");
+        assert!(
+            capacity <= MAX_CAPACITY,
+            "LRU capacity {capacity} does not fit a u32 frame index"
+        );
+        // One spare slot for the key a full cache enters before it removes
+        // its victim's.
+        let slots = (capacity + 1).min(1 << 20);
         Self {
+            map: IdMap::with_capacity_and_hasher(slots, Default::default()),
+            frames: Vec::with_capacity(capacity.min(1 << 20)),
             capacity,
-            map: IdMap::with_capacity_and_hasher(capacity.min(1 << 20), Default::default()),
-            nodes: Vec::with_capacity(capacity.min(1 << 20)),
-            free: Vec::new(),
+            free: NIL,
             head: NIL,
             tail: NIL,
         }
@@ -76,121 +127,173 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         self.map.contains_key(key)
     }
 
-    fn detach(&mut self, idx: usize) {
-        let (prev, next) = (self.nodes[idx].prev, self.nodes[idx].next);
-        if prev != NIL {
-            self.nodes[prev].next = next;
-        } else {
-            self.head = next;
-        }
-        if next != NIL {
-            self.nodes[next].prev = prev;
-        } else {
-            self.tail = prev;
-        }
-        self.nodes[idx].prev = NIL;
-        self.nodes[idx].next = NIL;
+    fn frame(&self, idx: u32) -> &Frame<K, V> {
+        &self.frames[idx as usize]
     }
 
-    fn attach_front(&mut self, idx: usize) {
-        self.nodes[idx].prev = NIL;
-        self.nodes[idx].next = self.head;
-        if self.head != NIL {
-            self.nodes[self.head].prev = idx;
+    fn frame_mut(&mut self, idx: u32) -> &mut Frame<K, V> {
+        &mut self.frames[idx as usize]
+    }
+
+    /// Takes frame `idx` out of the recency list.
+    fn unlink(&mut self, idx: u32) {
+        let Frame { prev, next, .. } = *self.frame(idx);
+        if prev == NIL {
+            self.head = next;
+        } else {
+            self.frame_mut(prev).next = next;
+        }
+        if next == NIL {
+            self.tail = prev;
+        } else {
+            self.frame_mut(next).prev = prev;
+        }
+    }
+
+    /// Links frame `idx` in as the most recently used.
+    fn link_front(&mut self, idx: u32) {
+        let old = self.head;
+        let frame = self.frame_mut(idx);
+        frame.prev = NIL;
+        frame.next = old;
+        if old == NIL {
+            self.tail = idx;
+        } else {
+            self.frame_mut(old).prev = idx;
         }
         self.head = idx;
-        if self.tail == NIL {
-            self.tail = idx;
+    }
+
+    /// Marks the linked frame `idx` most recently used.
+    fn promote(&mut self, idx: u32) {
+        if self.head != idx {
+            self.unlink(idx);
+            self.link_front(idx);
         }
+    }
+
+    /// Looks `key` up once.  An absent key is entered into the map at once:
+    /// into an unused frame while the cache is not full, else into the
+    /// frame `victim` picks from the frames and the list's tail (called only
+    /// then; `None` refuses the key).
+    fn probe(&mut self, key: K, victim: impl FnOnce(&[Frame<K, V>], u32) -> Option<u32>) -> Probe {
+        let next = match self.free {
+            NIL => self.frames.len() as u32,
+            free => free,
+        };
+        let unused = (self.map.len() < self.capacity).then_some(next);
+        match self.map.entry(key) {
+            Entry::Occupied(slot) => Probe::Hit(*slot.get()),
+            Entry::Vacant(slot) => {
+                if let Some(idx) = unused {
+                    slot.insert(idx);
+                    Probe::Free(idx)
+                } else if let Some(idx) = victim(&self.frames, self.tail) {
+                    slot.insert(idx);
+                    Probe::Victim(idx)
+                } else {
+                    Probe::Refused
+                }
+            }
+        }
+    }
+
+    /// Fills the unused frame `idx` that [`probe`](Self::probe) gave `key`
+    /// and makes it the most recently used.
+    fn fill(&mut self, idx: u32, key: K, value: V) {
+        let frame = Frame {
+            key,
+            value,
+            prev: NIL,
+            next: NIL,
+        };
+        if idx as usize == self.frames.len() {
+            self.frames.push(frame);
+        } else {
+            debug_assert_eq!(idx, self.free, "an unused frame is the free list's first");
+            self.free = self.frame(idx).next;
+            *self.frame_mut(idx) = frame;
+        }
+        self.link_front(idx);
+    }
+
+    /// Hands the victim frame `idx` over to `key` as the most recently
+    /// used, and removes the victim's key from the map.  Returns the
+    /// victim's entry.
+    fn replace(&mut self, idx: u32, key: K, value: V) -> (K, V) {
+        let frame = self.frame_mut(idx);
+        let victim = (frame.key, frame.value);
+        frame.key = key;
+        frame.value = value;
+        self.promote(idx);
+        self.map.remove(&victim.0);
+        victim
+    }
+
+    /// Puts the unlinked frame `idx` on the free list.
+    fn release(&mut self, idx: u32) {
+        self.frame_mut(idx).next = self.free;
+        self.free = idx;
     }
 
     /// Marks `key` as most recently used.  Returns false if absent.
     pub fn touch(&mut self, key: &K) -> bool {
-        if let Some(&idx) = self.map.get(key) {
-            self.detach(idx);
-            self.attach_front(idx);
-            true
-        } else {
-            false
+        match self.map.get(key) {
+            Some(&idx) => {
+                self.promote(idx);
+                true
+            }
+            None => false,
         }
     }
 
     /// Returns the value for `key` and marks it most recently used.
     pub fn get(&mut self, key: &K) -> Option<&V> {
-        if let Some(&idx) = self.map.get(key) {
-            self.detach(idx);
-            self.attach_front(idx);
-            self.nodes[idx].value.as_ref()
-        } else {
-            None
-        }
+        self.get_mut(key).map(|value| &*value)
     }
 
     /// Mutable access to the value for `key`, marking it most recently used.
     pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
-        if let Some(&idx) = self.map.get(key) {
-            self.detach(idx);
-            self.attach_front(idx);
-            self.nodes[idx].value.as_mut()
-        } else {
-            None
-        }
+        let idx = *self.map.get(key)?;
+        self.promote(idx);
+        Some(&mut self.frame_mut(idx).value)
     }
 
     /// Returns the value for `key` without affecting recency.
     pub fn peek(&self, key: &K) -> Option<&V> {
-        self.map
-            .get(key)
-            .and_then(|&idx| self.nodes[idx].value.as_ref())
+        self.map.get(key).map(|&idx| &self.frame(idx).value)
     }
 
     /// Mutable access without affecting recency.
     pub fn peek_mut(&mut self, key: &K) -> Option<&mut V> {
-        if let Some(&idx) = self.map.get(key) {
-            self.nodes[idx].value.as_mut()
-        } else {
-            None
-        }
+        let idx = *self.map.get(key)?;
+        Some(&mut self.frame_mut(idx).value)
     }
 
     /// Inserts (or updates) `key`, marking it most recently used.  If the
     /// cache is full the least-recently-used entry is evicted and returned.
     pub fn insert(&mut self, key: K, value: V) -> Option<(K, V)> {
-        if let Some(&idx) = self.map.get(&key) {
-            self.nodes[idx].value = Some(value);
-            self.detach(idx);
-            self.attach_front(idx);
-            return None;
+        match self.probe(key, |_, tail| Some(tail)) {
+            Probe::Hit(idx) => {
+                self.frame_mut(idx).value = value;
+                self.promote(idx);
+                None
+            }
+            Probe::Free(idx) => {
+                self.fill(idx, key, value);
+                None
+            }
+            Probe::Victim(idx) => Some(self.replace(idx, key, value)),
+            Probe::Refused => unreachable!("a full cache always has a least recently used entry"),
         }
-        let evicted = if self.is_full() { self.pop_lru() } else { None };
-        let idx = if let Some(free) = self.free.pop() {
-            self.nodes[free] = Node {
-                key: key.clone(),
-                value: Some(value),
-                prev: NIL,
-                next: NIL,
-            };
-            free
-        } else {
-            self.nodes.push(Node {
-                key: key.clone(),
-                value: Some(value),
-                prev: NIL,
-                next: NIL,
-            });
-            self.nodes.len() - 1
-        };
-        self.map.insert(key, idx);
-        self.attach_front(idx);
-        evicted
     }
 
     /// Removes `key`, returning its value.
     pub fn remove(&mut self, key: &K) -> Option<V> {
         let idx = self.map.remove(key)?;
-        self.detach(idx);
-        self.free.push(idx);
-        self.nodes[idx].value.take()
+        self.unlink(idx);
+        self.release(idx);
+        Some(self.frame(idx).value)
     }
 
     /// Removes and returns the least-recently-used entry.
@@ -198,14 +301,14 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         if self.tail == NIL {
             return None;
         }
-        let key = self.nodes[self.tail].key.clone();
-        let value = self.remove(&key)?;
+        let Frame { key, value, .. } = *self.frame(self.tail);
+        self.remove(&key)?;
         Some((key, value))
     }
 
     /// Key of the least-recently-used entry.
     pub fn lru_key(&self) -> Option<&K> {
-        (self.tail != NIL).then(|| &self.nodes[self.tail].key)
+        (self.tail != NIL).then(|| &self.frame(self.tail).key)
     }
 
     /// Iterates from least-recently-used to most-recently-used.
@@ -215,12 +318,9 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
             if idx == NIL {
                 None
             } else {
-                let node = &self.nodes[idx];
-                idx = node.prev;
-                Some((
-                    &node.key,
-                    node.value.as_ref().expect("live node has a value"),
-                ))
+                let frame = self.frame(idx);
+                idx = frame.prev;
+                Some((&frame.key, &frame.value))
             }
         })
     }
@@ -228,31 +328,33 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     /// Removes every entry.
     pub fn clear(&mut self) {
         self.map.clear();
-        self.nodes.clear();
-        self.free.clear();
+        self.frames.clear();
+        self.free = NIL;
         self.head = NIL;
         self.tail = NIL;
     }
 }
 
+/// The least recently used clean frame (no write in flight), walking the
+/// recency list from `tail`.
+fn lru_clean<K>(frames: &[Frame<K, u32>], tail: u32) -> Option<u32> {
+    let mut idx = tail;
+    while idx != NIL {
+        let frame = &frames[idx as usize];
+        if frame.value == 0 {
+            return Some(idx);
+        }
+        idx = frame.prev;
+    }
+    None
+}
+
 /// The write-behind rule: the value counts the page's asynchronous disk
 /// writes in flight, and a page with none is clean (replaceable).
-impl<K: Eq + Hash + Clone> LruCache<K, u32> {
+impl<K: Copy + Eq + Hash> LruCache<K, u32> {
     /// True if `key` is cached with no write in flight.
     pub fn is_clean(&self, key: &K) -> bool {
         self.peek(key) == Some(&0)
-    }
-
-    /// The least recently used clean page.
-    fn lru_clean(&self) -> Option<K> {
-        let mut idx = self.tail;
-        while idx != NIL {
-            if self.nodes[idx].value == Some(0) {
-                return Some(self.nodes[idx].key.clone());
-            }
-            idx = self.nodes[idx].prev;
-        }
-        None
     }
 
     /// A write of `key` that the store absorbs, starting one asynchronous
@@ -261,16 +363,22 @@ impl<K: Eq + Hash + Clone> LruCache<K, u32> {
     /// recently used clean one.  Returns whether the page was cached, or
     /// `None` — changing nothing — when every frame has a write in flight.
     pub fn absorb(&mut self, key: K) -> Option<bool> {
-        if let Some(pending) = self.get_mut(&key) {
-            *pending += 1;
-            return Some(true);
+        match self.probe(key, lru_clean) {
+            Probe::Hit(idx) => {
+                self.frame_mut(idx).value += 1;
+                self.promote(idx);
+                Some(true)
+            }
+            Probe::Free(idx) => {
+                self.fill(idx, key, 1);
+                Some(false)
+            }
+            Probe::Victim(idx) => {
+                self.replace(idx, key, 1);
+                Some(false)
+            }
+            Probe::Refused => None,
         }
-        if self.is_full() {
-            let clean = self.lru_clean()?;
-            self.remove(&clean);
-        }
-        self.insert(key, 1);
-        Some(false)
     }
 
     /// Brings `key` in with `pending` writes in flight.  A cached page adds
@@ -279,20 +387,20 @@ impl<K: Eq + Hash + Clone> LruCache<K, u32> {
     /// recently used page when none is clean (that page's writes are already
     /// under way, so nothing is lost).  Returns the page that left.
     pub fn admit(&mut self, key: K, pending: u32) -> Option<K> {
-        if let Some(count) = self.get_mut(&key) {
-            *count += pending;
-            return None;
+        let victim = |frames: &[Frame<K, u32>], tail| lru_clean(frames, tail).or(Some(tail));
+        match self.probe(key, victim) {
+            Probe::Hit(idx) => {
+                self.frame_mut(idx).value += pending;
+                self.promote(idx);
+                None
+            }
+            Probe::Free(idx) => {
+                self.fill(idx, key, pending);
+                None
+            }
+            Probe::Victim(idx) => Some(self.replace(idx, key, pending).0),
+            Probe::Refused => unreachable!("a full store always has a least recently used page"),
         }
-        let victim = if self.is_full() {
-            self.lru_clean().or_else(|| self.lru_key().cloned())
-        } else {
-            None
-        };
-        if let Some(victim) = &victim {
-            self.remove(victim);
-        }
-        self.insert(key, pending);
-        victim
     }
 
     /// One asynchronous write of `key` completed (saturating at clean).
@@ -307,7 +415,6 @@ impl<K: Eq + Hash + Clone> LruCache<K, u32> {
         }
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -526,6 +633,55 @@ mod tests {
         assert_eq!(c.lru_key(), Some(&9));
         assert!(c.destaged(&9));
         assert_eq!(c.admit(10, 1), Some(9));
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit a u32 frame index")]
+    fn capacity_beyond_a_u32_frame_index_is_rejected() {
+        let _ = LruCache::<u64, u32>::new(MAX_CAPACITY + 1);
+    }
+
+    #[test]
+    fn a_full_cache_keeps_a_spare_map_slot() {
+        // A miss on a full cache enters its key before it removes the
+        // victim's: without room for that transient entry the replacement
+        // would grow the map.  Tables sized for exactly 3, 7, 14, 28, 56
+        // or 112 entries would have none.
+        for capacity in [1usize, 3, 7, 14, 28, 56, 112, 2_000] {
+            let mut c: LruCache<u64, u32> = LruCache::new(capacity);
+            for key in 0..capacity as u64 {
+                c.insert(key, 0);
+            }
+            let slots = c.map.capacity();
+            assert!(slots > capacity, "capacity {capacity}");
+            let key = capacity as u64;
+            assert!(c.insert(key, 0).is_some());
+            assert_eq!(c.absorb(key + 1), Some(false));
+            assert!(c.admit(key + 2, 1).is_some());
+            assert!(
+                c.map.capacity() <= slots,
+                "capacity {capacity}: the map grew"
+            );
+        }
+    }
+
+    #[test]
+    fn removed_frames_are_reused_before_new_ones() {
+        let mut c: LruCache<u64, u32> = LruCache::new(4);
+        for key in 0..4 {
+            c.insert(key, 0);
+        }
+        c.remove(&1);
+        c.pop_lru();
+        c.insert(7, 0);
+        c.admit(8, 1);
+        assert_eq!(c.frames.len(), 4, "no frame beyond the capacity");
+        let order: Vec<u64> = c.iter_lru().map(|(k, _)| *k).collect();
+        assert_eq!(order, [2, 3, 7, 8]);
+        c.clear();
+        assert!(c.is_empty() && c.lru_key().is_none());
+        assert_eq!(c.absorb(5), Some(false));
+        assert_eq!(c.iter_lru().collect::<Vec<_>>(), [(&5, &1)]);
     }
 
     #[test]

@@ -84,6 +84,155 @@ fn lru_matches_reference_model() {
     }
 }
 
+/// A naive write-behind store: `(key, writes in flight)`, most recently
+/// used first.
+struct ReferenceStore {
+    capacity: usize,
+    entries: Vec<(u64, u32)>,
+}
+
+impl ReferenceStore {
+    fn position(&self, key: u64) -> Option<usize> {
+        self.entries.iter().position(|&(k, _)| k == key)
+    }
+
+    /// Moves the entry at `pos` to the front and returns it.
+    fn promote(&mut self, pos: usize) -> &mut (u64, u32) {
+        let entry = self.entries.remove(pos);
+        self.entries.insert(0, entry);
+        &mut self.entries[0]
+    }
+
+    /// The least recently used clean entry.
+    fn lru_clean(&self) -> Option<usize> {
+        self.entries.iter().rposition(|&(_, pending)| pending == 0)
+    }
+
+    fn absorb(&mut self, key: u64) -> Option<bool> {
+        if let Some(pos) = self.position(key) {
+            self.promote(pos).1 += 1;
+            return Some(true);
+        }
+        if self.entries.len() == self.capacity {
+            let clean = self.lru_clean()?;
+            self.entries.remove(clean);
+        }
+        self.entries.insert(0, (key, 1));
+        Some(false)
+    }
+
+    fn admit(&mut self, key: u64, pending: u32) -> Option<u64> {
+        if let Some(pos) = self.position(key) {
+            self.promote(pos).1 += pending;
+            return None;
+        }
+        let victim = (self.entries.len() == self.capacity).then(|| {
+            let pos = self.lru_clean().unwrap_or(self.entries.len() - 1);
+            self.entries.remove(pos).0
+        });
+        self.entries.insert(0, (key, pending));
+        victim
+    }
+}
+
+/// The LRU cache as a write-behind store behaves exactly like a naive
+/// model under an arbitrary mix of every operation at capacities 1–16: the
+/// whole recency order and every value agree after each one.
+#[test]
+fn lru_write_behind_store_matches_reference_model() {
+    for case in 0..CASES {
+        let mut rng = SimRng::seed_from(0x14C6 + case);
+        let capacity = 1 + rng.below(16) as usize;
+        let ops = 1 + rng.below(600) as usize;
+        let mut c: LruCache<u64, u32> = LruCache::new(capacity);
+        let mut model = ReferenceStore {
+            capacity,
+            entries: Vec::new(),
+        };
+        for step in 0..ops {
+            let key = rng.below(24);
+            let pos = model.position(key);
+            let at = format!("case {case}, step {step}, key {key}");
+            match rng.below(14) {
+                0 => {
+                    let value = rng.below(3) as u32;
+                    let evicted = match pos {
+                        Some(pos) => {
+                            model.promote(pos).1 = value;
+                            None
+                        }
+                        None => {
+                            let evicted = (model.entries.len() == capacity)
+                                .then(|| model.entries.pop().expect("full"));
+                            model.entries.insert(0, (key, value));
+                            evicted
+                        }
+                    };
+                    assert_eq!(c.insert(key, value), evicted, "{at}");
+                }
+                1 => {
+                    let expected = pos.map(|pos| model.promote(pos).1);
+                    assert_eq!(c.get(&key).copied(), expected, "{at}");
+                }
+                2 => {
+                    let expected = pos.map(|pos| model.entries.remove(pos).1);
+                    assert_eq!(c.remove(&key), expected, "{at}");
+                }
+                3 => {
+                    if let Some(pos) = pos {
+                        model.promote(pos);
+                    }
+                    assert_eq!(c.touch(&key), pos.is_some(), "{at}");
+                }
+                4 => {
+                    let expected = pos.map(|pos| model.entries[pos].1);
+                    assert_eq!(c.peek(&key).copied(), expected, "{at}");
+                }
+                5 => {
+                    let value = rng.below(3) as u32;
+                    if let Some(pos) = pos {
+                        model.entries[pos].1 = value;
+                    }
+                    match c.peek_mut(&key) {
+                        Some(slot) => *slot = value,
+                        None => assert!(pos.is_none(), "{at}"),
+                    }
+                }
+                6 => {
+                    let clean = pos.is_some_and(|pos| model.entries[pos].1 == 0);
+                    assert_eq!(c.is_clean(&key), clean, "{at}");
+                }
+                7 | 8 => assert_eq!(c.absorb(key), model.absorb(key), "{at}"),
+                9 | 10 => {
+                    let pending = rng.below(3) as u32;
+                    assert_eq!(c.admit(key, pending), model.admit(key, pending), "{at}");
+                }
+                11 | 12 => {
+                    if let Some(pos) = pos {
+                        model.entries[pos].1 = model.entries[pos].1.saturating_sub(1);
+                    }
+                    assert_eq!(c.destaged(&key), pos.is_some(), "{at}");
+                }
+                _ => {
+                    assert_eq!(
+                        c.lru_key().copied(),
+                        model.entries.last().map(|&(k, _)| k),
+                        "{at}"
+                    );
+                    if rng.chance(0.5) {
+                        assert_eq!(c.pop_lru(), model.entries.pop(), "{at}");
+                    }
+                }
+            }
+            let order: Vec<(u64, u32)> = c.iter_lru().map(|(&k, &v)| (k, v)).collect();
+            let expected: Vec<(u64, u32)> = model.entries.iter().rev().copied().collect();
+            assert_eq!(order, expected, "{at}");
+            assert_eq!(c.len(), model.entries.len(), "{at}");
+            assert_eq!(c.is_full(), model.entries.len() == capacity, "{at}");
+        }
+    }
+}
+
 /// Disk-unit invariants that must hold for every request sequence:
 /// * the cache never grows beyond its configured size,
 /// * every decision has a positive foreground service time,
