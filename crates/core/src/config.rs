@@ -64,6 +64,7 @@ impl Default for CmParams {
     }
 }
 
+#[cfg(test)]
 impl CmParams {
     /// Aggregate CPU capacity in MIPS.
     pub fn total_mips(&self) -> f64 {

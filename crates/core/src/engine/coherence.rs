@@ -100,29 +100,29 @@ impl<W: WorkloadGenerator> Simulation<W> {
         }
     }
 
-    /// Commit-time coherence fan-out for the update transaction committing
-    /// on `node` with template `template`: invalidates the written pages'
+    /// Commit-time coherence fan-out for the transaction in `slot`
+    /// committing on `node`: if it updated, invalidates the written pages'
     /// holders (broadcast protocol) or drops them from the holder masks
     /// (on-request validation).  No-op on single-node and shared-nothing
     /// runs.  The wall-clock time spent here feeds the kernel profile's
     /// commit-fan-out accounting.
-    pub(super) fn commit_coherence(&mut self, node: usize, template: u32, is_update: bool) {
-        if !is_update || !self.coherence_active() {
+    pub(super) fn commit_coherence(&mut self, node: usize, slot: usize) {
+        if !self.coherence_active() || !self.txs.tx(slot).is_update {
             return;
         }
         // analyzer: allow(wall-clock): feeds KernelProfile only, never the report
         let t0 = Instant::now();
-        let num_written = self.templates.entry(template).written_pages.len();
+        let num_written = self.txs.tx(slot).written_pages.len();
         match self.config.coherence.protocol {
             CoherenceProtocol::BroadcastInvalidate => {
                 for idx in 0..num_written {
-                    let (_, page) = self.templates.entry(template).written_pages[idx];
+                    let (_, page) = self.txs.tx(slot).written_pages[idx];
                     self.invalidate_holders(node, page);
                 }
             }
             CoherenceProtocol::OnRequestValidate => {
                 for idx in 0..num_written {
-                    let (_, page) = self.templates.entry(template).written_pages[idx];
+                    let (_, page) = self.txs.tx(slot).written_pages[idx];
                     // The committer's own copy is the new version, even if
                     // another node's commit left it stale since its
                     // reference; the other holders' copies stay buffered

@@ -143,11 +143,10 @@ impl<W: WorkloadGenerator> Simulation<W> {
 
     pub(super) fn op_force_pages(&mut self, slot: usize) -> Flow {
         let node = self.txs.tx(slot).node;
-        let template = self.txs.tx(slot).template;
         let coherent = self.coherence_active();
         self.expand_ops(slot, |sim, ops| {
-            for idx in 0..sim.templates.entry(template).written_pages.len() {
-                let (partition, page) = sim.templates.entry(template).written_pages[idx];
+            for idx in 0..sim.txs.tx(slot).written_pages.len() {
+                let (partition, page) = sim.txs.tx(slot).written_pages[idx];
                 let forced = sim.nodes[node].bufmgr.force_page(partition, page);
                 sim.convert_page_ops(&forced.ops, ops);
                 if coherent {
@@ -169,13 +168,10 @@ impl<W: WorkloadGenerator> Simulation<W> {
         // table.  No-op while the recovery subsystem is inactive.
         self.record_redo(slot);
         let now = self.queue.now();
-        let (tx_id, node, arrival, template) = {
+        let (tx_id, node, arrival, tx_type) = {
             let tx = self.txs.tx(slot);
-            (tx.id, tx.node, tx.arrival, tx.template)
+            (tx.id, tx.node, tx.arrival, tx.template.tx_type)
         };
-        let entry = self.templates.entry(template);
-        let tx_type = entry.template.tx_type;
-        let is_update = entry.is_update;
         // Data sharing: a committed update invalidates stale copies of the
         // written pages in the *other* holders' buffer pools (via the
         // page → holders index) or, under on-request validation, marks
@@ -185,7 +181,7 @@ impl<W: WorkloadGenerator> Simulation<W> {
         // owner ever writes the page.  Shared nothing needs no coherence at
         // all: a page is only ever cached at its owner (remote references
         // go through the owner's pool), so no stale copy can exist.
-        self.commit_coherence(node, template, is_update);
+        self.commit_coherence(node, slot);
         // Phase 2 of commit: release all locks and wake waiters.  Release
         // messages to the global lock service are asynchronous — the
         // committer does not wait for them.
@@ -194,10 +190,8 @@ impl<W: WorkloadGenerator> Simulation<W> {
         // Statistics.
         self.record_completion(now, node, arrival, tx_type);
 
-        // Free the slot (the carcass stays for reuse) and the template entry.
-        self.id_to_slot.remove(&tx_id);
+        // Free the record (the carcass stays for reuse).
         self.txs.release(slot);
-        self.templates.free(template);
         debug_assert!(
             self.nodes[node].active_count > 0 && self.total_active > 0,
             "active-transaction counter underflow"
@@ -210,6 +204,7 @@ impl<W: WorkloadGenerator> Simulation<W> {
 
         // Admit the node's next waiting transaction, if any.
         self.admit_next(node);
+        self.debug_assert_conservation();
         Flow::Finished
     }
 }

@@ -36,7 +36,7 @@ impl<W: WorkloadGenerator> Simulation<W> {
         let now = self.queue.now();
         // The burst ran (and the freed CPU lives) at the executing node,
         // which cannot have changed while the transaction held the CPU.
-        let node = self.exec_node_of(slot);
+        let node = self.txs.exec_node_of(slot);
         // Free the CPU and hand it to the node's next queued burst, if any.
         if let Some(next) = self.nodes[node].cpus.release(now) {
             let nslot = next as usize;

@@ -24,7 +24,7 @@ use dbmodel::WorkloadGenerator;
 use lockmgr::{GlobalLockService, LockOutcome};
 use simkernel::time::{instr_time, SimTime};
 
-use super::transaction::{MicroOp, TxPhase};
+use super::transaction::{slot_of, MicroOp, TxPhase};
 use super::{slot_payload, Ev, Flow, Simulation};
 
 impl<W: WorkloadGenerator> Simulation<W> {
@@ -44,6 +44,7 @@ impl<W: WorkloadGenerator> Simulation<W> {
     /// transactions per second.
     #[inline(never)]
     fn advance(&mut self, slot: usize) {
+        debug_assert_ne!(self.txs.tx(slot).id, 0, "transaction not admitted");
         loop {
             let op = match self.txs.tx_mut(slot).micro.pop_front() {
                 Some(op) => op,
@@ -67,21 +68,18 @@ impl<W: WorkloadGenerator> Simulation<W> {
         let cm = self.config.cm;
         let (phase, num_refs, is_update) = {
             let tx = self.txs.tx(slot);
-            let entry = self.templates.entry(tx.template);
-            (tx.phase, entry.template.len(), entry.is_update)
+            (tx.phase, tx.template.len(), tx.is_update)
         };
         match phase {
             TxPhase::BeforeAccess { next_ref } if next_ref < num_refs => {
                 let or = instr_time(self.service_rng.exponential(cm.instr_or), cm.mips);
                 // Shared nothing: the owner of the referenced page was
-                // interned with the template (`ref_owners` is empty under
-                // data sharing); a remote owner means the reference is
+                // derived at arrival (`ref_owners` is empty under data
+                // sharing); a remote owner means the reference is
                 // function-shipped.
                 let remote_owner = {
                     let tx = self.txs.tx(slot);
-                    self.templates
-                        .entry(tx.template)
-                        .ref_owners
+                    tx.ref_owners
                         .get(next_ref)
                         .copied()
                         .filter(|&owner| owner != tx.node)
@@ -110,7 +108,7 @@ impl<W: WorkloadGenerator> Simulation<W> {
                         // its message round trip first (never under the
                         // shared-nothing local-only service).
                         let tx = self.txs.tx(slot);
-                        let obj_ref = &self.templates.entry(tx.template).template.refs[next_ref];
+                        let obj_ref = &tx.template.refs[next_ref];
                         let round_trip = self.lockmgr.remote_round_trip(tx.node, obj_ref);
                         let tx = self.txs.tx_mut(slot);
                         tx.micro.push_back(MicroOp::CpuBurst {
@@ -133,13 +131,11 @@ impl<W: WorkloadGenerator> Simulation<W> {
                 let eot = instr_time(self.service_rng.exponential(cm.instr_eot), cm.mips);
                 let force = self.config.buffer.update_strategy == UpdateStrategy::Force;
                 // Shared nothing: the distinct remote owners of the written
-                // pages (interned with the template) take part in the
-                // two-phase commit exchange.
+                // pages (derived at arrival) take part in the two-phase
+                // commit exchange.
                 let participants = {
                     let tx = self.txs.tx(slot);
-                    self.templates
-                        .entry(tx.template)
-                        .written_owners
+                    tx.written_owners
                         .iter()
                         .filter(|&&owner| owner != tx.node)
                         .count() as u32
@@ -248,14 +244,13 @@ impl<W: WorkloadGenerator> Simulation<W> {
         Flow::Blocked
     }
 
-    fn op_lock(&mut self, slot: usize, ref_idx: usize) -> Flow {
+    pub(super) fn op_lock(&mut self, slot: usize, ref_idx: usize) -> Flow {
         // `node` is the node the lock request is issued from: the home node
         // under data sharing, the page's owner while a shared-nothing
         // reference executes function-shipped (the two coincide otherwise).
         let (tx_id, home, node, obj_ref) = {
             let tx = self.txs.tx(slot);
-            let entry = self.templates.entry(tx.template);
-            (tx.id, tx.node, tx.exec_node, entry.template.refs[ref_idx])
+            (tx.id, tx.node, tx.exec_node, tx.template.refs[ref_idx])
         };
         // Shared nothing: a reference executing on its home node is a local
         // access (the remote split is counted by the shipping `RemoteCall`s).
@@ -306,10 +301,9 @@ impl<W: WorkloadGenerator> Simulation<W> {
         let mut ids = std::mem::take(&mut self.woken_scratch);
         ids.clear();
         ids.extend_from_slice(release(&mut self.lockmgr));
-        for id in &ids {
-            let Some(&slot) = self.id_to_slot.get(id) else {
-                continue;
-            };
+        for &id in &ids {
+            let slot = slot_of(id);
+            debug_assert_eq!(self.txs.tx(slot).id, id, "woken id names another record");
             if let Some(ref_idx) = self.txs.tx_mut(slot).pending_lock_ref.take() {
                 self.buffer_fetch(slot, ref_idx);
             }
@@ -348,10 +342,7 @@ impl<W: WorkloadGenerator> Simulation<W> {
     fn buffer_fetch(&mut self, slot: usize, ref_idx: usize) {
         let (node, obj_ref) = {
             let tx = self.txs.tx(slot);
-            (
-                tx.exec_node,
-                self.templates.entry(tx.template).template.refs[ref_idx],
-            )
+            (tx.exec_node, tx.template.refs[ref_idx])
         };
         let coherent = self.coherence_active();
         let validation_ms = if coherent {

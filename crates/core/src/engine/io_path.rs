@@ -17,7 +17,7 @@
 //! every transaction that joined.
 //!
 //! Requests live in the engine's [`IoArena`](super::arena::IoArena): the
-//! `u32` request id carried by every `IoStage` event and resource token is a
+//! request id carried by every `IoStage` event and resource token is a
 //! plain slot index, so the per-event lookups here never hash.  Device
 //! decisions arrive with their stages inline and are copied into a recycled
 //! request, so issuing and completing an I/O allocates nothing.
@@ -27,11 +27,11 @@
 use bufmgr::PageOp;
 use dbmodel::{PageId, WorkloadGenerator};
 use simkernel::resource::Acquire;
-use storage::{BackgroundStages, ForegroundStages, IoKind, ServiceStage};
+use storage::{ForegroundStages, IoKind, ServiceStage};
 
 use super::iorequest::{Completion, IoRequest};
 use super::transaction::MicroOp;
-use super::{Ev, Flow, Simulation};
+use super::{slot_payload, Ev, Flow, Simulation};
 
 impl<W: WorkloadGenerator> Simulation<W> {
     /// Translates buffer-manager page operations into engine micro operations,
@@ -86,17 +86,16 @@ impl<W: WorkloadGenerator> Simulation<W> {
         let decision = self.units[unit].device.request(kind, page);
         let joinable =
             kind == IoKind::Read && !waiters.is_empty() && self.units[unit].coalescing.is_some();
-        let (io_id, io) = self.ios.claim(IoRequest {
+        let (io_id, io) = self.ios.claim_request(IoRequest {
             unit,
             node,
             page,
             stages: decision.foreground,
-            taken: 0,
             background: decision.background,
             completion,
             issued_at: self.queue.now(),
             joinable,
-            waiters: Vec::new(),
+            ..IoRequest::default()
         });
         io.waiters.extend_from_slice(waiters);
         if joinable {
@@ -137,7 +136,7 @@ impl<W: WorkloadGenerator> Simulation<W> {
         // I/O is issued by the buffer pool of the *executing* node (the
         // partition owner while a shared-nothing reference runs shipped), so
         // completion notifications must route back to that pool.
-        let node = self.exec_node_of(slot);
+        let node = self.txs.exec_node_of(slot);
         let waiters: &[usize] = if blocking {
             std::slice::from_ref(&slot)
         } else {
@@ -154,28 +153,28 @@ impl<W: WorkloadGenerator> Simulation<W> {
     /// Takes request `io_id`'s next stage: queues it for a controller or a
     /// disk of its unit (serving it at once when one is free), or starts its
     /// transmission.  A request with no stage left completes.
-    pub(super) fn advance_io(&mut self, io_id: u32) {
+    pub(super) fn advance_io(&mut self, io_id: usize) {
         let now = self.queue.now();
         let io = self.ios.get_mut(io_id).expect("live io request");
         let unit = io.unit;
         let (servers, t) = match io.pop_stage() {
             None => return self.complete_io(io_id),
             Some(ServiceStage::Transmission(t)) => {
-                self.queue.schedule_in(t, Ev::IoStage(io_id));
+                self.queue.schedule_in(t, Ev::IoStage(slot_payload(io_id)));
                 return;
             }
             Some(ServiceStage::Controller(t)) => (&mut self.units[unit].controllers, t),
             Some(ServiceStage::Disk(t)) => (&mut self.units[unit].disks, t),
         };
-        if servers.acquire(now, u64::from(io_id)) == Acquire::Granted {
-            self.queue.schedule_in(t, Ev::IoStage(io_id));
+        if servers.acquire(now, io_id as u64) == Acquire::Granted {
+            self.queue.schedule_in(t, Ev::IoStage(slot_payload(io_id)));
         }
     }
 
     /// Request `io_id` finished its current stage: the controller or disk it
     /// held goes to the next request queued there, which is served for its
     /// own current stage; then `io_id` takes its next stage.
-    pub(super) fn handle_io_stage(&mut self, io_id: u32) {
+    pub(super) fn handle_io_stage(&mut self, io_id: usize) {
         let now = self.queue.now();
         let io = self.ios.get(io_id).expect("live io request");
         let unit = &mut self.units[io.unit];
@@ -185,13 +184,14 @@ impl<W: WorkloadGenerator> Simulation<W> {
             _ => None,
         };
         if let Some(next) = next {
-            let next = next as u32;
+            let next = next as usize;
             let service = self
                 .ios
                 .get(next)
                 .and_then(IoRequest::current_stage)
                 .map_or(0.0, |stage| stage.service_time());
-            self.queue.schedule_in(service, Ev::IoStage(next));
+            self.queue
+                .schedule_in(service, Ev::IoStage(slot_payload(next)));
         }
         self.advance_io(io_id);
     }
@@ -199,7 +199,7 @@ impl<W: WorkloadGenerator> Simulation<W> {
     /// Completes request `io_id`.  The request stays live (its slot
     /// unclaimable) until the end, so its fields and waiter list can be read
     /// while the completion's follow-up work issues new requests.
-    fn complete_io(&mut self, io_id: u32) {
+    fn complete_io(&mut self, io_id: usize) {
         let now = self.queue.now();
         let io = self.ios.get(io_id).expect("live io request");
         let (unit, node, page, background) = (io.unit, io.node, io.page, io.background);
@@ -232,17 +232,14 @@ impl<W: WorkloadGenerator> Simulation<W> {
             // its own.
             let mut stages = ForegroundStages::new();
             stages.extend(background);
-            let (destage, _) = self.ios.claim(IoRequest {
+            let (destage, _) = self.ios.claim_request(IoRequest {
                 unit,
                 node,
                 page,
                 stages,
-                taken: 0,
-                background: BackgroundStages::new(),
                 completion: Completion::Destage,
                 issued_at: now,
-                joinable: false,
-                waiters: Vec::new(),
+                ..IoRequest::default()
             });
             self.advance_io(destage);
         }

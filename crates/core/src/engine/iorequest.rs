@@ -15,19 +15,22 @@
 //!
 //! Requests live in the engine's [`IoArena`]; their stages are copied
 //! inline from the device decision.  A completed request stays in its arena
-//! slot and the next request claiming the slot reuses its waiter list, so
-//! issuing an I/O allocates nothing in steady state.
+//! slot and the next request claiming the slot reuses its waiter list
+//! ([`IoArena::claim_request`]), so issuing an I/O allocates nothing in
+//! steady state.
 //!
 //! [`IoArena`]: super::arena::IoArena
+//! [`IoArena::claim_request`]: super::arena::Slab::claim_request
 
 use dbmodel::PageId;
 use simkernel::time::SimTime;
 use storage::{BackgroundStages, ForegroundStages, ServiceStage};
 
 /// What completing a request does besides waking its waiters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) enum Completion {
     /// Nothing more.  A plain I/O issued by a transaction blocks it.
+    #[default]
     Plain,
     /// An asynchronous write-back: the issuing node's buffer manager hears
     /// of it (its NVEM cache or write-buffer frame becomes clean).
@@ -44,7 +47,7 @@ pub(crate) enum Completion {
 }
 
 /// One in-flight I/O request.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct IoRequest {
     /// The disk unit serving the request.
     pub unit: usize,
@@ -101,15 +104,10 @@ mod tests {
         stages.extend([ServiceStage::Controller(1.0), ServiceStage::Disk(5.0)]);
         let mut io = IoRequest {
             unit: 2,
-            node: 0,
             page: PageId(7),
             stages,
-            taken: 0,
-            background: BackgroundStages::new(),
-            completion: Completion::Plain,
-            issued_at: 0.0,
-            joinable: false,
             waiters: vec![3],
+            ..IoRequest::default()
         };
         assert_eq!(io.current_stage(), None);
         assert_eq!(io.pop_stage(), Some(ServiceStage::Controller(1.0)));

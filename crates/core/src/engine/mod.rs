@@ -35,28 +35,30 @@
 //! the soonest events in a short sorted `Vec` of 16-byte entries, sized to
 //! the few dozen events the engine keeps pending: an event (`Ev`) is 8
 //! bytes, a variant tag and a `u32` slot, I/O id or batch number, and the
-//! `const` assert below `Ev` pins that.  The per-event state lives in slab
-//! arenas (the private `arena` module) — in-flight I/O requests under
-//! stable `u32` ids, transaction slots with carcass reuse, and a shared
-//! transaction-template table — so event dispatch and I/O completion index
-//! plain `Vec`s.  The maps that remain
-//! (`id_to_slot`, the coherence index `holders`, and the
-//! lock, buffer and cache tables below the engine) are keyed by simulator
-//! ids and hash with the fixed [`simkernel::IdMap`] hasher instead of
-//! SipHash.  The per-transaction path allocates nothing once its pools have
-//! reached their working size: the workload generator writes each arrival
-//! into a free template-table entry's reused buffer, device decisions and
-//! buffer-manager page operations arrive inline, micro operations are
-//! expanded in one reused scratch buffer (`micro_scratch`), the transactions
-//! a lock release wakes are copied into another (`woken_scratch`), an I/O
-//! request copies its stages inline, and completed I/O requests (with their
-//! waiter lists), lock-table entries and held-lock lists are recycled.  A
-//! coalescing unit lists its in-flight reads as `(page, io id)` pairs in a
-//! short `Vec` that a read scans for its page.  On the simulator benchmark a
-//! committed transaction costs 0.010, 0.011 and 0.007 heap allocations on
-//! `ds16-nvemlog`, `sn8-skew-burst` and `dc1-nvemcache-force`, all of it
-//! pools growing to their working size.  `tests/hot_path_allocations.rs`
-//! bounds the steady state at 0.05.
+//! `const` assert below `Ev` pins that.  The per-event state lives in two
+//! arenas of one generic slab (the private `arena` module): the in-flight
+//! I/O requests, and one record per transaction in the system from arrival
+//! to commit.  Both reuse released slots with their buffers, so event
+//! dispatch and I/O completion index plain `Vec`s.  The lock manager's
+//! transaction id carries the record's slot below the admission number, so
+//! a woken id leads back to its record without a map.  The maps that remain
+//! (the coherence index `holders`, and the lock, buffer and cache tables
+//! below the engine) are keyed by simulator ids and hash with the fixed
+//! [`simkernel::IdMap`] hasher instead of SipHash.  The per-transaction
+//! path allocates nothing once its pools have reached their working size:
+//! the workload generator writes each arrival into a released record's
+//! reused buffers, device decisions and buffer-manager page operations
+//! arrive inline, micro operations are expanded in one reused scratch
+//! buffer (`micro_scratch`), the transactions a lock release wakes are
+//! copied into another (`woken_scratch`), an I/O request copies its stages
+//! inline, and completed I/O requests (with their waiter lists), lock-table
+//! entries and held-lock lists are recycled.  A coalescing unit lists its
+//! in-flight reads as `(page, io id)` pairs in a short `Vec` that a read
+//! scans for its page.  On the simulator benchmark a committed transaction
+//! costs 0.009, 0.009 and 0.007 heap allocations on `ds16-nvemlog`,
+//! `sn8-skew-burst` and `dc1-nvemcache-force`, all of it pools growing to
+//! their working size.  `tests/hot_path_allocations.rs` bounds the steady
+//! state at 0.05.
 //!
 //! The engine is split into focused subsystems (see `docs/ARCHITECTURE.md`
 //! for the full map and an event-lifecycle walkthrough); this module only
@@ -109,7 +111,7 @@ use crate::config::{Architecture, SimulationConfig};
 use crate::metrics::{CoherenceReport, KernelProfile, ShippingReport, SimulationReport};
 use crate::recovery::RecoveryRuntime;
 
-use arena::{IoArena, TemplateTable, TxArena};
+use arena::{IoArena, TxArena};
 use transaction::MicroOp;
 
 /// Events of the simulation: 8 bytes, so a near entry of the event list
@@ -145,12 +147,12 @@ enum Ev {
 
 const _: () = assert!(std::mem::size_of::<Ev>() == 8);
 
-/// The event payload naming the transaction in `slot`.  Slots index the
-/// live transactions, so they fit a `u32` by far; this is the one place
-/// that checks it.
+/// The event payload naming arena slot `slot` (a transaction's or an I/O
+/// request's).  Slots index what is live at once, so they fit a `u32` by
+/// far; this is the one place that checks it.
 #[inline]
 fn slot_payload(slot: usize) -> u32 {
-    u32::try_from(slot).expect("transaction slot exceeds an event payload")
+    u32::try_from(slot).expect("arena slot exceeds an event payload")
 }
 
 /// Control-flow result of executing one micro operation.
@@ -182,7 +184,7 @@ struct UnitRuntime {
 struct ReadCoalescing {
     /// `(page, io id)` of every blocking read in flight at the unit.  A page
     /// is listed at most once: a read of a listed page joins that request.
-    in_flight: Vec<(PageId, u32)>,
+    in_flight: Vec<(PageId, usize)>,
     /// Reads that joined an in-flight read since the warm-up reset.
     coalesced: u64,
 }
@@ -190,12 +192,12 @@ struct ReadCoalescing {
 /// Runtime state of one computing module (node): its CPU servers, local
 /// buffer pool, input queue and per-node statistics.  A single-node run has
 /// exactly one of these and behaves bit-identically to the pre-data-sharing
-/// engine.  The input queue holds indices into the engine's shared template
-/// table, not owned reference strings.
+/// engine.  The input queue holds the slots of the waiting transactions'
+/// records.
 struct NodeRuntime {
     cpus: Resource,
     bufmgr: BufferManager,
-    input_queue: VecDeque<(u32, SimTime)>,
+    input_queue: VecDeque<usize>,
     active_count: usize,
 
     // Per-node statistics.
@@ -272,14 +274,11 @@ pub struct Simulation<W: WorkloadGenerator> {
     fanout_commits: u64,
     fanout_ns: u64,
 
-    // Transactions: slot arena plus the shared template table.  The lock
-    // manager keeps the globally unique `u64` ids (their numeric order is its
-    // wake-up order), so `id_to_slot` maps them back to arena slots when
-    // lock waiters are woken.
+    // Transactions: one record each, claimed at arrival and released at
+    // commit, and the admission count whose next value numbers the next
+    // admitted transaction's lock-manager id (`transaction::tx_id`).
     txs: TxArena,
-    templates: TemplateTable,
-    id_to_slot: IdMap<u64, usize>,
-    next_tx_id: u64,
+    next_admission: u64,
     ready: VecDeque<usize>,
     /// Scratch buffer the page operations of one buffer reference or commit
     /// force are expanded into before they join the transaction's queue.
@@ -298,7 +297,7 @@ pub struct Simulation<W: WorkloadGenerator> {
     /// Running sum of the per-node input-queue lengths.
     total_queued: usize,
 
-    // In-flight I/O requests (stable u32 ids; see `arena::IoArena`).
+    // In-flight I/O requests (stable slot ids; see `arena::IoArena`).
     ios: IoArena,
 
     // Log bookkeeping (the log device is shared by all nodes).
@@ -438,9 +437,7 @@ impl<W: WorkloadGenerator> Simulation<W> {
             fanout_commits: 0,
             fanout_ns: 0,
             txs: TxArena::default(),
-            templates: TemplateTable::default(),
-            id_to_slot: IdMap::default(),
-            next_tx_id: 1,
+            next_admission: 1,
             ready: VecDeque::new(),
             micro_scratch: Vec::new(),
             woken_scratch: Vec::new(),
@@ -511,13 +508,6 @@ impl<W: WorkloadGenerator> Simulation<W> {
     /// Number of computing modules in the configuration.
     fn num_nodes(&self) -> usize {
         self.nodes.len()
-    }
-
-    /// The node the transaction in `slot` currently executes at (its home
-    /// node, except while a shared-nothing transaction is function-shipped
-    /// to a remote partition owner).
-    fn exec_node_of(&self, slot: usize) -> usize {
-        self.txs.exec_node_of(slot)
     }
 
     /// Runs the simulation to completion and produces the report.
@@ -612,7 +602,7 @@ impl<W: WorkloadGenerator> Simulation<W> {
                 Ev::EndWarmup => self.end_warmup(),
                 Ev::Arrival => self.handle_arrival(),
                 Ev::CpuDone(slot) => self.handle_cpu_done(slot as usize),
-                Ev::IoStage(io_id) => self.handle_io_stage(io_id),
+                Ev::IoStage(io_id) => self.handle_io_stage(io_id as usize),
                 Ev::MsgDone(slot) => self.handle_msg_done(slot as usize),
                 Ev::GroupCommitFlush(seq) => self.handle_group_commit_flush(seq),
                 Ev::Checkpoint => self.handle_checkpoint(),

@@ -43,7 +43,8 @@ use crate::metrics::RestartReport;
 use super::iorequest::Completion;
 use super::{Ev, Simulation};
 
-/// Transaction id the restart pass locks under (real ids start at 1).
+/// Transaction id the restart pass locks under (an admitted transaction's id
+/// is at least `1 << 32`, see `transaction::tx_id`).
 const RESTART_TX: u64 = 0;
 
 impl<W: WorkloadGenerator> Simulation<W> {
@@ -61,9 +62,8 @@ impl<W: WorkloadGenerator> Simulation<W> {
         if self.recovery.is_none() {
             return;
         }
-        let template = self.txs.tx(slot).template;
         let rec = self.recovery.as_mut().expect("recovery runtime");
-        for &(partition, page) in &self.templates.entry(template).written_pages {
+        for &(partition, page) in &self.txs.tx(slot).written_pages {
             let lsn = rec.append();
             self.nodes[0]
                 .bufmgr

@@ -6,21 +6,22 @@
 //! single-node run draws the exact same streams as the pre-data-sharing
 //! engine).  At most `cm.mpl` transactions are active per node at once and
 //! excess arrivals wait in the owning node's input queue (admission control).
-//! A slot freed at commit immediately admits the oldest transaction waiting
-//! at that node.
+//! An MPL slot freed at commit immediately admits the oldest transaction
+//! waiting at that node.
 //!
-//! On arrival the workload generator writes the transaction straight into a
-//! free entry of the engine's shared
-//! [`TemplateTable`](super::arena::TemplateTable)
-//! ([`WorkloadGenerator::next_into`]), reusing the entry's reference buffer;
-//! the input queues and transaction slots only carry `u32` indices.
+//! An arriving transaction claims its record in the engine's
+//! [`TxArena`](super::arena::TxArena), and the workload generator writes
+//! its reference string straight into the record
+//! ([`WorkloadGenerator::next_into`]), reusing the buffers of a committed
+//! transaction.  The input queues hold the records' slots, and admission
+//! numbers the transaction and sets its execution state in the same record.
 
 #[cfg(test)]
 use dbmodel::TransactionTemplate;
 use dbmodel::WorkloadGenerator;
 use simkernel::time::{instr_time, SimTime};
 
-use super::transaction::MicroOp;
+use super::transaction::{tx_id, MicroOp};
 use super::{Ev, Simulation};
 
 impl<W: WorkloadGenerator> Simulation<W> {
@@ -35,68 +36,66 @@ impl<W: WorkloadGenerator> Simulation<W> {
         if now + gap < self.end_time {
             self.queue.schedule_in(gap, Ev::Arrival);
         }
-        // Generate the transaction into a free template entry and assign it
-        // to a node.
+        // Generate the transaction into a free record and assign it to a
+        // node.
         let generated = self
-            .templates
-            .fill(self.partition_map.as_ref(), |template| {
+            .txs
+            .claim_arrival(now, self.partition_map.as_ref(), |template| {
                 self.workload.next_into(&mut self.workload_rng, template)
             });
-        match generated {
-            Some(template) => {
-                let node = self.next_arrival_node;
-                self.next_arrival_node = (self.next_arrival_node + 1) % self.num_nodes();
-                if self.nodes[node].active_count < self.config.cm.mpl {
-                    self.activate_interned(node, template, now);
-                } else {
-                    self.nodes[node].input_queue.push_back((template, now));
-                    self.total_queued += 1;
-                    self.record_input_queue(node, now);
-                }
-            }
-            None => {
-                // Trace exhausted (non-cycling replay): no further arrivals.
-                self.stop_arrivals = true;
-            }
+        let Some(slot) = generated else {
+            // Trace exhausted (non-cycling replay): no further arrivals.
+            self.stop_arrivals = true;
+            return;
+        };
+        let node = self.next_arrival_node;
+        self.next_arrival_node = (self.next_arrival_node + 1) % self.num_nodes();
+        if self.nodes[node].active_count < self.config.cm.mpl {
+            self.admit(node, slot);
+        } else {
+            self.nodes[node].input_queue.push_back(slot);
+            self.total_queued += 1;
+            self.record_input_queue(node, now);
         }
+        self.debug_assert_conservation();
     }
 
-    /// Admits a transaction at `node` from an un-interned template (test and
-    /// direct-manipulation entry point).
+    /// Admits a transaction at `node` from a template of its own (test and
+    /// direct-manipulation entry point) and returns its slot.
     #[cfg(test)]
     pub(super) fn activate(
         &mut self,
         node: usize,
         template: TransactionTemplate,
         arrival: SimTime,
-    ) {
-        let template = self
-            .templates
-            .fill(self.partition_map.as_ref(), |t| {
+    ) -> usize {
+        let slot = self
+            .txs
+            .claim_arrival(arrival, self.partition_map.as_ref(), |t| {
                 *t = template;
                 true
             })
             .expect("the fill always succeeds");
-        self.activate_interned(node, template, arrival);
+        self.admit(node, slot);
+        slot
     }
 
-    /// Admits a transaction at `node`: assigns a slot (reusing a completed
-    /// transaction's carcass when one is free), queues its BOT processing and
-    /// marks it ready.
-    pub(super) fn activate_interned(&mut self, node: usize, template: u32, arrival: SimTime) {
+    /// Admits the arrived transaction in `slot` at `node`: numbers it,
+    /// queues its BOT processing and marks it ready.
+    pub(super) fn admit(&mut self, node: usize, slot: usize) {
         let now = self.queue.now();
-        let id = self.next_tx_id;
-        self.next_tx_id += 1;
+        let id = tx_id(self.next_admission, slot);
+        self.next_admission += 1;
         let bot = instr_time(
             self.service_rng.exponential(self.config.cm.instr_bot),
             self.config.cm.mips,
         );
-        let slot = self.txs.activate(id, node, template, arrival);
-        self.txs.tx_mut(slot).micro.push_back(MicroOp::CpuBurst {
+        let tx = self.txs.tx_mut(slot);
+        tx.admit(id, node);
+        tx.micro.push_back(MicroOp::CpuBurst {
             ms: bot,
             nvem: false,
         });
-        self.id_to_slot.insert(id, slot);
         self.nodes[node].active_count += 1;
         self.total_active += 1;
         self.active_tw.record(now, self.total_active as f64);
@@ -109,12 +108,22 @@ impl<W: WorkloadGenerator> Simulation<W> {
     /// (called when a commit frees an MPL slot on that node).
     pub(super) fn admit_next(&mut self, node: usize) {
         let now = self.queue.now();
-        if let Some((template, arrival)) = self.nodes[node].input_queue.pop_front() {
+        if let Some(slot) = self.nodes[node].input_queue.pop_front() {
             debug_assert!(self.total_queued > 0, "input-queue counter underflow");
             self.total_queued -= 1;
             self.record_input_queue(node, now);
-            self.activate_interned(node, template, arrival);
+            self.admit(node, slot);
         }
+    }
+
+    /// Transaction conservation: every claimed record belongs to an active
+    /// or a queued transaction.
+    pub(super) fn debug_assert_conservation(&self) {
+        debug_assert_eq!(
+            self.txs.claimed(),
+            self.total_active + self.total_queued,
+            "claimed transaction records vs active plus queued transactions"
+        );
     }
 
     /// Records the aggregate and per-node input-queue lengths after a change

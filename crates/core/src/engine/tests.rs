@@ -34,7 +34,7 @@ fn quick_config(storage: DebitCreditStorage, tps: f64) -> SimulationConfig {
 fn drain_io<W: dbmodel::WorkloadGenerator>(sim: &mut Simulation<W>) {
     while let Some(event) = sim.queue.pop() {
         if let Ev::IoStage(io_id) = event.payload {
-            sim.handle_io_stage(io_id);
+            sim.handle_io_stage(io_id as usize);
         }
     }
 }
@@ -677,17 +677,67 @@ fn exhausted_trace_puts_the_claimed_template_entry_back() {
     }
     assert!(sim.stop_arrivals);
     assert_eq!(sim.total_active, 2);
-    // The entry the exhausted arrival claimed went back on the free list:
-    // the next template takes it instead of growing the table.
-    sim.activate(0, write_template(1), 0.0);
-    assert_eq!(sim.txs.tx(2).template, 2);
-    assert_eq!(sim.templates.entry(2).template, write_template(1));
+    assert_eq!(sim.txs.claimed(), 2);
+    // The record the exhausted arrival claimed went back on the free list:
+    // the next transaction takes it instead of growing the slab.
+    assert_eq!(sim.activate(0, write_template(1), 0.0), 2);
+    assert_eq!(sim.txs.tx(2).template, write_template(1));
+}
+
+#[test]
+fn lock_waiters_wake_in_admission_order_when_slots_are_reused() {
+    let mut sim = Simulation::new(
+        quick_config(DebitCreditStorage::Disk, 50.0),
+        debit_credit_workload(200),
+    );
+    let (page_a, page_b) = (1, 2);
+    let x = sim.activate(0, write_template(99), 0.0);
+    let mut both = write_template(page_a);
+    both.refs.extend(write_template(page_b).refs);
+    let t0 = sim.activate(0, both, 0.0);
+    let t1 = sim.activate(0, write_template(page_b), 0.0);
+    assert_eq!((x, t0, t1), (0, 1, 2));
+    assert_eq!(sim.op_complete(x), Flow::Finished);
+    // T2 is admitted last but takes X's slot, the lowest.
+    let t2 = sim.activate(0, write_template(page_a), 0.0);
+    assert_eq!(t2, x, "the released slot is reused");
+    assert!(sim.txs.tx(t1).id < sim.txs.tx(t2).id);
+    sim.ready.clear();
+    // T0 holds A and B; T1 waits on B, T2 on A.
+    assert_eq!(sim.op_lock(t0, 0), Flow::Continue);
+    assert_eq!(sim.op_lock(t0, 1), Flow::Continue);
+    assert_eq!(sim.op_lock(t1, 0), Flow::Blocked);
+    assert_eq!(sim.op_lock(t2, 0), Flow::Blocked);
+    // T0's commit releases A (granting T2) before B (granting T1), but the
+    // woken resume in admission order.
+    assert_eq!(sim.op_complete(t0), Flow::Finished);
+    assert_eq!(sim.ready, [t1, t2], "admission order, not slot order");
+}
+
+// The check is a `debug_assert!`, which release builds compile out.
+#[cfg(debug_assertions)]
+#[test]
+#[should_panic(expected = "not admitted")]
+fn advancing_a_transaction_that_waits_for_admission_is_caught_in_debug_builds() {
+    let mut sim = Simulation::new(
+        quick_config(DebitCreditStorage::Disk, 50.0),
+        debit_credit_workload(200),
+    );
+    let slot = sim
+        .txs
+        .claim_arrival(0.0, None, |t| {
+            *t = write_template(1);
+            true
+        })
+        .expect("the fill succeeds");
+    sim.ready.push_back(slot);
+    sim.process_ready();
 }
 
 #[test]
 fn duplicate_written_pages_intern_once_and_invalidate_once() {
     // A transaction writing the same page through two references must
-    // intern one `written_pages` entry and invalidate each holder once.
+    // derive one `written_pages` entry and invalidate each holder once.
     let mut c = data_sharing_config(2, 60.0);
     c.warmup_ms = 300.0;
     c.measure_ms = 1_500.0;
@@ -696,12 +746,11 @@ fn duplicate_written_pages_intern_once_and_invalidate_once() {
     sim.note_holder(1, PageId(42));
     let mut template = write_template(42);
     template.refs.push(template.refs[0]);
-    sim.activate(0, template, 0.0);
-    let interned = sim.txs.tx(0).template;
+    let slot = sim.activate(0, template, 0.0);
     assert_eq!(
-        sim.templates.entry(interned).written_pages,
+        sim.txs.tx(slot).written_pages,
         vec![(0, PageId(42))],
-        "duplicate written pages must deduplicate at intern time"
+        "duplicate written pages must deduplicate at arrival"
     );
     sim.nodes[0].bufmgr.reference_page(0, PageId(42), true);
     sim.note_holder(0, PageId(42));
@@ -1044,7 +1093,7 @@ fn a_freed_server_serves_the_next_queued_read_for_its_own_stage() {
     let mut woken = Vec::new();
     while let Some(event) = sim.queue.pop() {
         if let Ev::IoStage(io_id) = event.payload {
-            sim.handle_io_stage(io_id);
+            sim.handle_io_stage(io_id as usize);
             woken.extend(sim.ready.drain(..).map(|slot| (slot, sim.queue.now())));
         }
     }

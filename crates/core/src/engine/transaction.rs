@@ -1,4 +1,4 @@
-//! Per-transaction execution state.
+//! The transaction record.
 //!
 //! A transaction progresses through BOT processing, its object references
 //! (CPU burst → lock request → buffer fetch with possible I/O), and commit
@@ -6,19 +6,38 @@
 //! drives this as a queue of *micro operations*; whenever the queue runs dry
 //! the transaction's phase generates the next batch.
 //!
-//! The transaction does not own its reference string: `template` indexes the
-//! engine's shared [`TemplateTable`], which also carries the per-template
-//! derived data (update flag, distinct written pages).
-//!
-//! [`TemplateTable`]: super::arena::TemplateTable
+//! One [`Transaction`] record holds a transaction from arrival to commit:
+//! its reference string with the data derived from it once at arrival
+//! (update flag, distinct written pages, shared-nothing owners), and from
+//! admission on its execution state.  The record lives in the engine's
+//! [`TxArena`](super::arena::TxArena), and its slot travels in the lock
+//! manager's id ([`tx_id`], [`slot_of`]).
 
 use std::collections::VecDeque;
 
-use dbmodel::PageId;
+use dbmodel::{PageId, PartitionMap, TransactionTemplate};
 use simkernel::time::SimTime;
 use storage::IoKind;
 
 use super::iorequest::Completion;
+use super::slot_payload;
+
+/// The lock manager's id of the transaction admitted `admission`-th, whose
+/// record is in `slot`.  The admission number fills the high word, so ids
+/// order by admission: that order is the lock manager's wake-up order and
+/// the sort key of its deadlock check, and a slot, which a later arrival
+/// reuses, must never decide it.  The slot fills the low word, so a woken
+/// id leads straight back to its record ([`slot_of`]).
+pub(crate) fn tx_id(admission: u64, slot: usize) -> u64 {
+    let admission = u32::try_from(admission).expect("admission number exceeds 32 bits");
+    u64::from(admission) << 32 | u64::from(slot_payload(slot))
+}
+
+/// The slot of the record of the transaction with lock-manager id `id`.
+#[inline]
+pub(crate) fn slot_of(id: u64) -> usize {
+    (id & u64::from(u32::MAX)) as usize
+}
 
 /// One step of a transaction that the engine knows how to execute.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -76,12 +95,16 @@ pub(crate) enum TxPhase {
     Committing,
 }
 
-/// The dynamic state of one active transaction.
-#[derive(Debug)]
+impl Default for TxPhase {
+    fn default() -> Self {
+        Self::BeforeAccess { next_ref: 0 }
+    }
+}
+
+/// One transaction in the system, from arrival to commit.
+#[derive(Debug, Default)]
 pub(crate) struct Transaction {
-    /// Globally unique transaction identifier (used by the lock manager; its
-    /// numeric order defines the lock manager's wake-up order, so it is
-    /// never replaced by an arena index).
+    /// The lock manager's id ([`tx_id`]); 0 until admission.
     pub id: u64,
     /// The computing module (node) the transaction runs on (its *home*:
     /// where it was admitted, where it occupies an MPL slot and where its
@@ -93,9 +116,6 @@ pub(crate) struct Transaction {
     /// partition (CPU bursts and buffer fetches then use that node's
     /// resources) and a second `RemoteCall` ships it back home.
     pub exec_node: usize,
-    /// Index of the transaction's reference string in the engine's shared
-    /// template table.
-    pub template: u32,
     /// Arrival time at the SOURCE (response time is measured from here).
     pub arrival: SimTime,
     /// Coarse phase.
@@ -106,36 +126,65 @@ pub(crate) struct Transaction {
     pub pending_burst: SimTime,
     /// Object reference index whose lock request is outstanding.
     pub pending_lock_ref: Option<usize>,
+    /// The reference string, written in place by the workload generator.
+    pub template: TransactionTemplate,
+    /// Distinct `(partition, page)` pairs written, sorted; derived once at
+    /// arrival instead of at every FORCE / invalidation / redo use.
+    pub written_pages: Vec<(usize, PageId)>,
+    /// Shared nothing: owning node per object reference (parallel to
+    /// `template.refs`), derived once at arrival instead of at every
+    /// execution (and re-execution after a deadlock restart).  Empty under
+    /// data sharing.
+    pub ref_owners: Vec<usize>,
+    /// Shared nothing: distinct owners of `written_pages` (sorted), the
+    /// candidate participants of the commit exchange.  Empty under data
+    /// sharing.
+    pub written_owners: Vec<usize>,
+    /// Whether any reference writes.
+    pub is_update: bool,
 }
 
 impl Transaction {
-    /// Creates a freshly arrived transaction on `node`.
-    pub fn new(id: u64, node: usize, template: u32, arrival: SimTime) -> Self {
-        Self {
-            id,
-            node,
-            exec_node: node,
-            template,
-            arrival,
-            phase: TxPhase::BeforeAccess { next_ref: 0 },
-            micro: VecDeque::new(),
-            pending_burst: 0.0,
-            pending_lock_ref: None,
-        }
+    /// Readies the record for a transaction arriving at `arrival` whose
+    /// `template` the workload generator has just filled: not yet admitted,
+    /// with the derived data (written pages and, when a shared-nothing `map`
+    /// is given, the owner per reference and the distinct owners of the
+    /// written pages) recomputed into the record's reused buffers.
+    pub fn arrive(&mut self, arrival: SimTime, map: Option<&PartitionMap>) {
+        self.id = 0;
+        self.arrival = arrival;
+        self.is_update = self.template.is_update();
+        let written = &mut self.written_pages;
+        written.clear();
+        written.extend(
+            self.template
+                .refs
+                .iter()
+                .filter(|r| r.mode.is_write())
+                .map(|r| (r.partition, r.page)),
+        );
+        written.sort_unstable_by_key(|(p, page)| (*p, page.0));
+        written.dedup();
+        self.ref_owners.clear();
+        self.written_owners.clear();
+        let Some(map) = map else {
+            return;
+        };
+        let refs = &self.template.refs;
+        self.ref_owners
+            .extend(refs.iter().map(|r| map.owner_of(r.page)));
+        let owners = &mut self.written_owners;
+        owners.extend(written.iter().map(|&(_, page)| map.owner_of(page)));
+        owners.sort_unstable();
+        owners.dedup();
     }
 
-    /// Re-initialises a completed transaction's carcass for the next arrival
-    /// on its slot, keeping the micro queue's allocation.
-    pub fn reuse(&mut self, id: u64, node: usize, template: u32, arrival: SimTime) {
+    /// Admits the transaction at `node` under lock-manager id `id`: it
+    /// starts from BOT at home, as a restart does.
+    pub fn admit(&mut self, id: u64, node: usize) {
         self.id = id;
         self.node = node;
-        self.exec_node = node;
-        self.template = template;
-        self.arrival = arrival;
-        self.phase = TxPhase::BeforeAccess { next_ref: 0 };
-        self.micro.clear();
-        self.pending_burst = 0.0;
-        self.pending_lock_ref = None;
+        self.restart();
     }
 
     /// Resets the transaction for a restart after a deadlock abort.  The
@@ -164,9 +213,17 @@ impl Transaction {
 mod tests {
     use super::*;
 
+    /// A transaction admitted at `node` under `id`, arrived at `arrival`.
+    fn admitted(id: u64, node: usize, arrival: SimTime) -> Transaction {
+        let mut tx = Transaction::default();
+        tx.arrive(arrival, None);
+        tx.admit(id, node);
+        tx
+    }
+
     #[test]
     fn restart_resets_progress_but_keeps_arrival() {
-        let mut tx = Transaction::new(1, 0, 7, 42.0);
+        let mut tx = admitted(1, 0, 42.0);
         tx.phase = TxPhase::Committing;
         tx.micro.push_back(MicroOp::Complete);
         tx.pending_lock_ref = Some(2);
@@ -176,28 +233,40 @@ mod tests {
         assert_eq!(tx.phase, TxPhase::BeforeAccess { next_ref: 0 });
         assert!(tx.micro.is_empty());
         assert_eq!(tx.pending_lock_ref, None);
-        assert_eq!(tx.arrival, 42.0);
-        assert_eq!(tx.template, 7);
+        assert_eq!((tx.id, tx.arrival), (1, 42.0));
     }
 
     #[test]
     fn reuse_resets_every_field_for_the_next_arrival() {
-        let mut tx = Transaction::new(1, 0, 7, 42.0);
-        tx.restart();
+        let mut tx = admitted(1, 0, 42.0);
         tx.micro.push_back(MicroOp::Complete);
         tx.pending_lock_ref = Some(1);
         tx.exec_node = 5;
-        tx.reuse(9, 2, 3, 100.0);
-        assert_eq!((tx.id, tx.node, tx.template, tx.arrival), (9, 2, 3, 100.0));
-        assert_eq!(tx.exec_node, 2);
+        tx.arrive(100.0, None);
+        assert_eq!((tx.id, tx.arrival), (0, 100.0), "arrival is not admission");
+        tx.admit(9, 2);
+        assert_eq!((tx.id, tx.node, tx.exec_node), (9, 2, 2));
         assert_eq!(tx.phase, TxPhase::BeforeAccess { next_ref: 0 });
         assert!(tx.micro.is_empty());
         assert_eq!(tx.pending_lock_ref, None);
     }
 
     #[test]
+    fn ids_carry_the_slot_and_order_by_admission() {
+        for (admission, slot) in [(1, 0), (7, 3), (u64::from(u32::MAX), 12_345)] {
+            let id = tx_id(admission, slot);
+            assert_eq!(slot_of(id), slot);
+            assert_ne!(id, 0, "0 marks a record not yet admitted");
+        }
+        // An earlier admission orders first, whatever the slots.
+        assert!(tx_id(1, 9) < tx_id(2, 0));
+        assert!(tx_id(2, 0) < tx_id(2, 1));
+        assert!(tx_id(41, u32::MAX as usize) < tx_id(42, 0));
+    }
+
+    #[test]
     fn push_ops_front_preserves_order() {
-        let mut tx = Transaction::new(1, 0, 0, 0.0);
+        let mut tx = admitted(1, 0, 0.0);
         tx.micro.push_back(MicroOp::Complete);
         tx.push_ops_front(&[
             MicroOp::CpuBurst {

@@ -85,6 +85,7 @@ impl GlobalLockService {
     }
 
     /// The configured one-way message delay (ms).
+    #[cfg(test)]
     pub fn message_delay_ms(&self) -> f64 {
         self.message_delay_ms
     }

@@ -120,11 +120,13 @@ impl LockManager {
     }
 
     /// Number of transactions currently blocked on a lock.
+    #[cfg(test)]
     pub fn blocked_transactions(&self) -> usize {
         self.waiting_on.len()
     }
 
     /// Number of locks currently held by `tx`.
+    #[cfg(test)]
     pub fn locks_held(&self, tx: TxId) -> usize {
         self.held.get(&tx).map(Vec::len).unwrap_or(0)
     }
@@ -294,6 +296,7 @@ impl LockManager {
     }
 
     /// True if `tx` is currently blocked.
+    #[cfg(test)]
     pub fn is_blocked(&self, tx: TxId) -> bool {
         self.waiting_on.contains_key(&tx)
     }

@@ -72,11 +72,13 @@ pub struct LockEntry {
 
 impl LockEntry {
     /// Granted holders.
+    #[cfg(test)]
     pub fn holders(&self) -> &[(TxId, LockMode)] {
         &self.holders
     }
 
     /// Waiting requests in FIFO order.
+    #[cfg(test)]
     pub fn waiters(&self) -> &[Waiter] {
         &self.waiters
     }
@@ -118,11 +120,13 @@ impl LockTable {
     }
 
     /// Number of items that currently have holders or waiters.
+    #[cfg(test)]
     pub fn active_items(&self) -> usize {
         self.entries.len()
     }
 
     /// Read access to an entry (diagnostics / tests).
+    #[cfg(test)]
     pub fn entry(&self, id: LockableId) -> Option<&LockEntry> {
         self.entries.get(&id)
     }

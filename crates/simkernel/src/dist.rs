@@ -163,6 +163,7 @@ impl PiecewiseRate {
     }
 
     /// Instantaneous rate (events per second) at time `t_ms`.
+    #[cfg(test)]
     pub fn rate_at(&self, t_ms: f64) -> f64 {
         let mut phase = (t_ms % self.cycle_ms + self.cycle_ms) % self.cycle_ms;
         for &(dur, rate) in &self.segments {

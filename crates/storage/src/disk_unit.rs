@@ -94,6 +94,7 @@ impl DiskUnit {
     }
 
     /// True if `page` is currently in the controller cache.
+    #[cfg(test)]
     pub fn cache_contains(&self, page: PageId) -> bool {
         self.cache.as_ref().is_some_and(|c| c.contains(&page))
     }

@@ -85,6 +85,7 @@ impl IoDecision {
     }
 
     /// True if the request needs a synchronous disk access.
+    #[cfg(test)]
     pub fn touches_disk_in_foreground(&self) -> bool {
         self.foreground
             .iter()

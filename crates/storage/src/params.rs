@@ -104,6 +104,7 @@ impl DiskUnitParams {
     /// Minimal service time of a read that hits in the controller cache or an
     /// SSD (controller + transmission, no queueing): 1.4 ms with the default
     /// parameters, matching §4.1.
+    #[cfg(test)]
     pub fn cache_hit_latency(&self) -> SimTime {
         self.controller_delay + self.transmission_delay
     }
@@ -111,6 +112,7 @@ impl DiskUnitParams {
     /// Minimal service time of an access that must touch the disk
     /// (controller + disk + transmission, no queueing): 16.4 ms for database
     /// disks / 6.4 ms for log disks with the default parameters (§4.1).
+    #[cfg(test)]
     pub fn disk_access_latency(&self) -> SimTime {
         self.controller_delay + self.disk_delay + self.transmission_delay
     }
