@@ -178,12 +178,12 @@ fn grid(
     out
 }
 
-/// Grid cell: mean response time [ms].
+/// Grid cell: mean response time in ms.
 fn mean_response(p: &SweepPoint) -> String {
     format!("{:.2}", p.report.response_time.mean)
 }
 
-/// Grid cell: throughput [TPS].
+/// Grid cell: throughput in TPS.
 fn throughput(p: &SweepPoint) -> String {
     format!("{:.1}", p.report.throughput_tps)
 }

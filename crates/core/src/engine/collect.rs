@@ -2,7 +2,7 @@
 //! final report (aggregate plus one [`NodeReport`] per computing module).
 
 use dbmodel::WorkloadGenerator;
-use simkernel::stats::{Tally, TimeWeighted};
+use simkernel::stats::Tally;
 use simkernel::time::SimTime;
 
 use crate::metrics::{
@@ -37,7 +37,6 @@ impl<W: WorkloadGenerator> Simulation<W> {
             }
         };
         self.per_type[slot].1.record(resp);
-        self.completed += 1;
         self.nodes[node].response.record(resp);
         self.nodes[node].completed += 1;
     }
@@ -51,8 +50,6 @@ impl<W: WorkloadGenerator> Simulation<W> {
         self.response.reset();
         self.response_sketch.reset();
         self.per_type.clear();
-        self.completed = 0;
-        self.aborts = 0;
         self.log_group_writes = 0;
         self.nvem_busy = 0.0;
         for u in &mut self.units {
@@ -78,21 +75,14 @@ impl<W: WorkloadGenerator> Simulation<W> {
             }
         }
         for node in &mut self.nodes {
+            node.admission.reset_stats(now);
             node.cpus.reset_stats(now);
             node.bufmgr.reset_stats();
             node.completed = 0;
             node.aborts = 0;
             node.remote_lock_requests = 0;
             node.response.reset();
-            node.active_tw = TimeWeighted::new();
-            node.active_tw.record(now, node.active_count as f64);
-            node.inputq_tw = TimeWeighted::new();
-            node.inputq_tw.record(now, node.input_queue.len() as f64);
         }
-        self.active_tw = TimeWeighted::new();
-        self.active_tw.record(now, self.total_active as f64);
-        self.inputq_tw = TimeWeighted::new();
-        self.inputq_tw.record(now, self.total_queued as f64);
     }
 
     /// Assembles the report at the end of the run or at the crash instant;
@@ -100,8 +90,6 @@ impl<W: WorkloadGenerator> Simulation<W> {
     pub(super) fn build_report(&mut self) -> SimulationReport {
         let now = self.queue.now();
         let measured = (now - self.measure_start).max(1e-9);
-        self.active_tw.record(now, self.total_active as f64);
-        self.inputq_tw.record(now, self.total_queued as f64);
 
         let response = &self.response;
         let sketch = &self.response_sketch;
@@ -152,19 +140,24 @@ impl<W: WorkloadGenerator> Simulation<W> {
             })
             .collect();
 
-        // Per-node breakdown plus the aggregates derived from it: the
-        // aggregate buffer statistics sum over the node-local pools and the
-        // aggregate CPU utilization averages the (identically sized) per-node
-        // CPU complexes, so a single-node run reports exactly the values of
-        // its one node.
+        // Per-node breakdown plus the aggregates derived from it: counts,
+        // buffer statistics and the active and queued levels sum over the
+        // nodes in node order, and the aggregate CPU utilization averages the
+        // (identically sized) per-node CPU complexes, so a single-node run
+        // reports exactly the values of its one node.
         let mut buffer = bufmgr::BufferStats::new(self.config.buffer.partitions.len());
+        let (mut completed, mut aborts) = (0, 0);
+        let (mut avg_active, mut avg_queued) = (0.0, 0.0);
         let mut cpu_utilization = 0.0;
         let mut nodes_report = Vec::with_capacity(self.nodes.len());
         for (id, node) in self.nodes.iter_mut().enumerate() {
+            let admission = node.admission.stats(now);
             let cpu_stats = node.cpus.stats(now);
+            completed += node.completed;
+            aborts += node.aborts;
+            avg_active += admission.avg_busy;
+            avg_queued += admission.avg_queue_len;
             cpu_utilization += cpu_stats.utilization;
-            node.active_tw.record(now, node.active_count as f64);
-            node.inputq_tw.record(now, node.input_queue.len() as f64);
             buffer.absorb(node.bufmgr.stats());
             nodes_report.push(NodeReport {
                 node: id,
@@ -173,8 +166,8 @@ impl<W: WorkloadGenerator> Simulation<W> {
                 throughput_tps: node.completed as f64 / (measured / 1000.0),
                 mean_response_ms: node.response.mean().unwrap_or(0.0),
                 cpu_utilization: cpu_stats.utilization,
-                avg_active_transactions: node.active_tw.mean().unwrap_or(0.0),
-                avg_input_queue: node.inputq_tw.mean().unwrap_or(0.0),
+                avg_active_transactions: admission.avg_busy,
+                avg_input_queue: admission.avg_queue_len,
                 remote_lock_requests: node.remote_lock_requests,
                 buffer: node.bufmgr.stats().clone(),
             });
@@ -199,17 +192,17 @@ impl<W: WorkloadGenerator> Simulation<W> {
 
         SimulationReport {
             arrival_rate_tps: self.config.arrival_rate_tps,
-            completed: self.completed,
-            aborts: self.aborts,
+            completed,
+            aborts,
             log_group_writes: self.log_group_writes,
             measured_time_ms: measured,
-            throughput_tps: self.completed as f64 / (measured / 1000.0),
+            throughput_tps: completed as f64 / (measured / 1000.0),
             response_time,
             per_type,
             cpu_utilization,
             nvem_utilization: (self.nvem_busy / measured).min(1.0),
-            avg_active_transactions: self.active_tw.mean().unwrap_or(0.0),
-            avg_input_queue: self.inputq_tw.mean().unwrap_or(0.0),
+            avg_active_transactions: avg_active,
+            avg_input_queue: avg_queued,
             buffer,
             locks: self.lockmgr.stats(),
             global_locks: self.lockmgr.global_stats(),

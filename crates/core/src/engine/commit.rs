@@ -190,20 +190,12 @@ impl<W: WorkloadGenerator> Simulation<W> {
         // Statistics.
         self.record_completion(now, node, arrival, tx_type);
 
-        // Free the record (the carcass stays for reuse).
+        // Free the record (the carcass stays for reuse) and the MPL server,
+        // which passes to the node's oldest waiting transaction, if any.
         self.txs.release(slot);
-        debug_assert!(
-            self.nodes[node].active_count > 0 && self.total_active > 0,
-            "active-transaction counter underflow"
-        );
-        self.nodes[node].active_count -= 1;
-        self.total_active -= 1;
-        self.active_tw.record(now, self.total_active as f64);
-        let node_active = self.nodes[node].active_count;
-        self.nodes[node].active_tw.record(now, node_active as f64);
-
-        // Admit the node's next waiting transaction, if any.
-        self.admit_next(node);
+        if let Some(next) = self.nodes[node].admission.release(now) {
+            self.admit(node, next as usize);
+        }
         self.debug_assert_conservation();
         Flow::Finished
     }

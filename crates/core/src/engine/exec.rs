@@ -273,7 +273,6 @@ impl<W: WorkloadGenerator> Simulation<W> {
                 Flow::Blocked
             }
             LockOutcome::Deadlock => {
-                self.aborts += 1;
                 self.nodes[home].aborts += 1;
                 self.wake_lock_waiters(|locks| locks.abort(tx_id));
                 // Restart the victim with the same reference string.

@@ -9,12 +9,12 @@
 //!
 //! **Data sharing**: with `config.nodes.num_nodes > 1` several computing
 //! modules run in front of the *shared* storage complex.  Each node has its
-//! own CPU servers, local buffer pool and input queue; arriving transactions
-//! are assigned round robin.  All nodes contend for the same storage devices
-//! and NVEM, synchronize through one global lock service (hosted on node 0;
-//! remote lock requests pay a message round trip) and invalidate each other's
-//! stale buffer copies at commit.  A single-node run is exactly the paper's
-//! centralized system.
+//! own admission station (its MPL and input queue), CPU servers and local
+//! buffer pool; arriving transactions are assigned round robin.  All nodes
+//! contend for the same storage devices and NVEM, synchronize through one
+//! global lock service (hosted on node 0; remote lock requests pay a message
+//! round trip) and invalidate each other's stale buffer copies at commit.  A
+//! single-node run is exactly the paper's centralized system.
 //!
 //! **Shared nothing**: with `config.architecture ==`
 //! [`Architecture::SharedNothing`](crate::config::Architecture) the database
@@ -64,8 +64,9 @@
 //! for the full map and an event-lifecycle walkthrough); this module only
 //! defines the shared state and dispatches events:
 //!
-//! * `source` — transaction arrivals, node assignment and per-node MPL
-//!   admission control,
+//! * `source` — transaction arrivals, node assignment and MPL admission
+//!   through each node's admission station, a [`simkernel::Resource`] like
+//!   its CPUs and the devices' controllers and disks,
 //! * `exec` — the per-transaction micro-operation state machine (object
 //!   references, locks, buffer fetches),
 //! * `cpu` — CPU burst scheduling on the owning node's CPU servers,
@@ -76,8 +77,8 @@
 //! * `recover` — the opt-in crash-recovery subsystem: redo-record
 //!   bookkeeping at commit, fuzzy checkpoints and the simulated
 //!   crash-and-restart pass (see [`crate::recovery`]),
-//! * `collect` — statistics collection and the final report (aggregate and
-//!   per node).
+//! * `collect` — statistics collection and the final report (per node, and
+//!   the aggregate whose counts and levels sum over the nodes).
 
 mod arena;
 mod coherence;
@@ -102,7 +103,7 @@ use dbmodel::{PageId, PartitionMap, PartitionScheme, WorkloadGenerator};
 use lockmgr::GlobalLockService;
 use simkernel::dist::PiecewiseRate;
 use simkernel::sketch::QuantileSketch;
-use simkernel::stats::{Tally, TimeWeighted};
+use simkernel::stats::Tally;
 use simkernel::time::{interarrival_ms, SimTime};
 use simkernel::{EventQueue, IdMap, Resource, SimRng};
 use storage::StorageDevice;
@@ -189,39 +190,35 @@ struct ReadCoalescing {
     coalesced: u64,
 }
 
-/// Runtime state of one computing module (node): its CPU servers, local
-/// buffer pool, input queue and per-node statistics.  A single-node run has
-/// exactly one of these and behaves bit-identically to the pre-data-sharing
-/// engine.  The input queue holds the slots of the waiting transactions'
-/// records.
+/// Runtime state of one computing module (node): its admission station, CPU
+/// servers, local buffer pool and per-node statistics.  A single-node run
+/// has exactly one of these and behaves bit-identically to the
+/// pre-data-sharing engine.
 struct NodeRuntime {
+    /// MPL admission control: `cm.mpl` servers, one per active transaction,
+    /// and a FIFO queue of the waiting transactions' record slots (the
+    /// input queue).
+    admission: Resource,
     cpus: Resource,
     bufmgr: BufferManager,
-    input_queue: VecDeque<usize>,
-    active_count: usize,
 
     // Per-node statistics.
     completed: u64,
     aborts: u64,
     remote_lock_requests: u64,
     response: Tally,
-    active_tw: TimeWeighted,
-    inputq_tw: TimeWeighted,
 }
 
 impl NodeRuntime {
-    fn new(node: usize, config: &SimulationConfig) -> Self {
+    fn new(config: &SimulationConfig) -> Self {
         Self {
-            cpus: Resource::new(format!("node{node}-cpus"), config.cm.num_cpus),
+            admission: Resource::new(config.cm.mpl),
+            cpus: Resource::new(config.cm.num_cpus),
             bufmgr: BufferManager::new(config.buffer.clone()),
-            input_queue: VecDeque::new(),
-            active_count: 0,
             completed: 0,
             aborts: 0,
             remote_lock_requests: 0,
             response: Tally::new(),
-            active_tw: TimeWeighted::new(),
-            inputq_tw: TimeWeighted::new(),
         }
     }
 }
@@ -291,11 +288,6 @@ pub struct Simulation<W: WorkloadGenerator> {
     /// consumes no randomness, so a single-node run draws the exact same
     /// streams as the pre-data-sharing engine).
     next_arrival_node: usize,
-    /// Running sum of the per-node `active_count`s (kept incrementally so the
-    /// per-event aggregate statistics never scan the node list).
-    total_active: usize,
-    /// Running sum of the per-node input-queue lengths.
-    total_queued: usize,
 
     // In-flight I/O requests (stable slot ids; see `arena::IoArena`).
     ios: IoArena,
@@ -327,8 +319,8 @@ pub struct Simulation<W: WorkloadGenerator> {
     crash_at: Option<SimTime>,
     crashed: bool,
 
-    // Aggregate statistics (sums over all nodes, kept incrementally so the
-    // single-node report is identical to the per-node one).
+    // Run-wide statistics; the report's counts and levels are instead sums
+    // over the nodes' (see `collect`).
     response: Tally,
     /// Run-wide response-time sketch for the report's percentiles: one
     /// sketch fed at every measured completion, constant memory however
@@ -339,12 +331,8 @@ pub struct Simulation<W: WorkloadGenerator> {
     /// type count is tiny, and unlike direct indexing it stays bounded for
     /// workload generators with sparse large type ids.
     per_type: Vec<(usize, Tally)>,
-    completed: u64,
-    aborts: u64,
     log_group_writes: u64,
     nvem_busy: SimTime,
-    active_tw: TimeWeighted,
-    inputq_tw: TimeWeighted,
 }
 
 impl<W: WorkloadGenerator> Simulation<W> {
@@ -378,13 +366,13 @@ impl<W: WorkloadGenerator> Simulation<W> {
             .enumerate()
             .map(|(i, spec)| UnitRuntime {
                 device: spec.build(format!("unit-{i}")),
-                controllers: Resource::new(format!("unit-{i}-controllers"), spec.num_controllers),
-                disks: Resource::new(format!("unit-{i}-disks"), spec.num_disks),
+                controllers: Resource::new(spec.num_controllers),
+                disks: Resource::new(spec.num_disks),
                 coalescing: config.io_scheduler.enabled().then(ReadCoalescing::default),
             })
             .collect();
         let nodes = (0..config.nodes.num_nodes)
-            .map(|n| NodeRuntime::new(n, &config))
+            .map(|_| NodeRuntime::new(&config))
             .collect();
         let remote_delay = if config.nodes.num_nodes > 1 {
             config.nodes.remote_lock_delay_ms
@@ -442,8 +430,6 @@ impl<W: WorkloadGenerator> Simulation<W> {
             micro_scratch: Vec::new(),
             woken_scratch: Vec::new(),
             next_arrival_node: 0,
-            total_active: 0,
-            total_queued: 0,
             ios: IoArena::default(),
             next_log_page: u64::MAX,
             log_wb_pending: 0,
@@ -460,12 +446,8 @@ impl<W: WorkloadGenerator> Simulation<W> {
             response: Tally::new(),
             response_sketch: QuantileSketch::default(),
             per_type: Vec::new(),
-            completed: 0,
-            aborts: 0,
             log_group_writes: 0,
             nvem_busy: 0.0,
-            active_tw: TimeWeighted::new(),
-            inputq_tw: TimeWeighted::new(),
             config,
         }
     }
@@ -521,12 +503,6 @@ impl<W: WorkloadGenerator> Simulation<W> {
     pub fn run_profiled(mut self) -> (SimulationReport, KernelProfile) {
         // analyzer: allow(wall-clock): feeds KernelProfile only, never the report
         let wall_start = Instant::now();
-        self.active_tw.record(0.0, 0.0);
-        self.inputq_tw.record(0.0, 0.0);
-        for node in &mut self.nodes {
-            node.active_tw.record(0.0, 0.0);
-            node.inputq_tw.record(0.0, 0.0);
-        }
         self.seed_initial_events();
         self.run_event_loop();
         let events = self.queue.popped_total();

@@ -4,10 +4,11 @@
 //! Transactions arrive in an open Poisson stream and are assigned to the
 //! computing modules round robin (the assignment consumes no randomness, so a
 //! single-node run draws the exact same streams as the pre-data-sharing
-//! engine).  At most `cm.mpl` transactions are active per node at once and
-//! excess arrivals wait in the owning node's input queue (admission control).
-//! An MPL slot freed at commit immediately admits the oldest transaction
-//! waiting at that node.
+//! engine).  Each node admits through its admission station, a
+//! [`Resource`](simkernel::Resource) with `cm.mpl` servers: a busy server is
+//! an active transaction, and an arrival that finds every server busy waits
+//! in the station's FIFO queue, the node's input queue.  The server a commit
+//! frees passes straight to the oldest transaction waiting at that node.
 //!
 //! An arriving transaction claims its record in the engine's
 //! [`TxArena`](super::arena::TxArena), and the workload generator writes
@@ -19,7 +20,10 @@
 #[cfg(test)]
 use dbmodel::TransactionTemplate;
 use dbmodel::WorkloadGenerator;
-use simkernel::time::{instr_time, SimTime};
+use simkernel::resource::Acquire;
+use simkernel::time::instr_time;
+#[cfg(test)]
+use simkernel::time::SimTime;
 
 use super::transaction::{tx_id, MicroOp};
 use super::{Ev, Simulation};
@@ -50,18 +54,17 @@ impl<W: WorkloadGenerator> Simulation<W> {
         };
         let node = self.next_arrival_node;
         self.next_arrival_node = (self.next_arrival_node + 1) % self.num_nodes();
-        if self.nodes[node].active_count < self.config.cm.mpl {
+        if let Acquire::Granted = self.nodes[node].admission.acquire(now, slot as u64) {
             self.admit(node, slot);
-        } else {
-            self.nodes[node].input_queue.push_back(slot);
-            self.total_queued += 1;
-            self.record_input_queue(node, now);
         }
         self.debug_assert_conservation();
     }
 
     /// Admits a transaction at `node` from a template of its own (test and
     /// direct-manipulation entry point) and returns its slot.
+    ///
+    /// # Panics
+    /// Panics if every MPL server of `node` is busy.
     #[cfg(test)]
     pub(super) fn activate(
         &mut self,
@@ -76,6 +79,9 @@ impl<W: WorkloadGenerator> Simulation<W> {
                 true
             })
             .expect("the fill always succeeds");
+        let now = self.queue.now();
+        let granted = self.nodes[node].admission.acquire(now, slot as u64);
+        assert_eq!(granted, Acquire::Granted, "no free MPL server");
         self.admit(node, slot);
         slot
     }
@@ -83,7 +89,6 @@ impl<W: WorkloadGenerator> Simulation<W> {
     /// Admits the arrived transaction in `slot` at `node`: numbers it,
     /// queues its BOT processing and marks it ready.
     pub(super) fn admit(&mut self, node: usize, slot: usize) {
-        let now = self.queue.now();
         let id = tx_id(self.next_admission, slot);
         self.next_admission += 1;
         let bot = instr_time(
@@ -96,41 +101,20 @@ impl<W: WorkloadGenerator> Simulation<W> {
             ms: bot,
             nvem: false,
         });
-        self.nodes[node].active_count += 1;
-        self.total_active += 1;
-        self.active_tw.record(now, self.total_active as f64);
-        let node_active = self.nodes[node].active_count;
-        self.nodes[node].active_tw.record(now, node_active as f64);
         self.ready.push_back(slot);
     }
 
-    /// Admits the oldest transaction waiting in `node`'s input queue, if any
-    /// (called when a commit frees an MPL slot on that node).
-    pub(super) fn admit_next(&mut self, node: usize) {
-        let now = self.queue.now();
-        if let Some(slot) = self.nodes[node].input_queue.pop_front() {
-            debug_assert!(self.total_queued > 0, "input-queue counter underflow");
-            self.total_queued -= 1;
-            self.record_input_queue(node, now);
-            self.admit(node, slot);
-        }
-    }
-
     /// Transaction conservation: every claimed record belongs to an active
-    /// or a queued transaction.
+    /// or a queued transaction, a busy server or a queued token of its
+    /// node's admission station.
     pub(super) fn debug_assert_conservation(&self) {
         debug_assert_eq!(
             self.txs.claimed(),
-            self.total_active + self.total_queued,
+            self.nodes
+                .iter()
+                .map(|n| n.admission.busy() + n.admission.queue_len())
+                .sum::<usize>(),
             "claimed transaction records vs active plus queued transactions"
         );
-    }
-
-    /// Records the aggregate and per-node input-queue lengths after a change
-    /// at `node`.
-    pub(super) fn record_input_queue(&mut self, node: usize, now: SimTime) {
-        self.inputq_tw.record(now, self.total_queued as f64);
-        let len = self.nodes[node].input_queue.len();
-        self.nodes[node].inputq_tw.record(now, len as f64);
     }
 }

@@ -17,7 +17,7 @@ use crate::presets::{
 };
 
 use super::iorequest::Completion;
-use super::transaction::MicroOp;
+use super::transaction::{tx_id, MicroOp};
 use super::{Ev, Flow, Simulation};
 use crate::config::SimulationConfig;
 use crate::metrics::SimulationReport;
@@ -218,7 +218,8 @@ fn single_node_report_carries_one_matching_node_entry() {
     assert!((node.throughput_tps - report.throughput_tps).abs() < 1e-9);
     assert!((node.mean_response_ms - report.response_time.mean).abs() < 1e-9);
     assert!((node.cpu_utilization - report.cpu_utilization).abs() < 1e-12);
-    assert!((node.avg_active_transactions - report.avg_active_transactions).abs() < 1e-9);
+    assert_eq!(node.avg_active_transactions, report.avg_active_transactions);
+    assert_eq!(node.avg_input_queue, report.avg_input_queue);
     assert_eq!(node.buffer, report.buffer);
     // A single node exchanges no lock messages and sees no invalidations.
     assert_eq!(node.remote_lock_requests, 0);
@@ -239,9 +240,20 @@ fn multi_node_run_shares_storage_and_scales_work_across_nodes() {
     for node in &report.nodes {
         assert!(node.completed > 0, "node {} completed nothing", node.node);
     }
+    // Counts and levels aggregate as sums over the nodes, in node order.
+    let nodes = &report.nodes;
     assert_eq!(
-        report.nodes.iter().map(|n| n.completed).sum::<u64>(),
+        nodes.iter().map(|n| n.completed).sum::<u64>(),
         report.completed
+    );
+    assert_eq!(nodes.iter().map(|n| n.aborts).sum::<u64>(), report.aborts);
+    assert_eq!(
+        nodes.iter().map(|n| n.avg_active_transactions).sum::<f64>(),
+        report.avg_active_transactions
+    );
+    assert_eq!(
+        nodes.iter().map(|n| n.avg_input_queue).sum::<f64>(),
+        report.avg_input_queue
     );
     // Nodes 1..3 pay remote lock messages; node 0 hosts the lock service.
     assert_eq!(report.nodes[0].remote_lock_requests, 0);
@@ -267,6 +279,56 @@ fn multi_node_run_shares_storage_and_scales_work_across_nodes() {
             .iter()
             .map(|n| n.buffer.references())
             .sum::<u64>()
+    );
+}
+
+#[test]
+fn a_full_mpl_queues_arrivals_and_a_commit_admits_the_oldest() {
+    let mut config = quick_config(DebitCreditStorage::Disk, 50.0);
+    config.cm.mpl = 2;
+    let mut sim = Simulation::new(config, debit_credit_workload(100));
+    for _ in 0..4 {
+        sim.handle_arrival();
+        sim.debug_assert_conservation();
+    }
+    let admission = &sim.nodes[0].admission;
+    assert_eq!((admission.busy(), admission.queue_len()), (2, 2));
+    // The first two arrivals were admitted and numbered; the other two
+    // records wait unnumbered in the input queue.
+    assert_eq!(sim.ready, [0, 1]);
+    assert_eq!(sim.txs.tx(1).id, tx_id(2, 1));
+    assert_eq!((sim.txs.tx(2).id, sim.txs.tx(3).id), (0, 0));
+    sim.ready.clear();
+    // A commit passes its MPL server to the oldest waiting record, which
+    // takes the next admission number.
+    assert_eq!(sim.op_complete(1), Flow::Finished);
+    sim.debug_assert_conservation();
+    assert_eq!(sim.ready, [2]);
+    assert_eq!(sim.txs.tx(2).id, tx_id(3, 2));
+    assert_eq!(sim.txs.tx(3).id, 0);
+    let admission = &sim.nodes[0].admission;
+    assert_eq!((admission.busy(), admission.queue_len()), (2, 1));
+}
+
+#[test]
+fn an_mpl_bound_stable_point_queues_arrivals_and_keeps_littles_law() {
+    let mut config = debit_credit_config(DebitCreditStorage::Disk, 100.0);
+    config.cm.mpl = 6;
+    config.warmup_ms = 1_000.0;
+    config.measure_ms = 20_000.0;
+    let report = Simulation::new(config, debit_credit_workload(100)).run();
+    assert!(
+        report.avg_input_queue > 0.1,
+        "input queue {}",
+        report.avg_input_queue
+    );
+    // Little's law: throughput × mean response is the mean number of
+    // transactions in the system, active or queued.
+    let in_system = report.avg_active_transactions + report.avg_input_queue;
+    let little = report.throughput_tps * report.response_time.mean / 1000.0;
+    assert!(
+        (little / in_system - 1.0).abs() < 0.01,
+        "throughput × response {little} vs {in_system} in the system"
     );
 }
 
@@ -652,7 +714,7 @@ fn assert_holder_bits_on_held_pages<W: dbmodel::WorkloadGenerator>(sim: &Simulat
 }
 
 #[test]
-fn exhausted_trace_puts_the_claimed_template_entry_back() {
+fn exhausted_trace_puts_the_claimed_record_back() {
     // A non-cycling trace of two transactions: the third arrival finds it
     // exhausted and stops the arrivals.
     let trace = Trace {
@@ -676,7 +738,7 @@ fn exhausted_trace_puts_the_claimed_template_entry_back() {
         sim.handle_arrival();
     }
     assert!(sim.stop_arrivals);
-    assert_eq!(sim.total_active, 2);
+    assert_eq!(sim.nodes[0].admission.busy(), 2);
     assert_eq!(sim.txs.claimed(), 2);
     // The record the exhausted arrival claimed went back on the free list:
     // the next transaction takes it instead of growing the slab.

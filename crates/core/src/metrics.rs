@@ -96,8 +96,11 @@ pub struct DeviceReport {
 ///
 /// A single-node run has exactly one entry whose values coincide with the
 /// aggregate fields of [`SimulationReport`]; a multi-node run has one entry
-/// per computing module, and the aggregate fields sum (counters) or average
-/// (utilizations, response times) over them.
+/// per computing module.  The aggregate counts (`completed`, `aborts`),
+/// levels (`avg_active_transactions`, `avg_input_queue`) and buffer
+/// statistics are sums over the entries in node order, the aggregate CPU
+/// utilization is their mean, and the aggregate response times come from
+/// the run-wide tally of every measured completion.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NodeReport {
     /// Node id (0-based; node 0 hosts the global lock service).
@@ -112,9 +115,11 @@ pub struct NodeReport {
     pub mean_response_ms: f64,
     /// Average utilization of this node's CPU servers (0..=1).
     pub cpu_utilization: f64,
-    /// Time-average number of transactions active on this node.
+    /// Time-average number of transactions active on this node: the busy
+    /// level of its admission station.
     pub avg_active_transactions: f64,
-    /// Time-average number of transactions waiting in this node's input queue.
+    /// Time-average number of transactions waiting in this node's input
+    /// queue, its admission station's queue.
     pub avg_input_queue: f64,
     /// Lock requests this node sent to the remote global lock service (0 on
     /// the service's home node).
@@ -368,10 +373,11 @@ pub struct SimulationReport {
     /// NVEM page-move time over the measurement interval, capped at 1; 0
     /// when NVEM is unused.
     pub nvem_utilization: f64,
-    /// Time-average number of active (admitted) transactions.
+    /// Time-average number of active (admitted) transactions: the sum of
+    /// the nodes' [`NodeReport::avg_active_transactions`].
     pub avg_active_transactions: f64,
-    /// Time-average number of transactions waiting in the input queue (MPL
-    /// exceeded).
+    /// Time-average number of transactions waiting in the input queues (MPL
+    /// exceeded): the sum of the nodes' [`NodeReport::avg_input_queue`].
     pub avg_input_queue: f64,
     /// Buffer-manager statistics aggregated over all nodes (hit ratios,
     /// evictions, migrations, invalidations).

@@ -8,12 +8,12 @@
 //!
 //! * a [`time`] representation (simulated milliseconds),
 //! * a deterministic [`events::EventQueue`] (future event list),
-//! * FCFS multi-server [`resource::Resource`] stations with utilization and
-//!   queue-length statistics,
+//! * FCFS multi-server [`resource::Resource`] stations with busy-level,
+//!   utilization, queue-length and queue-wait statistics,
 //! * random sampling: exponential and uniform draws on a seedable PRNG
 //!   ([`rng::SimRng`]) and the Zipf and piecewise-rate [`dist`]
 //!   distributions built on it, and
-//! * [`stats`] accumulators (tally and time-weighted) with warm-up support,
+//! * [`stats`] tally accumulators with warm-up support,
 //! * a deterministic, constant-memory quantile [`sketch`] for response-time
 //!   percentiles,
 //! * the allocation-free building blocks of the per-operation path: the
@@ -41,5 +41,5 @@ pub use inline::InlineVec;
 pub use resource::{Resource, ResourceStats};
 pub use rng::SimRng;
 pub use sketch::QuantileSketch;
-pub use stats::{Tally, TimeWeighted};
+pub use stats::Tally;
 pub use time::SimTime;

@@ -1,9 +1,11 @@
 //! FCFS multi-server resources (stations).
 //!
-//! CPUs, disk controllers and disk servers are all modelled as a pool of
-//! identical servers with a single FIFO queue.  The resource tracks
-//! time-weighted utilization and queue length so device bottlenecks (the
-//! central mechanism behind most results of the paper) can be reported.
+//! CPUs, disk controllers, disk servers and each computing module's MPL
+//! (its active transactions, with the input queue as the station's queue)
+//! are all modelled as a pool of identical servers with a single FIFO
+//! queue.  The resource tracks the time-average busy level and queue length
+//! so device bottlenecks (the central mechanism behind most results of the
+//! paper) and admission queueing can be reported.
 //!
 //! The resource is *token based*: callers hand an opaque `u64` token to
 //! [`Resource::acquire`]; when capacity is available the call returns
@@ -14,9 +16,7 @@
 //! Both levels change only at an acquire or a release, so one integral
 //! serves both: before each level change the resource adds the busy and
 //! queue levels held since the previous one, times the elapsed span, to
-//! their areas.  The means are `busy_area / span` and `queue_area / span`,
-//! bit for bit what a [`crate::stats::TimeWeighted`] per level gives when
-//! fed the new level after each change.
+//! their areas.  The means are `busy_area / span` and `queue_area / span`.
 
 use std::collections::VecDeque;
 
@@ -34,7 +34,9 @@ pub enum Acquire {
 /// Aggregate statistics of a resource over the measured interval.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResourceStats {
-    /// Average fraction of servers busy (0..=1).
+    /// Time-average number of busy servers (0..=capacity).
+    pub avg_busy: f64,
+    /// Average fraction of servers busy (0..=1): `avg_busy / capacity`.
     pub utilization: f64,
     /// Time-average number of queued (not yet served) tokens.
     pub avg_queue_len: f64,
@@ -47,7 +49,6 @@ pub struct ResourceStats {
 /// A pool of `capacity` identical servers with a FIFO queue.
 #[derive(Debug, Clone)]
 pub struct Resource {
-    name: String,
     capacity: usize,
     busy: usize,
     queue: VecDeque<(u64, SimTime)>,
@@ -66,10 +67,9 @@ pub struct Resource {
 
 impl Resource {
     /// Creates a resource with `capacity >= 1` servers.
-    pub fn new(name: impl Into<String>, capacity: usize) -> Self {
+    pub fn new(capacity: usize) -> Self {
         assert!(capacity >= 1, "resource capacity must be >= 1");
         Self {
-            name: name.into(),
             capacity,
             busy: 0,
             queue: VecDeque::new(),
@@ -80,11 +80,6 @@ impl Resource {
             grants: 0,
             total_wait: 0.0,
         }
-    }
-
-    /// The resource's diagnostic name.
-    pub fn name(&self) -> &str {
-        &self.name
     }
 
     /// Number of servers.
@@ -120,7 +115,7 @@ impl Resource {
     /// If a token was waiting it is granted the freed server and returned; the
     /// caller must schedule its continuation (typically at `now`).
     pub fn release(&mut self, now: SimTime) -> Option<u64> {
-        assert!(self.busy > 0, "release on idle resource {}", self.name);
+        assert!(self.busy > 0, "release on idle resource");
         self.integrate(now);
         if let Some((token, enqueued_at)) = self.queue.pop_front() {
             // Hand the server directly to the next waiter: busy count unchanged.
@@ -167,8 +162,10 @@ impl Resource {
                 0.0
             }
         };
+        let avg_busy = mean(self.busy_area);
         ResourceStats {
-            utilization: mean(self.busy_area) / self.capacity as f64,
+            avg_busy,
+            utilization: avg_busy / self.capacity as f64,
             avg_queue_len: mean(self.queue_area),
             grants: self.grants,
             avg_wait: if self.grants > 0 {
@@ -186,7 +183,7 @@ mod tests {
 
     #[test]
     fn grants_up_to_capacity_then_queues() {
-        let mut r = Resource::new("cpu", 2);
+        let mut r = Resource::new(2);
         assert_eq!(r.acquire(0.0, 1), Acquire::Granted);
         assert_eq!(r.acquire(0.0, 2), Acquire::Granted);
         assert_eq!(r.acquire(0.0, 3), Acquire::Queued);
@@ -196,7 +193,7 @@ mod tests {
 
     #[test]
     fn release_hands_server_to_waiter_fifo() {
-        let mut r = Resource::new("disk", 1);
+        let mut r = Resource::new(1);
         assert_eq!(r.acquire(0.0, 10), Acquire::Granted);
         assert_eq!(r.acquire(1.0, 11), Acquire::Queued);
         assert_eq!(r.acquire(2.0, 12), Acquire::Queued);
@@ -209,13 +206,13 @@ mod tests {
     #[test]
     #[should_panic]
     fn release_on_idle_resource_panics() {
-        let mut r = Resource::new("x", 1);
+        let mut r = Resource::new(1);
         let _ = r.release(0.0);
     }
 
     #[test]
     fn utilization_is_time_weighted() {
-        let mut r = Resource::new("cpu", 1);
+        let mut r = Resource::new(1);
         r.acquire(0.0, 1);
         assert_eq!(r.release(5.0), None); // busy 0..5
                                           // idle 5..10
@@ -226,7 +223,7 @@ mod tests {
 
     #[test]
     fn average_wait_is_tracked() {
-        let mut r = Resource::new("cpu", 1);
+        let mut r = Resource::new(1);
         r.acquire(0.0, 1);
         r.acquire(0.0, 2); // waits 0..4
         assert_eq!(r.release(4.0), Some(2));
@@ -238,7 +235,7 @@ mod tests {
 
     #[test]
     fn reset_stats_clears_counts_but_keeps_state() {
-        let mut r = Resource::new("cpu", 1);
+        let mut r = Resource::new(1);
         r.acquire(0.0, 1);
         r.reset_stats(10.0);
         // still busy after reset
@@ -250,7 +247,7 @@ mod tests {
 
     #[test]
     fn queue_length_statistic() {
-        let mut r = Resource::new("cpu", 1);
+        let mut r = Resource::new(1);
         r.acquire(0.0, 1);
         r.acquire(0.0, 2); // queue=1 from t=0
         let _ = r.release(10.0); // token 2 served, queue=0 afterwards

@@ -1,11 +1,10 @@
-//! Statistics accumulators.
+//! Tally statistics over discrete observations.
 //!
-//! TPSIM reports response times (tally statistics over observations) and
-//! device utilizations and queue lengths (time-weighted statistics); the
-//! response-time percentiles come from [`crate::sketch::QuantileSketch`].
-//! All accumulators support being reset at the end of a warm-up period.
-
-use crate::time::SimTime;
+//! TPSIM reports response times as tallies; their percentiles come from
+//! [`crate::sketch::QuantileSketch`].  The time-weighted levels (device and
+//! CPU utilizations, queue lengths, active transactions) are integrated by
+//! the station that holds them, [`crate::resource::Resource`].  Tallies,
+//! sketches and stations all reset at the end of a warm-up period.
 
 /// Tally statistic: mean / min / max / variance over discrete observations.
 #[derive(Debug, Clone, Default)]
@@ -83,51 +82,6 @@ impl Tally {
     }
 }
 
-/// Time-weighted statistic for piecewise-constant quantities (queue lengths,
-/// number of busy servers, multiprogramming level, ...).
-#[derive(Debug, Clone)]
-pub struct TimeWeighted {
-    last_time: Option<SimTime>,
-    last_value: f64,
-    weighted_sum: f64,
-    total_time: SimTime,
-}
-
-impl Default for TimeWeighted {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl TimeWeighted {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Self {
-            last_time: None,
-            last_value: 0.0,
-            weighted_sum: 0.0,
-            total_time: 0.0,
-        }
-    }
-
-    /// Records that the observed quantity takes value `value` from time `now`
-    /// onward.  The previous value is weighted by the elapsed interval.
-    pub fn record(&mut self, now: SimTime, value: f64) {
-        if let Some(prev) = self.last_time {
-            let dt = (now - prev).max(0.0);
-            self.weighted_sum += self.last_value * dt;
-            self.total_time += dt;
-        }
-        self.last_time = Some(now);
-        self.last_value = value;
-    }
-
-    /// Time-weighted mean over the observed interval.
-    pub fn mean(&self) -> Option<f64> {
-        (self.total_time > 0.0).then(|| self.weighted_sum / self.total_time)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -162,21 +116,5 @@ mod tests {
         t.reset();
         assert_eq!(t.count(), 0);
         assert_eq!(t.mean(), None);
-    }
-
-    #[test]
-    fn time_weighted_mean() {
-        let mut tw = TimeWeighted::new();
-        tw.record(0.0, 2.0); // value 2 for 0..10
-        tw.record(10.0, 4.0); // value 4 for 10..20
-        tw.record(20.0, 0.0);
-        assert!((tw.mean().unwrap() - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn time_weighted_single_sample_has_no_mean() {
-        let mut tw = TimeWeighted::new();
-        tw.record(5.0, 1.0);
-        assert_eq!(tw.mean(), None);
     }
 }
